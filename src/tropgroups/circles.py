@@ -58,24 +58,43 @@ class CircleCocycle:
         }
 
 
+def _rational(field: str, x) -> Q:
+    try:
+        return Q(x)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise ValueError(f"cocycle field {field!r}: {x!r} is not a rational number") from None
+
+
+def _integer(field: str, x) -> int:
+    q = _rational(field, x)
+    if q.denominator != 1:
+        raise ValueError(f"cocycle field {field!r}: {x!r} is not an integer")
+    return int(q)
+
+
 def cocycle(group: TropicalGroup, m: Sequence, alpha: Sequence, w, j) -> CircleCocycle:
-    w_idx = w if isinstance(w, int) else group.weyl.idx(w)
-    jq = Q(j)
+    """The cocycle with every field checked: integral m and rational α of the
+    group's rank, w an element index (or WeylElement), and a positive j."""
+    w_idx = group.weyl.idx(w) if isinstance(w, WeylElement) else _integer("w", w)
+    if not 0 <= w_idx < len(group.weyl):
+        raise ValueError(f"cocycle field 'w': {w!r} is not an index below |W| = {len(group.weyl)}")
+    for field, xs in (("m", m), ("alpha", alpha)):
+        if not isinstance(xs, (list, tuple)) or len(xs) != group.rank:
+            raise ValueError(f"cocycle field {field!r} must be a list of {group.rank} entries")
+    jq = _rational("j", j)
     if jq <= 0:
         raise ValueError("circle length must be positive")
-    return CircleCocycle(
-        group, tuple(int(x) for x in m), tuple(Q(x) for x in alpha), w_idx, jq
-    )
+    m = tuple(_integer("m", x) for x in m)
+    return CircleCocycle(group, m, tuple(_rational("alpha", x) for x in alpha), w_idx, jq)
 
 
 def cocycle_from_json(group: TropicalGroup, data) -> CircleCocycle:
-    return cocycle(
-        group,
-        data["m"],
-        [semiring.rational_from_str(s) for s in data["alpha"]],
-        int(data["w"]),
-        semiring.rational_from_str(data["j"]),
-    )
+    if not isinstance(data, dict):
+        raise ValueError("a cocycle must be a JSON object")
+    missing = [key for key in ("m", "alpha", "w", "j") if key not in data]
+    if missing:
+        raise ValueError(f"cocycle is missing field(s) {', '.join(map(repr, missing))}")
+    return cocycle(group, data["m"], data["alpha"], data["w"], data["j"])
 
 
 @dataclass(frozen=True)
@@ -113,7 +132,7 @@ def gauge_transform(c: CircleCocycle, k: Sequence[int], beta: Sequence, v) -> Ci
     v_idx = v if isinstance(v, int) else w.idx(v)
     k = tuple(int(x) for x in k)
     beta = tuple(Q(x) for x in beta)
-    w2_idx = w.mul(w.mul(v_idx, c.mono_idx), w.inv(v_idx))
+    w2_idx = w.conj(v_idx, c.mono_idx)
     vmat = la.mat_frac(w.element(v_idx).matrix)
     w2mat = la.mat_frac(w.element(w2_idx).matrix)
     kq = tuple(Q(x) for x in k)
@@ -156,7 +175,7 @@ def isomorphism_witness(a: CircleCocycle, b: CircleCocycle) -> Optional[GaugeTri
     w = a.group.weyl
     j = a.length
     for v_idx in range(len(w)):
-        if w.mul(w.mul(v_idx, a.mono_idx), w.inv(v_idx)) != b.mono_idx:
+        if w.conj(v_idx, a.mono_idx) != b.mono_idx:
             continue
         w2mat = w.element(b.mono_idx).matrix
         amat = la.mat_sub(la.identity_matrix(len(w2mat)), w2mat)

@@ -100,8 +100,11 @@ def cmd_group_info(args) -> int:
 
 def cmd_classify(args) -> int:
     _resolve_group_args(args)
+    j = semiring.rational_from_str(str(args.j))
+    if j <= 0:
+        raise ValueError("--j: circle length must be positive")
     g = _build(args)
-    comps = circles.classify_components(g, semiring.rational_from_str(str(args.j)))
+    comps = circles.classify_components(g, j)
     report = {
         "family": args.family,
         "n": args.n or 0,

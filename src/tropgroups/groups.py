@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 from . import intlinalg as la
 from . import rootdata, semiring, weyl
 from .intlinalg import Mat, Vec
-from .permutations import identity_perm, transposition
+from .permutations import transposition
 from .rootdata import RootDatum
 from .semiring import GenPermDecomposition, TropMatrix, invert_or_decompose
 from .weyl import WeylElement, WeylGroup
@@ -44,7 +44,6 @@ class TropicalGroup:
         self.datum = datum
         self.family = family
         self._pi1 = None
-        self._perm_index = None
 
     def __repr__(self):
         tag = "x".join(map(str, self.family)) if self.family else f"rank{self.rank}"
@@ -63,11 +62,6 @@ class TropicalGroup:
     def element(self, m: Sequence, w) -> "TropGroupElement":
         widx = w if isinstance(w, int) else self.weyl.idx(w)
         return TropGroupElement(self, tuple(Q(x) for x in m), widx)
-
-    def perm_to_idx(self, perm: tuple[int, ...]) -> int:
-        if self._perm_index is None:
-            self._perm_index = {p: i for i, p in enumerate(self.weyl.perms)}
-        return self._perm_index[perm]
 
 
 class TropGroupElement:
@@ -194,24 +188,25 @@ def _pairwise_swap(size: int, a: int, b: int, c: int, d: int) -> tuple[int, ...]
     return tuple(s)
 
 
-def _perm_gens(family: str, n: int, datum: RootDatum):
+def _perm_model(family: str, n: int, datum: RootDatum) -> tuple[int, list]:
+    """Degree of the permutation model and the images of the simple reflections."""
     if family in ("GL", "SL", "PGL"):
-        return [transposition(n, t, t + 1) for t in range(n - 1)]
+        return n, [transposition(n, t, t + 1) for t in range(n - 1)]
     if family == "Sp":
         gens = [_pairwise_swap(2 * n, t, t + 1, n + t, n + t + 1) for t in range(n - 1)]
         gens.append(transposition(2 * n, n - 1, 2 * n - 1))
-        return gens
+        return 2 * n, gens
     if family == "SO_odd":
         gens = [_pairwise_swap(2 * n + 1, 1 + t, 2 + t, 1 + n + t, 2 + n + t) for t in range(n - 1)]
         gens.append(transposition(2 * n + 1, n, 2 * n))
-        return gens
+        return 2 * n + 1, gens
     if family == "SO_even":
         gens = [_pairwise_swap(2 * n, t, t + 1, n + t, n + t + 1) for t in range(n - 1)]
         gens.append(_pairwise_swap(2 * n, n - 2, 2 * n - 1, n - 1, 2 * n - 2))
-        return gens
+        return 2 * n, gens
     if family == "G2":
         model = _g2_model(datum)
-        return [_g2_root_perm(model, datum.char_reflection_matrix(i)) for i in datum.simple]
+        return 7, [_g2_root_perm(model, datum.char_reflection_matrix(i)) for i in datum.simple]
     raise ValueError(family)
 
 
@@ -261,10 +256,8 @@ def build_group(family: str, n: int = 0, guard: int = weyl.DEFAULT_GUARD) -> Tro
     if key in _GROUP_CACHE:
         return _GROUP_CACHE[key]
     datum = rootdata.build_root_datum(family, n)
-    perm_gens = _perm_gens(family, n, datum) if datum.simple else None
-    w = weyl.generate(datum, guard=guard, perm_gens=perm_gens)
-    if not datum.simple:
-        w = WeylGroup(datum, w.elements, (), (identity_perm(n),), n)
+    degree, perm_gens = _perm_model(family, n, datum)
+    w = weyl.generate(datum, perm_gens, degree, guard)
     g = TropicalGroup(datum.rank_cochar, w, datum, datum.family)
     _GROUP_CACHE[key] = g
     return g
@@ -274,10 +267,10 @@ def levi_group(g: TropicalGroup, positions) -> tuple[TropicalGroup, TropGroupHom
     """A standard parabolic as a standalone reductive group on the same
     lattice, together with its inclusion homomorphism into g."""
     datum = rootdata.levi_datum(g.datum, positions)
-    sub = TropicalGroup(g.rank, weyl.generate(datum), datum, None)
-    inclusion = make_hom(
-        sub, g, la.identity_matrix(g.rank), lambda i: g.weyl.idx(sub.weyl.element(i))
-    )
+    # levi_datum lists the chosen simple roots in sorted position order
+    gen_perms = [g.weyl.perm(g.weyl.simple_gens[p]) for p in sorted(set(positions))]
+    sub = TropicalGroup(g.rank, weyl.generate(datum, gen_perms, len(g.weyl.perms[0])), datum, None)
+    inclusion = make_hom(sub, g, la.identity_matrix(g.rank), lambda i: g.weyl.perm_idx(sub.weyl.perm(i)))
     return sub, inclusion
 
 
@@ -354,8 +347,8 @@ def from_matrix(mat: TropMatrix, g: TropicalGroup) -> TropGroupElement:
     else:
         raise ValueError(family)
     try:
-        w_idx = g.perm_to_idx(dec.perm)
-    except KeyError as exc:
+        w_idx = g.weyl.perm_idx(dec.perm)
+    except ValueError as exc:
         raise NotInGroupError("permutation part is not in the Weyl group") from exc
     elt = g.element(m, w_idx)
     if family == "PGL":
@@ -402,7 +395,7 @@ def normalize_pgl(mat: TropMatrix) -> TropMatrix:
 
 def hom_sl_to_gl(n: int) -> TropGroupHom:
     sl, gl = build_group("SL", n), build_group("GL", n)
-    return make_hom(sl, gl, _sl_embed_matrix(n), lambda i: gl.perm_to_idx(sl.weyl.perm(i)))
+    return make_hom(sl, gl, _sl_embed_matrix(n), lambda i: gl.weyl.perm_idx(sl.weyl.perm(i)))
 
 
 def hom_gl_to_pgl(n: int) -> TropGroupHom:
@@ -410,7 +403,7 @@ def hom_gl_to_pgl(n: int) -> TropGroupHom:
     f = tuple(
         tuple(int(t == c) - int(c == n - 1) for c in range(n)) for t in range(n - 1)
     )
-    return make_hom(gl, pgl, f, lambda i: pgl.perm_to_idx(gl.weyl.perm(i)))
+    return make_hom(gl, pgl, f, lambda i: pgl.weyl.perm_idx(gl.weyl.perm(i)))
 
 
 def hom_det(n: int) -> TropGroupHom:
@@ -423,7 +416,7 @@ def ambient_signed_group(n: int) -> TropicalGroup:
     sp = build_group("Sp", n)
     gen_perms = [sp.weyl.perm(g) for g in sp.weyl.simple_gens]
     gen_mats = [tuple(tuple(int(r == p[c]) for c in range(2 * n)) for r in range(2 * n)) for p in gen_perms]
-    w = weyl.from_generators(gen_mats, gen_perms=gen_perms)
+    w = weyl.from_generators(gen_mats, gen_perms, 2 * n, 2 * n)
     return TropicalGroup(2 * n, w, None, ("AmbientSp", n))
 
 
@@ -432,17 +425,11 @@ def hom_sp_to_ambient(n: int, ambient: Optional[TropicalGroup] = None) -> TropGr
     sp = build_group("Sp", n)
     amb = ambient if ambient is not None else ambient_signed_group(n)
     rows = [rootdata._e(n, i) for i in range(n)] + [rootdata._e(n, i, -1) for i in range(n)]
-    return make_hom(sp, amb, la.matrix(rows), lambda i: amb.perm_to_idx(sp.weyl.perm(i)))
+    return make_hom(sp, amb, la.matrix(rows), lambda i: amb.weyl.perm_idx(sp.weyl.perm(i)))
 
 
 def hom_ambient_to_gl(n: int, ambient: TropicalGroup) -> TropGroupHom:
     """Sum over sign pairs on the lattice; quotient S_n^B → S_n on the groups."""
     gl = build_group("GL", n)
     f = tuple(tuple(int(c == i or c == n + i) for c in range(2 * n)) for i in range(n))
-
-    def phi(idx: int) -> int:
-        p = ambient.weyl.perm(idx)
-        bar = tuple(p[i] % n for i in range(n))
-        return gl.perm_to_idx(bar)
-
-    return make_hom(ambient, gl, f, phi)
+    return make_hom(ambient, gl, f, lambda i: gl.weyl.perm_idx([p % n for p in ambient.weyl.perm(i)[:n]]))

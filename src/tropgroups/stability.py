@@ -99,6 +99,21 @@ def dominance_leq(g: TropicalGroup, lam: Sequence, mu: Sequence, strict: bool = 
     return True
 
 
+def _reduced_slopes(c: CircleCocycle, p: ParabolicSubgroup) -> dict:
+    """The distinct v·m over v ∈ W with vwv⁻¹ ∈ W_P, in order of least v.  Callers
+    fill a set in this order and freeze it; stability_verdict's violations follow
+    the resulting iteration order."""
+    if c.group is not p.group:
+        raise ValueError("cocycle and parabolic belong to different groups")
+    w = c.group.weyl
+    sub = frozenset(p.weyl_indices)
+    return dict.fromkeys(
+        la.mat_vec(w.element(v).matrix, c.slope)
+        for v in range(len(w))
+        if w.conj(v, c.mono_idx) in sub
+    )
+
+
 def reduction_degrees(c: CircleCocycle, p: ParabolicSubgroup) -> frozenset:
     """Degrees in π₁(P) of the reductions of the cocycle to the parabolic.
 
@@ -111,26 +126,12 @@ def reduction_degrees(c: CircleCocycle, p: ParabolicSubgroup) -> frozenset:
     solution β for any k (over ℝ the offsets form a torsor), so the set of
     reduction degrees is exactly {[v·m]_P : v ∈ W, vwv⁻¹ ∈ W_P}.
     """
-    if c.group is not p.group:
-        raise ValueError("cocycle and parabolic belong to different groups")
-    w = c.group.weyl
-    sub = frozenset(p.weyl_indices)
-    out = set()
-    for v in range(len(w)):
-        if w.mul(w.mul(v, c.mono_idx), w.inv(v)) in sub:
-            out.add(p.pi1.project(la.mat_vec(w.element(v).matrix, c.slope)))
-    return frozenset(out)
+    return frozenset({p.pi1.project(vm) for vm in _reduced_slopes(c, p)})
 
 
 def reduction_slopes(c: CircleCocycle, p: ParabolicSubgroup) -> frozenset:
     """Slopes φ_P(λ̌_P) of all reductions of the cocycle to the parabolic."""
-    w = c.group.weyl
-    sub = frozenset(p.weyl_indices)
-    out = set()
-    for v in range(len(w)):
-        if w.mul(w.mul(v, c.mono_idx), w.inv(v)) in sub:
-            out.add(slope(p, la.mat_vec(w.element(v).matrix, c.slope)))
-    return frozenset(out)
+    return frozenset({slope(p, vm) for vm in _reduced_slopes(c, p)})
 
 
 @dataclass(frozen=True)
@@ -165,7 +166,7 @@ def stability_verdict(c: CircleCocycle) -> StabilityVerdict:
     stable = True
     violations = []
     for size in range(n_simple):
-        for positions in _subsets(range(n_simple), size):
+        for positions in itertools.combinations(range(n_simple), size):
             p = parabolic_subgroup(g, positions)
             for phi_p in reduction_slopes(c, p):
                 leq = dominance_leq(g, phi_p, phi_g)
@@ -178,10 +179,6 @@ def stability_verdict(c: CircleCocycle) -> StabilityVerdict:
                     stable = False
                     violations.append((positions, phi_p, phi_g, True))
     return StabilityVerdict(semistable, stable, tuple(violations))
-
-
-def _subsets(items, size):
-    return itertools.combinations(tuple(items), size)
 
 
 def is_semistable(c: CircleCocycle) -> bool:

@@ -1,11 +1,12 @@
 """Finite Weyl groups as integer matrices on cocharacter coordinates.
 
-Groups are enumerated by breadth-first closure of the simple reflections and
-frozen in lexicographic matrix order, so element indices are deterministic
-and serializable.  Conjugacy classes, centralizers, parabolic subgroups,
+Every group carries a faithful permutation model, which drives
+multiplication; the matrices give the action on the lattice.  Groups are
+enumerated by breadth-first closure of their generators and frozen in
+lexicographic matrix order, so element indices are deterministic and
+serializable.  Conjugacy classes, centralizers, parabolic subgroups,
 normalizers, and the indecomposability/relative-Weyl machinery for parabolic
-subgroups whose diagram is a product of type-A paths all work on element
-indices.
+subgroups whose diagram is a product of type-A paths all work on indices.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Optional, Sequence
 
 from . import intlinalg as la
 from .intlinalg import Mat
-from .permutations import compose_perm, cycles_of, identity_perm, perm_sign, transposition
+from .permutations import compose_perm, cycles_of, identity_perm, invert_perm, perm_sign, transposition
 from .rootdata import RootDatum
 
 DEFAULT_GUARD = 10_000
@@ -31,17 +32,19 @@ class WeylElement:
 
 
 class WeylGroup:
-    """A finite matrix group with deterministic element ordering."""
+    """A finite matrix group with deterministic element ordering; perms[i] is
+    element i in the faithful permutation model that products are looked up in."""
 
-    def __init__(self, datum: Optional[RootDatum], elements, gen_indices, perms=None, perm_size=0):
+    def __init__(self, datum: Optional[RootDatum], elements, gen_indices, perms):
         self.datum = datum
         self.elements: tuple[WeylElement, ...] = tuple(elements)
         self.simple_gens: tuple[int, ...] = tuple(gen_indices)
-        self.perms: Optional[tuple[tuple[int, ...], ...]] = perms
-        self.perm_size = perm_size
+        self.perms: tuple[tuple[int, ...], ...] = tuple(perms)
         self._index = {w.matrix: i for i, w in enumerate(self.elements)}
+        self._by_perm = {p: i for i, p in enumerate(self.perms)}
+        if len(self._by_perm) != len(self.elements):
+            raise AssertionError("permutation model is not faithful")
         self.identity_idx = self._index[la.identity_matrix(self.rank)]
-        self._inv: dict[int, int] = {}
         self._classes = None
 
     @property
@@ -60,28 +63,34 @@ class WeylGroup:
             raise ValueError("element not in group")
         return self._index[key]
 
+    def perm_idx(self, perm: Sequence[int]) -> int:
+        """Index of the element with the given permutation."""
+        i = self._by_perm.get(tuple(perm))
+        if i is None:
+            raise ValueError("permutation is not in the group")
+        return i
+
     def element(self, i: int) -> WeylElement:
         return self.elements[i]
 
     def mul(self, i: int, j: int) -> int:
-        return self._index[la.mat_mul(self.elements[i].matrix, self.elements[j].matrix)]
+        return self._by_perm[compose_perm(self.perms[i], self.perms[j])]
 
     def inv(self, i: int) -> int:
-        if i not in self._inv:
-            m = la.mat_to_int(la.rational_inverse(self.elements[i].matrix))
-            self._inv[i] = self._index[m]
-        return self._inv[i]
+        return self._by_perm[invert_perm(self.perms[i])]
+
+    def conj(self, v: int, x: int) -> int:
+        """Index of v·x·v⁻¹."""
+        return self.mul(self.mul(v, x), self.inv(v))
 
     def order_of(self, i: int) -> int:
         return la.matrix_order(self.elements[i].matrix)
 
     def perm(self, i: int) -> tuple[int, ...]:
-        if self.perms is None:
-            raise ValueError("group carries no permutation model")
         return self.perms[i]
 
     def sgn(self, i: int) -> int:
-        return perm_sign(self.perm(i))
+        return perm_sign(self.perms[i])
 
     def conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
         if self._classes is None:
@@ -90,9 +99,7 @@ class WeylGroup:
             for i in range(len(self.elements)):
                 if seen[i]:
                     continue
-                orbit = set()
-                for g in range(len(self.elements)):
-                    orbit.add(self.mul(self.mul(g, i), self.inv(g)))
+                orbit = {self.conj(g, i) for g in range(len(self.elements))}
                 for x in orbit:
                     seen[x] = True
                 classes.append(tuple(sorted(orbit)))
@@ -128,69 +135,48 @@ class WeylGroup:
 
     def normalizer(self, subgroup: Sequence[int]) -> tuple[int, ...]:
         sub = frozenset(subgroup)
-        out = []
-        for g in range(len(self.elements)):
-            gi = self.inv(g)
-            if all(self.mul(self.mul(g, s), gi) in sub for s in sub):
-                out.append(g)
-        return tuple(out)
+        return tuple(
+            g for g in range(len(self.elements)) if all(self.conj(g, s) in sub for s in sub)
+        )
 
 
-def _closure(gen_mats, guard: int, gen_perms=None):
-    n = len(gen_mats[0]) if gen_mats else 0
-    ident = la.identity_matrix(n)
-    perms = gen_perms is not None
-    id_perm = identity_perm(len(gen_perms[0])) if perms else None
-    seen = {ident: id_perm}
+def from_generators(
+    gen_mats, gen_perms, rank: int, degree: int, guard: int = DEFAULT_GUARD, datum=None
+) -> WeylGroup:
+    """Enumerate the finite group of rank × rank integer matrices generated by
+    gen_mats, with the permutation model on `degree` letters in which
+    gen_perms[k] is the image of gen_mats[k]."""
+    gen_mats = [la.matrix(g) for g in gen_mats]
+    ident = la.identity_matrix(rank)
+    seen = {ident: identity_perm(degree)}
     frontier = [ident]
     while frontier:
         nxt = []
         for m in frontier:
-            for k, g in enumerate(gen_mats):
+            for g, gp in zip(gen_mats, gen_perms, strict=True):
                 prod = la.mat_mul(m, g)
+                image = compose_perm(seen[m], gp)
                 if prod not in seen:
                     if len(seen) >= guard:
                         raise GuardExceededError(f"group size exceeds guard {guard}")
-                    seen[prod] = compose_perm(seen[m], gen_perms[k]) if perms else None
+                    seen[prod] = image
                     nxt.append(prod)
-                elif perms:
-                    expect = compose_perm(seen[m], gen_perms[k])
-                    if seen[prod] != expect:
-                        raise AssertionError("permutation model is not a homomorphism")
+                elif seen[prod] != image:
+                    raise AssertionError("permutation model is not a homomorphism")
         frontier = nxt
-    return seen
+    mats = sorted(seen)
+    index = {m: i for i, m in enumerate(mats)}
+    return WeylGroup(
+        datum, (WeylElement(m) for m in mats), (index[g] for g in gen_mats), (seen[m] for m in mats)
+    )
 
 
-def generate(datum: RootDatum, guard: int = DEFAULT_GUARD, perm_gens=None) -> WeylGroup:
-    """Enumerate the Weyl group of a root datum acting on cocharacters."""
+def generate(datum: RootDatum, gen_perms, degree: int, guard: int = DEFAULT_GUARD) -> WeylGroup:
+    """Enumerate the Weyl group of a root datum acting on cocharacters, with
+    the permutation model on `degree` letters in which gen_perms[k] is the
+    image of the k-th simple reflection."""
     gen_mats = [datum.cochar_reflection_matrix(i) for i in datum.simple]
-    if not gen_mats:
-        n = datum.rank_cochar
-        ident = la.identity_matrix(n)
-        return WeylGroup(datum, (WeylElement(ident),), (), None if perm_gens is None else ((),), 0)
-    seen = _closure(gen_mats, guard, perm_gens)
-    mats = sorted(seen)
-    elements = tuple(WeylElement(m) for m in mats)
-    index = {m: i for i, m in enumerate(mats)}
-    gen_indices = tuple(index[g] for g in gen_mats)
-    perms = None
-    size = 0
-    if perm_gens is not None:
-        perms = tuple(seen[m] for m in mats)
-        size = len(perm_gens[0])
-    return WeylGroup(datum, elements, gen_indices, perms, size)
-
-
-def from_generators(gen_mats, guard: int = DEFAULT_GUARD, gen_perms=None, datum=None) -> WeylGroup:
-    """Enumerate a finite matrix group from explicit generators."""
-    seen = _closure([la.matrix(g) for g in gen_mats], guard, gen_perms)
-    mats = sorted(seen)
-    elements = tuple(WeylElement(m) for m in mats)
-    index = {m: i for i, m in enumerate(mats)}
-    gen_indices = tuple(index[la.matrix(g)] for g in gen_mats)
-    perms = tuple(seen[m] for m in mats) if gen_perms is not None else None
-    size = len(gen_perms[0]) if gen_perms else 0
-    return WeylGroup(datum, elements, gen_indices, perms, size)
+    return from_generators(gen_mats, gen_perms, datum.rank_cochar, degree, guard, datum)
 
 
 # ---------------------------------------------------------------------------

@@ -116,6 +116,33 @@ def test_parse_error_exit_code(capsys):
     code = cli.main(["iso-test", "GL", "1", "--cocycle", json.dumps({"m": [0], "alpha": ["0"], "w": 0, "j": "1"})])
     assert code == 2  # needs exactly two cocycles
 
+    def gl_cocycle(n, **fields):
+        return {"m": [0] * n, "alpha": ["0"] * n, "w": 0, "j": "1", **fields}
+
+    def rejected(argv, field):
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        return code == 2 and field in err
+
+    # a monodromy index outside range(|W|), negative or too large
+    for w in (-1, 99):
+        pair = json.dumps([gl_cocycle(3, w=w), gl_cocycle(3, w=w)])
+        assert rejected(["iso-test", "GL", "3", "--cocycle", pair], "'w'")
+    assert rejected(["check-stability", "GL", "2", "--cocycle", json.dumps(gl_cocycle(2, w=1.5))], "'w'")
+    # a non-integral slope entry is not truncated
+    assert rejected(["check-stability", "GL", "2", "--cocycle", json.dumps(gl_cocycle(2, m=[1.5, 0]))], "'m'")
+    # slope and offset lengths must equal the rank
+    assert rejected(["check-stability", "GL", "2", "--cocycle", json.dumps(gl_cocycle(2, m=[1, 0, 0]))], "'m'")
+    assert rejected(["check-stability", "GL", "2", "--cocycle", json.dumps(gl_cocycle(2, alpha=["0"]))], "'alpha'")
+    # a missing field is named as missing
+    for key in ("m", "alpha", "w", "j"):
+        entry = gl_cocycle(2)
+        del entry[key]
+        assert rejected(["check-stability", "GL", "2", "--cocycle", json.dumps(entry)], f"missing field(s) '{key}'")
+    # the circle length of classify must be positive
+    for j in ("0", "-3"):
+        assert rejected(["classify", "GL", "2", "--j", j], "--j")
+
 
 def test_guard_exit_code(capsys):
     code = cli.main(["group-info", "GL", "4", "--guard", "5"])

@@ -1,11 +1,14 @@
 """Weyl group enumeration, conjugacy, parabolic subgroups, indecomposability."""
 
+import random
+
 import pytest
 
 from tropgroups import intlinalg as la
 from tropgroups import rootdata as rd
 from tropgroups import weyl
-from tropgroups.groups import build_group
+from tropgroups.groups import ambient_signed_group, build_group, levi_group
+from tropgroups.permutations import transposition
 
 
 def group(family, n):
@@ -53,7 +56,7 @@ def test_elements_are_signed_and_stabilize_roots_and_coroots():
 def test_guard():
     datum = rd.build_root_datum("GL", 4)
     with pytest.raises(weyl.GuardExceededError):
-        weyl.generate(datum, guard=10)
+        weyl.generate(datum, [transposition(4, t, t + 1) for t in range(3)], 4, guard=10)
 
 
 def test_deterministic_order():
@@ -188,3 +191,55 @@ def test_subgroup_serialization_is_indices():
     sub = w.parabolic_subgroup((0,))
     assert all(isinstance(i, int) for i in sub)
     assert sub == tuple(sorted(sub))
+
+
+# the matrix products that the permutation kernel replaced, kept as the reference
+def ref_mul(w, i, j):
+    return w.idx(la.mat_mul(w.element(i).matrix, w.element(j).matrix))
+
+
+def ref_inv(w, i):
+    return w.idx(la.mat_to_int(la.rational_inverse(w.element(i).matrix)))
+
+
+def ref_classes(w):
+    classes = set()
+    for x in range(len(w)):
+        classes.add(tuple(sorted({ref_mul(w, ref_mul(w, g, x), ref_inv(w, g)) for g in range(len(w))})))
+    return tuple(sorted(classes))
+
+
+KERNEL_CASES = [(family, n) for family, n, _ in ORDERS] + [
+    ("SL", 4),
+    ("PGL", 4),
+    ("SO_odd", 3),
+    ("Levi of Sp", 4),
+    ("AmbientSp", 2),
+]
+
+
+def kernel_group(family, n):
+    if family == "Levi of Sp":
+        return levi_group(build_group("Sp", n), (0, 2, 3))[0].weyl
+    if family == "AmbientSp":
+        return ambient_signed_group(n).weyl
+    return group(family, n)
+
+
+@pytest.mark.parametrize("family,n", KERNEL_CASES)
+def test_permutation_kernel_matches_matrix_products(family, n):
+    w = kernel_group(family, n)
+    rng = random.Random(f"{family}{n}")
+    for i in range(len(w)):
+        assert w.perm_idx(w.perm(i)) == i
+        assert w.inv(i) == ref_inv(w, i)
+    for _ in range(300):
+        i, j = rng.randrange(len(w)), rng.randrange(len(w))
+        assert w.mul(i, j) == ref_mul(w, i, j)
+        assert w.conj(i, j) == ref_mul(w, ref_mul(w, i, j), ref_inv(w, i))
+
+
+@pytest.mark.parametrize("family,n", [("GL", 4), ("Sp", 3)])
+def test_conjugacy_classes_match_matrix_oracle(family, n):
+    w = group(family, n)
+    assert w.conjugacy_classes() == ref_classes(w)
