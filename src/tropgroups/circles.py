@@ -23,11 +23,11 @@ from typing import Optional, Sequence
 
 from . import intlinalg as la
 from . import semiring
+from .errors import InvariantError
 from .groups import (
     ParentMismatchError,
     TropGroupHom,
     TropicalGroup,
-    ambient_signed_group,
     hom_sp_to_ambient,
 )
 from .intlinalg import Vec
@@ -129,7 +129,7 @@ def compose_gauges(c: CircleCocycle, second: GaugeTriple, first: GaugeTriple) ->
 def gauge_transform(c: CircleCocycle, k: Sequence[int], beta: Sequence, v) -> CircleCocycle:
     """Apply the gauge (k, β, v) to the cocycle."""
     w = c.group.weyl
-    v_idx = v if isinstance(v, int) else w.idx(v)
+    v_idx = w.check_idx(v) if isinstance(v, int) else w.idx(v)
     k = tuple(int(x) for x in k)
     beta = tuple(Q(x) for x in beta)
     w2_idx = w.conj(v_idx, c.mono_idx)
@@ -139,7 +139,8 @@ def gauge_transform(c: CircleCocycle, k: Sequence[int], beta: Sequence, v) -> Ci
     m = la.vec_add(kq, la.vec_sub(la.mat_vec(vmat, tuple(map(Q, c.slope))), la.mat_vec(w2mat, kq)))
     shifted = la.vec_add(beta, la.vec_scale(c.length, kq))
     alpha = la.vec_add(beta, la.vec_sub(la.mat_vec(vmat, c.offset), la.mat_vec(w2mat, shifted)))
-    assert all(x.denominator == 1 for x in m)
+    if any(x.denominator != 1 for x in m):
+        raise InvariantError(f"gauge ({k}, {beta}, {v_idx}) gives a non-integral slope {m}")
     return CircleCocycle(c.group, tuple(int(x) for x in m), tuple(alpha), w2_idx, c.length)
 
 
@@ -192,7 +193,8 @@ def isomorphism_witness(a: CircleCocycle, b: CircleCocycle) -> Optional[GaugeTri
         if kernel:
             basis = la.mat_frac(la.from_columns(kernel))
             y = la.rational_solve(basis, rhs)
-            assert y is not None
+            if y is None:
+                raise InvariantError(f"kernel projection {rhs} is not in the span of {kernel}")
             if any(x.denominator != 1 for x in y):
                 continue
             shift = la.mat_vec(la.from_columns(kernel), tuple(int(x) for x in y))
@@ -204,9 +206,11 @@ def isomorphism_witness(a: CircleCocycle, b: CircleCocycle) -> Optional[GaugeTri
         w2q = la.mat_frac(w2mat)
         beta_rhs = la.vec_add(t, la.vec_scale(j, la.mat_vec(w2q, tuple(map(Q, k)))))
         beta = la.rational_solve(la.mat_frac(amat), beta_rhs)
-        assert beta is not None
+        if beta is None:
+            raise InvariantError(f"offset equation (1 − w₂)·β = {beta_rhs} is unsolvable for v = {v_idx}")
         witness = GaugeTriple(tuple(k), tuple(beta), v_idx)
-        assert gauge_transform(a, witness.k, witness.beta, witness.v_idx) == b
+        if gauge_transform(a, witness.k, witness.beta, witness.v_idx) != b:
+            raise InvariantError(f"witness {witness.to_json()} does not carry {a.to_json()} to {b.to_json()}")
         return witness
     return None
 
@@ -277,7 +281,7 @@ def classify_components(g: TropicalGroup, j) -> tuple[ComponentDescription, ...]
                 class_size=len(cls),
                 torus_rank=torus_rank,
                 invariant_factors=quotient.invariant_factors,
-                centralizer_order=len(w.centralizer(rep)),
+                centralizer_order=len(w) // len(cls),  # orbit–stabilizer
                 degree_fiber=tuple(fiber),
             )
         )
@@ -289,7 +293,7 @@ def component_for_class(g: TropicalGroup, j, w_idx: int) -> ComponentDescription
     for comp in classify_components(g, j):
         if comp.class_rep == cls[0]:
             return comp
-    raise AssertionError("class not found")
+    raise InvariantError(f"class of element {w_idx} is not among the classified components")
 
 
 def slope_residues(g: TropicalGroup, w_idx: int) -> tuple[Vec, ...]:
@@ -399,9 +403,8 @@ def sp_structure(c: CircleCocycle) -> MultiLineBundle:
     if not c.group.family or c.group.family[0] != "Sp":
         raise ValueError("cocycle is not over a symplectic-family group")
     n = c.group.family[1]
-    ambient = ambient_signed_group(n)
-    lifted = pushforward(hom_sp_to_ambient(n, ambient), c)
-    perm = ambient.weyl.perm(lifted.mono_idx)
+    lifted = pushforward(hom_sp_to_ambient(n), c)
+    perm = lifted.group.weyl.perm(lifted.mono_idx)
     comps = multiline_of(lifted.slope, lifted.offset, perm, c.length)
     iota = tuple((i + n) % (2 * n) for i in range(2 * n))
     violations = check_sp_trivialization(lifted.slope, lifted.offset, perm, c.length)

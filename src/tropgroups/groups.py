@@ -15,6 +15,7 @@ from typing import Callable, Optional, Sequence
 
 from . import intlinalg as la
 from . import rootdata, semiring, weyl
+from .errors import InvariantError
 from .intlinalg import Mat, Vec
 from .permutations import transposition
 from .rootdata import RootDatum
@@ -60,7 +61,7 @@ class TropicalGroup:
         return TropGroupElement(self, (Q(0),) * self.rank, self.weyl.identity_idx)
 
     def element(self, m: Sequence, w) -> "TropGroupElement":
-        widx = w if isinstance(w, int) else self.weyl.idx(w)
+        widx = self.weyl.check_idx(w) if isinstance(w, int) else self.weyl.idx(w)
         return TropGroupElement(self, tuple(Q(x) for x in m), widx)
 
 
@@ -221,11 +222,13 @@ def _g2_model(datum: RootDatum) -> _G2Model:
     for idx, (alpha, cov) in enumerate(zip(datum.roots, datum.coroots)):
         if any(abs(datum.pair(beta, cov)) == 3 for beta in datum.roots):
             short.append(alpha)
-    assert len(short) == 6
+    if len(short) != 6:
+        raise InvariantError(f"G2 root datum has {len(short)} short roots, not 6: {short}")
     short_set = set(short)
     start = min(short)
     neighbors = [b for b in short if la.vec_sub(b, start) in short_set]
-    assert len(neighbors) == 2
+    if len(neighbors) != 2:
+        raise InvariantError(f"short root {start} has {len(neighbors)} hexagon neighbours, not 2: {neighbors}")
     order = [start, min(neighbors)]
     while len(order) < 6:
         nxt = [
@@ -235,7 +238,8 @@ def _g2_model(datum: RootDatum) -> _G2Model:
         ]
         order.append(nxt[0])
     for k in range(3):
-        assert order[k + 3] == la.vec_neg(order[k])
+        if order[k + 3] != la.vec_neg(order[k]):
+            raise InvariantError(f"short-root hexagon {order} is not centrally symmetric")
     rows = tuple(la.mat_vec(la.transpose(datum.pairing), beta) for beta in order)
     return _G2Model(tuple(order), la.matrix(rows))
 
@@ -247,6 +251,9 @@ def _g2_root_perm(model: _G2Model, char_matrix: Mat) -> tuple[int, ...]:
     return tuple(perm) + (6,)
 
 
+# built groups by (family, n, guard); also the ambient signed groups and their
+# homomorphisms from Sp by ("AmbientSp", n) and ("Sp→AmbientSp", n), so that
+# clearing this one dict makes every build cold
 _GROUP_CACHE: dict = {}
 
 
@@ -343,7 +350,8 @@ def from_matrix(mat: TropMatrix, g: TropicalGroup) -> TropGroupElement:
         model = _g2_model(g.datum)
         rows = (model.pairing_rows[0], model.pairing_rows[2])
         m = la.rational_solve(rows, (y[0], y[2]))
-        assert la.mat_vec(la.mat_frac(model.pairing_rows), m) == y[:6]
+        if la.mat_vec(la.mat_frac(model.pairing_rows), m) != y[:6]:
+            raise InvariantError(f"G2 model coordinates {y} are not the pairings of one cocharacter")
     else:
         raise ValueError(family)
     try:
@@ -353,7 +361,8 @@ def from_matrix(mat: TropMatrix, g: TropicalGroup) -> TropGroupElement:
     elt = g.element(m, w_idx)
     if family == "PGL":
         # normalize the representative: model coordinates have last entry 0
-        assert model_coordinates(elt) == tuple(x - y[n - 1] for x in y)
+        if model_coordinates(elt) != tuple(x - y[n - 1] for x in y):
+            raise InvariantError(f"PGL{n} representative of {y} does not end in 0")
     return elt
 
 
@@ -412,20 +421,26 @@ def hom_det(n: int) -> TropGroupHom:
 
 
 def ambient_signed_group(n: int) -> TropicalGroup:
-    """ℝ^{[±n]} ⋊ S_n^B with the signed permutations acting on positions."""
-    sp = build_group("Sp", n)
-    gen_perms = [sp.weyl.perm(g) for g in sp.weyl.simple_gens]
-    gen_mats = [tuple(tuple(int(r == p[c]) for c in range(2 * n)) for r in range(2 * n)) for p in gen_perms]
-    w = weyl.from_generators(gen_mats, gen_perms, 2 * n, 2 * n)
-    return TropicalGroup(2 * n, w, None, ("AmbientSp", n))
+    """ℝ^{[±n]} ⋊ S_n^B with the signed permutations acting on positions (cached)."""
+    key = ("AmbientSp", n)
+    if key not in _GROUP_CACHE:
+        sp = build_group("Sp", n)
+        gen_perms = [sp.weyl.perm(g) for g in sp.weyl.simple_gens]
+        gen_mats = [tuple(tuple(int(r == p[c]) for c in range(2 * n)) for r in range(2 * n)) for p in gen_perms]
+        w = weyl.from_generators(gen_mats, gen_perms, 2 * n, 2 * n)
+        _GROUP_CACHE[key] = TropicalGroup(2 * n, w, None, key)
+    return _GROUP_CACHE[key]
 
 
-def hom_sp_to_ambient(n: int, ambient: Optional[TropicalGroup] = None) -> TropGroupHom:
-    """Lattice map e_i ↦ e_i − e_{−i} with the identity on the Weyl group."""
-    sp = build_group("Sp", n)
-    amb = ambient if ambient is not None else ambient_signed_group(n)
-    rows = [rootdata._e(n, i) for i in range(n)] + [rootdata._e(n, i, -1) for i in range(n)]
-    return make_hom(sp, amb, la.matrix(rows), lambda i: amb.weyl.perm_idx(sp.weyl.perm(i)))
+def hom_sp_to_ambient(n: int) -> TropGroupHom:
+    """Lattice map e_i ↦ e_i − e_{−i} with the identity on the Weyl group,
+    into ambient_signed_group(n) (cached)."""
+    key = ("Sp→AmbientSp", n)
+    if key not in _GROUP_CACHE:
+        sp, amb = build_group("Sp", n), ambient_signed_group(n)
+        rows = [rootdata._e(n, i) for i in range(n)] + [rootdata._e(n, i, -1) for i in range(n)]
+        _GROUP_CACHE[key] = make_hom(sp, amb, la.matrix(rows), lambda i: amb.weyl.perm_idx(sp.weyl.perm(i)))
+    return _GROUP_CACHE[key]
 
 
 def hom_ambient_to_gl(n: int, ambient: TropicalGroup) -> TropGroupHom:

@@ -11,6 +11,8 @@ from __future__ import annotations
 from fractions import Fraction as Q
 from typing import Optional, Sequence
 
+from .errors import InvariantError
+
 Vec = tuple
 Mat = tuple
 
@@ -316,7 +318,8 @@ def integer_solve(a: Mat, b: Vec) -> Optional[tuple[Vec, tuple[Vec, ...]]]:
 def integer_kernel(a: Mat) -> tuple[Vec, ...]:
     n = len(a[0]) if a else 0
     sol = integer_solve(a, zero_vec(len(a)))
-    assert sol is not None
+    if sol is None:
+        raise InvariantError(f"homogeneous system {a} has no integer solution")
     if n == 0:
         return ()
     return sol[1]

@@ -25,6 +25,7 @@ from fractions import Fraction as Q
 from typing import Optional
 
 from . import intlinalg as la
+from .errors import InvariantError
 from .intlinalg import Mat, QuotientLattice, Vec
 
 FAMILIES = ("GL", "SL", "PGL", "Sp", "SO_odd", "SO_even", "G2")
@@ -105,7 +106,8 @@ class RootDatum:
         pinv = la.rational_inverse(self.pairing)
         winv = la.rational_inverse(w_cochar)
         m = la.transpose(la.mat_mul(la.mat_mul(la.mat_frac(self.pairing), winv), pinv))
-        assert la.mat_is_integral(m)
+        if not la.mat_is_integral(m):
+            raise InvariantError(f"Weyl element {w_cochar} acts non-integrally on characters: {m}")
         return la.mat_to_int(m)
 
     def cartan_matrix(self) -> Mat:
@@ -273,15 +275,17 @@ def _build_so_even(n: int) -> RootDatum:
     qb_inv = la.rational_inverse(qb)
     pb_inv = la.rational_inverse(pb)
 
-    def char_coords(v):
-        u = la.mat_vec(qb_inv, tuple(Q(x) for x in v))
-        assert all(x.denominator == 1 for x in u)
+    def coords(inv, v, lattice):
+        u = la.mat_vec(inv, tuple(Q(x) for x in v))
+        if any(x.denominator != 1 for x in u):
+            raise InvariantError(f"SO_even{n}: {v} is not in the {lattice} lattice")
         return tuple(int(x) for x in u)
 
+    def char_coords(v):
+        return coords(qb_inv, v, "character")
+
     def cochar_coords(v):
-        u = la.mat_vec(pb_inv, tuple(Q(x) for x in v))
-        assert all(x.denominator == 1 for x in u)
-        return tuple(int(x) for x in u)
+        return coords(pb_inv, v, "cocharacter")
 
     pairs = [(char_coords(v), cochar_coords(v)) for v, _ in _pm_pairs(n)]
     simple_amb = [la.vec_sub(_e(n, t), _e(n, t + 1)) for t in range(n - 1)]
@@ -313,10 +317,11 @@ def _build_g2() -> RootDatum:
                 if (nr, nc) not in pairs:
                     for r, c in pairs:
                         if r == nr and c != nc:
-                            raise AssertionError("inconsistent coroot closure")
+                            raise InvariantError(f"inconsistent coroot closure: {nr} has coroots {c} and {nc}")
                     pairs.add((nr, nc))
                     changed = True
-    assert len(pairs) == 12
+    if len(pairs) != 12:
+        raise InvariantError(f"G2 root closure has {len(pairs)} roots, not 12")
     std = Lattice(2, "hexagonal")
     return _sorted_datum(sorted(pairs), [a1, a2], pairing, std, std, ("G2", 0))
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from typing import Optional, Sequence
 
+from .errors import InvariantError
 from .permutations import (
     compose_perm,
     hexagon_group,
@@ -362,7 +363,7 @@ def _form_monomials_of_image(dec: GenPermDecomposition, supports) -> dict:
         if key in out:
             # two distinct source monomials landing on one support cannot
             # happen for a bijection and distinct supports
-            raise AssertionError("support collision")
+            raise InvariantError(f"support collision at {key} under {dec.perm}")
         out[key] = coeff
     return out
 
@@ -409,7 +410,7 @@ def check_symplectic(a: TropMatrix) -> bool:
     j = TropMatrix.permutation(iota)
     literal = trop_matrix_mul(trop_matrix_mul(a.transpose(), j), a) == j
     if constrained != literal:
-        raise AssertionError("decomposition test disagrees with the literal identity")
+        raise InvariantError(f"decomposition test disagrees with the literal identity on {a!r}")
     return constrained
 
 
@@ -436,7 +437,7 @@ def check_orthogonal(a: TropMatrix, m: Optional[int] = None) -> str:
         constrained = constrained and dec.perm[0] == 0 and dec.diag[0] == 0
     symbolic = _form_preserved(dec, _quadratic_supports(m))
     if constrained != symbolic:
-        raise AssertionError("decomposition test disagrees with the symbolic form identity")
+        raise InvariantError(f"decomposition test disagrees with the symbolic form identity on {a!r}")
     if not constrained:
         return "not_member"
     if m % 2 == 1:
@@ -465,5 +466,5 @@ def check_g2(a: TropMatrix) -> bool:
     constrained = in_hexagon and relations
     symbolic = _form_preserved(dec, CUBIC_SUPPORTS)
     if constrained != symbolic:
-        raise AssertionError("decomposition test disagrees with the symbolic form identity")
+        raise InvariantError(f"decomposition test disagrees with the symbolic form identity on {a!r}")
     return constrained

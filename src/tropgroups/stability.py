@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 
 from . import intlinalg as la
 from . import rootdata as rdmod
+from .errors import InvariantError
 from .circles import CircleCocycle
 from .groups import TropicalGroup
 from .intlinalg import QuotientLattice, Vec
@@ -62,7 +63,8 @@ def slope(p: ParabolicSubgroup, lam: Sequence) -> Vec:
     )
     rhs = tuple(Q(datum.pair(datum.roots[a], lam)) for a in idxs)
     coeffs = la.rational_solve(cartan, rhs)
-    assert coeffs is not None, "simple coroots must be independent"
+    if coeffs is None:
+        raise InvariantError(f"simple coroots at positions {p.positions} are not independent")
     phi = lam
     for c, b in zip(coeffs, idxs):
         phi = la.vec_sub(phi, la.vec_scale(c, datum.coroots[b]))

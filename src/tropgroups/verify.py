@@ -13,6 +13,7 @@ from itertools import combinations
 from typing import Optional
 
 from . import circles, stability
+from .errors import InvariantError
 from .groups import TropicalGroup, build_group
 from .weyl import a_type_structure, relative_weyl_check
 
@@ -24,7 +25,8 @@ def indecomposable_class_rep(g: TropicalGroup) -> int:
         raise ValueError("group is not of product-A type")
     reps = structure.indecomposable_elements()
     cls = g.weyl.class_of(reps[0])
-    assert all(r in cls for r in reps), "indecomposables form one conjugacy class"
+    if not set(reps) <= set(cls):
+        raise InvariantError(f"indecomposables of {g!r} do not form one conjugacy class")
     return cls[0]
 
 
@@ -169,7 +171,7 @@ def relative_weyl() -> dict:
                         detail = {
                             "cosets": len(result.iso_witness),
                         }
-                    except AssertionError as exc:
+                    except InvariantError as exc:
                         ok = False
                         detail = {"error": str(exc)}
                     cases.append(

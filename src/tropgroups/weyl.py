@@ -4,17 +4,23 @@ Every group carries a faithful permutation model, which drives
 multiplication; the matrices give the action on the lattice.  Groups are
 enumerated by breadth-first closure of their generators and frozen in
 lexicographic matrix order, so element indices are deterministic and
-serializable.  Conjugacy classes, centralizers, parabolic subgroups,
-normalizers, and the indecomposability/relative-Weyl machinery for parabolic
-subgroups whose diagram is a product of type-A paths all work on indices.
+serializable.  The closure multiplies sparsely: a generator differs from the
+identity in few columns (at most three for the simple reflections of the
+built families), and each product recomputes only those.  Conjugacy classes
+are breadth-first orbits under conjugation by the generators, taken on
+permutations.  Centralizers, parabolic subgroups, normalizers, and the
+indecomposability/relative-Weyl machinery for parabolic subgroups whose
+diagram is a product of type-A paths all work on indices.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import intlinalg as la
+from .errors import InvariantError
 from .intlinalg import Mat
 from .permutations import compose_perm, cycles_of, identity_perm, invert_perm, perm_sign, transposition
 from .rootdata import RootDatum
@@ -43,7 +49,7 @@ class WeylGroup:
         self._index = {w.matrix: i for i, w in enumerate(self.elements)}
         self._by_perm = {p: i for i, p in enumerate(self.perms)}
         if len(self._by_perm) != len(self.elements):
-            raise AssertionError("permutation model is not faithful")
+            raise InvariantError(f"permutation model is not faithful on {len(self)} elements")
         self.identity_idx = self._index[la.identity_matrix(self.rank)]
         self._classes = None
 
@@ -73,6 +79,12 @@ class WeylGroup:
     def element(self, i: int) -> WeylElement:
         return self.elements[i]
 
+    def check_idx(self, i: int) -> int:
+        """i, if it is an element index; ValueError otherwise."""
+        if not 0 <= i < len(self.elements):
+            raise ValueError(f"Weyl element index {i!r} is out of range for |W| = {len(self.elements)}")
+        return i
+
     def mul(self, i: int, j: int) -> int:
         return self._by_perm[compose_perm(self.perms[i], self.perms[j])]
 
@@ -93,17 +105,29 @@ class WeylGroup:
         return perm_sign(self.perms[i])
 
     def conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
+        """Classes as sorted index tuples, ordered by least element.
+
+        Each class is the orbit of its least element under conjugation by the
+        generators, found breadth-first on permutations.
+        """
         if self._classes is None:
+            gens = [(self.perms[g], invert_perm(self.perms[g])) for g in self.simple_gens]
             seen = [False] * len(self.elements)
             classes = []
             for i in range(len(self.elements)):
                 if seen[i]:
                     continue
-                orbit = {self.conj(g, i) for g in range(len(self.elements))}
+                seen[i] = True
+                orbit = [i]
                 for x in orbit:
-                    seen[x] = True
+                    px = self.perms[x]
+                    for ps, ps_inv in gens:
+                        y = self._by_perm[tuple([ps[px[t]] for t in ps_inv])]
+                        if not seen[y]:
+                            seen[y] = True
+                            orbit.append(y)
                 classes.append(tuple(sorted(orbit)))
-            self._classes = tuple(sorted(classes, key=lambda c: c[0]))
+            self._classes = tuple(classes)
         return self._classes
 
     def class_of(self, i: int) -> tuple[int, ...]:
@@ -147,28 +171,57 @@ def from_generators(
     gen_mats, with the permutation model on `degree` letters in which
     gen_perms[k] is the image of gen_mats[k]."""
     gen_mats = [la.matrix(g) for g in gen_mats]
+    moved = [_moved_columns(g) for g in gen_mats]
     ident = la.identity_matrix(rank)
+    # keyed by column tuples (each matrix transposed), so that a product
+    # shares the columns it keeps
     seen = {ident: identity_perm(degree)}
     frontier = [ident]
     while frontier:
         nxt = []
-        for m in frontier:
-            for g, gp in zip(gen_mats, gen_perms, strict=True):
-                prod = la.mat_mul(m, g)
-                image = compose_perm(seen[m], gp)
+        for cols in frontier:
+            for gm, gp in zip(moved, gen_perms, strict=True):
+                prod = _times_moved(cols, gm)
+                pm = seen[cols]
+                image = tuple([pm[t] for t in gp])  # compose_perm(pm, gp)
                 if prod not in seen:
                     if len(seen) >= guard:
                         raise GuardExceededError(f"group size exceeds guard {guard}")
                     seen[prod] = image
                     nxt.append(prod)
                 elif seen[prod] != image:
-                    raise AssertionError("permutation model is not a homomorphism")
+                    raise InvariantError(f"permutation model is not a homomorphism at {la.transpose(prod)}")
         frontier = nxt
-    mats = sorted(seen)
+    by_matrix = {la.transpose(cols): perm for cols, perm in seen.items()}
+    mats = sorted(by_matrix)
     index = {m: i for i, m in enumerate(mats)}
     return WeylGroup(
-        datum, (WeylElement(m) for m in mats), (index[g] for g in gen_mats), (seen[m] for m in mats)
+        datum, (WeylElement(m) for m in mats), (index[g] for g in gen_mats), (by_matrix[m] for m in mats)
     )
+
+
+def _moved_columns(g: Mat) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+    """The columns c where g differs from the identity, each with the
+    (row, entry) pairs of its nonzero entries."""
+    n = len(g)
+    return tuple(
+        (c, tuple((r, g[r][c]) for r in range(n) if g[r][c]))
+        for c in range(n)
+        if any(g[r][c] != (r == c) for r in range(n))
+    )
+
+
+def _times_moved(cols: Mat, moved) -> Mat:
+    """The columns of m·g, exactly, from the columns of m and
+    moved = _moved_columns(g); column c of m·g is Σ g[r][c]·(column r of m)."""
+    out = list(cols)
+    for c, entries in moved:
+        col = None
+        for r, e in entries:
+            term = cols[r] if e == 1 else tuple([e * x for x in cols[r]])
+            col = term if col is None else tuple(map(operator.add, col, term))
+        out[c] = (0,) * len(cols) if col is None else col
+    return tuple(out)
 
 
 def generate(datum: RootDatum, gen_perms, degree: int, guard: int = DEFAULT_GUARD) -> WeylGroup:
@@ -282,7 +335,7 @@ def a_type_structure(w: WeylGroup, positions: Sequence[int]) -> Optional[AtypeSt
                     reached[j] = image
                     nxt.append(j)
                 elif reached[j] != image:
-                    raise AssertionError("type-A factor model is not a homomorphism")
+                    raise InvariantError(f"type-A factor model is not a homomorphism at positions {positions}")
         frontier = nxt
     return AtypeStructure(w, positions, comps, tuple(sorted(reached)), reached)
 
@@ -335,7 +388,7 @@ def relative_weyl_check(w: WeylGroup, positions: Sequence[int], elt_idx: int) ->
     normal = w.normalizer(sub)
     norm_set = frozenset(normal)
     if any(g not in norm_set for g in c_big):
-        raise AssertionError("centralizer is not contained in the normalizer")
+        raise InvariantError(f"centralizer of {elt_idx} leaves the normalizer of parabolic {structure.positions}")
 
     def cosets(groupies, modulus):
         out = []
@@ -357,5 +410,5 @@ def relative_weyl_check(w: WeylGroup, positions: Sequence[int], elt_idx: int) ->
         witness.append((rep, image_rep))
         images.add(image_rep)
     if len(images) != len(big_cosets) or len(big_cosets) != len(n_cosets):
-        raise AssertionError("coset map is not a bijection")
+        raise InvariantError(f"coset map is not a bijection for {elt_idx} and parabolic {structure.positions}")
     return RelativeWeylResult(c_big, c_small, normal, tuple(witness))

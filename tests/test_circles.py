@@ -1,5 +1,7 @@
 """Circle cocycles: gauge action, isomorphism, classification, multi-line bundles."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction as Q
 
@@ -342,6 +344,30 @@ def test_sp_trivialization_violation_detected():
     assert violations and violations[0][1] == 1
     violations = ci.check_sp_trivialization((0, 0, 0, 0), (Q(1, 2), 0, 0, 0), (0, 1, 2, 3), Q(1))
     assert violations and violations[0][2] == Q(1, 2)
+
+
+def test_sp_structure_reuses_the_cached_ambient_group():
+    g = build_group("Sp", 2)
+    cocycles = [ci.cocycle(g, (3, -1), (Q(1, 2), Q(1, 3)), w, Q(3, 2)) for w in range(len(g.weyl))]
+
+    def digest():
+        lines = [json.dumps(ci.sp_structure(c).to_json(), sort_keys=True) for c in cocycles]
+        return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+    # the JSON of these eight decompositions before the ambient group was cached
+    expected = "b31daffcaa4f9084b542bc080eb897898e5066aedda5a9ba345dcc44b4977a81"
+    assert digest() == expected
+    ambient, up = gr.ambient_signed_group(2), gr.hom_sp_to_ambient(2)
+    assert digest() == expected
+    assert gr.ambient_signed_group(2) is ambient and gr.hom_sp_to_ambient(2) is up
+
+
+def test_gauge_transform_rejects_out_of_range_index():
+    g = build_group("GL", 3)
+    c = ci.cocycle(g, (1, 0, 0), (0, 0, 0), 1, 1)
+    for v in (-1, len(g.weyl), 99):
+        with pytest.raises(ValueError, match=f"index {v} .*= 6"):
+            ci.gauge_transform(c, (0, 0, 0), (0, 0, 0), v)
 
 
 def test_sp_structure_family_check():

@@ -1,6 +1,9 @@
 """Command-line interface: subcommands, determinism, exit codes."""
 
+import hashlib
 import json
+
+import pytest
 
 from tropgroups import cli
 
@@ -31,6 +34,36 @@ def test_output_is_byte_identical(capsys):
     _, out1 = run(capsys, ["classify", "GL", "2", "--j", "1"])
     _, out2 = run(capsys, ["classify", "GL", "2", "--j", "1"])
     assert out1 == out2
+
+
+# SHA-256 of the stdout of `tropgroups classify FAMILY n --j 3/2` for every
+# family with |W| <= 720, as first recorded; the JSON must stay byte-identical
+CLASSIFY_GOLDEN = [
+    ("GL", 3, "3fabc06d70df94d495595aeb85e1f3d2146a129acbc96c19a7f955efb7fad1f4"),
+    ("GL", 4, "10af017d7e6a3ca2cc82d56059e70496d9fd5ba0922f2705d36bf55666e6d0a8"),
+    ("GL", 5, "911b728ebcfb89051264202105588e132926e28f60e866ad3d00b0c1de40057d"),
+    ("GL", 6, "d7e0b3e0cbd831a63726bad011d0c9fbba7b08c067fde3e95d43dcff5c321c2e"),
+    ("SL", 4, "ec37e035db544cee95b8cb2a125f939add5a5bc881d8e9df0ace2ead070c6c97"),
+    ("SL", 5, "2b589e6e4713f459a14dd29bc12a23de27dbd3f4a7e32f90788f12765c9879ba"),
+    ("PGL", 4, "d0c639976d6297b0364124d3b4abfde3e90561cf103d8abe9268d6c6f2cd3061"),
+    ("PGL", 5, "e719b5095789c3991c6a636563ba5a56c4a9211cadc82b857b94a77248a6a60e"),
+    ("Sp", 2, "76877353b52b9b90f2bd1e735477e824bb1a33ba314b9a52e87aca71856b0f47"),
+    ("Sp", 3, "7dfaf2366990c38aa4665300b8d919a0c8a4f3bf3662d8805eef0edeae271f2f"),
+    ("Sp", 4, "8a3102c0ec2a2d7d17a5b4ae58c0c53a87616d77c02de185c133d7dff0e90df9"),
+    ("SO_odd", 2, "ccee5fc34cfa2a906e92e0bf3c3cbaa437110b11c04b8fa9a03a7e5bd1e800bb"),
+    ("SO_odd", 3, "79b2c33a379e73584461cfbe65e7bab322bd35c74f4c186b851caa0caf69c0b4"),
+    ("SO_odd", 4, "fdcdd581b092a03667c760175ab9a5410dbb0fc19ef450795564c280fd9e3a0b"),
+    ("SO_even", 3, "5152c0ab55626d460ef195d4b7515b5466c3a0d023bf9d15d3d709543db39f33"),
+    ("SO_even", 4, "029c8fc2b476d7962372c1e753e31989624f08590c28ac592733b1ceb72c6eca"),
+    ("G2", 0, "61ef1b2ade76301f0dd82a919d53a89c8a48791e8b7a05cb227aff82239fccfe"),
+]
+
+
+@pytest.mark.parametrize("family,n,digest", CLASSIFY_GOLDEN)
+def test_classify_output_is_pinned(capsys, family, n, digest):
+    code, out = run(capsys, ["classify", family, str(n), "--j", "3/2"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_classify_gl1(capsys):

@@ -222,11 +222,30 @@ def test_element_json():
     assert a.to_json() == {"m": ["1/2", "3"], "w": 1}
 
 
+def test_element_rejects_out_of_range_index():
+    g = build_group("GL", 3)
+    for w in (-1, len(g.weyl), 99):
+        with pytest.raises(ValueError, match=f"index {w} .*= 6"):
+            g.element((0, 0, 0), w)
+    assert g.element((0, 0, 0), len(g.weyl) - 1).w_idx == len(g.weyl) - 1
+
+
+def test_ambient_cache_is_emptied_with_the_group_cache(monkeypatch):
+    # a copy, so that groups other tests hold stay the cached ones
+    monkeypatch.setattr(gr, "_GROUP_CACHE", dict(gr._GROUP_CACHE))
+    ambient, up = gr.ambient_signed_group(3), gr.hom_sp_to_ambient(3)
+    gr._GROUP_CACHE.clear()
+    assert gr.ambient_signed_group(3) is not ambient
+    assert gr.hom_sp_to_ambient(3) is not up
+    assert gr.hom_sp_to_ambient(3).source is build_group("Sp", 3)
+
+
 def test_ambient_hom_chain():
     # Sp₂ₙ → ℝ^{±n}⋊Sₙ^B → GLₙ composes to the zero lattice map
     n = 2
     ambient = gr.ambient_signed_group(n)
-    up = gr.hom_sp_to_ambient(n, ambient)
+    up = gr.hom_sp_to_ambient(n)
+    assert up.target is ambient
     down = gr.hom_ambient_to_gl(n, ambient)
     comp = gr.compose_hom(down, up)
     assert all(all(x == 0 for x in row) for row in comp.lattice_map)

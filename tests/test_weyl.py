@@ -4,11 +4,13 @@ import random
 
 import pytest
 
+from tropgroups import circles
 from tropgroups import intlinalg as la
 from tropgroups import rootdata as rd
 from tropgroups import weyl
+from tropgroups.errors import InvariantError
 from tropgroups.groups import ambient_signed_group, build_group, levi_group
-from tropgroups.permutations import transposition
+from tropgroups.permutations import compose_perm, identity_perm, transposition
 
 
 def group(family, n):
@@ -243,3 +245,93 @@ def test_permutation_kernel_matches_matrix_products(family, n):
 def test_conjugacy_classes_match_matrix_oracle(family, n):
     w = group(family, n)
     assert w.conjugacy_classes() == ref_classes(w)
+
+
+# the closure before sparse products, kept as the reference: one dense
+# matrix product per edge
+def dense_closure(gen_mats, gen_perms, rank, degree):
+    ident = la.identity_matrix(rank)
+    seen = {ident: identity_perm(degree)}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for g, gp in zip(gen_mats, gen_perms, strict=True):
+                prod = la.mat_mul(m, g)
+                image = compose_perm(seen[m], gp)
+                if prod not in seen:
+                    seen[prod] = image
+                    nxt.append(prod)
+                assert seen[prod] == image
+        frontier = nxt
+    mats = sorted(seen)
+    return mats, [seen[m] for m in mats], [mats.index(g) for g in gen_mats]
+
+
+@pytest.mark.parametrize("family,n", KERNEL_CASES + [("GL", 6)])
+def test_closure_matches_dense_closure(family, n):
+    w = kernel_group(family, n)
+    gen_mats = [w.element(g).matrix for g in w.simple_gens]
+    if w.datum is not None:
+        assert gen_mats == [w.datum.cochar_reflection_matrix(i) for i in w.datum.simple]
+    mats, perms, gens = dense_closure(gen_mats, [w.perm(g) for g in w.simple_gens], w.rank, len(w.perms[0]))
+    assert [e.matrix for e in w.elements] == mats
+    assert list(w.perms) == perms
+    assert list(w.simple_gens) == gens
+
+
+def test_closure_rejects_a_non_homomorphic_model():
+    datum = rd.build_root_datum("GL", 4)
+    gen_perms = [transposition(4, t, t + 1) for t in range(3)]
+    gen_perms[0], gen_perms[1] = gen_perms[1], gen_perms[0]
+    with pytest.raises(InvariantError, match="not a homomorphism"):
+        weyl.generate(datum, gen_perms, 4)
+
+
+@pytest.mark.parametrize("family,n", [("GL", 4), ("AmbientSp", 2)])
+def test_guard_is_exact(family, n):
+    w = kernel_group(family, n)
+    gen_mats = [w.element(g).matrix for g in w.simple_gens]
+    gen_perms = [w.perm(g) for g in w.simple_gens]
+    assert len(weyl.from_generators(gen_mats, gen_perms, w.rank, len(w.perms[0]), guard=len(w))) == len(w)
+    with pytest.raises(weyl.GuardExceededError):
+        weyl.from_generators(gen_mats, gen_perms, w.rank, len(w.perms[0]), guard=len(w) - 1)
+
+
+# every family with |W| <= 720
+GRID = [
+    ("GL", 3), ("GL", 4), ("GL", 5), ("GL", 6),
+    ("SL", 4), ("SL", 5),
+    ("PGL", 4), ("PGL", 5),
+    ("Sp", 2), ("Sp", 3), ("Sp", 4),
+    ("SO_odd", 2), ("SO_odd", 3), ("SO_odd", 4),
+    ("SO_even", 3), ("SO_even", 4),
+    ("G2", 0),
+]
+
+
+# the class computation before orbits under the generators, kept as the
+# reference: conjugate by every element of W
+def all_w_classes(w):
+    seen = [False] * len(w)
+    classes = []
+    for i in range(len(w)):
+        if not seen[i]:
+            orbit = {w.conj(g, i) for g in range(len(w))}
+            for x in orbit:
+                seen[x] = True
+            classes.append(tuple(sorted(orbit)))
+    return tuple(sorted(classes))
+
+
+@pytest.mark.parametrize("family,n", GRID + [("AmbientSp", 2), ("AmbientSp", 3), ("AmbientSp", 4)])
+def test_conjugacy_classes_match_all_w_orbits(family, n):
+    w = kernel_group(family, n)
+    assert w.conjugacy_classes() == all_w_classes(w)
+
+
+@pytest.mark.parametrize("family,n", GRID)
+def test_classify_centralizer_order_is_centralizer_size(family, n):
+    g = build_group(family, n)
+    for comp in circles.classify_components(g, 1):
+        assert comp.centralizer_order == len(g.weyl.centralizer(comp.class_rep))
