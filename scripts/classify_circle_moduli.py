@@ -5,11 +5,10 @@ For each family the table lists one row per monodromy conjugacy class: the
 torus rank (dimension of the continuous part), the invariant factors of the
 discrete part, and the order of the residual centralizer action.
 
-Usage: python scripts/classify_circle_moduli.py [--j 1] [--max-n 4]
+Usage: python scripts/classify_circle_moduli.py [--max-n 4]
 """
 
 import argparse
-from fractions import Fraction as Q
 
 from tropgroups import classify_components
 from tropgroups.groups import build_group
@@ -17,10 +16,8 @@ from tropgroups.groups import build_group
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--j", default="1", help="circle length (rational)")
     parser.add_argument("--max-n", type=int, default=4)
     args = parser.parse_args()
-    j = Q(args.j)
 
     targets = [("GL", n) for n in range(1, args.max_n + 1)]
     targets += [("SL", n) for n in range(2, args.max_n + 1)]
@@ -29,7 +26,7 @@ def main():
 
     for family, n in targets:
         g = build_group(family, n)
-        comps = classify_components(g, j)
+        comps = classify_components(g)
         name = f"{family}_{n}" if n else family
         print(f"== {name}:  |W| = {len(g.weyl)}, pi1 = {list(g.pi1().invariant_factors)}, "
               f"{len(comps)} components")

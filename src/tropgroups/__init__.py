@@ -32,7 +32,6 @@ from .groups import (
     compose,
     determinant_map,
     from_matrix,
-    hom_apply,
     inverse,
     make_hom,
     to_matrix,

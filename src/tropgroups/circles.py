@@ -258,7 +258,7 @@ class ComponentDescription:
         }
 
 
-def classify_components(g: TropicalGroup, j) -> tuple[ComponentDescription, ...]:
+def classify_components(g: TropicalGroup) -> tuple[ComponentDescription, ...]:
     """One component per conjugacy class [w]: torus rank = rank ker(1 − w),
     discrete invariants = invariant factors of M̌/(1 − w)M̌, plus the residual
     centralizer order and the degree of each discrete residue."""
@@ -288,9 +288,9 @@ def classify_components(g: TropicalGroup, j) -> tuple[ComponentDescription, ...]
     return tuple(out)
 
 
-def component_for_class(g: TropicalGroup, j, w_idx: int) -> ComponentDescription:
+def component_for_class(g: TropicalGroup, w_idx: int) -> ComponentDescription:
     cls = g.weyl.class_of(w_idx)
-    for comp in classify_components(g, j):
+    for comp in classify_components(g):
         if comp.class_rep == cls[0]:
             return comp
     raise InvariantError(f"class of element {w_idx} is not among the classified components")

@@ -3,18 +3,22 @@
 Subcommands: group-info, classify, check-stability, iso-test, verify.  All
 output is deterministic JSON (rationals as "p/q" strings); exit status 0 on
 success, 1 on verification failure, 2 on input errors, 3 when the Weyl-group
-size guard is exceeded.  The guard defaults to 10000 and can be overridden
-with the TROPGROUPS_GUARD environment variable.
+size guard is exceeded, 4 when an internal invariant check fails (a bug, not
+bad input; the message names the input that trips it).  The guard defaults
+to 10000 and can be overridden with the TROPGROUPS_GUARD environment
+variable.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 
 from . import circles, semiring, stability, verify
+from .errors import InvariantError
 from .groups import build_group, center_basis
 from .rootdata import FAMILIES
 from .weyl import GuardExceededError
@@ -23,6 +27,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_PARSE = 2
 EXIT_GUARD = 3
+EXIT_INVARIANT = 4
 
 
 def _guard_default() -> int:
@@ -104,7 +109,7 @@ def cmd_classify(args) -> int:
     if j <= 0:
         raise ValueError("--j: circle length must be positive")
     g = _build(args)
-    comps = circles.classify_components(g, j)
+    comps = circles.classify_components(g)
     report = {
         "family": args.family,
         "n": args.n or 0,
@@ -155,7 +160,9 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report["pass"] else EXIT_VERIFY_FAIL
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="tropgroups", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -202,6 +209,9 @@ def main(argv=None) -> int:
     except GuardExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
+    except InvariantError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -45,6 +45,11 @@ class TropicalGroup:
         self.datum = datum
         self.family = family
         self._pi1 = None
+        # per-group data of the stability module, built on first use: the
+        # standard parabolics by sorted positions, and the simple-coroot basis
+        # with a left inverse
+        self.parabolics: dict = {}
+        self.coroot_basis = None
 
     def __repr__(self):
         tag = "x".join(map(str, self.family)) if self.family else f"rank{self.rank}"
@@ -159,10 +164,6 @@ def make_hom(source: TropicalGroup, target: TropicalGroup, f: Mat, phi: Callable
             if wmap[source.weyl.mul(g, b)] != target.weyl.mul(wmap[g], wmap[b]):
                 raise ValueError("Weyl map is not a homomorphism")
     return TropGroupHom(source, target, fint, wmap)
-
-
-def hom_apply(f: TropGroupHom, a: TropGroupElement) -> TropGroupElement:
-    return f.apply(a)
 
 
 def compose_hom(g: TropGroupHom, f: TropGroupHom) -> TropGroupHom:

@@ -8,6 +8,7 @@ lattices ℤⁿ/L with mixed torsion/free coordinates.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction as Q
 from typing import Optional, Sequence
 
@@ -42,7 +43,9 @@ def vec_scale(c, a: Vec) -> Vec:
 
 
 def vec_dot(a: Vec, b: Vec):
-    return sum(x * y for x, y in zip(a, b, strict=True))
+    if len(a) != len(b):
+        raise ValueError(f"vec_dot: lengths {len(a)} and {len(b)} differ")
+    return sum(map(operator.mul, a, b))
 
 
 def is_zero_vec(a: Vec) -> bool:

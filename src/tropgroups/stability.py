@@ -3,14 +3,25 @@
 A standard parabolic subgroup is cut out by a subset of the simple roots; it
 keeps the full cocharacter space and restricts the Weyl group, so on a circle
 its bundles are cocycles whose monodromy lies in the sub-Weyl-group.
+
+Everything that depends only on the group is built once and kept on the
+TropicalGroup: each standard parabolic, with its sub-Weyl set, π₁(P) and its
+slope matrix M_P = I − Č_P·K_P⁻¹·A_P (so a slope is one matrix-vector
+product), and a left inverse of the simple-coroot basis for the dominance
+order.  Exact rational matrices are kept as an integer matrix over one
+denominator, so slopes and dominance coefficients are integer dot products
+followed by one Fraction per entry.  A verdict makes one conjugation pass
+over W (v·w·v⁻¹ for every v) and reads the reductions to every parabolic
+from it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from math import gcd
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from . import intlinalg as la
@@ -18,57 +29,80 @@ from . import rootdata as rdmod
 from .errors import InvariantError
 from .circles import CircleCocycle
 from .groups import TropicalGroup
-from .intlinalg import QuotientLattice, Vec
+from .intlinalg import Mat, QuotientLattice, Vec
 from .weyl import a_type_structure
 
 
-@dataclass
+@dataclass(frozen=True)
 class ParabolicSubgroup:
-    """Standard parabolic: simple-root positions, sub-Weyl-group, and π₁(P)."""
+    """Standard parabolic: simple-root positions, sub-Weyl-group (as sorted
+    indices and as a set), π₁(P), and the slope matrix M_P with φ_P = M_P·λ̌,
+    kept as (N, d) with integer N and d > 0 such that M_P = N/d."""
 
     group: TropicalGroup
     positions: tuple[int, ...]
     weyl_indices: tuple[int, ...]
+    members: frozenset
     pi1: QuotientLattice
+    slope_matrix: tuple[Mat, int]
 
     @property
     def is_proper(self) -> bool:
         return len(self.positions) < len(self.group.datum.simple)
 
 
-def parabolic_subgroup(g: TropicalGroup, positions: Sequence[int]) -> ParabolicSubgroup:
-    positions = tuple(sorted(set(positions)))
+def _coroot_frame(g: TropicalGroup, positions: tuple[int, ...]) -> tuple[Mat, Mat, int]:
+    """(Č, N, d) for the simple roots at the positions, with K⁻¹·A = N/d.
+
+    Č has their coroots as columns, K = A·Č is their Cartan matrix and A maps
+    λ̌ to the pairings ⟨α, λ̌⟩, so K⁻¹·A is a left inverse of Č: it gives the
+    coefficients of any vector of the coroot span.  N is integral and d > 0.
+    """
     datum = g.datum
-    if any(p < 0 or p >= len(datum.simple) for p in positions):
-        raise ValueError("invalid simple-root position")
-    sub = g.weyl.parabolic_subgroup(positions)
-    coroots = [datum.coroots[datum.simple[p]] for p in positions]
-    return ParabolicSubgroup(g, positions, sub, QuotientLattice(g.rank, coroots))
+    idxs = [datum.simple[t] for t in positions]
+    coroots = tuple(tuple(datum.coroots[b][i] for b in idxs) for i in range(g.rank))
+    pairings = tuple(la.mat_vec(la.transpose(datum.pairing), datum.roots[a]) for a in idxs)
+    cartan = tuple(tuple(la.vec_dot(row, datum.coroots[b]) for b in idxs) for row in pairings)
+    try:
+        left_inverse = la.mat_mul(la.rational_inverse(cartan), pairings)
+    except ValueError:
+        raise InvariantError(f"simple coroots at positions {positions} are not independent") from None
+    d = lcm(*(x.denominator for row in left_inverse for x in row))
+    return coroots, tuple(tuple(int(x * d) for x in row) for row in left_inverse), d
+
+
+def parabolic_subgroup(g: TropicalGroup, positions: Sequence[int]) -> ParabolicSubgroup:
+    """The standard parabolic at the positions, built once per group."""
+    positions = tuple(sorted(set(positions)))
+    p = g.parabolics.get(positions)
+    if p is None:
+        if any(t < 0 or t >= len(g.datum.simple) for t in positions):
+            raise ValueError("invalid simple-root position")
+        sub = g.weyl.parabolic_subgroup(positions)
+        pi1 = QuotientLattice(g.rank, [g.datum.coroots[g.datum.simple[t]] for t in positions])
+        coroots, num, d = _coroot_frame(g, positions)
+        k = len(positions)
+        # M_P = I − Č_P·K_P⁻¹·A_P = (d·I − Č_P·N)/d
+        slope_num = tuple(
+            tuple(d * (i == j) - sum(coroots[i][t] * num[t][j] for t in range(k)) for j in range(g.rank))
+            for i in range(g.rank)
+        )
+        p = ParabolicSubgroup(g, positions, sub, frozenset(sub), pi1, (slope_num, d))
+        g.parabolics[positions] = p
+    return p
 
 
 def slope(p: ParabolicSubgroup, lam: Sequence) -> Vec:
-    """The unique φ = λ̌ − Σ c_i α̌_i with ⟨α_j, φ⟩ = 0 for all j in the subset.
+    """The unique φ = λ̌ − Σ c_i α̌_i with ⟨α_j, φ⟩ = 0 for all j in the subset,
+    for λ̌ with int or Fraction entries.
 
     Well defined on π₁(P): shifting λ̌ by the parabolic's coroots moves only
     the c_i.  The c solve the Cartan system of the subset, which is
-    invertible because simple coroots are linearly independent.
+    invertible because simple coroots are linearly independent; the solve is
+    folded into the parabolic's slope matrix.
     """
-    datum = p.group.datum
-    lam = tuple(Q(x) for x in lam)
-    if not p.positions:
-        return lam
-    idxs = [datum.simple[t] for t in p.positions]
-    cartan = tuple(
-        tuple(Q(datum.pair(datum.roots[a], datum.coroots[b])) for b in idxs) for a in idxs
-    )
-    rhs = tuple(Q(datum.pair(datum.roots[a], lam)) for a in idxs)
-    coeffs = la.rational_solve(cartan, rhs)
-    if coeffs is None:
-        raise InvariantError(f"simple coroots at positions {p.positions} are not independent")
-    phi = lam
-    for c, b in zip(coeffs, idxs):
-        phi = la.vec_sub(phi, la.vec_scale(c, datum.coroots[b]))
-    return phi
+    num, d = p.slope_matrix
+    return tuple([Q(la.vec_dot(row, lam), d) for row in num])
 
 
 def slope_of_group(g: TropicalGroup, lam: Sequence) -> Vec:
@@ -77,43 +111,55 @@ def slope_of_group(g: TropicalGroup, lam: Sequence) -> Vec:
 
 
 def dominance_coeffs(g: TropicalGroup, lam: Sequence, mu: Sequence) -> Optional[Vec]:
-    """Coefficients of μ̌ − λ̌ in the simple-coroot basis, or None if outside the span."""
-    datum = g.datum
-    diff = la.vec_sub(tuple(Q(x) for x in mu), tuple(Q(x) for x in lam))
-    if not datum.simple:
-        return () if la.is_zero_vec(diff) else None
-    basis = la.from_columns([tuple(map(Q, datum.coroots[i])) for i in datum.simple])
-    coeffs = la.rational_solve(basis, diff)
-    if coeffs is None:
+    """Coefficients of μ̌ − λ̌ in the simple-coroot basis, or None if outside the
+    span, for λ̌ and μ̌ with int or Fraction entries.
+
+    The coefficients are c = L·(μ̌ − λ̌) for the group's left inverse L = N/d of
+    the basis B; they are kept only if B·c = μ̌ − λ̌.  Both steps run on the
+    difference scaled to integers.
+    """
+    if g.coroot_basis is None:
+        g.coroot_basis = _coroot_frame(g, tuple(range(len(g.datum.simple))))
+    basis, num, d = g.coroot_basis
+    diff = la.vec_sub(mu, lam)
+    den = lcm(*(x.denominator for x in diff))
+    scaled = tuple(x.numerator * (den // x.denominator) for x in diff)
+    coeffs = la.mat_vec(num, scaled)
+    if la.mat_vec(basis, coeffs) != tuple(d * x for x in scaled):
         return None
-    if la.mat_vec(basis, coeffs) != diff:
-        return None
-    return coeffs
+    return tuple(Q(x, d * den) for x in coeffs)
+
+
+def _order(coeffs: Optional[Vec]) -> tuple[bool, bool]:
+    """(λ̌ ≤ μ̌, λ̌ < μ̌) from the coefficients of μ̌ − λ̌."""
+    if coeffs is None or any(c < 0 for c in coeffs):
+        return False, False
+    return True, any(c > 0 for c in coeffs)
 
 
 def dominance_leq(g: TropicalGroup, lam: Sequence, mu: Sequence, strict: bool = False) -> bool:
     """λ̌ ≤ μ̌ iff μ̌ − λ̌ is a nonnegative combination of the simple coroots."""
-    coeffs = dominance_coeffs(g, lam, mu)
-    if coeffs is None or any(c < 0 for c in coeffs):
-        return False
-    if strict:
-        return any(c > 0 for c in coeffs)
-    return True
+    leq, lt = _order(dominance_coeffs(g, lam, mu))
+    return lt if strict else leq
 
 
-def _reduced_slopes(c: CircleCocycle, p: ParabolicSubgroup) -> dict:
+def _conjugation_pass(c: CircleCocycle) -> tuple:
+    """The one scan of W that every parabolic's reductions are read from:
+    v·w·v⁻¹ for every v ∈ W in index order, and v ↦ v·m, computed at most
+    once per v and only for the v some parabolic asks for."""
+    w = c.group.weyl
+    conjugates = [w.conj(v, c.mono_idx) for v in range(len(w))]
+    return conjugates, functools.cache(lambda v: la.mat_vec(w.element(v).matrix, c.slope))
+
+
+def _reduced_slopes(c: CircleCocycle, p: ParabolicSubgroup, scan: tuple) -> dict:
     """The distinct v·m over v ∈ W with vwv⁻¹ ∈ W_P, in order of least v.  Callers
     fill a set in this order and freeze it; stability_verdict's violations follow
     the resulting iteration order."""
     if c.group is not p.group:
         raise ValueError("cocycle and parabolic belong to different groups")
-    w = c.group.weyl
-    sub = frozenset(p.weyl_indices)
-    return dict.fromkeys(
-        la.mat_vec(w.element(v).matrix, c.slope)
-        for v in range(len(w))
-        if w.conj(v, c.mono_idx) in sub
-    )
+    conjugates, moved = scan
+    return dict.fromkeys(moved(v) for v, x in enumerate(conjugates) if x in p.members)
 
 
 def reduction_degrees(c: CircleCocycle, p: ParabolicSubgroup) -> frozenset:
@@ -128,12 +174,16 @@ def reduction_degrees(c: CircleCocycle, p: ParabolicSubgroup) -> frozenset:
     solution β for any k (over ℝ the offsets form a torsor), so the set of
     reduction degrees is exactly {[v·m]_P : v ∈ W, vwv⁻¹ ∈ W_P}.
     """
-    return frozenset({p.pi1.project(vm) for vm in _reduced_slopes(c, p)})
+    return frozenset({p.pi1.project(vm) for vm in _reduced_slopes(c, p, _conjugation_pass(c))})
+
+
+def _slopes(c: CircleCocycle, p: ParabolicSubgroup, scan: tuple) -> frozenset:
+    return frozenset({slope(p, vm) for vm in _reduced_slopes(c, p, scan)})
 
 
 def reduction_slopes(c: CircleCocycle, p: ParabolicSubgroup) -> frozenset:
     """Slopes φ_P(λ̌_P) of all reductions of the cocycle to the parabolic."""
-    return frozenset({slope(p, vm) for vm in _reduced_slopes(c, p)})
+    return _slopes(c, p, _conjugation_pass(c))
 
 
 @dataclass(frozen=True)
@@ -164,15 +214,14 @@ def stability_verdict(c: CircleCocycle) -> StabilityVerdict:
     g = c.group
     n_simple = len(g.datum.simple)
     phi_g = slope_of_group(g, c.slope)
+    scan = _conjugation_pass(c)
     semistable = True
     stable = True
     violations = []
     for size in range(n_simple):
         for positions in itertools.combinations(range(n_simple), size):
-            p = parabolic_subgroup(g, positions)
-            for phi_p in reduction_slopes(c, p):
-                leq = dominance_leq(g, phi_p, phi_g)
-                lt = dominance_leq(g, phi_p, phi_g, strict=True)
+            for phi_p in _slopes(c, parabolic_subgroup(g, positions), scan):
+                leq, lt = _order(dominance_coeffs(g, phi_p, phi_g))
                 if not leq:
                     semistable = False
                     stable = False

@@ -47,7 +47,7 @@ def count_component_classes(g: TropicalGroup, j, w_idx: int) -> int:
 def sl_count(n: int, j=1) -> dict:
     g = build_group("SL", n)
     rep = indecomposable_class_rep(g)
-    comp = circles.component_for_class(g, Q(j), rep)
+    comp = circles.component_for_class(g, rep)
     enumerated = count_component_classes(g, Q(j), rep)
     ok = comp.component_size == n and enumerated == n and comp.torus_rank == 0
     return {
@@ -63,7 +63,7 @@ def sl_count(n: int, j=1) -> dict:
 def pgl_count(n: int, j=1) -> dict:
     g = build_group("PGL", n)
     rep = indecomposable_class_rep(g)
-    comp = circles.component_for_class(g, Q(j), rep)
+    comp = circles.component_for_class(g, rep)
     enumerated = count_component_classes(g, Q(j), rep)
     ok = comp.invariant_factors == (n,) and enumerated == n and comp.torus_rank == 0
     return {
@@ -107,8 +107,8 @@ def det_homeo(n: int, d: int, samples: int = 100, seed: int = 0, j=1) -> dict:
     rep = indecomposable_class_rep(g)
     cls = g.weyl.class_of(rep)
     rng = random.Random(seed)
-    comp = circles.component_for_class(g, jq, rep)
-    target = circles.component_for_class(gl1, jq, gl1.weyl.identity_idx)
+    comp = circles.component_for_class(g, rep)
+    target = circles.component_for_class(gl1, gl1.weyl.identity_idx)
     discrete_ok = (comp.torus_rank, comp.invariant_factors) == (
         target.torus_rank,
         target.invariant_factors,

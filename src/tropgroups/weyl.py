@@ -92,8 +92,12 @@ class WeylGroup:
         return self._by_perm[invert_perm(self.perms[i])]
 
     def conj(self, v: int, x: int) -> int:
-        """Index of v·x·v⁻¹."""
-        return self.mul(self.mul(v, x), self.inv(v))
+        """Index of v·x·v⁻¹, whose permutation sends v(t) to v(x(t))."""
+        pv = self.perms[v]
+        out = [0] * len(pv)
+        for s, t in zip(pv, self.perms[x]):
+            out[s] = pv[t]
+        return self._by_perm[tuple(out)]
 
     def order_of(self, i: int) -> int:
         return la.matrix_order(self.elements[i].matrix)

@@ -247,13 +247,13 @@ def test_iso_witness_is_deterministic_and_valid():
 def test_classify_component_count_is_class_count():
     for family, n in [("GL", 3), ("SL", 3), ("Sp", 2), ("G2", 0)]:
         g = build_group(family, n)
-        comps = ci.classify_components(g, Q(1))
+        comps = ci.classify_components(g)
         assert len(comps) == len(g.weyl.conjugacy_classes())
 
 
 def test_classify_gl1():
     g = build_group("GL", 1)
-    (comp,) = ci.classify_components(g, Q(1))
+    (comp,) = ci.classify_components(g)
     assert comp.torus_rank == 1
     assert comp.invariant_factors == (0,)
     assert comp.centralizer_order == 1
@@ -261,7 +261,7 @@ def test_classify_gl1():
 
 def test_classify_trivial_class_matches_pic_tensor_cochar():
     g = build_group("GL", 3)
-    comp = ci.component_for_class(g, Q(1), g.weyl.identity_idx)
+    comp = ci.component_for_class(g, g.weyl.identity_idx)
     assert comp.torus_rank == 3
     assert comp.invariant_factors == (0, 0, 0)
     assert comp.centralizer_order == 6

@@ -2,6 +2,11 @@
 
 import hashlib
 import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -190,3 +195,89 @@ def test_guard_env_override(capsys, monkeypatch):
     code = cli.main(["group-info", "GL", "4"])
     assert code == 3
     _GROUP_CACHE.clear()
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    for argv in (["group-info", "Sp", "2"], ["classify", "GL", "2", "--j", "1/2"], ["group-info", "Sp", "2"]):
+        fresh = subprocess.run(
+            [sys.executable, "-m", "tropgroups.cli", *argv], env=env, capture_output=True, text=True, check=True
+        )
+        assert run(capsys, argv) == (0, fresh.stdout)
+
+
+def test_invariant_failure_exit_code(capsys, monkeypatch):
+    from tropgroups.errors import InvariantError
+
+    def broken(c):
+        raise InvariantError("verdict check failed for cocycle w=0")
+
+    monkeypatch.setattr(cli.stability, "stability_verdict", broken)
+    payload = json.dumps({"m": [1, 0], "alpha": ["0", "0"], "w": 0, "j": "1"})
+    code = cli.main(["check-stability", "GL", "2", "--cocycle", payload])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INVARIANT == 4
+    assert captured.err == "error: verdict check failed for cocycle w=0\n"
+    assert captured.out == ""
+
+
+def stability_inputs(family, n):
+    """A fixed list of 20 cocycles: identity monodromy with seeded slopes and
+    with slope 0 (semistable, not stable), then class representatives and
+    seeded elements, with seeded slopes and offsets."""
+    from tropgroups.groups import build_group
+
+    g = build_group(family, n)
+    rng = random.Random(f"check-stability {family} {n}")
+    classes = g.weyl.conjugacy_classes()
+    out = []
+    for t in range(20):
+        if t < 2:
+            w = g.weyl.identity_idx
+        elif t < min(len(classes) + 1, 10):
+            w = classes[t - 1][0]
+        else:
+            w = rng.randrange(len(g.weyl))
+        m = [rng.randint(-3, 3) if t != 1 else 0 for _ in range(g.rank)]
+        alpha = [f"{rng.randint(-5, 5)}/{rng.randint(1, 4)}" for _ in range(g.rank)]
+        out.append({"m": m, "alpha": alpha, "w": w, "j": "1"})
+    return json.dumps(out)
+
+
+# SHA-256 of the input list and of the stdout of `tropgroups check-stability
+# FAMILY n --cocycle LIST`, as first recorded; verdicts and the order of their
+# violations must stay byte-identical
+STABILITY_GOLDEN = [
+    ("GL", 4,
+     "0bba9939fa3ead2020775f767b8a39a59aad9896c37f21f647bbfc278ff25d90",
+     "37f5d567fbcba287db5da0ff41f3d6f351a72fc31c5c14c2e3984d326b04f2e3"),
+    ("Sp", 3,
+     "077df086e5624cdfd3ae3891c5e90d3285edb5de186afc75b498c19d667f005c",
+     "6814ded818cd22e41b9ab0d9ed8c5221389afb4ff268e4f885a5f67302751a96"),
+    ("SO_odd", 3,
+     "477f1f13af628bdc4c867c66e9343e2ea7eee882fbf02a700b1504b5e6c7f31d",
+     "582b9466179a208c51140bae122db4e5b484d828a3256350e8432e3099cc1ffc"),
+    ("G2", 0,
+     "d1f168b7e46afb57325381161fc169708b3ed5c50ffa611e6f3ca648534b671e",
+     "84f857ee0d75fd42ab8325aa4009fdbd05cbeb6e251e2daf38c09161dc777bd1"),
+    ("GL", 5,
+     "d17bbeac71d03b32d824643b3f5161701dbdd67825333f47e27ee2d342b40972",
+     "1cb71398ebbf59a7e2a01d29ae4a3cfb900ccb4cacfec8cdbef22301ae7f05cd"),
+    ("Sp", 4,
+     "9cc159f45b3636d64b67944c3058c3d55f4b50cf22f8f17920d9341887a76ce7",
+     "6d09622551b13b548ed45f593f27eb3b78e54edbc70af7e75758904a023ab644"),
+    ("SO_even", 4,
+     "edb8e7aa26b2d44d4e548ccd3b9179aafc14914a246fa65cc49280c222df039f",
+     "537c49a2d595948460cc37746d5dd0499bd7e2972039faa825819456d556d109"),
+]
+
+
+@pytest.mark.parametrize("family,n,input_digest,output_digest", STABILITY_GOLDEN)
+def test_check_stability_output_is_pinned(capsys, family, n, input_digest, output_digest):
+    payload = stability_inputs(family, n)
+    assert hashlib.sha256(payload.encode()).hexdigest() == input_digest
+    code, out = run(capsys, ["check-stability", family, str(n), "--cocycle", payload])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == output_digest

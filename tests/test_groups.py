@@ -124,9 +124,7 @@ def test_hom_respects_composition():
     for hom in [gr.hom_sl_to_gl(3), gr.hom_gl_to_pgl(3), gr.hom_det(3)]:
         for _ in range(30):
             a, b = random_element(rng, hom.source), random_element(rng, hom.source)
-            assert gr.hom_apply(hom, gr.compose(a, b)) == gr.compose(
-                gr.hom_apply(hom, a), gr.hom_apply(hom, b)
-            )
+            assert hom.apply(gr.compose(a, b)) == gr.compose(hom.apply(a), hom.apply(b))
 
 
 def test_sl_to_pgl_composite_has_index_n():

@@ -1,5 +1,6 @@
 """Slopes, dominance, reductions, semistability, stable degrees."""
 
+import itertools
 import random
 from fractions import Fraction as Q
 
@@ -7,8 +8,10 @@ import pytest
 
 from tropgroups import circles as ci
 from tropgroups import groups as gr
+from tropgroups import intlinalg as la
 from tropgroups import stability as stab
 from tropgroups import verify
+from tropgroups.errors import InvariantError
 from tropgroups.groups import build_group
 
 
@@ -247,3 +250,177 @@ def test_verdict_json():
     v = stab.stability_verdict(ci.cocycle(g, (1, 0), (0, 0), g.weyl.identity_idx, 1))
     data = v.to_json()
     assert data["semistable"] is False and data["violations"]
+
+
+# ---------------------------------------------------------------------------
+# the per-query computation before the per-group parabolic data, kept as the
+# reference: a subgroup closure and a conjugation scan of W per parabolic, a
+# Cartan solve per slope and a coroot-basis solve per dominance test
+# ---------------------------------------------------------------------------
+
+
+_REF_CARTAN = {}  # (group, positions) -> Cartan matrix of the subset
+_REF_SOLVE = {}  # (group, positions, pairings) -> solution of the Cartan system
+
+
+def ref_slope(g, positions, lam):
+    """φ = λ̌ − Σ c_j α̌_j for the solution c of the Cartan system K·c = (⟨α_j, λ̌⟩)_j
+    of the subset.  K depends only on the group, and c only on the pairings,
+    so both are memoised."""
+    datum = g.datum
+    if not positions:
+        return tuple(Q(x) for x in lam)
+    idxs = [datum.simple[t] for t in positions]
+    if (g, positions) not in _REF_CARTAN:
+        _REF_CARTAN[g, positions] = tuple(
+            tuple(Q(datum.pair(datum.roots[a], datum.coroots[b])) for b in idxs) for a in idxs
+        )
+    rhs = tuple(Q(datum.pair(datum.roots[a], lam)) for a in idxs)
+    if (g, positions, rhs) not in _REF_SOLVE:
+        _REF_SOLVE[g, positions, rhs] = la.rational_solve(_REF_CARTAN[g, positions], rhs)
+    phi = tuple(Q(x) for x in lam)
+    for c, b in zip(_REF_SOLVE[g, positions, rhs], idxs):
+        phi = la.vec_sub(phi, la.vec_scale(c, datum.coroots[b]))
+    return phi
+
+
+def ref_reduced_slopes(c, sub):
+    """The distinct v·m over v ∈ W with vwv⁻¹ in the sub-Weyl set, by a scan of W
+    that conjugates with two products and an inverse."""
+    w = c.group.weyl
+    return dict.fromkeys(
+        la.mat_vec(w.element(v).matrix, c.slope)
+        for v in range(len(w))
+        if w.mul(w.mul(v, c.mono_idx), w.inv(v)) in sub
+    )
+
+
+def ref_dominance_coeffs(g, lam, mu):
+    datum = g.datum
+    diff = la.vec_sub(tuple(Q(x) for x in mu), tuple(Q(x) for x in lam))
+    if not datum.simple:
+        return () if la.is_zero_vec(diff) else None
+    basis = la.from_columns([tuple(map(Q, datum.coroots[i])) for i in datum.simple])
+    coeffs = la.rational_solve(basis, diff)
+    if coeffs is None or la.mat_vec(basis, coeffs) != diff:
+        return None
+    return coeffs
+
+
+def ref_verdict(c, reduction_sets):
+    """The verdict from the reference pieces; reduction_sets[positions] is the
+    frozenset of reference slopes of every proper parabolic."""
+    g = c.group
+    phi_g = ref_slope(g, tuple(range(len(g.datum.simple))), c.slope)
+    semistable = stable = True
+    violations = []
+    for positions, slopes in reduction_sets.items():
+        for phi_p in slopes:
+            coeffs = ref_dominance_coeffs(g, phi_p, phi_g)
+            leq = coeffs is not None and all(x >= 0 for x in coeffs)
+            if not leq:
+                semistable = stable = False
+                violations.append((positions, phi_p, phi_g, False))
+            elif not any(x > 0 for x in coeffs):
+                stable = False
+                violations.append((positions, phi_p, phi_g, True))
+    return stab.StabilityVerdict(semistable, stable, tuple(violations))
+
+
+# every family with |W| <= 720
+GRID = [
+    ("GL", 3), ("GL", 4), ("GL", 5), ("GL", 6),
+    ("SL", 4), ("SL", 5),
+    ("PGL", 4), ("PGL", 5),
+    ("Sp", 2), ("Sp", 3), ("Sp", 4),
+    ("SO_odd", 2), ("SO_odd", 3), ("SO_odd", 4),
+    ("SO_even", 3), ("SO_even", 4),
+    ("G2", 0),
+]
+
+
+def seeded_cocycles(g, count, seed):
+    """count cocycles, the first with identity monodromy, the rest with a
+    uniformly drawn class and a uniform element of it."""
+    rng = random.Random(seed)
+    classes = g.weyl.conjugacy_classes()
+    out = []
+    for t in range(count):
+        w = g.weyl.identity_idx if t == 0 else rng.choice(rng.choice(classes))
+        m = [rng.randint(-3, 3) for _ in range(g.rank)]
+        out.append(ci.cocycle(g, m, [verify.random_rational(rng) for _ in range(g.rank)], w, 1))
+    return out
+
+
+@pytest.mark.parametrize("family,n", GRID)
+def test_verdicts_and_reductions_match_the_reference(family, n):
+    g = build_group(family, n)
+    r = len(g.datum.simple)
+    parabolics = [positions for size in range(r + 1) for positions in itertools.combinations(range(r), size)]
+    subs = {positions: frozenset(g.weyl.parabolic_subgroup(positions)) for positions in parabolics}
+    ref_slopes = {}  # (positions, λ̌) -> reference slope; a cocycle's reductions repeat across cocycles
+    for c in seeded_cocycles(g, 30, f"{family}{n}"):
+        reduction_sets = {}
+        for positions in parabolics:
+            reduced = ref_reduced_slopes(c, subs[positions])
+            for vm in reduced:
+                if (positions, vm) not in ref_slopes:
+                    ref_slopes[positions, vm] = ref_slope(g, positions, vm)
+            slopes = frozenset({ref_slopes[positions, vm] for vm in reduced})
+            p = stab.parabolic_subgroup(g, positions)
+            assert list(stab.reduction_slopes(c, p)) == list(slopes)
+            assert list(stab.reduction_degrees(c, p)) == list(frozenset({p.pi1.project(vm) for vm in reduced}))
+            if len(positions) < r:
+                reduction_sets[positions] = slopes
+        assert stab.stability_verdict(c).to_json() == ref_verdict(c, reduction_sets).to_json()
+
+
+def test_parabolic_data_is_built_once_per_group(monkeypatch):
+    monkeypatch.setattr(gr, "_GROUP_CACHE", dict(gr._GROUP_CACHE))
+    g = build_group("GL", 4)
+    p = stab.parabolic_subgroup(g, (0, 2))
+    assert stab.parabolic_subgroup(g, (0, 2)) is p
+    assert stab.parabolic_subgroup(g, [2, 0, 2]) is p
+    assert stab.minimal_parabolic_for_degree(g, (2, 0, 0, 0)) is p
+    assert stab.parabolic_subgroup(g, range(3)) is stab.parabolic_subgroup(g, (0, 1, 2))
+    gr._GROUP_CACHE.clear()
+    fresh = build_group("GL", 4)
+    assert fresh is not g
+    q = stab.parabolic_subgroup(fresh, (0, 2))
+    assert q is not p and q.group is fresh
+    assert (q.positions, q.weyl_indices, q.slope_matrix) == (p.positions, p.weyl_indices, p.slope_matrix)
+    with pytest.raises(ValueError):
+        stab.parabolic_subgroup(fresh, (3,))
+
+
+def test_singular_cartan_matrix_names_the_positions(monkeypatch):
+    monkeypatch.setattr(gr, "_GROUP_CACHE", {})
+    g = build_group("GL", 3)
+
+    def singular(a):
+        raise ValueError("matrix is singular")
+
+    monkeypatch.setattr(stab.la, "rational_inverse", singular)
+    with pytest.raises(InvariantError, match=r"\(0, 1\)"):
+        stab.parabolic_subgroup(g, (1, 0))
+
+
+def test_dominance_coeffs_outside_the_coroot_span():
+    g = build_group("GL", 3)  # its centre is the line spanned by (1, 1, 1)
+    assert stab.dominance_coeffs(g, (0, 0, 0), (1, 0, 0)) is None
+    assert stab.dominance_coeffs(g, (0, 0, 0), (1, 1, 1)) is None
+    assert stab.dominance_coeffs(g, (Q(1, 3),) * 3, (0, 0, 0)) is None
+    assert stab.dominance_coeffs(g, (0, 0, 0), (1, -1, 0)) == (Q(1), Q(0))
+    assert stab.dominance_coeffs(g, (0, 1, -1), (0, 0, 0)) == (Q(0), Q(-1))
+    assert stab.dominance_coeffs(g, (0, 0, 0), (Q(1, 2), 0, Q(-1, 2))) == (Q(1, 2), Q(1, 2))
+    rng = random.Random(10)
+    for family, n in [("GL", 3), ("SL", 3), ("Sp", 2), ("G2", 0), ("GL", 1)]:
+        g = build_group(family, n)
+        for _ in range(40):
+            lam = [verify.random_rational(rng) for _ in range(g.rank)]
+            mu = [verify.random_rational(rng) for _ in range(g.rank)]
+            if rng.random() < 0.5:  # move μ̌ into λ̌ + the coroot span
+                mu = list(lam)
+                for i in g.datum.simple:
+                    mu = la.vec_add(mu, la.vec_scale(verify.random_rational(rng), g.datum.coroots[i]))
+            assert stab.dominance_coeffs(g, lam, mu) == ref_dominance_coeffs(g, lam, mu)

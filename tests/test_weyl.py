@@ -333,5 +333,5 @@ def test_conjugacy_classes_match_all_w_orbits(family, n):
 @pytest.mark.parametrize("family,n", GRID)
 def test_classify_centralizer_order_is_centralizer_size(family, n):
     g = build_group(family, n)
-    for comp in circles.classify_components(g, 1):
+    for comp in circles.classify_components(g):
         assert comp.centralizer_order == len(g.weyl.centralizer(comp.class_rep))
