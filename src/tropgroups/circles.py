@@ -8,10 +8,13 @@ circle.  Two cocycles are equivalent iff they differ by a gauge
     (m, α, w) ↦ (k + v·m − vwv⁻¹·k,  β + v·α − vwv⁻¹·(β + jk),  vwv⁻¹).
 
 The isomorphism test below decides this relation exactly: for each candidate
-v the slope equation is an integer lattice solve for k (Smith normal form),
-and the offset equation, projected to coker(1 − w₂) ⊗ ℚ (where the
-β-ambiguity dies and w₂·k ≡ k), pins down the kernel component of k to a
-single rational point whose integrality is the remaining condition.
+v the slope equation is an integer lattice solve for k (Smith normal form).
+Since ℚʳ = ker(1 − w₂) ⊕ im(1 − w₂), the offset equation fixes the kernel
+component of k, so k is unique over ℚ: the particular solution minus the
+mean of an orbit under w₂.  Its integrality is the remaining condition.
+
+One moduli component lies over each monodromy class [w]; it is described by
+the lattice M̌/(1 − w)M̌, whose free rank is the torus rank.
 """
 
 from __future__ import annotations
@@ -44,10 +47,6 @@ class CircleCocycle:
     offset: tuple[Q, ...]
     mono_idx: int
     length: Q
-
-    @property
-    def mono(self) -> WeylElement:
-        return self.group.weyl.element(self.mono_idx)
 
     def to_json(self):
         return {
@@ -163,11 +162,12 @@ def isomorphism_witness(a: CircleCocycle, b: CircleCocycle) -> Optional[GaugeTri
 
     For each v conjugating the monodromies, writing A = 1 − w₂:
       slope:  A·k = m_b − v·m_a                     (integer solve)
-      offset: A·β = (α_b − v·α_a) + j·w₂·k          (rational solve)
-    Projecting the offset equation by the averaging projector P onto ker A
-    kills the β term, and P·w₂·k = P·k, so the kernel component of k is the
-    single rational point −P((α_b − v·α_a) + j·k₀)/j, leaving only an
-    integrality test in the kernel basis.
+      offset: A·β = t + j·w₂·k,  t = α_b − v·α_a    (rational solve)
+    The offset equation is solvable iff P·(t + j·w₂·k) = 0, where P·x is the
+    mean of the orbit of x under w₂ (the projection onto ker A along im A).
+    As P·w₂ = P and k ∈ k₀ + ker A for the particular integer solution k₀,
+    this pins k to the single rational point k = k₀ − P·(k₀ + t/j): ker A
+    meets im A only in 0.  A witness for v exists iff that k is integral.
     """
     if a.group is not b.group:
         raise ParentMismatchError("cocycles belong to different groups")
@@ -175,40 +175,26 @@ def isomorphism_witness(a: CircleCocycle, b: CircleCocycle) -> Optional[GaugeTri
         raise ValueError("cocycles live on circles of different lengths")
     w = a.group.weyl
     j = a.length
+    w2mat = w.element(b.mono_idx).matrix
+    amat = la.mat_sub(la.identity_matrix(len(w2mat)), w2mat)
     for v_idx in range(len(w)):
         if w.conj(v_idx, a.mono_idx) != b.mono_idx:
             continue
-        w2mat = w.element(b.mono_idx).matrix
-        amat = la.mat_sub(la.identity_matrix(len(w2mat)), w2mat)
         vmat = w.element(v_idx).matrix
-        target = la.vec_sub(b.slope, la.mat_vec(vmat, a.slope))
-        sol = la.integer_solve(amat, target)
+        sol = la.integer_solve(amat, la.vec_sub(b.slope, la.mat_vec(vmat, a.slope)))
         if sol is None:
             continue
-        k0, kernel = sol
+        k0 = sol[0]
         t = la.vec_sub(b.offset, la.mat_vec(la.mat_frac(vmat), a.offset))
-        proj = la.averaging_projector(w2mat)
-        s0 = la.vec_add(t, la.vec_scale(j, tuple(map(Q, k0))))
-        rhs = la.vec_scale(-1 / j, la.mat_vec(proj, s0))
-        if kernel:
-            basis = la.mat_frac(la.from_columns(kernel))
-            y = la.rational_solve(basis, rhs)
-            if y is None:
-                raise InvariantError(f"kernel projection {rhs} is not in the span of {kernel}")
-            if any(x.denominator != 1 for x in y):
-                continue
-            shift = la.mat_vec(la.from_columns(kernel), tuple(int(x) for x in y))
-            k = la.vec_add(k0, shift)
-        else:
-            if not la.is_zero_vec(rhs):
-                continue
-            k = k0
-        w2q = la.mat_frac(w2mat)
-        beta_rhs = la.vec_add(t, la.vec_scale(j, la.mat_vec(w2q, tuple(map(Q, k)))))
+        shift = la.orbit_mean(w2mat, la.vec_add(k0, la.vec_scale(1 / j, t)))
+        if any(x.denominator != 1 for x in shift):
+            continue
+        k = tuple(x - int(y) for x, y in zip(k0, shift))
+        beta_rhs = la.vec_add(t, la.vec_scale(j, la.mat_vec(w2mat, k)))
         beta = la.rational_solve(la.mat_frac(amat), beta_rhs)
         if beta is None:
             raise InvariantError(f"offset equation (1 − w₂)·β = {beta_rhs} is unsolvable for v = {v_idx}")
-        witness = GaugeTriple(tuple(k), tuple(beta), v_idx)
+        witness = GaugeTriple(k, tuple(beta), v_idx)
         if gauge_transform(a, witness.k, witness.beta, witness.v_idx) != b:
             raise InvariantError(f"witness {witness.to_json()} does not carry {a.to_json()} to {b.to_json()}")
         return witness
@@ -258,49 +244,43 @@ class ComponentDescription:
         }
 
 
+def _cycle_quotient(g: TropicalGroup, w_idx: int) -> la.QuotientLattice:
+    """The lattice M̌/(1 − w)M̌ of slopes modulo the gauge by k."""
+    amat = la.mat_sub(la.identity_matrix(g.rank), g.weyl.element(w_idx).matrix)
+    return la.QuotientLattice(g.rank, la.columns(amat))
+
+
+def _component(g: TropicalGroup, cls: tuple[int, ...]) -> ComponentDescription:
+    quotient = _cycle_quotient(g, cls[0])
+    fiber = ()
+    if quotient.order is not None:
+        pi1 = g.pi1()
+        fiber = tuple((quotient.project(lift), pi1.project(lift)) for lift in quotient.representatives())
+    return ComponentDescription(
+        class_rep=cls[0],
+        class_size=len(cls),
+        # 1 − w is square, so rank ker(1 − w) is the free rank of its cokernel
+        torus_rank=quotient.free_rank,
+        invariant_factors=quotient.invariant_factors,
+        centralizer_order=len(g.weyl) // len(cls),  # orbit–stabilizer
+        degree_fiber=fiber,
+    )
+
+
 def classify_components(g: TropicalGroup) -> tuple[ComponentDescription, ...]:
     """One component per conjugacy class [w]: torus rank = rank ker(1 − w),
     discrete invariants = invariant factors of M̌/(1 − w)M̌, plus the residual
     centralizer order and the degree of each discrete residue."""
-    w = g.weyl
-    pi1 = g.pi1()
-    out = []
-    for cls in w.conjugacy_classes():
-        rep = cls[0]
-        mat = w.element(rep).matrix
-        amat = la.mat_sub(la.identity_matrix(g.rank), mat)
-        quotient = la.QuotientLattice(g.rank, la.columns(amat))
-        torus_rank = len(la.integer_kernel(amat))
-        fiber = []
-        if quotient.order is not None:
-            for lift in quotient.representatives():
-                fiber.append((quotient.project(lift), pi1.project(lift)))
-        out.append(
-            ComponentDescription(
-                class_rep=rep,
-                class_size=len(cls),
-                torus_rank=torus_rank,
-                invariant_factors=quotient.invariant_factors,
-                centralizer_order=len(w) // len(cls),  # orbit–stabilizer
-                degree_fiber=tuple(fiber),
-            )
-        )
-    return tuple(out)
+    return tuple(_component(g, cls) for cls in g.weyl.conjugacy_classes())
 
 
 def component_for_class(g: TropicalGroup, w_idx: int) -> ComponentDescription:
-    cls = g.weyl.class_of(w_idx)
-    for comp in classify_components(g):
-        if comp.class_rep == cls[0]:
-            return comp
-    raise InvariantError(f"class of element {w_idx} is not among the classified components")
+    return _component(g, g.weyl.class_of(w_idx))
 
 
 def slope_residues(g: TropicalGroup, w_idx: int) -> tuple[Vec, ...]:
     """Integral slope representatives for M̌/(1 − w)M̌, one per class."""
-    mat = g.weyl.element(w_idx).matrix
-    amat = la.mat_sub(la.identity_matrix(g.rank), mat)
-    return la.QuotientLattice(g.rank, la.columns(amat)).representatives()
+    return _cycle_quotient(g, w_idx).representatives()
 
 
 # ---------------------------------------------------------------------------

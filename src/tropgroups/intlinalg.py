@@ -2,8 +2,9 @@
 
 Vectors are tuples of ``int`` or ``Fraction``; matrices are tuples of row
 tuples.  Everything here is deterministic and exact: Smith normal form with
-unimodular transforms, integer and rational solves, kernels, and quotient
-lattices ℤⁿ/L with mixed torsion/free coordinates.
+unimodular transforms, integer and rational solves, kernels, orbit means
+under finite-order matrices, and quotient lattices ℤⁿ/L with mixed
+torsion/free coordinates.
 """
 
 from __future__ import annotations
@@ -12,18 +13,8 @@ import operator
 from fractions import Fraction as Q
 from typing import Optional, Sequence
 
-from .errors import InvariantError
-
 Vec = tuple
 Mat = tuple
-
-
-def vec(xs) -> Vec:
-    return tuple(xs)
-
-
-def zero_vec(n: int) -> Vec:
-    return (0,) * n
 
 
 def vec_add(a: Vec, b: Vec) -> Vec:
@@ -79,10 +70,6 @@ def mat_vec(a: Mat, v: Vec) -> Vec:
 
 def mat_sub(a: Mat, b: Mat) -> Mat:
     return tuple(vec_sub(ra, rb) for ra, rb in zip(a, b, strict=True))
-
-
-def mat_scale(c, a: Mat) -> Mat:
-    return tuple(vec_scale(c, row) for row in a)
 
 
 def mat_frac(a: Mat) -> Mat:
@@ -318,16 +305,6 @@ def integer_solve(a: Mat, b: Vec) -> Optional[tuple[Vec, tuple[Vec, ...]]]:
     return x0, kernel
 
 
-def integer_kernel(a: Mat) -> tuple[Vec, ...]:
-    n = len(a[0]) if a else 0
-    sol = integer_solve(a, zero_vec(len(a)))
-    if sol is None:
-        raise InvariantError(f"homogeneous system {a} has no integer solution")
-    if n == 0:
-        return ()
-    return sol[1]
-
-
 def lattice_index(a: Mat) -> int:
     """Index of the image lattice of a full-column-rank integer map, 0 if rank-deficient."""
     d, _, _ = smith_normal_form(a)
@@ -350,7 +327,7 @@ class QuotientLattice:
 
     def __init__(self, ambient_rank: int, generators: Sequence[Vec]):
         self.rank = ambient_rank
-        gens = [vec(g) for g in generators if not is_zero_vec(g)]
+        gens = [tuple(g) for g in generators if not is_zero_vec(g)]
         b = from_columns(gens) if gens else zero_matrix(ambient_rank, 1)
         if ambient_rank == 0:
             self._u = ()
@@ -435,13 +412,15 @@ def matrix_order(a: Mat, cap: int = 10_000) -> int:
     raise ValueError("matrix order exceeds cap")
 
 
-def averaging_projector(a: Mat) -> Mat:
-    """Rational projector onto ker(1 − a) along im(1 − a), for finite-order a."""
-    n = len(a)
-    order = matrix_order(a)
-    acc = mat_frac(identity_matrix(n))
-    p = a
-    for _ in range(order - 1):
-        acc = tuple(tuple(x + Q(y) for x, y in zip(ra, rp)) for ra, rp in zip(acc, p))
-        p = mat_mul(p, a)
-    return mat_scale(Q(1, order), acc)
+def orbit_mean(a: Mat, x: Vec) -> Vec:
+    """Mean of the orbit x, a·x, a²·x, … of x under a matrix of finite order.
+
+    This is the projection of x onto ker(1 − a) along im(1 − a).  The orbit
+    has a period m dividing the order of a, so m terms give the mean.
+    """
+    total, y = x, mat_vec(a, x)
+    for m in range(1, 10_001):
+        if y == x:
+            return vec_scale(Q(1, m), total)
+        total, y = vec_add(total, y), mat_vec(a, y)
+    raise ValueError("orbit of x has no period up to 10000: the matrix is not of finite order")

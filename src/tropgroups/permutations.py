@@ -10,10 +10,6 @@ def identity_perm(n: int) -> tuple[int, ...]:
     return tuple(range(n))
 
 
-def is_perm(sigma: Sequence[int]) -> bool:
-    return sorted(sigma) == list(range(len(sigma)))
-
-
 def compose_perm(s: Sequence[int], t: Sequence[int]) -> tuple[int, ...]:
     """(s∘t)(i) = s(t(i))."""
     return tuple(s[t[i]] for i in range(len(t)))

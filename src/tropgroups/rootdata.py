@@ -67,12 +67,6 @@ class RootDatum:
         """⟨u, v⟩ for u in character and v in cocharacter coordinates."""
         return la.vec_dot(la.mat_vec(self.pairing, v), u)
 
-    def simple_roots(self) -> tuple[Vec, ...]:
-        return tuple(self.roots[i] for i in self.simple)
-
-    def simple_coroots(self) -> tuple[Vec, ...]:
-        return tuple(self.coroots[i] for i in self.simple)
-
     def reflect_char(self, idx: int, u: Vec) -> Vec:
         """s_α(u) = u − ⟨u, α̌⟩α for the root with index idx."""
         alpha, cov = self.roots[idx], self.coroots[idx]
@@ -374,16 +368,10 @@ def levi_datum(rd: RootDatum, positions) -> RootDatum:
     the rational span of the chosen simple roots (a parabolic subgroup of a
     tropical reductive group coincides with its Levi and is again reductive)."""
     chosen = [rd.simple[p] for p in sorted(set(positions))]
-    basis = [tuple(map(Q, rd.roots[i])) for i in chosen]
-    span = la.from_columns(basis) if basis else None
-    keep = []
-    for i, alpha in enumerate(rd.roots):
-        if span is None:
-            break
-        if la.rational_solve(span, tuple(map(Q, alpha))) is not None:
-            sol = la.rational_solve(span, tuple(map(Q, alpha)))
-            if la.mat_vec(span, sol) == tuple(map(Q, alpha)):
-                keep.append(i)
+    keep = ()
+    if chosen:
+        span = la.from_columns([tuple(map(Q, rd.roots[i])) for i in chosen])
+        keep = tuple(i for i, alpha in enumerate(rd.roots) if la.rational_solve(span, alpha) is not None)
     roots = tuple(rd.roots[i] for i in keep)
     coroots = tuple(rd.coroots[i] for i in keep)
     simple = tuple(roots.index(rd.roots[i]) for i in chosen)

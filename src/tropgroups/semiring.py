@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 
 from .errors import InvariantError
 from .permutations import (
+    commutes,
     compose_perm,
     hexagon_group,
     invert_perm,
@@ -266,7 +267,8 @@ class GenPermDecomposition:
     def compose(self, other: "GenPermDecomposition") -> "GenPermDecomposition":
         """Decomposition of self.matrix() ⊙ other.matrix()."""
         n = len(self.diag)
-        diag = tuple(self.diag[i] + other.diag[invert_perm(self.perm)[i]] for i in range(n))
+        inv = invert_perm(self.perm)
+        diag = tuple(self.diag[i] + other.diag[inv[i]] for i in range(n))
         return GenPermDecomposition(diag, compose_perm(self.perm, other.perm))
 
 
@@ -322,17 +324,7 @@ def eval_quadratic(x: Sequence[TropValue], m: Optional[int] = None) -> TropValue
     """
     if m is not None and len(x) != m:
         raise ValueError("length mismatch")
-    m = len(x)
-    iota = sign_involution(m)
-    terms = []
-    seen = set()
-    for i in range(m):
-        pair = frozenset({i, iota[i]})
-        if pair in seen:
-            continue
-        seen.add(pair)
-        terms.append(tmul(x[i], x[iota[i]]))
-    return tsum(terms)
+    return tsum([tmul(x[i], x[k]) for i, k in _quadratic_supports(len(x))])
 
 
 def eval_cubic(x: Sequence[TropValue]) -> TropValue:
@@ -391,6 +383,11 @@ def _quadratic_supports(m: int):
     return out
 
 
+def _signed_involution(dec: GenPermDecomposition, iota: tuple[int, ...]) -> bool:
+    """σ commutes with the sign involution ι and y_ι(i) = −y_i."""
+    return commutes(dec.perm, iota) and all(dec.diag[iota[i]] == -dec.diag[i] for i in range(len(iota)))
+
+
 def check_symplectic(a: TropMatrix) -> bool:
     """Membership in the 2n×2n tropical symplectic group.
 
@@ -404,9 +401,7 @@ def check_symplectic(a: TropMatrix) -> bool:
     if dec is None:
         return False
     iota = sign_involution(n2)
-    constrained = compose_perm(dec.perm, iota) == compose_perm(iota, dec.perm) and all(
-        dec.diag[iota[i]] == -dec.diag[i] for i in range(n2)
-    )
+    constrained = _signed_involution(dec, iota)
     j = TropMatrix.permutation(iota)
     literal = trop_matrix_mul(trop_matrix_mul(a.transpose(), j), a) == j
     if constrained != literal:
@@ -414,25 +409,20 @@ def check_symplectic(a: TropMatrix) -> bool:
     return constrained
 
 
-def check_orthogonal(a: TropMatrix, m: Optional[int] = None) -> str:
+def check_orthogonal(a: TropMatrix) -> str:
     """Membership in the orthogonal groups: 'not_member', 'in_O', or 'in_SO'.
 
     For odd size the special orthogonal group is the whole orthogonal group;
     for even size it is the kernel of the permutation parity (the tropical
     Dickson invariant).
     """
-    if m is not None and (a.n_rows != m or a.n_cols != m):
-        raise ValueError("dimension mismatch")
     m = a.n_rows
     if m != a.n_cols:
         raise ValueError("matrix must be square")
     dec = try_decompose(a)
     if dec is None:
         return "not_member"
-    iota = sign_involution(m)
-    constrained = compose_perm(dec.perm, iota) == compose_perm(iota, dec.perm) and all(
-        dec.diag[iota[i]] == -dec.diag[i] for i in range(m)
-    )
+    constrained = _signed_involution(dec, sign_involution(m))
     if m % 2 == 1:
         constrained = constrained and dec.perm[0] == 0 and dec.diag[0] == 0
     symbolic = _form_preserved(dec, _quadratic_supports(m))

@@ -35,20 +35,15 @@ from .weyl import a_type_structure
 
 @dataclass(frozen=True)
 class ParabolicSubgroup:
-    """Standard parabolic: simple-root positions, sub-Weyl-group (as sorted
-    indices and as a set), π₁(P), and the slope matrix M_P with φ_P = M_P·λ̌,
-    kept as (N, d) with integer N and d > 0 such that M_P = N/d."""
+    """Standard parabolic: simple-root positions, the set of sub-Weyl-group
+    element indices, π₁(P), and the slope matrix M_P with φ_P = M_P·λ̌, kept
+    as (N, d) with integer N and d > 0 such that M_P = N/d."""
 
     group: TropicalGroup
     positions: tuple[int, ...]
-    weyl_indices: tuple[int, ...]
     members: frozenset
     pi1: QuotientLattice
     slope_matrix: tuple[Mat, int]
-
-    @property
-    def is_proper(self) -> bool:
-        return len(self.positions) < len(self.group.datum.simple)
 
 
 def _coroot_frame(g: TropicalGroup, positions: tuple[int, ...]) -> tuple[Mat, Mat, int]:
@@ -78,7 +73,7 @@ def parabolic_subgroup(g: TropicalGroup, positions: Sequence[int]) -> ParabolicS
     if p is None:
         if any(t < 0 or t >= len(g.datum.simple) for t in positions):
             raise ValueError("invalid simple-root position")
-        sub = g.weyl.parabolic_subgroup(positions)
+        members = frozenset(g.weyl.parabolic_subgroup(positions))
         pi1 = QuotientLattice(g.rank, [g.datum.coroots[g.datum.simple[t]] for t in positions])
         coroots, num, d = _coroot_frame(g, positions)
         k = len(positions)
@@ -87,7 +82,7 @@ def parabolic_subgroup(g: TropicalGroup, positions: Sequence[int]) -> ParabolicS
             tuple(d * (i == j) - sum(coroots[i][t] * num[t][j] for t in range(k)) for j in range(g.rank))
             for i in range(g.rank)
         )
-        p = ParabolicSubgroup(g, positions, sub, frozenset(sub), pi1, (slope_num, d))
+        p = ParabolicSubgroup(g, positions, members, pi1, (slope_num, d))
         g.parabolics[positions] = p
     return p
 

@@ -141,7 +141,7 @@ class WeylGroup:
         raise ValueError("element not in group")
 
     def centralizer(self, i: int) -> tuple[int, ...]:
-        return tuple(g for g in range(len(self.elements)) if self.mul(g, i) == self.mul(i, g))
+        return tuple(g for g in range(len(self.elements)) if self.conj(g, i) == i)
 
     def subgroup_closure(self, gen_indices: Sequence[int]) -> tuple[int, ...]:
         out = {self.identity_idx}
@@ -255,10 +255,6 @@ class AtypeStructure:
     components: tuple[tuple[int, ...], ...]
     element_indices: tuple[int, ...]
     factor_perms: dict[int, tuple[tuple[int, ...], ...]]
-
-    @property
-    def factor_sizes(self) -> tuple[int, ...]:
-        return tuple(len(c) + 1 for c in self.components)
 
     def is_indecomposable(self, elt_idx: int) -> bool:
         """True iff every factor permutation is a single full cycle."""

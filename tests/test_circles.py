@@ -9,6 +9,7 @@ import pytest
 
 from tropgroups import circles as ci
 from tropgroups import groups as gr
+from tropgroups import intlinalg as la
 from tropgroups import verify
 from tropgroups.groups import build_group
 
@@ -164,8 +165,6 @@ def _indecomposable_rep(g):
 def test_iso_agrees_with_bounded_gauge_search():
     """Independent oracle: try every v and every integral k in a box, asking
     only whether the offset equation admits a rational β; compare verdicts."""
-    from tropgroups import intlinalg as la
-
     rng = random.Random(8)
     box = 3
 
@@ -265,6 +264,14 @@ def test_classify_trivial_class_matches_pic_tensor_cochar():
     assert comp.torus_rank == 3
     assert comp.invariant_factors == (0, 0, 0)
     assert comp.centralizer_order == 6
+
+
+def test_component_for_class_is_the_component_of_its_class():
+    for family, n in [("GL", 4), ("Sp", 3), ("G2", 0)]:
+        g = build_group(family, n)
+        comps = {c.class_rep: c for c in ci.classify_components(g)}
+        for x in range(len(g.weyl)):
+            assert ci.component_for_class(g, x) == comps[g.weyl.class_of(x)[0]]
 
 
 def test_pushforward_det():
@@ -380,3 +387,122 @@ def test_cocycle_json_roundtrip():
     g = build_group("GL", 2)
     c = ci.cocycle(g, (1, -2), (Q(1, 3), Q(-2, 5)), 1, Q(3, 2))
     assert ci.cocycle_from_json(g, c.to_json()) == c
+
+
+# ---------------------------------------------------------------------------
+# the kernel-basis witness search, kept as an oracle for isomorphism_witness
+# ---------------------------------------------------------------------------
+
+
+def ref_averaging_projector(a):
+    """(1/|a|)·Σ aⁱ over every power of a finite-order matrix: the projector
+    onto ker(1 − a) along im(1 − a), as a rational matrix."""
+    ident = la.identity_matrix(len(a))
+    acc, p, order = ident, a, 1
+    while p != ident:
+        acc = tuple(tuple(x + y for x, y in zip(ra, rp)) for ra, rp in zip(acc, p))
+        p = la.mat_mul(p, a)
+        order += 1
+    return tuple(tuple(Q(x, order) for x in row) for row in acc)
+
+
+def ref_isomorphism_witness(a, b):
+    """The witness search with the kernel made explicit: the integer solve
+    gives k₀ and a basis K of ker(1 − w₂) ∩ ℤʳ, the offset equation projected
+    by the averaging projector gives the kernel coordinates y of k = k₀ + K·y
+    by a rational solve, and a witness for v exists iff y is integral."""
+    w = a.group.weyl
+    j = a.length
+    for v_idx in range(len(w)):
+        if w.conj(v_idx, a.mono_idx) != b.mono_idx:
+            continue
+        w2mat = w.element(b.mono_idx).matrix
+        amat = la.mat_sub(la.identity_matrix(len(w2mat)), w2mat)
+        vmat = w.element(v_idx).matrix
+        sol = la.integer_solve(amat, la.vec_sub(b.slope, la.mat_vec(vmat, a.slope)))
+        if sol is None:
+            continue
+        k0, kernel = sol
+        t = la.vec_sub(b.offset, la.mat_vec(la.mat_frac(vmat), a.offset))
+        s0 = la.vec_add(t, la.vec_scale(j, tuple(map(Q, k0))))
+        rhs = la.vec_scale(-1 / j, la.mat_vec(ref_averaging_projector(w2mat), s0))
+        if kernel:
+            y = la.rational_solve(la.mat_frac(la.from_columns(kernel)), rhs)
+            assert y is not None, f"projection {rhs} is not in the span of {kernel}"
+            if any(x.denominator != 1 for x in y):
+                continue
+            k = la.vec_add(k0, la.mat_vec(la.from_columns(kernel), tuple(int(x) for x in y)))
+        elif la.is_zero_vec(rhs):
+            k = k0
+        else:
+            continue
+        beta_rhs = la.vec_add(t, la.vec_scale(j, la.mat_vec(la.mat_frac(w2mat), tuple(map(Q, k)))))
+        beta = la.rational_solve(la.mat_frac(amat), beta_rhs)
+        assert beta is not None, f"offset equation unsolvable for v = {v_idx}"
+        return ci.GaugeTriple(tuple(k), tuple(beta), v_idx)
+    return None
+
+
+WITNESS_FAMILIES = (
+    [("GL", n) for n in range(1, 6)]
+    + [("SL", 3), ("PGL", 3)]
+    + [("Sp", n) for n in range(1, 5)]
+    + [("SO_odd", 3), ("SO_even", 4), ("G2", 0)]
+)
+
+
+def witness_pairs(rng, g):
+    """Pairs of three kinds in each of 12 rounds, the monodromy of a running
+    through the classes: b made from a by a random gauge ('pos'); another
+    gauge image of a whose offset then moves by j/3 in one coordinate, a
+    non-period ('shift'); and an independent b, with a monodromy conjugate
+    to a's every other round ('random')."""
+    w = g.weyl
+    classes = w.conjugacy_classes()
+
+    def rand_cocycle(w_idx):
+        m = [rng.randint(-3, 3) for _ in range(g.rank)]
+        alpha = [verify.random_rational(rng) for _ in range(g.rank)]
+        return ci.cocycle(g, m, alpha, w_idx, Q(3, 2))
+
+    def rand_gauge(c):
+        k = [rng.randint(-3, 3) for _ in range(g.rank)]
+        beta = [verify.random_rational(rng) for _ in range(g.rank)]
+        return ci.gauge_transform(c, k, beta, rng.randrange(len(w)))
+
+    out = []
+    for r in range(12):
+        a = rand_cocycle(rng.choice(classes[r % len(classes)]))
+        out.append(("pos", a, rand_gauge(a)))
+        b = rand_gauge(a)
+        i = rng.randrange(g.rank)
+        offset = b.offset[:i] + (b.offset[i] + a.length / 3,) + b.offset[i + 1 :]
+        out.append(("shift", a, ci.cocycle(g, b.slope, offset, b.mono_idx, b.length)))
+        mono = w.conj(rng.randrange(len(w)), a.mono_idx) if r % 2 == 0 else rng.randrange(len(w))
+        out.append(("random", a, rand_cocycle(mono)))
+    return out
+
+
+@pytest.mark.parametrize("family,n", WITNESS_FAMILIES)
+def test_witness_matches_the_kernel_basis_reference(family, n):
+    g = build_group(family, n)
+    rng = random.Random(f"witness {family} {n}")
+    outcomes = set()
+    for kind, a, b in witness_pairs(rng, g):
+        mine, ref = ci.isomorphism_witness(a, b), ref_isomorphism_witness(a, b)
+        assert (mine and mine.to_json()) == (ref and ref.to_json()), (kind, a.to_json(), b.to_json())
+        assert kind != "pos" or mine is not None
+        outcomes.add((kind, mine is None))
+    # some shifted pair with conjugate monodromies has no integral k
+    assert ("shift", True) in outcomes
+
+
+@pytest.mark.parametrize("family,n", [("GL", 4), ("SL", 3), ("Sp", 3), ("SO_even", 4), ("G2", 0)])
+def test_orbit_mean_is_the_averaging_projector(family, n):
+    g = build_group(family, n)
+    rng = random.Random(f"orbit mean {family} {n}")
+    for e in g.weyl.elements:
+        proj = ref_averaging_projector(e.matrix)
+        for _ in range(3):
+            x = tuple(verify.random_rational(rng) for _ in range(g.rank))
+            assert la.orbit_mean(e.matrix, x) == la.mat_vec(proj, x)

@@ -281,3 +281,75 @@ def test_check_stability_output_is_pinned(capsys, family, n, input_digest, outpu
     code, out = run(capsys, ["check-stability", family, str(n), "--cocycle", payload])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == output_digest
+
+
+def iso_inputs(family, n):
+    """A fixed list of 12 cocycle pairs: a gauge-equivalent pair, that pair
+    with the second offset moved by j/3 in one coordinate, and an independent
+    pair, in turn."""
+    from tropgroups import circles
+    from tropgroups.groups import build_group
+
+    g = build_group(family, n)
+    rng = random.Random(f"iso-test {family} {n}")
+
+    def rand_cocycle():
+        m = [rng.randint(-3, 3) for _ in range(g.rank)]
+        alpha = [f"{rng.randint(-5, 5)}/{rng.randint(1, 4)}" for _ in range(g.rank)]
+        return circles.cocycle(g, m, alpha, rng.randrange(len(g.weyl)), "3/2")
+
+    pairs = []
+    for t in range(12):
+        a = rand_cocycle()
+        if t % 3 == 2:
+            b = rand_cocycle()
+        else:
+            k = [rng.randint(-2, 2) for _ in range(g.rank)]
+            beta = [f"{rng.randint(-5, 5)}/{rng.randint(1, 4)}" for _ in range(g.rank)]
+            b = circles.gauge_transform(a, k, beta, rng.randrange(len(g.weyl)))
+            if t % 3 == 1:
+                i = rng.randrange(g.rank)
+                offset = b.offset[:i] + (b.offset[i] + b.length / 3,) + b.offset[i + 1 :]
+                b = circles.cocycle(g, b.slope, offset, b.mono_idx, b.length)
+        pairs.append(json.dumps([a.to_json(), b.to_json()]))
+    return pairs
+
+
+# SHA-256 of the input pairs and of the concatenated stdout of `tropgroups
+# iso-test FAMILY n --cocycle PAIR` over the pairs, as first recorded; the
+# witnesses ("least v wins") must stay byte-identical
+ISO_GOLDEN = [
+    ("GL", 4,
+     "3d4e160b49cec5b4587c4c0be52091c31cec04b2c4a647ba5203f27f38c73bcb",
+     "dc9f7450d7117abccffa2d7081d617d1625b31d99a955cdf9defbbbb795526c0"),
+    ("GL", 5,
+     "fba38e7fbb331a9c3e11e4eddfa5b675655684d3e6977aa8d7fbe4659899aee7",
+     "23fb912859c5322f78483464ffc7a74f739ccbed69ae5baebf914da1cf7d647f"),
+    ("Sp", 3,
+     "19a01be0b959d45c7b9b9da581315995e0a91ce5b39c29089637f5099a7c9109",
+     "1156bf8ad79c291cb5be15a06464345e37e0bc6e53a531d7d2d5b064a6cd848a"),
+    ("Sp", 4,
+     "83992b24729619ac4a64d81278b301be673a8a202e9388df3f071a16e62073ff",
+     "e7f677387360568c095e9b24ce3a9fd6305d5979d3b996a3c28a81a9a6c9b63c"),
+    ("SO_odd", 3,
+     "2fcf2dbff30f8c3d4f5d017a7594fec7f9a684bbcd1092a2ea3715fdf08f6797",
+     "786423d2f5922ea887db0893c90e28485c52cf73304ea058746adb1ea03eeb94"),
+    ("SO_even", 4,
+     "b50155554cabdc65cb141f1a3bf47e53a5762a8c3a1fca979ca06fd764b32dd6",
+     "9b27f65a51488b8d64662c032eefd5412ad0b920781420bf0835e5feeb578577"),
+    ("G2", 0,
+     "38e8c0c9d0266916d92a4fb36f751aa9efb894ebffc3bcd3d810da9093dac983",
+     "0200987a8efe00e40b7585051b6a687b6630ab85e43cbb5d7618f36ff983dc88"),
+]
+
+
+@pytest.mark.parametrize("family,n,input_digest,output_digest", ISO_GOLDEN)
+def test_iso_output_is_pinned(capsys, family, n, input_digest, output_digest):
+    pairs = iso_inputs(family, n)
+    assert hashlib.sha256("\n".join(pairs).encode()).hexdigest() == input_digest
+    out = []
+    for pair in pairs:
+        code, text = run(capsys, ["iso-test", family, str(n), "--cocycle", pair])
+        assert code == 0
+        out.append(text)
+    assert hashlib.sha256("".join(out).encode()).hexdigest() == output_digest

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction as Q
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -90,14 +91,16 @@ def test_rational_solve_and_kernel():
     assert la.mat_vec(la.mat_frac(a), ker[0]) == (Q(0), Q(0))
 
 
-def test_averaging_projector():
+def test_orbit_mean():
     rot = la.matrix([[0, -1], [1, 0]])  # order 4, fixed space 0
-    p = la.averaging_projector(rot)
-    assert p == ((Q(0), Q(0)), (Q(0), Q(0)))
+    assert la.orbit_mean(rot, (Q(3), Q(-1, 2))) == (Q(0), Q(0))
     swap = la.matrix([[0, 1], [1, 0]])
-    p = la.averaging_projector(swap)
-    assert la.mat_mul(p, p) == p
-    assert la.mat_vec(p, (Q(1), Q(0))) == (Q(1, 2), Q(1, 2))
+    mean = la.orbit_mean(swap, (Q(1), Q(0)))
+    assert mean == (Q(1, 2), Q(1, 2))
+    assert la.orbit_mean(swap, mean) == mean
+    assert la.orbit_mean(swap, (Q(2, 3), Q(-1, 5))) == (Q(7, 30), Q(7, 30))
+    with pytest.raises(ValueError, match="not of finite order"):
+        la.orbit_mean(((1, 1), (0, 1)), (Q(0), Q(1)))
 
 
 def test_lattice_index():

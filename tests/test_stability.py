@@ -388,7 +388,7 @@ def test_parabolic_data_is_built_once_per_group(monkeypatch):
     assert fresh is not g
     q = stab.parabolic_subgroup(fresh, (0, 2))
     assert q is not p and q.group is fresh
-    assert (q.positions, q.weyl_indices, q.slope_matrix) == (p.positions, p.weyl_indices, p.slope_matrix)
+    assert (q.positions, q.members, q.slope_matrix) == (p.positions, p.members, p.slope_matrix)
     with pytest.raises(ValueError):
         stab.parabolic_subgroup(fresh, (3,))
 
