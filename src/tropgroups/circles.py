@@ -7,11 +7,12 @@ circle.  Two cocycles are equivalent iff they differ by a gauge
 
     (m, α, w) ↦ (k + v·m − vwv⁻¹·k,  β + v·α − vwv⁻¹·(β + jk),  vwv⁻¹).
 
-The isomorphism test below decides this relation exactly: for each candidate
-v the slope equation is an integer lattice solve for k (Smith normal form).
-Since ℚʳ = ker(1 − w₂) ⊕ im(1 − w₂), the offset equation fixes the kernel
-component of k, so k is unique over ℚ: the particular solution minus the
-mean of an orbit under w₂.  Its integrality is the remaining condition.
+The isomorphism test below decides this relation exactly.  Since
+ℚʳ = ker(1 − w₂) ⊕ im(1 − w₂), for each candidate v the slope equation fixes
+the image component of k and the offset equation fixes its kernel component,
+so k is unique over ℚ.  Both components are orbit sums under w₂: the group
+inverse of 1 − w₂ applied to the slope difference, and the orbit mean of the
+offset difference.  The integrality of k is the remaining condition.
 
 One moduli component lies over each monodromy class [w]; it is described by
 the lattice M̌/(1 − w)M̌, whose free rank is the torus rank.
@@ -121,7 +122,7 @@ def compose_gauges(c: CircleCocycle, second: GaugeTriple, first: GaugeTriple) ->
     w = c.group.weyl
     vmat = w.element(second.v_idx).matrix
     k = la.vec_add(second.k, la.mat_vec(vmat, first.k))
-    beta = la.vec_add(second.beta, la.mat_vec(la.mat_frac(vmat), first.beta))
+    beta = la.vec_add(second.beta, la.mat_vec(vmat, first.beta))
     return GaugeTriple(tuple(k), tuple(beta), w.mul(second.v_idx, first.v_idx))
 
 
@@ -132,15 +133,12 @@ def gauge_transform(c: CircleCocycle, k: Sequence[int], beta: Sequence, v) -> Ci
     k = tuple(int(x) for x in k)
     beta = tuple(Q(x) for x in beta)
     w2_idx = w.conj(v_idx, c.mono_idx)
-    vmat = la.mat_frac(w.element(v_idx).matrix)
-    w2mat = la.mat_frac(w.element(w2_idx).matrix)
-    kq = tuple(Q(x) for x in k)
-    m = la.vec_add(kq, la.vec_sub(la.mat_vec(vmat, tuple(map(Q, c.slope))), la.mat_vec(w2mat, kq)))
-    shifted = la.vec_add(beta, la.vec_scale(c.length, kq))
+    vmat = w.element(v_idx).matrix
+    w2mat = w.element(w2_idx).matrix
+    m = la.vec_add(k, la.vec_sub(la.mat_vec(vmat, c.slope), la.mat_vec(w2mat, k)))
+    shifted = la.vec_add(beta, la.vec_scale(c.length, k))
     alpha = la.vec_add(beta, la.vec_sub(la.mat_vec(vmat, c.offset), la.mat_vec(w2mat, shifted)))
-    if any(x.denominator != 1 for x in m):
-        raise InvariantError(f"gauge ({k}, {beta}, {v_idx}) gives a non-integral slope {m}")
-    return CircleCocycle(c.group, tuple(int(x) for x in m), tuple(alpha), w2_idx, c.length)
+    return CircleCocycle(c.group, m, alpha, w2_idx, c.length)
 
 
 def degree(c: CircleCocycle) -> tuple[int, ...]:
@@ -153,7 +151,7 @@ def pushforward(f: TropGroupHom, c: CircleCocycle) -> CircleCocycle:
     if c.group is not f.source:
         raise ParentMismatchError("cocycle does not belong to the source group")
     fm = la.mat_vec(f.lattice_map, c.slope)
-    fa = la.mat_vec(la.mat_frac(f.lattice_map), c.offset)
+    fa = la.mat_vec(f.lattice_map, c.offset)
     return CircleCocycle(f.target, fm, fa, f.weyl_map[c.mono_idx], c.length)
 
 
@@ -161,13 +159,15 @@ def isomorphism_witness(a: CircleCocycle, b: CircleCocycle) -> Optional[GaugeTri
     """A gauge carrying a to b, or None; deterministic (least v wins).
 
     For each v conjugating the monodromies, writing A = 1 − w₂:
-      slope:  A·k = m_b − v·m_a                     (integer solve)
-      offset: A·β = t + j·w₂·k,  t = α_b − v·α_a    (rational solve)
-    The offset equation is solvable iff P·(t + j·w₂·k) = 0, where P·x is the
-    mean of the orbit of x under w₂ (the projection onto ker A along im A).
-    As P·w₂ = P and k ∈ k₀ + ker A for the particular integer solution k₀,
-    this pins k to the single rational point k = k₀ − P·(k₀ + t/j): ker A
-    meets im A only in 0.  A witness for v exists iff that k is integral.
+      slope:  A·k = r,             r = m_b − v·m_a
+      offset: A·β = t + j·w₂·k,    t = α_b − v·α_a
+    Let P·x be the mean of the orbit of x under w₂, the projection onto
+    ker A along im A, and A^# the group inverse of A, which inverts A on
+    im A and vanishes on ker A.  The slope equation is solvable over ℚ iff
+    P·r = 0, with solutions A^#·r + ker A.  The offset equation is solvable
+    iff P·(t + j·w₂·k) = 0, that is P·k = −P·t/j as P·w₂ = P.  So ker A
+    meeting im A only in 0 pins k to the single rational point
+    k = A^#·r − P·t/j, and a witness for v exists iff that k is integral.
     """
     if a.group is not b.group:
         raise ParentMismatchError("cocycles belong to different groups")
@@ -181,17 +181,16 @@ def isomorphism_witness(a: CircleCocycle, b: CircleCocycle) -> Optional[GaugeTri
         if w.conj(v_idx, a.mono_idx) != b.mono_idx:
             continue
         vmat = w.element(v_idx).matrix
-        sol = la.integer_solve(amat, la.vec_sub(b.slope, la.mat_vec(vmat, a.slope)))
-        if sol is None:
+        r = la.vec_sub(b.slope, la.mat_vec(vmat, a.slope))
+        if not la.is_zero_vec(la.orbit_mean(w2mat, r)):
             continue
-        k0 = sol[0]
-        t = la.vec_sub(b.offset, la.mat_vec(la.mat_frac(vmat), a.offset))
-        shift = la.orbit_mean(w2mat, la.vec_add(k0, la.vec_scale(1 / j, t)))
-        if any(x.denominator != 1 for x in shift):
+        t = la.vec_sub(b.offset, la.mat_vec(vmat, a.offset))
+        k = la.vec_sub(la.group_inverse(w2mat, r), la.vec_scale(1 / j, la.orbit_mean(w2mat, t)))
+        if any(x.denominator != 1 for x in k):
             continue
-        k = tuple(x - int(y) for x, y in zip(k0, shift))
+        k = tuple(map(int, k))
         beta_rhs = la.vec_add(t, la.vec_scale(j, la.mat_vec(w2mat, k)))
-        beta = la.rational_solve(la.mat_frac(amat), beta_rhs)
+        beta = la.rational_solve(amat, beta_rhs)
         if beta is None:
             raise InvariantError(f"offset equation (1 − w₂)·β = {beta_rhs} is unsolvable for v = {v_idx}")
         witness = GaugeTriple(k, tuple(beta), v_idx)
@@ -383,7 +382,7 @@ def sp_structure(c: CircleCocycle) -> MultiLineBundle:
     if not c.group.family or c.group.family[0] != "Sp":
         raise ValueError("cocycle is not over a symplectic-family group")
     n = c.group.family[1]
-    lifted = pushforward(hom_sp_to_ambient(n), c)
+    lifted = pushforward(hom_sp_to_ambient(c.group), c)
     perm = lifted.group.weyl.perm(lifted.mono_idx)
     comps = multiline_of(lifted.slope, lifted.offset, perm, c.length)
     iota = tuple((i + n) % (2 * n) for i in range(2 * n))

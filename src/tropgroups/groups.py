@@ -106,15 +106,14 @@ def compose(a: TropGroupElement, b: TropGroupElement) -> TropGroupElement:
     """(m₁, w₁)·(m₂, w₂) = (m₁ + w₁·m₂, w₁w₂)."""
     if a.group is not b.group:
         raise ParentMismatchError("elements belong to different groups")
-    wmat = la.mat_frac(a.w.matrix)
-    m = la.vec_add(a.m, la.mat_vec(wmat, b.m))
+    m = la.vec_add(a.m, la.mat_vec(a.w.matrix, b.m))
     return TropGroupElement(a.group, m, a.group.weyl.mul(a.w_idx, b.w_idx))
 
 
 def inverse(a: TropGroupElement) -> TropGroupElement:
     """(m, w)⁻¹ = (−w⁻¹·m, w⁻¹)."""
     winv = a.group.weyl.inv(a.w_idx)
-    mat = la.mat_frac(a.group.weyl.element(winv).matrix)
+    mat = a.group.weyl.element(winv).matrix
     return TropGroupElement(a.group, la.vec_neg(la.mat_vec(mat, a.m)), winv)
 
 
@@ -146,7 +145,7 @@ class TropGroupHom:
     def apply(self, a: TropGroupElement) -> TropGroupElement:
         if a.group is not self.source:
             raise ParentMismatchError("element does not belong to the source group")
-        m = la.mat_vec(la.mat_frac(self.lattice_map), a.m)
+        m = la.mat_vec(self.lattice_map, a.m)
         return TropGroupElement(self.target, m, self.weyl_map[a.w_idx])
 
 
@@ -253,8 +252,8 @@ def _g2_root_perm(model: _G2Model, char_matrix: Mat) -> tuple[int, ...]:
 
 
 # built groups by (family, n, guard); also the ambient signed groups and their
-# homomorphisms from Sp by ("AmbientSp", n) and ("Sp→AmbientSp", n), so that
-# clearing this one dict makes every build cold
+# homomorphisms from an Sp group sp by ("AmbientSp", sp) and ("Sp→AmbientSp",
+# sp), so that clearing this one dict makes every build cold
 _GROUP_CACHE: dict = {}
 
 
@@ -277,7 +276,8 @@ def levi_group(g: TropicalGroup, positions) -> tuple[TropicalGroup, TropGroupHom
     datum = rootdata.levi_datum(g.datum, positions)
     # levi_datum lists the chosen simple roots in sorted position order
     gen_perms = [g.weyl.perm(g.weyl.simple_gens[p]) for p in sorted(set(positions))]
-    sub = TropicalGroup(g.rank, weyl.generate(datum, gen_perms, len(g.weyl.perms[0])), datum, None)
+    # a subgroup of g.weyl, so the order of g.weyl is the guard
+    sub = TropicalGroup(g.rank, weyl.generate(datum, gen_perms, len(g.weyl.perms[0]), len(g.weyl)), datum, None)
     inclusion = make_hom(sub, g, la.identity_matrix(g.rank), lambda i: g.weyl.perm_idx(sub.weyl.perm(i)))
     return sub, inclusion
 
@@ -305,9 +305,9 @@ def model_coordinates(a: TropGroupElement) -> tuple:
     if family == "GL":
         return m
     if family == "SL":
-        return la.mat_vec(la.mat_frac(_sl_embed_matrix(n)), m)
+        return la.mat_vec(_sl_embed_matrix(n), m)
     if family == "PGL":
-        return la.mat_vec(la.mat_frac(_pgl_rep_matrix(n)), m)
+        return la.mat_vec(_pgl_rep_matrix(n), m)
     if family == "Sp":
         return m + tuple(-x for x in m)
     if family == "SO_odd":
@@ -317,7 +317,7 @@ def model_coordinates(a: TropGroupElement) -> tuple:
         return y + tuple(-x for x in y)
     if family == "G2":
         model = _g2_model(g.datum)
-        return la.mat_vec(la.mat_frac(model.pairing_rows), m) + (Q(0),)
+        return la.mat_vec(model.pairing_rows, m) + (Q(0),)
     raise ValueError(f"no matrix model for family {family}")
 
 
@@ -351,7 +351,7 @@ def from_matrix(mat: TropMatrix, g: TropicalGroup) -> TropGroupElement:
         model = _g2_model(g.datum)
         rows = (model.pairing_rows[0], model.pairing_rows[2])
         m = la.rational_solve(rows, (y[0], y[2]))
-        if la.mat_vec(la.mat_frac(model.pairing_rows), m) != y[:6]:
+        if la.mat_vec(model.pairing_rows, m) != y[:6]:
             raise InvariantError(f"G2 model coordinates {y} are not the pairings of one cocharacter")
     else:
         raise ValueError(family)
@@ -421,24 +421,28 @@ def hom_det(n: int) -> TropGroupHom:
     return make_hom(gl, gl1, ((1,) * n,), lambda i: gl1.weyl.identity_idx)
 
 
-def ambient_signed_group(n: int) -> TropicalGroup:
-    """ℝ^{[±n]} ⋊ S_n^B with the signed permutations acting on positions (cached)."""
-    key = ("AmbientSp", n)
+def ambient_signed_group(sp: TropicalGroup) -> TropicalGroup:
+    """ℝ^{[±n]} ⋊ S_n^B with the signed permutations of the Sp group sp acting
+    on positions (cached per sp)."""
+    if not sp.family or sp.family[0] != "Sp":
+        raise ValueError(f"{sp} is not a symplectic-family group")
+    key = ("AmbientSp", sp)
     if key not in _GROUP_CACHE:
-        sp = build_group("Sp", n)
+        n = sp.family[1]
         gen_perms = [sp.weyl.perm(g) for g in sp.weyl.simple_gens]
         gen_mats = [tuple(tuple(int(r == p[c]) for c in range(2 * n)) for r in range(2 * n)) for p in gen_perms]
-        w = weyl.from_generators(gen_mats, gen_perms, 2 * n, 2 * n)
-        _GROUP_CACHE[key] = TropicalGroup(2 * n, w, None, key)
+        # the same group as sp.weyl, so its order is the guard
+        w = weyl.from_generators(gen_mats, gen_perms, 2 * n, 2 * n, len(sp.weyl))
+        _GROUP_CACHE[key] = TropicalGroup(2 * n, w, None, ("AmbientSp", n))
     return _GROUP_CACHE[key]
 
 
-def hom_sp_to_ambient(n: int) -> TropGroupHom:
+def hom_sp_to_ambient(sp: TropicalGroup) -> TropGroupHom:
     """Lattice map e_i ↦ e_i − e_{−i} with the identity on the Weyl group,
-    into ambient_signed_group(n) (cached)."""
-    key = ("Sp→AmbientSp", n)
+    into ambient_signed_group(sp) (cached per sp)."""
+    key = ("Sp→AmbientSp", sp)
     if key not in _GROUP_CACHE:
-        sp, amb = build_group("Sp", n), ambient_signed_group(n)
+        n, amb = sp.family[1], ambient_signed_group(sp)
         rows = [rootdata._e(n, i) for i in range(n)] + [rootdata._e(n, i, -1) for i in range(n)]
         _GROUP_CACHE[key] = make_hom(sp, amb, la.matrix(rows), lambda i: amb.weyl.perm_idx(sp.weyl.perm(i)))
     return _GROUP_CACHE[key]

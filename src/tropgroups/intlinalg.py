@@ -1,10 +1,13 @@
 """Exact integer and rational linear algebra on immutable tuples.
 
 Vectors are tuples of ``int`` or ``Fraction``; matrices are tuples of row
-tuples.  Everything here is deterministic and exact: Smith normal form with
-unimodular transforms, integer and rational solves, kernels, orbit means
-under finite-order matrices, and quotient lattices ℤⁿ/L with mixed
-torsion/free coordinates.
+tuples.  An integer matrix acts on a rational vector as it is: an ``int``
+times a ``Fraction`` is an exact ``Fraction``, and the rational routines
+convert their input.  Everything here is deterministic and exact: Smith
+normal form with unimodular transforms, rational solves, kernels and
+inverses, orbit sums under a finite-order matrix a (the orbit mean and the
+group inverse of 1 − a), and quotient lattices ℤⁿ/L with mixed torsion/free
+coordinates.
 """
 
 from __future__ import annotations
@@ -72,41 +75,12 @@ def mat_sub(a: Mat, b: Mat) -> Mat:
     return tuple(vec_sub(ra, rb) for ra, rb in zip(a, b, strict=True))
 
 
-def mat_frac(a: Mat) -> Mat:
-    return tuple(tuple(Q(x) for x in row) for row in a)
-
-
 def columns(a: Mat) -> tuple:
     return transpose(a)
 
 
 def from_columns(cols: Sequence[Vec]) -> Mat:
     return transpose(tuple(cols))
-
-
-def int_det(a: Mat) -> int:
-    """Determinant of an integer matrix by fraction-free (Bareiss) elimination."""
-    n = len(a)
-    if n == 0:
-        return 1
-    m = [list(row) for row in a]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
 
 
 def rational_rref(a: Mat) -> tuple[Mat, tuple[int, ...]]:
@@ -276,47 +250,6 @@ def diagonal_of(d: Mat) -> tuple[int, ...]:
     return tuple(d[i][i] for i in range(k))
 
 
-def integer_solve(a: Mat, b: Vec) -> Optional[tuple[Vec, tuple[Vec, ...]]]:
-    """Solve a·x = b over ℤ.
-
-    Returns (particular solution, basis of the integer kernel of a), or
-    None when no integer solution exists.  The kernel basis spans the full
-    (saturated) kernel lattice.
-    """
-    m = len(a)
-    n = len(a[0]) if m else 0
-    d, u, v = smith_normal_form(a)
-    diag = diagonal_of(d)
-    c = mat_vec(u, b)
-    y = [0] * n
-    rank = sum(1 for e in diag if e != 0)
-    for i in range(m):
-        di = diag[i] if i < len(diag) else 0
-        if di == 0:
-            if c[i] != 0:
-                return None
-        else:
-            if c[i] % di != 0:
-                return None
-            y[i] = c[i] // di
-    x0 = mat_vec(v, tuple(y))
-    cols = columns(v)
-    kernel = tuple(cols[i] for i in range(rank, n))
-    return x0, kernel
-
-
-def lattice_index(a: Mat) -> int:
-    """Index of the image lattice of a full-column-rank integer map, 0 if rank-deficient."""
-    d, _, _ = smith_normal_form(a)
-    diag = [e for e in diagonal_of(d) if e != 0]
-    if len(diag) < (len(a[0]) if a else 0):
-        return 0
-    prod = 1
-    for e in diag:
-        prod *= e
-    return prod
-
-
 class QuotientLattice:
     """The quotient ℤⁿ/L for L spanned by given integer generators.
 
@@ -375,7 +308,7 @@ class QuotientLattice:
 
     def free_part(self, x: Vec) -> Vec:
         """Free coordinates of a rational vector under the induced ℚ-projection."""
-        z = mat_vec(mat_frac(self._u), tuple(Q(t) for t in x))
+        z = mat_vec(self._u, x)
         return tuple(z[i] for i in self._free_rows)
 
     def representatives(self):
@@ -412,15 +345,33 @@ def matrix_order(a: Mat, cap: int = 10_000) -> int:
     raise ValueError("matrix order exceeds cap")
 
 
-def orbit_mean(a: Mat, x: Vec) -> Vec:
-    """Mean of the orbit x, a·x, a²·x, … of x under a matrix of finite order.
+def orbit(a: Mat, x: Vec) -> list[Vec]:
+    """The orbit x, a·x, a²·x, … of x under a matrix of finite order, one
+    period long; the period divides the order of a."""
+    out, y = [x], mat_vec(a, x)
+    while y != x:
+        if len(out) == 10_000:
+            raise ValueError("orbit of x has no period up to 10000: the matrix is not of finite order")
+        out.append(y)
+        y = mat_vec(a, y)
+    return out
 
-    This is the projection of x onto ker(1 − a) along im(1 − a).  The orbit
-    has a period m dividing the order of a, so m terms give the mean.
+
+def orbit_mean(a: Mat, x: Vec) -> Vec:
+    """P·x, the mean of the orbit of x under a matrix a of finite order.
+
+    P is the projection onto ker(1 − a) along im(1 − a).
     """
-    total, y = x, mat_vec(a, x)
-    for m in range(1, 10_001):
-        if y == x:
-            return vec_scale(Q(1, m), total)
-        total, y = vec_add(total, y), mat_vec(a, y)
-    raise ValueError("orbit of x has no period up to 10000: the matrix is not of finite order")
+    xs = orbit(a, x)
+    return tuple(Q(sum(col), len(xs)) for col in zip(*xs))
+
+
+def group_inverse(a: Mat, x: Vec) -> Vec:
+    """A^#·x for the group inverse A^# of A = 1 − a, a of finite order.
+
+    A^# inverts A on im A and is zero on ker A, so A·A^#·x = x − P·x and
+    P·A^#·x = 0.  On an orbit of period p, A^#·x = Σ_{i<p} (p − 1 − 2i)·aⁱ·x / 2p.
+    """
+    xs = orbit(a, x)
+    p = len(xs)
+    return tuple(Q(sum((p - 1 - 2 * i) * y for i, y in enumerate(col)), 2 * p) for col in zip(*xs))

@@ -99,7 +99,7 @@ class RootDatum:
         """
         pinv = la.rational_inverse(self.pairing)
         winv = la.rational_inverse(w_cochar)
-        m = la.transpose(la.mat_mul(la.mat_mul(la.mat_frac(self.pairing), winv), pinv))
+        m = la.transpose(la.mat_mul(la.mat_mul(self.pairing, winv), pinv))
         if not la.mat_is_integral(m):
             raise InvariantError(f"Weyl element {w_cochar} acts non-integrally on characters: {m}")
         return la.mat_to_int(m)
@@ -270,7 +270,7 @@ def _build_so_even(n: int) -> RootDatum:
     pb_inv = la.rational_inverse(pb)
 
     def coords(inv, v, lattice):
-        u = la.mat_vec(inv, tuple(Q(x) for x in v))
+        u = la.mat_vec(inv, v)
         if any(x.denominator != 1 for x in u):
             raise InvariantError(f"SO_even{n}: {v} is not in the {lattice} lattice")
         return tuple(int(x) for x in u)
@@ -285,7 +285,7 @@ def _build_so_even(n: int) -> RootDatum:
     simple_amb = [la.vec_sub(_e(n, t), _e(n, t + 1)) for t in range(n - 1)]
     simple_amb.append(la.vec_add(_e(n, n - 2), _e(n, n - 1)))
     simple = [char_coords(v) for v in simple_amb]
-    pairing = la.mat_to_int(la.mat_mul(la.transpose(la.mat_frac(qb)), pb))
+    pairing = la.mat_to_int(la.mat_mul(la.transpose(qb), pb))
     char = Lattice(n, "Q(D_n)")
     cochar = Lattice(n, "P(D_n^dual)")
     return _sorted_datum(pairs, simple, pairing, char, cochar, ("SO_even", n))
@@ -351,8 +351,7 @@ def fundamental_group(rd: RootDatum) -> QuotientLattice:
 
 def fundamental_weights(rd: RootDatum) -> tuple[tuple[Q, ...], ...]:
     """ω_i in the root span with ⟨ω_i, α̌_j⟩ = δ_ij over the simple coroots."""
-    cartan = la.mat_frac(rd.cartan_matrix())
-    cinv = la.rational_inverse(cartan)
+    cinv = la.rational_inverse(rd.cartan_matrix())
     out = []
     for i in range(len(rd.simple)):
         coeffs = tuple(cinv[i][t] for t in range(len(rd.simple)))
@@ -370,7 +369,7 @@ def levi_datum(rd: RootDatum, positions) -> RootDatum:
     chosen = [rd.simple[p] for p in sorted(set(positions))]
     keep = ()
     if chosen:
-        span = la.from_columns([tuple(map(Q, rd.roots[i])) for i in chosen])
+        span = la.from_columns([rd.roots[i] for i in chosen])
         keep = tuple(i for i, alpha in enumerate(rd.roots) if la.rational_solve(span, alpha) is not None)
     roots = tuple(rd.roots[i] for i in keep)
     coroots = tuple(rd.coroots[i] for i in keep)

@@ -1,0 +1,75 @@
+"""Integer linear algebra that only the tests use: determinants, integer
+solves and lattice indices, built on the library's Smith normal form."""
+
+from __future__ import annotations
+
+from typing import Optional
+
+from tropgroups import intlinalg as la
+from tropgroups.intlinalg import Mat, Vec
+
+
+def int_det(a: Mat) -> int:
+    """Determinant of an integer matrix by fraction-free (Bareiss) elimination."""
+    n = len(a)
+    if n == 0:
+        return 1
+    m = [list(row) for row in a]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def integer_solve(a: Mat, b: Vec) -> Optional[tuple[Vec, tuple[Vec, ...]]]:
+    """Solve a·x = b over ℤ.
+
+    Returns (particular solution, basis of the integer kernel of a), or
+    None when no integer solution exists.  The kernel basis spans the full
+    (saturated) kernel lattice.
+    """
+    m = len(a)
+    n = len(a[0]) if m else 0
+    d, u, v = la.smith_normal_form(a)
+    diag = la.diagonal_of(d)
+    c = la.mat_vec(u, b)
+    y = [0] * n
+    rank = sum(1 for e in diag if e != 0)
+    for i in range(m):
+        di = diag[i] if i < len(diag) else 0
+        if di == 0:
+            if c[i] != 0:
+                return None
+        else:
+            if c[i] % di != 0:
+                return None
+            y[i] = c[i] // di
+    x0 = la.mat_vec(v, tuple(y))
+    cols = la.columns(v)
+    kernel = tuple(cols[i] for i in range(rank, n))
+    return x0, kernel
+
+
+def lattice_index(a: Mat) -> int:
+    """Index of the image lattice of a full-column-rank integer map, 0 if rank-deficient."""
+    d, _, _ = la.smith_normal_form(a)
+    diag = [e for e in la.diagonal_of(d) if e != 0]
+    if len(diag) < (len(a[0]) if a else 0):
+        return 0
+    prod = 1
+    for e in diag:
+        prod *= e
+    return prod

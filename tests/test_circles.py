@@ -7,6 +7,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from lattice_oracles import integer_solve
 from tropgroups import circles as ci
 from tropgroups import groups as gr
 from tropgroups import intlinalg as la
@@ -187,9 +188,9 @@ def test_iso_agrees_with_bounded_gauge_search():
             for k in ks:
                 if la.vec_add(k, la.vec_sub(vm, la.mat_vec(w2mat, k))) != b.slope:
                     continue
-                t = la.vec_sub(b.offset, la.mat_vec(la.mat_frac(vmat), a.offset))
-                rhs = la.vec_add(t, la.vec_scale(j, la.mat_vec(la.mat_frac(w2mat), tuple(map(Q, k)))))
-                beta = la.rational_solve(la.mat_frac(amat), rhs)
+                t = la.vec_sub(b.offset, la.mat_vec(vmat, a.offset))
+                rhs = la.vec_add(t, la.vec_scale(j, la.mat_vec(w2mat, k)))
+                beta = la.rational_solve(amat, rhs)
                 if beta is not None:
                     assert ci.gauge_transform(a, k, beta, v_idx) == b
                     return True
@@ -364,9 +365,21 @@ def test_sp_structure_reuses_the_cached_ambient_group():
     # the JSON of these eight decompositions before the ambient group was cached
     expected = "b31daffcaa4f9084b542bc080eb897898e5066aedda5a9ba345dcc44b4977a81"
     assert digest() == expected
-    ambient, up = gr.ambient_signed_group(2), gr.hom_sp_to_ambient(2)
+    ambient, up = gr.ambient_signed_group(g), gr.hom_sp_to_ambient(g)
     assert digest() == expected
-    assert gr.ambient_signed_group(2) is ambient and gr.hom_sp_to_ambient(2) is up
+    assert gr.ambient_signed_group(g) is ambient and gr.hom_sp_to_ambient(g) is up
+
+
+def test_sp_structure_follows_the_group_guard():
+    # a non-default guard builds a second Sp3, which gets its own ambient group
+    default, guarded = build_group("Sp", 3), build_group("Sp", 3, guard=20000)
+    assert guarded is not default
+
+    def decompositions(g):
+        cocycles = [ci.cocycle(g, (2, 0, -1), (Q(1, 2), 0, Q(-1, 3)), w, 2) for w in range(len(g.weyl))]
+        return [json.dumps(ci.sp_structure(c).to_json(), sort_keys=True) for c in cocycles]
+
+    assert decompositions(guarded) == decompositions(default)
 
 
 def test_gauge_transform_rejects_out_of_range_index():
@@ -419,15 +432,15 @@ def ref_isomorphism_witness(a, b):
         w2mat = w.element(b.mono_idx).matrix
         amat = la.mat_sub(la.identity_matrix(len(w2mat)), w2mat)
         vmat = w.element(v_idx).matrix
-        sol = la.integer_solve(amat, la.vec_sub(b.slope, la.mat_vec(vmat, a.slope)))
+        sol = integer_solve(amat, la.vec_sub(b.slope, la.mat_vec(vmat, a.slope)))
         if sol is None:
             continue
         k0, kernel = sol
-        t = la.vec_sub(b.offset, la.mat_vec(la.mat_frac(vmat), a.offset))
-        s0 = la.vec_add(t, la.vec_scale(j, tuple(map(Q, k0))))
+        t = la.vec_sub(b.offset, la.mat_vec(vmat, a.offset))
+        s0 = la.vec_add(t, la.vec_scale(j, k0))
         rhs = la.vec_scale(-1 / j, la.mat_vec(ref_averaging_projector(w2mat), s0))
         if kernel:
-            y = la.rational_solve(la.mat_frac(la.from_columns(kernel)), rhs)
+            y = la.rational_solve(la.from_columns(kernel), rhs)
             assert y is not None, f"projection {rhs} is not in the span of {kernel}"
             if any(x.denominator != 1 for x in y):
                 continue
@@ -436,8 +449,8 @@ def ref_isomorphism_witness(a, b):
             k = k0
         else:
             continue
-        beta_rhs = la.vec_add(t, la.vec_scale(j, la.mat_vec(la.mat_frac(w2mat), tuple(map(Q, k)))))
-        beta = la.rational_solve(la.mat_frac(amat), beta_rhs)
+        beta_rhs = la.vec_add(t, la.vec_scale(j, la.mat_vec(w2mat, k)))
+        beta = la.rational_solve(amat, beta_rhs)
         assert beta is not None, f"offset equation unsolvable for v = {v_idx}"
         return ci.GaugeTriple(tuple(k), tuple(beta), v_idx)
     return None
@@ -503,6 +516,12 @@ def test_orbit_mean_is_the_averaging_projector(family, n):
     rng = random.Random(f"orbit mean {family} {n}")
     for e in g.weyl.elements:
         proj = ref_averaging_projector(e.matrix)
+        amat = la.mat_sub(la.identity_matrix(g.rank), e.matrix)
         for _ in range(3):
             x = tuple(verify.random_rational(rng) for _ in range(g.rank))
-            assert la.orbit_mean(e.matrix, x) == la.mat_vec(proj, x)
+            px = la.mat_vec(proj, x)
+            assert la.orbit_mean(e.matrix, x) == px
+            # the group inverse of 1 − a: (1 − a)·y = x − P·x and P·y = 0
+            y = la.group_inverse(e.matrix, x)
+            assert la.mat_vec(amat, y) == la.vec_sub(x, px)
+            assert la.is_zero_vec(la.mat_vec(proj, y))

@@ -8,10 +8,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import samplers
+from lattice_oracles import lattice_index
 from tropgroups import groups as gr
 from tropgroups import semiring as sr
 from tropgroups.groups import build_group
-from tropgroups.intlinalg import lattice_index
 
 coords = st.fractions(min_value=-8, max_value=8, max_denominator=6)
 
@@ -231,19 +231,24 @@ def test_element_rejects_out_of_range_index():
 def test_ambient_cache_is_emptied_with_the_group_cache(monkeypatch):
     # a copy, so that groups other tests hold stay the cached ones
     monkeypatch.setattr(gr, "_GROUP_CACHE", dict(gr._GROUP_CACHE))
-    ambient, up = gr.ambient_signed_group(3), gr.hom_sp_to_ambient(3)
+    sp = build_group("Sp", 3)
+    ambient, up = gr.ambient_signed_group(sp), gr.hom_sp_to_ambient(sp)
     gr._GROUP_CACHE.clear()
-    assert gr.ambient_signed_group(3) is not ambient
-    assert gr.hom_sp_to_ambient(3) is not up
-    assert gr.hom_sp_to_ambient(3).source is build_group("Sp", 3)
+    sp = build_group("Sp", 3)
+    assert gr.ambient_signed_group(sp) is not ambient
+    assert gr.hom_sp_to_ambient(sp) is not up
+    assert gr.hom_sp_to_ambient(sp).source is sp
 
 
 def test_ambient_hom_chain():
     # Sp₂ₙ → ℝ^{±n}⋊Sₙ^B → GLₙ composes to the zero lattice map
     n = 2
-    ambient = gr.ambient_signed_group(n)
-    up = gr.hom_sp_to_ambient(n)
+    sp = build_group("Sp", n)
+    ambient = gr.ambient_signed_group(sp)
+    up = gr.hom_sp_to_ambient(sp)
     assert up.target is ambient
     down = gr.hom_ambient_to_gl(n, ambient)
     comp = gr.compose_hom(down, up)
     assert all(all(x == 0 for x in row) for row in comp.lattice_map)
+    with pytest.raises(ValueError, match="not a symplectic-family group"):
+        gr.ambient_signed_group(build_group("GL", n))

@@ -254,45 +254,41 @@ def test_verdict_json():
 
 # ---------------------------------------------------------------------------
 # the per-query computation before the per-group parabolic data, kept as the
-# reference: a subgroup closure and a conjugation scan of W per parabolic, a
-# Cartan solve per slope and a coroot-basis solve per dominance test
+# reference: a subgroup closure and a scan of W per parabolic, a Cartan solve
+# per slope and a coroot-basis solve per dominance test
 # ---------------------------------------------------------------------------
 
 
-_REF_CARTAN = {}  # (group, positions) -> Cartan matrix of the subset
-_REF_SOLVE = {}  # (group, positions, pairings) -> solution of the Cartan system
+_REF_CARTAN_INV = {}  # (group, positions) -> inverse of the Cartan matrix of the subset
 
 
 def ref_slope(g, positions, lam):
     """φ = λ̌ − Σ c_j α̌_j for the solution c of the Cartan system K·c = (⟨α_j, λ̌⟩)_j
-    of the subset.  K depends only on the group, and c only on the pairings,
-    so both are memoised."""
+    of the subset.  K depends only on the group and the subset, so its
+    inverse is memoised."""
     datum = g.datum
     if not positions:
         return tuple(Q(x) for x in lam)
     idxs = [datum.simple[t] for t in positions]
-    if (g, positions) not in _REF_CARTAN:
-        _REF_CARTAN[g, positions] = tuple(
-            tuple(Q(datum.pair(datum.roots[a], datum.coroots[b])) for b in idxs) for a in idxs
-        )
-    rhs = tuple(Q(datum.pair(datum.roots[a], lam)) for a in idxs)
-    if (g, positions, rhs) not in _REF_SOLVE:
-        _REF_SOLVE[g, positions, rhs] = la.rational_solve(_REF_CARTAN[g, positions], rhs)
+    if (g, positions) not in _REF_CARTAN_INV:
+        cartan = tuple(tuple(datum.pair(datum.roots[a], datum.coroots[b]) for b in idxs) for a in idxs)
+        _REF_CARTAN_INV[g, positions] = la.rational_inverse(cartan)
+    rhs = tuple(datum.pair(datum.roots[a], lam) for a in idxs)
     phi = tuple(Q(x) for x in lam)
-    for c, b in zip(_REF_SOLVE[g, positions, rhs], idxs):
+    for c, b in zip(la.mat_vec(_REF_CARTAN_INV[g, positions], rhs), idxs):
         phi = la.vec_sub(phi, la.vec_scale(c, datum.coroots[b]))
     return phi
 
 
-def ref_reduced_slopes(c, sub):
-    """The distinct v·m over v ∈ W with vwv⁻¹ in the sub-Weyl set, by a scan of W
-    that conjugates with two products and an inverse."""
+def ref_conjugates(c):
+    """(vwv⁻¹, v·m) for every v ∈ W, conjugating with two products and an inverse."""
     w = c.group.weyl
-    return dict.fromkeys(
-        la.mat_vec(w.element(v).matrix, c.slope)
-        for v in range(len(w))
-        if w.mul(w.mul(v, c.mono_idx), w.inv(v)) in sub
-    )
+    return [(w.mul(w.mul(v, c.mono_idx), w.inv(v)), la.mat_vec(w.element(v).matrix, c.slope)) for v in range(len(w))]
+
+
+def ref_reduced_slopes(conjugates, sub):
+    """The distinct v·m over v ∈ W with vwv⁻¹ in the sub-Weyl set, by a scan of W."""
+    return dict.fromkeys(vm for w2, vm in conjugates if w2 in sub)
 
 
 def ref_dominance_coeffs(g, lam, mu):
@@ -360,9 +356,10 @@ def test_verdicts_and_reductions_match_the_reference(family, n):
     subs = {positions: frozenset(g.weyl.parabolic_subgroup(positions)) for positions in parabolics}
     ref_slopes = {}  # (positions, λ̌) -> reference slope; a cocycle's reductions repeat across cocycles
     for c in seeded_cocycles(g, 30, f"{family}{n}"):
+        conjugates = ref_conjugates(c)
         reduction_sets = {}
         for positions in parabolics:
-            reduced = ref_reduced_slopes(c, subs[positions])
+            reduced = ref_reduced_slopes(conjugates, subs[positions])
             for vm in reduced:
                 if (positions, vm) not in ref_slopes:
                     ref_slopes[positions, vm] = ref_slope(g, positions, vm)
