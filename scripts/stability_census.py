@@ -10,11 +10,13 @@ Usage: python scripts/stability_census.py [--samples 300] [--seed 0]
 """
 
 import argparse
+import json
 import random
 from collections import Counter
 from fractions import Fraction as Q
 
 from tropgroups import stability
+from tropgroups.errors import InvariantError
 from tropgroups.groups import build_group
 from tropgroups.permutations import cycles_of
 from tropgroups.verify import sample_gl_cocycle, semistable_by_multiline
@@ -34,7 +36,11 @@ def main():
         for _ in range(args.samples):
             c = sample_gl_cocycle(rng, g, Q(1))
             verdict = stability.stability_verdict(c)
-            assert verdict.semistable == semistable_by_multiline(c)
+            if verdict.semistable != semistable_by_multiline(c):
+                raise InvariantError(
+                    f"the parabolic-reduction verdict (semistable: {verdict.semistable}) disagrees with "
+                    f"the equal-slope cover criterion on the cocycle {json.dumps(c.to_json())}"
+                )
             cycle_type = tuple(
                 sorted((len(cyc) for cyc in cycles_of(g.weyl.perm(c.mono_idx))), reverse=True)
             )

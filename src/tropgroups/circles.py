@@ -35,7 +35,7 @@ from .groups import (
     hom_sp_to_ambient,
 )
 from .intlinalg import Vec
-from .permutations import cycles_of
+from .permutations import cycles_of, sign_involution
 from .weyl import WeylElement
 
 
@@ -62,14 +62,22 @@ def _rational(field: str, x) -> Q:
     try:
         return Q(x)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-        raise ValueError(f"cocycle field {field!r}: {x!r} is not a rational number") from None
+        raise ValueError(f"field {field!r}: {x!r} is not a rational number") from None
 
 
 def _integer(field: str, x) -> int:
+    if type(x) is int:
+        return x
     q = _rational(field, x)
     if q.denominator != 1:
-        raise ValueError(f"cocycle field {field!r}: {x!r} is not an integer")
+        raise ValueError(f"field {field!r}: {x!r} is not an integer")
     return int(q)
+
+
+def integer_vector(field: str, xs: Sequence) -> tuple[int, ...]:
+    """The entries of xs as ints; a ValueError naming the field if one of them
+    is not an integer."""
+    return tuple(_integer(field, x) for x in xs)
 
 
 def cocycle(group: TropicalGroup, m: Sequence, alpha: Sequence, w, j) -> CircleCocycle:
@@ -130,7 +138,7 @@ def gauge_transform(c: CircleCocycle, k: Sequence[int], beta: Sequence, v) -> Ci
     """Apply the gauge (k, β, v) to the cocycle."""
     w = c.group.weyl
     v_idx = w.check_idx(v) if isinstance(v, int) else w.idx(v)
-    k = tuple(int(x) for x in k)
+    k = integer_vector("k", k)
     beta = tuple(Q(x) for x in beta)
     w2_idx = w.conj(v_idx, c.mono_idx)
     vmat = w.element(v_idx).matrix
@@ -331,10 +339,11 @@ def multiline_of(m: Sequence, alpha: Sequence, perm: Sequence[int], j: Q) -> tup
     """Cover components from the cycles of the permutation: each cycle of
     length ℓ is a circle of length ℓ·j carrying the line bundle with degree
     the cycle sum of m and Jacobian coordinate the cycle sum of α mod ℓ·j."""
+    m = integer_vector("m", m)
     comps = []
     for cyc in cycles_of(tuple(perm)):
         length = j * len(cyc)
-        deg = sum(int(m[i]) for i in cyc)
+        deg = sum(m[i] for i in cyc)
         jac = _reduce_mod(sum((Q(alpha[i]) for i in cyc), Q(0)), length)
         comps.append(CoverComponent(cyc, length, deg, jac))
     return tuple(comps)
@@ -358,6 +367,7 @@ def check_sp_trivialization(m: Sequence, alpha: Sequence, perm: Sequence[int], j
     i ↔ −i.  On each component of the quotient cover the line bundle with
     fibers L_x ⊗ L_{ι x} must be trivial: degree 0 and Jacobian class 0.
     """
+    m = integer_vector("m", m)
     n2 = len(perm)
     n = n2 // 2
     bar = tuple(perm[i] % n for i in range(n))
@@ -365,7 +375,7 @@ def check_sp_trivialization(m: Sequence, alpha: Sequence, perm: Sequence[int], j
     for cyc in cycles_of(bar):
         length = j * len(cyc)
         sheets = [i for i in cyc] + [i + n for i in cyc]
-        deg = sum(int(m[i]) for i in sheets)
+        deg = sum(m[i] for i in sheets)
         jac = _reduce_mod(sum((Q(alpha[i]) for i in sheets), Q(0)), length)
         if deg != 0 or jac != 0:
             violations.append((cyc, deg, jac))
@@ -385,6 +395,6 @@ def sp_structure(c: CircleCocycle) -> MultiLineBundle:
     lifted = pushforward(hom_sp_to_ambient(c.group), c)
     perm = lifted.group.weyl.perm(lifted.mono_idx)
     comps = multiline_of(lifted.slope, lifted.offset, perm, c.length)
-    iota = tuple((i + n) % (2 * n) for i in range(2 * n))
+    iota = sign_involution(2 * n)
     violations = check_sp_trivialization(lifted.slope, lifted.offset, perm, c.length)
     return MultiLineBundle(comps, involution=iota, trivialization_violations=violations)

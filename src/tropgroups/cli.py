@@ -53,11 +53,16 @@ def _load_cocycles(args, group):
         raise ValueError("provide --in or --cocycle")
     if isinstance(data, dict):
         data = [data]
+    if not isinstance(data, list):
+        raise ValueError("cocycle JSON must be an object or a list of objects")
     out = []
-    for entry in data:
-        if "j" not in entry and args.j is not None:
+    for pos, entry in enumerate(data):
+        if isinstance(entry, dict) and "j" not in entry and args.j is not None:
             entry = {**entry, "j": args.j}
-        out.append(circles.cocycle_from_json(group, entry))
+        try:
+            out.append(circles.cocycle_from_json(group, entry))
+        except ValueError as exc:
+            raise ValueError(f"cocycle entry {pos}: {exc}") from None
     return out
 
 

@@ -5,6 +5,12 @@ faithful matrix models of the classical families and G₂.
 A group element is a translation m in cocharacter coordinates (exact
 rationals) together with a Weyl element w; the law is
 (m₁, w₁)·(m₂, w₂) = (m₁ + w₁·m₂, w₁w₂).
+
+Each family has one model map Y, an integer matrix N over one denominator d
+(d = 2 only for SO_even).  The matrix model of (m, w) is D(y)⊙P_σ with
+y = Y·m, and σ is how w permutes the coordinates of y.  σ is read off Y:
+Y·S = P_σ·Y + 𝟙·c for each simple reflection S, with c = 0 except for PGL.
+from_matrix recovers m from y through a left inverse of Y.
 """
 
 from __future__ import annotations
@@ -17,7 +23,6 @@ from . import intlinalg as la
 from . import rootdata, semiring, weyl
 from .errors import InvariantError
 from .intlinalg import Mat, Vec
-from .permutations import transposition
 from .rootdata import RootDatum
 from .semiring import GenPermDecomposition, TropMatrix, invert_or_decompose
 from .weyl import WeylElement, WeylGroup
@@ -50,6 +55,10 @@ class TropicalGroup:
         # with a left inverse
         self.parabolics: dict = {}
         self.coroot_basis = None
+        # the matrix model map Y = N/d as (N, d), set by build_group, and a
+        # left inverse of Y, built on the first from_matrix call
+        self.model = None
+        self.model_inverse = None
 
     def __repr__(self):
         tag = "x".join(map(str, self.family)) if self.family else f"rank{self.rank}"
@@ -178,77 +187,51 @@ def compose_hom(g: TropGroupHom, f: TropGroupHom) -> TropGroupHom:
 
 
 # ---------------------------------------------------------------------------
-# builders: permutation models aligned with the simple reflections
+# builders: the matrix model map of each family, and the permutation model
+# read off it
 # ---------------------------------------------------------------------------
 
-
-def _pairwise_swap(size: int, a: int, b: int, c: int, d: int) -> tuple[int, ...]:
-    s = list(range(size))
-    s[a], s[b] = s[b], s[a]
-    s[c], s[d] = s[d], s[c]
-    return tuple(s)
+# the six short roots of G₂ in cyclic order, so that y_{k+3} = −y_k, and a
+# seventh coordinate fixed at 0
+_G2_MODEL = ((-2, 1), (-1, 0), (1, -1), (2, -1), (1, 0), (-1, 1), (0, 0))
 
 
-def _perm_model(family: str, n: int, datum: RootDatum) -> tuple[int, list]:
-    """Degree of the permutation model and the images of the simple reflections."""
-    if family in ("GL", "SL", "PGL"):
-        return n, [transposition(n, t, t + 1) for t in range(n - 1)]
-    if family == "Sp":
-        gens = [_pairwise_swap(2 * n, t, t + 1, n + t, n + t + 1) for t in range(n - 1)]
-        gens.append(transposition(2 * n, n - 1, 2 * n - 1))
-        return 2 * n, gens
+def _model_map(family: str, n: int) -> tuple[Mat, int]:
+    """(N, d) with the model map Y = N/d: the matrix model of (m, w) has the
+    diagonal y = Y·m, for m in cocharacter coordinates."""
+    if family == "GL":
+        return la.identity_matrix(n), 1
+    if family == "SL":  # the basis f_t = e_t − e_{t+1} of the sum-zero lattice
+        return tuple(tuple(int(r == t) - int(r == t + 1) for t in range(n - 1)) for r in range(n)), 1
+    if family == "PGL":  # the representative with last coordinate 0
+        return tuple(tuple(int(r == t) for t in range(n - 1)) for r in range(n)), 1
+    if family == "G2":  # y_k = ⟨β_k, m⟩
+        return _G2_MODEL, 1
+    top, d = la.identity_matrix(n), 1
+    if family == "SO_even":  # the basis of ℤⁿ + ℤ(½,…,½)
+        top, d = tuple(tuple(int(2 * x) for x in row) for row in rootdata.so_even_cochar_basis(n)), 2
+    signed = top + tuple(la.vec_neg(row) for row in top)  # y_{−i} = −y_i
     if family == "SO_odd":
-        gens = [_pairwise_swap(2 * n + 1, 1 + t, 2 + t, 1 + n + t, 2 + n + t) for t in range(n - 1)]
-        gens.append(transposition(2 * n + 1, n, 2 * n))
-        return 2 * n + 1, gens
-    if family == "SO_even":
-        gens = [_pairwise_swap(2 * n, t, t + 1, n + t, n + t + 1) for t in range(n - 1)]
-        gens.append(_pairwise_swap(2 * n, n - 2, 2 * n - 1, n - 1, 2 * n - 2))
-        return 2 * n, gens
-    if family == "G2":
-        model = _g2_model(datum)
-        return 7, [_g2_root_perm(model, datum.char_reflection_matrix(i)) for i in datum.simple]
-    raise ValueError(family)
+        return ((0,) * n,) + signed, 1
+    if family in ("Sp", "SO_even"):
+        return signed, d
+    raise ValueError(f"no matrix model for family {family!r}")
 
 
-@dataclass(frozen=True)
-class _G2Model:
-    hexagon: tuple[Vec, ...]  # six short roots in cyclic order
-    pairing_rows: Mat  # 6×2: y_k = ⟨β_k, m⟩
+def _model_perm(num: Mat, s: Mat) -> Optional[tuple[int, ...]]:
+    """σ with Y·S = P_σ·Y + 𝟙·c for the model map Y = N/d, or None if there
+    is none.
 
-
-def _g2_model(datum: RootDatum) -> _G2Model:
-    short = []
-    for idx, (alpha, cov) in enumerate(zip(datum.roots, datum.coroots)):
-        if any(abs(datum.pair(beta, cov)) == 3 for beta in datum.roots):
-            short.append(alpha)
-    if len(short) != 6:
-        raise InvariantError(f"G2 root datum has {len(short)} short roots, not 6: {short}")
-    short_set = set(short)
-    start = min(short)
-    neighbors = [b for b in short if la.vec_sub(b, start) in short_set]
-    if len(neighbors) != 2:
-        raise InvariantError(f"short root {start} has {len(neighbors)} hexagon neighbours, not 2: {neighbors}")
-    order = [start, min(neighbors)]
-    while len(order) < 6:
-        nxt = [
-            b
-            for b in short
-            if b not in order and la.vec_sub(b, order[-1]) in short_set
-        ]
-        order.append(nxt[0])
-    for k in range(3):
-        if order[k + 3] != la.vec_neg(order[k]):
-            raise InvariantError(f"short-root hexagon {order} is not centrally symmetric")
-    rows = tuple(la.mat_vec(la.transpose(datum.pairing), beta) for beta in order)
-    return _G2Model(tuple(order), la.matrix(rows))
-
-
-def _g2_root_perm(model: _G2Model, char_matrix: Mat) -> tuple[int, ...]:
-    """Permutation of the hexagon (plus fixed 7th letter) induced on characters."""
-    images = [la.mat_vec(char_matrix, b) for b in model.hexagon]
-    perm = [model.hexagon.index(tuple(v)) for v in images]
-    return tuple(perm) + (6,)
+    Row σ(j) of Y·S is Y[j] + c.  The shift c is the mean change of a column
+    of Y; it is 0 except for PGL, whose model coordinates end in 0.  Both
+    sides scale by d, so N stands in for Y, and are compared times the
+    degree k, so that k·c = ΣY·S − ΣY is integral.
+    """
+    image, k = la.mat_mul(num, s), len(num)
+    shift = [sum(a) - sum(b) for a, b in zip(la.columns(image), la.columns(num))]
+    rows = {tuple([k * x for x in row]): i for i, row in enumerate(image)}
+    sigma = tuple(rows.get(tuple([k * x + c for x, c in zip(row, shift)])) for row in num)
+    return None if len(rows) != k or None in sigma else sigma
 
 
 # built groups by (family, n, guard); also the ambient signed groups and their
@@ -263,9 +246,16 @@ def build_group(family: str, n: int = 0, guard: int = weyl.DEFAULT_GUARD) -> Tro
     if key in _GROUP_CACHE:
         return _GROUP_CACHE[key]
     datum = rootdata.build_root_datum(family, n)
-    degree, perm_gens = _perm_model(family, n, datum)
-    w = weyl.generate(datum, perm_gens, degree, guard)
+    num, d = _model_map(family, n)
+    perm_gens = []
+    for k, i in enumerate(datum.simple):
+        sigma = _model_perm(num, datum.cochar_reflection_matrix(i))
+        if sigma is None:
+            raise InvariantError(f"{family}, n = {n}: the model map is not equivariant for simple reflection {k}")
+        perm_gens.append(sigma)
+    w = weyl.generate(datum, perm_gens, len(num), guard)
     g = TropicalGroup(datum.rank_cochar, w, datum, datum.family)
+    g.model = (num, d)
     _GROUP_CACHE[key] = g
     return g
 
@@ -287,38 +277,17 @@ def levi_group(g: TropicalGroup, positions) -> tuple[TropicalGroup, TropGroupHom
 # ---------------------------------------------------------------------------
 
 
-def _sl_embed_matrix(n: int) -> Mat:
-    """Columns f_t = e_t − e_{t+1}: sum-zero coordinates to ambient ℤⁿ."""
-    return la.from_columns([la.vec_sub(rootdata._e(n, t), rootdata._e(n, t + 1)) for t in range(n - 1)])
-
-
-def _pgl_rep_matrix(n: int) -> Mat:
-    """Quotient coordinates to the ambient representative with last coordinate 0."""
-    return la.from_columns([rootdata._e(n, t) for t in range(n - 1)])
+def _model(g: TropicalGroup) -> tuple[Mat, int]:
+    if g.model is None:
+        raise ValueError(f"{g} has no matrix model")
+    return g.model
 
 
 def model_coordinates(a: TropGroupElement) -> tuple:
-    """The diagonal vector y of the matrix model of the element."""
-    g = a.group
-    family, n = g.family
-    m = a.m
-    if family == "GL":
-        return m
-    if family == "SL":
-        return la.mat_vec(_sl_embed_matrix(n), m)
-    if family == "PGL":
-        return la.mat_vec(_pgl_rep_matrix(n), m)
-    if family == "Sp":
-        return m + tuple(-x for x in m)
-    if family == "SO_odd":
-        return (Q(0),) + m + tuple(-x for x in m)
-    if family == "SO_even":
-        y = la.mat_vec(rootdata.so_even_cochar_basis(n), m)
-        return y + tuple(-x for x in y)
-    if family == "G2":
-        model = _g2_model(g.datum)
-        return la.mat_vec(model.pairing_rows, m) + (Q(0),)
-    raise ValueError(f"no matrix model for family {family}")
+    """The diagonal y = Y·m of the matrix model of the element."""
+    num, d = _model(a.group)
+    m, den = la.integer_numerators(a.m)
+    return tuple([Q(la.vec_dot(row, m), d * den) for row in num])
 
 
 def to_matrix(a: TropGroupElement) -> TropMatrix:
@@ -326,8 +295,16 @@ def to_matrix(a: TropGroupElement) -> TropMatrix:
     return TropMatrix.gen_perm(model_coordinates(a), a.group.weyl.perm(a.w_idx))
 
 
+def _left_inverse(num: Mat, d: int) -> tuple[Mat, int]:
+    """(L, e) with L/e = d·(NᵀN)⁻¹Nᵀ, a left inverse of the model map Y = N/d."""
+    left = la.mat_mul(la.rational_inverse(la.mat_mul(la.transpose(num), num)), la.transpose(num))
+    _, e = la.integer_numerators([x for row in left for x in row])
+    return tuple(tuple(int(d * e * x) for x in row) for row in left), e
+
+
 def from_matrix(mat: TropMatrix, g: TropicalGroup) -> TropGroupElement:
     """Inverse of to_matrix; raises NotInGroupError on failed membership."""
+    num, d = _model(g)
     family, n = g.family
     try:
         dec = invert_or_decompose(mat)
@@ -335,36 +312,20 @@ def from_matrix(mat: TropMatrix, g: TropicalGroup) -> TropGroupElement:
         raise NotInGroupError(str(exc)) from exc
     _check_model_membership(mat, dec, family, n)
     y = dec.diag
-    if family == "GL":
-        m = y
-    elif family == "SL":
-        m = rootdata._sum_zero_coords(n, y)
-    elif family == "PGL":
-        m = tuple(y[t] - y[n - 1] for t in range(n - 1))
-    elif family == "Sp":
-        m = y[:n]
-    elif family == "SO_odd":
-        m = y[1 : n + 1]
-    elif family == "SO_even":
-        m = la.mat_vec(la.rational_inverse(rootdata.so_even_cochar_basis(n)), y[:n])
-    elif family == "G2":
-        model = _g2_model(g.datum)
-        rows = (model.pairing_rows[0], model.pairing_rows[2])
-        m = la.rational_solve(rows, (y[0], y[2]))
-        if la.mat_vec(model.pairing_rows, m) != y[:6]:
-            raise InvariantError(f"G2 model coordinates {y} are not the pairings of one cocharacter")
-    else:
-        raise ValueError(family)
+    if family == "PGL":  # a scalar shift is the identity of PGL; Y·m ends in 0
+        y = tuple(x - y[-1] for x in y)
+    if g.model_inverse is None:
+        g.model_inverse = _left_inverse(num, d)
+    left, e = g.model_inverse
+    ynum, den = la.integer_numerators(y)
+    m = la.mat_vec(left, ynum)  # e·den·m
+    if la.mat_vec(num, m) != tuple([d * e * x for x in ynum]):
+        raise InvariantError(f"{family}, n = {n}: model coordinates {[str(x) for x in y]} are not Y·m for any m")
     try:
         w_idx = g.weyl.perm_idx(dec.perm)
     except ValueError as exc:
         raise NotInGroupError("permutation part is not in the Weyl group") from exc
-    elt = g.element(m, w_idx)
-    if family == "PGL":
-        # normalize the representative: model coordinates have last entry 0
-        if model_coordinates(elt) != tuple(x - y[n - 1] for x in y):
-            raise InvariantError(f"PGL{n} representative of {y} does not end in 0")
-    return elt
+    return TropGroupElement(g, tuple([Q(x, e * den) for x in m]), w_idx)
 
 
 def _check_model_membership(mat: TropMatrix, dec: GenPermDecomposition, family: str, n: int):
@@ -405,7 +366,7 @@ def normalize_pgl(mat: TropMatrix) -> TropMatrix:
 
 def hom_sl_to_gl(n: int) -> TropGroupHom:
     sl, gl = build_group("SL", n), build_group("GL", n)
-    return make_hom(sl, gl, _sl_embed_matrix(n), lambda i: gl.weyl.perm_idx(sl.weyl.perm(i)))
+    return make_hom(sl, gl, sl.model[0], lambda i: gl.weyl.perm_idx(sl.weyl.perm(i)))
 
 
 def hom_gl_to_pgl(n: int) -> TropGroupHom:
@@ -438,13 +399,12 @@ def ambient_signed_group(sp: TropicalGroup) -> TropicalGroup:
 
 
 def hom_sp_to_ambient(sp: TropicalGroup) -> TropGroupHom:
-    """Lattice map e_i ↦ e_i − e_{−i} with the identity on the Weyl group,
-    into ambient_signed_group(sp) (cached per sp)."""
+    """The model map of sp, e_i ↦ e_i − e_{−i}, on the lattice with the identity
+    on the Weyl group, into ambient_signed_group(sp) (cached per sp)."""
     key = ("Sp→AmbientSp", sp)
     if key not in _GROUP_CACHE:
-        n, amb = sp.family[1], ambient_signed_group(sp)
-        rows = [rootdata._e(n, i) for i in range(n)] + [rootdata._e(n, i, -1) for i in range(n)]
-        _GROUP_CACHE[key] = make_hom(sp, amb, la.matrix(rows), lambda i: amb.weyl.perm_idx(sp.weyl.perm(i)))
+        amb = ambient_signed_group(sp)
+        _GROUP_CACHE[key] = make_hom(sp, amb, sp.model[0], lambda i: amb.weyl.perm_idx(sp.weyl.perm(i)))
     return _GROUP_CACHE[key]
 
 

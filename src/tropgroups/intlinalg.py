@@ -3,17 +3,18 @@
 Vectors are tuples of ``int`` or ``Fraction``; matrices are tuples of row
 tuples.  An integer matrix acts on a rational vector as it is: an ``int``
 times a ``Fraction`` is an exact ``Fraction``, and the rational routines
-convert their input.  Everything here is deterministic and exact: Smith
-normal form with unimodular transforms, rational solves, kernels and
-inverses, orbit sums under a finite-order matrix a (the orbit mean and the
-group inverse of 1 − a), and quotient lattices ℤⁿ/L with mixed torsion/free
-coordinates.
+convert their input.  Everything here is deterministic and exact: integer
+numerators of a rational vector over one denominator, Smith normal form with
+unimodular transforms, rational solves, kernels and inverses, orbit sums
+under a finite-order matrix a (the orbit mean and the group inverse of
+1 − a), and quotient lattices ℤⁿ/L with mixed torsion/free coordinates.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction as Q
+from math import lcm
 from typing import Optional, Sequence
 
 Vec = tuple
@@ -146,6 +147,13 @@ def rational_inverse(a: Mat) -> Mat:
     if len(pivots) != n or any(p >= n for p in pivots):
         raise ValueError("matrix is singular")
     return tuple(tuple(rref[i][n:]) for i in range(n))
+
+
+def integer_numerators(v: Vec) -> tuple[tuple[int, ...], int]:
+    """(n, d) with v = n/d: the entries of a vector of ints or Fractions as
+    integer numerators over the lcm d of their denominators."""
+    d = lcm(*(x.denominator for x in v))
+    return tuple([x.numerator * (d // x.denominator) for x in v]), d
 
 
 def mat_is_integral(a: Mat) -> bool:
@@ -331,18 +339,6 @@ class QuotientLattice:
             else:
                 break
         return tuple(reps)
-
-
-def matrix_order(a: Mat, cap: int = 10_000) -> int:
-    """Multiplicative order of an integer matrix of finite order."""
-    n = len(a)
-    ident = identity_matrix(n)
-    p = a
-    for k in range(1, cap + 1):
-        if p == ident:
-            return k
-        p = mat_mul(p, a)
-    raise ValueError("matrix order exceeds cap")
 
 
 def orbit(a: Mat, x: Vec) -> list[Vec]:

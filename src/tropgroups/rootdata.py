@@ -86,12 +86,6 @@ class RootDatum:
             tuple(int(r == c) - cov[r] * weights[c] for c in range(n)) for r in range(n)
         )
 
-    def char_reflection_matrix(self, idx: int) -> Mat:
-        """Integer matrix of s_α acting on character coordinates."""
-        n = self.rank_char
-        cols = [self.reflect_char(idx, tuple(int(r == c) for r in range(n))) for c in range(n)]
-        return la.from_columns(cols)
-
     def char_action_matrix(self, w_cochar: Mat) -> Mat:
         """Matrix of the same Weyl element on character coordinates.
 

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 from . import intlinalg as la
 from . import rootdata as rdmod
 from .errors import InvariantError
-from .circles import CircleCocycle
+from .circles import CircleCocycle, integer_vector
 from .groups import TropicalGroup
 from .intlinalg import Mat, QuotientLattice, Vec
 from .weyl import a_type_structure
@@ -117,8 +117,7 @@ def dominance_coeffs(g: TropicalGroup, lam: Sequence, mu: Sequence) -> Optional[
         g.coroot_basis = _coroot_frame(g, tuple(range(len(g.datum.simple))))
     basis, num, d = g.coroot_basis
     diff = la.vec_sub(mu, lam)
-    den = lcm(*(x.denominator for x in diff))
-    scaled = tuple(x.numerator * (den // x.denominator) for x in diff)
+    scaled, den = la.integer_numerators(diff)
     coeffs = la.mat_vec(num, scaled)
     if la.mat_vec(basis, coeffs) != tuple(d * x for x in scaled):
         return None
@@ -254,6 +253,7 @@ def adjoint_degree(g: TropicalGroup, lam: Sequence[int]) -> tuple[int, ...]:
     and the coweight dual to the t-th simple root (counting from 1 along the
     path) maps to t; the residue of λ̌ is Σ_t t·⟨α_t, λ̌⟩.
     """
+    lam = integer_vector("lam", lam)
     comps = a_type_components(g)
     if comps is None:
         raise ValueError("group is not of product-A type")
@@ -263,7 +263,7 @@ def adjoint_degree(g: TropicalGroup, lam: Sequence[int]) -> tuple[int, ...]:
         modulus = len(comp) + 1
         total = 0
         for t, pos in enumerate(comp, start=1):
-            total += t * datum.pair(datum.roots[datum.simple[pos]], tuple(lam))
+            total += t * datum.pair(datum.roots[datum.simple[pos]], lam)
         out.append(total % modulus)
     return tuple(out)
 
@@ -284,9 +284,8 @@ def minimal_parabolic_for_degree(g: TropicalGroup, lam: Sequence[int]) -> Parabo
     because shifting by a coroot changes each pairing by an integer.
     """
     datum = g.datum
-    lam = tuple(int(x) for x in lam)
-    phi_g = slope_of_group(g, lam)
-    diff = la.vec_sub(phi_g, tuple(map(Q, lam)))
+    lam = integer_vector("lam", lam)
+    diff = la.vec_sub(slope_of_group(g, lam), lam)
     weights = rdmod.fundamental_weights(datum)
     positions = tuple(
         t for t, omega in enumerate(weights) if Q(datum.pair(omega, diff)).denominator != 1

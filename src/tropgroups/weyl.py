@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from math import lcm
 from typing import Optional, Sequence
 
 from . import intlinalg as la
@@ -100,7 +101,9 @@ class WeylGroup:
         return self._by_perm[tuple(out)]
 
     def order_of(self, i: int) -> int:
-        return la.matrix_order(self.elements[i].matrix)
+        """The lcm of the cycle lengths of the element's permutation, which is
+        its order because the permutation model is faithful."""
+        return lcm(*map(len, cycles_of(self.perms[i])))
 
     def perm(self, i: int) -> tuple[int, ...]:
         return self.perms[i]
@@ -273,7 +276,7 @@ def a_type_structure(w: WeylGroup, positions: Sequence[int]) -> Optional[AtypeSt
         for b in positions:
             if a < b:
                 prod = w.mul(w.simple_gens[a], w.simple_gens[b])
-                bond[(a, b)] = la.matrix_order(w.elements[prod].matrix)
+                bond[(a, b)] = w.order_of(prod)
     adj = {p: [] for p in positions}
     for (a, b), m in bond.items():
         if m > 2:

@@ -1,5 +1,6 @@
 """Integer linear algebra that only the tests use: determinants, integer
-solves and lattice indices, built on the library's Smith normal form."""
+solves and lattice indices, built on the library's Smith normal form, and
+the order of a matrix by its powers."""
 
 from __future__ import annotations
 
@@ -73,3 +74,15 @@ def lattice_index(a: Mat) -> int:
     for e in diag:
         prod *= e
     return prod
+
+
+def matrix_order(a: Mat) -> int:
+    """Multiplicative order of an integer matrix of finite order, found by
+    multiplying out its powers."""
+    ident = la.identity_matrix(len(a))
+    p, k = a, 1
+    while p != ident:
+        if k == 10_000:
+            raise ValueError("matrix has no order up to 10000")
+        p, k = la.mat_mul(p, a), k + 1
+    return k

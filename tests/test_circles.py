@@ -41,6 +41,22 @@ def test_gauge_example_integral_shift():
     assert out.slope == (1,) and out.offset == (Q(-1),)
 
 
+@pytest.mark.parametrize("k", [(Q(1, 2),), (1.7,), ("1/2",)])
+def test_gauge_transform_rejects_a_non_integral_k(k):
+    # k was truncated: (1/2,) acted as (0,) and (1.7,) as (1,)
+    c = ci.cocycle(build_group("GL", 1), (1,), (0,), 0, 1)
+    with pytest.raises(ValueError, match="'k'"):
+        ci.gauge_transform(c, k, (0,), 0)
+
+
+@pytest.mark.parametrize("check", [ci.multiline_of, ci.check_sp_trivialization])
+def test_multiline_checks_reject_a_non_integral_slope(check):
+    # m = (1/2, 0) was truncated to degree 0
+    with pytest.raises(ValueError, match="'m'"):
+        check((Q(1, 2), 0), (0, 0), (1, 0), Q(1))
+    assert check((1, -1), (0, 0), (1, 0), Q(1)) is not None
+
+
 def test_gauge_composition_law():
     rng = random.Random(0)
     for _ in range(500):

@@ -162,6 +162,12 @@ def test_parse_error_exit_code(capsys):
         err = capsys.readouterr().err
         return code == 2 and field in err
 
+    # a payload that is not an object or a list of objects, naming the entry
+    assert rejected(["check-stability", "GL", "2", "--cocycle", "[1]"], "entry 0")
+    assert rejected(["check-stability", "GL", "2", "--cocycle", "5"], "object")
+    pair = json.dumps([gl_cocycle(1), 7])
+    assert rejected(["iso-test", "GL", "1", "--cocycle", pair], "entry 1")
+
     # a monodromy index outside range(|W|), negative or too large
     for w in (-1, 99):
         pair = json.dumps([gl_cocycle(3, w=w), gl_cocycle(3, w=w)])

@@ -6,15 +6,16 @@ import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 
 def test_library_has_no_assert_statements():
     found = []
-    for path in sorted((SRC / "tropgroups").glob("*.py")):
+    for path in sorted([*(SRC / "tropgroups").glob("*.py"), *(ROOT / "scripts").glob("*.py")]):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Assert):
-                found.append(f"{path.name}:{node.lineno}")
+                found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
     assert found == []
 
 

@@ -1,5 +1,7 @@
 """Group elements, centers, determinant maps, homomorphisms, matrix models."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction as Q
 
@@ -10,8 +12,11 @@ from hypothesis import strategies as st
 import samplers
 from lattice_oracles import lattice_index
 from tropgroups import groups as gr
+from tropgroups import intlinalg as la
 from tropgroups import semiring as sr
+from tropgroups.errors import InvariantError
 from tropgroups.groups import build_group
+from tropgroups.permutations import transposition
 
 coords = st.fractions(min_value=-8, max_value=8, max_denominator=6)
 
@@ -252,3 +257,137 @@ def test_ambient_hom_chain():
     assert all(all(x == 0 for x in row) for row in comp.lattice_map)
     with pytest.raises(ValueError, match="not a symplectic-family group"):
         gr.ambient_signed_group(build_group("GL", n))
+
+
+# SHA-256 of the to_matrix JSON, of the from_matrix round trip's to_json, and
+# of the outcome of from_matrix on the model with one coordinate moved by 1
+# ("rejected" or the element accepted), over 40 seeded elements per group, as
+# first recorded; the matrix models must stay byte-identical
+MODEL_GOLDEN = [
+    ("GL", 4, (
+        "2ff6359905e69cc2d3ec08caee1f6d558122652da91d87c17e0b61c1a1d06972",
+        "d892f075e0af735f022b91a34fa932723e22da5cd517293b49c68bad5bc6f4a8",
+        "51ab45e0318cc21dd89f6ef81ea1ad0a5ad032793029b1e22b54758ca3e26292",
+    )),
+    ("SL", 4, (
+        "8cc061e1d2d64c8324e35368c37481816b645dcabbed99608c8070ef36f36791",
+        "26e569211499034d08c94d30a80c0f691be45d6cd748fbaf281e279214c520c2",
+        "b78a8c69cf3e2503854139b0eb535658fd8132ed92a06a589f11a6353f2783a3",
+    )),
+    ("PGL", 4, (
+        "48a93a64e0c6735a8987a69f57f1feca2a5c7da21e055c325ca8a36613f164c0",
+        "6fbeae81f0395f4146f7b80fefcdb2efccd26c75f42390a05261dda7e494b996",
+        "442846c0686543dd5b0f703e2103e4e21e8c0085ce9ea2fbf687a537b07db9b0",
+    )),
+    ("Sp", 3, (
+        "ab391035815ae65eaacfbe8952edb0bba715a9552266d0812137d84aefe7ab35",
+        "df496e0728421a9eb1c082e65c7b446aa5cbd06016168795dedc1accdd1da1bb",
+        "b78a8c69cf3e2503854139b0eb535658fd8132ed92a06a589f11a6353f2783a3",
+    )),
+    ("SO_odd", 3, (
+        "d7942829f483b311fd41f731525de0d1613976cbe4a89d79ff95a87ef480dd30",
+        "85630ed4be4137b942c9619fbc511b3868ca0fed5d43f1978aab5971167faa4b",
+        "b78a8c69cf3e2503854139b0eb535658fd8132ed92a06a589f11a6353f2783a3",
+    )),
+    ("SO_even", 4, (
+        "1346d78fa0080701dd7ec74a4274b30965e3e41a352711817bf2e20085bdacf6",
+        "943ec2a18be8cb0e30f77f27ade67bb8caeec8182b82f2667376bd6f8dc06571",
+        "b78a8c69cf3e2503854139b0eb535658fd8132ed92a06a589f11a6353f2783a3",
+    )),
+    ("G2", 0, (
+        "11236eac590c96c5921e2053b9a956cee58d17cda52f7d4c6ca9e0abe10bb098",
+        "fb223b8ad67b094c98a1149834cd83b788e963b191c801e1289a0115d672b787",
+        "b78a8c69cf3e2503854139b0eb535658fd8132ed92a06a589f11a6353f2783a3",
+    )),
+]
+
+
+def sha256_json(data):
+    return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("family,n,digests", MODEL_GOLDEN)
+def test_matrix_models_are_pinned(family, n, digests):
+    g = build_group(family, n)
+    rng = random.Random(f"{family}{n}")
+    mats, trips, planted = [], [], []
+    for _ in range(40):
+        mat = gr.to_matrix(random_element(rng, g))
+        mats.append(mat.to_json())
+        trips.append(gr.from_matrix(mat, g).to_json())
+        dec = sr.invert_or_decompose(mat)
+        y = list(dec.diag)
+        y[rng.randrange(len(y))] += 1
+        try:
+            planted.append(gr.from_matrix(sr.TropMatrix.gen_perm(y, dec.perm), g).to_json())
+        except gr.NotInGroupError:
+            planted.append("rejected")
+    assert (sha256_json(mats), sha256_json(trips), sha256_json(planted)) == digests
+
+
+# the permutation models as first written out by hand, one per family, kept
+# as the reference for the permutations read off the model maps
+
+
+def pairwise_swap(size, a, b, c, d):
+    s = list(range(size))
+    s[a], s[b] = s[b], s[a]
+    s[c], s[d] = s[d], s[c]
+    return tuple(s)
+
+
+def g2_hexagon(datum):
+    """The six short roots of G₂ in cyclic order, from the least one towards
+    its lesser neighbour."""
+    short = [
+        alpha
+        for alpha, cov in zip(datum.roots, datum.coroots)
+        if any(abs(datum.pair(beta, cov)) == 3 for beta in datum.roots)
+    ]
+    order = [min(short)]
+    while len(order) < 6:
+        order.append(min(b for b in short if b not in order and la.vec_sub(b, order[-1]) in short))
+    assert all(order[k + 3] == la.vec_neg(order[k]) for k in range(3))
+    return order
+
+
+def hand_written_perm_model(family, n, datum):
+    """The images of the simple reflections in the permutation model."""
+    if family in ("GL", "SL", "PGL"):
+        return [transposition(n, t, t + 1) for t in range(n - 1)]
+    if family == "Sp":
+        gens = [pairwise_swap(2 * n, t, t + 1, n + t, n + t + 1) for t in range(n - 1)]
+        return gens + [transposition(2 * n, n - 1, 2 * n - 1)]
+    if family == "SO_odd":
+        gens = [pairwise_swap(2 * n + 1, 1 + t, 2 + t, 1 + n + t, 2 + n + t) for t in range(n - 1)]
+        return gens + [transposition(2 * n + 1, n, 2 * n)]
+    if family == "SO_even":
+        gens = [pairwise_swap(2 * n, t, t + 1, n + t, n + t + 1) for t in range(n - 1)]
+        return gens + [pairwise_swap(2 * n, n - 2, 2 * n - 1, n - 1, 2 * n - 2)]
+    hexagon = g2_hexagon(datum)
+    return [tuple(hexagon.index(datum.reflect_char(i, b)) for b in hexagon) + (6,) for i in datum.simple]
+
+
+MODEL_FAMILIES = (
+    [("GL", n) for n in range(1, 7)]
+    + [("SL", n) for n in range(2, 7)]
+    + [("PGL", n) for n in range(2, 7)]
+    + [("Sp", n) for n in range(1, 5)]
+    + [("SO_odd", n) for n in range(1, 5)]
+    + [("SO_even", n) for n in range(2, 5)]
+    + [("G2", 0)]
+)
+
+
+@pytest.mark.parametrize("family,n", MODEL_FAMILIES)
+def test_generator_permutations_match_the_hand_written_model(family, n):
+    g = build_group(family, n)
+    assert [g.weyl.perm(s) for s in g.weyl.simple_gens] == hand_written_perm_model(family, n, g.datum)
+
+
+def test_a_model_map_that_is_not_equivariant_is_rejected(monkeypatch):
+    # y₂ = 2·m₂ is moved by the reflection swapping m₁ and m₂ to no row of Y
+    monkeypatch.setattr(gr, "_GROUP_CACHE", {})
+    monkeypatch.setattr(gr, "_model_map", lambda family, n: (((1, 0, 0), (0, 1, 0), (0, 0, 2)), 1))
+    with pytest.raises(InvariantError, match="GL, n = 3: .* simple reflection 1"):
+        build_group("GL", 3)

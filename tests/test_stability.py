@@ -173,6 +173,18 @@ def test_minimal_parabolic_examples():
         )
 
 
+@pytest.mark.parametrize(
+    "degree_map", [stab.minimal_parabolic_for_degree, stab.adjoint_degree, stab.is_stable_degree]
+)
+def test_degree_maps_reject_a_non_integral_degree(degree_map):
+    # (1/2, 0, 0) was truncated to degree 0, or raised a bare TypeError from gcd
+    g = build_group("GL", 3)
+    for lam in [(Q(1, 2), 0, 0), (0.5, 0, 0)]:
+        with pytest.raises(ValueError, match="'lam'"):
+            degree_map(g, lam)
+    degree_map(g, (Q(2), 0, 0))
+
+
 def test_stable_degree_indecomposable_cocycles_are_stable():
     rng = random.Random(5)
     for n, d in [(2, 1), (3, 1), (3, 2), (4, 3)]:

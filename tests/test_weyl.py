@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from lattice_oracles import int_det
+from lattice_oracles import int_det, matrix_order
 from tropgroups import circles
 from tropgroups import intlinalg as la
 from tropgroups import rootdata as rd
@@ -336,3 +336,9 @@ def test_classify_centralizer_order_is_centralizer_size(family, n):
     g = build_group(family, n)
     for comp in circles.classify_components(g):
         assert comp.centralizer_order == len(g.weyl.centralizer(comp.class_rep))
+
+
+@pytest.mark.parametrize("family,n", GRID)
+def test_order_of_is_the_matrix_order(family, n):
+    w = group(family, n)
+    assert [w.order_of(i) for i in range(len(w))] == [matrix_order(e.matrix) for e in w.elements]
