@@ -12,7 +12,8 @@ The isomorphism test below decides this relation exactly.  Since
 the image component of k and the offset equation fixes its kernel component,
 so k is unique over ℚ.  Both components are orbit sums under w₂: the group
 inverse of 1 − w₂ applied to the slope difference, and the orbit mean of the
-offset difference.  The integrality of k is the remaining condition.
+offset difference.  The integrality of k is the remaining condition, tested
+on integer numerators with one walk of each orbit per v.
 
 One moduli component lies over each monodromy class [w]; it is described by
 the lattice M̌/(1 − w)M̌, whose free rank is the torus rank.
@@ -77,7 +78,7 @@ def _integer(field: str, x) -> int:
 def integer_vector(field: str, xs: Sequence) -> tuple[int, ...]:
     """The entries of xs as ints; a ValueError naming the field if one of them
     is not an integer."""
-    return tuple(_integer(field, x) for x in xs)
+    return tuple([_integer(field, x) for x in xs])
 
 
 def cocycle(group: TropicalGroup, m: Sequence, alpha: Sequence, w, j) -> CircleCocycle:
@@ -92,8 +93,8 @@ def cocycle(group: TropicalGroup, m: Sequence, alpha: Sequence, w, j) -> CircleC
     jq = _rational("j", j)
     if jq <= 0:
         raise ValueError("circle length must be positive")
-    m = tuple(_integer("m", x) for x in m)
-    return CircleCocycle(group, m, tuple(_rational("alpha", x) for x in alpha), w_idx, jq)
+    m = tuple([_integer("m", x) for x in m])
+    return CircleCocycle(group, m, tuple([_rational("alpha", x) for x in alpha]), w_idx, jq)
 
 
 def cocycle_from_json(group: TropicalGroup, data) -> CircleCocycle:
@@ -139,7 +140,7 @@ def gauge_transform(c: CircleCocycle, k: Sequence[int], beta: Sequence, v) -> Ci
     w = c.group.weyl
     v_idx = w.check_idx(v) if isinstance(v, int) else w.idx(v)
     k = integer_vector("k", k)
-    beta = tuple(Q(x) for x in beta)
+    beta = tuple([Q(x) for x in beta])
     w2_idx = w.conj(v_idx, c.mono_idx)
     vmat = w.element(v_idx).matrix
     w2mat = w.element(w2_idx).matrix
@@ -176,6 +177,12 @@ def isomorphism_witness(a: CircleCocycle, b: CircleCocycle) -> Optional[GaugeTri
     iff P·(t + j·w₂·k) = 0, that is P·k = −P·t/j as P·w₂ = P.  So ker A
     meeting im A only in 0 pins k to the single rational point
     k = A^#·r − P·t/j, and a witness for v exists iff that k is integral.
+
+    The offsets are written once as integer numerators N over one common
+    denominator d, so t = T/d with T = N_b − v·N_a.  Per v, one walk of the
+    orbit of r gives both the P·r = 0 test and A^#·r, one walk of T's gives
+    P·T, and k = A^#·r − P·T/(d·j) is tested on integers; Fractions enter
+    only for the v whose k is integral.
     """
     if a.group is not b.group:
         raise ParentMismatchError("cocycles belong to different groups")
@@ -184,21 +191,25 @@ def isomorphism_witness(a: CircleCocycle, b: CircleCocycle) -> Optional[GaugeTri
     w = a.group.weyl
     j = a.length
     w2mat = w.element(b.mono_idx).matrix
-    amat = la.mat_sub(la.identity_matrix(len(w2mat)), w2mat)
+    nums, d = la.integer_numerators(a.offset + b.offset)
+    na, nb = nums[: a.group.rank], nums[a.group.rank :]
     for v_idx in range(len(w)):
         if w.conj(v_idx, a.mono_idx) != b.mono_idx:
             continue
         vmat = w.element(v_idx).matrix
-        r = la.vec_sub(b.slope, la.mat_vec(vmat, a.slope))
-        if not la.is_zero_vec(la.orbit_mean(w2mat, r)):
+        p, r_sum, r_inv = la.orbit_sums(w2mat, la.vec_sub(b.slope, la.mat_vec(vmat, a.slope)))
+        if not la.is_zero_vec(r_sum):
             continue
+        q, t_sum, _ = la.orbit_sums(w2mat, la.vec_sub(nb, la.mat_vec(vmat, na)))
+        # k = r_inv/2p − t_sum/(q·d·j), over the common denominator 2p·q·d·j
+        scale, den = q * d * j.numerator, 2 * p * q * d * j.numerator
+        k = [x * scale - 2 * p * j.denominator * y for x, y in zip(r_inv, t_sum)]
+        if any(x % den for x in k):
+            continue
+        k = tuple([x // den for x in k])
         t = la.vec_sub(b.offset, la.mat_vec(vmat, a.offset))
-        k = la.vec_sub(la.group_inverse(w2mat, r), la.vec_scale(1 / j, la.orbit_mean(w2mat, t)))
-        if any(x.denominator != 1 for x in k):
-            continue
-        k = tuple(map(int, k))
         beta_rhs = la.vec_add(t, la.vec_scale(j, la.mat_vec(w2mat, k)))
-        beta = la.rational_solve(amat, beta_rhs)
+        beta = la.rational_solve(la.mat_sub(la.identity_matrix(len(w2mat)), w2mat), beta_rhs)
         if beta is None:
             raise InvariantError(f"offset equation (1 − w₂)·β = {beta_rhs} is unsolvable for v = {v_idx}")
         witness = GaugeTriple(k, tuple(beta), v_idx)

@@ -153,12 +153,13 @@ def cmd_verify(args) -> int:
     suite = args.suite
     if suite not in verify.SUITES:
         raise ValueError(f"suite must be one of {sorted(verify.SUITES)}")
+    j = semiring.rational_from_str(args.j)
     if suite == "sl-count":
-        report = verify.sl_count(args.n, args.j)
+        report = verify.sl_count(args.n, j)
     elif suite == "pgl-count":
-        report = verify.pgl_count(args.n, args.j)
+        report = verify.pgl_count(args.n, j)
     elif suite == "det-homeo":
-        report = verify.det_homeo(args.n, args.d, samples=args.samples, seed=args.seed, j=args.j)
+        report = verify.det_homeo(args.n, args.d, samples=args.samples, seed=args.seed, j=j)
     else:
         report = verify.relative_weyl()
     _emit(report, args.out)

@@ -51,10 +51,12 @@ class TropicalGroup:
         self.family = family
         self._pi1 = None
         # per-group data of the stability module, built on first use: the
-        # standard parabolics by sorted positions, and the simple-coroot basis
-        # with a left inverse
+        # standard parabolics by sorted positions, the simple-coroot basis
+        # with a left inverse, and the type-A path components of the full
+        # diagram (None when it is not of type ∏A; False until built)
         self.parabolics: dict = {}
         self.coroot_basis = None
+        self.a_type_components = False
         # the matrix model map Y = N/d as (N, d), set by build_group, and a
         # left inverse of Y, built on the first from_matrix call
         self.model = None
@@ -247,13 +249,14 @@ def build_group(family: str, n: int = 0, guard: int = weyl.DEFAULT_GUARD) -> Tro
         return _GROUP_CACHE[key]
     datum = rootdata.build_root_datum(family, n)
     num, d = _model_map(family, n)
+    gen_mats = [datum.cochar_reflection_matrix(i) for i in datum.simple]
     perm_gens = []
-    for k, i in enumerate(datum.simple):
-        sigma = _model_perm(num, datum.cochar_reflection_matrix(i))
+    for k, s in enumerate(gen_mats):
+        sigma = _model_perm(num, s)
         if sigma is None:
             raise InvariantError(f"{family}, n = {n}: the model map is not equivariant for simple reflection {k}")
         perm_gens.append(sigma)
-    w = weyl.generate(datum, perm_gens, len(num), guard)
+    w = weyl.generate(datum, gen_mats, perm_gens, len(num), guard)
     g = TropicalGroup(datum.rank_cochar, w, datum, datum.family)
     g.model = (num, d)
     _GROUP_CACHE[key] = g
@@ -265,9 +268,10 @@ def levi_group(g: TropicalGroup, positions) -> tuple[TropicalGroup, TropGroupHom
     lattice, together with its inclusion homomorphism into g."""
     datum = rootdata.levi_datum(g.datum, positions)
     # levi_datum lists the chosen simple roots in sorted position order
-    gen_perms = [g.weyl.perm(g.weyl.simple_gens[p]) for p in sorted(set(positions))]
+    gens = [g.weyl.simple_gens[p] for p in sorted(set(positions))]
+    mats, perms = [g.weyl.element(i).matrix for i in gens], [g.weyl.perm(i) for i in gens]
     # a subgroup of g.weyl, so the order of g.weyl is the guard
-    sub = TropicalGroup(g.rank, weyl.generate(datum, gen_perms, len(g.weyl.perms[0]), len(g.weyl)), datum, None)
+    sub = TropicalGroup(g.rank, weyl.generate(datum, mats, perms, len(g.weyl.perms[0]), len(g.weyl)), datum, None)
     inclusion = make_hom(sub, g, la.identity_matrix(g.rank), lambda i: g.weyl.perm_idx(sub.weyl.perm(i)))
     return sub, inclusion
 

@@ -5,9 +5,12 @@ tuples.  An integer matrix acts on a rational vector as it is: an ``int``
 times a ``Fraction`` is an exact ``Fraction``, and the rational routines
 convert their input.  Everything here is deterministic and exact: integer
 numerators of a rational vector over one denominator, Smith normal form with
-unimodular transforms, rational solves, kernels and inverses, orbit sums
-under a finite-order matrix a (the orbit mean and the group inverse of
-1 − a), and quotient lattices ℤⁿ/L with mixed torsion/free coordinates.
+unimodular transforms, rational solves, kernels and inverses, integer orbit
+sums under a finite-order integer matrix a (from one walk of an orbit, the
+orbit mean and the group inverse of 1 − a over the period), and quotient
+lattices ℤⁿ/L with mixed torsion/free coordinates.  Vectors are built from
+lists: a tuple built from a generator is allocated at a guessed length and
+shrunk, which is slower and fills CPython's per-length tuple free lists.
 """
 
 from __future__ import annotations
@@ -22,19 +25,19 @@ Mat = tuple
 
 
 def vec_add(a: Vec, b: Vec) -> Vec:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
+    return tuple([x + y for x, y in zip(a, b, strict=True)])
 
 
 def vec_sub(a: Vec, b: Vec) -> Vec:
-    return tuple(x - y for x, y in zip(a, b, strict=True))
+    return tuple([x - y for x, y in zip(a, b, strict=True)])
 
 
 def vec_neg(a: Vec) -> Vec:
-    return tuple(-x for x in a)
+    return tuple([-x for x in a])
 
 
 def vec_scale(c, a: Vec) -> Vec:
-    return tuple(c * x for x in a)
+    return tuple([c * x for x in a])
 
 
 def vec_dot(a: Vec, b: Vec):
@@ -48,11 +51,11 @@ def is_zero_vec(a: Vec) -> bool:
 
 
 def matrix(rows) -> Mat:
-    return tuple(tuple(r) for r in rows)
+    return tuple([tuple(r) for r in rows])
 
 
 def identity_matrix(n: int) -> Mat:
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    return tuple([tuple([int(i == j) for j in range(n)]) for i in range(n)])
 
 
 def zero_matrix(m: int, n: int) -> Mat:
@@ -69,11 +72,11 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
 
 
 def mat_vec(a: Mat, v: Vec) -> Vec:
-    return tuple(vec_dot(row, v) for row in a)
+    return tuple([vec_dot(row, v) for row in a])
 
 
 def mat_sub(a: Mat, b: Mat) -> Mat:
-    return tuple(vec_sub(ra, rb) for ra, rb in zip(a, b, strict=True))
+    return tuple([vec_sub(ra, rb) for ra, rb in zip(a, b, strict=True)])
 
 
 def columns(a: Mat) -> tuple:
@@ -113,7 +116,7 @@ def rational_solve(a: Mat, b: Vec) -> Optional[Vec]:
     """One rational solution x of a·x = b, or None if inconsistent."""
     m = len(a)
     n = len(a[0]) if m else 0
-    aug = tuple(tuple(list(row) + [bv]) for row, bv in zip(a, b, strict=True))
+    aug = tuple([tuple(list(row) + [bv]) for row, bv in zip(a, b, strict=True)])
     rref, pivots = rational_rref(aug)
     x = [Q(0)] * n
     for i, pc in enumerate(pivots):
@@ -152,7 +155,7 @@ def rational_inverse(a: Mat) -> Mat:
 def integer_numerators(v: Vec) -> tuple[tuple[int, ...], int]:
     """(n, d) with v = n/d: the entries of a vector of ints or Fractions as
     integer numerators over the lcm d of their denominators."""
-    d = lcm(*(x.denominator for x in v))
+    d = lcm(*[x.denominator for x in v])
     return tuple([x.numerator * (d // x.denominator) for x in v]), d
 
 
@@ -341,33 +344,22 @@ class QuotientLattice:
         return tuple(reps)
 
 
-def orbit(a: Mat, x: Vec) -> list[Vec]:
-    """The orbit x, a·x, a²·x, … of x under a matrix of finite order, one
-    period long; the period divides the order of a."""
-    out, y = [x], mat_vec(a, x)
+def orbit_sums(a: Mat, x: Vec) -> tuple[int, Vec, Vec]:
+    """(p, s, g) from one walk of the orbit x, a·x, …, a^{p−1}·x of an
+    integer vector under an integer matrix a of finite order, one period p
+    long (p divides the order of a): s = Σ aⁱ·x and g = Σ (p − 1 − 2i)·aⁱ·x,
+    both integer vectors.
+
+    With A = 1 − a, the orbit mean P·x = s/p is the projection onto ker A
+    along im A, and the group inverse A^#, which inverts A on im A and is zero
+    on ker A, gives A^#·x = g/2p.
+    """
+    xs, y = [x], mat_vec(a, x)
     while y != x:
-        if len(out) == 10_000:
+        if len(xs) == 10_000:
             raise ValueError("orbit of x has no period up to 10000: the matrix is not of finite order")
-        out.append(y)
+        xs.append(y)
         y = mat_vec(a, y)
-    return out
-
-
-def orbit_mean(a: Mat, x: Vec) -> Vec:
-    """P·x, the mean of the orbit of x under a matrix a of finite order.
-
-    P is the projection onto ker(1 − a) along im(1 − a).
-    """
-    xs = orbit(a, x)
-    return tuple(Q(sum(col), len(xs)) for col in zip(*xs))
-
-
-def group_inverse(a: Mat, x: Vec) -> Vec:
-    """A^#·x for the group inverse A^# of A = 1 − a, a of finite order.
-
-    A^# inverts A on im A and is zero on ker A, so A·A^#·x = x − P·x and
-    P·A^#·x = 0.  On an orbit of period p, A^#·x = Σ_{i<p} (p − 1 − 2i)·aⁱ·x / 2p.
-    """
-    xs = orbit(a, x)
-    p = len(xs)
-    return tuple(Q(sum((p - 1 - 2 * i) * y for i, y in enumerate(col)), 2 * p) for col in zip(*xs))
+    p, cols = len(xs), list(zip(*xs))
+    weights = range(p - 1, -p, -2)
+    return p, tuple([sum(col) for col in cols]), tuple([sum(map(operator.mul, weights, col)) for col in cols])

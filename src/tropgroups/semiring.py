@@ -88,7 +88,12 @@ def rational_to_str(q) -> str:
 
 
 def rational_from_str(s: str) -> Q:
-    return Q(s)
+    """The rational written as "p/q" (or an integer or decimal); a ValueError
+    naming the text if it is not one, a zero denominator included."""
+    try:
+        return Q(s)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{s!r} is not a rational number") from None
 
 
 @dataclass(frozen=True)

@@ -240,9 +240,12 @@ def is_stable(c: CircleCocycle) -> bool:
 
 
 def a_type_components(g: TropicalGroup) -> Optional[tuple[tuple[int, ...], ...]]:
-    """Path components of the full diagram when it is of type ∏A, else None."""
-    structure = a_type_structure(g.weyl, range(len(g.datum.simple)))
-    return structure.components if structure is not None else None
+    """Path components of the full diagram when it is of type ∏A, else None;
+    built once per group and kept on it."""
+    if g.a_type_components is False:
+        structure = a_type_structure(g.weyl, range(len(g.datum.simple)))
+        g.a_type_components = structure.components if structure is not None else None
+    return g.a_type_components
 
 
 def adjoint_degree(g: TropicalGroup, lam: Sequence[int]) -> tuple[int, ...]:

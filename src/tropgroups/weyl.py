@@ -199,7 +199,9 @@ def from_generators(
                 elif seen[prod] != image:
                     raise InvariantError(f"permutation model is not a homomorphism at {la.transpose(prod)}")
         frontier = nxt
-    by_matrix = {la.transpose(cols): perm for cols, perm in seen.items()}
+    # elements share equal rows, of which there are few (GL₆: 6 rows for 720 elements)
+    rows: dict = {}
+    by_matrix = {tuple([rows.setdefault(r, r) for r in zip(*cols)]): perm for cols, perm in seen.items()}
     mats = sorted(by_matrix)
     index = {m: i for i, m in enumerate(mats)}
     return WeylGroup(
@@ -231,11 +233,11 @@ def _times_moved(cols: Mat, moved) -> Mat:
     return tuple(out)
 
 
-def generate(datum: RootDatum, gen_perms, degree: int, guard: int = DEFAULT_GUARD) -> WeylGroup:
-    """Enumerate the Weyl group of a root datum acting on cocharacters, with
-    the permutation model on `degree` letters in which gen_perms[k] is the
-    image of the k-th simple reflection."""
-    gen_mats = [datum.cochar_reflection_matrix(i) for i in datum.simple]
+def generate(datum: RootDatum, gen_mats, gen_perms, degree: int, guard: int = DEFAULT_GUARD) -> WeylGroup:
+    """Enumerate the Weyl group of a root datum acting on cocharacters, from
+    the matrices gen_mats[k] of its simple reflections in the order of
+    datum.simple, with the permutation model on `degree` letters in which
+    gen_perms[k] is the image of the k-th simple reflection."""
     return from_generators(gen_mats, gen_perms, datum.rank_cochar, degree, guard, datum)
 
 

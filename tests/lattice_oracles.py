@@ -1,9 +1,11 @@
 """Integer linear algebra that only the tests use: determinants, integer
-solves and lattice indices, built on the library's Smith normal form, and
-the order of a matrix by its powers."""
+solves and lattice indices, built on the library's Smith normal form, the
+order of a matrix by its powers, and the orbit mean and group inverse under
+a finite-order matrix as rational orbit sums."""
 
 from __future__ import annotations
 
+from fractions import Fraction as Q
 from typing import Optional
 
 from tropgroups import intlinalg as la
@@ -86,3 +88,35 @@ def matrix_order(a: Mat) -> int:
             raise ValueError("matrix has no order up to 10000")
         p, k = la.mat_mul(p, a), k + 1
     return k
+
+
+def orbit(a: Mat, x: Vec) -> list[Vec]:
+    """The orbit x, a·x, a²·x, … of x under a matrix of finite order, one
+    period long; the period divides the order of a."""
+    out, y = [x], la.mat_vec(a, x)
+    while y != x:
+        if len(out) == 10_000:
+            raise ValueError("orbit of x has no period up to 10000: the matrix is not of finite order")
+        out.append(y)
+        y = la.mat_vec(a, y)
+    return out
+
+
+def orbit_mean(a: Mat, x: Vec) -> Vec:
+    """P·x, the mean of the orbit of x under a matrix a of finite order.
+
+    P is the projection onto ker(1 − a) along im(1 − a).
+    """
+    xs = orbit(a, x)
+    return tuple(Q(sum(col), len(xs)) for col in zip(*xs))
+
+
+def group_inverse(a: Mat, x: Vec) -> Vec:
+    """A^#·x for the group inverse A^# of A = 1 − a, a of finite order.
+
+    A^# inverts A on im A and is zero on ker A, so A·A^#·x = x − P·x and
+    P·A^#·x = 0.  On an orbit of period p, A^#·x = Σ_{i<p} (p − 1 − 2i)·aⁱ·x / 2p.
+    """
+    xs = orbit(a, x)
+    p = len(xs)
+    return tuple(Q(sum((p - 1 - 2 * i) * y for i, y in enumerate(col)), 2 * p) for col in zip(*xs))

@@ -7,7 +7,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from lattice_oracles import integer_solve
+from lattice_oracles import group_inverse, integer_solve, orbit, orbit_mean
 from tropgroups import circles as ci
 from tropgroups import groups as gr
 from tropgroups import intlinalg as la
@@ -526,6 +526,68 @@ def test_witness_matches_the_kernel_basis_reference(family, n):
     assert ("shift", True) in outcomes
 
 
+MIXED_DENOMINATORS = (Q(3, 7), Q(-5, 12), Q(11, 35), Q(29, 420), Q(-13, 7))
+
+
+def mixed_offset(rng, rank):
+    """Offsets whose entries have denominators 7, 12, 35 and 420 (the lcm)."""
+    return [rng.choice(MIXED_DENOMINATORS) + rng.randint(-2, 2) for _ in range(rank)]
+
+
+@pytest.mark.parametrize("family,n", [("GL", 4), ("Sp", 3), ("SO_even", 4), ("G2", 0)])
+def test_witness_with_mixed_denominators_matches_the_reference(family, n):
+    g = build_group(family, n)
+    rng = random.Random(f"mixed denominators {family} {n}")
+    j = Q(5, 3)
+    classes = g.weyl.conjugacy_classes()
+    outcomes = set()
+    for r in range(16):
+        m = [rng.randint(-3, 3) for _ in range(g.rank)]
+        a = ci.cocycle(g, m, mixed_offset(rng, g.rank), rng.choice(classes[r % len(classes)]), j)
+        k = [rng.randint(-3, 3) for _ in range(g.rank)]
+        b = ci.gauge_transform(a, k, mixed_offset(rng, g.rank), rng.randrange(len(g.weyl)))
+        i = rng.randrange(g.rank)
+        shifted = b.offset[:i] + (b.offset[i] + j * rng.choice((Q(1, 3), Q(1, 2), Q(2, 7))),) + b.offset[i + 1 :]
+        for kind, other in (("pos", b), ("shift", ci.cocycle(g, b.slope, shifted, b.mono_idx, j))):
+            mine, ref = ci.isomorphism_witness(a, other), ref_isomorphism_witness(a, other)
+            assert (mine and mine.to_json()) == (ref and ref.to_json()), (kind, a.to_json(), other.to_json())
+            outcomes.add((kind, mine is None))
+    assert ("pos", False) in outcomes and ("pos", True) not in outcomes
+    assert ("shift", True) in outcomes
+
+
+def test_witness_fails_through_the_offset_term_alone():
+    """With both slopes zero, r = 0 for every conjugator v, so A^#·r = 0 and
+    P·r = 0: whether k is integral rests on P·T/(d·j) alone.  Under the
+    3-cycle w on GL₃, P·T is the mean of T's entries on every coordinate,
+    so k = −(Σδ/3j)·(1, 1, 1) for every v, where δ is the offset moved."""
+    g = build_group("GL", 3)
+    j = Q(5, 3)
+    w = g.weyl
+    cycle = next(i for i in range(len(w)) if w.order_of(i) == 3)
+    alpha = (Q(3, 7), Q(-5, 12), Q(11, 35))
+    a = ci.cocycle(g, (0, 0, 0), alpha, cycle, j)
+    for moved, isomorphic in ((Q(0), True), (j, False), (2 * j, False), (3 * j, True), (-3 * j, True)):
+        b = ci.cocycle(g, (0, 0, 0), (alpha[0] + moved,) + alpha[1:], cycle, j)
+        mine, ref = ci.isomorphism_witness(a, b), ref_isomorphism_witness(a, b)
+        assert (mine and mine.to_json()) == (ref and ref.to_json())
+        assert (mine is not None) == isomorphic, moved
+        if isomorphic:
+            assert mine.k == (-int(moved / (3 * j)),) * 3
+
+
+@pytest.mark.parametrize("family,n", [("GL", 4), ("Sp", 3), ("SO_even", 4), ("G2", 0)])
+def test_orbit_sums_match_the_oracles(family, n):
+    g = build_group(family, n)
+    rng = random.Random(f"orbit sums {family} {n}")
+    for e in g.weyl.elements:
+        for x in [(0,) * g.rank] + [tuple(rng.randint(-9, 9) for _ in range(g.rank)) for _ in range(3)]:
+            p, s, gsum = la.orbit_sums(e.matrix, x)
+            assert p == len(orbit(e.matrix, x))
+            assert tuple(Q(y, p) for y in s) == orbit_mean(e.matrix, x)
+            assert tuple(Q(y, 2 * p) for y in gsum) == group_inverse(e.matrix, x)
+
+
 @pytest.mark.parametrize("family,n", [("GL", 4), ("SL", 3), ("Sp", 3), ("SO_even", 4), ("G2", 0)])
 def test_orbit_mean_is_the_averaging_projector(family, n):
     g = build_group(family, n)
@@ -536,8 +598,8 @@ def test_orbit_mean_is_the_averaging_projector(family, n):
         for _ in range(3):
             x = tuple(verify.random_rational(rng) for _ in range(g.rank))
             px = la.mat_vec(proj, x)
-            assert la.orbit_mean(e.matrix, x) == px
+            assert orbit_mean(e.matrix, x) == px
             # the group inverse of 1 − a: (1 − a)·y = x − P·x and P·y = 0
-            y = la.group_inverse(e.matrix, x)
+            y = group_inverse(e.matrix, x)
             assert la.mat_vec(amat, y) == la.vec_sub(x, px)
             assert la.is_zero_vec(la.mat_vec(proj, y))

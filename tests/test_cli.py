@@ -186,6 +186,12 @@ def test_parse_error_exit_code(capsys):
     # the circle length of classify must be positive
     for j in ("0", "-3"):
         assert rejected(["classify", "GL", "2", "--j", j], "--j")
+    # a circle length with a zero denominator is named, not a traceback
+    assert rejected(["classify", "GL", "3", "--j", "1/0"], "'1/0'")
+    for suite in ("sl-count", "pgl-count", "det-homeo"):
+        assert rejected(["verify", suite, "--j", "1/0"], "'1/0'")
+    # a negative sample count is rejected, not reported as a failed verification
+    assert rejected(["verify", "det-homeo", "--samples", "-3"], "samples")
 
 
 def test_guard_exit_code(capsys):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lattice_oracles import int_det, integer_solve, lattice_index
+from lattice_oracles import group_inverse, int_det, integer_solve, lattice_index, orbit_mean
 from tropgroups import intlinalg as la
 
 small_mats = st.integers(1, 4).flatmap(
@@ -94,15 +94,26 @@ def test_rational_solve_and_kernel():
 
 def test_orbit_mean():
     rot = la.matrix([[0, -1], [1, 0]])  # order 4, fixed space 0
-    assert la.orbit_mean(rot, (Q(3), Q(-1, 2))) == (Q(0), Q(0))
+    assert orbit_mean(rot, (Q(3), Q(-1, 2))) == (Q(0), Q(0))
     swap = la.matrix([[0, 1], [1, 0]])
-    mean = la.orbit_mean(swap, (Q(1), Q(0)))
+    mean = orbit_mean(swap, (Q(1), Q(0)))
     assert mean == (Q(1, 2), Q(1, 2))
-    assert la.orbit_mean(swap, mean) == mean
-    assert la.orbit_mean(swap, (Q(2, 3), Q(-1, 5))) == (Q(7, 30), Q(7, 30))
-    for orbit_sum in (la.orbit_mean, la.group_inverse):
+    assert orbit_mean(swap, mean) == mean
+    assert orbit_mean(swap, (Q(2, 3), Q(-1, 5))) == (Q(7, 30), Q(7, 30))
+    for orbit_sum in (orbit_mean, group_inverse, la.orbit_sums):
         with pytest.raises(ValueError, match="not of finite order"):
-            orbit_sum(((1, 1), (0, 1)), (Q(0), Q(1)))
+            orbit_sum(((1, 1), (0, 1)), (0, 1))
+
+
+def test_orbit_sums():
+    rot = la.matrix([[0, -1], [1, 0]])  # order 4, fixed space 0
+    # orbit (3, 1), (−1, 3), (−3, −1), (1, −3)
+    assert la.orbit_sums(rot, (3, 1)) == (4, (0, 0), (8, 16))  # A^#·x = (1, 2)
+    assert la.orbit_sums(rot, (0, 0)) == (1, (0, 0), (0, 0))
+    swap = la.matrix([[0, 1], [1, 0]])
+    assert la.orbit_sums(swap, (2, 5)) == (2, (7, 7), (-3, 3))
+    assert la.orbit_sums(swap, (4, 4)) == (1, (4, 4), (0, 0))
+    assert la.orbit_sums((), ()) == (1, (), ())
 
 
 def test_lattice_index():

@@ -58,14 +58,23 @@ def test_elements_are_signed_and_stabilize_roots_and_coroots():
 
 def test_guard():
     datum = rd.build_root_datum("GL", 4)
+    gen_mats = [datum.cochar_reflection_matrix(i) for i in datum.simple]
     with pytest.raises(weyl.GuardExceededError):
-        weyl.generate(datum, [transposition(4, t, t + 1) for t in range(3)], 4, guard=10)
+        weyl.generate(datum, gen_mats, [transposition(4, t, t + 1) for t in range(3)], 4, guard=10)
 
 
 def test_deterministic_order():
     w = group("GL", 3)
     mats = [e.matrix for e in w.elements]
     assert mats == sorted(mats)
+
+
+def test_elements_share_their_rows():
+    # GL₅'s 120 permutation matrices have 5 distinct rows, Sp₃'s 48 signed ones 6
+    for (family, n), distinct in {("GL", 5): 5, ("Sp", 3): 6}.items():
+        w = group(family, n)
+        rows = {id(r) for e in w.elements for r in e.matrix}
+        assert len(rows) == len({r for e in w.elements for r in e.matrix}) == distinct
 
 
 def test_conjugacy_classes_s3():
@@ -286,7 +295,7 @@ def test_closure_rejects_a_non_homomorphic_model():
     gen_perms = [transposition(4, t, t + 1) for t in range(3)]
     gen_perms[0], gen_perms[1] = gen_perms[1], gen_perms[0]
     with pytest.raises(InvariantError, match="not a homomorphism"):
-        weyl.generate(datum, gen_perms, 4)
+        weyl.generate(datum, [datum.cochar_reflection_matrix(i) for i in datum.simple], gen_perms, 4)
 
 
 @pytest.mark.parametrize("family,n", [("GL", 4), ("AmbientSp", 2)])
