@@ -210,8 +210,8 @@ def _model_map(family: str, n: int) -> tuple[Mat, int]:
     if family == "G2":  # y_k = ⟨β_k, m⟩
         return _G2_MODEL, 1
     top, d = la.identity_matrix(n), 1
-    if family == "SO_even":  # the basis of ℤⁿ + ℤ(½,…,½)
-        top, d = tuple(tuple(int(2 * x) for x in row) for row in rootdata.so_even_cochar_basis(n)), 2
+    if family == "SO_even":  # twice the basis of ℤⁿ + ℤ(½,…,½), over d = 2
+        top, d = rootdata.so_even_cochar_basis(n), 2
     signed = top + tuple(la.vec_neg(row) for row in top)  # y_{−i} = −y_i
     if family == "SO_odd":
         return ((0,) * n,) + signed, 1

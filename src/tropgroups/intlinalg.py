@@ -5,16 +5,19 @@ tuples.  An integer matrix acts on a rational vector as it is: an ``int``
 times a ``Fraction`` is an exact ``Fraction``, and the rational routines
 convert their input.  Everything here is deterministic and exact: integer
 numerators of a rational vector over one denominator, Smith normal form with
-unimodular transforms, rational solves, kernels and inverses, integer orbit
-sums under a finite-order integer matrix a (from one walk of an orbit, the
-orbit mean and the group inverse of 1 − a over the period), and quotient
-lattices ℤⁿ/L with mixed torsion/free coordinates.  Vectors are built from
+unimodular transforms u, v and u⁻¹ (each row operation on u mirrored as a
+column operation on u⁻¹, so no inverse is solved for), rational solves,
+kernels and inverses, integer orbit sums under a finite-order integer matrix
+a (from one walk of an orbit, the orbit mean and the group inverse of 1 − a
+over the period), and quotient lattices ℤⁿ/L with mixed torsion/free
+coordinates, whose lifts come from u⁻¹.  Vectors are built from
 lists: a tuple built from a generator is allocated at a guessed length and
 shrunk, which is slower and fills CPython's per-length tuple free lists.
 """
 
 from __future__ import annotations
 
+import itertools
 import operator
 from fractions import Fraction as Q
 from math import lcm
@@ -167,21 +170,24 @@ def mat_to_int(a: Mat) -> Mat:
     return tuple(tuple(int(x) for x in row) for row in a)
 
 
-def smith_normal_form(a: Mat) -> tuple[Mat, Mat, Mat]:
-    """Smith normal form: returns (d, u, v) with u·a·v = d.
+def smith_normal_form(a: Mat) -> tuple[Mat, Mat, Mat, Mat]:
+    """Smith normal form: returns (d, u, v, u⁻¹) with u·a·v = d.
 
     d is diagonal with nonnegative entries d₁ | d₂ | …, and u, v are
-    unimodular integer matrices.
+    unimodular integer matrices.  Each row operation on u is mirrored as the
+    inverse column operation on u⁻¹, kept transposed as rows.
     """
     m = len(a)
     n = len(a[0]) if m else 0
     d = [list(row) for row in a]
     u = [[int(i == j) for j in range(m)] for i in range(m)]
+    u_inv_t = [[int(i == j) for j in range(m)] for i in range(m)]
     v = [[int(i == j) for j in range(n)] for i in range(n)]
 
     def row_sub(i, k, q):
         d[i] = [x - q * y for x, y in zip(d[i], d[k])]
         u[i] = [x - q * y for x, y in zip(u[i], u[k])]
+        u_inv_t[k] = [x + q * y for x, y in zip(u_inv_t[k], u_inv_t[i])]
 
     def col_sub(j, k, q):
         for row in d:
@@ -192,6 +198,7 @@ def smith_normal_form(a: Mat) -> tuple[Mat, Mat, Mat]:
     def swap_rows(i, k):
         d[i], d[k] = d[k], d[i]
         u[i], u[k] = u[k], u[i]
+        u_inv_t[i], u_inv_t[k] = u_inv_t[k], u_inv_t[i]
 
     def swap_cols(j, k):
         for row in d:
@@ -250,10 +257,11 @@ def smith_normal_form(a: Mat) -> tuple[Mat, Mat, Mat]:
         if d[t][t] < 0:
             d[t] = [-x for x in d[t]]
             u[t] = [-x for x in u[t]]
+            u_inv_t[t] = [-x for x in u_inv_t[t]]
         t += 1
         if t == min(m, n):
             break
-    return matrix(d), matrix(u), matrix(v)
+    return matrix(d), matrix(u), matrix(v), transpose(u_inv_t)
 
 
 def diagonal_of(d: Mat) -> tuple[int, ...]:
@@ -273,24 +281,18 @@ class QuotientLattice:
         self.rank = ambient_rank
         gens = [tuple(g) for g in generators if not is_zero_vec(g)]
         b = from_columns(gens) if gens else zero_matrix(ambient_rank, 1)
-        if ambient_rank == 0:
-            self._u = ()
-            self.torsion = ()
-            self._torsion_rows = ()
-            self._free_rows = ()
-            self.free_rank = 0
-            return
-        d, u, _ = smith_normal_form(b)
-        diag = list(diagonal_of(d)) + [0] * (ambient_rank - min(len(b), len(b[0])))
-        diag = diag[:ambient_rank]
-        # normalize the sign of free rows for a deterministic projection
-        urows = [list(r) for r in u]
+        d, u, _, u_inv = smith_normal_form(b)
+        diag = (list(diagonal_of(d)) + [0] * ambient_rank)[:ambient_rank]  # one entry per row
+        # normalize the sign of free rows for a deterministic projection, and
+        # the matching columns of u⁻¹
+        urows, inv_cols = [list(r) for r in u], [list(c) for c in zip(*u_inv)]
         for i, e in enumerate(diag):
             if e == 0:
                 lead = next((x for x in urows[i] if x != 0), 1)
                 if lead < 0:
                     urows[i] = [-x for x in urows[i]]
-        self._u = matrix(urows)
+                    inv_cols[i] = [-x for x in inv_cols[i]]
+        self._u, self._u_inv = matrix(urows), from_columns(inv_cols)
         self._torsion_rows = tuple(i for i, e in enumerate(diag) if e > 1)
         self._free_rows = tuple(i for i, e in enumerate(diag) if e == 0)
         self.torsion = tuple(diag[i] for i in self._torsion_rows)
@@ -326,21 +328,12 @@ class QuotientLattice:
         """One integral lift per element; only for finite quotients."""
         if self.free_rank:
             raise ValueError("quotient is infinite")
-        uinv = mat_to_int(rational_inverse(self._u))
         reps = []
-        idx = [0] * len(self.torsion)
-        while True:
+        for idx in itertools.product(*[range(t) for t in self.torsion]):  # the last coordinate runs fastest
             z = [0] * self.rank
-            for pos, row in enumerate(self._torsion_rows):
-                z[row] = idx[pos]
-            reps.append(mat_vec(uinv, tuple(z)))
-            for pos in range(len(idx) - 1, -1, -1):
-                idx[pos] += 1
-                if idx[pos] < self.torsion[pos]:
-                    break
-                idx[pos] = 0
-            else:
-                break
+            for row, i in zip(self._torsion_rows, idx):
+                z[row] = i
+            reps.append(mat_vec(self._u_inv, tuple(z)))
         return tuple(reps)
 
 

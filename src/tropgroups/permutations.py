@@ -3,16 +3,23 @@
 from __future__ import annotations
 
 import functools
-from typing import Sequence
+import operator
+from typing import Callable, Sequence
 
 
 def identity_perm(n: int) -> tuple[int, ...]:
     return tuple(range(n))
 
 
+def precompose(s: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """The map t ↦ t∘s = (t[s[0]], t[s[1]], …), one C call for s of degree
+    two or more (itemgetter with a single index returns an item, not a tuple)."""
+    return operator.itemgetter(*s) if len(s) > 1 else lambda t: tuple([t[i] for i in s])
+
+
 def compose_perm(s: Sequence[int], t: Sequence[int]) -> tuple[int, ...]:
     """(s∘t)(i) = s(t(i))."""
-    return tuple(s[t[i]] for i in range(len(t)))
+    return precompose(t)(s)
 
 
 def invert_perm(s: Sequence[int]) -> tuple[int, ...]:

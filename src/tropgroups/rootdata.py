@@ -14,12 +14,17 @@ Coordinate conventions for the builders:
 * SO_{2n}: characters are the even-sum sublattice of ℤⁿ, cocharacters the
   dual lattice ℤⁿ + ℤ(½,…,½), each in a fixed integer basis.  This is the
   lattice choice for which the quotient by the coroot span has invariant
-  factors [4] (n odd) and [2, 2] (n even).
+  factors [4] (n odd) and [2, 2] (n even).  Coordinates are closed-form
+  integers: in the character basis e_t − e_{t+1} (t < n − 1), e_{n−2} + e_{n−1}
+  they are the partial sums s_t, ending in (s_{n−2} ∓ v_{n−1})/2; in the
+  cocharacter basis e_i (i < n − 1), (½,…,½) they are v_i − v_{n−1} and
+  2·v_{n−1}.
 * G₂: cocharacters in the simple-coroot basis, characters in the dual basis.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from typing import Optional
@@ -251,35 +256,30 @@ def so_even_char_basis(n: int) -> Mat:
 
 
 def so_even_cochar_basis(n: int) -> Mat:
-    """Columns: basis of ℤⁿ + ℤ(½,…,½), as exact rationals."""
-    cols = [tuple(Q(int(t == i)) for t in range(n)) for i in range(n - 1)]
-    cols.append(tuple(Q(1, 2) for _ in range(n)))
-    return la.from_columns(cols)
+    """Columns: twice the basis e_0, …, e_{n−2}, (½,…,½) of ℤⁿ + ℤ(½,…,½)."""
+    return la.from_columns([_e(n, i, 2) for i in range(n - 1)] + [(1,) * n])
 
 
 def _build_so_even(n: int) -> RootDatum:
-    qb = so_even_char_basis(n)
-    pb = so_even_cochar_basis(n)
-    qb_inv = la.rational_inverse(qb)
-    pb_inv = la.rational_inverse(pb)
-
-    def coords(inv, v, lattice):
-        u = la.mat_vec(inv, v)
-        if any(x.denominator != 1 for x in u):
-            raise InvariantError(f"SO_even{n}: {v} is not in the {lattice} lattice")
-        return tuple(int(x) for x in u)
+    """Integer coordinates in closed form, as in the module docstring; the
+    simple roots are the character basis."""
 
     def char_coords(v):
-        return coords(qb_inv, v, "character")
+        sums = list(itertools.accumulate(v[:-1]))
+        s, last = sums.pop(), v[-1]
+        if (s + last) % 2:
+            raise InvariantError(f"SO_even{n}: {v} is not in the character lattice")
+        return tuple(sums + [(s - last) // 2, (s + last) // 2])
 
     def cochar_coords(v):
-        return coords(pb_inv, v, "cocharacter")
+        return tuple([x - v[-1] for x in v[:-1]] + [2 * v[-1]])
 
     pairs = [(char_coords(v), cochar_coords(v)) for v, _ in _pm_pairs(n)]
-    simple_amb = [la.vec_sub(_e(n, t), _e(n, t + 1)) for t in range(n - 1)]
-    simple_amb.append(la.vec_add(_e(n, n - 2), _e(n, n - 1)))
-    simple = [char_coords(v) for v in simple_amb]
-    pairing = la.mat_to_int(la.mat_mul(la.transpose(qb), pb))
+    basis = so_even_char_basis(n)
+    simple = [char_coords(v) for v in la.columns(basis)]
+    # each character basis vector has an even coordinate sum, so its pairing
+    # with twice a cocharacter basis vector is even
+    pairing = tuple(tuple([x // 2 for x in row]) for row in la.mat_mul(la.transpose(basis), so_even_cochar_basis(n)))
     char = Lattice(n, "Q(D_n)")
     cochar = Lattice(n, "P(D_n^dual)")
     return _sorted_datum(pairs, simple, pairing, char, cochar, ("SO_even", n))
@@ -289,29 +289,23 @@ def _build_g2() -> RootDatum:
     # simple root coordinates in the basis dual to the simple coroots
     a1, ca1 = (2, -1), (1, 0)
     a2, ca2 = (-3, 2), (0, 1)
-    pairing = la.identity_matrix(2)
-
-    def pair(u, v):
-        return la.vec_dot(u, v)
-
-    pairs = {(a1, ca1), (a2, ca2)}
-    changed = True
-    while changed:
-        changed = False
-        for alpha, cov in list(pairs):
-            for beta, cob in list(pairs):
-                nr = la.vec_sub(beta, la.vec_scale(pair(beta, cov), alpha))
-                nc = la.vec_sub(cob, la.vec_scale(pair(alpha, cob), cov))
-                if (nr, nc) not in pairs:
-                    for r, c in pairs:
-                        if r == nr and c != nc:
-                            raise InvariantError(f"inconsistent coroot closure: {nr} has coroots {c} and {nc}")
-                    pairs.add((nr, nc))
-                    changed = True
-    if len(pairs) != 12:
-        raise InvariantError(f"G2 root closure has {len(pairs)} roots, not 12")
+    # the roots are the orbit of the simple roots under the simple reflections;
+    # pairs grows while it is walked
+    simple = [(a1, ca1), (a2, ca2)]
+    coroot, pairs = dict(simple), list(simple)
+    for beta, cob in pairs:
+        for alpha, cov in simple:
+            nr = la.vec_sub(beta, la.vec_scale(la.vec_dot(beta, cov), alpha))
+            nc = la.vec_sub(cob, la.vec_scale(la.vec_dot(alpha, cob), cov))
+            if nr not in coroot:
+                coroot[nr] = nc
+                pairs.append((nr, nc))
+            elif coroot[nr] != nc:
+                raise InvariantError(f"inconsistent coroot closure: {nr} has coroots {coroot[nr]} and {nc}")
+    if len(coroot) != 12:
+        raise InvariantError(f"G2 root closure has {len(coroot)} roots, not 12")
     std = Lattice(2, "hexagonal")
-    return _sorted_datum(sorted(pairs), [a1, a2], pairing, std, std, ("G2", 0))
+    return _sorted_datum(coroot.items(), [a1, a2], la.identity_matrix(2), std, std, ("G2", 0))
 
 
 def validate_root_datum(rd: RootDatum) -> list[str]:

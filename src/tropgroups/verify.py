@@ -99,8 +99,8 @@ def sample_gl_cocycle(
 
 def det_homeo(n: int, d: int, samples: int = 100, seed: int = 0, j=1) -> dict:
     """Equal determinant ⟺ isomorphic, on the stable-degree indecomposable part."""
-    if samples < 0:
-        raise ValueError(f"samples must be a nonnegative count, not {samples}")
+    if samples < 1:
+        raise ValueError(f"samples must be a positive count, not {samples}")
     g = build_group("GL", n)
     gl1 = build_group("GL", 1)
     jq = Q(j)

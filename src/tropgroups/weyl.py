@@ -2,19 +2,22 @@
 
 Every group carries a faithful permutation model, which drives
 multiplication; the matrices give the action on the lattice.  Groups are
-enumerated by breadth-first closure of their generators and frozen in
-lexicographic matrix order, so element indices are deterministic and
-serializable.  The closure multiplies sparsely: a generator differs from the
-identity in few columns (at most three for the simple reflections of the
-built families), and each product recomputes only those.  Conjugacy classes
-are breadth-first orbits under conjugation by the generators, taken on
-permutations.  Centralizers, parabolic subgroups, normalizers, and the
-indecomposability/relative-Weyl machinery for parabolic subgroups whose
-diagram is a product of type-A paths all work on indices.
+enumerated by breadth-first closure of their generators, keyed by
+permutation, and frozen in lexicographic matrix order, so element indices are
+deterministic and serializable.  The closure multiplies on the left: g·x
+recomputes only the rows where g differs from the identity (one or two for
+most simple reflections of the built families), copies a row of x where g
+has a lone 1, and shares every computed row as it is made, so equal rows are
+one object.  Permutations compose through ``operator.itemgetter``.
+Conjugacy classes are breadth-first orbits under conjugation by the
+generators, taken on permutations.  Centralizers, parabolic subgroups,
+normalizers, and the indecomposability/relative-Weyl machinery for parabolic
+subgroups whose diagram is a product of type-A paths all work on indices.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 from math import lcm
@@ -23,7 +26,7 @@ from typing import Optional, Sequence
 from . import intlinalg as la
 from .errors import InvariantError
 from .intlinalg import Mat
-from .permutations import compose_perm, cycles_of, identity_perm, invert_perm, perm_sign, transposition
+from .permutations import compose_perm, cycles_of, identity_perm, invert_perm, perm_sign, precompose, transposition
 from .rootdata import RootDatum
 
 DEFAULT_GUARD = 10_000
@@ -40,19 +43,21 @@ class WeylElement:
 
 class WeylGroup:
     """A finite matrix group with deterministic element ordering; perms[i] is
-    element i in the faithful permutation model that products are looked up in."""
+    element i in the faithful permutation model that products are looked up in,
+    and gen_perms are the permutations of the simple generators."""
 
-    def __init__(self, datum: Optional[RootDatum], elements, gen_indices, perms):
+    def __init__(self, datum: Optional[RootDatum], elements, gen_perms, perms):
         self.datum = datum
         self.elements: tuple[WeylElement, ...] = tuple(elements)
-        self.simple_gens: tuple[int, ...] = tuple(gen_indices)
         self.perms: tuple[tuple[int, ...], ...] = tuple(perms)
-        self._index = {w.matrix: i for i, w in enumerate(self.elements)}
         self._by_perm = {p: i for i, p in enumerate(self.perms)}
-        if len(self._by_perm) != len(self.elements):
-            raise InvariantError(f"permutation model is not faithful on {len(self)} elements")
-        self.identity_idx = self._index[la.identity_matrix(self.rank)]
+        self.simple_gens: tuple[int, ...] = tuple([self._by_perm[tuple(p)] for p in gen_perms])
+        self.identity_idx = self._by_perm[identity_perm(len(self.perms[0]))]
         self._classes = None
+
+    @functools.cached_property
+    def _index(self) -> dict:
+        return {w.matrix: i for i, w in enumerate(self.elements)}
 
     @property
     def rank(self) -> int:
@@ -118,7 +123,7 @@ class WeylGroup:
         generators, found breadth-first on permutations.
         """
         if self._classes is None:
-            gens = [(self.perms[g], invert_perm(self.perms[g])) for g in self.simple_gens]
+            gens = [(self.perms[g], precompose(invert_perm(self.perms[g]))) for g in self.simple_gens]
             seen = [False] * len(self.elements)
             classes = []
             for i in range(len(self.elements)):
@@ -127,9 +132,9 @@ class WeylGroup:
                 seen[i] = True
                 orbit = [i]
                 for x in orbit:
-                    px = self.perms[x]
-                    for ps, ps_inv in gens:
-                        y = self._by_perm[tuple([ps[px[t]] for t in ps_inv])]
+                    after_x = precompose(self.perms[x])
+                    for ps, after_ps_inv in gens:
+                        y = self._by_perm[after_ps_inv(after_x(ps))]  # σ_s∘σ_x∘σ_s⁻¹
                         if not seen[y]:
                             seen[y] = True
                             orbit.append(y)
@@ -176,60 +181,73 @@ def from_generators(
 ) -> WeylGroup:
     """Enumerate the finite group of rank × rank integer matrices generated by
     gen_mats, with the permutation model on `degree` letters in which
-    gen_perms[k] is the image of gen_mats[k]."""
-    gen_mats = [la.matrix(g) for g in gen_mats]
-    moved = [_moved_columns(g) for g in gen_mats]
-    ident = la.identity_matrix(rank)
-    # keyed by column tuples (each matrix transposed), so that a product
-    # shares the columns it keeps
-    seen = {ident: identity_perm(degree)}
+    gen_perms[k] is the image of gen_mats[k].
+
+    The closure is keyed by permutation and multiplies on the left: g·x has
+    the permutation σ_g∘σ_x and differs from x only in the rows where g
+    differs from the identity.  A permutation reached with two matrices means
+    the model is not faithful or not a homomorphism; two permutations of one
+    matrix mean it is not a homomorphism.
+    """
+    rows: dict = {}  # elements share equal rows (GL₆: 6 rows for 720 elements)
+    gens = [(_row_ops(la.matrix(g)), tuple(p)) for g, p in zip(gen_mats, gen_perms, strict=True)]
+    ident = identity_perm(degree)
+    seen = {ident: tuple([rows.setdefault(r, r) for r in la.identity_matrix(rank)])}
     frontier = [ident]
     while frontier:
         nxt = []
-        for cols in frontier:
-            for gm, gp in zip(moved, gen_perms, strict=True):
-                prod = _times_moved(cols, gm)
-                pm = seen[cols]
-                image = tuple([pm[t] for t in gp])  # compose_perm(pm, gp)
-                if prod not in seen:
+        for px in frontier:
+            x, after_x = seen[px], precompose(px)
+            for (copies, sums), pg in gens:
+                prod, image = _times(copies, sums, x, rows), after_x(pg)  # image = σ_g∘σ_x
+                old = seen.get(image)
+                if old is None:
                     if len(seen) >= guard:
                         raise GuardExceededError(f"group size exceeds guard {guard}")
-                    seen[prod] = image
-                    nxt.append(prod)
-                elif seen[prod] != image:
-                    raise InvariantError(f"permutation model is not a homomorphism at {la.transpose(prod)}")
+                    seen[image] = prod
+                    nxt.append(image)
+                elif old != prod:
+                    msg = f"{image} is the permutation of {old} and of {prod}"
+                    raise InvariantError(f"permutation model is not faithful, or not a homomorphism: {msg}")
         frontier = nxt
-    # elements share equal rows, of which there are few (GL₆: 6 rows for 720 elements)
-    rows: dict = {}
-    by_matrix = {tuple([rows.setdefault(r, r) for r in zip(*cols)]): perm for cols, perm in seen.items()}
-    mats = sorted(by_matrix)
-    index = {m: i for i, m in enumerate(mats)}
-    return WeylGroup(
-        datum, (WeylElement(m) for m in mats), (index[g] for g in gen_mats), (by_matrix[m] for m in mats)
-    )
+    perms = sorted(seen, key=seen.__getitem__)
+    mats = [seen[p] for p in perms]
+    for a, b in zip(mats, mats[1:]):
+        if a == b:
+            raise InvariantError(f"permutation model is not a homomorphism: {a} has two permutations")
+    return WeylGroup(datum, [WeylElement(m) for m in mats], gen_perms, perms)
 
 
-def _moved_columns(g: Mat) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
-    """The columns c where g differs from the identity, each with the
-    (row, entry) pairs of its nonzero entries."""
-    n = len(g)
-    return tuple(
-        (c, tuple((r, g[r][c]) for r in range(n) if g[r][c]))
-        for c in range(n)
-        if any(g[r][c] != (r == c) for r in range(n))
-    )
+def _row_ops(g: Mat) -> tuple[tuple, tuple]:
+    """(copies, sums) over the rows r where g differs from the identity:
+    (r, c) when row r is the unit row e_c, and otherwise (r, entries, take,
+    memo) with the (column, entry) pairs of the row's nonzero entries, the
+    getter of the rows of x that they read, and a memo of results by those rows."""
+    copies, sums = [], []
+    for r, row in enumerate(g):
+        entries = tuple((c, e) for c, e in enumerate(row) if e)
+        if len(entries) == 1 and entries[0][1] == 1:
+            if entries[0][0] != r:
+                copies.append((r, entries[0][0]))
+        else:
+            sums.append((r, entries, operator.itemgetter(*[c for c, _ in entries]), {}))
+    return tuple(copies), tuple(sums)
 
 
-def _times_moved(cols: Mat, moved) -> Mat:
-    """The columns of m·g, exactly, from the columns of m and
-    moved = _moved_columns(g); column c of m·g is Σ g[r][c]·(column r of m)."""
-    out = list(cols)
-    for c, entries in moved:
-        col = None
-        for r, e in entries:
-            term = cols[r] if e == 1 else tuple([e * x for x in cols[r]])
-            col = term if col is None else tuple(map(operator.add, col, term))
-        out[c] = (0,) * len(cols) if col is None else col
+def _times(copies, sums, x: Mat, rows: dict) -> Mat:
+    """The rows of g·x, exactly, from the rows of x and _row_ops(g): row r of
+    g·x is Σ g[r][c]·(row c of x).  A copied row is the row of x itself; a
+    computed row is looked up in rows, so that equal rows are one object."""
+    out = list(x)
+    for r, c in copies:
+        out[r] = x[c]
+    for r, entries, take, memo in sums:
+        src = take(x)
+        row = memo.get(src)
+        if row is None:
+            row = tuple([sum(col) for col in zip(*[x[c] if e == 1 else [e * v for v in x[c]] for c, e in entries])])
+            row = memo[src] = rows.setdefault(row, row)
+        out[r] = row
     return tuple(out)
 
 

@@ -1,7 +1,9 @@
 """Integer linear algebra that only the tests use: determinants, integer
 solves and lattice indices, built on the library's Smith normal form, the
-order of a matrix by its powers, and the orbit mean and group inverse under
-a finite-order matrix as rational orbit sums."""
+order of a matrix by its powers, the orbit mean and group inverse under a
+finite-order matrix as rational orbit sums, and the rational-inverse paths
+that the library's integer ones replaced (SO_2n coordinates and the lifts of
+a finite quotient lattice)."""
 
 from __future__ import annotations
 
@@ -9,6 +11,7 @@ from fractions import Fraction as Q
 from typing import Optional
 
 from tropgroups import intlinalg as la
+from tropgroups import rootdata as rd
 from tropgroups.intlinalg import Mat, Vec
 
 
@@ -46,7 +49,7 @@ def integer_solve(a: Mat, b: Vec) -> Optional[tuple[Vec, tuple[Vec, ...]]]:
     """
     m = len(a)
     n = len(a[0]) if m else 0
-    d, u, v = la.smith_normal_form(a)
+    d, u, v, _ = la.smith_normal_form(a)
     diag = la.diagonal_of(d)
     c = la.mat_vec(u, b)
     y = [0] * n
@@ -68,7 +71,7 @@ def integer_solve(a: Mat, b: Vec) -> Optional[tuple[Vec, tuple[Vec, ...]]]:
 
 def lattice_index(a: Mat) -> int:
     """Index of the image lattice of a full-column-rank integer map, 0 if rank-deficient."""
-    d, _, _ = la.smith_normal_form(a)
+    d = la.smith_normal_form(a)[0]
     diag = [e for e in la.diagonal_of(d) if e != 0]
     if len(diag) < (len(a[0]) if a else 0):
         return 0
@@ -120,3 +123,53 @@ def group_inverse(a: Mat, x: Vec) -> Vec:
     xs = orbit(a, x)
     p = len(xs)
     return tuple(Q(sum((p - 1 - 2 * i) * y for i, y in enumerate(col)), 2 * p) for col in zip(*xs))
+
+
+def so_even_datum_by_inverse(n: int) -> rd.RootDatum:
+    """The SO_2n root datum with every coordinate read off the rational
+    inverses of the two lattice bases: e_t − e_{t+1} (t < n − 1) and
+    e_{n−2} + e_{n−1} for the characters, e_i (i < n − 1) and (½,…,½) for the
+    cocharacters."""
+
+    def unit(i, c=1):
+        return tuple(c if t == i else 0 for t in range(n))
+
+    simple = [la.vec_sub(unit(t), unit(t + 1)) for t in range(n - 1)] + [la.vec_add(unit(n - 2), unit(n - 1))]
+    char_basis = la.from_columns(simple)
+    cochar_basis = la.from_columns([unit(i, Q(1)) for i in range(n - 1)] + [(Q(1, 2),) * n])
+    char_inv, cochar_inv = la.rational_inverse(char_basis), la.rational_inverse(cochar_basis)
+
+    def coords(inv, v):
+        u = la.mat_vec(inv, v)
+        if any(x.denominator != 1 for x in u):
+            raise ValueError(f"{v} is not in the lattice")
+        return tuple(int(x) for x in u)
+
+    signs = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+    roots = [la.vec_add(unit(i, si), unit(j, sj)) for i in range(n) for j in range(i + 1, n) for si, sj in signs]
+    pairs = [(coords(char_inv, v), coords(cochar_inv, v)) for v in roots]
+    pairing = la.mat_to_int(la.mat_mul(la.transpose(char_basis), cochar_basis))
+    simple_coords = [coords(char_inv, v) for v in simple]
+    char, cochar = rd.Lattice(n, "Q(D_n)"), rd.Lattice(n, "P(D_n^dual)")
+    return rd._sorted_datum(pairs, simple_coords, pairing, char, cochar, ("SO_even", n))
+
+
+def representatives_by_inverse(quot: la.QuotientLattice) -> tuple[Vec, ...]:
+    """The lifts of QuotientLattice.representatives through a rational
+    inverse of its u: u⁻¹ applied to every torsion coordinate vector, counted
+    up with the last torsion coordinate running fastest."""
+    u_inv = la.mat_to_int(la.rational_inverse(quot._u))
+    reps = []
+    idx = [0] * len(quot.torsion)
+    while True:
+        z = [0] * quot.rank
+        for pos, row in enumerate(quot._torsion_rows):
+            z[row] = idx[pos]
+        reps.append(la.mat_vec(u_inv, tuple(z)))
+        for pos in range(len(idx) - 1, -1, -1):
+            idx[pos] += 1
+            if idx[pos] < quot.torsion[pos]:
+                break
+            idx[pos] = 0
+        else:
+            return tuple(reps)

@@ -42,12 +42,14 @@ def test_output_is_byte_identical(capsys):
 
 
 # SHA-256 of the stdout of `tropgroups classify FAMILY n --j 3/2` for every
-# family with |W| <= 720, as first recorded; the JSON must stay byte-identical
+# family with |W| <= 720 and for the larger GL7, Sp5, SO_odd5 and SO_even5, as
+# first recorded; the JSON must stay byte-identical
 CLASSIFY_GOLDEN = [
     ("GL", 3, "3fabc06d70df94d495595aeb85e1f3d2146a129acbc96c19a7f955efb7fad1f4"),
     ("GL", 4, "10af017d7e6a3ca2cc82d56059e70496d9fd5ba0922f2705d36bf55666e6d0a8"),
     ("GL", 5, "911b728ebcfb89051264202105588e132926e28f60e866ad3d00b0c1de40057d"),
     ("GL", 6, "d7e0b3e0cbd831a63726bad011d0c9fbba7b08c067fde3e95d43dcff5c321c2e"),
+    ("GL", 7, "f48e935cdc40171897cdb531303dc87504a4ae0cdb479513a0a13940991efa4e"),
     ("SL", 4, "ec37e035db544cee95b8cb2a125f939add5a5bc881d8e9df0ace2ead070c6c97"),
     ("SL", 5, "2b589e6e4713f459a14dd29bc12a23de27dbd3f4a7e32f90788f12765c9879ba"),
     ("PGL", 4, "d0c639976d6297b0364124d3b4abfde3e90561cf103d8abe9268d6c6f2cd3061"),
@@ -55,11 +57,14 @@ CLASSIFY_GOLDEN = [
     ("Sp", 2, "76877353b52b9b90f2bd1e735477e824bb1a33ba314b9a52e87aca71856b0f47"),
     ("Sp", 3, "7dfaf2366990c38aa4665300b8d919a0c8a4f3bf3662d8805eef0edeae271f2f"),
     ("Sp", 4, "8a3102c0ec2a2d7d17a5b4ae58c0c53a87616d77c02de185c133d7dff0e90df9"),
+    ("Sp", 5, "9759b01e8c6151b9fa32eb1197459bf5693591c7d3f505002612e87f96283c5c"),
     ("SO_odd", 2, "ccee5fc34cfa2a906e92e0bf3c3cbaa437110b11c04b8fa9a03a7e5bd1e800bb"),
     ("SO_odd", 3, "79b2c33a379e73584461cfbe65e7bab322bd35c74f4c186b851caa0caf69c0b4"),
     ("SO_odd", 4, "fdcdd581b092a03667c760175ab9a5410dbb0fc19ef450795564c280fd9e3a0b"),
+    ("SO_odd", 5, "3fb66c271ceefc94dee21c1e13ce4b1aa06f8667ae1d50cc92b4b0ea9e0dfd0f"),
     ("SO_even", 3, "5152c0ab55626d460ef195d4b7515b5466c3a0d023bf9d15d3d709543db39f33"),
     ("SO_even", 4, "029c8fc2b476d7962372c1e753e31989624f08590c28ac592733b1ceb72c6eca"),
+    ("SO_even", 5, "9caed8edfae165af148da2a2e3112821d2fc6edd1e5a2cd37d42596d4350c7a9"),
     ("G2", 0, "61ef1b2ade76301f0dd82a919d53a89c8a48791e8b7a05cb227aff82239fccfe"),
 ]
 
@@ -190,8 +195,9 @@ def test_parse_error_exit_code(capsys):
     assert rejected(["classify", "GL", "3", "--j", "1/0"], "'1/0'")
     for suite in ("sl-count", "pgl-count", "det-homeo"):
         assert rejected(["verify", suite, "--j", "1/0"], "'1/0'")
-    # a negative sample count is rejected, not reported as a failed verification
+    # a sample count below 1 is rejected, not reported as a failed or a vacuous verification
     assert rejected(["verify", "det-homeo", "--samples", "-3"], "samples")
+    assert rejected(["verify", "det-homeo", "--samples", "0"], "samples")
 
 
 def test_guard_exit_code(capsys):

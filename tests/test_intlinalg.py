@@ -22,8 +22,9 @@ small_mats = st.integers(1, 4).flatmap(
 @given(small_mats)
 @settings(max_examples=120)
 def test_snf_properties(a):
-    d, u, v = la.smith_normal_form(a)
+    d, u, v, u_inv = la.smith_normal_form(a)
     assert la.mat_mul(la.mat_mul(u, a), v) == d
+    assert la.mat_mul(u, u_inv) == la.identity_matrix(len(a))
     assert abs(int_det(u)) == 1
     assert abs(int_det(v)) == 1
     diag = la.diagonal_of(d)
@@ -42,6 +43,22 @@ def test_snf_properties(a):
             seen_zero = True
         else:
             assert not seen_zero
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        ((2, 4), (1, 2)),  # singular
+        ((6, 4, 2), (3, 2, 1), (9, 6, 3)),  # rank 1
+        ((0, 0), (0, 0)),  # rank 0
+        ((0,), (0,), (0,)),
+        ((), ()),  # no columns
+        (),  # no rows
+    ],
+)
+def test_snf_carries_the_inverse_of_u(a):
+    _, u, _, u_inv = la.smith_normal_form(a)
+    assert la.mat_mul(u, u_inv) == la.mat_mul(u_inv, u) == la.identity_matrix(len(a))
 
 
 @given(small_mats, st.data())
@@ -80,6 +97,11 @@ def test_quotient_lattice_representatives():
     reps = quot.representatives()
     assert len(reps) == 6
     assert len({quot.project(r) for r in reps}) == 6
+
+
+def test_quotient_lattice_of_rank_zero():
+    quot = la.QuotientLattice(0, [(), ()])
+    assert (quot.invariant_factors, quot.order, quot.representatives(), quot.project(())) == ((), 1, ((),), ())
 
 
 def test_rational_solve_and_kernel():

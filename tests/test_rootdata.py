@@ -4,8 +4,10 @@ from fractions import Fraction as Q
 
 import pytest
 
+from lattice_oracles import so_even_datum_by_inverse
 from tropgroups import intlinalg as la
 from tropgroups import rootdata as rd
+from tropgroups.errors import InvariantError
 
 ALL_BUILDS = [
     ("GL", 1),
@@ -154,3 +156,15 @@ def test_json_export():
     datum = rd.build_root_datum("Sp", 2)
     data = datum.to_json()
     assert data["rank_char"] == 2 and len(data["roots"]) == 8
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_so_even_coordinates_match_the_rational_inverse(n):
+    assert rd.build_root_datum("SO_even", n) == so_even_datum_by_inverse(n)
+
+
+def test_so_even_rejects_an_odd_character(monkeypatch):
+    # (1, 1, 1) has an odd coordinate sum, so it is not in the character lattice
+    monkeypatch.setattr(rd, "_pm_pairs", lambda n: [((1, 1, 1), (1, 1, 1))])
+    with pytest.raises(InvariantError, match="not in the character lattice"):
+        rd.build_root_datum("SO_even", 3)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from lattice_oracles import int_det, matrix_order
+from lattice_oracles import int_det, matrix_order, representatives_by_inverse
 from tropgroups import circles
 from tropgroups import intlinalg as la
 from tropgroups import rootdata as rd
@@ -205,6 +205,18 @@ def test_subgroup_serialization_is_indices():
     assert sub == tuple(sorted(sub))
 
 
+# every family with |W| <= 720
+GRID = [
+    ("GL", 3), ("GL", 4), ("GL", 5), ("GL", 6),
+    ("SL", 4), ("SL", 5),
+    ("PGL", 4), ("PGL", 5),
+    ("Sp", 2), ("Sp", 3), ("Sp", 4),
+    ("SO_odd", 2), ("SO_odd", 3), ("SO_odd", 4),
+    ("SO_even", 3), ("SO_even", 4),
+    ("G2", 0),
+]
+
+
 # the matrix products that the permutation kernel replaced, kept as the reference
 def ref_mul(w, i, j):
     return w.idx(la.mat_mul(w.element(i).matrix, w.element(j).matrix))
@@ -278,7 +290,7 @@ def dense_closure(gen_mats, gen_perms, rank, degree):
     return mats, [seen[m] for m in mats], [mats.index(g) for g in gen_mats]
 
 
-@pytest.mark.parametrize("family,n", KERNEL_CASES + [("GL", 6)])
+@pytest.mark.parametrize("family,n", KERNEL_CASES + [case for case in GRID if case not in KERNEL_CASES])
 def test_closure_matches_dense_closure(family, n):
     w = kernel_group(family, n)
     gen_mats = [w.element(g).matrix for g in w.simple_gens]
@@ -298,6 +310,31 @@ def test_closure_rejects_a_non_homomorphic_model():
         weyl.generate(datum, [datum.cochar_reflection_matrix(i) for i in datum.simple], gen_perms, 4)
 
 
+def test_closure_rejects_a_model_that_is_not_faithful():
+    # every simple reflection of GL₃ to the transposition on 2 letters is the
+    # sign of S₃: a homomorphism, but not injective
+    datum = rd.build_root_datum("GL", 3)
+    gen_mats = [datum.cochar_reflection_matrix(i) for i in datum.simple]
+    with pytest.raises(InvariantError, match="not faithful"):
+        weyl.generate(datum, gen_mats, [(1, 0), (1, 0)], 2)
+
+
+def test_closure_rejects_two_permutations_of_one_matrix():
+    # the identity matrix sent to a transposition is no homomorphism
+    with pytest.raises(InvariantError, match="not a homomorphism: .* has two permutations"):
+        weyl.from_generators([((1,),)], [(1, 0)], 1, 2)
+
+
+def test_degree_one_models():
+    w = group("GL", 1)
+    assert (len(w), w.perms, w.simple_gens, w.conjugacy_classes()) == (1, ((0,),), (), ((0,),))
+    # one generator on one letter: the identity matrix gives the trivial
+    # group, while −1 would share the identity permutation with the identity
+    assert weyl.from_generators([((1,),)], [(0,)], 1, 1).perms == ((0,),)
+    with pytest.raises(InvariantError, match="not faithful"):
+        weyl.from_generators([((-1,),)], [(0,)], 1, 1)
+
+
 @pytest.mark.parametrize("family,n", [("GL", 4), ("AmbientSp", 2)])
 def test_guard_is_exact(family, n):
     w = kernel_group(family, n)
@@ -306,18 +343,6 @@ def test_guard_is_exact(family, n):
     assert len(weyl.from_generators(gen_mats, gen_perms, w.rank, len(w.perms[0]), guard=len(w))) == len(w)
     with pytest.raises(weyl.GuardExceededError):
         weyl.from_generators(gen_mats, gen_perms, w.rank, len(w.perms[0]), guard=len(w) - 1)
-
-
-# every family with |W| <= 720
-GRID = [
-    ("GL", 3), ("GL", 4), ("GL", 5), ("GL", 6),
-    ("SL", 4), ("SL", 5),
-    ("PGL", 4), ("PGL", 5),
-    ("Sp", 2), ("Sp", 3), ("Sp", 4),
-    ("SO_odd", 2), ("SO_odd", 3), ("SO_odd", 4),
-    ("SO_even", 3), ("SO_even", 4),
-    ("G2", 0),
-]
 
 
 # the class computation before orbits under the generators, kept as the
@@ -351,3 +376,12 @@ def test_classify_centralizer_order_is_centralizer_size(family, n):
 def test_order_of_is_the_matrix_order(family, n):
     w = group(family, n)
     assert [w.order_of(i) for i in range(len(w))] == [matrix_order(e.matrix) for e in w.elements]
+
+
+@pytest.mark.parametrize("family,n", GRID)
+def test_representatives_match_the_rational_inverse_lifts(family, n):
+    # GL's quotients all have a free part, so it has nothing to compare
+    g = build_group(family, n)
+    for quotient in [g.pi1()] + [circles._cycle_quotient(g, cls[0]) for cls in g.weyl.conjugacy_classes()]:
+        if quotient.order is not None:
+            assert quotient.representatives() == representatives_by_inverse(quotient)
