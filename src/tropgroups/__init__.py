@@ -7,6 +7,8 @@ circle ℝ/jℤ are Čech cocycles (m, α, w) up to an explicit gauge action, wi
 exact classification, degree, and slope-stability machinery.
 """
 
+import logging as _logging
+
 from .circles import (
     CircleCocycle,
     ComponentDescription,
@@ -82,6 +84,9 @@ from .weyl import (
     is_indecomposable,
     relative_weyl_check,
 )
+
+# the library's logger stays silent until the application configures logging
+_logging.getLogger(__name__).addHandler(_logging.NullHandler())
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

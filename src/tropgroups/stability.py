@@ -10,9 +10,9 @@ slope matrix M_P = I − Č_P·K_P⁻¹·A_P (so a slope is one matrix-vector
 product), and a left inverse of the simple-coroot basis for the dominance
 order.  Exact rational matrices are kept as an integer matrix over one
 denominator, so slopes and dominance coefficients are integer dot products
-followed by one Fraction per entry.  A verdict makes one conjugation pass
-over W (v·w·v⁻¹ for every v) and reads the reductions to every parabolic
-from it.
+followed by one Fraction per entry.  φ_P, [·]_P and the test v·w·v⁻¹ ∈ W_P
+are constant on each left coset W_P·v, so a verdict reads the reductions to P
+from the least index of each coset, kept on the parabolic, not from all of W.
 """
 
 from __future__ import annotations
@@ -35,13 +35,14 @@ from .weyl import a_type_structure
 
 @dataclass(frozen=True)
 class ParabolicSubgroup:
-    """Standard parabolic: simple-root positions, the set of sub-Weyl-group
-    element indices, π₁(P), and the slope matrix M_P with φ_P = M_P·λ̌, kept
-    as (N, d) with integer N and d > 0 such that M_P = N/d."""
+    """Standard parabolic: simple-root positions, W_P and the least index of
+    each left coset W_P·v as element indices, π₁(P), and the slope matrix M_P
+    with φ_P = M_P·λ̌, kept as (N, d) with integer N, d > 0 and M_P = N/d."""
 
     group: TropicalGroup
     positions: tuple[int, ...]
     members: frozenset
+    cosets: tuple[int, ...]
     pi1: QuotientLattice
     slope_matrix: tuple[Mat, int]
 
@@ -73,7 +74,25 @@ def parabolic_subgroup(g: TropicalGroup, positions: Sequence[int]) -> ParabolicS
     if p is None:
         if any(t < 0 or t >= len(g.datum.simple) for t in positions):
             raise ValueError("invalid simple-root position")
-        members = frozenset(g.weyl.parabolic_subgroup(positions))
+        # the left coset W_P·v of each unseen v in index order, breadth-first; W_P·1 = W_P
+        w = g.weyl
+        seen = [False] * len(w)
+        orbits = []
+        for v in range(len(w)):
+            if not seen[v]:
+                seen[v] = True
+                orbits.append([v])
+                for x in orbits[-1]:
+                    for y in [w.mul(w.simple_gens[t], x) for t in positions]:
+                        if not seen[y]:
+                            seen[y] = True
+                            orbits[-1].append(y)
+        members = frozenset(next(o for o in orbits if w.identity_idx in o))
+        if any(len(o) != len(members) for o in orbits) or len(orbits) * len(members) != len(w):
+            raise InvariantError(
+                f"left cosets of W_P at positions {positions} of {g!r} do not all have {len(members)} elements"
+            )
+        cosets = tuple(o[0] for o in orbits)
         pi1 = QuotientLattice(g.rank, [g.datum.coroots[g.datum.simple[t]] for t in positions])
         coroots, num, d = _coroot_frame(g, positions)
         k = len(positions)
@@ -82,7 +101,7 @@ def parabolic_subgroup(g: TropicalGroup, positions: Sequence[int]) -> ParabolicS
             tuple(d * (i == j) - sum(coroots[i][t] * num[t][j] for t in range(k)) for j in range(g.rank))
             for i in range(g.rank)
         )
-        p = ParabolicSubgroup(g, positions, members, pi1, (slope_num, d))
+        p = ParabolicSubgroup(g, positions, members, cosets, pi1, (slope_num, d))
         g.parabolics[positions] = p
     return p
 
@@ -138,22 +157,21 @@ def dominance_leq(g: TropicalGroup, lam: Sequence, mu: Sequence, strict: bool = 
 
 
 def _conjugation_pass(c: CircleCocycle) -> tuple:
-    """The one scan of W that every parabolic's reductions are read from:
-    v·w·v⁻¹ for every v ∈ W in index order, and v ↦ v·m, computed at most
-    once per v and only for the v some parabolic asks for."""
+    """v ↦ v·w·v⁻¹ and v ↦ v·m, computed at most once per v, on demand."""
     w = c.group.weyl
-    conjugates = [w.conj(v, c.mono_idx) for v in range(len(w))]
-    return conjugates, functools.cache(lambda v: la.mat_vec(w.element(v).matrix, c.slope))
+    conj = functools.cache(lambda v: w.conj(v, c.mono_idx))
+    return conj, functools.cache(lambda v: la.mat_vec(w.element(v).matrix, c.slope))
 
 
 def _reduced_slopes(c: CircleCocycle, p: ParabolicSubgroup, scan: tuple) -> dict:
-    """The distinct v·m over v ∈ W with vwv⁻¹ ∈ W_P, in order of least v.  Callers
-    fill a set in this order and freeze it; stability_verdict's violations follow
-    the resulting iteration order."""
+    """The distinct v·m over coset representatives v with vwv⁻¹ ∈ W_P, in order of
+    v; φ_P and [·]_P of these give their values in the order of a scan of W.
+    Callers fill a set in this order and freeze it; stability_verdict's
+    violations follow the resulting iteration order."""
     if c.group is not p.group:
         raise ValueError("cocycle and parabolic belong to different groups")
-    conjugates, moved = scan
-    return dict.fromkeys(moved(v) for v, x in enumerate(conjugates) if x in p.members)
+    conj, moved = scan
+    return dict.fromkeys(moved(v) for v in p.cosets if conj(v) in p.members)
 
 
 def reduction_degrees(c: CircleCocycle, p: ParabolicSubgroup) -> frozenset:

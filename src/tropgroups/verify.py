@@ -98,7 +98,11 @@ def sample_gl_cocycle(
 
 
 def det_homeo(n: int, d: int, samples: int = 100, seed: int = 0, j=1) -> dict:
-    """Equal determinant ⟺ isomorphic, on the stable-degree indecomposable part."""
+    """Equal determinant ⟺ isomorphic, on the stable-degree indecomposable part.
+
+    A report with a disagreeing trial names the first one in ``first_failure``:
+    its index, the seed and both cocycles, enough to rerun it.
+    """
     if samples < 1:
         raise ValueError(f"samples must be a positive count, not {samples}")
     g = build_group("GL", n)
@@ -120,6 +124,7 @@ def det_homeo(n: int, d: int, samples: int = 100, seed: int = 0, j=1) -> dict:
         return circles.cocycle(gl1, (sum(c.slope),), (sum(c.offset, Q(0)),), 0, jq)
 
     agree = 0
+    first_failure = None
     for trial in range(samples):
         c1 = sample_gl_cocycle(rng, g, jq, degree=d, w_idx=rng.choice(cls))
         c2 = sample_gl_cocycle(rng, g, jq, degree=d, w_idx=rng.choice(cls))
@@ -139,16 +144,27 @@ def det_homeo(n: int, d: int, samples: int = 100, seed: int = 0, j=1) -> dict:
         full_isomorphic = circles.are_isomorphic(c1, c2)
         if dets_isomorphic == full_isomorphic and dets_isomorphic == (trial % 2 == 0):
             agree += 1
-    ok = discrete_ok and agree == samples
-    return {
+        elif first_failure is None:
+            first_failure = {
+                "trial": trial,
+                "seed": seed,
+                "cocycles": [c1.to_json(), c2.to_json()],
+                "expected_isomorphic": trial % 2 == 0,
+                "determinants_isomorphic": dets_isomorphic,
+                "isomorphic": full_isomorphic,
+            }
+    report = {
         "suite": "det-homeo",
         "n": n,
         "d": d,
         "samples": samples,
         "agreeing": agree,
         "discrete_invariants_match": discrete_ok,
-        "pass": ok,
+        "pass": discrete_ok and agree == samples,
     }
+    if first_failure is not None:
+        report["first_failure"] = first_failure
+    return report
 
 
 RELATIVE_WEYL_GROUPS = (("GL", 4), ("Sp", 2), ("Sp", 3), ("G2", 0))

@@ -10,9 +10,9 @@ most simple reflections of the built families), copies a row of x where g
 has a lone 1, and shares every computed row as it is made, so equal rows are
 one object.  Permutations compose through ``operator.itemgetter``.
 Conjugacy classes are breadth-first orbits under conjugation by the
-generators, taken on permutations.  Centralizers, parabolic subgroups,
-normalizers, and the indecomposability/relative-Weyl machinery for parabolic
-subgroups whose diagram is a product of type-A paths all work on indices.
+generators, taken on permutations.  Centralizers, normalizers, and the
+indecomposability/relative-Weyl machinery for parabolic subgroups whose
+diagram is a product of type-A paths all work on indices.
 """
 
 from __future__ import annotations
@@ -150,24 +150,6 @@ class WeylGroup:
 
     def centralizer(self, i: int) -> tuple[int, ...]:
         return tuple(g for g in range(len(self.elements)) if self.conj(g, i) == i)
-
-    def subgroup_closure(self, gen_indices: Sequence[int]) -> tuple[int, ...]:
-        out = {self.identity_idx}
-        frontier = [self.identity_idx]
-        while frontier:
-            nxt = []
-            for i in frontier:
-                for g in gen_indices:
-                    j = self.mul(i, g)
-                    if j not in out:
-                        out.add(j)
-                        nxt.append(j)
-            frontier = nxt
-        return tuple(sorted(out))
-
-    def parabolic_subgroup(self, positions: Sequence[int]) -> tuple[int, ...]:
-        """Subgroup generated by the simple reflections at the given positions."""
-        return self.subgroup_closure([self.simple_gens[p] for p in positions])
 
     def normalizer(self, subgroup: Sequence[int]) -> tuple[int, ...]:
         sub = frozenset(subgroup)

@@ -132,6 +132,41 @@ def test_verify_suites(capsys):
     assert code == 0
     code, out = run(capsys, ["verify", "det-homeo", "--n", "2", "--d", "1", "--samples", "20"])
     assert code == 0
+    # a passing report carries no first_failure field
+    assert sorted(json.loads(out)) == ["agreeing", "d", "discrete_invariants_match", "n", "pass", "samples", "suite"]
+
+
+def test_det_homeo_names_its_first_disagreeing_trial(capsys, monkeypatch):
+    real = cli.verify.circles.are_isomorphic
+    calls = []
+
+    def flip_trial_3(a, b):
+        # each trial asks about the determinants, then the full cocycles
+        calls.append((a, b))
+        out = real(a, b)
+        return not out if len(calls) == 2 * 3 + 2 else out
+
+    monkeypatch.setattr(cli.verify.circles, "are_isomorphic", flip_trial_3)
+    code, out = run(capsys, ["verify", "det-homeo", "--n", "2", "--d", "1", "--samples", "6", "--seed", "5"])
+    assert code == cli.EXIT_VERIFY_FAIL
+    data = json.loads(out)
+    assert (data["pass"], data["agreeing"]) == (False, 5)
+    failure = data["first_failure"]
+    assert (failure["trial"], failure["seed"]) == (3, 5)
+    assert failure["cocycles"] == [c.to_json() for c in calls[7]]
+    assert failure["isomorphic"] is not real(*calls[7])
+    assert (failure["expected_isomorphic"], failure["determinants_isomorphic"]) == (False, False)
+
+
+def test_library_logger_is_silent(capsys):
+    import logging
+
+    handlers = logging.getLogger("tropgroups").handlers
+    assert any(isinstance(h, logging.NullHandler) for h in handlers)
+    code = cli.main(["classify", "GL", "3"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.out
+    assert captured.err == ""
 
 
 def test_file_roundtrip(tmp_path, capsys):

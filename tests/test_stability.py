@@ -6,6 +6,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from weyl_oracles import parabolic_closure
 from tropgroups import circles as ci
 from tropgroups import groups as gr
 from tropgroups import intlinalg as la
@@ -205,7 +206,7 @@ def test_semistable_quotient_theorem_gl4():
     positions = (0, 2)
     levi, inclusion = gr.levi_group(big, positions)
     structure_w = verify.indecomposable_class_rep(levi)
-    sub_indices = big.weyl.parabolic_subgroup(positions)
+    sub_indices = parabolic_closure(big.weyl, positions)
     normalizer = big.weyl.normalizer(sub_indices)
     sub_set = set(sub_indices)
     coset_reps = []
@@ -360,14 +361,14 @@ def seeded_cocycles(g, count, seed):
     return out
 
 
-@pytest.mark.parametrize("family,n", GRID)
-def test_verdicts_and_reductions_match_the_reference(family, n):
-    g = build_group(family, n)
+def check_against_the_reference(g, cocycles):
+    """Verdicts, reduction slopes and reduction degrees of every parabolic, in
+    order, against a full scan of W with closure-built sub-Weyl sets."""
     r = len(g.datum.simple)
     parabolics = [positions for size in range(r + 1) for positions in itertools.combinations(range(r), size)]
-    subs = {positions: frozenset(g.weyl.parabolic_subgroup(positions)) for positions in parabolics}
+    subs = {positions: frozenset(parabolic_closure(g.weyl, positions)) for positions in parabolics}
     ref_slopes = {}  # (positions, λ̌) -> reference slope; a cocycle's reductions repeat across cocycles
-    for c in seeded_cocycles(g, 30, f"{family}{n}"):
+    for c in cocycles:
         conjugates = ref_conjugates(c)
         reduction_sets = {}
         for positions in parabolics:
@@ -384,6 +385,57 @@ def test_verdicts_and_reductions_match_the_reference(family, n):
         assert stab.stability_verdict(c).to_json() == ref_verdict(c, reduction_sets).to_json()
 
 
+@pytest.mark.parametrize("family,n", GRID)
+def test_verdicts_and_reductions_match_the_reference(family, n):
+    g = build_group(family, n)
+    check_against_the_reference(g, seeded_cocycles(g, 30, f"{family}{n}"))
+
+
+@pytest.mark.parametrize("family,n", [("Sp", 4), ("SO_even", 4), ("GL", 5)])
+def test_identity_monodromy_matches_the_reference(family, n):
+    """With w = 1 every v passes v·w·v⁻¹ ∈ W_P, so each coset of every
+    parabolic contributes a reduction."""
+    g = build_group(family, n)
+    rng = random.Random(f"identity {family}{n}")
+    cocycles = []
+    for _ in range(4):
+        m = [rng.randint(-3, 3) for _ in range(g.rank)]
+        alpha = [verify.random_rational(rng) for _ in range(g.rank)]
+        cocycles.append(ci.cocycle(g, m, alpha, g.weyl.identity_idx, 1))
+    check_against_the_reference(g, cocycles)
+
+
+COSET_CASES = [
+    ("GL", 4), ("GL", 5), ("GL", 6), ("Sp", 3), ("Sp", 4),
+    ("SO_odd", 3), ("SO_odd", 4), ("SO_even", 4), ("G2", 0),
+]
+
+
+@pytest.mark.parametrize("family,n", COSET_CASES)
+def test_coset_representatives_are_the_least_indices(family, n):
+    g = build_group(family, n)
+    w = g.weyl
+    r = len(g.datum.simple)
+    for positions in (q for size in range(r) for q in itertools.combinations(range(r), size)):
+        p = stab.parabolic_subgroup(g, positions)
+        sub = parabolic_closure(w, positions)
+        assert p.members == frozenset(sub)
+        least = sorted({min(w.mul(u, v) for u in sub) for v in range(len(w))})
+        assert list(p.cosets) == least
+        assert len(p.cosets) == len(w) // len(sub)
+
+
+def test_uneven_cosets_name_the_group_and_positions(monkeypatch):
+    monkeypatch.setattr(gr, "_GROUP_CACHE", {})
+    g = build_group("GL", 3)
+    real = g.weyl.mul
+    # a product that fixes element 0: the search starts at 0 and finds it alone,
+    # then the other element of its coset {0, s·0} alone as well
+    monkeypatch.setattr(g.weyl, "mul", lambda i, j: j if j == 0 else real(i, j))
+    with pytest.raises(InvariantError, match=r"\(1,\) of TropicalGroup\(GLx3"):
+        stab.parabolic_subgroup(g, (1,))
+
+
 def test_parabolic_data_is_built_once_per_group(monkeypatch):
     monkeypatch.setattr(gr, "_GROUP_CACHE", dict(gr._GROUP_CACHE))
     g = build_group("GL", 4)
@@ -397,7 +449,7 @@ def test_parabolic_data_is_built_once_per_group(monkeypatch):
     assert fresh is not g
     q = stab.parabolic_subgroup(fresh, (0, 2))
     assert q is not p and q.group is fresh
-    assert (q.positions, q.members, q.slope_matrix) == (p.positions, p.members, p.slope_matrix)
+    assert (q.positions, q.members, q.cosets, q.slope_matrix) == (p.positions, p.members, p.cosets, p.slope_matrix)
     with pytest.raises(ValueError):
         stab.parabolic_subgroup(fresh, (3,))
 
