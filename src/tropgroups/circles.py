@@ -61,9 +61,11 @@ class CircleCocycle:
 
 def _rational(field: str, x) -> Q:
     try:
-        return Q(x)
+        if not isinstance(x, bool):  # Fraction(True) == 1
+            return Q(x)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-        raise ValueError(f"field {field!r}: {x!r} is not a rational number") from None
+        pass
+    raise ValueError(f"field {field!r}: {x!r} is not a rational number")
 
 
 def _integer(field: str, x) -> int:

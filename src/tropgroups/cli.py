@@ -55,6 +55,8 @@ def _load_cocycles(args, group):
         data = [data]
     if not isinstance(data, list):
         raise ValueError("cocycle JSON must be an object or a list of objects")
+    if not data:
+        raise ValueError("no cocycle given: the cocycle list is empty")
     out = []
     for pos, entry in enumerate(data):
         if isinstance(entry, dict) and "j" not in entry and args.j is not None:

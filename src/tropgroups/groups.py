@@ -123,7 +123,7 @@ def compose(a: TropGroupElement, b: TropGroupElement) -> TropGroupElement:
 
 def inverse(a: TropGroupElement) -> TropGroupElement:
     """(m, w)⁻¹ = (−w⁻¹·m, w⁻¹)."""
-    winv = a.group.weyl.inv(a.w_idx)
+    winv = a.group.weyl.inverse[a.w_idx]
     mat = a.group.weyl.element(winv).matrix
     return TropGroupElement(a.group, la.vec_neg(la.mat_vec(mat, a.m)), winv)
 
@@ -165,13 +165,13 @@ def make_hom(source: TropicalGroup, target: TropicalGroup, f: Mat, phi: Callable
     and multiplicativity of φ against the whole source group."""
     wmap = tuple(phi(i) for i in range(len(source.weyl)))
     fint = la.matrix(f)
-    for g in source.weyl.simple_gens:
+    for g, left in zip(source.weyl.simple_gens, source.weyl.left):
         lhs = la.mat_mul(target.weyl.element(wmap[g]).matrix, fint)
         rhs = la.mat_mul(fint, source.weyl.element(g).matrix)
         if lhs != rhs:
             raise ValueError("lattice map is not equivariant for the Weyl maps")
         for b in range(len(source.weyl)):
-            if wmap[source.weyl.mul(g, b)] != target.weyl.mul(wmap[g], wmap[b]):
+            if wmap[left[b]] != target.weyl.mul(wmap[g], wmap[b]):
                 raise ValueError("Weyl map is not a homomorphism")
     return TropGroupHom(source, target, fint, wmap)
 

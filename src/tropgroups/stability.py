@@ -13,6 +13,7 @@ denominator, so slopes and dominance coefficients are integer dot products
 followed by one Fraction per entry.  φ_P, [·]_P and the test v·w·v⁻¹ ∈ W_P
 are constant on each left coset W_P·v, so a verdict reads the reductions to P
 from the least index of each coset, kept on the parabolic, not from all of W.
+The cosets are ``WeylGroup.orbits`` under the left tables of P's reflections.
 """
 
 from __future__ import annotations
@@ -74,19 +75,9 @@ def parabolic_subgroup(g: TropicalGroup, positions: Sequence[int]) -> ParabolicS
     if p is None:
         if any(t < 0 or t >= len(g.datum.simple) for t in positions):
             raise ValueError("invalid simple-root position")
-        # the left coset W_P·v of each unseen v in index order, breadth-first; W_P·1 = W_P
+        # the left coset W_P·v of each unseen v in index order; W_P·1 = W_P
         w = g.weyl
-        seen = [False] * len(w)
-        orbits = []
-        for v in range(len(w)):
-            if not seen[v]:
-                seen[v] = True
-                orbits.append([v])
-                for x in orbits[-1]:
-                    for y in [w.mul(w.simple_gens[t], x) for t in positions]:
-                        if not seen[y]:
-                            seen[y] = True
-                            orbits[-1].append(y)
+        orbits = w.orbits([w.left[t] for t in positions])
         members = frozenset(next(o for o in orbits if w.identity_idx in o))
         if any(len(o) != len(members) for o in orbits) or len(orbits) * len(members) != len(w):
             raise InvariantError(

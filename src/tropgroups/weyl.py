@@ -8,11 +8,12 @@ deterministic and serializable.  The closure multiplies on the left: g·x
 recomputes only the rows where g differs from the identity (one or two for
 most simple reflections of the built families), copies a row of x where g
 has a lone 1, and shares every computed row as it is made, so equal rows are
-one object.  Permutations compose through ``operator.itemgetter``.
-Conjugacy classes are breadth-first orbits under conjugation by the
-generators, taken on permutations.  Centralizers, normalizers, and the
-indecomposability/relative-Weyl machinery for parabolic subgroups whose
-diagram is a product of type-A paths all work on indices.
+one object.  Its edges x → s·x are kept as the left tables left[t][i] = s_t·i,
+and one routine, ``WeylGroup.orbits``, walks index maps built from them: the
+conjugacy classes (under x ↦ s·x·s⁻¹) and the left cosets of W_P (under
+x ↦ s·x, s in W_P) need no permutation product.  Centralizers, normalizers,
+and the indecomposability/relative-Weyl machinery for parabolic subgroups
+whose diagram is a product of type-A paths all work on indices.
 """
 
 from __future__ import annotations
@@ -44,16 +45,23 @@ class WeylElement:
 class WeylGroup:
     """A finite matrix group with deterministic element ordering; perms[i] is
     element i in the faithful permutation model that products are looked up in,
-    and gen_perms are the permutations of the simple generators."""
+    left[t][i] is the index of s_t·i for the t-th simple generator s_t (so
+    simple_gens[t] = left[t][identity_idx]), inverse[i] is the index of i⁻¹,
+    and class_id[i] is the position of the class of i in conjugacy_classes()."""
 
-    def __init__(self, datum: Optional[RootDatum], elements, gen_perms, perms):
+    def __init__(self, datum: Optional[RootDatum], elements, perms, left):
         self.datum = datum
         self.elements: tuple[WeylElement, ...] = tuple(elements)
         self.perms: tuple[tuple[int, ...], ...] = tuple(perms)
         self._by_perm = {p: i for i, p in enumerate(self.perms)}
-        self.simple_gens: tuple[int, ...] = tuple([self._by_perm[tuple(p)] for p in gen_perms])
+        self.left: tuple[tuple[int, ...], ...] = tuple(left)
         self.identity_idx = self._by_perm[identity_perm(len(self.perms[0]))]
+        self.simple_gens: tuple[int, ...] = tuple([s[self.identity_idx] for s in self.left])
         self._classes = None
+
+    @functools.cached_property
+    def inverse(self) -> tuple[int, ...]:
+        return tuple([self._by_perm[invert_perm(p)] for p in self.perms])
 
     @functools.cached_property
     def _index(self) -> dict:
@@ -94,9 +102,6 @@ class WeylGroup:
     def mul(self, i: int, j: int) -> int:
         return self._by_perm[compose_perm(self.perms[i], self.perms[j])]
 
-    def inv(self, i: int) -> int:
-        return self._by_perm[invert_perm(self.perms[i])]
-
     def conj(self, v: int, x: int) -> int:
         """Index of v·x·v⁻¹, whose permutation sends v(t) to v(x(t))."""
         pv = self.perms[v]
@@ -116,37 +121,40 @@ class WeylGroup:
     def sgn(self, i: int) -> int:
         return perm_sign(self.perms[i])
 
-    def conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
-        """Classes as sorted index tuples, ordered by least element.
-
-        Each class is the orbit of its least element under conjugation by the
-        generators, found breadth-first on permutations.
-        """
-        if self._classes is None:
-            gens = [(self.perms[g], precompose(invert_perm(self.perms[g]))) for g in self.simple_gens]
-            seen = [False] * len(self.elements)
-            classes = []
-            for i in range(len(self.elements)):
-                if seen[i]:
-                    continue
+    def orbits(self, maps: Sequence[Sequence[int]]) -> list[list[int]]:
+        """The orbits of the indices under the index maps (maps[k][i] is the image
+        of i), each found breadth-first from its least index, in that order."""
+        seen = [False] * len(self.elements)
+        out = []
+        for i, done in enumerate(seen):
+            if not done:
                 seen[i] = True
                 orbit = [i]
                 for x in orbit:
-                    after_x = precompose(self.perms[x])
-                    for ps, after_ps_inv in gens:
-                        y = self._by_perm[after_ps_inv(after_x(ps))]  # σ_s∘σ_x∘σ_s⁻¹
+                    for f in maps:
+                        y = f[x]
                         if not seen[y]:
                             seen[y] = True
                             orbit.append(y)
-                classes.append(tuple(sorted(orbit)))
-            self._classes = tuple(classes)
+                out.append(orbit)
+        return out
+
+    def conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
+        """Classes as sorted index tuples, ordered by least element: the orbits
+        under x ↦ s·x·s⁻¹ = s·(s·x⁻¹)⁻¹ for the simple generators s."""
+        if self._classes is None:
+            inv = self.inverse
+            orbits = self.orbits([[s[inv[s[x_inv]]] for x_inv in inv] for s in self.left])
+            self._classes = tuple(tuple(sorted(orbit)) for orbit in orbits)
         return self._classes
 
+    @functools.cached_property
+    def class_id(self) -> tuple[int, ...]:
+        ids = {x: c for c, cls in enumerate(self.conjugacy_classes()) for x in cls}
+        return tuple([ids[x] for x in range(len(ids))])
+
     def class_of(self, i: int) -> tuple[int, ...]:
-        for cls in self.conjugacy_classes():
-            if i in cls:
-                return cls
-        raise ValueError("element not in group")
+        return self.conjugacy_classes()[self.class_id[self.check_idx(i)]]
 
     def centralizer(self, i: int) -> tuple[int, ...]:
         return tuple(g for g in range(len(self.elements)) if self.conj(g, i) == i)
@@ -167,37 +175,39 @@ def from_generators(
 
     The closure is keyed by permutation and multiplies on the left: g·x has
     the permutation σ_g∘σ_x and differs from x only in the rows where g
-    differs from the identity.  A permutation reached with two matrices means
-    the model is not faithful or not a homomorphism; two permutations of one
-    matrix mean it is not a homomorphism.
+    differs from the identity; the edges x → g·x, numbered as found, become the
+    left tables once the elements are sorted.  A permutation reached with two
+    matrices means the model is not faithful or not a homomorphism; two
+    permutations of one matrix mean it is not a homomorphism.
     """
     rows: dict = {}  # elements share equal rows (GL₆: 6 rows for 720 elements)
     gens = [(_row_ops(la.matrix(g)), tuple(p)) for g, p in zip(gen_mats, gen_perms, strict=True)]
-    ident = identity_perm(degree)
-    seen = {ident: tuple([rows.setdefault(r, r) for r in la.identity_matrix(rank)])}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for px in frontier:
-            x, after_x = seen[px], precompose(px)
-            for (copies, sums), pg in gens:
-                prod, image = _times(copies, sums, x, rows), after_x(pg)  # image = σ_g∘σ_x
-                old = seen.get(image)
-                if old is None:
-                    if len(seen) >= guard:
-                        raise GuardExceededError(f"group size exceeds guard {guard}")
-                    seen[image] = prod
-                    nxt.append(image)
-                elif old != prod:
-                    msg = f"{image} is the permutation of {old} and of {prod}"
-                    raise InvariantError(f"permutation model is not faithful, or not a homomorphism: {msg}")
-        frontier = nxt
-    perms = sorted(seen, key=seen.__getitem__)
-    mats = [seen[p] for p in perms]
-    for a, b in zip(mats, mats[1:]):
-        if a == b:
-            raise InvariantError(f"permutation model is not a homomorphism: {a} has two permutations")
-    return WeylGroup(datum, [WeylElement(m) for m in mats], gen_perms, perms)
+    perms = [identity_perm(degree)]
+    found = {perms[0]: 0}
+    mats = [tuple([rows.setdefault(r, r) for r in la.identity_matrix(rank)])]
+    edges = [[] for _ in gens]  # edges[t][a] is the number of s_t·(element a)
+    for a, px in enumerate(perms):  # perms grows as elements are found
+        x, after_x = mats[a], precompose(px)
+        for ((copies, sums), pg), out in zip(gens, edges):
+            prod, image = _times(copies, sums, x, rows), after_x(pg)  # image = σ_g∘σ_x
+            b = found.get(image)
+            if b is None:
+                if len(perms) >= guard:
+                    raise GuardExceededError(f"group size exceeds guard {guard}")
+                b = found[image] = len(perms)
+                perms.append(image)
+                mats.append(prod)
+            elif mats[b] != prod:
+                msg = f"{image} is the permutation of {mats[b]} and of {prod}"
+                raise InvariantError(f"permutation model is not faithful, or not a homomorphism: {msg}")
+            out.append(b)
+    order = sorted(range(len(mats)), key=mats.__getitem__)
+    for a, b in zip(order, order[1:]):
+        if mats[a] == mats[b]:
+            raise InvariantError(f"permutation model is not a homomorphism: {mats[a]} has two permutations")
+    index, reorder = invert_perm(order), precompose(order)  # index[a] is the place of a in order
+    left = [tuple(map(index.__getitem__, reorder(out))) for out in edges]
+    return WeylGroup(datum, [WeylElement(m) for m in reorder(mats)], reorder(perms), left)
 
 
 def _row_ops(g: Mat) -> tuple[tuple, tuple]:
@@ -277,8 +287,7 @@ def a_type_structure(w: WeylGroup, positions: Sequence[int]) -> Optional[AtypeSt
     for a in positions:
         for b in positions:
             if a < b:
-                prod = w.mul(w.simple_gens[a], w.simple_gens[b])
-                bond[(a, b)] = w.order_of(prod)
+                bond[(a, b)] = w.order_of(w.left[a][w.simple_gens[b]])
     adj = {p: [] for p in positions}
     for (a, b), m in bond.items():
         if m > 2:
@@ -314,7 +323,6 @@ def a_type_structure(w: WeylGroup, positions: Sequence[int]) -> Optional[AtypeSt
     comps = tuple(sorted(comps))
 
     # factor permutation model: path position t acts as the transposition (t, t+1)
-    gen_indices = [w.simple_gens[p] for p in positions]
     gen_tuples = []
     for p in positions:
         tup = []
@@ -329,19 +337,16 @@ def a_type_structure(w: WeylGroup, positions: Sequence[int]) -> Optional[AtypeSt
 
     ident = w.identity_idx
     reached = {ident: tuple(identity_perm(len(c) + 1) for c in comps)}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for g, gp in zip(gen_indices, gen_tuples):
-                j = w.mul(i, g)
-                image = tuple(compose_perm(a, b) for a, b in zip(reached[i], gp))
-                if j not in reached:
-                    reached[j] = image
-                    nxt.append(j)
-                elif reached[j] != image:
-                    raise InvariantError(f"type-A factor model is not a homomorphism at positions {positions}")
-        frontier = nxt
+    queue = [ident]
+    for i in queue:
+        for p, gp in zip(positions, gen_tuples):
+            j = w.left[p][i]  # φ(s_p·i) = φ(s_p)∘φ(i)
+            image = tuple(compose_perm(a, b) for a, b in zip(gp, reached[i]))
+            if j not in reached:
+                reached[j] = image
+                queue.append(j)
+            elif reached[j] != image:
+                raise InvariantError(f"type-A factor model is not a homomorphism at positions {positions}")
     return AtypeStructure(w, positions, comps, tuple(sorted(reached)), reached)
 
 

@@ -194,7 +194,7 @@ def test_iso_agrees_with_bounded_gauge_search():
         for _ in range(n):
             ks = [k + (x,) for k in ks for x in range(-box, box + 1)]
         for v_idx in range(len(w)):
-            w2 = w.mul(w.mul(v_idx, a.mono_idx), w.inv(v_idx))
+            w2 = w.mul(w.mul(v_idx, a.mono_idx), w.inverse[v_idx])
             if w2 != b.mono_idx:
                 continue
             vmat = w.element(v_idx).matrix

@@ -186,7 +186,7 @@ def test_file_roundtrip(tmp_path, capsys):
     assert data["isomorphic"] is True
 
 
-def test_parse_error_exit_code(capsys):
+def test_parse_error_exit_code(capsys, tmp_path):
     code = cli.main(["group-info", "E8"])
     assert code == 2
     code = cli.main(["check-stability", "GL", "2", "--cocycle", "{not json"])
@@ -207,12 +207,23 @@ def test_parse_error_exit_code(capsys):
     assert rejected(["check-stability", "GL", "2", "--cocycle", "5"], "object")
     pair = json.dumps([gl_cocycle(1), 7])
     assert rejected(["iso-test", "GL", "1", "--cocycle", pair], "entry 1")
+    # an empty list gives no cocycle, on the command line and in a file
+    assert rejected(["check-stability", "GL", "3", "--cocycle", "[]"], "no cocycle given")
+    empty = tmp_path / "empty.json"
+    empty.write_text("[]")
+    assert rejected(["check-stability", "GL", "3", "--in", str(empty)], "no cocycle given")
 
     # a monodromy index outside range(|W|), negative or too large
     for w in (-1, 99):
         pair = json.dumps([gl_cocycle(3, w=w), gl_cocycle(3, w=w)])
         assert rejected(["iso-test", "GL", "3", "--cocycle", pair], "'w'")
     assert rejected(["check-stability", "GL", "2", "--cocycle", json.dumps(gl_cocycle(2, w=1.5))], "'w'")
+    # a JSON boolean is not coerced to 1 or 0
+    pair = json.dumps([gl_cocycle(2, w=True), gl_cocycle(2, w=True)])
+    assert rejected(["iso-test", "GL", "2", "--cocycle", pair], "'w'")
+    assert rejected(["check-stability", "GL", "2", "--cocycle", json.dumps(gl_cocycle(2, j=True))], "'j'")
+    assert rejected(["check-stability", "GL", "2", "--cocycle", json.dumps(gl_cocycle(2, m=[True, False]))], "'m'")
+    assert rejected(["check-stability", "GL", "2", "--cocycle", json.dumps(gl_cocycle(2, alpha=[True, 0]))], "'alpha'")
     # a non-integral slope entry is not truncated
     assert rejected(["check-stability", "GL", "2", "--cocycle", json.dumps(gl_cocycle(2, m=[1.5, 0]))], "'m'")
     # slope and offset lengths must equal the rank

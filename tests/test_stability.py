@@ -296,7 +296,7 @@ def ref_slope(g, positions, lam):
 def ref_conjugates(c):
     """(vwv⁻¹, v·m) for every v ∈ W, conjugating with two products and an inverse."""
     w = c.group.weyl
-    return [(w.mul(w.mul(v, c.mono_idx), w.inv(v)), la.mat_vec(w.element(v).matrix, c.slope)) for v in range(len(w))]
+    return [(w.mul(w.mul(v, c.mono_idx), w.inverse[v]), la.mat_vec(w.element(v).matrix, c.slope)) for v in range(len(w))]
 
 
 def ref_reduced_slopes(conjugates, sub):
@@ -428,10 +428,11 @@ def test_coset_representatives_are_the_least_indices(family, n):
 def test_uneven_cosets_name_the_group_and_positions(monkeypatch):
     monkeypatch.setattr(gr, "_GROUP_CACHE", {})
     g = build_group("GL", 3)
-    real = g.weyl.mul
-    # a product that fixes element 0: the search starts at 0 and finds it alone,
-    # then the other element of its coset {0, s·0} alone as well
-    monkeypatch.setattr(g.weyl, "mul", lambda i, j: j if j == 0 else real(i, j))
+    # a left table whose s₁ fixes element 0: the search starts at 0 and finds
+    # it alone, then the other element of its coset {0, s₁·0} alone as well
+    left = list(g.weyl.left)
+    left[1] = (0,) + left[1][1:]
+    monkeypatch.setattr(g.weyl, "left", tuple(left))
     with pytest.raises(InvariantError, match=r"\(1,\) of TropicalGroup\(GLx3"):
         stab.parabolic_subgroup(g, (1,))
 

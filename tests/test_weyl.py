@@ -1,5 +1,6 @@
 """Weyl group enumeration, conjugacy, parabolic subgroups, indecomposability."""
 
+import itertools
 import random
 
 import pytest
@@ -256,7 +257,7 @@ def test_permutation_kernel_matches_matrix_products(family, n):
     rng = random.Random(f"{family}{n}")
     for i in range(len(w)):
         assert w.perm_idx(w.perm(i)) == i
-        assert w.inv(i) == ref_inv(w, i)
+        assert w.inverse[i] == ref_inv(w, i)
     for _ in range(300):
         i, j = rng.randrange(len(w)), rng.randrange(len(w))
         assert w.mul(i, j) == ref_mul(w, i, j)
@@ -359,10 +360,38 @@ def all_w_classes(w):
     return tuple(sorted(classes))
 
 
-@pytest.mark.parametrize("family,n", GRID + [("AmbientSp", 2), ("AmbientSp", 3), ("AmbientSp", 4)])
+@pytest.mark.parametrize(
+    "family,n", GRID + [("AmbientSp", 2), ("AmbientSp", 3), ("AmbientSp", 4), ("Levi of Sp", 4)]
+)
 def test_conjugacy_classes_match_all_w_orbits(family, n):
+    """Classes, class_of and the index tables that they are walked on, against the oracles."""
     w = kernel_group(family, n)
-    assert w.conjugacy_classes() == all_w_classes(w)
+    for t, s in enumerate(w.simple_gens):
+        assert list(w.left[t]) == [w.mul(s, i) for i in range(len(w))]
+    assert list(w.inverse) == [ref_inv(w, i) for i in range(len(w))]
+    classes = all_w_classes(w)
+    assert w.conjugacy_classes() == classes
+    assert [w.class_of(x) for x in range(len(w))] == [next(c for c in classes if x in c) for x in range(len(w))]
+    # a table read alone would wrap −1 to the last element
+    for bad in (-1, len(w)):
+        with pytest.raises(ValueError):
+            w.class_of(bad)
+
+
+@pytest.mark.parametrize("family,n", [("GL", 5), ("Sp", 4), ("SO_even", 4), ("G2", 0)])
+def test_a_type_structure_walks_the_parabolic(family, n):
+    w = group(family, n)
+    found = 0
+    for size in range(len(w.simple_gens) + 1):
+        for positions in itertools.combinations(range(len(w.simple_gens)), size):
+            structure = weyl.a_type_structure(w, positions)
+            if structure is not None:
+                found += 1
+                assert structure.element_indices == parabolic_closure(w, positions)
+                phi = structure.factor_perms
+                for x, y in itertools.product(structure.element_indices, repeat=2):
+                    assert phi[w.mul(x, y)] == tuple(map(compose_perm, phi[x], phi[y]))
+    assert found > 1
 
 
 @pytest.mark.parametrize("family,n", GRID)
