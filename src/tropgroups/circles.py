@@ -29,12 +29,7 @@ from typing import Optional, Sequence
 from . import intlinalg as la
 from . import semiring
 from .errors import InvariantError
-from .groups import (
-    ParentMismatchError,
-    TropGroupHom,
-    TropicalGroup,
-    hom_sp_to_ambient,
-)
+from .groups import ParentMismatchError, TropGroupHom, TropicalGroup
 from .intlinalg import Vec
 from .permutations import cycles_of, sign_involution
 from .weyl import WeylElement
@@ -365,10 +360,10 @@ def multiline_of(m: Sequence, alpha: Sequence, perm: Sequence[int], j: Q) -> tup
 def to_multiline(c: CircleCocycle) -> MultiLineBundle:
     """Multi-line bundle of a cocycle over a general-linear family group."""
     family = c.group.family[0] if c.group.family else None
-    if family not in ("GL", "SL", "PGL", "AmbientSp"):
-        raise ValueError("multi-line decomposition needs a general-linear model")
     if family in ("SL", "PGL"):
         raise ValueError("use the standard inclusion into GL first")
+    if family != "GL":
+        raise ValueError("multi-line decomposition needs a general-linear model")
     perm = c.group.weyl.perm(c.mono_idx)
     return MultiLineBundle(multiline_of(c.slope, c.offset, perm, c.length))
 
@@ -379,35 +374,34 @@ def check_sp_trivialization(m: Sequence, alpha: Sequence, perm: Sequence[int], j
     Sheets are labeled (1..n, −1..−n) by position; the involution pairs
     i ↔ −i.  On each component of the quotient cover the line bundle with
     fibers L_x ⊗ L_{ι x} must be trivial: degree 0 and Jacobian class 0.
+    The quotient cover is the cover of i ↦ σ(i) mod n carrying the sums
+    over opposite sheets; each violation is (sheets, degree, jacobian).
     """
     m = integer_vector("m", m)
-    n2 = len(perm)
-    n = n2 // 2
-    bar = tuple(perm[i] % n for i in range(n))
-    violations = []
-    for cyc in cycles_of(bar):
-        length = j * len(cyc)
-        sheets = [i for i in cyc] + [i + n for i in cyc]
-        deg = sum(m[i] for i in sheets)
-        jac = _reduce_mod(sum((Q(alpha[i]) for i in sheets), Q(0)), length)
-        if deg != 0 or jac != 0:
-            violations.append((cyc, deg, jac))
-    return tuple(violations)
+    n = len(perm) // 2
+    quotient = multiline_of(
+        [m[i] + m[i + n] for i in range(n)],
+        [Q(alpha[i]) + Q(alpha[i + n]) for i in range(n)],
+        [perm[i] % n for i in range(n)],
+        j,
+    )
+    return tuple([(q.sheets, q.line_degree, q.jacobian) for q in quotient if q.line_degree or q.jacobian])
 
 
 def sp_structure(c: CircleCocycle) -> MultiLineBundle:
     """Multi-line bundle with involution of a symplectic-family cocycle.
 
-    The cover is the cycle decomposition of the signed permutation on the
-    2n sheets; the involution pairs opposite sheets, and the trivialization
-    of the induced bundle on the quotient cover is checked per component.
+    Read off the Sp matrix model: the 2n sheets carry Y·m and Y·α for the
+    model map Y = (I; −I), and the cover is the cycle decomposition of the
+    signed permutation σ_w of the model.  The involution pairs opposite
+    sheets, and the trivialization of the induced bundle on the quotient
+    cover is checked per component.
     """
     if not c.group.family or c.group.family[0] != "Sp":
         raise ValueError("cocycle is not over a symplectic-family group")
-    n = c.group.family[1]
-    lifted = pushforward(hom_sp_to_ambient(c.group), c)
-    perm = lifted.group.weyl.perm(lifted.mono_idx)
-    comps = multiline_of(lifted.slope, lifted.offset, perm, c.length)
-    iota = sign_involution(2 * n)
-    violations = check_sp_trivialization(lifted.slope, lifted.offset, perm, c.length)
-    return MultiLineBundle(comps, involution=iota, trivialization_violations=violations)
+    num, _ = c.group.model  # d = 1
+    m, alpha = la.mat_vec(num, c.slope), la.mat_vec(num, c.offset)
+    perm = c.group.weyl.perm(c.mono_idx)
+    comps = multiline_of(m, alpha, perm, c.length)
+    violations = check_sp_trivialization(m, alpha, perm, c.length)
+    return MultiLineBundle(comps, involution=sign_involution(len(perm)), trivialization_violations=violations)

@@ -5,8 +5,8 @@ output is deterministic JSON (rationals as "p/q" strings); exit status 0 on
 success, 1 on verification failure, 2 on input errors, 3 when the Weyl-group
 size guard is exceeded, 4 when an internal invariant check fails (a bug, not
 bad input; the message names the input that trips it).  The guard defaults
-to 10000 and can be overridden with the TROPGROUPS_GUARD environment
-variable.
+to 10000 and can be overridden with --guard or the TROPGROUPS_GUARD
+environment variable; a guard below 1 is an input error.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import functools
 import json
 import os
 import sys
+from fractions import Fraction
 
 from . import circles, semiring, stability, verify
 from .errors import InvariantError
@@ -30,8 +31,19 @@ EXIT_GUARD = 3
 EXIT_INVARIANT = 4
 
 
-def _guard_default() -> int:
-    return int(os.environ.get("TROPGROUPS_GUARD", "10000"))
+def _guard(flag) -> int:
+    """The size guard from --guard, else TROPGROUPS_GUARD, else 10000; a
+    ValueError naming its source unless it is an integer of at least 1."""
+    name, value = "--guard", flag
+    if flag is None:
+        name, value = "TROPGROUPS_GUARD", os.environ.get("TROPGROUPS_GUARD", "10000")
+    try:
+        guard = int(value)
+    except ValueError:
+        raise ValueError(f"{name}: {value!r} is not an integer") from None
+    if guard < 1:
+        raise ValueError(f"{name}: the size guard must be at least 1, not {guard}")
+    return guard
 
 
 def _emit(data, out_path) -> None:
@@ -44,11 +56,12 @@ def _emit(data, out_path) -> None:
 
 
 def _load_cocycles(args, group):
+    # numbers with a fraction part or an exponent are read exactly: 0.1 is 1/10
     if args.infile:
         with open(args.infile) as fh:
-            data = json.load(fh)
+            data = json.load(fh, parse_float=Fraction)
     elif args.cocycle:
-        data = json.loads(args.cocycle)
+        data = json.loads(args.cocycle, parse_float=Fraction)
     else:
         raise ValueError("provide --in or --cocycle")
     if isinstance(data, dict):
@@ -89,8 +102,7 @@ def _resolve_group_args(args):
         args.family = args.family_flag
     if getattr(args, "n_flag", None) is not None:
         args.n = args.n_flag
-    if args.guard is None:
-        args.guard = _guard_default()
+    args.guard = _guard(args.guard)
     if not args.family:
         raise ValueError("a group family is required")
 

@@ -37,14 +37,10 @@ class NotInGroupError(ValueError):
 
 
 class TropicalGroup:
-    """A lattice with a finite matrix group acting on it.
+    """A tropical reductive group: a lattice with the Weyl group of a root
+    datum acting on it."""
 
-    With a root datum attached this is a tropical reductive group; without
-    one it is a plain tropical linear group (used for ambient signed
-    permutation groups).
-    """
-
-    def __init__(self, rank: int, w: WeylGroup, datum: Optional[RootDatum], family=None):
+    def __init__(self, rank: int, w: WeylGroup, datum: RootDatum, family=None):
         self.rank = rank
         self.weyl = w
         self.datum = datum
@@ -67,8 +63,6 @@ class TropicalGroup:
         return f"TropicalGroup({tag}, |W|={len(self.weyl)})"
 
     def pi1(self) -> la.QuotientLattice:
-        if self.datum is None:
-            raise ValueError("group carries no root datum")
         if self._pi1 is None:
             self._pi1 = rootdata.fundamental_group(self.datum)
         return self._pi1
@@ -130,8 +124,6 @@ def inverse(a: TropGroupElement) -> TropGroupElement:
 
 def center_basis(g: TropicalGroup) -> tuple[Vec, ...]:
     """Rational basis of R^⊥ = {m : ⟨α, m⟩ = 0 for all roots α}."""
-    if g.datum is None:
-        raise ValueError("group carries no root datum")
     rd = g.datum
     if not rd.roots:
         return tuple(tuple(Q(int(i == j)) for j in range(g.rank)) for i in range(g.rank))
@@ -236,9 +228,8 @@ def _model_perm(num: Mat, s: Mat) -> Optional[tuple[int, ...]]:
     return None if len(rows) != k or None in sigma else sigma
 
 
-# built groups by (family, n, guard); also the ambient signed groups and their
-# homomorphisms from an Sp group sp by ("AmbientSp", sp) and ("Sp→AmbientSp",
-# sp), so that clearing this one dict makes every build cold
+# built groups by (family, n, guard), so that clearing this one dict makes
+# every build cold
 _GROUP_CACHE: dict = {}
 
 
@@ -384,36 +375,3 @@ def hom_gl_to_pgl(n: int) -> TropGroupHom:
 def hom_det(n: int) -> TropGroupHom:
     gl, gl1 = build_group("GL", n), build_group("GL", 1)
     return make_hom(gl, gl1, ((1,) * n,), lambda i: gl1.weyl.identity_idx)
-
-
-def ambient_signed_group(sp: TropicalGroup) -> TropicalGroup:
-    """ℝ^{[±n]} ⋊ S_n^B with the signed permutations of the Sp group sp acting
-    on positions (cached per sp)."""
-    if not sp.family or sp.family[0] != "Sp":
-        raise ValueError(f"{sp} is not a symplectic-family group")
-    key = ("AmbientSp", sp)
-    if key not in _GROUP_CACHE:
-        n = sp.family[1]
-        gen_perms = [sp.weyl.perm(g) for g in sp.weyl.simple_gens]
-        gen_mats = [tuple(tuple(int(r == p[c]) for c in range(2 * n)) for r in range(2 * n)) for p in gen_perms]
-        # the same group as sp.weyl, so its order is the guard
-        w = weyl.from_generators(gen_mats, gen_perms, 2 * n, 2 * n, len(sp.weyl))
-        _GROUP_CACHE[key] = TropicalGroup(2 * n, w, None, ("AmbientSp", n))
-    return _GROUP_CACHE[key]
-
-
-def hom_sp_to_ambient(sp: TropicalGroup) -> TropGroupHom:
-    """The model map of sp, e_i ↦ e_i − e_{−i}, on the lattice with the identity
-    on the Weyl group, into ambient_signed_group(sp) (cached per sp)."""
-    key = ("Sp→AmbientSp", sp)
-    if key not in _GROUP_CACHE:
-        amb = ambient_signed_group(sp)
-        _GROUP_CACHE[key] = make_hom(sp, amb, sp.model[0], lambda i: amb.weyl.perm_idx(sp.weyl.perm(i)))
-    return _GROUP_CACHE[key]
-
-
-def hom_ambient_to_gl(n: int, ambient: TropicalGroup) -> TropGroupHom:
-    """Sum over sign pairs on the lattice; quotient S_n^B → S_n on the groups."""
-    gl = build_group("GL", n)
-    f = tuple(tuple(int(c == i or c == n + i) for c in range(2 * n)) for i in range(n))
-    return make_hom(ambient, gl, f, lambda i: gl.weyl.perm_idx([p % n for p in ambient.weyl.perm(i)[:n]]))

@@ -164,7 +164,8 @@ def build_root_datum(family: str, n: int = 0) -> RootDatum:
     """Construct the root datum of the given family at rank parameter n.
 
     n is the rank parameter: GL/SL/PGL_n act on n letters, Sp is Sp_{2n},
-    SO_odd is SO_{2n+1}, SO_even is SO_{2n}; G2 ignores n.
+    SO_odd is SO_{2n+1}, SO_even is SO_{2n}; G2 takes no rank parameter, so
+    its n must be 0.
     """
     if family == "GL":
         if n < 1:
@@ -232,6 +233,8 @@ def build_root_datum(family: str, n: int = 0) -> RootDatum:
             raise ValueError("SO_even requires n >= 2")
         return _build_so_even(n)
     if family == "G2":
+        if n != 0:
+            raise ValueError(f"G2 takes no rank parameter, not n = {n}")
         return _build_g2()
     raise ValueError(f"unknown family {family!r}")
 

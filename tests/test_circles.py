@@ -11,8 +11,9 @@ from lattice_oracles import group_inverse, integer_solve, orbit, orbit_mean
 from tropgroups import circles as ci
 from tropgroups import groups as gr
 from tropgroups import intlinalg as la
-from tropgroups import verify
+from tropgroups import verify, weyl
 from tropgroups.groups import build_group
+from tropgroups.permutations import cycles_of
 
 
 def rng_cocycle(rng, g, j=Q(1)):
@@ -370,24 +371,74 @@ def test_sp_trivialization_violation_detected():
     assert violations and violations[0][2] == Q(1, 2)
 
 
-def test_sp_structure_reuses_the_cached_ambient_group():
-    g = build_group("Sp", 2)
-    cocycles = [ci.cocycle(g, (3, -1), (Q(1, 2), Q(1, 3)), w, Q(3, 2)) for w in range(len(g.weyl))]
+# the trivialization check before it went through multiline_of, kept as the
+# reference: its own walk of each quotient cycle over both sheets of a pair
+def reference_sp_trivialization(m, alpha, perm, j):
+    n = len(perm) // 2
+    violations = []
+    for cyc in cycles_of(tuple(perm[i] % n for i in range(n))):
+        length = j * len(cyc)
+        sheets = list(cyc) + [i + n for i in cyc]
+        deg = sum(m[i] for i in sheets)
+        jac = ci._reduce_mod(sum((Q(alpha[i]) for i in sheets), Q(0)), length)
+        if deg != 0 or jac != 0:
+            violations.append((cyc, deg, jac))
+    return tuple(violations)
 
-    def digest():
+
+def test_sp_trivialization_matches_the_reference():
+    rng = random.Random(12)
+    violated = 0
+    for trial in range(400):
+        n = 1 + trial % 5
+        # a random signed permutation of the 2n sheets: σ(i + n) = σ(i) ± n
+        images = rng.sample(range(n), n)
+        top = [x + n * rng.randrange(2) for x in images]
+        perm = top + [(x + n) % (2 * n) for x in top]
+        m = [rng.randint(-3, 3) for _ in range(2 * n)]
+        alpha = [Q(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(2 * n)]
+        j = Q(rng.randint(1, 5), rng.randint(1, 3))
+        got = ci.check_sp_trivialization(m, alpha, perm, j)
+        expected = reference_sp_trivialization(m, alpha, perm, j)
+        assert got == expected, (m, alpha, perm, j)
+        assert [tuple(map(type, v)) for v in got] == [tuple(map(type, v)) for v in expected]
+        violated += bool(got)
+    assert violated > 300
+
+
+# SHA-256 of the sp_structure JSON of every element of Sp_n, one line each,
+# as recorded before the cover was read off the Sp matrix model: Sp2 at
+# m = (3, −1), α = (1/2, 1/3); Sp3 and Sp4 at m_k = (3k − 2)(−1)^k and
+# α_k = (k + 1)/(k + 2)·(−1)^k for k = 0, …, n − 1; all at j = 3/2
+def alternating(n):
+    return tuple((3 * k - 2) * (-1) ** k for k in range(n)), tuple(Q(k + 1, k + 2) * (-1) ** k for k in range(n))
+
+
+SP_STRUCTURE_GOLDEN = [
+    (2, (3, -1), (Q(1, 2), Q(1, 3)), "b31daffcaa4f9084b542bc080eb897898e5066aedda5a9ba345dcc44b4977a81"),
+    (3, *alternating(3), "df1f13c81aeffd4ce0a41e67aeee07e49ed51f7be83d5c7ab2219790bd568486"),
+    (4, *alternating(4), "7b719fb00fd1d7474bcb887e376b1145c8d92681aa515c7236ec49bd346078ae"),
+]
+
+
+def test_sp_structure_output_is_pinned():
+    for n, m, alpha, expected in SP_STRUCTURE_GOLDEN:
+        g = build_group("Sp", n)
+        cocycles = [ci.cocycle(g, m, alpha, w, Q(3, 2)) for w in range(len(g.weyl))]
         lines = [json.dumps(ci.sp_structure(c).to_json(), sort_keys=True) for c in cocycles]
-        return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == expected, n
 
-    # the JSON of these eight decompositions before the ambient group was cached
-    expected = "b31daffcaa4f9084b542bc080eb897898e5066aedda5a9ba345dcc44b4977a81"
-    assert digest() == expected
-    ambient, up = gr.ambient_signed_group(g), gr.hom_sp_to_ambient(g)
-    assert digest() == expected
-    assert gr.ambient_signed_group(g) is ambient and gr.hom_sp_to_ambient(g) is up
+
+def test_sp_structure_builds_no_group(monkeypatch):
+    monkeypatch.setattr(gr, "_GROUP_CACHE", {})
+    g = build_group("Sp", 3)
+    for w in range(len(g.weyl)):
+        ci.sp_structure(ci.cocycle(g, (2, 0, -1), (Q(1, 2), 0, Q(-1, 3)), w, 2))
+    assert list(gr._GROUP_CACHE) == [("Sp", 3, weyl.DEFAULT_GUARD)]
 
 
 def test_sp_structure_follows_the_group_guard():
-    # a non-default guard builds a second Sp3, which gets its own ambient group
+    # a non-default guard builds a second Sp3, with its own element indices
     default, guarded = build_group("Sp", 3), build_group("Sp", 3, guard=20000)
     assert guarded is not default
 

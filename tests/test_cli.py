@@ -226,6 +226,14 @@ def test_parse_error_exit_code(capsys, tmp_path):
     assert rejected(["check-stability", "GL", "2", "--cocycle", json.dumps(gl_cocycle(2, alpha=[True, 0]))], "'alpha'")
     # a non-integral slope entry is not truncated
     assert rejected(["check-stability", "GL", "2", "--cocycle", json.dumps(gl_cocycle(2, m=[1.5, 0]))], "'m'")
+    # read exactly, 1.5 is still no index and no slope entry, in a file too
+    for field, value in (("w", 1.5), ("m", [0, 1.5])):
+        bad = tmp_path / f"{field}.json"
+        bad.write_text(json.dumps(gl_cocycle(2, **{field: value})))
+        assert rejected(["check-stability", "GL", "2", "--in", str(bad)], f"'{field}'")
+    # NaN and ±Infinity are JSON extensions that name no rational number
+    for field, value in (("alpha", [float("nan"), 0]), ("j", float("inf")), ("alpha", [0, float("-inf")])):
+        assert rejected(["check-stability", "GL", "2", "--cocycle", json.dumps(gl_cocycle(2, **{field: value}))], field)
     # slope and offset lengths must equal the rank
     assert rejected(["check-stability", "GL", "2", "--cocycle", json.dumps(gl_cocycle(2, m=[1, 0, 0]))], "'m'")
     assert rejected(["check-stability", "GL", "2", "--cocycle", json.dumps(gl_cocycle(2, alpha=["0"]))], "'alpha'")
@@ -244,6 +252,24 @@ def test_parse_error_exit_code(capsys, tmp_path):
     # a sample count below 1 is rejected, not reported as a failed or a vacuous verification
     assert rejected(["verify", "det-homeo", "--samples", "-3"], "samples")
     assert rejected(["verify", "det-homeo", "--samples", "0"], "samples")
+    # a size guard below 1 is bad input, not an exceeded guard
+    for guard in ("0", "-3"):
+        assert rejected(["group-info", "GL", "4", "--guard", guard], "--guard")
+    # G2 takes no rank parameter
+    assert rejected(["classify", "G2", "5"], "G2")
+
+
+def test_decimal_numbers_are_read_exactly(capsys, tmp_path):
+    # 0.1 and 1e-1 are 1/10, not the binary float nearest to it
+    exact = {"m": [0, 0], "alpha": ["1/10", 0], "w": 0, "j": 1}
+    _, expected = run(capsys, ["iso-test", "GL", "2", "--cocycle", json.dumps([exact, exact])])
+    assert json.loads(expected)["isomorphic"]
+    for text in ("0.1", "1e-1", "0.10"):
+        pair = f'[{{"m": [0, 0], "alpha": [{text}, 0], "w": 0, "j": 1}}, {json.dumps(exact)}]'
+        assert run(capsys, ["iso-test", "GL", "2", "--cocycle", pair]) == (0, expected)
+        infile = tmp_path / "pair.json"
+        infile.write_text(pair)
+        assert run(capsys, ["iso-test", "GL", "2", "--in", str(infile)]) == (0, expected)
 
 
 def test_guard_exit_code(capsys):
@@ -259,6 +285,11 @@ def test_guard_env_override(capsys, monkeypatch):
     code = cli.main(["group-info", "GL", "4"])
     assert code == 3
     _GROUP_CACHE.clear()
+    # a value that is no integer, or below 1, is bad input naming the variable
+    for value in ("abc", "0", "-3"):
+        monkeypatch.setenv("TROPGROUPS_GUARD", value)
+        assert cli.main(["group-info", "GL", "4"]) == 2
+        assert "TROPGROUPS_GUARD" in capsys.readouterr().err
 
 
 def test_parser_is_built_once_and_reused(capsys):

@@ -233,32 +233,6 @@ def test_element_rejects_out_of_range_index():
     assert g.element((0, 0, 0), len(g.weyl) - 1).w_idx == len(g.weyl) - 1
 
 
-def test_ambient_cache_is_emptied_with_the_group_cache(monkeypatch):
-    # a copy, so that groups other tests hold stay the cached ones
-    monkeypatch.setattr(gr, "_GROUP_CACHE", dict(gr._GROUP_CACHE))
-    sp = build_group("Sp", 3)
-    ambient, up = gr.ambient_signed_group(sp), gr.hom_sp_to_ambient(sp)
-    gr._GROUP_CACHE.clear()
-    sp = build_group("Sp", 3)
-    assert gr.ambient_signed_group(sp) is not ambient
-    assert gr.hom_sp_to_ambient(sp) is not up
-    assert gr.hom_sp_to_ambient(sp).source is sp
-
-
-def test_ambient_hom_chain():
-    # Sp₂ₙ → ℝ^{±n}⋊Sₙ^B → GLₙ composes to the zero lattice map
-    n = 2
-    sp = build_group("Sp", n)
-    ambient = gr.ambient_signed_group(sp)
-    up = gr.hom_sp_to_ambient(sp)
-    assert up.target is ambient
-    down = gr.hom_ambient_to_gl(n, ambient)
-    comp = gr.compose_hom(down, up)
-    assert all(all(x == 0 for x in row) for row in comp.lattice_map)
-    with pytest.raises(ValueError, match="not a symplectic-family group"):
-        gr.ambient_signed_group(build_group("GL", n))
-
-
 # SHA-256 of the to_matrix JSON, of the from_matrix round trip's to_json, and
 # of the outcome of from_matrix on the model with one coordinate moved by 1
 # ("rejected" or the element accepted), over 40 seeded elements per group, as

@@ -63,6 +63,10 @@ def test_invalid_families():
         rd.build_root_datum("SO_even", 1)
     with pytest.raises(ValueError):
         rd.build_root_datum("E8", 8)
+    # G2 takes no rank parameter, so another n is not a second G2
+    for n in (-1, 2, 5):
+        with pytest.raises(ValueError, match="G2"):
+            rd.build_root_datum("G2", n)
 
 
 def test_validation_catches_scaled_coroot():

@@ -12,7 +12,7 @@ from tropgroups import intlinalg as la
 from tropgroups import rootdata as rd
 from tropgroups import weyl
 from tropgroups.errors import InvariantError
-from tropgroups.groups import ambient_signed_group, build_group, levi_group
+from tropgroups.groups import build_group, levi_group
 from tropgroups.permutations import compose_perm, identity_perm, transposition
 from tropgroups.stability import parabolic_subgroup
 
@@ -247,7 +247,12 @@ def kernel_group(family, n):
     if family == "Levi of Sp":
         return levi_group(build_group("Sp", n), (0, 2, 3))[0].weyl
     if family == "AmbientSp":
-        return ambient_signed_group(build_group("Sp", n)).weyl
+        # Sp's signed permutations of the 2n sheets acting as permutation
+        # matrices: a group built from generators alone, with no root datum
+        sp = group("Sp", n)
+        perms = [sp.perm(g) for g in sp.simple_gens]
+        mats = [tuple(tuple(int(r == p[c]) for c in range(2 * n)) for r in range(2 * n)) for p in perms]
+        return weyl.from_generators(mats, perms, 2 * n, 2 * n, len(sp))
     return group(family, n)
 
 
