@@ -55,6 +55,11 @@ class CircleCocycle:
 
 
 def _rational(field: str, x) -> Q:
+    if isinstance(x, str):
+        try:
+            return semiring.rational_from_str(x)
+        except ValueError as exc:
+            raise ValueError(f"field {field!r}: {exc}") from None
     try:
         if not isinstance(x, bool):  # Fraction(True) == 1
             return Q(x)
@@ -164,7 +169,8 @@ def pushforward(f: TropGroupHom, c: CircleCocycle) -> CircleCocycle:
 def isomorphism_witness(a: CircleCocycle, b: CircleCocycle) -> Optional[GaugeTriple]:
     """A gauge carrying a to b, or None; deterministic (least v wins).
 
-    For each v conjugating the monodromies, writing A = 1 − w₂:
+    No v conjugates monodromies from two conjugacy classes, so such a pair
+    is None at once.  For each v conjugating the monodromies, writing A = 1 − w₂:
       slope:  A·k = r,             r = m_b − v·m_a
       offset: A·β = t + j·w₂·k,    t = α_b − v·α_a
     Let P·x be the mean of the orbit of x under w₂, the projection onto
@@ -186,6 +192,8 @@ def isomorphism_witness(a: CircleCocycle, b: CircleCocycle) -> Optional[GaugeTri
     if a.length != b.length:
         raise ValueError("cocycles live on circles of different lengths")
     w = a.group.weyl
+    if w.class_id[a.mono_idx] != w.class_id[b.mono_idx]:
+        return None
     j = a.length
     w2mat = w.element(b.mono_idx).matrix
     nums, d = la.integer_numerators(a.offset + b.offset)

@@ -16,7 +16,6 @@ import functools
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import circles, semiring, stability, verify
 from .errors import InvariantError
@@ -55,15 +54,29 @@ def _emit(data, out_path) -> None:
         sys.stdout.write(text)
 
 
+def _circle_length(text: str):
+    """The rational given as --j; a ValueError naming the option otherwise."""
+    try:
+        return semiring.rational_from_str(text)
+    except ValueError as exc:
+        raise ValueError(f"--j: {exc}") from None
+
+
 def _load_cocycles(args, group):
-    # numbers with a fraction part or an exponent are read exactly: 0.1 is 1/10
     if args.infile:
+        source = f"--in {args.infile}"
         with open(args.infile) as fh:
-            data = json.load(fh, parse_float=Fraction)
+            text = fh.read()
     elif args.cocycle:
-        data = json.loads(args.cocycle, parse_float=Fraction)
+        source, text = "--cocycle", args.cocycle
     else:
         raise ValueError("provide --in or --cocycle")
+    # numbers with a fraction part or an exponent are read exactly (0.1 is 1/10)
+    # as they are parsed, before their field is known, so errors name the source
+    try:
+        data = json.loads(text, parse_float=semiring.rational_from_str)
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
     if isinstance(data, dict):
         data = [data]
     if not isinstance(data, list):
@@ -124,7 +137,7 @@ def cmd_group_info(args) -> int:
 
 def cmd_classify(args) -> int:
     _resolve_group_args(args)
-    j = semiring.rational_from_str(str(args.j))
+    j = _circle_length(args.j)
     if j <= 0:
         raise ValueError("--j: circle length must be positive")
     g = _build(args)
@@ -167,13 +180,15 @@ def cmd_verify(args) -> int:
     suite = args.suite
     if suite not in verify.SUITES:
         raise ValueError(f"suite must be one of {sorted(verify.SUITES)}")
-    j = semiring.rational_from_str(args.j)
+    j = _circle_length(args.j)
     if suite == "sl-count":
         report = verify.sl_count(args.n, j)
     elif suite == "pgl-count":
         report = verify.pgl_count(args.n, j)
     elif suite == "det-homeo":
         report = verify.det_homeo(args.n, args.d, samples=args.samples, seed=args.seed, j=j)
+    elif suite == "stability-multiline":
+        report = verify.stability_multiline(args.n, samples=args.samples, seed=args.seed, j=j)
     else:
         report = verify.relative_weyl()
     _emit(report, args.out)
@@ -210,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_iso_test)
 
     p = sub.add_parser("verify", help="run a named verification suite")
-    p.add_argument("suite", help="sl-count|pgl-count|det-homeo|relative-weyl")
+    p.add_argument("suite", help="sl-count|pgl-count|det-homeo|relative-weyl|stability-multiline")
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--degree", "--d", dest="d", type=int, default=1)
     p.add_argument("--j", default="1")

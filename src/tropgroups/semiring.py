@@ -10,6 +10,7 @@ against the literal defining identity.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from typing import Optional, Sequence
@@ -87,13 +88,24 @@ def rational_to_str(q) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
+# Python's default limit on the digits of an integer literal, which already
+# bounds the mantissa of a decimal
+MAX_DECIMAL_EXPONENT = 4300
+_EXPONENT = re.compile(r"E([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+
 def rational_from_str(s: str) -> Q:
     """The rational written as "p/q" (or an integer or decimal); a ValueError
-    naming the text if it is not one, a zero denominator included."""
+    naming the text if it is not one, a zero denominator included, or if its
+    decimal exponent exceeds MAX_DECIMAL_EXPONENT in magnitude: Fraction
+    expands the power of ten exactly, in time and memory that grow with it."""
+    exponent = _EXPONENT.search(s)
     try:
-        return Q(s)
+        if exponent is None or abs(int(exponent[1])) <= MAX_DECIMAL_EXPONENT:
+            return Q(s)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"{s!r} is not a rational number") from None
+    raise ValueError(f"{s!r}: the decimal exponent exceeds {MAX_DECIMAL_EXPONENT} in magnitude")
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,10 @@ followed by one Fraction per entry.  φ_P, [·]_P and the test v·w·v⁻¹ ∈ 
 are constant on each left coset W_P·v, so a verdict reads the reductions to P
 from the least index of each coset, kept on the parabolic, not from all of W.
 The cosets are ``WeylGroup.orbits`` under the left tables of P's reflections.
+Some v·w·v⁻¹ lies in W_P only if W_P meets the conjugacy class of w, so each
+parabolic also keeps the ids of the classes its W_P meets, and a verdict
+skips every parabolic that misses the class of w: no conjugate is formed for
+it (the torus parabolic, whose cosets are all of W, runs only for w = 1).
 """
 
 from __future__ import annotations
@@ -37,13 +41,15 @@ from .weyl import a_type_structure
 @dataclass(frozen=True)
 class ParabolicSubgroup:
     """Standard parabolic: simple-root positions, W_P and the least index of
-    each left coset W_P·v as element indices, π₁(P), and the slope matrix M_P
+    each left coset W_P·v as element indices, the ids (``WeylGroup.class_id``)
+    of the conjugacy classes that meet W_P, π₁(P), and the slope matrix M_P
     with φ_P = M_P·λ̌, kept as (N, d) with integer N, d > 0 and M_P = N/d."""
 
     group: TropicalGroup
     positions: tuple[int, ...]
     members: frozenset
     cosets: tuple[int, ...]
+    classes: frozenset
     pi1: QuotientLattice
     slope_matrix: tuple[Mat, int]
 
@@ -84,6 +90,7 @@ def parabolic_subgroup(g: TropicalGroup, positions: Sequence[int]) -> ParabolicS
                 f"left cosets of W_P at positions {positions} of {g!r} do not all have {len(members)} elements"
             )
         cosets = tuple(o[0] for o in orbits)
+        classes = frozenset([w.class_id[x] for x in members])
         pi1 = QuotientLattice(g.rank, [g.datum.coroots[g.datum.simple[t]] for t in positions])
         coroots, num, d = _coroot_frame(g, positions)
         k = len(positions)
@@ -92,7 +99,7 @@ def parabolic_subgroup(g: TropicalGroup, positions: Sequence[int]) -> ParabolicS
             tuple(d * (i == j) - sum(coroots[i][t] * num[t][j] for t in range(k)) for j in range(g.rank))
             for i in range(g.rank)
         )
-        p = ParabolicSubgroup(g, positions, members, cosets, pi1, (slope_num, d))
+        p = ParabolicSubgroup(g, positions, members, cosets, classes, pi1, (slope_num, d))
         g.parabolics[positions] = p
     return p
 
@@ -158,9 +165,12 @@ def _reduced_slopes(c: CircleCocycle, p: ParabolicSubgroup, scan: tuple) -> dict
     """The distinct v·m over coset representatives v with vwv⁻¹ ∈ W_P, in order of
     v; φ_P and [·]_P of these give their values in the order of a scan of W.
     Callers fill a set in this order and freeze it; stability_verdict's
-    violations follow the resulting iteration order."""
+    violations follow the resulting iteration order.  None of them exists,
+    and no conjugate is formed, when W_P misses the conjugacy class of w."""
     if c.group is not p.group:
         raise ValueError("cocycle and parabolic belong to different groups")
+    if c.group.weyl.class_id[c.mono_idx] not in p.classes:
+        return {}
     conj, moved = scan
     return dict.fromkeys(moved(v) for v in p.cosets if conj(v) in p.members)
 

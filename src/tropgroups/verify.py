@@ -211,9 +211,50 @@ def semistable_by_multiline(c: circles.CircleCocycle) -> bool:
     return len(slopes) <= 1
 
 
+def stability_multiline(n: int, samples: int = 100, seed: int = 0, j=1) -> dict:
+    """The slope semistability verdict against the equal-slope criterion of the
+    pushforward of line bundles, on random GL_n cocycles.
+
+    A report with a disagreeing trial names the first one in ``first_failure``:
+    its index, the seed, the cocycle and both answers, enough to rerun it.
+    """
+    if samples < 1:
+        raise ValueError(f"samples must be a positive count, not {samples}")
+    g = build_group("GL", n)
+    jq = Q(j)
+    rng = random.Random(seed)
+    agree = 0
+    first_failure = None
+    for trial in range(samples):
+        c = sample_gl_cocycle(rng, g, jq)
+        verdict = stability.stability_verdict(c).semistable
+        multiline = semistable_by_multiline(c)
+        if verdict == multiline:
+            agree += 1
+        elif first_failure is None:
+            first_failure = {
+                "trial": trial,
+                "seed": seed,
+                "cocycle": c.to_json(),
+                "semistable": verdict,
+                "semistable_by_multiline": multiline,
+            }
+    report = {
+        "suite": "stability-multiline",
+        "n": n,
+        "samples": samples,
+        "agreeing": agree,
+        "pass": agree == samples,
+    }
+    if first_failure is not None:
+        report["first_failure"] = first_failure
+    return report
+
+
 SUITES = {
     "sl-count": sl_count,
     "pgl-count": pgl_count,
     "det-homeo": det_homeo,
     "relative-weyl": relative_weyl,
+    "stability-multiline": stability_multiline,
 }

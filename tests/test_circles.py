@@ -607,6 +607,26 @@ def test_witness_with_mixed_denominators_matches_the_reference(family, n):
     assert ("shift", True) in outcomes
 
 
+@pytest.mark.parametrize("family,n", [("GL", 4), ("Sp", 3), ("G2", 0)])
+def test_cross_class_pairs_have_no_witness(family, n, monkeypatch):
+    """Monodromies from two conjugacy classes admit no conjugator, so the
+    witness search ends before forming any conjugate."""
+    g = build_group(family, n)
+    w = g.weyl
+    rng = random.Random(f"cross class {family} {n}")
+    cocycles = []
+    for x in range(len(w)):
+        m = [rng.randint(-3, 3) for _ in range(g.rank)]
+        cocycles.append(ci.cocycle(g, m, [verify.random_rational(rng) for _ in range(g.rank)], x, 1))
+    pairs = [(a, b) for a in cocycles for b in cocycles if w.class_id[a.mono_idx] != w.class_id[b.mono_idx]]
+    assert len(pairs) == len(w) ** 2 - sum(len(cls) ** 2 for cls in w.conjugacy_classes())
+    for a, b in pairs:
+        assert ref_isomorphism_witness(a, b) is None
+    monkeypatch.setattr(weyl.WeylGroup, "conj", None)
+    for a, b in pairs:
+        assert ci.isomorphism_witness(a, b) is None
+
+
 def test_witness_fails_through_the_offset_term_alone():
     """With both slopes zero, r = 0 for every conjugator v, so A^#·r = 0 and
     P·r = 0: whether k is integral rests on P·T/(d·j) alone.  Under the

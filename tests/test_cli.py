@@ -136,6 +136,37 @@ def test_verify_suites(capsys):
     assert sorted(json.loads(out)) == ["agreeing", "d", "discrete_invariants_match", "n", "pass", "samples", "suite"]
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_stability_multiline_suite(capsys, n):
+    code, out = run(capsys, ["verify", "stability-multiline", "--n", str(n), "--samples", "40", "--seed", "2"])
+    assert code == 0
+    assert json.loads(out) == {"suite": "stability-multiline", "n": n, "samples": 40, "agreeing": 40, "pass": True}
+
+
+def test_stability_multiline_names_its_first_disagreeing_trial(capsys, monkeypatch):
+    real = cli.verify.semistable_by_multiline
+    calls = []
+
+    def flip_trials_2_and_4(c):
+        calls.append(c)
+        return not real(c) if len(calls) in (3, 5) else real(c)
+
+    monkeypatch.setattr(cli.verify, "semistable_by_multiline", flip_trials_2_and_4)
+    code, out = run(capsys, ["verify", "stability-multiline", "--n", "3", "--samples", "5", "--seed", "7"])
+    assert code == cli.EXIT_VERIFY_FAIL
+    data = json.loads(out)
+    assert (data["pass"], data["agreeing"]) == (False, 3)
+    assert data["first_failure"] == {
+        "trial": 2,
+        "seed": 7,
+        "cocycle": calls[2].to_json(),
+        "semistable": real(calls[2]),
+        "semistable_by_multiline": not real(calls[2]),
+    }
+    code = cli.main(["verify", "stability-multiline", "--samples", "0"])
+    assert code == cli.EXIT_PARSE and "samples" in capsys.readouterr().err
+
+
 def test_det_homeo_names_its_first_disagreeing_trial(capsys, monkeypatch):
     real = cli.verify.circles.are_isomorphic
     calls = []
@@ -270,6 +301,37 @@ def test_decimal_numbers_are_read_exactly(capsys, tmp_path):
         infile = tmp_path / "pair.json"
         infile.write_text(pair)
         assert run(capsys, ["iso-test", "GL", "2", "--in", str(infile)]) == (0, expected)
+
+
+def test_decimal_exponents_are_bounded(capsys, tmp_path):
+    """An exponent beyond 4300 in magnitude is rejected before Fraction expands
+    its power of ten; within the bound a decimal is still read exactly."""
+    # on GL1 with j = 7, offsets 2500 and a are isomorphic iff a ≡ 2500 mod 7
+    for text in ("2.5e3", '"2.5e3"'):
+        for other, isomorphic in (('"2500"', True), ('"2501"', False), ("2.5", False)):
+            pair = f'[{{"m": [0], "alpha": [{text}], "w": 0, "j": 7}}, {{"m": [0], "alpha": [{other}], "w": 0, "j": 7}}]'
+            code, out = run(capsys, ["iso-test", "GL", "1", "--cocycle", pair])
+            assert (code, json.loads(out)["isomorphic"]) == (0, isomorphic)
+    _, expected = run(capsys, ["classify", "GL", "2", "--j", "2500"])
+    assert run(capsys, ["classify", "GL", "2", "--j", "2.5e3"])[1] == expected.replace('"2500"', '"2.5e3"')
+
+    def rejected(argv, name):
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        return code == 2 and name in err and "exceeds 4300" in err
+
+    for text in ("1e1000000", "1e-1000000"):
+        string = json.dumps({"m": [0], "alpha": [text], "w": 0, "j": 1})
+        assert rejected(["check-stability", "GL", "1", "--cocycle", string], "'alpha'")
+        bare = f'{{"m": [0], "alpha": [{text}], "w": 0, "j": 1}}'
+        assert rejected(["check-stability", "GL", "1", "--cocycle", bare], "--cocycle")
+        infile = tmp_path / "bare.json"
+        infile.write_text(bare)
+        assert rejected(["check-stability", "GL", "1", "--in", str(infile)], f"--in {infile}")
+        assert rejected(["classify", "GL", "2", "--j", text], "--j")
+        assert rejected(["verify", "sl-count", "--j", text], "--j")
+        nameless = json.dumps({"m": [0], "alpha": [0], "w": 0})
+        assert rejected(["check-stability", "GL", "1", "--cocycle", nameless, "--j", text], "'j'")
 
 
 def test_guard_exit_code(capsys):

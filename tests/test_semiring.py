@@ -208,3 +208,16 @@ def test_matrix_json_roundtrip():
     data = a.to_json()
     assert all(isinstance(s, str) for row in data for s in row)
     assert sr.TropMatrix.from_json(data) == a
+
+
+def test_rational_from_str_bounds_the_decimal_exponent():
+    assert sr.rational_from_str("2.5e3") == 2500
+    assert sr.rational_from_str(" -1.5E-2 ") == Q(-3, 200)
+    assert sr.rational_from_str("1e4300") == 10**4300
+    assert sr.rational_from_str("1e-4_300") == Q(1, 10**4300)
+    for text in ("1e4301", "1e-4301", "1E+1000000", "1e-1_000_000", "1e99999999999999999999"):
+        with pytest.raises(ValueError, match="exceeds 4300"):
+            sr.rational_from_str(text)
+    for text in ("1e", "e5", "1/0", "1e5/2", "1e" + "9" * 5000):
+        with pytest.raises(ValueError, match="is not a rational number"):
+            sr.rational_from_str(text)

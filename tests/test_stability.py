@@ -425,6 +425,27 @@ def test_coset_representatives_are_the_least_indices(family, n):
         assert len(p.cosets) == len(w) // len(sub)
 
 
+@pytest.mark.parametrize("family,n", [("GL", 5), ("Sp", 4), ("SO_even", 4), ("G2", 0)])
+def test_parabolics_are_skipped_exactly_when_no_conjugate_lies_in_them(family, n):
+    """W_P meets the class of w iff some v ∈ W has v·w·v⁻¹ ∈ W_P, by a scan of
+    W; when it does not, the reductions are read without forming a conjugate."""
+    g = build_group(family, n)
+    w = g.weyl
+    r = len(g.datum.simple)
+
+    def no_conjugates(v):
+        raise AssertionError("a conjugate was formed for a skipped parabolic")
+
+    for rep in (cls[0] for cls in w.conjugacy_classes()):
+        c = ci.cocycle(g, (1,) + (0,) * (g.rank - 1), (0,) * g.rank, rep, 1)
+        for positions in (q for size in range(r) for q in itertools.combinations(range(r), size)):
+            p = stab.parabolic_subgroup(g, positions)
+            meets = any(w.conj(v, rep) in p.members for v in range(len(w)))
+            assert (w.class_id[rep] in p.classes) == meets, (rep, positions)
+            if not meets:
+                assert stab._reduced_slopes(c, p, (no_conjugates, no_conjugates)) == {}
+
+
 def test_uneven_cosets_name_the_group_and_positions(monkeypatch):
     monkeypatch.setattr(gr, "_GROUP_CACHE", {})
     g = build_group("GL", 3)
@@ -450,7 +471,13 @@ def test_parabolic_data_is_built_once_per_group(monkeypatch):
     assert fresh is not g
     q = stab.parabolic_subgroup(fresh, (0, 2))
     assert q is not p and q.group is fresh
-    assert (q.positions, q.members, q.cosets, q.slope_matrix) == (p.positions, p.members, p.cosets, p.slope_matrix)
+    assert (q.positions, q.members, q.cosets, q.classes, q.slope_matrix) == (
+        p.positions,
+        p.members,
+        p.cosets,
+        p.classes,
+        p.slope_matrix,
+    )
     with pytest.raises(ValueError):
         stab.parabolic_subgroup(fresh, (3,))
 
