@@ -91,7 +91,9 @@ def parabolic_subgroup(g: TropicalGroup, positions: Sequence[int]) -> ParabolicS
             )
         cosets = tuple(o[0] for o in orbits)
         classes = frozenset([w.class_id[x] for x in members])
-        pi1 = QuotientLattice(g.rank, [g.datum.coroots[g.datum.simple[t]] for t in positions])
+        # the full parabolic is G: its π₁ is g.pi1(), in the coordinates of circles.degree
+        simple = [g.datum.coroots[g.datum.simple[t]] for t in positions]
+        pi1 = g.pi1() if len(positions) == len(g.datum.simple) else QuotientLattice(g.rank, simple)
         coroots, num, d = _coroot_frame(g, positions)
         k = len(positions)
         # M_P = I − Č_P·K_P⁻¹·A_P = (d·I − Č_P·N)/d

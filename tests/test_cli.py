@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -523,3 +524,41 @@ def test_iso_output_is_pinned(capsys, family, n, input_digest, output_digest):
         assert code == 0
         out.append(text)
     assert hashlib.sha256("".join(out).encode()).hexdigest() == output_digest
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_block(section, lang):
+    """The first ```lang block after the README heading `## section`."""
+    text = README.read_text(encoding="utf-8").split(f"\n## {section}\n", 1)[1]
+    return text.split(f"```{lang}\n", 1)[1].split("```", 1)[0]
+
+
+def readme_commands():
+    """The `tropgroups …` lines of the README command-line block as argument
+    lists; a quoted argument may run over several lines."""
+    commands, pending = [], ""
+    for line in readme_block("Command line", "sh").splitlines():
+        if not pending and not line.startswith("tropgroups "):
+            continue
+        pending += line + "\n"
+        try:
+            argv = shlex.split(pending)
+        except ValueError:  # the quote is closed on a later line
+            continue
+        commands.append(argv[1:])
+        pending = ""
+    return commands
+
+
+def test_readme_commands_exit_0(capsys):
+    commands = readme_commands()
+    assert len(commands) == 8
+    for argv in commands:
+        assert run(capsys, argv)[0] == 0, argv
+
+
+def test_readme_library_example(capsys):
+    exec(readme_block("Library example", "python"), {})
+    assert capsys.readouterr().out.split() == ["False", "True"]

@@ -198,6 +198,73 @@ def test_from_matrix_rejects_nonmembers():
         gr.from_matrix(sr.TropMatrix.diagonal([1, 1]), sl)
 
 
+@pytest.mark.parametrize("family,n", FAMILIES)
+def test_from_matrix_rejects_a_wrong_size_at_the_boundary(family, n):
+    g = build_group(family, n)
+    k = len(g.model[0])
+    for size in (k - 1, k + 1):
+        with pytest.raises(gr.NotInGroupError, match=f"{k}×{k}, not {size}×{size}"):
+            gr.from_matrix(sr.TropMatrix.identity(size), g)
+
+
+def semiring_definition(family, mat):
+    """Membership of a square matrix of the model's size by the literal
+    definition of the family over the semiring."""
+    if family in ("GL", "PGL"):
+        return sr.try_decompose(mat) is not None
+    if family == "SL":
+        return sr.try_decompose(mat) is not None and sr.trop_det(mat) == sr.fin(0)
+    if family == "Sp":
+        return sr.check_symplectic(mat)
+    if family == "G2":
+        return sr.check_g2(mat)
+    return sr.check_orthogonal(mat) == "in_SO"
+
+
+def membership_probes(rng, g, count):
+    """count model elements with one y entry moved, count with two σ entries
+    swapped and count uniformly random generalized permutation matrices."""
+    size = len(g.model[0])
+    for _ in range(count):
+        dec = sr.invert_or_decompose(gr.to_matrix(random_element(rng, g)))
+        y, perm = list(dec.diag), list(dec.perm)
+        y[rng.randrange(size)] += rng.choice((Q(1), Q(-1, 2), Q(3)))
+        yield sr.TropMatrix.gen_perm(y, dec.perm)
+        i, j = rng.sample(range(size), 2)
+        perm[i], perm[j] = perm[j], perm[i]
+        yield sr.TropMatrix.gen_perm(dec.diag, perm)
+        yield samplers.gen_perm(rng, size)
+
+
+ORACLE_FAMILIES = [
+    ("GL", 3), ("SL", 4), ("PGL", 4), ("Sp", 2), ("Sp", 3), ("SO_odd", 2), ("SO_odd", 3),
+    ("SO_even", 3), ("SO_even", 4), ("G2", 0),
+]
+
+# SHA-256 of the outcomes below ("rejected" or the element accepted) over the
+# 3,900 probes, as first recorded; the verdicts must stay byte-identical
+ORACLE_GOLDEN = "60053d784919e4f04481351459f3ab8271bcaa80d02d7bac867419afdfa31fc6"
+
+
+def test_from_matrix_agrees_with_the_semiring_definitions():
+    """The model image is the whole membership test of from_matrix: it accepts
+    exactly the matrices the literal definition of the family accepts."""
+    outcomes, disagreements = [], []
+    for family, n in ORACLE_FAMILIES:
+        g = build_group(family, n)
+        rng = random.Random(f"oracle {family}{n}")
+        for mat in membership_probes(rng, g, 130):
+            try:
+                outcomes.append(gr.from_matrix(mat, g).to_json())
+            except gr.NotInGroupError:
+                outcomes.append("rejected")
+            if (outcomes[-1] != "rejected") != semiring_definition(family, mat):
+                disagreements.append((family, n, mat.to_json()))
+    assert disagreements == []
+    assert 0 < outcomes.count("rejected") < len(outcomes)
+    assert sha256_json(outcomes) == ORACLE_GOLDEN
+
+
 def test_g2_model_lattice_image():
     """The six model coordinates of integral cocharacters are exactly the
     integer solutions of x₁+x₄ = x₂+x₅ = x₃+x₆ = x₁+x₃+x₅ = 0."""

@@ -391,6 +391,17 @@ def test_verdicts_and_reductions_match_the_reference(family, n):
     check_against_the_reference(g, seeded_cocycles(g, 30, f"{family}{n}"))
 
 
+@pytest.mark.parametrize("family,n", GRID)
+def test_reduction_degrees_to_g_are_the_degree(family, n):
+    """Every cocycle reduces to G itself, with its own degree in π₁(G), in
+    the coordinates of circles.degree."""
+    g = build_group(family, n)
+    full = stab.parabolic_subgroup(g, range(len(g.datum.simple)))
+    assert full.pi1 is g.pi1()
+    for c in seeded_cocycles(g, 40, f"degree {family}{n}"):
+        assert stab.reduction_degrees(c, full) == {ci.degree(c)}
+
+
 @pytest.mark.parametrize("family,n", [("Sp", 4), ("SO_even", 4), ("GL", 5)])
 def test_identity_monodromy_matches_the_reference(family, n):
     """With w = 1 every v passes v·w·v⁻¹ ∈ W_P, so each coset of every
