@@ -49,12 +49,10 @@ class TropicalGroup:
         self.family = family
         self._pi1 = None
         # per-group data of the stability module, built on first use: the
-        # standard parabolics by sorted positions, the simple-coroot basis
-        # with a left inverse, and the type-A path components of the full
-        # diagram (None when it is not of type ∏A; False until built)
+        # standard parabolics by sorted positions, and the simple-coroot
+        # basis with a left inverse
         self.parabolics: dict = {}
         self.coroot_basis = None
-        self.a_type_components = False
         # the matrix model map Y = N/d as (N, d), set by build_group, and a
         # left inverse of Y, built on the first from_matrix call
         self.model = None
@@ -240,6 +238,20 @@ def build_group(family: str, n: int = 0, guard: int = weyl.DEFAULT_GUARD) -> Tro
     key = (family, n, guard)
     if key in _GROUP_CACHE:
         return _GROUP_CACHE[key]
+    if family not in rootdata.FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    # the guard holds before anything is built: |W| = n! for type A, ∏ 2t = 2ⁿ·n! for B, C,
+    # ∏_{t≥2} 2t for D, 12 for G₂, stopped past the guard; an invalid n has no factors
+    if family == "G2":
+        factors = [12] if n == 0 else []
+    else:
+        start, step = {"Sp": (2, 2), "SO_odd": (2, 2), "SO_even": (4, 2)}.get(family, (1, 1))
+        factors = range(start, step * n + 1, step)
+    order = 1
+    for factor in factors:
+        order *= factor
+        if order > guard:
+            raise weyl.GuardExceededError(f"{family}, n = {n}: |W| exceeds guard {guard}")
     datum = rootdata.build_root_datum(family, n)
     num, d = _model_map(family, n)
     gen_mats = [datum.cochar_reflection_matrix(i) for i in datum.simple]

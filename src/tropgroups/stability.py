@@ -35,7 +35,7 @@ from .errors import InvariantError
 from .circles import CircleCocycle, integer_vector
 from .groups import TropicalGroup
 from .intlinalg import Mat, QuotientLattice, Vec
-from .weyl import a_type_structure
+from .weyl import a_type_paths
 
 
 @dataclass(frozen=True)
@@ -260,15 +260,6 @@ def is_stable(c: CircleCocycle) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def a_type_components(g: TropicalGroup) -> Optional[tuple[tuple[int, ...], ...]]:
-    """Path components of the full diagram when it is of type ∏A, else None;
-    built once per group and kept on it."""
-    if g.a_type_components is False:
-        structure = a_type_structure(g.weyl, range(len(g.datum.simple)))
-        g.a_type_components = structure.components if structure is not None else None
-    return g.a_type_components
-
-
 def adjoint_degree(g: TropicalGroup, lam: Sequence[int]) -> tuple[int, ...]:
     """Image of the degree in π₁ of the adjoint group ∏ ℤ/n_i, one residue
     per type-A diagram component.
@@ -278,7 +269,7 @@ def adjoint_degree(g: TropicalGroup, lam: Sequence[int]) -> tuple[int, ...]:
     path) maps to t; the residue of λ̌ is Σ_t t·⟨α_t, λ̌⟩.
     """
     lam = integer_vector("lam", lam)
-    comps = a_type_components(g)
+    comps = a_type_paths(g.weyl, range(len(g.datum.simple)))
     if comps is None:
         raise ValueError("group is not of product-A type")
     datum = g.datum
@@ -294,10 +285,8 @@ def adjoint_degree(g: TropicalGroup, lam: Sequence[int]) -> tuple[int, ...]:
 
 def is_stable_degree(g: TropicalGroup, lam: Sequence[int]) -> bool:
     """Whether the degree has coprime residues in π₁ of the adjoint group."""
-    comps = a_type_components(g)
-    if comps is None:
-        raise ValueError("group is not of product-A type")
-    residues = adjoint_degree(g, lam)
+    residues = adjoint_degree(g, lam)  # a ValueError unless g is of type ∏A
+    comps = a_type_paths(g.weyl, range(len(g.datum.simple)))
     return all(gcd(d, len(comp) + 1) == 1 for d, comp in zip(residues, comps))
 
 

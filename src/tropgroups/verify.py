@@ -15,19 +15,12 @@ from typing import Optional
 from . import circles, stability
 from .errors import InvariantError
 from .groups import TropicalGroup, build_group
-from .weyl import a_type_structure, relative_weyl_check
+from .weyl import a_type_paths, indecomposable_elements, relative_weyl_check
 
 
 def indecomposable_class_rep(g: TropicalGroup) -> int:
     """Least element of the conjugacy class of full-cycle products."""
-    structure = a_type_structure(g.weyl, range(len(g.datum.simple)))
-    if structure is None:
-        raise ValueError("group is not of product-A type")
-    reps = structure.indecomposable_elements()
-    cls = g.weyl.class_of(reps[0])
-    if not set(reps) <= set(cls):
-        raise InvariantError(f"indecomposables of {g!r} do not form one conjugacy class")
-    return cls[0]
+    return indecomposable_elements(g.weyl, range(len(g.datum.simple)))[0]
 
 
 def count_component_classes(g: TropicalGroup, j, w_idx: int) -> int:
@@ -179,10 +172,9 @@ def relative_weyl() -> dict:
         n_simple = len(g.datum.simple)
         for size in range(0, n_simple + 1):
             for positions in combinations(range(n_simple), size):
-                structure = a_type_structure(g.weyl, positions)
-                if structure is None:
+                if a_type_paths(g.weyl, positions) is None:
                     continue
-                for w_idx in structure.indecomposable_elements():
+                for w_idx in indecomposable_elements(g.weyl, positions):
                     try:
                         result = relative_weyl_check(g.weyl, positions, w_idx)
                         ok = True

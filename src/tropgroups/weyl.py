@@ -11,14 +11,16 @@ has a lone 1, and shares every computed row as it is made, so equal rows are
 one object.  Its edges x → s·x are kept as the left tables left[t][i] = s_t·i,
 and one routine, ``WeylGroup.orbits``, walks index maps built from them: the
 conjugacy classes (under x ↦ s·x·s⁻¹) and the left cosets of W_P (under
-x ↦ s·x, s in W_P) need no permutation product.  Centralizers, normalizers,
-and the indecomposability/relative-Weyl machinery for parabolic subgroups
-whose diagram is a product of type-A paths all work on indices.
+x ↦ s·x, s in W_P) need no permutation product.  Centralizers, normalizers
+and the relative-Weyl check for a parabolic W_P of type ∏A (``a_type_paths``)
+work on indices; the indecomposable elements of W_P, a full cycle in every
+factor S_{k+1}, are the W_P-class of the Coxeter element.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 from dataclasses import dataclass
 from math import lcm
@@ -27,7 +29,7 @@ from typing import Optional, Sequence
 from . import intlinalg as la
 from .errors import InvariantError
 from .intlinalg import Mat
-from .permutations import compose_perm, cycles_of, identity_perm, invert_perm, perm_sign, precompose, transposition
+from .permutations import compose_perm, cycles_of, identity_perm, invert_perm, perm_sign, precompose
 from .rootdata import RootDatum
 
 DEFAULT_GUARD = 10_000
@@ -252,102 +254,61 @@ def generate(datum: RootDatum, gen_mats, gen_perms, degree: int, guard: int = DE
 
 
 # ---------------------------------------------------------------------------
-# product-of-type-A structure of parabolic subgroups
+# parabolic subgroups of type ∏A and their indecomposable elements
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class AtypeStructure:
-    """A parabolic subgroup whose diagram is a disjoint union of type-A paths.
-
-    components[c] is the path of simple-root positions for factor c, which is
-    isomorphic to the symmetric group on len+1 letters; factor_perms maps each
-    subgroup element index to its tuple of factor permutations.
-    """
-
-    group: WeylGroup
-    positions: tuple[int, ...]
-    components: tuple[tuple[int, ...], ...]
-    element_indices: tuple[int, ...]
-    factor_perms: dict[int, tuple[tuple[int, ...], ...]]
-
-    def is_indecomposable(self, elt_idx: int) -> bool:
-        """True iff every factor permutation is a single full cycle."""
-        perms = self.factor_perms[elt_idx]
-        return all(len(cycles_of(p)) == 1 for p in perms)
-
-    def indecomposable_elements(self) -> tuple[int, ...]:
-        return tuple(i for i in self.element_indices if self.is_indecomposable(i))
+def _positions(w: WeylGroup, positions: Sequence[int]) -> tuple[int, ...]:
+    """The simple-root positions, sorted; ValueError if one is out of range."""
+    positions = tuple(sorted(set(positions)))
+    if any(not 0 <= p < len(w.simple_gens) for p in positions):
+        raise ValueError("invalid simple-root position")
+    return positions
 
 
-def a_type_structure(w: WeylGroup, positions: Sequence[int]) -> Optional[AtypeStructure]:
-    """Structure data when the parabolic at the given positions is type ∏A, else None."""
-    positions = tuple(sorted(positions))
-    bond = {}
-    for a in positions:
-        for b in positions:
-            if a < b:
-                bond[(a, b)] = w.order_of(w.left[a][w.simple_gens[b]])
+def a_type_paths(w: WeylGroup, positions: Sequence[int]) -> Optional[tuple[tuple[int, ...], ...]]:
+    """The Coxeter diagram at the positions as paths, each from its lesser end,
+    in order, if it is of type ∏A; else None.  The bond of a and b is the order
+    of s_a·s_b: 3 joins them, 2 keeps them apart, any other is not type A."""
+    positions = _positions(w, positions)
     adj = {p: [] for p in positions}
-    for (a, b), m in bond.items():
-        if m > 2:
+    for a, b in itertools.combinations(positions, 2):
+        m = w.order_of(w.left[a][w.simple_gens[b]])
+        if m == 3:
             adj[a].append(b)
             adj[b].append(a)
-    # components must be simply laced paths
-    comps = []
-    unseen = set(positions)
-    while unseen:
-        start = min(unseen)
-        comp = set()
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            if x in comp:
-                continue
-            comp.add(x)
-            stack.extend(adj[x])
-        unseen -= comp
-        if any(len(adj[x]) > 2 for x in comp):
+        elif m != 2:
             return None
-        edges = sum(len(adj[x]) for x in comp) // 2
-        if edges != len(comp) - 1:
-            return None
-        if any(bond[tuple(sorted((a, b)))] != 3 for a in comp for b in adj[a] if a < b):
-            return None
-        ends = sorted(x for x in comp if len(adj[x]) <= 1)
-        path = [ends[0]]
-        while len(path) < len(comp):
-            nxt = [x for x in adj[path[-1]] if x not in path]
-            path.append(nxt[0])
-        comps.append(tuple(path))
-    comps = tuple(sorted(comps))
+    if any(len(n) > 2 for n in adj.values()):
+        return None
+    paths = []
+    for end in positions:  # the first end met of each path is its lesser end
+        if len(adj[end]) < 2 and not any(end in path for path in paths):
+            path = [end]
+            while nxt := [x for x in adj[path[-1]] if x not in path]:
+                path.append(nxt[0])
+            paths.append(tuple(path))
+    return tuple(paths) if sum(map(len, paths)) == len(positions) else None  # a cycle has no end
 
-    # factor permutation model: path position t acts as the transposition (t, t+1)
-    gen_tuples = []
+
+def _parabolic(w: WeylGroup, positions: tuple[int, ...]) -> list[int]:
+    """W_P: the orbit of the identity under the left tables of P."""
+    return next(o for o in w.orbits([w.left[p] for p in positions]) if w.identity_idx in o)
+
+
+def indecomposable_elements(w: WeylGroup, positions: Sequence[int]) -> tuple[int, ...]:
+    """The elements of the type-∏A parabolic W_P at the positions that are a
+    full cycle in every factor S_{k+1}, sorted.  They form the W_P-conjugacy
+    class of the Coxeter element c = s_{p_k}⋯s_{p_1} (Humphreys, Reflection
+    Groups and Coxeter Groups, §3.16): its orbit under x ↦ s·x·s⁻¹ for s in P."""
+    positions = _positions(w, positions)
+    if a_type_paths(w, positions) is None:
+        raise ValueError("parabolic subgroup is not of product-A type")
+    c, inv = w.identity_idx, w.inverse
     for p in positions:
-        tup = []
-        for comp in comps:
-            k = len(comp) + 1
-            if p in comp:
-                t = comp.index(p)
-                tup.append(transposition(k, t, t + 1))
-            else:
-                tup.append(identity_perm(k))
-        gen_tuples.append(tuple(tup))
-
-    ident = w.identity_idx
-    reached = {ident: tuple(identity_perm(len(c) + 1) for c in comps)}
-    queue = [ident]
-    for i in queue:
-        for p, gp in zip(positions, gen_tuples):
-            j = w.left[p][i]  # φ(s_p·i) = φ(s_p)∘φ(i)
-            image = tuple(compose_perm(a, b) for a, b in zip(gp, reached[i]))
-            if j not in reached:
-                reached[j] = image
-                queue.append(j)
-            elif reached[j] != image:
-                raise InvariantError(f"type-A factor model is not a homomorphism at positions {positions}")
-    return AtypeStructure(w, positions, comps, tuple(sorted(reached)), reached)
+        c = w.left[p][c]
+    orbits = w.orbits([[w.left[p][inv[w.left[p][x_inv]]] for x_inv in inv] for p in positions])
+    return tuple(sorted(next(o for o in orbits if c in o)))
 
 
 def is_indecomposable(w: WeylGroup, elt_idx: int, positions: Optional[Sequence[int]] = None) -> bool:
@@ -361,12 +322,12 @@ def is_indecomposable(w: WeylGroup, elt_idx: int, positions: Optional[Sequence[i
         if w.datum is None:
             raise ValueError("group carries no root datum")
         positions = range(len(w.datum.simple))
-    structure = a_type_structure(w, positions)
-    if structure is None:
+    positions = _positions(w, positions)
+    if a_type_paths(w, positions) is None:
         raise ValueError("group is not of product-A type")
-    if elt_idx not in structure.factor_perms:
+    if elt_idx not in _parabolic(w, positions):
         raise ValueError("element not in the parabolic subgroup")
-    return structure.is_indecomposable(elt_idx)
+    return elt_idx in indecomposable_elements(w, positions)
 
 
 @dataclass
@@ -384,21 +345,21 @@ def relative_weyl_check(w: WeylGroup, positions: Sequence[int], elt_idx: int) ->
     and the element must be indecomposable in W.  Raises if a hypothesis or
     the bijectivity fails.
     """
-    structure = a_type_structure(w, positions)
-    if structure is None:
+    positions = _positions(w, positions)
+    if a_type_paths(w, positions) is None:
         raise ValueError("parabolic subgroup is not of product-A type")
-    if elt_idx not in structure.factor_perms:
+    sub = _parabolic(w, positions)
+    if elt_idx not in sub:
         raise ValueError("element does not lie in the parabolic subgroup")
-    if not structure.is_indecomposable(elt_idx):
+    if elt_idx not in indecomposable_elements(w, positions):
         raise ValueError("element is not indecomposable")
-    sub = structure.element_indices
     sub_set = frozenset(sub)
     c_big = w.centralizer(elt_idx)
     c_small = tuple(g for g in c_big if g in sub_set)
     normal = w.normalizer(sub)
     norm_set = frozenset(normal)
     if any(g not in norm_set for g in c_big):
-        raise InvariantError(f"centralizer of {elt_idx} leaves the normalizer of parabolic {structure.positions}")
+        raise InvariantError(f"centralizer of {elt_idx} leaves the normalizer of parabolic {positions}")
 
     def cosets(groupies, modulus):
         out = []
@@ -420,5 +381,5 @@ def relative_weyl_check(w: WeylGroup, positions: Sequence[int], elt_idx: int) ->
         witness.append((rep, image_rep))
         images.add(image_rep)
     if len(images) != len(big_cosets) or len(big_cosets) != len(n_cosets):
-        raise InvariantError(f"coset map is not a bijection for {elt_idx} and parabolic {structure.positions}")
+        raise InvariantError(f"coset map is not a bijection for {elt_idx} and parabolic {positions}")
     return RelativeWeylResult(c_big, c_small, normal, tuple(witness))

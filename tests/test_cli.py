@@ -124,6 +124,9 @@ def test_iso_test_negative(capsys):
     assert json.loads(out)["isomorphic"] is False
 
 
+RELATIVE_WEYL_DIGEST = "dc035680e07598086495c9e16447514f89aa99f65fbd4ec7feb2fad83d6bee30"
+
+
 def test_verify_suites(capsys):
     code, out = run(capsys, ["verify", "sl-count", "--n", "3"])
     assert code == 0
@@ -131,6 +134,8 @@ def test_verify_suites(capsys):
     assert data["pass"] is True and data["component_size"] == 3
     code, out = run(capsys, ["verify", "relative-weyl"])
     assert code == 0
+    # SHA-256 of the report as first recorded; it must stay byte-identical
+    assert hashlib.sha256(out.encode()).hexdigest() == RELATIVE_WEYL_DIGEST
     code, out = run(capsys, ["verify", "det-homeo", "--n", "2", "--d", "1", "--samples", "20"])
     assert code == 0
     # a passing report carries no first_failure field

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction as Q
 
@@ -14,6 +15,7 @@ from lattice_oracles import lattice_index
 from tropgroups import groups as gr
 from tropgroups import intlinalg as la
 from tropgroups import semiring as sr
+from tropgroups import weyl
 from tropgroups.errors import InvariantError
 from tropgroups.groups import build_group
 from tropgroups.permutations import transposition
@@ -432,3 +434,45 @@ def test_a_model_map_that_is_not_equivariant_is_rejected(monkeypatch):
     monkeypatch.setattr(gr, "_model_map", lambda family, n: (((1, 0, 0), (0, 1, 0), (0, 0, 2)), 1))
     with pytest.raises(InvariantError, match="GL, n = 3: .* simple reflection 1"):
         build_group("GL", 3)
+
+
+# |W| in closed form, and the least valid n of each family
+WEYL_ORDERS = {
+    "GL": (1, math.factorial),
+    "SL": (2, math.factorial),
+    "PGL": (2, math.factorial),
+    "Sp": (1, lambda n: 2**n * math.factorial(n)),
+    "SO_odd": (1, lambda n: 2**n * math.factorial(n)),
+    "SO_even": (2, lambda n: 2 ** (n - 1) * math.factorial(n)),
+}
+
+
+class RootDatumBuilt(Exception):
+    """Raised by a stand-in for build_root_datum: the size guard let the build through."""
+
+
+def _no_root_datum(family, n):
+    raise RootDatumBuilt(family, n)
+
+
+def test_size_guard_holds_before_the_root_datum_is_built(monkeypatch):
+    monkeypatch.setattr(gr, "_GROUP_CACHE", {})
+    cases = [("G2", 0, 12)] + [(f, n, order(n)) for f, (low, order) in WEYL_ORDERS.items() for n in range(low, 9)]
+    # the closed form is the order of the closure, where that is small enough to build
+    for family, n, order in cases:
+        if order <= 1000:
+            assert len(build_group(family, n, guard=order).weyl) == order
+    monkeypatch.setattr(gr, "_GROUP_CACHE", {})
+    monkeypatch.setattr(gr.rootdata, "build_root_datum", _no_root_datum)
+    for family, n, order in cases:
+        with pytest.raises(RootDatumBuilt):
+            build_group(family, n, guard=order)
+        with pytest.raises(weyl.GuardExceededError, match=f"{family}, n = {n}: .* guard {order - 1}"):
+            build_group(family, n, guard=order - 1)
+    with pytest.raises(weyl.GuardExceededError):
+        build_group("GL", 200)
+    monkeypatch.undo()
+    # an unknown family or an invalid n stays a ValueError, however small the guard
+    for family, n in [("E8", 0), ("SL", 1), ("SO_even", 1), ("Sp", 0), ("GL", -3), ("G2", 2)]:
+        with pytest.raises(ValueError, match="unknown family|requires n >=|no rank parameter"):
+            build_group(family, n, guard=1)

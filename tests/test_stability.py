@@ -151,8 +151,13 @@ def test_stable_degree_gcd():
     assert not stab.is_stable_degree(g4, (0, 0, 0, 0))
     sl3 = build_group("SL", 3)
     assert not stab.is_stable_degree(sl3, (0, 0))  # zero degree in SL₃ has residue 0
-    with pytest.raises(ValueError):
-        stab.is_stable_degree(build_group("Sp", 2), (0, 0))
+    assert stab.adjoint_degree(g4, (3, 0, 0, 0)) == (3,)
+    # an empty diagram is of type ∏A with no paths, and a B/C diagram is not
+    assert stab.is_stable_degree(build_group("GL", 1), (5,))
+    assert stab.adjoint_degree(build_group("GL", 1), (5,)) == ()
+    for degree_map in (stab.is_stable_degree, stab.adjoint_degree):
+        with pytest.raises(ValueError, match="product-A"):
+            degree_map(build_group("Sp", 2), (0, 0))
 
 
 def test_minimal_parabolic_examples():
@@ -491,26 +496,6 @@ def test_parabolic_data_is_built_once_per_group(monkeypatch):
     )
     with pytest.raises(ValueError):
         stab.parabolic_subgroup(fresh, (3,))
-
-
-def test_a_type_components_are_built_once_per_group(monkeypatch):
-    monkeypatch.setattr(gr, "_GROUP_CACHE", {})
-    built = []
-    structure = stab.a_type_structure
-    monkeypatch.setattr(stab, "a_type_structure", lambda w, positions: built.append(w) or structure(w, positions))
-    g4 = build_group("GL", 4)
-    for d in range(4):
-        assert stab.is_stable_degree(g4, (d, 0, 0, 0)) == (d % 2 == 1)
-    assert stab.adjoint_degree(g4, (3, 0, 0, 0)) == (3,)
-    assert g4.a_type_components == ((0, 1, 2),)
-    # an empty diagram is of type ∏A with no components, and a B/C diagram is not
-    gl1, sp2 = build_group("GL", 1), build_group("Sp", 2)
-    for _ in range(2):
-        assert stab.is_stable_degree(gl1, (5,))
-        with pytest.raises(ValueError, match="product-A"):
-            stab.is_stable_degree(sp2, (0, 0))
-    assert (gl1.a_type_components, sp2.a_type_components) == ((), None)
-    assert built == [g4.weyl, gl1.weyl, sp2.weyl]
 
 
 def test_singular_cartan_matrix_names_the_positions(monkeypatch):

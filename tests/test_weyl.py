@@ -6,11 +6,11 @@ import random
 import pytest
 
 from lattice_oracles import int_det, matrix_order, representatives_by_inverse
-from weyl_oracles import parabolic_closure
+from weyl_oracles import factor_model, full_cycle_products, parabolic_closure
 from tropgroups import circles
 from tropgroups import intlinalg as la
 from tropgroups import rootdata as rd
-from tropgroups import weyl
+from tropgroups import verify, weyl
 from tropgroups.errors import InvariantError
 from tropgroups.groups import build_group, levi_group
 from tropgroups.permutations import compose_perm, identity_perm, transposition
@@ -148,22 +148,28 @@ def test_is_indecomposable_rejects_non_a_type():
 
 
 def test_indecomposables_form_single_class():
+    # in the factor model of a full type-A group, the full cycles are one class of W
     for family, n in [("GL", 2), ("GL", 3), ("GL", 4), ("SL", 3), ("PGL", 4)]:
         w = group(family, n)
-        structure = weyl.a_type_structure(w, range(len(w.datum.simple)))
-        reps = structure.indecomposable_elements()
-        cls = w.class_of(reps[0])
-        assert set(reps) == set(cls)
+        _, phi = factor_model(w, range(len(w.simple_gens)))
+        reps = full_cycle_products(phi)
+        assert reps == w.class_of(reps[0])
 
 
-def test_a_type_structure_detection():
-    sp3 = group("Sp", 3)
-    assert weyl.a_type_structure(sp3, (0, 1)) is not None  # A₂ path
-    assert weyl.a_type_structure(sp3, (1, 2)) is None  # contains the double bond
-    assert weyl.a_type_structure(sp3, (0, 2)) is not None  # A₁×A₁
-    g2 = group("G2", 0)
-    assert weyl.a_type_structure(g2, (0, 1)) is None
-    assert weyl.a_type_structure(g2, (0,)) is not None
+def test_type_a_api_rejects_out_of_range_positions():
+    # a table read alone would take −1 for the last position
+    w = group("GL", 4)
+    s = w.simple_gens[2]
+    for bad in (-1, len(w.simple_gens)):
+        calls = [
+            lambda: weyl.a_type_paths(w, (bad,)),
+            lambda: weyl.indecomposable_elements(w, (bad,)),
+            lambda: weyl.is_indecomposable(w, s, (bad,)),
+            lambda: weyl.relative_weyl_check(w, (bad,), s),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="invalid simple-root position"):
+                call()
 
 
 def test_relative_weyl_trivial_case():
@@ -383,20 +389,45 @@ def test_conjugacy_classes_match_all_w_orbits(family, n):
             w.class_of(bad)
 
 
-@pytest.mark.parametrize("family,n", [("GL", 5), ("Sp", 4), ("SO_even", 4), ("G2", 0)])
-def test_a_type_structure_walks_the_parabolic(family, n):
+# diagrams that the factor model must agree with
+KNOWN_PATHS = {
+    ("GL", 1): {(): ()},
+    ("GL", 4): {(0, 1, 2): ((0, 1, 2),), (0, 2): ((0,), (2,))},
+    ("Sp", 2): {(0, 1): None},
+    ("Sp", 3): {(0, 1): ((0, 1),), (1, 2): None, (0, 2): ((0,), (2,))},  # (1, 2) has the double bond
+    ("G2", 0): {(0,): ((0,),), (0, 1): None},
+}
+
+
+@pytest.mark.parametrize("family,n", GRID + [("GL", 1)])
+def test_a_type_paths_and_indecomposables_match_the_factor_model(family, n):
+    """For every position subset: the diagram paths, W_P and the full-cycle
+    products of the factor-permutation model against a_type_paths,
+    indecomposable_elements and is_indecomposable."""
     w = group(family, n)
-    found = 0
-    for size in range(len(w.simple_gens) + 1):
-        for positions in itertools.combinations(range(len(w.simple_gens)), size):
-            structure = weyl.a_type_structure(w, positions)
-            if structure is not None:
-                found += 1
-                assert structure.element_indices == parabolic_closure(w, positions)
-                phi = structure.factor_perms
-                for x, y in itertools.product(structure.element_indices, repeat=2):
-                    assert phi[w.mul(x, y)] == tuple(map(compose_perm, phi[x], phi[y]))
-    assert found > 1
+    r = len(w.simple_gens)
+    for size in range(r + 1):
+        for positions in itertools.combinations(range(r), size):
+            model = factor_model(w, positions)
+            paths = weyl.a_type_paths(w, positions)
+            if positions in KNOWN_PATHS.get((family, n), {}):
+                assert paths == KNOWN_PATHS[family, n][positions]
+            if model is None:
+                assert paths is None
+                with pytest.raises(ValueError, match="product-A"):
+                    weyl.indecomposable_elements(w, positions)
+                with pytest.raises(ValueError, match="product-A"):
+                    weyl.is_indecomposable(w, w.identity_idx, positions)
+                continue
+            comps, phi = model
+            assert paths == comps
+            assert tuple(sorted(phi)) == parabolic_closure(w, positions)
+            full = full_cycle_products(phi)
+            assert weyl.indecomposable_elements(w, positions) == full
+            assert [x for x in sorted(phi) if weyl.is_indecomposable(w, x, positions)] == list(full)
+    model = factor_model(w, range(r))
+    if model is not None:
+        assert verify.indecomposable_class_rep(build_group(family, n)) == full_cycle_products(model[1])[0]
 
 
 @pytest.mark.parametrize("family,n", GRID)

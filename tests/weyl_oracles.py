@@ -1,12 +1,16 @@
 """Subgroup closures of a Weyl group that only the tests use: the subgroup
-generated by given elements, and the standard parabolic W_P as the closure of
+generated by given elements, the standard parabolic W_P as the closure of
 its simple reflections, the oracle for the coset search of
-``stability.parabolic_subgroup``."""
+``stability.parabolic_subgroup``, and the factor-permutation model of a
+type-∏A parabolic, the oracle for ``weyl.a_type_paths`` and
+``weyl.indecomposable_elements``."""
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
+from tropgroups.errors import InvariantError
+from tropgroups.permutations import compose_perm, cycles_of, identity_perm, transposition
 from tropgroups.weyl import WeylGroup
 
 
@@ -29,3 +33,84 @@ def subgroup_closure(w: WeylGroup, gen_indices: Sequence[int]) -> tuple[int, ...
 def parabolic_closure(w: WeylGroup, positions: Sequence[int]) -> tuple[int, ...]:
     """Subgroup generated by the simple reflections at the given positions."""
     return subgroup_closure(w, [w.simple_gens[p] for p in positions])
+
+
+def factor_model(w: WeylGroup, positions: Sequence[int]) -> Optional[tuple[tuple, dict]]:
+    """(components, φ) when the parabolic at the positions is of type ∏A, else None.
+
+    components[c] is the path of simple-root positions of factor c, from its
+    lesser end, which is the symmetric group on len + 1 letters; φ maps each
+    element index of W_P to its tuple of factor permutations, found by walking
+    W_P on the left tables with φ(s_p·x) = φ(s_p)∘φ(x), checked on every edge.
+    """
+    positions = tuple(sorted(positions))
+    bond = {}
+    for a in positions:
+        for b in positions:
+            if a < b:
+                bond[(a, b)] = w.order_of(w.left[a][w.simple_gens[b]])
+    adj = {p: [] for p in positions}
+    for (a, b), m in bond.items():
+        if m > 2:
+            adj[a].append(b)
+            adj[b].append(a)
+    # components must be simply laced paths
+    comps = []
+    unseen = set(positions)
+    while unseen:
+        start = min(unseen)
+        comp = set()
+        stack = [start]
+        while stack:
+            x = stack.pop()
+            if x in comp:
+                continue
+            comp.add(x)
+            stack.extend(adj[x])
+        unseen -= comp
+        if any(len(adj[x]) > 2 for x in comp):
+            return None
+        edges = sum(len(adj[x]) for x in comp) // 2
+        if edges != len(comp) - 1:
+            return None
+        if any(bond[tuple(sorted((a, b)))] != 3 for a in comp for b in adj[a] if a < b):
+            return None
+        ends = sorted(x for x in comp if len(adj[x]) <= 1)
+        path = [ends[0]]
+        while len(path) < len(comp):
+            nxt = [x for x in adj[path[-1]] if x not in path]
+            path.append(nxt[0])
+        comps.append(tuple(path))
+    comps = tuple(sorted(comps))
+
+    # path position t acts as the transposition (t, t+1) of its factor
+    gen_tuples = []
+    for p in positions:
+        tup = []
+        for comp in comps:
+            k = len(comp) + 1
+            if p in comp:
+                t = comp.index(p)
+                tup.append(transposition(k, t, t + 1))
+            else:
+                tup.append(identity_perm(k))
+        gen_tuples.append(tuple(tup))
+
+    ident = w.identity_idx
+    reached = {ident: tuple(identity_perm(len(c) + 1) for c in comps)}
+    queue = [ident]
+    for i in queue:
+        for p, gp in zip(positions, gen_tuples):
+            j = w.left[p][i]
+            image = tuple(compose_perm(a, b) for a, b in zip(gp, reached[i]))
+            if j not in reached:
+                reached[j] = image
+                queue.append(j)
+            elif reached[j] != image:
+                raise InvariantError(f"type-A factor model is not a homomorphism at positions {positions}")
+    return comps, reached
+
+
+def full_cycle_products(phi: dict) -> tuple[int, ...]:
+    """Sorted indices whose factor permutations are all single full cycles."""
+    return tuple(sorted(x for x, perms in phi.items() if all(len(cycles_of(p)) == 1 for p in perms)))
