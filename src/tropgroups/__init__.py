@@ -52,17 +52,11 @@ from .semiring import (
     NotInvertibleError,
     TropMatrix,
     TropValue,
-    check_g2,
-    check_orthogonal,
-    check_symplectic,
-    eval_cubic,
-    eval_quadratic,
     fin,
     invert_or_decompose,
     tadd,
     tmul,
     trop_det,
-    trop_matrix_mul,
 )
 from .stability import (
     ParabolicSubgroup,

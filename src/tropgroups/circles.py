@@ -313,12 +313,18 @@ def slope_residues(g: TropicalGroup, w_idx: int) -> tuple[Vec, ...]:
 
 @dataclass(frozen=True)
 class CoverComponent:
-    """A circle component of the cover: the cycle of sheets it carries."""
+    """A circle component of the cover: the cycle of sheets it carries.
+
+    jacobian is Σα over the cycle, listed from its least sheet, mod its
+    length ℓ·j.  It is not an isomorphism invariant: the GL₂ cocycle
+    (m, α, w) = ((0, 0), (0, 0), swap) and its gauge by k = (1, 0) are
+    isomorphic, and their one component gets jacobian 0 and 1.
+    """
 
     sheets: tuple[int, ...]
     length: Q
     line_degree: int
-    jacobian: Q  # reduced mod length
+    jacobian: Q
 
     def to_json(self):
         return {
@@ -331,19 +337,25 @@ class CoverComponent:
 
 @dataclass(frozen=True)
 class MultiLineBundle:
+    """Cover components, and for a symplectic bundle the involution that
+    pairs opposite sheets."""
+
     components: tuple[CoverComponent, ...]
     involution: Optional[tuple[int, ...]] = None
-    trivialization_violations: tuple = ()
 
     @property
     def total_degree(self) -> int:
         return sum(c.line_degree for c in self.components)
 
     def to_json(self):
+        """With an involution, "violations" lists the quotient-cover components
+        whose paired line bundle is not trivial.  It is always empty: the
+        sheets of the Sp model carry Y·m and Y·α with Y = (I; −I), so opposite
+        sheets carry x and −x and every sum over a pair is 0."""
         data = {"components": [c.to_json() for c in self.components]}
         if self.involution is not None:
             data["involution"] = list(self.involution)
-            data["violations"] = [list(map(str, v)) for v in self.trivialization_violations]
+            data["violations"] = []
         return data
 
 
@@ -354,7 +366,8 @@ def _reduce_mod(x: Q, modulus: Q) -> Q:
 def multiline_of(m: Sequence, alpha: Sequence, perm: Sequence[int], j: Q) -> tuple[CoverComponent, ...]:
     """Cover components from the cycles of the permutation: each cycle of
     length ℓ is a circle of length ℓ·j carrying the line bundle with degree
-    the cycle sum of m and Jacobian coordinate the cycle sum of α mod ℓ·j."""
+    the cycle sum of m and Jacobian coordinate Σα from the cycle's least
+    sheet mod ℓ·j, which is not an isomorphism invariant (CoverComponent)."""
     m = integer_vector("m", m)
     comps = []
     for cyc in cycles_of(tuple(perm)):
@@ -376,40 +389,18 @@ def to_multiline(c: CircleCocycle) -> MultiLineBundle:
     return MultiLineBundle(multiline_of(c.slope, c.offset, perm, c.length))
 
 
-def check_sp_trivialization(m: Sequence, alpha: Sequence, perm: Sequence[int], j: Q):
-    """Violations of the symplectic trivialization on the quotient cover.
-
-    Sheets are labeled (1..n, −1..−n) by position; the involution pairs
-    i ↔ −i.  On each component of the quotient cover the line bundle with
-    fibers L_x ⊗ L_{ι x} must be trivial: degree 0 and Jacobian class 0.
-    The quotient cover is the cover of i ↦ σ(i) mod n carrying the sums
-    over opposite sheets; each violation is (sheets, degree, jacobian).
-    """
-    m = integer_vector("m", m)
-    n = len(perm) // 2
-    quotient = multiline_of(
-        [m[i] + m[i + n] for i in range(n)],
-        [Q(alpha[i]) + Q(alpha[i + n]) for i in range(n)],
-        [perm[i] % n for i in range(n)],
-        j,
-    )
-    return tuple([(q.sheets, q.line_degree, q.jacobian) for q in quotient if q.line_degree or q.jacobian])
-
-
 def sp_structure(c: CircleCocycle) -> MultiLineBundle:
     """Multi-line bundle with involution of a symplectic-family cocycle.
 
     Read off the Sp matrix model: the 2n sheets carry Y·m and Y·α for the
     model map Y = (I; −I), and the cover is the cycle decomposition of the
     signed permutation σ_w of the model.  The involution pairs opposite
-    sheets, and the trivialization of the induced bundle on the quotient
-    cover is checked per component.
+    sheets; the induced bundle on the quotient cover is trivial by the form
+    of Y (MultiLineBundle.to_json).
     """
     if not c.group.family or c.group.family[0] != "Sp":
         raise ValueError("cocycle is not over a symplectic-family group")
     num, _ = c.group.model  # d = 1
     m, alpha = la.mat_vec(num, c.slope), la.mat_vec(num, c.offset)
     perm = c.group.weyl.perm(c.mono_idx)
-    comps = multiline_of(m, alpha, perm, c.length)
-    violations = check_sp_trivialization(m, alpha, perm, c.length)
-    return MultiLineBundle(comps, involution=sign_involution(len(perm)), trivialization_violations=violations)
+    return MultiLineBundle(multiline_of(m, alpha, perm, c.length), involution=sign_involution(len(perm)))

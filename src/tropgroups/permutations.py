@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import operator
 from typing import Callable, Sequence
 
@@ -29,24 +28,6 @@ def invert_perm(s: Sequence[int]) -> tuple[int, ...]:
     return tuple(inv)
 
 
-def perm_sign(s: Sequence[int]) -> int:
-    """Parity: +1 for even, −1 for odd."""
-    seen = [False] * len(s)
-    sign = 1
-    for i in range(len(s)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = s[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
 def cycles_of(s: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """Cycles sorted by least element, each starting at its least element."""
     seen = [False] * len(s)
@@ -64,12 +45,6 @@ def cycles_of(s: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def transposition(n: int, i: int, j: int) -> tuple[int, ...]:
-    s = list(range(n))
-    s[i], s[j] = s[j], s[i]
-    return tuple(s)
-
-
 def sign_involution(m: int) -> tuple[int, ...]:
     """The sign involution on positions.
 
@@ -85,17 +60,3 @@ def sign_involution(m: int) -> tuple[int, ...]:
     for i in range(1, m):
         out.append(i + n if i <= n else i - n)
     return tuple(out)
-
-
-def commutes(s: Sequence[int], t: Sequence[int]) -> bool:
-    return compose_perm(s, t) == compose_perm(t, s)
-
-
-@functools.cache
-def hexagon_group() -> frozenset[tuple[int, ...]]:
-    """The 12 symmetries of a hexagon with vertices 0..5 in cyclic order."""
-    elems = set()
-    for k in range(6):
-        elems.add(tuple((i + k) % 6 for i in range(6)))
-        elems.add(tuple((k - i) % 6 for i in range(6)))
-    return frozenset(elems)

@@ -11,10 +11,11 @@ has a lone 1, and shares every computed row as it is made, so equal rows are
 one object.  Its edges x → s·x are kept as the left tables left[t][i] = s_t·i,
 and one routine, ``WeylGroup.orbits``, walks index maps built from them: the
 conjugacy classes (under x ↦ s·x·s⁻¹) and the left cosets of W_P (under
-x ↦ s·x, s in W_P) need no permutation product.  Centralizers, normalizers
-and the relative-Weyl check for a parabolic W_P of type ∏A (``a_type_paths``)
-work on indices; the indecomposable elements of W_P, a full cycle in every
-factor S_{k+1}, are the W_P-class of the Coxeter element.
+x ↦ s·x, s in W_P) need no permutation product.  Centralizers, the
+normalizer of W_P (tested on the simple reflections of P alone) and the
+relative-Weyl check for a parabolic W_P of type ∏A (``a_type_paths``) work on
+indices; the indecomposable elements of W_P, a full cycle in every factor
+S_{k+1}, are the W_P-class of the Coxeter element.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Optional, Sequence
 from . import intlinalg as la
 from .errors import InvariantError
 from .intlinalg import Mat
-from .permutations import compose_perm, cycles_of, identity_perm, invert_perm, perm_sign, precompose
+from .permutations import compose_perm, cycles_of, identity_perm, invert_perm, precompose
 from .rootdata import RootDatum
 
 DEFAULT_GUARD = 10_000
@@ -120,9 +121,6 @@ class WeylGroup:
     def perm(self, i: int) -> tuple[int, ...]:
         return self.perms[i]
 
-    def sgn(self, i: int) -> int:
-        return perm_sign(self.perms[i])
-
     def orbits(self, maps: Sequence[Sequence[int]]) -> list[list[int]]:
         """The orbits of the indices under the index maps (maps[k][i] is the image
         of i), each found breadth-first from its least index, in that order."""
@@ -160,12 +158,6 @@ class WeylGroup:
 
     def centralizer(self, i: int) -> tuple[int, ...]:
         return tuple(g for g in range(len(self.elements)) if self.conj(g, i) == i)
-
-    def normalizer(self, subgroup: Sequence[int]) -> tuple[int, ...]:
-        sub = frozenset(subgroup)
-        return tuple(
-            g for g in range(len(self.elements)) if all(self.conj(g, s) in sub for s in sub)
-        )
 
 
 def from_generators(
@@ -330,6 +322,16 @@ def is_indecomposable(w: WeylGroup, elt_idx: int, positions: Optional[Sequence[i
     return elt_idx in indecomposable_elements(w, positions)
 
 
+def parabolic_normalizer(w: WeylGroup, positions: Sequence[int]) -> tuple[int, ...]:
+    """N_W(W_P): the g with g·s·g⁻¹ in W_P for each simple reflection s of P.
+    That suffices: conjugation by g is a homomorphism, so it then maps W_P,
+    which those s generate, into W_P, and onto it, as W_P is finite."""
+    positions = _positions(w, positions)
+    sub = frozenset(_parabolic(w, positions))
+    gens = [w.simple_gens[p] for p in positions]
+    return tuple(g for g in range(len(w.elements)) if all(w.conj(g, s) in sub for s in gens))
+
+
 @dataclass
 class RelativeWeylResult:
     centralizer_big: tuple[int, ...]
@@ -356,7 +358,7 @@ def relative_weyl_check(w: WeylGroup, positions: Sequence[int], elt_idx: int) ->
     sub_set = frozenset(sub)
     c_big = w.centralizer(elt_idx)
     c_small = tuple(g for g in c_big if g in sub_set)
-    normal = w.normalizer(sub)
+    normal = parabolic_normalizer(w, positions)
     norm_set = frozenset(normal)
     if any(g not in norm_set for g in c_big):
         raise InvariantError(f"centralizer of {elt_idx} leaves the normalizer of parabolic {positions}")

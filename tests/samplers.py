@@ -5,8 +5,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction as Q
 
+from semiring_oracles import hexagon_group, perm_sign
 from tropgroups import semiring as sr
-from tropgroups.permutations import hexagon_group, sign_involution
+from tropgroups.permutations import sign_involution
 
 
 def rational(rng: random.Random, num_max=9, den_max=5) -> Q:
@@ -29,8 +30,6 @@ def gen_perm(rng: random.Random, n: int) -> sr.TropMatrix:
 
 def signed_perm(rng: random.Random, n: int, even_only=False) -> tuple[int, ...]:
     """A permutation of positions (1..n, −1..−n) commuting with the sign swap."""
-    from tropgroups.permutations import perm_sign
-
     while True:
         base = list(range(n))
         rng.shuffle(base)

@@ -8,6 +8,7 @@ from fractions import Fraction as Q
 import pytest
 
 from lattice_oracles import group_inverse, integer_solve, orbit, orbit_mean
+from semiring_oracles import check_sp_trivialization
 from tropgroups import circles as ci
 from tropgroups import groups as gr
 from tropgroups import intlinalg as la
@@ -50,7 +51,7 @@ def test_gauge_transform_rejects_a_non_integral_k(k):
         ci.gauge_transform(c, k, (0,), 0)
 
 
-@pytest.mark.parametrize("check", [ci.multiline_of, ci.check_sp_trivialization])
+@pytest.mark.parametrize("check", [ci.multiline_of, check_sp_trivialization])
 def test_multiline_checks_reject_a_non_integral_slope(check):
     # m = (1/2, 0) was truncated to degree 0
     with pytest.raises(ValueError, match="'m'"):
@@ -247,7 +248,7 @@ def test_sp4_paired_divisor_instance():
     c = ci.cocycle(g, (3, 7), (0, 0), g.weyl.identity_idx, 1)
     mlb = ci.sp_structure(c)
     assert sorted(comp.line_degree for comp in mlb.components) == [-7, -3, 3, 7]
-    assert mlb.trivialization_violations == ()
+    assert mlb.to_json()["violations"] == []
 
 
 def test_iso_witness_is_deterministic_and_valid():
@@ -353,7 +354,10 @@ def test_sp_structure_trivialization_passes():
                 1,
             )
             mlb = ci.sp_structure(c)
-            assert mlb.trivialization_violations == ()
+            assert mlb.to_json()["violations"] == []
+            y = g.model[0]
+            m, alpha = la.mat_vec(y, c.slope), la.mat_vec(y, c.offset)
+            assert check_sp_trivialization(m, alpha, g.weyl.perm(c.mono_idx), c.length) == ()
             assert mlb.involution is not None
             assert sum(len(comp.sheets) for comp in mlb.components) == 2 * n
 
@@ -365,9 +369,9 @@ def test_sp_structure_pairs_degrees():
 
 
 def test_sp_trivialization_violation_detected():
-    violations = ci.check_sp_trivialization((1, 0, 0, 0), (0, 0, 0, 0), (0, 1, 2, 3), Q(1))
+    violations = check_sp_trivialization((1, 0, 0, 0), (0, 0, 0, 0), (0, 1, 2, 3), Q(1))
     assert violations and violations[0][1] == 1
-    violations = ci.check_sp_trivialization((0, 0, 0, 0), (Q(1, 2), 0, 0, 0), (0, 1, 2, 3), Q(1))
+    violations = check_sp_trivialization((0, 0, 0, 0), (Q(1, 2), 0, 0, 0), (0, 1, 2, 3), Q(1))
     assert violations and violations[0][2] == Q(1, 2)
 
 
@@ -398,7 +402,7 @@ def test_sp_trivialization_matches_the_reference():
         m = [rng.randint(-3, 3) for _ in range(2 * n)]
         alpha = [Q(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(2 * n)]
         j = Q(rng.randint(1, 5), rng.randint(1, 3))
-        got = ci.check_sp_trivialization(m, alpha, perm, j)
+        got = check_sp_trivialization(m, alpha, perm, j)
         expected = reference_sp_trivialization(m, alpha, perm, j)
         assert got == expected, (m, alpha, perm, j)
         assert [tuple(map(type, v)) for v in got] == [tuple(map(type, v)) for v in expected]

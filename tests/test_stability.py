@@ -6,7 +6,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from weyl_oracles import parabolic_closure
+from weyl_oracles import normalizer, parabolic_closure
 from tropgroups import circles as ci
 from tropgroups import groups as gr
 from tropgroups import intlinalg as la
@@ -212,11 +212,11 @@ def test_semistable_quotient_theorem_gl4():
     levi, inclusion = gr.levi_group(big, positions)
     structure_w = verify.indecomposable_class_rep(levi)
     sub_indices = parabolic_closure(big.weyl, positions)
-    normalizer = big.weyl.normalizer(sub_indices)
+    normal = normalizer(big.weyl, sub_indices)
     sub_set = set(sub_indices)
     coset_reps = []
     seen = set()
-    for t in normalizer:
+    for t in normal:
         if t in seen:
             continue
         seen |= {big.weyl.mul(t, s) for s in sub_indices}

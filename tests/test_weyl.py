@@ -6,14 +6,15 @@ import random
 import pytest
 
 from lattice_oracles import int_det, matrix_order, representatives_by_inverse
-from weyl_oracles import factor_model, full_cycle_products, parabolic_closure
+from semiring_oracles import perm_sign, transposition
+from weyl_oracles import factor_model, full_cycle_products, normalizer, parabolic_closure
 from tropgroups import circles
 from tropgroups import intlinalg as la
 from tropgroups import rootdata as rd
 from tropgroups import verify, weyl
 from tropgroups.errors import InvariantError
 from tropgroups.groups import build_group, levi_group
-from tropgroups.permutations import compose_perm, identity_perm, transposition
+from tropgroups.permutations import compose_perm, identity_perm
 from tropgroups.stability import parabolic_subgroup
 
 
@@ -110,9 +111,20 @@ def test_parabolic_subgroup_single_reflection():
 def test_normalizer_contains_subgroup():
     w = group("Sp", 2)
     sub = parabolic_closure(w, (0,))
-    norm = w.normalizer(sub)
+    norm = normalizer(w, sub)
     assert set(sub) <= set(norm)
     assert len(norm) % len(sub) == 0
+
+
+@pytest.mark.parametrize("family,n", verify.RELATIVE_WEYL_GROUPS)
+def test_parabolic_normalizer_matches_the_oracle(family, n):
+    # conjugating the simple reflections of P alone against every element of W_P
+    w = group(family, n)
+    positions = range(len(w.simple_gens))
+    for k in range(len(w.simple_gens) + 1):
+        for sub_positions in itertools.combinations(positions, k):
+            expected = normalizer(w, parabolic_closure(w, sub_positions))
+            assert weyl.parabolic_normalizer(w, sub_positions) == expected, sub_positions
 
 
 def test_sgn_multiplicative_and_d_kernel():
@@ -120,11 +132,11 @@ def test_sgn_multiplicative_and_d_kernel():
         sp = group("Sp", n)
         for i in range(len(sp)):
             for j in range(len(sp)):
-                assert sp.sgn(sp.mul(i, j)) == sp.sgn(i) * sp.sgn(j)
+                assert perm_sign(sp.perm(sp.mul(i, j))) == perm_sign(sp.perm(i)) * perm_sign(sp.perm(j))
         so = group("SO_even", n) if n >= 2 else None
         if so is None:
             continue
-        even_perms = {sp.perm(i) for i in range(len(sp)) if sp.sgn(i) == 1}
+        even_perms = {sp.perm(i) for i in range(len(sp)) if perm_sign(sp.perm(i)) == 1}
         assert {so.perm(i) for i in range(len(so))} == even_perms
 
 

@@ -1,7 +1,9 @@
 """Subgroup closures of a Weyl group that only the tests use: the subgroup
 generated by given elements, the standard parabolic W_P as the closure of
 its simple reflections, the oracle for the coset search of
-``stability.parabolic_subgroup``, and the factor-permutation model of a
+``stability.parabolic_subgroup``, the normalizer of a subgroup by
+conjugating all of its elements, the oracle for
+``weyl.parabolic_normalizer``, and the factor-permutation model of a
 type-∏A parabolic, the oracle for ``weyl.a_type_paths`` and
 ``weyl.indecomposable_elements``."""
 
@@ -9,8 +11,9 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+from semiring_oracles import transposition
 from tropgroups.errors import InvariantError
-from tropgroups.permutations import compose_perm, cycles_of, identity_perm, transposition
+from tropgroups.permutations import compose_perm, cycles_of, identity_perm
 from tropgroups.weyl import WeylGroup
 
 
@@ -33,6 +36,13 @@ def subgroup_closure(w: WeylGroup, gen_indices: Sequence[int]) -> tuple[int, ...
 def parabolic_closure(w: WeylGroup, positions: Sequence[int]) -> tuple[int, ...]:
     """Subgroup generated by the simple reflections at the given positions."""
     return subgroup_closure(w, [w.simple_gens[p] for p in positions])
+
+
+def normalizer(w: WeylGroup, subgroup: Sequence[int]) -> tuple[int, ...]:
+    sub = frozenset(subgroup)
+    return tuple(
+        g for g in range(len(w.elements)) if all(w.conj(g, s) in sub for s in sub)
+    )
 
 
 def factor_model(w: WeylGroup, positions: Sequence[int]) -> Optional[tuple[tuple, dict]]:
