@@ -54,49 +54,26 @@ class CircleCocycle:
         }
 
 
-def _rational(field: str, x) -> Q:
-    if isinstance(x, str):
-        try:
-            return semiring.rational_from_str(x)
-        except ValueError as exc:
-            raise ValueError(f"field {field!r}: {exc}") from None
-    try:
-        if not isinstance(x, bool):  # Fraction(True) == 1
-            return Q(x)
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-        pass
-    raise ValueError(f"field {field!r}: {x!r} is not a rational number")
-
-
-def _integer(field: str, x) -> int:
-    if type(x) is int:
-        return x
-    q = _rational(field, x)
-    if q.denominator != 1:
-        raise ValueError(f"field {field!r}: {x!r} is not an integer")
-    return int(q)
-
-
 def integer_vector(field: str, xs: Sequence) -> tuple[int, ...]:
     """The entries of xs as ints; a ValueError naming the field if one of them
     is not an integer."""
-    return tuple([_integer(field, x) for x in xs])
+    return tuple([semiring.checked_integer(field, x) for x in xs])
 
 
 def cocycle(group: TropicalGroup, m: Sequence, alpha: Sequence, w, j) -> CircleCocycle:
     """The cocycle with every field checked: integral m and rational α of the
     group's rank, w an element index (or WeylElement), and a positive j."""
-    w_idx = group.weyl.idx(w) if isinstance(w, WeylElement) else _integer("w", w)
+    w_idx = group.weyl.idx(w) if isinstance(w, WeylElement) else semiring.checked_integer("w", w)
     if not 0 <= w_idx < len(group.weyl):
         raise ValueError(f"cocycle field 'w': {w!r} is not an index below |W| = {len(group.weyl)}")
     for field, xs in (("m", m), ("alpha", alpha)):
         if not isinstance(xs, (list, tuple)) or len(xs) != group.rank:
             raise ValueError(f"cocycle field {field!r} must be a list of {group.rank} entries")
-    jq = _rational("j", j)
+    jq = semiring.checked_rational("j", j)
     if jq <= 0:
         raise ValueError("circle length must be positive")
-    m = tuple([_integer("m", x) for x in m])
-    return CircleCocycle(group, m, tuple([_rational("alpha", x) for x in alpha]), w_idx, jq)
+    m = tuple([semiring.checked_integer("m", x) for x in m])
+    return CircleCocycle(group, m, tuple([semiring.checked_rational("alpha", x) for x in alpha]), w_idx, jq)
 
 
 def cocycle_from_json(group: TropicalGroup, data) -> CircleCocycle:

@@ -181,16 +181,17 @@ def cmd_verify(args) -> int:
     if suite not in verify.SUITES:
         raise ValueError(f"suite must be one of {sorted(verify.SUITES)}")
     j = _circle_length(args.j)
+    guard = _guard(args.guard)
     if suite == "sl-count":
-        report = verify.sl_count(args.n, j)
+        report = verify.sl_count(args.n, j, guard)
     elif suite == "pgl-count":
-        report = verify.pgl_count(args.n, j)
+        report = verify.pgl_count(args.n, j, guard)
     elif suite == "det-homeo":
-        report = verify.det_homeo(args.n, args.d, samples=args.samples, seed=args.seed, j=j)
+        report = verify.det_homeo(args.n, args.d, samples=args.samples, seed=args.seed, j=j, guard=guard)
     elif suite == "stability-multiline":
-        report = verify.stability_multiline(args.n, samples=args.samples, seed=args.seed, j=j)
+        report = verify.stability_multiline(args.n, samples=args.samples, seed=args.seed, j=j, guard=guard)
     else:
-        report = verify.relative_weyl()
+        report = verify.relative_weyl(guard)
     _emit(report, args.out)
     return EXIT_OK if report["pass"] else EXIT_VERIFY_FAIL
 
@@ -231,6 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--j", default="1")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--guard", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_verify)
     return parser

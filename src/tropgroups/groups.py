@@ -26,7 +26,7 @@ from . import rootdata, semiring, weyl
 from .errors import InvariantError
 from .intlinalg import Mat, Vec
 from .rootdata import RootDatum
-from .semiring import TropMatrix, invert_or_decompose
+from .semiring import TropMatrix, checked_integer, checked_rational, invert_or_decompose
 from .weyl import WeylElement, WeylGroup
 
 
@@ -71,8 +71,12 @@ class TropicalGroup:
         return TropGroupElement(self, (Q(0),) * self.rank, self.weyl.identity_idx)
 
     def element(self, m: Sequence, w) -> "TropGroupElement":
-        widx = self.weyl.check_idx(w) if isinstance(w, int) else self.weyl.idx(w)
-        return TropGroupElement(self, tuple(Q(x) for x in m), widx)
+        """(m, w) with both fields checked: m a list of rank rationals, w an
+        element index or a WeylElement; a ValueError names a bad field."""
+        widx = self.weyl.idx(w) if isinstance(w, WeylElement) else self.weyl.check_idx(checked_integer("w", w))
+        if not isinstance(m, (list, tuple)) or len(m) != self.rank:
+            raise ValueError(f"field 'm' must be a list of {self.rank} entries")
+        return TropGroupElement(self, tuple([checked_rational("m", x) for x in m]), widx)
 
 
 class TropGroupElement:

@@ -3,7 +3,10 @@
 A root datum is stored in explicit integer coordinates: a pairing matrix Π
 with ⟨u, v⟩ = uᵀΠv for u in character coordinates and v in cocharacter
 coordinates, parallel tuples of roots and coroots (the bijection is by
-index), and the indices of a fixed choice of simple roots.
+index), and the indices of a fixed choice of simple roots.  Each builder
+states only the simple (root, coroot) pairs, the pairing and the lattices;
+every other root is W-conjugate to a simple one, and one closure (_datum)
+reaches it, for the families and for the Levi data of their parabolics alike.
 
 Coordinate conventions for the builders:
 
@@ -14,19 +17,19 @@ Coordinate conventions for the builders:
 * SO_{2n}: characters are the even-sum sublattice of ℤⁿ, cocharacters the
   dual lattice ℤⁿ + ℤ(½,…,½), each in a fixed integer basis.  This is the
   lattice choice for which the quotient by the coroot span has invariant
-  factors [4] (n odd) and [2, 2] (n even).  Coordinates are closed-form
-  integers: in the character basis e_t − e_{t+1} (t < n − 1), e_{n−2} + e_{n−1}
-  they are the partial sums s_t, ending in (s_{n−2} ∓ v_{n−1})/2; in the
-  cocharacter basis e_i (i < n − 1), (½,…,½) they are v_i − v_{n−1} and
-  2·v_{n−1}.
+  factors [4] (n odd) and [2, 2] (n even).  The simple roots are the
+  character basis e_t − e_{t+1} (t < n − 1), e_{n−2} + e_{n−1}, so their
+  coordinates are the unit vectors.  Only the simple coroots are converted:
+  in the cocharacter basis e_i (i < n − 1), (½,…,½) the coordinates of v are
+  the closed-form integers v_i − v_{n−1} and 2·v_{n−1}.
 * G₂: cocharacters in the simple-coroot basis, characters in the dual basis.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
+from operator import mul
 from typing import Optional
 
 from . import intlinalg as la
@@ -122,13 +125,48 @@ class RootDatum:
         }
 
 
-def _sorted_datum(pairs, simple_roots, pairing, char: Lattice, cochar: Lattice, family) -> RootDatum:
-    """Freeze a root datum with roots sorted lexicographically."""
-    pairs = sorted(set(pairs))
-    roots = tuple(p[0] for p in pairs)
-    coroots = tuple(p[1] for p in pairs)
-    simple = tuple(roots.index(a) for a in simple_roots)
-    return RootDatum(char, cochar, la.matrix(pairing), roots, coroots, simple, family)
+def _datum(simple_pairs, pairing, char: Lattice, cochar: Lattice, family, parent=None) -> RootDatum:
+    """Close the simple (root, coroot) pairs to a root datum, roots sorted
+    lexicographically.
+
+    Every positive root is reached from a simple one by steps β ↦ β + c·α with
+    α simple and c = −⟨β, α̌⟩ > 0 (the reflection s_α raising β); the coroot
+    steps alike, β̌ ↦ β̌ + e·α̌ with e = −⟨α, β̌⟩.  The negative roots follow.
+    A root reached with two different coroots raises InvariantError, and so,
+    when parent maps the roots of an enclosing datum to their coroots, does a
+    pair that is not one of its pairs: the closure then stops within it.
+    """
+    pairing = la.matrix(pairing)
+    columns = la.transpose(pairing)
+    # ⟨β, α̌⟩ = β·(Π α̌) and ⟨α, β̌⟩ = (Πᵀ α)·β̌, one vector of each per simple pair
+    steps = [
+        (alpha, cov, tuple([sum(map(mul, row, cov)) for row in pairing]), tuple([sum(map(mul, col, alpha)) for col in columns]))
+        for alpha, cov in simple_pairs
+    ]
+    coroot = dict(simple_pairs)
+    positive = list(coroot.items())
+    # positive grows while it is walked
+    for beta, cob in positive:
+        for alpha, cov, pcov, palpha in steps:
+            c = -sum(map(mul, beta, pcov))
+            if c <= 0:
+                continue
+            new = tuple([b + c * a for b, a in zip(beta, alpha)])
+            e = -sum(map(mul, palpha, cob))
+            new_cov = tuple([b + e * a for b, a in zip(cob, cov)])
+            known = coroot.get(new)
+            if known is None:
+                if parent is not None and parent.get(new) != new_cov:
+                    raise InvariantError(f"root closure: ({new}, {new_cov}) is not a root of the parent datum")
+                coroot[new] = new_cov
+                positive.append((new, new_cov))
+            elif known != new_cov:
+                raise InvariantError(f"inconsistent coroot closure: {new} has coroots {known} and {new_cov}")
+    pairs = sorted(positive + [(tuple([-x for x in a]), tuple([-x for x in b])) for a, b in positive])
+    roots = tuple([a for a, _ in pairs])
+    coroots = tuple([b for _, b in pairs])
+    simple = tuple([roots.index(a) for a, _ in simple_pairs])
+    return RootDatum(char, cochar, pairing, roots, coroots, simple, family)
 
 
 def _e(n: int, i: int, c: int = 1) -> Vec:
@@ -137,27 +175,9 @@ def _e(n: int, i: int, c: int = 1) -> Vec:
     return tuple(v)
 
 
-def _gl_pairs(n: int):
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                v = la.vec_sub(_e(n, i), _e(n, j))
-                yield v, v
-
-
-def _sum_zero_coords(n: int, v: Vec) -> Vec:
-    """Coordinates of a sum-zero vector in the basis f_t = e_t − e_{t+1}."""
-    coords = []
-    acc = 0
-    for t in range(n - 1):
-        acc += v[t]
-        coords.append(acc)
-    return tuple(coords)
-
-
-def _quotient_coords(n: int, v: Vec) -> Vec:
-    """Coordinates of v + ℤ(1,…,1) via the representative with last coordinate 0."""
-    return tuple(v[t] - v[n - 1] for t in range(n - 1))
+def _a_pairs(n: int) -> list:
+    """(e_i − e_{i+1}, same vector) for i < n − 1: the simple pairs of GL_n."""
+    return [(v, v) for v in (la.vec_sub(_e(n, i), _e(n, i + 1)) for i in range(n - 1))]
 
 
 def build_root_datum(family: str, n: int = 0) -> RootDatum:
@@ -165,90 +185,54 @@ def build_root_datum(family: str, n: int = 0) -> RootDatum:
 
     n is the rank parameter: GL/SL/PGL_n act on n letters, Sp is Sp_{2n},
     SO_odd is SO_{2n+1}, SO_even is SO_{2n}; G2 takes no rank parameter, so
-    its n must be 0.
+    its n must be 0.  Each family gives its simple (root, coroot) pairs, its
+    pairing and its lattices; the other roots come from the closure.
     """
     if family == "GL":
         if n < 1:
             raise ValueError("GL requires n >= 1")
         std = Lattice(n, "Z^n")
-        return _sorted_datum(
-            list(_gl_pairs(n)),
-            [la.vec_sub(_e(n, i), _e(n, i + 1)) for i in range(n - 1)],
-            la.identity_matrix(n),
-            std,
-            std,
-            ("GL", n),
-        )
+        return _datum(_a_pairs(n), la.identity_matrix(n), std, std, ("GL", n))
     if family in ("SL", "PGL"):
         if n < 2:
             raise ValueError(f"{family} requires n >= 2")
-        ones = (1,) * n
         sum_zero = Lattice(n - 1, "Z^n_0")
-        quotient = Lattice(n - 1, "Z^n/Z(1,...,1)", relations=(ones,))
-        pairing_sl = tuple(
+        quotient = Lattice(n - 1, "Z^n/Z(1,...,1)", relations=((1,) * n,))
+        pairing = tuple(
             tuple(int(u == v) - int(u == v + 1) for v in range(n - 1)) for u in range(n - 1)
         )
-        pairs = []
-        simple = []
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                v = la.vec_sub(_e(n, i), _e(n, j))
-                rep = _quotient_coords(n, v)
-                sz = _sum_zero_coords(n, v)
-                pairs.append((rep, sz) if family == "SL" else (sz, rep))
-                if j == i + 1:
-                    simple.append((i, rep if family == "SL" else sz))
-        simple_roots = [r for _, r in sorted(simple)]
+        # the simple root e_i − e_{i+1} of ℤⁿ: its representative with last
+        # coordinate 0 in the quotient, f_i in the sum-zero basis
+        simple = [(tuple([x - v[-1] for x in v[:-1]]), _e(n - 1, i)) for i, (v, _) in enumerate(_a_pairs(n))]
         if family == "SL":
-            return _sorted_datum(pairs, simple_roots, pairing_sl, quotient, sum_zero, ("SL", n))
-        return _sorted_datum(
-            pairs, simple_roots, la.transpose(pairing_sl), sum_zero, quotient, ("PGL", n)
-        )
-    if family == "Sp":
+            return _datum(simple, pairing, quotient, sum_zero, ("SL", n))
+        return _datum([(f, r) for r, f in simple], la.transpose(pairing), sum_zero, quotient, ("PGL", n))
+    if family in ("Sp", "SO_odd"):
         if n < 1:
-            raise ValueError("Sp requires n >= 1")
-        pairs = []
-        for i in range(n):
-            pairs.append((_e(n, i, 2), _e(n, i)))
-            pairs.append((_e(n, i, -2), _e(n, i, -1)))
-        pairs.extend(_pm_pairs(n))
-        simple = [la.vec_sub(_e(n, i), _e(n, i + 1)) for i in range(n - 1)] + [_e(n, n - 1, 2)]
+            raise ValueError(f"{family} requires n >= 1")
+        # Sp: the long root 2e_{n−1} with coroot e_{n−1}; SO_odd: the short
+        # root e_{n−1} with coroot 2e_{n−1}
+        last = (_e(n, n - 1, 2), _e(n, n - 1)) if family == "Sp" else (_e(n, n - 1), _e(n, n - 1, 2))
         std = Lattice(n, "Z^n")
-        return _sorted_datum(pairs, simple, la.identity_matrix(n), std, std, ("Sp", n))
-    if family == "SO_odd":
-        if n < 1:
-            raise ValueError("SO_odd requires n >= 1")
-        pairs = []
-        for i in range(n):
-            pairs.append((_e(n, i), _e(n, i, 2)))
-            pairs.append((_e(n, i, -1), _e(n, i, -2)))
-        pairs.extend(_pm_pairs(n))
-        simple = [la.vec_sub(_e(n, i), _e(n, i + 1)) for i in range(n - 1)] + [_e(n, n - 1)]
-        std = Lattice(n, "Z^n")
-        return _sorted_datum(pairs, simple, la.identity_matrix(n), std, std, ("SO_odd", n))
+        return _datum(_a_pairs(n) + [last], la.identity_matrix(n), std, std, (family, n))
     if family == "SO_even":
         if n < 2:
             raise ValueError("SO_even requires n >= 2")
-        return _build_so_even(n)
+        # the simple roots are the character basis, so their coordinates are
+        # the unit vectors; only their coroots are converted (module docstring)
+        basis = so_even_char_basis(n)
+        simple = [(_e(n, t), tuple([x - v[-1] for x in v[:-1]] + [2 * v[-1]])) for t, v in enumerate(la.columns(basis))]
+        # each character basis vector has an even coordinate sum, so its pairing
+        # with twice a cocharacter basis vector is even
+        pairing = tuple(tuple([x // 2 for x in row]) for row in la.mat_mul(la.transpose(basis), so_even_cochar_basis(n)))
+        return _datum(simple, pairing, Lattice(n, "Q(D_n)"), Lattice(n, "P(D_n^dual)"), ("SO_even", n))
     if family == "G2":
         if n != 0:
             raise ValueError(f"G2 takes no rank parameter, not n = {n}")
-        return _build_g2()
+        # simple root coordinates in the basis dual to the simple coroots
+        std = Lattice(2, "hexagonal")
+        return _datum((((2, -1), (1, 0)), ((-3, 2), (0, 1))), la.identity_matrix(2), std, std, ("G2", 0))
     raise ValueError(f"unknown family {family!r}")
-
-
-def _pm_pairs(n: int):
-    """(±e_i ± e_j, same vector) for i ≠ j, each root listed once."""
-    out = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for si in (1, -1):
-                for sj in (1, -1):
-                    v = la.vec_add(_e(n, i, si), _e(n, j, sj))
-                    out.append((v, v))
-    return out
 
 
 def so_even_char_basis(n: int) -> Mat:
@@ -261,54 +245,6 @@ def so_even_char_basis(n: int) -> Mat:
 def so_even_cochar_basis(n: int) -> Mat:
     """Columns: twice the basis e_0, …, e_{n−2}, (½,…,½) of ℤⁿ + ℤ(½,…,½)."""
     return la.from_columns([_e(n, i, 2) for i in range(n - 1)] + [(1,) * n])
-
-
-def _build_so_even(n: int) -> RootDatum:
-    """Integer coordinates in closed form, as in the module docstring; the
-    simple roots are the character basis."""
-
-    def char_coords(v):
-        sums = list(itertools.accumulate(v[:-1]))
-        s, last = sums.pop(), v[-1]
-        if (s + last) % 2:
-            raise InvariantError(f"SO_even{n}: {v} is not in the character lattice")
-        return tuple(sums + [(s - last) // 2, (s + last) // 2])
-
-    def cochar_coords(v):
-        return tuple([x - v[-1] for x in v[:-1]] + [2 * v[-1]])
-
-    pairs = [(char_coords(v), cochar_coords(v)) for v, _ in _pm_pairs(n)]
-    basis = so_even_char_basis(n)
-    simple = [char_coords(v) for v in la.columns(basis)]
-    # each character basis vector has an even coordinate sum, so its pairing
-    # with twice a cocharacter basis vector is even
-    pairing = tuple(tuple([x // 2 for x in row]) for row in la.mat_mul(la.transpose(basis), so_even_cochar_basis(n)))
-    char = Lattice(n, "Q(D_n)")
-    cochar = Lattice(n, "P(D_n^dual)")
-    return _sorted_datum(pairs, simple, pairing, char, cochar, ("SO_even", n))
-
-
-def _build_g2() -> RootDatum:
-    # simple root coordinates in the basis dual to the simple coroots
-    a1, ca1 = (2, -1), (1, 0)
-    a2, ca2 = (-3, 2), (0, 1)
-    # the roots are the orbit of the simple roots under the simple reflections;
-    # pairs grows while it is walked
-    simple = [(a1, ca1), (a2, ca2)]
-    coroot, pairs = dict(simple), list(simple)
-    for beta, cob in pairs:
-        for alpha, cov in simple:
-            nr = la.vec_sub(beta, la.vec_scale(la.vec_dot(beta, cov), alpha))
-            nc = la.vec_sub(cob, la.vec_scale(la.vec_dot(alpha, cob), cov))
-            if nr not in coroot:
-                coroot[nr] = nc
-                pairs.append((nr, nc))
-            elif coroot[nr] != nc:
-                raise InvariantError(f"inconsistent coroot closure: {nr} has coroots {coroot[nr]} and {nc}")
-    if len(coroot) != 12:
-        raise InvariantError(f"G2 root closure has {len(coroot)} roots, not 12")
-    std = Lattice(2, "hexagonal")
-    return _sorted_datum(coroot.items(), [a1, a2], la.identity_matrix(2), std, std, ("G2", 0))
 
 
 def validate_root_datum(rd: RootDatum) -> list[str]:
@@ -354,18 +290,13 @@ def fundamental_weights(rd: RootDatum) -> tuple[tuple[Q, ...], ...]:
 
 
 def levi_datum(rd: RootDatum, positions) -> RootDatum:
-    """Root datum of a standard parabolic: same lattices, roots restricted to
-    the rational span of the chosen simple roots (a parabolic subgroup of a
-    tropical reductive group coincides with its Levi and is again reductive)."""
-    chosen = [rd.simple[p] for p in sorted(set(positions))]
-    keep = ()
-    if chosen:
-        span = la.from_columns([rd.roots[i] for i in chosen])
-        keep = tuple(i for i, alpha in enumerate(rd.roots) if la.rational_solve(span, alpha) is not None)
-    roots = tuple(rd.roots[i] for i in keep)
-    coroots = tuple(rd.coroots[i] for i in keep)
-    simple = tuple(roots.index(rd.roots[i]) for i in chosen)
-    return RootDatum(rd.char_lattice, rd.cochar_lattice, rd.pairing, roots, coroots, simple, None)
+    """Root datum of a standard parabolic: same lattices, roots closed from the
+    chosen simple pairs (a parabolic subgroup of a tropical reductive group
+    coincides with its Levi and is again reductive).  Every root it reaches
+    must be a root of rd with the same coroot, or InvariantError is raised."""
+    simple = [(rd.roots[i], rd.coroots[i]) for i in (rd.simple[p] for p in sorted(set(positions)))]
+    parent = dict(zip(rd.roots, rd.coroots))
+    return _datum(simple, rd.pairing, rd.char_lattice, rd.cochar_lattice, None, parent)
 
 
 def dual_datum(rd: RootDatum) -> RootDatum:

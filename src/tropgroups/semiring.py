@@ -98,6 +98,33 @@ def rational_from_str(s: str) -> Q:
     raise ValueError(f"{s!r}: the decimal exponent exceeds {MAX_DECIMAL_EXPONENT} in magnitude")
 
 
+def checked_rational(field: str, x) -> Q:
+    """x as an exact rational: a string that rational_from_str reads, or any
+    number Fraction takes but a bool; a ValueError naming the field otherwise."""
+    if isinstance(x, str):
+        try:
+            return rational_from_str(x)
+        except ValueError as exc:
+            raise ValueError(f"field {field!r}: {exc}") from None
+    try:
+        if not isinstance(x, bool):  # Fraction(True) == 1
+            return Q(x)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        pass
+    raise ValueError(f"field {field!r}: {x!r} is not a rational number")
+
+
+def checked_integer(field: str, x) -> int:
+    """x as an int, by checked_rational; a ValueError naming the field unless
+    it is integral."""
+    if type(x) is int:
+        return x
+    q = checked_rational(field, x)
+    if q.denominator != 1:
+        raise ValueError(f"field {field!r}: {x!r} is not an integer")
+    return int(q)
+
+
 @dataclass(frozen=True)
 class TropMatrix:
     entries: tuple[tuple[TropValue, ...], ...]

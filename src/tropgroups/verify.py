@@ -2,7 +2,8 @@
 
 Each suite recomputes a countable claim two independent ways where possible
 (closed form vs. explicit enumeration with the isomorphism tester) and
-returns a JSON-serializable report with one entry per case.
+returns a JSON-serializable report with one entry per case.  Every suite
+builds its groups under the Weyl-group size guard it is given.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Optional
 from . import circles, stability
 from .errors import InvariantError
 from .groups import TropicalGroup, build_group
-from .weyl import a_type_paths, indecomposable_elements, relative_weyl_check
+from .weyl import DEFAULT_GUARD, a_type_paths, indecomposable_elements, relative_weyl_check
 
 
 def indecomposable_class_rep(g: TropicalGroup) -> int:
@@ -37,8 +38,8 @@ def count_component_classes(g: TropicalGroup, j, w_idx: int) -> int:
     return len(distinct)
 
 
-def sl_count(n: int, j=1) -> dict:
-    g = build_group("SL", n)
+def sl_count(n: int, j=1, guard: int = DEFAULT_GUARD) -> dict:
+    g = build_group("SL", n, guard)
     rep = indecomposable_class_rep(g)
     comp = circles.component_for_class(g, rep)
     enumerated = count_component_classes(g, Q(j), rep)
@@ -53,8 +54,8 @@ def sl_count(n: int, j=1) -> dict:
     }
 
 
-def pgl_count(n: int, j=1) -> dict:
-    g = build_group("PGL", n)
+def pgl_count(n: int, j=1, guard: int = DEFAULT_GUARD) -> dict:
+    g = build_group("PGL", n, guard)
     rep = indecomposable_class_rep(g)
     comp = circles.component_for_class(g, rep)
     enumerated = count_component_classes(g, Q(j), rep)
@@ -90,7 +91,7 @@ def sample_gl_cocycle(
     return circles.cocycle(g, m, alpha, w_idx, j)
 
 
-def det_homeo(n: int, d: int, samples: int = 100, seed: int = 0, j=1) -> dict:
+def det_homeo(n: int, d: int, samples: int = 100, seed: int = 0, j=1, guard: int = DEFAULT_GUARD) -> dict:
     """Equal determinant ⟺ isomorphic, on the stable-degree indecomposable part.
 
     A report with a disagreeing trial names the first one in ``first_failure``:
@@ -98,8 +99,8 @@ def det_homeo(n: int, d: int, samples: int = 100, seed: int = 0, j=1) -> dict:
     """
     if samples < 1:
         raise ValueError(f"samples must be a positive count, not {samples}")
-    g = build_group("GL", n)
-    gl1 = build_group("GL", 1)
+    g = build_group("GL", n, guard)
+    gl1 = build_group("GL", 1, guard)
     jq = Q(j)
     if not stability.is_stable_degree(g, (d,) + (0,) * (n - 1)):
         raise ValueError("degree is not stable for this rank")
@@ -163,12 +164,12 @@ def det_homeo(n: int, d: int, samples: int = 100, seed: int = 0, j=1) -> dict:
 RELATIVE_WEYL_GROUPS = (("GL", 4), ("Sp", 2), ("Sp", 3), ("G2", 0))
 
 
-def relative_weyl() -> dict:
+def relative_weyl(guard: int = DEFAULT_GUARD) -> dict:
     """The centralizer-quotient bijection over every type-A parabolic and
     every indecomposable element, for the fixed list of ambient groups."""
     cases = []
     for family, n in RELATIVE_WEYL_GROUPS:
-        g = build_group(family, n)
+        g = build_group(family, n, guard)
         n_simple = len(g.datum.simple)
         for size in range(0, n_simple + 1):
             for positions in combinations(range(n_simple), size):
@@ -203,7 +204,7 @@ def semistable_by_multiline(c: circles.CircleCocycle) -> bool:
     return len(slopes) <= 1
 
 
-def stability_multiline(n: int, samples: int = 100, seed: int = 0, j=1) -> dict:
+def stability_multiline(n: int, samples: int = 100, seed: int = 0, j=1, guard: int = DEFAULT_GUARD) -> dict:
     """The slope semistability verdict against the equal-slope criterion of the
     pushforward of line bundles, on random GL_n cocycles.
 
@@ -212,7 +213,7 @@ def stability_multiline(n: int, samples: int = 100, seed: int = 0, j=1) -> dict:
     """
     if samples < 1:
         raise ValueError(f"samples must be a positive count, not {samples}")
-    g = build_group("GL", n)
+    g = build_group("GL", n, guard)
     jq = Q(j)
     rng = random.Random(seed)
     agree = 0

@@ -11,6 +11,7 @@ from fractions import Fraction as Q
 from typing import Optional
 
 from tropgroups import intlinalg as la
+from rootdata_oracles import sorted_datum
 from tropgroups import rootdata as rd
 from tropgroups.intlinalg import Mat, Vec
 
@@ -151,7 +152,7 @@ def so_even_datum_by_inverse(n: int) -> rd.RootDatum:
     pairing = la.mat_to_int(la.mat_mul(la.transpose(char_basis), cochar_basis))
     simple_coords = [coords(char_inv, v) for v in simple]
     char, cochar = rd.Lattice(n, "Q(D_n)"), rd.Lattice(n, "P(D_n^dual)")
-    return rd._sorted_datum(pairs, simple_coords, pairing, char, cochar, ("SO_even", n))
+    return sorted_datum(pairs, simple_coords, pairing, char, cochar, ("SO_even", n))
 
 
 def representatives_by_inverse(quot: la.QuotientLattice) -> tuple[Vec, ...]:

@@ -360,6 +360,19 @@ def test_guard_env_override(capsys, monkeypatch):
         assert "TROPGROUPS_GUARD" in capsys.readouterr().err
 
 
+def test_verify_holds_the_guard(capsys, monkeypatch):
+    # GL₄ has |W| = 24 and Sp₃ |W| = 48
+    monkeypatch.setenv("TROPGROUPS_GUARD", "5")
+    assert cli.main(["verify", "stability-multiline", "--n", "4", "--samples", "2"]) == 3
+    assert "exceeds guard 5" in capsys.readouterr().err
+    monkeypatch.delenv("TROPGROUPS_GUARD")
+    assert cli.main(["verify", "relative-weyl", "--guard", "40"]) == 3
+    assert "Sp, n = 3: |W| exceeds guard 40" in capsys.readouterr().err
+    assert cli.main(["verify", "relative-weyl", "--guard", "48"]) == 0
+    assert cli.main(["verify", "det-homeo", "--n", "2", "--samples", "1", "--guard", "1"]) == 3
+    assert cli.main(["verify", "sl-count", "--guard", "0"]) == 2
+
+
 def test_parser_is_built_once_and_reused(capsys):
     assert cli.build_parser() is cli.build_parser()
     src = str(Path(cli.__file__).resolve().parents[1])

@@ -302,6 +302,23 @@ def test_element_rejects_out_of_range_index():
     assert g.element((0, 0, 0), len(g.weyl) - 1).w_idx == len(g.weyl) - 1
 
 
+def test_element_checks_its_fields():
+    g = build_group("GL", 2)
+    cases = [
+        (((1, 2, 3), 0), "'m' must be a list of 2 entries"),  # once a vec_dot length error, later
+        (("12", 0), "'m' must be a list of 2 entries"),
+        (((True, 0), 0), "'m': True is not a rational"),  # once silently m = (1, 0)
+        (((1, 2), True), "'w': True is not a rational"),  # once silently w = 1
+        (((1, "1/0"), 0), "'m': '1/0' is not a rational"),
+        (((1, 2), Q(1, 2)), "'w': Fraction\\(1, 2\\) is not an integer"),
+    ]
+    for (m, w), message in cases:
+        with pytest.raises(ValueError, match=message):
+            g.element(m, w)
+    a = g.element(["1/2", 3], g.weyl.element(1))
+    assert (a.m, a.w_idx) == ((Q(1, 2), Q(3)), 1)
+
+
 # SHA-256 of the to_matrix JSON, of the from_matrix round trip's to_json, and
 # of the outcome of from_matrix on the model with one coordinate moved by 1
 # ("rejected" or the element accepted), over 40 seeded elements per group, as

@@ -1,10 +1,12 @@
 """Root datum builders, axioms, fundamental groups, weights, duality."""
 
+import itertools
 from fractions import Fraction as Q
 
 import pytest
 
 from lattice_oracles import so_even_datum_by_inverse
+from rootdata_oracles import enumerated_datum, levi_datum_by_span
 from tropgroups import intlinalg as la
 from tropgroups import rootdata as rd
 from tropgroups.errors import InvariantError
@@ -167,8 +169,67 @@ def test_so_even_coordinates_match_the_rational_inverse(n):
     assert rd.build_root_datum("SO_even", n) == so_even_datum_by_inverse(n)
 
 
-def test_so_even_rejects_an_odd_character(monkeypatch):
-    # (1, 1, 1) has an odd coordinate sum, so it is not in the character lattice
-    monkeypatch.setattr(rd, "_pm_pairs", lambda n: [((1, 1, 1), (1, 1, 1))])
-    with pytest.raises(InvariantError, match="not in the character lattice"):
-        rd.build_root_datum("SO_even", 3)
+ORACLE_BUILDS = (
+    [("GL", n) for n in range(1, 9)]
+    + [("SL", n) for n in range(2, 9)]
+    + [("PGL", n) for n in range(2, 9)]
+    + [("Sp", n) for n in range(1, 7)]
+    + [("SO_odd", n) for n in range(1, 7)]
+    + [("SO_even", n) for n in range(2, 8)]
+    + [("G2", 0)]
+)
+
+
+@pytest.mark.parametrize("family,n", ORACLE_BUILDS)
+def test_closure_matches_the_enumerated_roots(family, n):
+    built, listed = rd.build_root_datum(family, n), enumerated_datum(family, n)
+    assert built == listed  # lattices, pairing, roots, coroots and simple indices
+    assert built.family == listed.family == (family, n)
+
+
+# every parabolic of these groups (439 in all); the span filter takes one
+# rational solve per root, so the largest groups of ORACLE_BUILDS are left out
+LEVI_GROUPS = (
+    [("GL", n) for n in range(1, 8)]
+    + [("SL", n) for n in range(2, 7)]
+    + [("PGL", n) for n in range(2, 7)]
+    + [("Sp", n) for n in range(1, 6)]
+    + [("SO_odd", n) for n in range(1, 6)]
+    + [("SO_even", n) for n in range(2, 6)]
+    + [("G2", 0)]
+)
+
+
+@pytest.mark.parametrize("family,n", LEVI_GROUPS)
+def test_levi_closure_matches_the_span_filter(family, n):
+    datum = rd.build_root_datum(family, n)
+    for size in range(len(datum.simple) + 1):
+        for positions in itertools.combinations(range(len(datum.simple)), size):
+            assert rd.levi_datum(datum, positions) == levi_datum_by_span(datum, positions), positions
+
+
+def test_closure_rejects_an_inconsistent_coroot():
+    # SO₇ with the coroot of the short simple root e₂ moved from 2e₂ to e₁ + e₂:
+    # ⟨e₂, e₁ + e₂⟩ = 1, so s_{e₂} is no reflection, and the closure reaches e₀
+    # along two paths with different coroots
+    datum = rd.build_root_datum("SO_odd", 3)
+    pairs = [(datum.roots[i], datum.coroots[i]) for i in datum.simple]
+    pairs[2] = ((0, 0, 1), (0, 1, 1))
+    with pytest.raises(InvariantError, match=r"\(1, 0, 0\) has coroots \(1, 1, 0\) and \(1, 0, 1\)"):
+        rd._datum(pairs, datum.pairing, datum.char_lattice, datum.cochar_lattice, None)
+
+
+def scaled_simple_coroot(datum: rd.RootDatum) -> rd.RootDatum:
+    """datum with the coroot of its first simple root doubled."""
+    first = datum.simple[0]
+    coroots = tuple(la.vec_scale(2, c) if i == first else c for i, c in enumerate(datum.coroots))
+    return rd.RootDatum(datum.char_lattice, datum.cochar_lattice, datum.pairing, datum.roots, coroots, datum.simple)
+
+
+def test_levi_closure_stays_within_the_parent():
+    # ⟨α₂, 2α̌₁⟩ = −2 sends α₂ to α₂ + 2α₁ = (2, −1, −1), which is no root of
+    # GL₃; left unchecked the closure returns 8 roots, the span filter 6
+    bad = scaled_simple_coroot(rd.build_root_datum("GL", 3))
+    assert len(levi_datum_by_span(bad, (0, 1)).roots) == 6
+    with pytest.raises(InvariantError, match="not a root of the parent datum"):
+        rd.levi_datum(bad, (0, 1))
