@@ -32,7 +32,6 @@ from .errors import InvariantError
 from .groups import ParentMismatchError, TropGroupHom, TropicalGroup
 from .intlinalg import Vec
 from .permutations import cycles_of, sign_involution
-from .weyl import WeylElement
 
 
 @dataclass(frozen=True)
@@ -63,17 +62,13 @@ def integer_vector(field: str, xs: Sequence) -> tuple[int, ...]:
 def cocycle(group: TropicalGroup, m: Sequence, alpha: Sequence, w, j) -> CircleCocycle:
     """The cocycle with every field checked: integral m and rational α of the
     group's rank, w an element index (or WeylElement), and a positive j."""
-    w_idx = group.weyl.idx(w) if isinstance(w, WeylElement) else semiring.checked_integer("w", w)
-    if not 0 <= w_idx < len(group.weyl):
-        raise ValueError(f"cocycle field 'w': {w!r} is not an index below |W| = {len(group.weyl)}")
-    for field, xs in (("m", m), ("alpha", alpha)):
-        if not isinstance(xs, (list, tuple)) or len(xs) != group.rank:
-            raise ValueError(f"cocycle field {field!r} must be a list of {group.rank} entries")
+    w_idx = group.weyl.check_idx("w", w)
+    m = semiring.checked_vector("m", m, group.rank, semiring.checked_integer)
+    alpha = semiring.checked_vector("alpha", alpha, group.rank, semiring.checked_rational)
     jq = semiring.checked_rational("j", j)
     if jq <= 0:
         raise ValueError("circle length must be positive")
-    m = tuple([semiring.checked_integer("m", x) for x in m])
-    return CircleCocycle(group, m, tuple([semiring.checked_rational("alpha", x) for x in alpha]), w_idx, jq)
+    return CircleCocycle(group, m, alpha, w_idx, jq)
 
 
 def cocycle_from_json(group: TropicalGroup, data) -> CircleCocycle:
@@ -108,18 +103,21 @@ def compose_gauges(c: CircleCocycle, second: GaugeTriple, first: GaugeTriple) ->
     (M̌ × M̌⊗ℚ) ⋊ W; the j-twist enters only when a gauge acts on a cocycle.
     """
     w = c.group.weyl
-    vmat = w.element(second.v_idx).matrix
+    v2, v1 = w.check_idx("v", second.v_idx), w.check_idx("v", first.v_idx)
+    vmat = w.element(v2).matrix
     k = la.vec_add(second.k, la.mat_vec(vmat, first.k))
     beta = la.vec_add(second.beta, la.mat_vec(vmat, first.beta))
-    return GaugeTriple(tuple(k), tuple(beta), w.mul(second.v_idx, first.v_idx))
+    return GaugeTriple(tuple(k), tuple(beta), w.mul(v2, v1))
 
 
 def gauge_transform(c: CircleCocycle, k: Sequence[int], beta: Sequence, v) -> CircleCocycle:
-    """Apply the gauge (k, β, v) to the cocycle."""
+    """Apply the gauge (k, β, v) to the cocycle, with every field checked as
+    cocycle checks m, α and w: integral k and rational β of the group's rank,
+    and v an element index (or WeylElement)."""
     w = c.group.weyl
-    v_idx = w.check_idx(v) if isinstance(v, int) else w.idx(v)
-    k = integer_vector("k", k)
-    beta = tuple([Q(x) for x in beta])
+    v_idx = w.check_idx("v", v)
+    k = semiring.checked_vector("k", k, c.group.rank, semiring.checked_integer)
+    beta = semiring.checked_vector("beta", beta, c.group.rank, semiring.checked_rational)
     w2_idx = w.conj(v_idx, c.mono_idx)
     vmat = w.element(v_idx).matrix
     w2mat = w.element(w2_idx).matrix

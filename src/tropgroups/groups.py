@@ -26,7 +26,7 @@ from . import rootdata, semiring, weyl
 from .errors import InvariantError
 from .intlinalg import Mat, Vec
 from .rootdata import RootDatum
-from .semiring import TropMatrix, checked_integer, checked_rational, invert_or_decompose
+from .semiring import TropMatrix, checked_rational, checked_vector, invert_or_decompose
 from .weyl import WeylElement, WeylGroup
 
 
@@ -73,10 +73,8 @@ class TropicalGroup:
     def element(self, m: Sequence, w) -> "TropGroupElement":
         """(m, w) with both fields checked: m a list of rank rationals, w an
         element index or a WeylElement; a ValueError names a bad field."""
-        widx = self.weyl.idx(w) if isinstance(w, WeylElement) else self.weyl.check_idx(checked_integer("w", w))
-        if not isinstance(m, (list, tuple)) or len(m) != self.rank:
-            raise ValueError(f"field 'm' must be a list of {self.rank} entries")
-        return TropGroupElement(self, tuple([checked_rational("m", x) for x in m]), widx)
+        widx = self.weyl.check_idx("w", w)
+        return TropGroupElement(self, checked_vector("m", m, self.rank, checked_rational), widx)
 
 
 class TropGroupElement:
@@ -270,19 +268,6 @@ def build_group(family: str, n: int = 0, guard: int = weyl.DEFAULT_GUARD) -> Tro
     g.model = (num, d)
     _GROUP_CACHE[key] = g
     return g
-
-
-def levi_group(g: TropicalGroup, positions) -> tuple[TropicalGroup, TropGroupHom]:
-    """A standard parabolic as a standalone reductive group on the same
-    lattice, together with its inclusion homomorphism into g."""
-    datum = rootdata.levi_datum(g.datum, positions)
-    # levi_datum lists the chosen simple roots in sorted position order
-    gens = [g.weyl.simple_gens[p] for p in sorted(set(positions))]
-    mats, perms = [g.weyl.element(i).matrix for i in gens], [g.weyl.perm(i) for i in gens]
-    # a subgroup of g.weyl, so the order of g.weyl is the guard
-    sub = TropicalGroup(g.rank, weyl.generate(datum, mats, perms, len(g.weyl.perms[0]), len(g.weyl)), datum, None)
-    inclusion = make_hom(sub, g, la.identity_matrix(g.rank), lambda i: g.weyl.perm_idx(sub.weyl.perm(i)))
-    return sub, inclusion
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ coordinates, parallel tuples of roots and coroots (the bijection is by
 index), and the indices of a fixed choice of simple roots.  Each builder
 states only the simple (root, coroot) pairs, the pairing and the lattices;
 every other root is W-conjugate to a simple one, and one closure (_datum)
-reaches it, for the families and for the Levi data of their parabolics alike.
+reaches it.  A standard parabolic needs no datum of its own: the stability
+and Weyl modules read it off the simple-root positions.
 
 Coordinate conventions for the builders:
 
@@ -125,16 +126,14 @@ class RootDatum:
         }
 
 
-def _datum(simple_pairs, pairing, char: Lattice, cochar: Lattice, family, parent=None) -> RootDatum:
+def _datum(simple_pairs, pairing, char: Lattice, cochar: Lattice, family) -> RootDatum:
     """Close the simple (root, coroot) pairs to a root datum, roots sorted
     lexicographically.
 
     Every positive root is reached from a simple one by steps β ↦ β + c·α with
     α simple and c = −⟨β, α̌⟩ > 0 (the reflection s_α raising β); the coroot
     steps alike, β̌ ↦ β̌ + e·α̌ with e = −⟨α, β̌⟩.  The negative roots follow.
-    A root reached with two different coroots raises InvariantError, and so,
-    when parent maps the roots of an enclosing datum to their coroots, does a
-    pair that is not one of its pairs: the closure then stops within it.
+    A root reached with two different coroots raises InvariantError.
     """
     pairing = la.matrix(pairing)
     columns = la.transpose(pairing)
@@ -156,8 +155,6 @@ def _datum(simple_pairs, pairing, char: Lattice, cochar: Lattice, family, parent
             new_cov = tuple([b + e * a for b, a in zip(cob, cov)])
             known = coroot.get(new)
             if known is None:
-                if parent is not None and parent.get(new) != new_cov:
-                    raise InvariantError(f"root closure: ({new}, {new_cov}) is not a root of the parent datum")
                 coroot[new] = new_cov
                 positive.append((new, new_cov))
             elif known != new_cov:
@@ -287,16 +284,6 @@ def fundamental_weights(rd: RootDatum) -> tuple[tuple[Q, ...], ...]:
             omega = la.vec_add(omega, la.vec_scale(c, rd.roots[t]))
         out.append(omega)
     return tuple(out)
-
-
-def levi_datum(rd: RootDatum, positions) -> RootDatum:
-    """Root datum of a standard parabolic: same lattices, roots closed from the
-    chosen simple pairs (a parabolic subgroup of a tropical reductive group
-    coincides with its Levi and is again reductive).  Every root it reaches
-    must be a root of rd with the same coroot, or InvariantError is raised."""
-    simple = [(rd.roots[i], rd.coroots[i]) for i in (rd.simple[p] for p in sorted(set(positions)))]
-    parent = dict(zip(rd.roots, rd.coroots))
-    return _datum(simple, rd.pairing, rd.char_lattice, rd.cochar_lattice, None, parent)
 
 
 def dual_datum(rd: RootDatum) -> RootDatum:

@@ -125,6 +125,14 @@ def checked_integer(field: str, x) -> int:
     return int(q)
 
 
+def checked_vector(field: str, xs, n: int, read) -> tuple:
+    """The entries of xs, a list or tuple of n entries, each read by
+    read(field, x); a ValueError naming the field otherwise."""
+    if not isinstance(xs, (list, tuple)) or len(xs) != n:
+        raise ValueError(f"field {field!r} must be a list of {n} entries")
+    return tuple([read(field, x) for x in xs])
+
+
 @dataclass(frozen=True)
 class TropMatrix:
     entries: tuple[tuple[TropValue, ...], ...]

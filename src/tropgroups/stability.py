@@ -13,7 +13,7 @@ denominator, so slopes and dominance coefficients are integer dot products
 followed by one Fraction per entry.  φ_P, [·]_P and the test v·w·v⁻¹ ∈ W_P
 are constant on each left coset W_P·v, so a verdict reads the reductions to P
 from the least index of each coset, kept on the parabolic, not from all of W.
-The cosets are ``WeylGroup.orbits`` under the left tables of P's reflections.
+The cosets are those of ``weyl.parabolic_cosets``.
 Some v·w·v⁻¹ lies in W_P only if W_P meets the conjugacy class of w, so each
 parabolic also keeps the ids of the classes its W_P meets, and a verdict
 skips every parabolic that misses the class of w: no conjugate is formed for
@@ -35,7 +35,7 @@ from .errors import InvariantError
 from .circles import CircleCocycle, integer_vector
 from .groups import TropicalGroup
 from .intlinalg import Mat, QuotientLattice, Vec
-from .weyl import a_type_paths
+from .weyl import a_type_paths, parabolic_cosets
 
 
 @dataclass(frozen=True)
@@ -79,12 +79,9 @@ def parabolic_subgroup(g: TropicalGroup, positions: Sequence[int]) -> ParabolicS
     positions = tuple(sorted(set(positions)))
     p = g.parabolics.get(positions)
     if p is None:
-        if any(t < 0 or t >= len(g.datum.simple) for t in positions):
-            raise ValueError("invalid simple-root position")
-        # the left coset W_P·v of each unseen v in index order; W_P·1 = W_P
         w = g.weyl
-        orbits = w.orbits([w.left[t] for t in positions])
-        members = frozenset(next(o for o in orbits if w.identity_idx in o))
+        _, sub, orbits = parabolic_cosets(w, positions)
+        members = frozenset(sub)
         if any(len(o) != len(members) for o in orbits) or len(orbits) * len(members) != len(w):
             raise InvariantError(
                 f"left cosets of W_P at positions {positions} of {g!r} do not all have {len(members)} elements"

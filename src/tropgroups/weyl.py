@@ -11,11 +11,14 @@ has a lone 1, and shares every computed row as it is made, so equal rows are
 one object.  Its edges x → s·x are kept as the left tables left[t][i] = s_t·i,
 and one routine, ``WeylGroup.orbits``, walks index maps built from them: the
 conjugacy classes (under x ↦ s·x·s⁻¹) and the left cosets of W_P (under
-x ↦ s·x, s in W_P) need no permutation product.  Centralizers, the
-normalizer of W_P (tested on the simple reflections of P alone) and the
-relative-Weyl check for a parabolic W_P of type ∏A (``a_type_paths``) work on
-indices; the indecomposable elements of W_P, a full cycle in every factor
-S_{k+1}, are the W_P-class of the Coxeter element.
+x ↦ s·x, s in W_P) need no permutation product.  ``parabolic_cosets`` is
+the one search for a standard parabolic: W_P and its cosets W_P·v, for the
+stability module and for the functions below.  Centralizers and the
+normalizer of W_P (tested on the simple reflections of P alone) work on
+indices; for a parabolic W_P of type ∏A (``a_type_paths``) the indecomposable
+elements, a full cycle in every factor S_{k+1}, are the W_P-class of the
+Coxeter element, and the relative-Weyl bijection is read off the W_P-cosets
+that the centralizer meets.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from .errors import InvariantError
 from .intlinalg import Mat
 from .permutations import compose_perm, cycles_of, identity_perm, invert_perm, precompose
 from .rootdata import RootDatum
+from .semiring import checked_integer
 
 DEFAULT_GUARD = 10_000
 
@@ -96,10 +100,14 @@ class WeylGroup:
     def element(self, i: int) -> WeylElement:
         return self.elements[i]
 
-    def check_idx(self, i: int) -> int:
-        """i, if it is an element index; ValueError otherwise."""
+    def check_idx(self, field: str, w) -> int:
+        """The index of w, a WeylElement of the group or an element index read
+        by checked_integer; a ValueError naming the field otherwise."""
+        if isinstance(w, WeylElement):
+            return self.idx(w)
+        i = checked_integer(field, w)
         if not 0 <= i < len(self.elements):
-            raise ValueError(f"Weyl element index {i!r} is out of range for |W| = {len(self.elements)}")
+            raise ValueError(f"field {field!r}: Weyl element index {i!r} is out of range for |W| = {len(self.elements)}")
         return i
 
     def mul(self, i: int, j: int) -> int:
@@ -154,7 +162,7 @@ class WeylGroup:
         return tuple([ids[x] for x in range(len(ids))])
 
     def class_of(self, i: int) -> tuple[int, ...]:
-        return self.conjugacy_classes()[self.class_id[self.check_idx(i)]]
+        return self.conjugacy_classes()[self.class_id[self.check_idx("w", i)]]
 
     def centralizer(self, i: int) -> tuple[int, ...]:
         return tuple(g for g in range(len(self.elements)) if self.conj(g, i) == i)
@@ -246,7 +254,8 @@ def generate(datum: RootDatum, gen_mats, gen_perms, degree: int, guard: int = DE
 
 
 # ---------------------------------------------------------------------------
-# parabolic subgroups of type ∏A and their indecomposable elements
+# standard parabolic subgroups, those of type ∏A and their indecomposable
+# elements
 # ---------------------------------------------------------------------------
 
 
@@ -256,6 +265,16 @@ def _positions(w: WeylGroup, positions: Sequence[int]) -> tuple[int, ...]:
     if any(not 0 <= p < len(w.simple_gens) for p in positions):
         raise ValueError("invalid simple-root position")
     return positions
+
+
+def parabolic_cosets(w: WeylGroup, positions: Sequence[int]) -> tuple[tuple[int, ...], list[int], list[list[int]]]:
+    """(positions, W_P, cosets) for the standard parabolic at the positions:
+    the positions sorted, W_P as element indices, and the left cosets W_P·v,
+    each the orbit of its least index v under the left tables of P's simple
+    reflections, in the order of v.  W_P is the coset of the identity."""
+    positions = _positions(w, positions)
+    cosets = w.orbits([w.left[p] for p in positions])
+    return positions, next(c for c in cosets if w.identity_idx in c), cosets
 
 
 def a_type_paths(w: WeylGroup, positions: Sequence[int]) -> Optional[tuple[tuple[int, ...], ...]]:
@@ -281,11 +300,6 @@ def a_type_paths(w: WeylGroup, positions: Sequence[int]) -> Optional[tuple[tuple
                 path.append(nxt[0])
             paths.append(tuple(path))
     return tuple(paths) if sum(map(len, paths)) == len(positions) else None  # a cycle has no end
-
-
-def _parabolic(w: WeylGroup, positions: tuple[int, ...]) -> list[int]:
-    """W_P: the orbit of the identity under the left tables of P."""
-    return next(o for o in w.orbits([w.left[p] for p in positions]) if w.identity_idx in o)
 
 
 def indecomposable_elements(w: WeylGroup, positions: Sequence[int]) -> tuple[int, ...]:
@@ -314,10 +328,9 @@ def is_indecomposable(w: WeylGroup, elt_idx: int, positions: Optional[Sequence[i
         if w.datum is None:
             raise ValueError("group carries no root datum")
         positions = range(len(w.datum.simple))
-    positions = _positions(w, positions)
     if a_type_paths(w, positions) is None:
         raise ValueError("group is not of product-A type")
-    if elt_idx not in _parabolic(w, positions):
+    if elt_idx not in parabolic_cosets(w, positions)[1]:
         raise ValueError("element not in the parabolic subgroup")
     return elt_idx in indecomposable_elements(w, positions)
 
@@ -326,8 +339,8 @@ def parabolic_normalizer(w: WeylGroup, positions: Sequence[int]) -> tuple[int, .
     """N_W(W_P): the g with g·s·g⁻¹ in W_P for each simple reflection s of P.
     That suffices: conjugation by g is a homomorphism, so it then maps W_P,
     which those s generate, into W_P, and onto it, as W_P is finite."""
-    positions = _positions(w, positions)
-    sub = frozenset(_parabolic(w, positions))
+    positions, sub, _ = parabolic_cosets(w, positions)
+    sub = frozenset(sub)
     gens = [w.simple_gens[p] for p in positions]
     return tuple(g for g in range(len(w.elements)) if all(w.conj(g, s) in sub for s in gens))
 
@@ -341,16 +354,15 @@ class RelativeWeylResult:
 
 
 def relative_weyl_check(w: WeylGroup, positions: Sequence[int], elt_idx: int) -> RelativeWeylResult:
-    """Verify C_{W'}(w)/C_W(w) ≅ N_{W'}(W)/W by explicit coset comparison.
+    """Verify C_{W'}(w)/C_W(w) ≅ N_{W'}(W)/W on the cosets of W.
 
     W' is the ambient group, W the type-∏A parabolic at the given positions,
     and the element must be indecomposable in W.  Raises if a hypothesis or
     the bijectivity fails.
     """
-    positions = _positions(w, positions)
     if a_type_paths(w, positions) is None:
         raise ValueError("parabolic subgroup is not of product-A type")
-    sub = _parabolic(w, positions)
+    positions, sub, cosets = parabolic_cosets(w, positions)
     if elt_idx not in sub:
         raise ValueError("element does not lie in the parabolic subgroup")
     if elt_idx not in indecomposable_elements(w, positions):
@@ -359,29 +371,21 @@ def relative_weyl_check(w: WeylGroup, positions: Sequence[int], elt_idx: int) ->
     c_big = w.centralizer(elt_idx)
     c_small = tuple(g for g in c_big if g in sub_set)
     normal = parabolic_normalizer(w, positions)
-    norm_set = frozenset(normal)
-    if any(g not in norm_set for g in c_big):
+    # N(W_P) is a union of W_P-cosets, so g lies in it iff its coset does.
+    # For g, g′ in C = C_{W'}(w) ⊆ N(W_P), with C_W(w) = C ∩ W_P and g·W_P = W_P·g:
+    #   g·C_W(w) = g′·C_W(w) ⇔ g⁻¹g′ ∈ W_P ⇔ W_P·g = W_P·g′.
+    # So g·C_W(w) ↦ W_P·g is injective by construction, and a bijection onto
+    # N(W_P)/W_P iff C meets every W_P-coset inside N(W_P).  g·C_W(w) is
+    # C ∩ W_P·g, so its least element is the least g of C in that W_P-coset,
+    # met first in index order; the witness pairs it with the least element
+    # of the W_P-coset.
+    coset_of = {x: c for c, coset in enumerate(cosets) for x in coset}
+    in_normalizer = {coset_of[g] for g in normal}
+    witness: dict = {}
+    for g in c_big:
+        witness.setdefault(coset_of[g], (g, cosets[coset_of[g]][0]))
+    if not witness.keys() <= in_normalizer:
         raise InvariantError(f"centralizer of {elt_idx} leaves the normalizer of parabolic {positions}")
-
-    def cosets(groupies, modulus):
-        out = []
-        seen = set()
-        for g in groupies:
-            if g in seen:
-                continue
-            coset = frozenset(w.mul(g, h) for h in modulus)
-            seen |= coset
-            out.append((min(coset), coset))
-        return out
-
-    big_cosets = cosets(c_big, c_small)
-    n_cosets = cosets(normal, sub)
-    witness = []
-    images = set()
-    for rep, _ in big_cosets:
-        image_rep = next(r for r, coset in n_cosets if rep in coset)
-        witness.append((rep, image_rep))
-        images.add(image_rep)
-    if len(images) != len(big_cosets) or len(big_cosets) != len(n_cosets):
+    if len(witness) != len(in_normalizer):
         raise InvariantError(f"coset map is not a bijection for {elt_idx} and parabolic {positions}")
-    return RelativeWeylResult(c_big, c_small, normal, tuple(witness))
+    return RelativeWeylResult(c_big, c_small, normal, tuple(witness.values()))

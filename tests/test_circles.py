@@ -51,6 +51,75 @@ def test_gauge_transform_rejects_a_non_integral_k(k):
         ci.gauge_transform(c, k, (0,), 0)
 
 
+def gl2_swapped():
+    """GL₂, the index of its transposition and a cocycle with that monodromy."""
+    g = build_group("GL", 2)
+    swap = 1 - g.weyl.identity_idx
+    return g, swap, ci.cocycle(g, (1, 0), (0, 0), swap, 1)
+
+
+@pytest.mark.parametrize(
+    "beta,v,field",
+    [
+        ((True, 0), 0, "'beta'"),  # was counted as 1
+        ((0,), 0, "'beta'"),  # was a zip() length error
+        ((0, 0, 0), 0, "'beta'"),
+        ((0, 0), True, "'v'"),  # was taken as index 1
+        ((0, 0), 1.5, "'v'"),
+    ],
+)
+def test_gauge_transform_checks_beta_and_v(beta, v, field):
+    _, _, c = gl2_swapped()
+    with pytest.raises(ValueError, match=field):
+        ci.gauge_transform(c, (0, 0), beta, v)
+
+
+def test_gauge_transform_checks_the_length_of_k():
+    _, _, c = gl2_swapped()
+    for k in ((1,), (1, 0, 0), 5):
+        with pytest.raises(ValueError, match="'k' must be a list of 2 entries"):
+            ci.gauge_transform(c, k, (0, 0), 0)
+
+
+def test_gauge_fields_are_read_as_cocycle_fields():
+    # β = (0.1, 0) is read as cocycle reads α = 0.1, the float's exact value
+    # (the command line reads JSON decimals as Fractions before either check);
+    # v = 1.0, a TypeError before, is index 1 as w = 1.0 is
+    g, swap, c = gl2_swapped()
+    identity = g.weyl.identity_idx
+    assert ci.gauge_transform(c, (0, 0), (0.1, 0), identity) == ci.cocycle(g, (1, 0), (0.1, -0.1), swap, 1)
+    assert ci.gauge_transform(c, (0, 0), (0, 0), 1.0) == ci.gauge_transform(c, (0, 0), (0, 0), 1)
+    assert ci.cocycle(g, (1, 0), (0, 0), 1.0, 1) == ci.cocycle(g, (1, 0), (0, 0), 1, 1)
+
+
+@pytest.mark.parametrize("bad", [-1, 2, True, 1.5, "1/2", None])
+def test_every_weyl_index_field_is_checked_alike(bad):
+    g, swap, c = gl2_swapped()
+    fine = ci.GaugeTriple((0, 0), (Q(0), Q(0)), swap)
+    calls = [
+        ("w", lambda: ci.cocycle(g, (1, 0), (0, 0), bad, 1)),
+        ("w", lambda: g.element((0, 0), bad)),
+        ("v", lambda: ci.gauge_transform(c, (0, 0), (0, 0), bad)),
+        ("v", lambda: ci.compose_gauges(c, ci.GaugeTriple((0, 0), (Q(0), Q(0)), bad), fine)),
+        ("v", lambda: ci.compose_gauges(c, fine, ci.GaugeTriple((0, 0), (Q(0), Q(0)), bad))),
+    ]
+    for field, call in calls:
+        with pytest.raises(ValueError, match=f"field '{field}'"):
+            call()
+
+
+def test_every_weyl_index_field_takes_a_weyl_element():
+    g, swap, c = gl2_swapped()
+    elt = g.weyl.element(swap)
+    assert ci.cocycle(g, (1, 0), (0, 0), elt, 1) == c
+    assert g.element((0, 0), elt) == g.element((0, 0), swap)
+    assert ci.gauge_transform(c, (0, 0), (0, 0), elt) == ci.gauge_transform(c, (0, 0), (0, 0), swap)
+    first = ci.GaugeTriple((1, 0), (Q(1, 2), Q(0)), elt)
+    composed = ci.compose_gauges(c, first, first)
+    assert composed == ci.compose_gauges(c, first, ci.GaugeTriple((1, 0), (Q(1, 2), Q(0)), swap))
+    assert composed.v_idx == g.weyl.identity_idx
+
+
 @pytest.mark.parametrize("check", [ci.multiline_of, check_sp_trivialization])
 def test_multiline_checks_reject_a_non_integral_slope(check):
     # m = (1/2, 0) was truncated to degree 0

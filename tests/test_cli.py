@@ -389,8 +389,8 @@ def test_scripts_run():
     scripts = src.parent / "scripts"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
     for script, args in (
-        ("classify_circle_moduli.py", ["--max-n", "2"]),
-        ("stability_census.py", ["--max-n", "2", "--samples", "20"]),
+        ("classify_circle_moduli.py", ["--max-n", "3"]),
+        ("stability_census.py", ["--samples", "20", "--max-n", "3"]),
     ):
         done = subprocess.run([sys.executable, str(scripts / script), *args], env=env, capture_output=True, text=True)
         assert done.returncode == 0, (script, done.stderr)

@@ -6,7 +6,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from weyl_oracles import normalizer, parabolic_closure
+from weyl_oracles import levi_group, normalizer, parabolic_closure
 from tropgroups import circles as ci
 from tropgroups import groups as gr
 from tropgroups import intlinalg as la
@@ -209,7 +209,7 @@ def test_semistable_quotient_theorem_gl4():
     rng = random.Random(6)
     big = build_group("GL", 4)
     positions = (0, 2)
-    levi, inclusion = gr.levi_group(big, positions)
+    levi, inclusion = levi_group(big, positions)
     structure_w = verify.indecomposable_class_rep(levi)
     sub_indices = parabolic_closure(big.weyl, positions)
     normal = normalizer(big.weyl, sub_indices)

@@ -7,13 +7,20 @@ import pytest
 
 from lattice_oracles import int_det, matrix_order, representatives_by_inverse
 from semiring_oracles import perm_sign, transposition
-from weyl_oracles import factor_model, full_cycle_products, normalizer, parabolic_closure
+from weyl_oracles import (
+    factor_model,
+    full_cycle_products,
+    levi_group,
+    normalizer,
+    parabolic_closure,
+    relative_weyl_by_products,
+)
 from tropgroups import circles
 from tropgroups import intlinalg as la
 from tropgroups import rootdata as rd
 from tropgroups import verify, weyl
 from tropgroups.errors import InvariantError
-from tropgroups.groups import build_group, levi_group
+from tropgroups.groups import build_group
 from tropgroups.permutations import compose_perm, identity_perm
 from tropgroups.stability import parabolic_subgroup
 
@@ -216,6 +223,61 @@ def test_relative_weyl_rejects_bad_hypotheses():
     sp = group("Sp", 2)
     with pytest.raises(ValueError):
         weyl.relative_weyl_check(sp, (0, 1), sp.simple_gens[0])
+
+
+# every type-∏A parabolic of these groups with each of its indecomposable
+# elements: 196 cases in all
+RELATIVE_WEYL_ORACLE_CASES = {
+    ("GL", 4): 15, ("GL", 5): 54, ("Sp", 2): 3, ("Sp", 3): 7, ("Sp", 4): 20,
+    ("SO_odd", 3): 7, ("SO_even", 4): 33, ("PGL", 5): 54, ("G2", 0): 3,
+}
+
+
+@pytest.mark.parametrize("family,n", list(RELATIVE_WEYL_ORACLE_CASES))
+def test_relative_weyl_check_matches_the_product_oracle(family, n):
+    w = group(family, n)
+    cases = 0
+    for k in range(len(w.simple_gens) + 1):
+        for positions in itertools.combinations(range(len(w.simple_gens)), k):
+            if weyl.a_type_paths(w, positions) is None:
+                continue
+            for x in weyl.indecomposable_elements(w, positions):
+                expected = relative_weyl_by_products(w, positions, x)
+                assert weyl.relative_weyl_check(w, positions, x) == expected, (positions, x)
+                cases += 1
+    assert cases == RELATIVE_WEYL_ORACLE_CASES[(family, n)]
+
+
+def test_relative_weyl_suite_makes_no_permutation_product(monkeypatch):
+    def refuse(self, i, j):
+        raise AssertionError(f"WeylGroup.mul({i}, {j}) called")
+
+    monkeypatch.setattr(weyl.WeylGroup, "mul", refuse)
+    assert verify.relative_weyl()["pass"]
+
+
+def gl4_s2_s2():
+    """GL₄'s Weyl group, the positions of its parabolic S₂×S₂, whose
+    normalizer holds it with index 2, and its one indecomposable element."""
+    w = group("GL", 4)
+    (x,) = weyl.indecomposable_elements(w, (0, 2))
+    return w, (0, 2), x
+
+
+def test_relative_weyl_check_raises_when_the_centralizer_misses_a_coset(monkeypatch):
+    # C_W(w) alone meets one of the two W_P-cosets of N(W_P)
+    w, positions, x = gl4_s2_s2()
+    small = weyl.relative_weyl_check(w, positions, x).centralizer_small
+    monkeypatch.setattr(weyl.WeylGroup, "centralizer", lambda self, i: small)
+    with pytest.raises(InvariantError, match="not a bijection"):
+        weyl.relative_weyl_check(w, positions, x)
+
+
+def test_relative_weyl_check_raises_when_the_centralizer_leaves_the_normalizer(monkeypatch):
+    w, positions, x = gl4_s2_s2()
+    monkeypatch.setattr(weyl.WeylGroup, "centralizer", lambda self, i: tuple(range(len(w))))
+    with pytest.raises(InvariantError, match="leaves the normalizer"):
+        weyl.relative_weyl_check(w, positions, x)
 
 
 def test_subgroup_serialization_is_indices():

@@ -1,20 +1,26 @@
 """Subgroup closures of a Weyl group that only the tests use: the subgroup
 generated by given elements, the standard parabolic W_P as the closure of
 its simple reflections, the oracle for the coset search of
-``stability.parabolic_subgroup``, the normalizer of a subgroup by
-conjugating all of its elements, the oracle for
-``weyl.parabolic_normalizer``, and the factor-permutation model of a
+``weyl.parabolic_cosets``, the normalizer of a subgroup by conjugating all
+of its elements, the oracle for ``weyl.parabolic_normalizer``, the
+relative-Weyl coset comparison built from permutation products, the oracle
+for ``weyl.relative_weyl_check``, the factor-permutation model of a
 type-∏A parabolic, the oracle for ``weyl.a_type_paths`` and
-``weyl.indecomposable_elements``."""
+``weyl.indecomposable_elements``, and a standard parabolic as a standalone
+group with its inclusion homomorphism."""
 
 from __future__ import annotations
 
 from typing import Optional, Sequence
 
+from rootdata_oracles import levi_datum_by_span
 from semiring_oracles import transposition
+from tropgroups import intlinalg as la
+from tropgroups import weyl
 from tropgroups.errors import InvariantError
+from tropgroups.groups import TropGroupHom, TropicalGroup, make_hom
 from tropgroups.permutations import compose_perm, cycles_of, identity_perm
-from tropgroups.weyl import WeylGroup
+from tropgroups.weyl import RelativeWeylResult, WeylGroup
 
 
 def subgroup_closure(w: WeylGroup, gen_indices: Sequence[int]) -> tuple[int, ...]:
@@ -43,6 +49,50 @@ def normalizer(w: WeylGroup, subgroup: Sequence[int]) -> tuple[int, ...]:
     return tuple(
         g for g in range(len(w.elements)) if all(w.conj(g, s) in sub for s in sub)
     )
+
+
+def relative_weyl_by_products(w: WeylGroup, positions: Sequence[int], elt_idx: int) -> RelativeWeylResult:
+    """C_{W'}(w)/C_W(w) → N_{W'}(W_P)/W_P for an indecomposable element of the
+    type-∏A parabolic at the positions, with both coset spaces built from
+    permutation products: each coset g·C_W(w), taken in the order of its least
+    element, is matched with the coset g'·W_P that holds that element."""
+    positions = tuple(sorted(set(positions)))
+    sub = parabolic_closure(w, positions)
+    sub_set = frozenset(sub)
+    c_big = tuple(g for g in range(len(w)) if w.mul(g, elt_idx) == w.mul(elt_idx, g))
+    c_small = tuple(g for g in c_big if g in sub_set)
+    normal = normalizer(w, sub)
+    if not set(c_big) <= set(normal):
+        raise InvariantError(f"centralizer of {elt_idx} leaves the normalizer of parabolic {positions}")
+
+    def cosets(members, modulus):
+        out, seen = [], set()
+        for g in members:
+            if g not in seen:
+                coset = frozenset(w.mul(g, h) for h in modulus)
+                seen |= coset
+                out.append((min(coset), coset))
+        return out
+
+    big_cosets, n_cosets = cosets(c_big, c_small), cosets(normal, sub)
+    witness = tuple((rep, next(r for r, coset in n_cosets if rep in coset)) for rep, _ in big_cosets)
+    if len({r for _, r in witness}) != len(big_cosets) or len(big_cosets) != len(n_cosets):
+        raise InvariantError(f"coset map is not a bijection for {elt_idx} and parabolic {positions}")
+    return RelativeWeylResult(c_big, c_small, normal, witness)
+
+
+def levi_group(g: TropicalGroup, positions) -> tuple[TropicalGroup, TropGroupHom]:
+    """The standard parabolic of g at the positions as a standalone reductive
+    group on the same lattice, its root datum from the span filter, together
+    with its inclusion homomorphism into g."""
+    datum = levi_datum_by_span(g.datum, positions)
+    # the span filter lists the chosen simple roots in sorted position order
+    gens = [g.weyl.simple_gens[p] for p in sorted(set(positions))]
+    mats, perms = [g.weyl.element(i).matrix for i in gens], [g.weyl.perm(i) for i in gens]
+    # a subgroup of g.weyl, so the order of g.weyl is the guard
+    sub = TropicalGroup(g.rank, weyl.generate(datum, mats, perms, len(g.weyl.perms[0]), len(g.weyl)), datum, None)
+    inclusion = make_hom(sub, g, la.identity_matrix(g.rank), lambda i: g.weyl.perm_idx(sub.weyl.perm(i)))
+    return sub, inclusion
 
 
 def factor_model(w: WeylGroup, positions: Sequence[int]) -> Optional[tuple[tuple, dict]]:
