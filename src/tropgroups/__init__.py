@@ -39,7 +39,6 @@ from .groups import (
     to_matrix,
 )
 from .rootdata import (
-    Lattice,
     RootDatum,
     build_root_datum,
     fundamental_group,

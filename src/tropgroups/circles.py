@@ -53,12 +53,6 @@ class CircleCocycle:
         }
 
 
-def integer_vector(field: str, xs: Sequence) -> tuple[int, ...]:
-    """The entries of xs as ints; a ValueError naming the field if one of them
-    is not an integer."""
-    return tuple([semiring.checked_integer(field, x) for x in xs])
-
-
 def cocycle(group: TropicalGroup, m: Sequence, alpha: Sequence, w, j) -> CircleCocycle:
     """The cocycle with every field checked: integral m and rational α of the
     group's rank, w an element index (or WeylElement), and a positive j."""
@@ -342,13 +336,15 @@ def multiline_of(m: Sequence, alpha: Sequence, perm: Sequence[int], j: Q) -> tup
     """Cover components from the cycles of the permutation: each cycle of
     length ℓ is a circle of length ℓ·j carrying the line bundle with degree
     the cycle sum of m and Jacobian coordinate Σα from the cycle's least
-    sheet mod ℓ·j, which is not an isomorphism invariant (CoverComponent)."""
-    m = integer_vector("m", m)
+    sheet mod ℓ·j, which is not an isomorphism invariant (CoverComponent).
+    m and α are read as cocycle reads them, one entry per sheet."""
+    m = semiring.checked_vector("m", m, len(perm), semiring.checked_integer)
+    alpha = semiring.checked_vector("alpha", alpha, len(perm), semiring.checked_rational)
     comps = []
     for cyc in cycles_of(tuple(perm)):
         length = j * len(cyc)
         deg = sum(m[i] for i in cyc)
-        jac = _reduce_mod(sum((Q(alpha[i]) for i in cyc), Q(0)), length)
+        jac = _reduce_mod(sum((alpha[i] for i in cyc), Q(0)), length)
         comps.append(CoverComponent(cyc, length, deg, jac))
     return tuple(comps)
 

@@ -2,9 +2,10 @@
 semidirect-product law, homomorphisms, centers, determinant maps, and the
 faithful matrix models of the classical families and G₂.
 
-A group element is a translation m in cocharacter coordinates (exact
-rationals) together with a Weyl element w; the law is
-(m₁, w₁)·(m₂, w₂) = (m₁ + w₁·m₂, w₁w₂).
+A group is its root datum, its Weyl group and its model map; the rank and
+the family are the datum's.  A group element is a translation m in
+cocharacter coordinates (exact rationals) together with a Weyl element w;
+the law is (m₁, w₁)·(m₂, w₂) = (m₁ + w₁·m₂, w₁w₂).
 
 Each family has one model map Y, an integer matrix N over one denominator d
 (d = 2 only for SO_even).  The matrix model of (m, w) is D(y)⊙P_σ with
@@ -39,23 +40,23 @@ class NotInGroupError(ValueError):
 
 
 class TropicalGroup:
-    """A tropical reductive group: a lattice with the Weyl group of a root
-    datum acting on it."""
+    """A tropical reductive group: the cocharacter lattice of a root datum
+    with its Weyl group acting on it.  The rank and the family are the
+    datum's; model is the matrix model map Y = N/d as (N, d), or None."""
 
-    def __init__(self, rank: int, w: WeylGroup, datum: RootDatum, family=None):
-        self.rank = rank
+    def __init__(self, w: WeylGroup, datum: RootDatum, model: Optional[tuple[Mat, int]] = None):
         self.weyl = w
         self.datum = datum
-        self.family = family
+        self.rank = datum.rank_cochar
+        self.family = datum.family
+        self.model = model
         self._pi1 = None
         # per-group data of the stability module, built on first use: the
         # standard parabolics by sorted positions, and the simple-coroot
         # basis with a left inverse
         self.parabolics: dict = {}
         self.coroot_basis = None
-        # the matrix model map Y = N/d as (N, d), set by build_group, and a
-        # left inverse of Y, built on the first from_matrix call
-        self.model = None
+        # a left inverse of the model map, built on the first from_matrix call
         self.model_inverse = None
 
     def __repr__(self):
@@ -241,7 +242,7 @@ def build_group(family: str, n: int = 0, guard: int = weyl.DEFAULT_GUARD) -> Tro
     if key in _GROUP_CACHE:
         return _GROUP_CACHE[key]
     if family not in rootdata.FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
+        raise ValueError(f"unknown family {family!r}; the families are {', '.join(rootdata.FAMILIES)}")
     # the guard holds before anything is built: |W| = n! for type A, ∏ 2t = 2ⁿ·n! for B, C,
     # ∏_{t≥2} 2t for D, 12 for G₂, stopped past the guard; an invalid n has no factors
     if family == "G2":
@@ -263,10 +264,8 @@ def build_group(family: str, n: int = 0, guard: int = weyl.DEFAULT_GUARD) -> Tro
         if sigma is None:
             raise InvariantError(f"{family}, n = {n}: the model map is not equivariant for simple reflection {k}")
         perm_gens.append(sigma)
-    w = weyl.generate(datum, gen_mats, perm_gens, len(num), guard)
-    g = TropicalGroup(datum.rank_cochar, w, datum, datum.family)
-    g.model = (num, d)
-    _GROUP_CACHE[key] = g
+    w = weyl.generate(gen_mats, perm_gens, datum.rank_cochar, len(num), guard)
+    g = _GROUP_CACHE[key] = TropicalGroup(w, datum, (num, d))
     return g
 
 

@@ -3,11 +3,13 @@
 A root datum is stored in explicit integer coordinates: a pairing matrix Π
 with ⟨u, v⟩ = uᵀΠv for u in character coordinates and v in cocharacter
 coordinates, parallel tuples of roots and coroots (the bijection is by
-index), and the indices of a fixed choice of simple roots.  Each builder
-states only the simple (root, coroot) pairs, the pairing and the lattices;
-every other root is W-conjugate to a simple one, and one closure (_datum)
-reaches it.  A standard parabolic needs no datum of its own: the stability
-and Weyl modules read it off the simple-root positions.
+index), and the indices of a fixed choice of simple roots.  The two lattices
+are the integer vectors in those coordinates, so their ranks are the shape
+of Π: rows for the characters, columns for the cocharacters.  Each builder
+states only the simple (root, coroot) pairs and the pairing; every other
+root is W-conjugate to a simple one, and one closure (_datum) reaches it.  A
+standard parabolic needs no datum of its own: the stability and Weyl modules
+read it off the simple-root positions.
 
 Coordinate conventions for the builders:
 
@@ -41,23 +43,7 @@ FAMILIES = ("GL", "SL", "PGL", "Sp", "SO_odd", "SO_even", "G2")
 
 
 @dataclass(frozen=True)
-class Lattice:
-    rank: int
-    label: str = ""
-    relations: tuple[Vec, ...] = ()
-
-    def invariant_factors(self) -> tuple[int, ...]:
-        """Invariant factors of the quotient presentation (re-derivable from relations)."""
-        if not self.relations:
-            return ()
-        ambient = len(self.relations[0])
-        return QuotientLattice(ambient, self.relations).invariant_factors
-
-
-@dataclass(frozen=True)
 class RootDatum:
-    char_lattice: Lattice
-    cochar_lattice: Lattice
     pairing: Mat
     roots: tuple[Vec, ...]
     coroots: tuple[Vec, ...]
@@ -66,11 +52,11 @@ class RootDatum:
 
     @property
     def rank_char(self) -> int:
-        return self.char_lattice.rank
+        return len(self.pairing)
 
     @property
     def rank_cochar(self) -> int:
-        return self.cochar_lattice.rank
+        return len(self.pairing[0])
 
     def pair(self, u: Vec, v: Vec):
         """⟨u, v⟩ for u in character and v in cocharacter coordinates."""
@@ -126,7 +112,7 @@ class RootDatum:
         }
 
 
-def _datum(simple_pairs, pairing, char: Lattice, cochar: Lattice, family) -> RootDatum:
+def _datum(simple_pairs, pairing, family) -> RootDatum:
     """Close the simple (root, coroot) pairs to a root datum, roots sorted
     lexicographically.
 
@@ -163,7 +149,7 @@ def _datum(simple_pairs, pairing, char: Lattice, cochar: Lattice, family) -> Roo
     roots = tuple([a for a, _ in pairs])
     coroots = tuple([b for _, b in pairs])
     simple = tuple([roots.index(a) for a, _ in simple_pairs])
-    return RootDatum(char, cochar, pairing, roots, coroots, simple, family)
+    return RootDatum(pairing, roots, coroots, simple, family)
 
 
 def _e(n: int, i: int, c: int = 1) -> Vec:
@@ -182,19 +168,17 @@ def build_root_datum(family: str, n: int = 0) -> RootDatum:
 
     n is the rank parameter: GL/SL/PGL_n act on n letters, Sp is Sp_{2n},
     SO_odd is SO_{2n+1}, SO_even is SO_{2n}; G2 takes no rank parameter, so
-    its n must be 0.  Each family gives its simple (root, coroot) pairs, its
-    pairing and its lattices; the other roots come from the closure.
+    its n must be 0.  Each family gives its simple (root, coroot) pairs and its
+    pairing, in the coordinates of the module docstring; the other roots come
+    from the closure.
     """
     if family == "GL":
         if n < 1:
             raise ValueError("GL requires n >= 1")
-        std = Lattice(n, "Z^n")
-        return _datum(_a_pairs(n), la.identity_matrix(n), std, std, ("GL", n))
+        return _datum(_a_pairs(n), la.identity_matrix(n), ("GL", n))
     if family in ("SL", "PGL"):
         if n < 2:
             raise ValueError(f"{family} requires n >= 2")
-        sum_zero = Lattice(n - 1, "Z^n_0")
-        quotient = Lattice(n - 1, "Z^n/Z(1,...,1)", relations=((1,) * n,))
         pairing = tuple(
             tuple(int(u == v) - int(u == v + 1) for v in range(n - 1)) for u in range(n - 1)
         )
@@ -202,16 +186,15 @@ def build_root_datum(family: str, n: int = 0) -> RootDatum:
         # coordinate 0 in the quotient, f_i in the sum-zero basis
         simple = [(tuple([x - v[-1] for x in v[:-1]]), _e(n - 1, i)) for i, (v, _) in enumerate(_a_pairs(n))]
         if family == "SL":
-            return _datum(simple, pairing, quotient, sum_zero, ("SL", n))
-        return _datum([(f, r) for r, f in simple], la.transpose(pairing), sum_zero, quotient, ("PGL", n))
+            return _datum(simple, pairing, ("SL", n))
+        return _datum([(f, r) for r, f in simple], la.transpose(pairing), ("PGL", n))
     if family in ("Sp", "SO_odd"):
         if n < 1:
             raise ValueError(f"{family} requires n >= 1")
         # Sp: the long root 2e_{n−1} with coroot e_{n−1}; SO_odd: the short
         # root e_{n−1} with coroot 2e_{n−1}
         last = (_e(n, n - 1, 2), _e(n, n - 1)) if family == "Sp" else (_e(n, n - 1), _e(n, n - 1, 2))
-        std = Lattice(n, "Z^n")
-        return _datum(_a_pairs(n) + [last], la.identity_matrix(n), std, std, (family, n))
+        return _datum(_a_pairs(n) + [last], la.identity_matrix(n), (family, n))
     if family == "SO_even":
         if n < 2:
             raise ValueError("SO_even requires n >= 2")
@@ -222,13 +205,12 @@ def build_root_datum(family: str, n: int = 0) -> RootDatum:
         # each character basis vector has an even coordinate sum, so its pairing
         # with twice a cocharacter basis vector is even
         pairing = tuple(tuple([x // 2 for x in row]) for row in la.mat_mul(la.transpose(basis), so_even_cochar_basis(n)))
-        return _datum(simple, pairing, Lattice(n, "Q(D_n)"), Lattice(n, "P(D_n^dual)"), ("SO_even", n))
+        return _datum(simple, pairing, ("SO_even", n))
     if family == "G2":
         if n != 0:
             raise ValueError(f"G2 takes no rank parameter, not n = {n}")
         # simple root coordinates in the basis dual to the simple coroots
-        std = Lattice(2, "hexagonal")
-        return _datum((((2, -1), (1, 0)), ((-3, 2), (0, 1))), la.identity_matrix(2), std, std, ("G2", 0))
+        return _datum((((2, -1), (1, 0)), ((-3, 2), (0, 1))), la.identity_matrix(2), ("G2", 0))
     raise ValueError(f"unknown family {family!r}")
 
 
@@ -288,22 +270,9 @@ def fundamental_weights(rd: RootDatum) -> tuple[tuple[Q, ...], ...]:
 
 def dual_datum(rd: RootDatum) -> RootDatum:
     """Swap (M, R) ↔ (M̌, Ř); the pairing transposes."""
-    return RootDatum(
-        rd.cochar_lattice,
-        rd.char_lattice,
-        la.transpose(rd.pairing),
-        rd.coroots,
-        rd.roots,
-        rd.simple,
-        None,
-    )
+    return RootDatum(la.transpose(rd.pairing), rd.coroots, rd.roots, rd.simple, None)
 
 
 def data_equal(a: RootDatum, b: RootDatum) -> bool:
-    """Equality of the underlying data (lattice ranks, pairing, root sets)."""
-    return (
-        a.rank_char == b.rank_char
-        and a.rank_cochar == b.rank_cochar
-        and a.pairing == b.pairing
-        and sorted(zip(a.roots, a.coroots)) == sorted(zip(b.roots, b.coroots))
-    )
+    """Equality of the underlying data (pairing, root sets)."""
+    return a.pairing == b.pairing and sorted(zip(a.roots, a.coroots)) == sorted(zip(b.roots, b.coroots))

@@ -99,8 +99,12 @@ def rational_from_str(s: str) -> Q:
 
 
 def checked_rational(field: str, x) -> Q:
-    """x as an exact rational: a string that rational_from_str reads, or any
-    number Fraction takes but a bool; a ValueError naming the field otherwise."""
+    """x as an exact rational: a string that rational_from_str reads, a float
+    read as its repr is, or any other number Fraction takes but a bool; a
+    ValueError naming the field otherwise.  A float is read as the command
+    line reads a JSON decimal, so 0.1 is 1/10; NaN and ±inf are no rational."""
+    if isinstance(x, float):
+        x = float.__repr__(x)
     if isinstance(x, str):
         try:
             return rational_from_str(x)
@@ -173,19 +177,16 @@ class TropMatrix:
 
     @staticmethod
     def identity(n: int) -> "TropMatrix":
-        return TropMatrix(tuple(tuple(ZERO if i == j else INF for j in range(n)) for i in range(n)))
+        return TropMatrix.gen_perm((0,) * n, range(n))
 
     @staticmethod
-    def diagonal(ys) -> "TropMatrix":
-        ys = [Q(y) for y in ys]
-        n = len(ys)
-        return TropMatrix(tuple(tuple(TropValue(ys[i]) if i == j else INF for j in range(n)) for i in range(n)))
+    def diagonal(ys: Sequence) -> "TropMatrix":
+        return TropMatrix.gen_perm(ys, range(len(ys)))
 
     @staticmethod
     def permutation(sigma: Sequence[int]) -> "TropMatrix":
         """P_σ with entry (i, j) finite 0 exactly when i = σ(j); σ is 0-based."""
-        n = len(sigma)
-        return TropMatrix(tuple(tuple(ZERO if i == sigma[j] else INF for j in range(n)) for i in range(n)))
+        return TropMatrix.gen_perm((0,) * len(sigma), sigma)
 
     @staticmethod
     def gen_perm(ys, sigma: Sequence[int]) -> "TropMatrix":

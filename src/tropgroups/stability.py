@@ -32,9 +32,10 @@ from typing import Optional, Sequence
 from . import intlinalg as la
 from . import rootdata as rdmod
 from .errors import InvariantError
-from .circles import CircleCocycle, integer_vector
+from .circles import CircleCocycle
 from .groups import TropicalGroup
 from .intlinalg import Mat, QuotientLattice, Vec
+from .semiring import checked_integer, checked_vector
 from .weyl import a_type_paths, parabolic_cosets
 
 
@@ -265,7 +266,7 @@ def adjoint_degree(g: TropicalGroup, lam: Sequence[int]) -> tuple[int, ...]:
     and the coweight dual to the t-th simple root (counting from 1 along the
     path) maps to t; the residue of λ̌ is Σ_t t·⟨α_t, λ̌⟩.
     """
-    lam = integer_vector("lam", lam)
+    lam = checked_vector("lam", lam, g.rank, checked_integer)
     comps = a_type_paths(g.weyl, range(len(g.datum.simple)))
     if comps is None:
         raise ValueError("group is not of product-A type")
@@ -294,7 +295,7 @@ def minimal_parabolic_for_degree(g: TropicalGroup, lam: Sequence[int]) -> Parabo
     because shifting by a coroot changes each pairing by an integer.
     """
     datum = g.datum
-    lam = integer_vector("lam", lam)
+    lam = checked_vector("lam", lam, g.rank, checked_integer)
     diff = la.vec_sub(slope_of_group(g, lam), lam)
     weights = rdmod.fundamental_weights(datum)
     positions = tuple(

@@ -1,14 +1,15 @@
 """Finite Weyl groups as integer matrices on cocharacter coordinates.
 
 Every group carries a faithful permutation model, which drives
-multiplication; the matrices give the action on the lattice.  Groups are
-enumerated by breadth-first closure of their generators, keyed by
-permutation, and frozen in lexicographic matrix order, so element indices are
-deterministic and serializable.  The closure multiplies on the left: g·x
-recomputes only the rows where g differs from the identity (one or two for
-most simple reflections of the built families), copies a row of x where g
-has a lone 1, and shares every computed row as it is made, so equal rows are
-one object.  Its edges x → s·x are kept as the left tables left[t][i] = s_t·i,
+multiplication; the matrices give the action on the lattice.  A group keeps
+no root datum: ``generate``, the one closure, takes the matrices and
+permutations of its simple generators, and the diagram is read off their
+products.  The closure is breadth-first, keyed by permutation, and frozen
+in lexicographic matrix order, so element indices are deterministic and
+serializable.  It multiplies on the left: g·x recomputes only the rows where
+g differs from the identity (one or two for most simple reflections of the
+built families), copies a row of x where g has a lone 1, and shares every
+computed row as it is made, so equal rows are one object.  Its edges x → s·x are kept as the left tables left[t][i] = s_t·i,
 and one routine, ``WeylGroup.orbits``, walks index maps built from them: the
 conjugacy classes (under x ↦ s·x·s⁻¹) and the left cosets of W_P (under
 x ↦ s·x, s in W_P) need no permutation product.  ``parabolic_cosets`` is
@@ -34,7 +35,6 @@ from . import intlinalg as la
 from .errors import InvariantError
 from .intlinalg import Mat
 from .permutations import compose_perm, cycles_of, identity_perm, invert_perm, precompose
-from .rootdata import RootDatum
 from .semiring import checked_integer
 
 DEFAULT_GUARD = 10_000
@@ -56,8 +56,7 @@ class WeylGroup:
     simple_gens[t] = left[t][identity_idx]), inverse[i] is the index of i⁻¹,
     and class_id[i] is the position of the class of i in conjugacy_classes()."""
 
-    def __init__(self, datum: Optional[RootDatum], elements, perms, left):
-        self.datum = datum
+    def __init__(self, elements, perms, left):
         self.elements: tuple[WeylElement, ...] = tuple(elements)
         self.perms: tuple[tuple[int, ...], ...] = tuple(perms)
         self._by_perm = {p: i for i, p in enumerate(self.perms)}
@@ -168,12 +167,12 @@ class WeylGroup:
         return tuple(g for g in range(len(self.elements)) if self.conj(g, i) == i)
 
 
-def from_generators(
-    gen_mats, gen_perms, rank: int, degree: int, guard: int = DEFAULT_GUARD, datum=None
-) -> WeylGroup:
+def generate(gen_mats, gen_perms, rank: int, degree: int, guard: int = DEFAULT_GUARD) -> WeylGroup:
     """Enumerate the finite group of rank × rank integer matrices generated by
     gen_mats, with the permutation model on `degree` letters in which
-    gen_perms[k] is the image of gen_mats[k].
+    gen_perms[k] is the image of gen_mats[k].  The generators become the
+    simple generators of the group, in order; past guard elements the
+    enumeration stops with GuardExceededError.
 
     The closure is keyed by permutation and multiplies on the left: g·x has
     the permutation σ_g∘σ_x and differs from x only in the rows where g
@@ -209,7 +208,7 @@ def from_generators(
             raise InvariantError(f"permutation model is not a homomorphism: {mats[a]} has two permutations")
     index, reorder = invert_perm(order), precompose(order)  # index[a] is the place of a in order
     left = [tuple(map(index.__getitem__, reorder(out))) for out in edges]
-    return WeylGroup(datum, [WeylElement(m) for m in reorder(mats)], reorder(perms), left)
+    return WeylGroup([WeylElement(m) for m in reorder(mats)], reorder(perms), left)
 
 
 def _row_ops(g: Mat) -> tuple[tuple, tuple]:
@@ -243,14 +242,6 @@ def _times(copies, sums, x: Mat, rows: dict) -> Mat:
             row = memo[src] = rows.setdefault(row, row)
         out[r] = row
     return tuple(out)
-
-
-def generate(datum: RootDatum, gen_mats, gen_perms, degree: int, guard: int = DEFAULT_GUARD) -> WeylGroup:
-    """Enumerate the Weyl group of a root datum acting on cocharacters, from
-    the matrices gen_mats[k] of its simple reflections in the order of
-    datum.simple, with the permutation model on `degree` letters in which
-    gen_perms[k] is the image of the k-th simple reflection."""
-    return from_generators(gen_mats, gen_perms, datum.rank_cochar, degree, guard, datum)
 
 
 # ---------------------------------------------------------------------------
@@ -320,14 +311,12 @@ def indecomposable_elements(w: WeylGroup, positions: Sequence[int]) -> tuple[int
 def is_indecomposable(w: WeylGroup, elt_idx: int, positions: Optional[Sequence[int]] = None) -> bool:
     """Whether the element is a product of full cycles in a ∏A-type group.
 
-    With positions omitted the whole group must be of type ∏A (its full
-    diagram is used); otherwise the element must lie in the parabolic at the
-    given positions.
+    With positions omitted the whole group must be of type ∏A (the positions
+    of all its simple generators are used); otherwise the element must lie in
+    the parabolic at the given positions.
     """
     if positions is None:
-        if w.datum is None:
-            raise ValueError("group carries no root datum")
-        positions = range(len(w.datum.simple))
+        positions = range(len(w.simple_gens))
     if a_type_paths(w, positions) is None:
         raise ValueError("group is not of product-A type")
     if elt_idx not in parabolic_cosets(w, positions)[1]:

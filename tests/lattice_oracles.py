@@ -151,8 +151,7 @@ def so_even_datum_by_inverse(n: int) -> rd.RootDatum:
     pairs = [(coords(char_inv, v), coords(cochar_inv, v)) for v in roots]
     pairing = la.mat_to_int(la.mat_mul(la.transpose(char_basis), cochar_basis))
     simple_coords = [coords(char_inv, v) for v in simple]
-    char, cochar = rd.Lattice(n, "Q(D_n)"), rd.Lattice(n, "P(D_n^dual)")
-    return sorted_datum(pairs, simple_coords, pairing, char, cochar, ("SO_even", n))
+    return sorted_datum(pairs, simple_coords, pairing, ("SO_even", n))
 
 
 def representatives_by_inverse(quot: la.QuotientLattice) -> tuple[Vec, ...]:

@@ -18,13 +18,13 @@ G2_PAIRS = (
 )
 
 
-def sorted_datum(pairs, simple_roots, pairing, char: rd.Lattice, cochar: rd.Lattice, family) -> rd.RootDatum:
+def sorted_datum(pairs, simple_roots, pairing, family) -> rd.RootDatum:
     """Freeze a root datum with roots sorted lexicographically."""
     pairs = sorted(set(pairs))
     roots = tuple(p[0] for p in pairs)
     coroots = tuple(p[1] for p in pairs)
     simple = tuple(roots.index(a) for a in simple_roots)
-    return rd.RootDatum(char, cochar, la.matrix(pairing), roots, coroots, simple, family)
+    return rd.RootDatum(la.matrix(pairing), roots, coroots, simple, family)
 
 
 def _e(n: int, i: int, c: int = 1) -> Vec:
@@ -71,18 +71,15 @@ def _so_even(n: int) -> rd.RootDatum:
     basis = rd.so_even_char_basis(n)
     simple = [char_coords(v) for v in la.columns(basis)]
     pairing = tuple(tuple([x // 2 for x in row]) for row in la.mat_mul(la.transpose(basis), rd.so_even_cochar_basis(n)))
-    return sorted_datum(pairs, simple, pairing, rd.Lattice(n, "Q(D_n)"), rd.Lattice(n, "P(D_n^dual)"), ("SO_even", n))
+    return sorted_datum(pairs, simple, pairing, ("SO_even", n))
 
 
 def enumerated_datum(family: str, n: int = 0) -> rd.RootDatum:
     """The root datum of build_root_datum(family, n) from a list of all its
     roots and coroots."""
-    std = rd.Lattice(n, "Z^n")
     if family == "GL":
-        return sorted_datum(_gl_pairs(n), _a_simple(n), la.identity_matrix(n), std, std, ("GL", n))
+        return sorted_datum(_gl_pairs(n), _a_simple(n), la.identity_matrix(n), ("GL", n))
     if family in ("SL", "PGL"):
-        sum_zero = rd.Lattice(n - 1, "Z^n_0")
-        quotient = rd.Lattice(n - 1, "Z^n/Z(1,...,1)", relations=((1,) * n,))
         pairing_sl = tuple(tuple(int(u == v) - int(u == v + 1) for v in range(n - 1)) for u in range(n - 1))
         pairs = []
         for v, _ in _gl_pairs(n):
@@ -91,20 +88,19 @@ def enumerated_datum(family: str, n: int = 0) -> rd.RootDatum:
             pairs.append((rep, sz) if family == "SL" else (sz, rep))
         simple_sl = [tuple(v[t] - v[n - 1] for t in range(n - 1)) for v in _a_simple(n)]
         if family == "SL":
-            return sorted_datum(pairs, simple_sl, pairing_sl, quotient, sum_zero, ("SL", n))
+            return sorted_datum(pairs, simple_sl, pairing_sl, ("SL", n))
         simple_pgl = [tuple(itertools.accumulate(v[:-1])) for v in _a_simple(n)]
-        return sorted_datum(pairs, simple_pgl, la.transpose(pairing_sl), sum_zero, quotient, ("PGL", n))
+        return sorted_datum(pairs, simple_pgl, la.transpose(pairing_sl), ("PGL", n))
     if family in ("Sp", "SO_odd"):
         # Sp: long roots ±2e_i with coroots ±e_i; SO_odd: short roots ±e_i with coroots ±2e_i
         long_short = [(2, 1), (-2, -1)] if family == "Sp" else [(1, 2), (-1, -2)]
         pairs = [(_e(n, i, a), _e(n, i, c)) for i in range(n) for a, c in long_short] + list(_pm_pairs(n))
         simple = _a_simple(n) + [_e(n, n - 1, long_short[0][0])]
-        return sorted_datum(pairs, simple, la.identity_matrix(n), std, std, (family, n))
+        return sorted_datum(pairs, simple, la.identity_matrix(n), (family, n))
     if family == "SO_even":
         return _so_even(n)
     if family == "G2":
-        hexagonal = rd.Lattice(2, "hexagonal")
-        return sorted_datum(G2_PAIRS, [(2, -1), (-3, 2)], la.identity_matrix(2), hexagonal, hexagonal, ("G2", 0))
+        return sorted_datum(G2_PAIRS, [(2, -1), (-3, 2)], la.identity_matrix(2), ("G2", 0))
     raise ValueError(f"unknown family {family!r}")
 
 
@@ -120,4 +116,4 @@ def levi_datum_by_span(datum: rd.RootDatum, positions) -> rd.RootDatum:
     roots = tuple(datum.roots[i] for i in keep)
     coroots = tuple(datum.coroots[i] for i in keep)
     simple = tuple(roots.index(datum.roots[i]) for i in chosen)
-    return rd.RootDatum(datum.char_lattice, datum.cochar_lattice, datum.pairing, roots, coroots, simple, None)
+    return rd.RootDatum(datum.pairing, roots, coroots, simple, None)

@@ -14,7 +14,7 @@ import functools
 from fractions import Fraction as Q
 from typing import Optional, Sequence
 
-from tropgroups.circles import integer_vector, multiline_of
+from tropgroups.circles import multiline_of
 from tropgroups.errors import InvariantError
 from tropgroups.permutations import compose_perm, invert_perm, sign_involution
 from tropgroups.semiring import (
@@ -23,6 +23,8 @@ from tropgroups.semiring import (
     GenPermDecomposition,
     TropMatrix,
     TropValue,
+    checked_integer,
+    checked_vector,
     tadd,
     tmul,
     try_decompose,
@@ -273,7 +275,7 @@ def check_sp_trivialization(m: Sequence, alpha: Sequence, perm: Sequence[int], j
     The quotient cover is the cover of i ↦ σ(i) mod n carrying the sums
     over opposite sheets; each violation is (sheets, degree, jacobian).
     """
-    m = integer_vector("m", m)
+    m = checked_vector("m", m, len(perm), checked_integer)
     n = len(perm) // 2
     quotient = multiline_of(
         [m[i] + m[i + n] for i in range(n)],

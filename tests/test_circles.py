@@ -12,7 +12,7 @@ from semiring_oracles import check_sp_trivialization
 from tropgroups import circles as ci
 from tropgroups import groups as gr
 from tropgroups import intlinalg as la
-from tropgroups import verify, weyl
+from tropgroups import cli, verify, weyl
 from tropgroups.groups import build_group
 from tropgroups.permutations import cycles_of
 
@@ -82,14 +82,26 @@ def test_gauge_transform_checks_the_length_of_k():
 
 
 def test_gauge_fields_are_read_as_cocycle_fields():
-    # β = (0.1, 0) is read as cocycle reads α = 0.1, the float's exact value
-    # (the command line reads JSON decimals as Fractions before either check);
-    # v = 1.0, a TypeError before, is index 1 as w = 1.0 is
+    # β = (0.1, 0) is read as cocycle reads α = 0.1, as the decimal 1/10 that
+    # the command line reads from JSON; v = 1.0, a TypeError before, is index 1
+    # as w = 1.0 is
     g, swap, c = gl2_swapped()
     identity = g.weyl.identity_idx
     assert ci.gauge_transform(c, (0, 0), (0.1, 0), identity) == ci.cocycle(g, (1, 0), (0.1, -0.1), swap, 1)
     assert ci.gauge_transform(c, (0, 0), (0, 0), 1.0) == ci.gauge_transform(c, (0, 0), (0, 0), 1)
     assert ci.cocycle(g, (1, 0), (0, 0), 1.0, 1) == ci.cocycle(g, (1, 0), (0, 0), 1, 1)
+
+
+def test_a_decimal_reads_the_same_from_the_library_and_the_command_line(capsys):
+    # a library 0.1 was the float's exact binary value,
+    # 3602879701896397/36028797018963968, and the command line's 0.1 was 1/10
+    g, swap, c = gl2_swapped()
+    tenth = ci.cocycle(g, (1, 0), (0.1, 0), swap, 1)
+    assert tenth.offset == (Q(1, 10), Q(0))
+    assert ci.gauge_transform(c, (0, 0), (0.1, 0), g.weyl.identity_idx).offset == (Q(1, 10), Q(-1, 10))
+    pair = [tenth.to_json(), {"m": [1, 0], "alpha": [0.1, 0], "w": swap, "j": 1}]
+    assert cli.main(["iso-test", "GL", "2", "--cocycle", json.dumps(pair)]) == 0
+    assert json.loads(capsys.readouterr().out)["isomorphic"] is True
 
 
 @pytest.mark.parametrize("bad", [-1, 2, True, 1.5, "1/2", None])
@@ -126,6 +138,13 @@ def test_multiline_checks_reject_a_non_integral_slope(check):
     with pytest.raises(ValueError, match="'m'"):
         check((Q(1, 2), 0), (0, 0), (1, 0), Q(1))
     assert check((1, -1), (0, 0), (1, 0), Q(1)) is not None
+
+
+def test_multiline_of_reads_m_and_alpha_as_cocycle_does():
+    # a short m or α raised a bare IndexError, and α = (True, 0) counted as 1
+    for m, alpha, field in [((1,), (0, 0), "'m'"), ((1, 0), (0,), "'alpha'"), ((1, 0), (True, 0), "'alpha'")]:
+        with pytest.raises(ValueError, match=field):
+            ci.multiline_of(m, alpha, (1, 0), Q(1))
 
 
 def test_gauge_composition_law():

@@ -226,6 +226,7 @@ def test_file_roundtrip(tmp_path, capsys):
 def test_parse_error_exit_code(capsys, tmp_path):
     code = cli.main(["group-info", "E8"])
     assert code == 2
+    assert "the families are GL, SL, PGL, Sp, SO_odd, SO_even, G2" in capsys.readouterr().err
     code = cli.main(["check-stability", "GL", "2", "--cocycle", "{not json"])
     assert code == 2
     code = cli.main(["iso-test", "GL", "1", "--cocycle", json.dumps({"m": [0], "alpha": ["0"], "w": 0, "j": "1"})])

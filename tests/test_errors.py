@@ -19,6 +19,36 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+def imported_modules(path: Path) -> set[str]:
+    """The names of the tropgroups modules that the module imports anywhere."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module.split(".")[0] != "tropgroups":
+                    continue
+                module = module.removeprefix("tropgroups").lstrip(".")
+            # from .x import y names x; from . import x, y names x and y
+            out.update([module.split(".")[0]] if module else [alias.name for alias in node.names])
+        elif isinstance(node, ast.Import):
+            out.update(a.name.split(".")[1] for a in node.names if a.name.startswith("tropgroups."))
+    return out
+
+
+def test_module_imports_form_no_cycle():
+    graph = {path.stem: imported_modules(path) for path in (SRC / "tropgroups").glob("*.py")}
+    graph = {name: imports & graph.keys() for name, imports in graph.items()}
+    # a module is placed once everything it imports is; one never placed lies on
+    # a cycle or imports one that does
+    placed: set = set()
+    while ready := {name for name, imports in graph.items() if name not in placed and imports <= placed}:
+        placed |= ready
+    assert placed == graph.keys(), f"import cycle among {sorted(graph.keys() - placed)}"
+    # the Weyl group is the lower layer: it is built from its generators alone
+    assert graph["weyl"] & {"rootdata", "groups"} == set()
+
+
 # a gauge_transform that misses b must make the witness self-check raise
 OPTIMIZED_SELF_CHECK = """
 from tropgroups import circles as ci

@@ -74,14 +74,7 @@ def test_invalid_families():
 def test_validation_catches_scaled_coroot():
     datum = rd.build_root_datum("GL", 2)
     bad_coroots = tuple(la.vec_scale(2, c) if i == 0 else c for i, c in enumerate(datum.coroots))
-    bad = rd.RootDatum(
-        datum.char_lattice,
-        datum.cochar_lattice,
-        datum.pairing,
-        datum.roots,
-        bad_coroots,
-        datum.simple,
-    )
+    bad = rd.RootDatum(datum.pairing, datum.roots, bad_coroots, datum.simple)
     assert any("pairing axiom" in v for v in rd.validate_root_datum(bad))
 
 
@@ -89,8 +82,6 @@ def test_validation_catches_missing_reflection_image():
     datum = rd.build_root_datum("GL", 3)
     keep = [i for i, r in enumerate(datum.roots) if r != (1, 0, -1)]
     bad = rd.RootDatum(
-        datum.char_lattice,
-        datum.cochar_lattice,
         datum.pairing,
         tuple(datum.roots[i] for i in keep),
         tuple(datum.coroots[i] for i in keep),
@@ -153,11 +144,6 @@ def test_duality():
     assert rd.data_equal(rd.dual_datum(pgl), sl)
 
 
-def test_lattice_invariant_factors():
-    quotient = rd.Lattice(2, "Z^3/Z(1,1,1)", relations=((1, 1, 1),))
-    assert quotient.invariant_factors() == (0, 0)
-
-
 def test_json_export():
     datum = rd.build_root_datum("Sp", 2)
     data = datum.to_json()
@@ -183,7 +169,7 @@ ORACLE_BUILDS = (
 @pytest.mark.parametrize("family,n", ORACLE_BUILDS)
 def test_closure_matches_the_enumerated_roots(family, n):
     built, listed = rd.build_root_datum(family, n), enumerated_datum(family, n)
-    assert built == listed  # lattices, pairing, roots, coroots and simple indices
+    assert built == listed  # pairing, roots, coroots and simple indices
     assert built.family == listed.family == (family, n)
 
 
@@ -206,7 +192,7 @@ def test_levi_closure_matches_the_span_filter(family, n):
     for size in range(len(datum.simple) + 1):
         for positions in itertools.combinations(range(len(datum.simple)), size):
             pairs = [(datum.roots[i], datum.coroots[i]) for i in (datum.simple[p] for p in positions)]
-            closed = rd._datum(pairs, datum.pairing, datum.char_lattice, datum.cochar_lattice, None)
+            closed = rd._datum(pairs, datum.pairing, None)
             assert closed == levi_datum_by_span(datum, positions), positions
 
 
@@ -218,4 +204,4 @@ def test_closure_rejects_an_inconsistent_coroot():
     pairs = [(datum.roots[i], datum.coroots[i]) for i in datum.simple]
     pairs[2] = ((0, 0, 1), (0, 1, 1))
     with pytest.raises(InvariantError, match=r"\(1, 0, 0\) has coroots \(1, 1, 0\) and \(1, 0, 1\)"):
-        rd._datum(pairs, datum.pairing, datum.char_lattice, datum.cochar_lattice, None)
+        rd._datum(pairs, datum.pairing, None)

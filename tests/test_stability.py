@@ -191,6 +191,17 @@ def test_degree_maps_reject_a_non_integral_degree(degree_map):
     degree_map(g, (Q(2), 0, 0))
 
 
+@pytest.mark.parametrize(
+    "degree_map", [stab.minimal_parabolic_for_degree, stab.adjoint_degree, stab.is_stable_degree]
+)
+def test_degree_maps_check_lam_as_a_vector_of_the_rank(degree_map):
+    # (1,) on GL₄ failed inside vec_dot with "lengths 4 and 1 differ"
+    g = build_group("GL", 4)
+    for lam in [(1,), (1, 0, 0, 0, 0), 1]:
+        with pytest.raises(ValueError, match="field 'lam' must be a list of 4 entries"):
+            degree_map(g, lam)
+
+
 def test_stable_degree_indecomposable_cocycles_are_stable():
     rng = random.Random(5)
     for n, d in [(2, 1), (3, 1), (3, 2), (4, 3)]:

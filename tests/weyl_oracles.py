@@ -90,7 +90,7 @@ def levi_group(g: TropicalGroup, positions) -> tuple[TropicalGroup, TropGroupHom
     gens = [g.weyl.simple_gens[p] for p in sorted(set(positions))]
     mats, perms = [g.weyl.element(i).matrix for i in gens], [g.weyl.perm(i) for i in gens]
     # a subgroup of g.weyl, so the order of g.weyl is the guard
-    sub = TropicalGroup(g.rank, weyl.generate(datum, mats, perms, len(g.weyl.perms[0]), len(g.weyl)), datum, None)
+    sub = TropicalGroup(weyl.generate(mats, perms, g.rank, len(g.weyl.perms[0]), len(g.weyl)), datum)
     inclusion = make_hom(sub, g, la.identity_matrix(g.rank), lambda i: g.weyl.perm_idx(sub.weyl.perm(i)))
     return sub, inclusion
 
