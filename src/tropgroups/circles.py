@@ -7,13 +7,17 @@ circle.  Two cocycles are equivalent iff they differ by a gauge
 
     (m, α, w) ↦ (k + v·m − vwv⁻¹·k,  β + v·α − vwv⁻¹·(β + jk),  vwv⁻¹).
 
-The isomorphism test below decides this relation exactly.  Since
+The isomorphism test below decides this relation exactly.  The candidate v
+are the conjugators of the two monodromies, one coset of a centralizer read
+off the class transversal of the Weyl group.  Since
 ℚʳ = ker(1 − w₂) ⊕ im(1 − w₂), for each candidate v the slope equation fixes
 the image component of k and the offset equation fixes its kernel component,
 so k is unique over ℚ.  Both components are orbit sums under w₂: the group
 inverse of 1 − w₂ applied to the slope difference, and the orbit mean of the
 offset difference.  The integrality of k is the remaining condition, tested
-on integer numerators with one walk of each orbit per v.
+on integer numerators; the orbit sums are taken once per pair, and each v
+moves them by its matrix.  The gauge action itself works on the integer
+numerators of α, β and j over one denominator.
 
 One moduli component lies over each monodromy class [w]; it is described by
 the lattice M̌/(1 − w)M̌, whose free rank is the torus rank.
@@ -107,18 +111,24 @@ def compose_gauges(c: CircleCocycle, second: GaugeTriple, first: GaugeTriple) ->
 def gauge_transform(c: CircleCocycle, k: Sequence[int], beta: Sequence, v) -> CircleCocycle:
     """Apply the gauge (k, β, v) to the cocycle, with every field checked as
     cocycle checks m, α and w: integral k and rational β of the group's rank,
-    and v an element index (or WeylElement)."""
-    w = c.group.weyl
+    and v an element index (or WeylElement).
+
+    The monodromy v·w·v⁻¹ is two products.  The offset is computed on the
+    integer numerators of α, β and j over one denominator d, so the only
+    Fractions made are its r entries."""
+    w, rank = c.group.weyl, c.group.rank
     v_idx = w.check_idx("v", v)
-    k = semiring.checked_vector("k", k, c.group.rank, semiring.checked_integer)
-    beta = semiring.checked_vector("beta", beta, c.group.rank, semiring.checked_rational)
-    w2_idx = w.conj(v_idx, c.mono_idx)
+    k = semiring.checked_vector("k", k, rank, semiring.checked_integer)
+    beta = semiring.checked_vector("beta", beta, rank, semiring.checked_rational)
+    w2_idx = w.mul(w.mul(v_idx, c.mono_idx), w.inverse[v_idx])
     vmat = w.element(v_idx).matrix
     w2mat = w.element(w2_idx).matrix
     m = la.vec_add(k, la.vec_sub(la.mat_vec(vmat, c.slope), la.mat_vec(w2mat, k)))
-    shifted = la.vec_add(beta, la.vec_scale(c.length, k))
-    alpha = la.vec_add(beta, la.vec_sub(la.mat_vec(vmat, c.offset), la.mat_vec(w2mat, shifted)))
-    return CircleCocycle(c.group, m, alpha, w2_idx, c.length)
+    nums, d = la.integer_numerators(c.offset + beta + (c.length,))
+    n_alpha, n_beta, jd = nums[:rank], nums[rank : 2 * rank], nums[-1]  # jd = j·d
+    shifted = [b + jd * x for b, x in zip(n_beta, k)]  # d·(β + j·k)
+    n_out = la.vec_add(n_beta, la.vec_sub(la.mat_vec(vmat, n_alpha), la.mat_vec(w2mat, shifted)))
+    return CircleCocycle(c.group, m, tuple([Q(x, d) for x in n_out]), w2_idx, c.length)
 
 
 def degree(c: CircleCocycle) -> tuple[int, ...]:
@@ -138,8 +148,10 @@ def pushforward(f: TropGroupHom, c: CircleCocycle) -> CircleCocycle:
 def isomorphism_witness(a: CircleCocycle, b: CircleCocycle) -> Optional[GaugeTriple]:
     """A gauge carrying a to b, or None; deterministic (least v wins).
 
-    No v conjugates monodromies from two conjugacy classes, so such a pair
-    is None at once.  For each v conjugating the monodromies, writing A = 1 − w₂:
+    The v with v·w_a·v⁻¹ = w_b are the coset t_b·C(rep)·t_a⁻¹ of
+    ``WeylGroup.conjugators``, tried in index order; monodromies from two
+    conjugacy classes have none, so such a pair is None at once.  For each v,
+    writing w₂ = w_b and A = 1 − w₂:
       slope:  A·k = r,             r = m_b − v·m_a
       offset: A·β = t + j·w₂·k,    t = α_b − v·α_a
     Let P·x be the mean of the orbit of x under w₂, the projection onto
@@ -151,39 +163,49 @@ def isomorphism_witness(a: CircleCocycle, b: CircleCocycle) -> Optional[GaugeTri
     k = A^#·r − P·t/j, and a witness for v exists iff that k is integral.
 
     The offsets are written once as integer numerators N over one common
-    denominator d, so t = T/d with T = N_b − v·N_a.  Per v, one walk of the
-    orbit of r gives both the P·r = 0 test and A^#·r, one walk of T's gives
-    P·T, and k = A^#·r − P·T/(d·j) is tested on integers; Fractions enter
-    only for the v whose k is integral.
+    denominator d, so t = T/d with T = N_b − v·N_a.  P and A^# are weighted
+    sums over the powers w₂ⁱ, i below the order n of w₂, and w₂ⁱ·v = v·w_aⁱ,
+    so each sum of r or T is the sum of m_b or N_b under w_b minus v times
+    that of m_a or N_a under w_a.  Those sums come from one orbit walk each,
+    once per call; each v then costs three integer matrix-vector products,
+    k = A^#·r − P·T/(d·j) is tested on integers, and Fractions enter only for
+    the v whose k is integral.
     """
     if a.group is not b.group:
         raise ParentMismatchError("cocycles belong to different groups")
     if a.length != b.length:
         raise ValueError("cocycles live on circles of different lengths")
     w = a.group.weyl
-    if w.class_id[a.mono_idx] != w.class_id[b.mono_idx]:
+    conjugators = w.conjugators(a.mono_idx, b.mono_idx)
+    if not conjugators:
         return None
     j = a.length
-    w2mat = w.element(b.mono_idx).matrix
+    wa, wb = w.element(a.mono_idx).matrix, w.element(b.mono_idx).matrix
     nums, d = la.integer_numerators(a.offset + b.offset)
     na, nb = nums[: a.group.rank], nums[a.group.rank :]
-    for v_idx in range(len(w)):
-        if w.conj(v_idx, a.mono_idx) != b.mono_idx:
-            continue
+    n = w.order_of(a.mono_idx)  # that of w_b too; each orbit period divides it
+
+    def sums(mat, x):  # over n steps: n/p times the sums over the orbit period p
+        p, s, g = la.orbit_sums(mat, x)
+        return la.vec_scale(n // p, s), la.vec_scale(n // p, g)
+
+    (ma_sum, ma_inv), (mb_sum, mb_inv) = sums(wa, a.slope), sums(wb, b.slope)
+    na_sum, nb_sum = sums(wa, na)[0], sums(wb, nb)[0]
+    # k = r_inv/2n − t_sum/(n·d·j), over the common denominator 2n·d·j
+    scale, den = d * j.numerator, 2 * n * d * j.numerator
+    for v_idx in conjugators:
         vmat = w.element(v_idx).matrix
-        p, r_sum, r_inv = la.orbit_sums(w2mat, la.vec_sub(b.slope, la.mat_vec(vmat, a.slope)))
-        if not la.is_zero_vec(r_sum):
+        if la.mat_vec(vmat, ma_sum) != mb_sum:  # P·r ≠ 0
             continue
-        q, t_sum, _ = la.orbit_sums(w2mat, la.vec_sub(nb, la.mat_vec(vmat, na)))
-        # k = r_inv/2p − t_sum/(q·d·j), over the common denominator 2p·q·d·j
-        scale, den = q * d * j.numerator, 2 * p * q * d * j.numerator
-        k = [x * scale - 2 * p * j.denominator * y for x, y in zip(r_inv, t_sum)]
+        r_inv = la.vec_sub(mb_inv, la.mat_vec(vmat, ma_inv))
+        t_sum = la.vec_sub(nb_sum, la.mat_vec(vmat, na_sum))
+        k = [x * scale - 2 * j.denominator * y for x, y in zip(r_inv, t_sum)]
         if any(x % den for x in k):
             continue
         k = tuple([x // den for x in k])
         t = la.vec_sub(b.offset, la.mat_vec(vmat, a.offset))
-        beta_rhs = la.vec_add(t, la.vec_scale(j, la.mat_vec(w2mat, k)))
-        beta = la.rational_solve(la.mat_sub(la.identity_matrix(len(w2mat)), w2mat), beta_rhs)
+        beta_rhs = la.vec_add(t, la.vec_scale(j, la.mat_vec(wb, k)))
+        beta = la.rational_solve(la.mat_sub(la.identity_matrix(len(wb)), wb), beta_rhs)
         if beta is None:
             raise InvariantError(f"offset equation (1 − w₂)·β = {beta_rhs} is unsolvable for v = {v_idx}")
         witness = GaugeTriple(k, tuple(beta), v_idx)

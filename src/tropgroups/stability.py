@@ -258,34 +258,37 @@ def is_stable(c: CircleCocycle) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def adjoint_degree(g: TropicalGroup, lam: Sequence[int]) -> tuple[int, ...]:
-    """Image of the degree in π₁ of the adjoint group ∏ ℤ/n_i, one residue
-    per type-A diagram component.
+def _adjoint_residues(g: TropicalGroup, lam: Sequence[int]) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """(residues, paths): the residue of λ̌ per path of the ∏A diagram, read once.
 
     The adjoint fundamental group of an A_{k} path is cyclic of order k+1,
     and the coweight dual to the t-th simple root (counting from 1 along the
     path) maps to t; the residue of λ̌ is Σ_t t·⟨α_t, λ̌⟩.
     """
     lam = checked_vector("lam", lam, g.rank, checked_integer)
-    comps = a_type_paths(g.weyl, range(len(g.datum.simple)))
-    if comps is None:
+    paths = a_type_paths(g.weyl, range(len(g.datum.simple)))
+    if paths is None:
         raise ValueError("group is not of product-A type")
     datum = g.datum
     out = []
-    for comp in comps:
-        modulus = len(comp) + 1
+    for path in paths:
         total = 0
-        for t, pos in enumerate(comp, start=1):
+        for t, pos in enumerate(path, start=1):
             total += t * datum.pair(datum.roots[datum.simple[pos]], lam)
-        out.append(total % modulus)
-    return tuple(out)
+        out.append(total % (len(path) + 1))
+    return tuple(out), paths
+
+
+def adjoint_degree(g: TropicalGroup, lam: Sequence[int]) -> tuple[int, ...]:
+    """Image of the degree in π₁ of the adjoint group ∏ ℤ/n_i, one residue
+    per type-A diagram component (a ValueError unless g is of type ∏A)."""
+    return _adjoint_residues(g, lam)[0]
 
 
 def is_stable_degree(g: TropicalGroup, lam: Sequence[int]) -> bool:
     """Whether the degree has coprime residues in π₁ of the adjoint group."""
-    residues = adjoint_degree(g, lam)  # a ValueError unless g is of type ∏A
-    comps = a_type_paths(g.weyl, range(len(g.datum.simple)))
-    return all(gcd(d, len(comp) + 1) == 1 for d, comp in zip(residues, comps))
+    residues, paths = _adjoint_residues(g, lam)
+    return all(gcd(d, len(path) + 1) == 1 for d, path in zip(residues, paths))
 
 
 def minimal_parabolic_for_degree(g: TropicalGroup, lam: Sequence[int]) -> ParabolicSubgroup:

@@ -9,17 +9,23 @@ in lexicographic matrix order, so element indices are deterministic and
 serializable.  It multiplies on the left: g·x recomputes only the rows where
 g differs from the identity (one or two for most simple reflections of the
 built families), copies a row of x where g has a lone 1, and shares every
-computed row as it is made, so equal rows are one object.  Its edges x → s·x are kept as the left tables left[t][i] = s_t·i,
-and one routine, ``WeylGroup.orbits``, walks index maps built from them: the
-conjugacy classes (under x ↦ s·x·s⁻¹) and the left cosets of W_P (under
-x ↦ s·x, s in W_P) need no permutation product.  ``parabolic_cosets`` is
-the one search for a standard parabolic: W_P and its cosets W_P·v, for the
-stability module and for the functions below.  Centralizers and the
-normalizer of W_P (tested on the simple reflections of P alone) work on
-indices; for a parabolic W_P of type ∏A (``a_type_paths``) the indecomposable
-elements, a full cycle in every factor S_{k+1}, are the W_P-class of the
-Coxeter element, and the relative-Weyl bijection is read off the W_P-cosets
-that the centralizer meets.
+computed row as it is made, so equal rows are one object.  Its edges
+x → s·x are kept as the left tables left[t][i] = s_t·i, and one routine,
+``WeylGroup.orbits``, walks index maps built from them: the conjugacy
+classes (under x ↦ s·x·s⁻¹) and the left cosets of W_P (under x ↦ s·x,
+s in W_P) need no permutation product.  The class walk also records a
+transversal: t_x with t_x·rep·t_x⁻¹ = x for the least index rep of the
+class, as t_{s·x·s⁻¹} = s·t_x is a left-table lookup.  The centralizer
+C(rep) is found once per class, by one scan of W; the v with v·x·v⁻¹ = y are
+then the coset t_y·C(rep)·t_x⁻¹ (``WeylGroup.conjugators``), and C(x) is
+t_x·C(rep)·t_x⁻¹.  ``parabolic_cosets`` is the one search for a standard
+parabolic: W_P and its cosets W_P·v, for the stability module and for the
+functions below.  The normalizer of W_P (tested on the simple reflections
+of P alone) works on indices; for a parabolic W_P of type ∏A
+(``a_type_paths``) the indecomposable elements, a full cycle in every
+factor S_{k+1}, are the W_P-class of the Coxeter element, and the
+relative-Weyl bijection is read off the W_P-cosets that the centralizer
+meets.
 """
 
 from __future__ import annotations
@@ -63,7 +69,7 @@ class WeylGroup:
         self.left: tuple[tuple[int, ...], ...] = tuple(left)
         self.identity_idx = self._by_perm[identity_perm(len(self.perms[0]))]
         self.simple_gens: tuple[int, ...] = tuple([s[self.identity_idx] for s in self.left])
-        self._classes = None
+        self._centralizers: dict = {}  # class id -> permutations of C(rep), found once
 
     @functools.cached_property
     def inverse(self) -> tuple[int, ...]:
@@ -123,7 +129,9 @@ class WeylGroup:
     def order_of(self, i: int) -> int:
         """The lcm of the cycle lengths of the element's permutation, which is
         its order because the permutation model is faithful."""
-        return lcm(*map(len, cycles_of(self.perms[i])))
+        # unpacked from a list, so the argument tuple is made at its length
+        # (see intlinalg on tuples built from generators)
+        return lcm(*[len(c) for c in cycles_of(self.perms[i])])
 
     def perm(self, i: int) -> tuple[int, ...]:
         return self.perms[i]
@@ -146,14 +154,40 @@ class WeylGroup:
                 out.append(orbit)
         return out
 
+    @functools.cached_property
+    def _class_walk(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+        """(classes, transversal) from one walk under x ↦ s·x·s⁻¹ = s·(s·x⁻¹)⁻¹
+        for the simple generators s, each class from its least index rep: y,
+        first reached as s·x·s⁻¹, gets t_y = s·t_x, so t_x·rep·t_x⁻¹ = x.  It
+        is the walk of ``orbits`` with the conjugators carried along, kept
+        apart so that the coset walks carry nothing."""
+        inv = self.inverse
+        steps = [([s[inv[s[x_inv]]] for x_inv in inv], s) for s in self.left]
+        t: list = [None] * len(self.elements)
+        classes = []
+        for rep, seen in enumerate(t):
+            if seen is None:
+                t[rep] = self.identity_idx
+                cls = [rep]
+                for x in cls:
+                    for conj_by_s, s in steps:
+                        y = conj_by_s[x]
+                        if t[y] is None:
+                            t[y] = s[t[x]]
+                            cls.append(y)
+                classes.append(tuple(sorted(cls)))
+        return tuple(classes), tuple(t)
+
     def conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
-        """Classes as sorted index tuples, ordered by least element: the orbits
-        under x ↦ s·x·s⁻¹ = s·(s·x⁻¹)⁻¹ for the simple generators s."""
-        if self._classes is None:
-            inv = self.inverse
-            orbits = self.orbits([[s[inv[s[x_inv]]] for x_inv in inv] for s in self.left])
-            self._classes = tuple(tuple(sorted(orbit)) for orbit in orbits)
-        return self._classes
+        """Classes as sorted index tuples, ordered by least element, the class
+        representative."""
+        return self._class_walk[0]
+
+    @property
+    def transversal(self) -> tuple[int, ...]:
+        """transversal[x] is an element t_x with t_x·rep·t_x⁻¹ = x, for rep the
+        least index of the class of x."""
+        return self._class_walk[1]
 
     @functools.cached_property
     def class_id(self) -> tuple[int, ...]:
@@ -163,8 +197,25 @@ class WeylGroup:
     def class_of(self, i: int) -> tuple[int, ...]:
         return self.conjugacy_classes()[self.class_id[self.check_idx("w", i)]]
 
+    def conjugators(self, x: int, y: int) -> tuple[int, ...]:
+        """The v with v·x·v⁻¹ = y, sorted: none across two classes, and
+        otherwise the coset t_y·C(rep)·t_x⁻¹ of the centralizer of the class
+        representative, which is built once per class, by one scan of W."""
+        c = self.class_id[x]
+        if c != self.class_id[y]:
+            return ()
+        cent = self._centralizers.get(c)
+        if cent is None:
+            rep = self.perms[self.conjugacy_classes()[c][0]]
+            cent = self._centralizers[c] = [p for p in self.perms if compose_perm(p, rep) == compose_perm(rep, p)]
+        t_y = self.perms[self.transversal[y]]
+        after_t_x_inv = precompose(self.perms[self.inverse[self.transversal[x]]])  # q ↦ q∘t_x⁻¹
+        by_perm = self._by_perm
+        return tuple(sorted([by_perm[after_t_x_inv(compose_perm(t_y, p))] for p in cent]))
+
     def centralizer(self, i: int) -> tuple[int, ...]:
-        return tuple(g for g in range(len(self.elements)) if self.conj(g, i) == i)
+        """C(i) = t_i·C(rep)·t_i⁻¹, sorted."""
+        return self.conjugators(i, i)
 
 
 def generate(gen_mats, gen_perms, rank: int, degree: int, guard: int = DEFAULT_GUARD) -> WeylGroup:

@@ -12,7 +12,7 @@ from semiring_oracles import check_sp_trivialization
 from tropgroups import circles as ci
 from tropgroups import groups as gr
 from tropgroups import intlinalg as la
-from tropgroups import cli, verify, weyl
+from tropgroups import cli, semiring, verify, weyl
 from tropgroups.groups import build_group
 from tropgroups.permutations import cycles_of
 
@@ -562,6 +562,66 @@ def test_cocycle_json_roundtrip():
 
 
 # ---------------------------------------------------------------------------
+# the Fraction gauge action, kept as an oracle for gauge_transform
+# ---------------------------------------------------------------------------
+
+
+def ref_gauge_transform(c, k, beta, v):
+    """The gauge action with the monodromy conjugated by WeylGroup.conj and
+    the offset computed in Fractions, entry by entry."""
+    w = c.group.weyl
+    v_idx = w.check_idx("v", v)
+    k = semiring.checked_vector("k", k, c.group.rank, semiring.checked_integer)
+    beta = semiring.checked_vector("beta", beta, c.group.rank, semiring.checked_rational)
+    w2_idx = w.conj(v_idx, c.mono_idx)
+    vmat = w.element(v_idx).matrix
+    w2mat = w.element(w2_idx).matrix
+    m = la.vec_add(k, la.vec_sub(la.mat_vec(vmat, c.slope), la.mat_vec(w2mat, k)))
+    shifted = la.vec_add(beta, la.vec_scale(c.length, k))
+    alpha = la.vec_add(beta, la.vec_sub(la.mat_vec(vmat, c.offset), la.mat_vec(w2mat, shifted)))
+    return ci.CircleCocycle(c.group, m, alpha, w2_idx, c.length)
+
+
+@pytest.mark.parametrize("family,n", [("GL", 4), ("Sp", 3), ("SO_even", 4), ("G2", 0)])
+def test_gauge_transform_matches_the_fraction_reference(family, n):
+    g = build_group(family, n)
+    rng = random.Random(f"gauge reference {family} {n}")
+    for _ in range(40):
+        m = [rng.randint(-3, 3) for _ in range(g.rank)]
+        c = ci.cocycle(g, m, mixed_offset(rng, g.rank), rng.randrange(len(g.weyl)), Q(5, 3))
+        k = [rng.randint(-3, 3) for _ in range(g.rank)]
+        beta = mixed_offset(rng, g.rank)
+        v = rng.randrange(len(g.weyl))
+        mine, ref = ci.gauge_transform(c, k, beta, v), ref_gauge_transform(c, k, beta, v)
+        assert mine == ref
+        assert mine.to_json() == ref.to_json()
+        assert all(type(x) is Q for x in mine.offset)
+
+
+def test_gauge_transform_raises_as_the_reference():
+    _, swap, c = gl2_swapped()
+    bad = [
+        ((Q(1, 2), 0), (0, 0), 0),
+        ((1,), (0, 0), 0),
+        (5, (0, 0), 0),
+        ((0, 0), (True, 0), 0),
+        ((0, 0), (0,), 0),
+        ((0, 0), ("x", 0), 0),
+        ((0, 0), (0, 0), True),
+        ((0, 0), (0, 0), 1.5),
+        ((0, 0), (0, 0), 2),
+        ((0, 0), (0, 0), -1),
+    ]
+    for k, beta, v in bad:
+        messages = []
+        for gauge in (ci.gauge_transform, ref_gauge_transform):
+            with pytest.raises(ValueError) as exc:
+                gauge(c, k, beta, v)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1], (k, beta, v)
+
+
+# ---------------------------------------------------------------------------
 # the kernel-basis witness search, kept as an oracle for isomorphism_witness
 # ---------------------------------------------------------------------------
 
@@ -717,6 +777,32 @@ def test_cross_class_pairs_have_no_witness(family, n, monkeypatch):
     monkeypatch.setattr(weyl.WeylGroup, "conj", None)
     for a, b in pairs:
         assert ci.isomorphism_witness(a, b) is None
+
+
+@pytest.mark.parametrize("family,n", [("GL", 4), ("Sp", 3), ("SO_even", 4), ("G2", 0)])
+def test_same_class_witnesses_form_no_conjugate(family, n, monkeypatch):
+    """The conjugators of a same-class pair come from the class transversal
+    and the centralizer kept per class, so after one warm call the witness
+    search, its self-check included, forms no conjugate with conj."""
+    g = build_group(family, n)
+    w = g.weyl
+    rng = random.Random(f"same class {family} {n}")
+    pairs = []
+    for r in range(24):
+        cls = w.conjugacy_classes()[r % len(w.conjugacy_classes())]
+        m = [rng.randint(-3, 3) for _ in range(g.rank)]
+        a = ci.cocycle(g, m, mixed_offset(rng, g.rank), rng.choice(cls), Q(5, 3))
+        k = [rng.randint(-3, 3) for _ in range(g.rank)]
+        b = ci.gauge_transform(a, k, mixed_offset(rng, g.rank), rng.randrange(len(w)))
+        other = ci.cocycle(g, b.slope, mixed_offset(rng, g.rank), rng.choice(cls), Q(5, 3))
+        pairs += [(a, b), (a, other)]
+    refs = [ref_isomorphism_witness(a, b) for a, b in pairs]
+    assert sum(ref is not None for ref in refs) >= len(pairs) // 2
+    ci.isomorphism_witness(*pairs[0])
+    monkeypatch.setattr(weyl.WeylGroup, "conj", None)
+    for (a, b), ref in zip(pairs, refs):
+        mine = ci.isomorphism_witness(a, b)
+        assert (mine and mine.to_json()) == (ref and ref.to_json()), (a.to_json(), b.to_json())
 
 
 def test_witness_fails_through_the_offset_term_alone():

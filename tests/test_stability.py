@@ -11,7 +11,7 @@ from tropgroups import circles as ci
 from tropgroups import groups as gr
 from tropgroups import intlinalg as la
 from tropgroups import stability as stab
-from tropgroups import verify
+from tropgroups import verify, weyl
 from tropgroups.errors import InvariantError
 from tropgroups.groups import build_group
 
@@ -158,6 +158,20 @@ def test_stable_degree_gcd():
     for degree_map in (stab.is_stable_degree, stab.adjoint_degree):
         with pytest.raises(ValueError, match="product-A"):
             degree_map(build_group("Sp", 2), (0, 0))
+
+
+def test_stable_degree_reads_the_diagram_once(monkeypatch):
+    # is_stable_degree read the ∏A paths twice, once itself and once in adjoint_degree
+    g = build_group("GL", 6)
+    calls = []
+
+    def counted(w, positions):
+        calls.append(tuple(positions))
+        return weyl.a_type_paths(w, positions)
+
+    monkeypatch.setattr(stab, "a_type_paths", counted)
+    assert stab.is_stable_degree(g, (1, 0, 0, 0, 0, 0))
+    assert len(calls) == 1
 
 
 def test_minimal_parabolic_examples():

@@ -8,6 +8,7 @@ import pytest
 from lattice_oracles import int_det, matrix_order, representatives_by_inverse
 from semiring_oracles import perm_sign, transposition
 from weyl_oracles import (
+    centralizer_by_scan,
     factor_model,
     full_cycle_products,
     levi_group,
@@ -108,6 +109,26 @@ def test_centralizer_sizes_multiply():
         w = group(family, n)
         for cls in w.conjugacy_classes():
             assert len(cls) * len(w.centralizer(cls[0])) == len(w)
+
+
+@pytest.mark.parametrize("family,n", [("GL", 4), ("Sp", 3), ("SO_even", 4), ("G2", 0)])
+def test_centralizer_is_the_conjugated_centralizer_of_the_class_representative(family, n):
+    w = group(family, n)
+    reps = {x: cls[0] for cls in w.conjugacy_classes() for x in cls}
+    for x in range(len(w)):
+        t = w.transversal[x]
+        assert w.conj(t, reps[x]) == x
+        assert w.centralizer(x) == centralizer_by_scan(w, x)
+
+
+@pytest.mark.parametrize("family,n", [("GL", 4), ("Sp", 3), ("G2", 0)])
+def test_conjugators_are_every_v_carrying_x_to_y(family, n):
+    w = group(family, n)
+    for cls in w.conjugacy_classes():
+        for x, y in itertools.product(cls, repeat=2):
+            assert w.conjugators(x, y) == tuple(sorted(v for v in range(len(w)) if w.conj(v, x) == y))
+    other = next(cls[0] for cls in w.conjugacy_classes() if w.identity_idx not in cls)
+    assert w.conjugators(w.identity_idx, other) == ()
 
 
 def test_parabolic_subgroup_single_reflection():

@@ -1,4 +1,6 @@
-"""Subgroup closures of a Weyl group that only the tests use: the subgroup
+"""Subgroup closures of a Weyl group that only the tests use: the
+centralizer of an element by a scan of all of W, the oracle for
+``WeylGroup.centralizer`` and ``WeylGroup.conjugators``, the subgroup
 generated by given elements, the standard parabolic W_P as the closure of
 its simple reflections, the oracle for the coset search of
 ``weyl.parabolic_cosets``, the normalizer of a subgroup by conjugating all
@@ -21,6 +23,11 @@ from tropgroups.errors import InvariantError
 from tropgroups.groups import TropGroupHom, TropicalGroup, make_hom
 from tropgroups.permutations import compose_perm, cycles_of, identity_perm
 from tropgroups.weyl import RelativeWeylResult, WeylGroup
+
+
+def centralizer_by_scan(w: WeylGroup, i: int) -> tuple[int, ...]:
+    """The g with g·i·g⁻¹ = i, by conjugating i by every element of W."""
+    return tuple(g for g in range(len(w.elements)) if w.conj(g, i) == i)
 
 
 def subgroup_closure(w: WeylGroup, gen_indices: Sequence[int]) -> tuple[int, ...]:
