@@ -16,6 +16,7 @@ from .circles import (
     are_isomorphic,
     classify_components,
     cocycle,
+    compose_gauges,
     degree,
     gauge_transform,
     isomorphism_witness,
@@ -32,8 +33,12 @@ from .groups import (
     build_group,
     center_basis,
     compose,
+    compose_hom,
     determinant_map,
     from_matrix,
+    hom_det,
+    hom_gl_to_pgl,
+    hom_sl_to_gl,
     inverse,
     make_hom,
     to_matrix,
@@ -41,6 +46,7 @@ from .groups import (
 from .rootdata import (
     RootDatum,
     build_root_datum,
+    dual_datum,
     fundamental_group,
     fundamental_weights,
     validate_root_datum,
@@ -56,9 +62,11 @@ from .semiring import (
     tadd,
     tmul,
     trop_det,
+    tsum,
 )
 from .stability import (
     ParabolicSubgroup,
+    adjoint_degree,
     dominance_leq,
     is_semistable,
     is_stable,

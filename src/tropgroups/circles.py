@@ -334,10 +334,6 @@ class MultiLineBundle:
     components: tuple[CoverComponent, ...]
     involution: Optional[tuple[int, ...]] = None
 
-    @property
-    def total_degree(self) -> int:
-        return sum(c.line_degree for c in self.components)
-
     def to_json(self):
         """With an involution, "violations" lists the quotient-cover components
         whose paired line bundle is not trivial.  It is always empty: the

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import json
 import os
 import sys
@@ -172,22 +173,24 @@ def cmd_iso_test(args) -> int:
     return EXIT_OK
 
 
+# the option of each verify suite parameter, as (flags, add_argument keywords)
+SUITE_OPTIONS = {
+    "n": (("--n",), {"type": int, "default": 3}),
+    "d": (("--degree", "--d"), {"type": int, "default": 1}),
+    "samples": (("--samples",), {"type": int, "default": 100}),
+    "seed": (("--seed",), {"type": int, "default": 0}),
+    "j": (("--j",), {"default": "1", "help": "circle length, rational p/q"}),
+    "guard": (("--guard",), {"type": int, "default": None}),
+}
+
+
 def cmd_verify(args) -> int:
-    suite = args.suite
-    if suite not in verify.SUITES:
-        raise ValueError(f"suite must be one of {sorted(verify.SUITES)}")
-    j = _circle_length(args.j)
-    guard = _guard(args.guard)
-    if suite == "sl-count":
-        report = verify.sl_count(args.n, j, guard)
-    elif suite == "pgl-count":
-        report = verify.pgl_count(args.n, j, guard)
-    elif suite == "det-homeo":
-        report = verify.det_homeo(args.n, args.d, samples=args.samples, seed=args.seed, j=j, guard=guard)
-    elif suite == "stability-multiline":
-        report = verify.stability_multiline(args.n, samples=args.samples, seed=args.seed, j=j, guard=guard)
-    else:
-        report = verify.relative_weyl(guard)
+    suite = verify.SUITES[args.suite]
+    options = {name: getattr(args, name) for name in inspect.signature(suite).parameters}
+    if "j" in options:
+        options["j"] = _circle_length(options["j"])
+    options["guard"] = _guard(options["guard"])
+    report = suite(**options)
     _emit(report, args.out)
     return EXIT_OK if report["pass"] else EXIT_VERIFY_FAIL
 
@@ -222,15 +225,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_iso_test)
 
     p = sub.add_parser("verify", help="run a named verification suite")
-    p.add_argument("suite", help="sl-count|pgl-count|det-homeo|relative-weyl|stability-multiline")
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--degree", "--d", dest="d", type=int, default=1)
-    p.add_argument("--j", default="1")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--guard", type=int, default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_verify)
+    suites = p.add_subparsers(dest="suite", required=True, metavar="suite")
+    for name, suite in verify.SUITES.items():
+        q = suites.add_parser(name, help=inspect.getdoc(suite).split("\n\n")[0])
+        for param in inspect.signature(suite).parameters:
+            flags, kwargs = SUITE_OPTIONS[param]
+            q.add_argument(*flags, dest=param, **kwargs)
+        q.add_argument("--out", default=None)
+        q.set_defaults(fn=cmd_verify)
     return parser
 
 

@@ -68,9 +68,6 @@ class TropicalGroup:
             self._pi1 = rootdata.fundamental_group(self.datum)
         return self._pi1
 
-    def identity(self) -> "TropGroupElement":
-        return TropGroupElement(self, (Q(0),) * self.rank, self.weyl.identity_idx)
-
     def element(self, m: Sequence, w) -> "TropGroupElement":
         """(m, w) with both fields checked: m a list of rank rationals, w an
         element index or a WeylElement; a ValueError names a bad field."""
@@ -141,18 +138,13 @@ def determinant_map(a: TropGroupElement) -> Vec:
 
 @dataclass(frozen=True)
 class TropGroupHom:
-    """Homomorphism (f, φ): lattice map plus compatible Weyl-group map."""
+    """Homomorphism (f, φ): lattice map plus compatible Weyl-group map;
+    ``circles.pushforward`` applies it to cocycles."""
 
     source: TropicalGroup
     target: TropicalGroup
     lattice_map: Mat
     weyl_map: tuple[int, ...]
-
-    def apply(self, a: TropGroupElement) -> TropGroupElement:
-        if a.group is not self.source:
-            raise ParentMismatchError("element does not belong to the source group")
-        m = la.mat_vec(self.lattice_map, a.m)
-        return TropGroupElement(self.target, m, self.weyl_map[a.w_idx])
 
 
 def make_hom(source: TropicalGroup, target: TropicalGroup, f: Mat, phi: Callable[[int], int]) -> TropGroupHom:
@@ -329,31 +321,24 @@ def from_matrix(mat: TropMatrix, g: TropicalGroup) -> TropGroupElement:
     return TropGroupElement(g, tuple([Q(x, e * den) for x in m]), w_idx)
 
 
-def normalize_pgl(mat: TropMatrix) -> TropMatrix:
-    """Scale a generalized permutation matrix so the last diagonal entry is 0."""
-    dec = invert_or_decompose(mat)
-    shift = dec.diag[-1]
-    return TropMatrix.gen_perm(tuple(x - shift for x in dec.diag), dec.perm)
-
-
 # ---------------------------------------------------------------------------
-# standard homomorphisms
+# standard homomorphisms, between the groups built under the given guard
 # ---------------------------------------------------------------------------
 
 
-def hom_sl_to_gl(n: int) -> TropGroupHom:
-    sl, gl = build_group("SL", n), build_group("GL", n)
+def hom_sl_to_gl(n: int, guard: int = weyl.DEFAULT_GUARD) -> TropGroupHom:
+    sl, gl = build_group("SL", n, guard), build_group("GL", n, guard)
     return make_hom(sl, gl, sl.model[0], lambda i: gl.weyl.perm_idx(sl.weyl.perm(i)))
 
 
-def hom_gl_to_pgl(n: int) -> TropGroupHom:
-    gl, pgl = build_group("GL", n), build_group("PGL", n)
+def hom_gl_to_pgl(n: int, guard: int = weyl.DEFAULT_GUARD) -> TropGroupHom:
+    gl, pgl = build_group("GL", n, guard), build_group("PGL", n, guard)
     f = tuple(
         tuple(int(t == c) - int(c == n - 1) for c in range(n)) for t in range(n - 1)
     )
     return make_hom(gl, pgl, f, lambda i: pgl.weyl.perm_idx(gl.weyl.perm(i)))
 
 
-def hom_det(n: int) -> TropGroupHom:
-    gl, gl1 = build_group("GL", n), build_group("GL", 1)
+def hom_det(n: int, guard: int = weyl.DEFAULT_GUARD) -> TropGroupHom:
+    gl, gl1 = build_group("GL", n, guard), build_group("GL", 1, guard)
     return make_hom(gl, gl1, ((1,) * n,), lambda i: gl1.weyl.identity_idx)

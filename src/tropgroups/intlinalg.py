@@ -162,14 +162,6 @@ def integer_numerators(v: Vec) -> tuple[tuple[int, ...], int]:
     return tuple([x.numerator * (d // x.denominator) for x in v]), d
 
 
-def mat_is_integral(a: Mat) -> bool:
-    return all(Q(x).denominator == 1 for row in a for x in row)
-
-
-def mat_to_int(a: Mat) -> Mat:
-    return tuple(tuple(int(x) for x in row) for row in a)
-
-
 def smith_normal_form(a: Mat) -> tuple[Mat, Mat, Mat, Mat]:
     """Smith normal form: returns (d, u, v, u⁻¹) with u·a·v = d.
 

@@ -81,18 +81,6 @@ class RootDatum:
             tuple(int(r == c) - cov[r] * weights[c] for c in range(n)) for r in range(n)
         )
 
-    def char_action_matrix(self, w_cochar: Mat) -> Mat:
-        """Matrix of the same Weyl element on character coordinates.
-
-        Determined by ⟨w·u, w·v⟩ = ⟨u, v⟩, i.e. W_M = (Π W⁻¹ Π⁻¹)ᵀ.
-        """
-        pinv = la.rational_inverse(self.pairing)
-        winv = la.rational_inverse(w_cochar)
-        m = la.transpose(la.mat_mul(la.mat_mul(self.pairing, winv), pinv))
-        if not la.mat_is_integral(m):
-            raise InvariantError(f"Weyl element {w_cochar} acts non-integrally on characters: {m}")
-        return la.mat_to_int(m)
-
     def cartan_matrix(self) -> Mat:
         """C[t][j] = ⟨α_t, α̌_j⟩ over the simple roots."""
         return tuple(
@@ -271,8 +259,3 @@ def fundamental_weights(rd: RootDatum) -> tuple[tuple[Q, ...], ...]:
 def dual_datum(rd: RootDatum) -> RootDatum:
     """Swap (M, R) ↔ (M̌, Ř); the pairing transposes."""
     return RootDatum(la.transpose(rd.pairing), rd.coroots, rd.roots, rd.simple, None)
-
-
-def data_equal(a: RootDatum, b: RootDatum) -> bool:
-    """Equality of the underlying data (pairing, root sets)."""
-    return a.pairing == b.pairing and sorted(zip(a.roots, a.coroots)) == sorted(zip(b.roots, b.coroots))

@@ -26,10 +26,6 @@ class TropValue:
 
     q: Optional[Q]
 
-    @property
-    def is_finite(self) -> bool:
-        return self.q is not None
-
     def __repr__(self) -> str:
         return "inf" if self.q is None else str(self.q)
 
@@ -67,10 +63,6 @@ def tsum(values) -> TropValue:
 
 def value_to_json(v: TropValue) -> str:
     return "inf" if v.q is None else rational_to_str(v.q)
-
-
-def value_from_json(s: str) -> TropValue:
-    return INF if s == "inf" else TropValue(rational_from_str(s))
 
 
 def rational_to_str(q) -> str:
@@ -153,40 +145,8 @@ class TropMatrix:
         i, j = ij
         return self.entries[i][j]
 
-    def transpose(self) -> "TropMatrix":
-        return TropMatrix(tuple(zip(*self.entries)))
-
-    def apply(self, x: Sequence[TropValue]) -> tuple[TropValue, ...]:
-        if len(x) != self.n_cols:
-            raise ValueError("dimension mismatch")
-        return tuple(tsum(tmul(e, xv) for e, xv in zip(row, x)) for row in self.entries)
-
     def to_json(self):
         return [[value_to_json(v) for v in row] for row in self.entries]
-
-    @staticmethod
-    def from_json(data) -> "TropMatrix":
-        return TropMatrix(tuple(tuple(value_from_json(s) for s in row) for row in data))
-
-    @staticmethod
-    def from_rows(rows) -> "TropMatrix":
-        out = []
-        for row in rows:
-            out.append(tuple(v if isinstance(v, TropValue) else (INF if v is None else fin(v)) for v in row))
-        return TropMatrix(tuple(out))
-
-    @staticmethod
-    def identity(n: int) -> "TropMatrix":
-        return TropMatrix.gen_perm((0,) * n, range(n))
-
-    @staticmethod
-    def diagonal(ys: Sequence) -> "TropMatrix":
-        return TropMatrix.gen_perm(ys, range(len(ys)))
-
-    @staticmethod
-    def permutation(sigma: Sequence[int]) -> "TropMatrix":
-        """P_σ with entry (i, j) finite 0 exactly when i = σ(j); σ is 0-based."""
-        return TropMatrix.gen_perm((0,) * len(sigma), sigma)
 
     @staticmethod
     def gen_perm(ys, sigma: Sequence[int]) -> "TropMatrix":

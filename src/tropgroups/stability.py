@@ -194,11 +194,6 @@ def _slopes(c: CircleCocycle, p: ParabolicSubgroup, scan: tuple) -> frozenset:
     return frozenset({slope(p, vm) for vm in _reduced_slopes(c, p, scan)})
 
 
-def reduction_slopes(c: CircleCocycle, p: ParabolicSubgroup) -> frozenset:
-    """Slopes φ_P(λ̌_P) of all reductions of the cocycle to the parabolic."""
-    return _slopes(c, p, _conjugation_pass(c))
-
-
 @dataclass(frozen=True)
 class StabilityVerdict:
     semistable: bool

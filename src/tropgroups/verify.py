@@ -15,7 +15,7 @@ from typing import Optional
 
 from . import circles, stability
 from .errors import InvariantError
-from .groups import TropicalGroup, build_group
+from .groups import TropicalGroup, build_group, hom_det
 from .weyl import DEFAULT_GUARD, a_type_paths, indecomposable_elements, relative_weyl_check
 
 
@@ -39,6 +39,7 @@ def count_component_classes(g: TropicalGroup, j, w_idx: int) -> int:
 
 
 def sl_count(n: int, j=1, guard: int = DEFAULT_GUARD) -> dict:
+    """SL_n with full-cycle monodromy: n classes and no torus, in closed form and enumerated."""
     g = build_group("SL", n, guard)
     rep = indecomposable_class_rep(g)
     comp = circles.component_for_class(g, rep)
@@ -55,6 +56,7 @@ def sl_count(n: int, j=1, guard: int = DEFAULT_GUARD) -> dict:
 
 
 def pgl_count(n: int, j=1, guard: int = DEFAULT_GUARD) -> dict:
+    """PGL_n with full-cycle monodromy: π₁ = ℤ/n and n classes, in closed form and enumerated."""
     g = build_group("PGL", n, guard)
     rep = indecomposable_class_rep(g)
     comp = circles.component_for_class(g, rep)
@@ -94,28 +96,26 @@ def sample_gl_cocycle(
 def det_homeo(n: int, d: int, samples: int = 100, seed: int = 0, j=1, guard: int = DEFAULT_GUARD) -> dict:
     """Equal determinant ⟺ isomorphic, on the stable-degree indecomposable part.
 
+    The determinant of a cocycle is its pushforward along det: GL_n → GL_1.
     A report with a disagreeing trial names the first one in ``first_failure``:
     its index, the seed and both cocycles, enough to rerun it.
     """
     if samples < 1:
         raise ValueError(f"samples must be a positive count, not {samples}")
     g = build_group("GL", n, guard)
-    gl1 = build_group("GL", 1, guard)
     jq = Q(j)
     if not stability.is_stable_degree(g, (d,) + (0,) * (n - 1)):
         raise ValueError("degree is not stable for this rank")
+    det = hom_det(n, guard)
     rep = indecomposable_class_rep(g)
     cls = g.weyl.class_of(rep)
     rng = random.Random(seed)
     comp = circles.component_for_class(g, rep)
-    target = circles.component_for_class(gl1, gl1.weyl.identity_idx)
+    target = circles.component_for_class(det.target, det.target.weyl.identity_idx)
     discrete_ok = (comp.torus_rank, comp.invariant_factors) == (
         target.torus_rank,
         target.invariant_factors,
     )
-
-    def det_cocycle(c):
-        return circles.cocycle(gl1, (sum(c.slope),), (sum(c.offset, Q(0)),), 0, jq)
 
     agree = 0
     first_failure = None
@@ -134,7 +134,7 @@ def det_homeo(n: int, d: int, samples: int = 100, seed: int = 0, j=1, guard: int
             else:
                 slope[-1] += 1
         c2 = circles.cocycle(g, slope, alpha, c2.mono_idx, jq)
-        dets_isomorphic = circles.are_isomorphic(det_cocycle(c1), det_cocycle(c2))
+        dets_isomorphic = circles.are_isomorphic(circles.pushforward(det, c1), circles.pushforward(det, c2))
         full_isomorphic = circles.are_isomorphic(c1, c2)
         if dets_isomorphic == full_isomorphic and dets_isomorphic == (trial % 2 == 0):
             agree += 1
@@ -244,6 +244,8 @@ def stability_multiline(n: int, samples: int = 100, seed: int = 0, j=1, guard: i
     return report
 
 
+# the suites by name; the command line gives each suite one option per
+# parameter of its function and no other
 SUITES = {
     "sl-count": sl_count,
     "pgl-count": pgl_count,

@@ -1,9 +1,9 @@
 """Integer linear algebra that only the tests use: determinants, integer
 solves and lattice indices, built on the library's Smith normal form, the
 order of a matrix by its powers, the orbit mean and group inverse under a
-finite-order matrix as rational orbit sums, and the rational-inverse paths
+finite-order matrix as rational orbit sums, the rational-inverse paths
 that the library's integer ones replaced (SO_2n coordinates and the lifts of
-a finite quotient lattice)."""
+a finite quotient lattice), and the action of a Weyl element on characters."""
 
 from __future__ import annotations
 
@@ -13,7 +13,30 @@ from typing import Optional
 from tropgroups import intlinalg as la
 from rootdata_oracles import sorted_datum
 from tropgroups import rootdata as rd
+from tropgroups.errors import InvariantError
 from tropgroups.intlinalg import Mat, Vec
+
+
+def mat_is_integral(a: Mat) -> bool:
+    return all(Q(x).denominator == 1 for row in a for x in row)
+
+
+def mat_to_int(a: Mat) -> Mat:
+    return tuple(tuple(int(x) for x in row) for row in a)
+
+
+def char_action_matrix(datum: rd.RootDatum, w_cochar: Mat) -> Mat:
+    """Matrix on character coordinates of the Weyl element with matrix
+    w_cochar on cocharacter coordinates.
+
+    Determined by ⟨w·u, w·v⟩ = ⟨u, v⟩, i.e. W_M = (Π W⁻¹ Π⁻¹)ᵀ.
+    """
+    pinv = la.rational_inverse(datum.pairing)
+    winv = la.rational_inverse(w_cochar)
+    m = la.transpose(la.mat_mul(la.mat_mul(datum.pairing, winv), pinv))
+    if not mat_is_integral(m):
+        raise InvariantError(f"Weyl element {w_cochar} acts non-integrally on characters: {m}")
+    return mat_to_int(m)
 
 
 def int_det(a: Mat) -> int:
@@ -149,7 +172,7 @@ def so_even_datum_by_inverse(n: int) -> rd.RootDatum:
     signs = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
     roots = [la.vec_add(unit(i, si), unit(j, sj)) for i in range(n) for j in range(i + 1, n) for si, sj in signs]
     pairs = [(coords(char_inv, v), coords(cochar_inv, v)) for v in roots]
-    pairing = la.mat_to_int(la.mat_mul(la.transpose(char_basis), cochar_basis))
+    pairing = mat_to_int(la.mat_mul(la.transpose(char_basis), cochar_basis))
     simple_coords = [coords(char_inv, v) for v in simple]
     return sorted_datum(pairs, simple_coords, pairing, ("SO_even", n))
 
@@ -158,7 +181,7 @@ def representatives_by_inverse(quot: la.QuotientLattice) -> tuple[Vec, ...]:
     """The lifts of QuotientLattice.representatives through a rational
     inverse of its u: u⁻¹ applied to every torsion coordinate vector, counted
     up with the last torsion coordinate running fastest."""
-    u_inv = la.mat_to_int(la.rational_inverse(quot._u))
+    u_inv = mat_to_int(la.rational_inverse(quot._u))
     reps = []
     idx = [0] * len(quot.torsion)
     while True:

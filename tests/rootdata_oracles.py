@@ -1,7 +1,8 @@
 """Root data built the long way, as references for the closure that builds
 them from their simple roots: every root of each family listed by hand (G₂'s
-twelve pairs written out), and the Levi datum of a standard parabolic as the
-roots in the rational span of its simple roots, one rational solve per root."""
+twelve pairs written out), the Levi datum of a standard parabolic as the
+roots in the rational span of its simple roots, one rational solve per root,
+and the equality of two data up to the order of their roots."""
 
 from __future__ import annotations
 
@@ -117,3 +118,8 @@ def levi_datum_by_span(datum: rd.RootDatum, positions) -> rd.RootDatum:
     coroots = tuple(datum.coroots[i] for i in keep)
     simple = tuple(roots.index(datum.roots[i]) for i in chosen)
     return rd.RootDatum(datum.pairing, roots, coroots, simple, None)
+
+
+def data_equal(a: rd.RootDatum, b: rd.RootDatum) -> bool:
+    """Equality of the underlying data (pairing, root sets)."""
+    return a.pairing == b.pairing and sorted(zip(a.roots, a.coroots)) == sorted(zip(b.roots, b.coroots))

@@ -17,8 +17,8 @@ def rational(rng: random.Random, num_max=9, den_max=5) -> Q:
 def trop_matrix(rng: random.Random, n: int, p_inf=0.3) -> sr.TropMatrix:
     rows = []
     for _ in range(n):
-        rows.append([None if rng.random() < p_inf else rational(rng, 20, 6) for _ in range(n)])
-    return sr.TropMatrix.from_rows(rows)
+        rows.append(tuple(sr.INF if rng.random() < p_inf else sr.fin(rational(rng, 20, 6)) for _ in range(n)))
+    return sr.TropMatrix(tuple(rows))
 
 
 def gen_perm(rng: random.Random, n: int) -> sr.TropMatrix:
@@ -142,7 +142,7 @@ def non_invertible(rng: random.Random, n: int) -> sr.TropMatrix:
     if n == 1 or rng.random() < 0.3:
         mat[i] = [sr.INF] * n
     else:
-        finite_cols = [j for j, e in enumerate(mat[i]) if e.is_finite]
+        finite_cols = [j for j, e in enumerate(mat[i]) if e.q is not None]
         j = rng.choice([c for c in range(n) if c not in finite_cols])
         mat[i][j] = sr.fin(rational(rng))
     return sr.TropMatrix(tuple(tuple(r) for r in mat))

@@ -1,6 +1,7 @@
 """The literal matrix-group definitions over the semiring, which only the tests
-use: the tropical matrix product, the inverse and product of D(y)⊙P_σ
-decompositions, the split quadratic and seven-variable cubic forms, and the
+use: the tropical matrix product, the reader of a value's JSON, the inverse
+and product of D(y)⊙P_σ decompositions and their PGL normal form, the split
+quadratic and seven-variable cubic forms, and the
 membership tests of the symplectic, orthogonal and G₂ groups cross-checked
 against their defining identities.  They are the oracle that
 ``groups.from_matrix``, which accepts exactly the image of the model map, is
@@ -25,6 +26,8 @@ from tropgroups.semiring import (
     TropValue,
     checked_integer,
     checked_vector,
+    invert_or_decompose,
+    rational_from_str,
     tadd,
     tmul,
     try_decompose,
@@ -83,7 +86,7 @@ def trop_matrix_mul(a: TropMatrix, b: TropMatrix) -> TropMatrix:
     """(A⊙B)_{ij} = ⊕_k a_{ik} ⊙ b_{kj}."""
     if a.n_cols != b.n_rows:
         raise ValueError(f"dimension mismatch: {a.n_cols} vs {b.n_rows}")
-    bt = b.transpose().entries
+    bt = tuple(zip(*b.entries))
     return TropMatrix(
         tuple(tuple(tsum(tmul(x, y) for x, y in zip(row, col)) for col in bt) for row in a.entries)
     )
@@ -101,6 +104,18 @@ def decomposition_compose(dec: GenPermDecomposition, other: GenPermDecomposition
     inv = invert_perm(dec.perm)
     diag = tuple(dec.diag[i] + other.diag[inv[i]] for i in range(n))
     return GenPermDecomposition(diag, compose_perm(dec.perm, other.perm))
+
+
+def normalize_pgl(mat: TropMatrix) -> TropMatrix:
+    """Scale a generalized permutation matrix so the last diagonal entry is 0."""
+    dec = invert_or_decompose(mat)
+    shift = dec.diag[-1]
+    return TropMatrix.gen_perm(tuple(x - shift for x in dec.diag), dec.perm)
+
+
+def value_from_json(s: str) -> TropValue:
+    """The inverse of ``semiring.value_to_json``."""
+    return INF if s == "inf" else TropValue(rational_from_str(s))
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +218,8 @@ def check_symplectic(a: TropMatrix) -> bool:
         return False
     iota = sign_involution(n2)
     constrained = _signed_involution(dec, iota)
-    j = TropMatrix.permutation(iota)
-    literal = trop_matrix_mul(trop_matrix_mul(a.transpose(), j), a) == j
+    j = TropMatrix.gen_perm((0,) * n2, iota)
+    literal = trop_matrix_mul(trop_matrix_mul(TropMatrix(tuple(zip(*a.entries))), j), a) == j
     if constrained != literal:
         raise InvariantError(f"decomposition test disagrees with the literal identity on {a!r}")
     return constrained

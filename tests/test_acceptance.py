@@ -36,7 +36,7 @@ def test_criterion_1_matrix_group_characterizations():
         n = rng.randint(1, 5)
         good = samplers.gen_perm(rng, n)
         dec = sr.invert_or_decompose(good)
-        ident = sr.TropMatrix.identity(n)
+        ident = sr.TropMatrix.gen_perm((0,) * n, range(n))
         assert trop_matrix_mul(good, decomposition_inverse(dec).matrix()) == ident
         bad = samplers.non_invertible(rng, rng.randint(2, 5))
         assert sr.try_decompose(bad) is None

@@ -402,6 +402,27 @@ def test_pushforward_identity_and_sl_inclusion():
     assert ci.degree(image) == (0,)
 
 
+@pytest.mark.parametrize("hom", [gr.hom_sl_to_gl, gr.hom_gl_to_pgl, gr.hom_det])
+def test_pushforward_along_a_hom_built_under_a_guard(hom):
+    """A standard homomorphism built under a guard maps the groups built under
+    it, as the default-guard one maps the default groups."""
+    rng = random.Random(9)
+    guarded, plain = hom(3, 5000), hom(3)
+    assert guarded.source is build_group(*guarded.source.family, 5000)
+    assert guarded.target is build_group(*guarded.target.family, 5000)
+    for _ in range(10):
+        g = guarded.source
+        m = [rng.randint(-4, 4) for _ in range(g.rank)]
+        alpha = [verify.random_rational(rng) for _ in range(g.rank)]
+        w = rng.randrange(len(g.weyl))
+        image = ci.pushforward(guarded, ci.cocycle(g, m, alpha, w, 1))
+        expected = ci.pushforward(plain, ci.cocycle(plain.source, m, alpha, w, 1))
+        assert image.group is guarded.target
+        assert (image.slope, image.offset, image.mono_idx) == (expected.slope, expected.offset, expected.mono_idx)
+    with pytest.raises(gr.ParentMismatchError):
+        ci.pushforward(guarded, ci.cocycle(plain.source, m, alpha, w, 1))
+
+
 def test_multiline_cycle_example():
     g = build_group("GL", 2)
     swap = 1 - g.weyl.identity_idx
@@ -424,7 +445,7 @@ def test_multiline_total_degree_is_degree():
     for _ in range(40):
         c = rng_cocycle(rng, g)
         mlb = ci.to_multiline(c)
-        assert (mlb.total_degree,) == ci.degree(c)
+        assert (sum(comp.line_degree for comp in mlb.components),) == ci.degree(c)
         assert sum(len(comp.sheets) for comp in mlb.components) == 4
         assert all(comp.length == len(comp.sheets) * c.length for comp in mlb.components)
 

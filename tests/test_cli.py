@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from tropgroups import cli
+from tropgroups.groups import build_group
 
 
 def run(capsys, argv):
@@ -193,6 +194,59 @@ def test_det_homeo_names_its_first_disagreeing_trial(capsys, monkeypatch):
     assert failure["cocycles"] == [c.to_json() for c in calls[7]]
     assert failure["isomorphic"] is not real(*calls[7])
     assert (failure["expected_isomorphic"], failure["determinants_isomorphic"]) == (False, False)
+
+
+# SHA-256 of the report as recorded when det-homeo summed m and α onto GL₁ by hand
+DET_HOMEO_DIGEST = "9be6243d9a371094c3439ada3ccf645c31e1de4002622c6dda080549bddea7d0"
+
+
+def test_det_homeo_report_is_pinned_under_any_guard(capsys, monkeypatch):
+    """The determinants are pushforwards along det: GL₃ → GL₁ between the groups
+    built under the guard, and the report bytes do not depend on the guard."""
+    real = cli.verify.circles.pushforward
+    calls = []
+
+    def recording(f, c):
+        calls.append(f)
+        return real(f, c)
+
+    monkeypatch.setattr(cli.verify.circles, "pushforward", recording)
+    argv = ["verify", "det-homeo", "--n", "3", "--degree", "2", "--samples", "60", "--seed", "0"]
+    for guard in (None, 5000):
+        calls.clear()
+        code, out = run(capsys, argv + ([] if guard is None else ["--guard", str(guard)]))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == DET_HOMEO_DIGEST
+        assert len(calls) == 2 * 60
+        det = calls[0]
+        assert all(f is det for f in calls) and det.lattice_map == ((1, 1, 1),)
+        assert det.source is build_group("GL", 3, guard or 10000)
+        assert det.target is build_group("GL", 1, guard or 10000)
+
+
+# the options of each verify suite; it rejects every other one
+SUITE_READS = {
+    "sl-count": {"--n", "--j"},
+    "pgl-count": {"--n", "--j"},
+    "det-homeo": {"--n", "--degree", "--d", "--samples", "--seed", "--j"},
+    "relative-weyl": set(),
+    "stability-multiline": {"--n", "--samples", "--seed", "--j"},
+}
+
+
+def test_each_verify_suite_rejects_the_options_it_does_not_read(capsys):
+    assert SUITE_READS.keys() == cli.verify.SUITES.keys()
+    values = {"--n": "-2", "--degree": "1", "--d": "1", "--samples": "0", "--seed": "0", "--j": "1"}
+    for suite, reads in SUITE_READS.items():
+        for option in sorted(values.keys() - reads):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["verify", suite, option, values[option]])
+            assert exc.value.code == cli.EXIT_PARSE
+            assert f"unrecognized arguments: {option} {values[option]}" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "relative-weyl", "--n", "-2", "--samples", "0"])
+    assert exc.value.code == cli.EXIT_PARSE
+    assert "unrecognized arguments: --n -2 --samples 0" in capsys.readouterr().err
 
 
 def test_library_logger_is_silent(capsys):

@@ -49,6 +49,46 @@ def test_module_imports_form_no_cycle():
     assert graph["weyl"] & {"rootdata", "groups"} == set()
 
 
+def public_definitions(tree: ast.Module):
+    """The public functions and classes of a module, and the public methods of
+    its classes, as (qualified name, definition node)."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
+                        yield f"{node.name}.{sub.name}", sub
+
+
+def test_every_public_name_is_called_or_exported():
+    """A public name of the library is exported from the package, or some code
+    in src/ or scripts/ outside its own definition refers to it (a name or an
+    attribute of that name, so a method is found by its name alone)."""
+    package = SRC / "tropgroups"
+    init = ast.parse((package / "__init__.py").read_text())
+    exported = {a.name for node in init.body if isinstance(node, ast.ImportFrom) for a in node.names}
+    references = {}  # name -> [(path, line)]
+    definitions = []
+    for path in sorted([*package.glob("*.py"), *(ROOT / "scripts").glob("*.py")]):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        if path.parent == package:
+            definitions += [(path, name, node) for name, node in public_definitions(tree)]
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                name = node.id if isinstance(node, ast.Name) else node.attr
+                references.setdefault(name, []).append((path, node.lineno))
+    orphans = []
+    for path, name, node in definitions:
+        inside = range(node.lineno, node.end_lineno + 1)
+        called = any(p != path or line not in inside for p, line in references.get(name.split(".")[-1], ()))
+        if name not in exported and not called:
+            orphans.append(f"{path.stem}.{name}")
+    assert orphans == []
+
+
 # a gauge_transform that misses b must make the witness self-check raise
 OPTIMIZED_SELF_CHECK = """
 from tropgroups import circles as ci

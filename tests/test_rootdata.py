@@ -6,7 +6,7 @@ from fractions import Fraction as Q
 import pytest
 
 from lattice_oracles import so_even_datum_by_inverse
-from rootdata_oracles import enumerated_datum, levi_datum_by_span
+from rootdata_oracles import data_equal, enumerated_datum, levi_datum_by_span
 from tropgroups import intlinalg as la
 from tropgroups import rootdata as rd
 from tropgroups.errors import InvariantError
@@ -138,10 +138,10 @@ def test_gl_fundamental_weight_formula():
 
 def test_duality():
     gl = rd.build_root_datum("GL", 3)
-    assert rd.data_equal(rd.dual_datum(gl), gl)
+    assert data_equal(rd.dual_datum(gl), gl)
     sl, pgl = rd.build_root_datum("SL", 4), rd.build_root_datum("PGL", 4)
-    assert rd.data_equal(rd.dual_datum(sl), pgl)
-    assert rd.data_equal(rd.dual_datum(pgl), sl)
+    assert data_equal(rd.dual_datum(sl), pgl)
+    assert data_equal(rd.dual_datum(pgl), sl)
 
 
 def test_json_export():

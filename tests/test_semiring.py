@@ -21,6 +21,7 @@ from semiring_oracles import (
     hexagon_group,
     perm_sign,
     trop_matrix_mul,
+    value_from_json,
 )
 from tropgroups import semiring as sr
 from tropgroups.permutations import compose_perm
@@ -33,7 +34,7 @@ values = st.one_of(st.just(sr.INF), finite)
 def test_tadd_is_min(a, b):
     out = sr.tadd(a, b)
     assert out in (a, b)
-    if a.is_finite and b.is_finite:
+    if a.q is not None and b.q is not None:
         assert out.q == min(a.q, b.q)
 
 
@@ -53,32 +54,32 @@ def test_distributivity(a, b, c):
 def test_identity_matrix_is_neutral():
     rng = random.Random(0)
     a = samplers.trop_matrix(rng, 2)
-    i2 = sr.TropMatrix.identity(2)
+    i2 = sr.TropMatrix.gen_perm((0,) * 2, range(2))
     assert trop_matrix_mul(i2, a) == a
     assert trop_matrix_mul(a, i2) == a
 
 
 def test_diag_perm_action_on_column():
     # D(1,2)⊙P_(12) sends (x₁, x₂) to (1+x₂, 2+x₁)
-    a = trop_matrix_mul(sr.TropMatrix.diagonal([1, 2]), sr.TropMatrix.permutation((1, 0)))
-    out = a.apply((sr.fin(5), sr.fin(7)))
-    assert out == (sr.fin(8), sr.fin(7))
+    a = trop_matrix_mul(sr.TropMatrix.gen_perm([1, 2], range(2)), sr.TropMatrix.gen_perm((0, 0), (1, 0)))
+    column = sr.TropMatrix(((sr.fin(5),), (sr.fin(7),)))
+    assert trop_matrix_mul(a, column) == sr.TropMatrix(((sr.fin(8),), (sr.fin(7),)))
 
 
 def test_perm_matrix_multiplication_table():
     for s in itertools.permutations(range(3)):
         for t in itertools.permutations(range(3)):
-            lhs = trop_matrix_mul(sr.TropMatrix.permutation(s), sr.TropMatrix.permutation(t))
-            assert lhs == sr.TropMatrix.permutation(compose_perm(s, t))
+            lhs = trop_matrix_mul(sr.TropMatrix.gen_perm((0,) * 3, s), sr.TropMatrix.gen_perm((0,) * 3, t))
+            assert lhs == sr.TropMatrix.gen_perm((0,) * 3, compose_perm(s, t))
 
 
 def test_mul_dimension_mismatch():
     with pytest.raises(ValueError):
-        trop_matrix_mul(sr.TropMatrix.identity(2), sr.TropMatrix.identity(3))
+        trop_matrix_mul(sr.TropMatrix.gen_perm((0,) * 2, range(2)), sr.TropMatrix.gen_perm((0,) * 3, range(3)))
 
 
 def test_det_identity_and_gen_perm():
-    assert sr.trop_det(sr.TropMatrix.identity(4)) == sr.ZERO
+    assert sr.trop_det(sr.TropMatrix.gen_perm((0,) * 4, range(4))) == sr.ZERO
     rng = random.Random(1)
     for _ in range(50):
         n = rng.randint(1, 5)
@@ -89,7 +90,7 @@ def test_det_identity_and_gen_perm():
 
 
 def test_det_all_zero_matrix():
-    a = sr.TropMatrix.from_rows([[0, 0], [0, 0]])
+    a = sr.TropMatrix(((sr.ZERO, sr.ZERO), (sr.ZERO, sr.ZERO)))
     assert sr.trop_det(a) == sr.ZERO
 
 
@@ -110,12 +111,12 @@ def test_det_multiplicative_on_invertibles():
 
 
 def test_decompose_identity():
-    dec = sr.invert_or_decompose(sr.TropMatrix.identity(2))
+    dec = sr.invert_or_decompose(sr.TropMatrix.gen_perm((0,) * 2, range(2)))
     assert dec.diag == (Q(0), Q(0)) and dec.perm == (0, 1)
 
 
 def test_decompose_offdiagonal_example():
-    a = sr.TropMatrix.from_rows([[None, 3], [-1, None]])
+    a = sr.TropMatrix(((sr.INF, sr.fin(3)), (sr.fin(-1), sr.INF)))
     dec = sr.invert_or_decompose(a)
     assert dec.diag == (Q(3), Q(-1)) and dec.perm == (1, 0)
     assert dec.matrix() == a
@@ -123,7 +124,7 @@ def test_decompose_offdiagonal_example():
 
 def test_decompose_rejects_all_zero():
     with pytest.raises(sr.NotInvertibleError):
-        sr.invert_or_decompose(sr.TropMatrix.from_rows([[0, 0], [0, 0]]))
+        sr.invert_or_decompose(sr.TropMatrix(((sr.ZERO, sr.ZERO), (sr.ZERO, sr.ZERO))))
 
 
 def test_inverse_is_two_sided():
@@ -132,7 +133,7 @@ def test_inverse_is_two_sided():
         n = rng.randint(1, 6)
         a = samplers.gen_perm(rng, n)
         inv = decomposition_inverse(sr.invert_or_decompose(a)).matrix()
-        ident = sr.TropMatrix.identity(n)
+        ident = sr.TropMatrix.gen_perm((0,) * n, range(n))
         assert trop_matrix_mul(a, inv) == ident
         assert trop_matrix_mul(inv, a) == ident
 
@@ -162,19 +163,19 @@ def test_cubic_form_values():
 
 def test_symplectic_membership():
     rng = random.Random(6)
-    assert check_symplectic(sr.TropMatrix.identity(4))
+    assert check_symplectic(sr.TropMatrix.gen_perm((0,) * 4, range(4)))
     for _ in range(80):
         n = rng.randint(1, 3)
         assert check_symplectic(samplers.symplectic_member(rng, n))
         assert not check_symplectic(samplers.symplectic_violator(rng, n))
     # n=1 with y₋₁ ≠ −y₁
-    assert not check_symplectic(sr.TropMatrix.diagonal([1, 1]))
+    assert not check_symplectic(sr.TropMatrix.gen_perm([1, 1], range(2)))
 
 
 def test_orthogonal_membership():
     rng = random.Random(7)
     for m in (3, 4, 5, 6, 7):
-        assert check_orthogonal(sr.TropMatrix.identity(m)) == "in_SO"
+        assert check_orthogonal(sr.TropMatrix.gen_perm((0,) * m, range(m))) == "in_SO"
         for _ in range(30):
             assert check_orthogonal(samplers.orthogonal_member(rng, m)) == "in_SO"
             assert check_orthogonal(samplers.orthogonal_violator(rng, m)) == "not_member"
@@ -189,7 +190,7 @@ def test_orthogonal_membership():
 
 def test_g2_membership():
     rng = random.Random(8)
-    assert check_g2(sr.TropMatrix.identity(7))
+    assert check_g2(sr.TropMatrix.gen_perm((0,) * 7, range(7)))
     for _ in range(60):
         assert check_g2(samplers.g2_member(rng))
         assert not check_g2(samplers.g2_violator(rng))
@@ -218,7 +219,7 @@ def test_matrix_json_roundtrip():
     a = samplers.trop_matrix(rng, 3)
     data = a.to_json()
     assert all(isinstance(s, str) for row in data for s in row)
-    assert sr.TropMatrix.from_json(data) == a
+    assert sr.TropMatrix(tuple(tuple(value_from_json(s) for s in row) for row in data)) == a
 
 
 def test_rational_from_str_bounds_the_decimal_exponent():

@@ -408,7 +408,7 @@ def check_against_the_reference(g, cocycles):
                     ref_slopes[positions, vm] = ref_slope(g, positions, vm)
             slopes = frozenset({ref_slopes[positions, vm] for vm in reduced})
             p = stab.parabolic_subgroup(g, positions)
-            assert list(stab.reduction_slopes(c, p)) == list(slopes)
+            assert list(stab._slopes(c, p, stab._conjugation_pass(c))) == list(slopes)
             assert list(stab.reduction_degrees(c, p)) == list(frozenset({p.pi1.project(vm) for vm in reduced}))
             if len(positions) < r:
                 reduction_sets[positions] = slopes

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from lattice_oracles import int_det, matrix_order, representatives_by_inverse
+from lattice_oracles import char_action_matrix, int_det, mat_to_int, matrix_order, representatives_by_inverse
 from semiring_oracles import perm_sign, transposition
 from weyl_oracles import (
     centralizer_by_scan,
@@ -62,7 +62,7 @@ def test_elements_are_signed_and_stabilize_roots_and_coroots():
         for w in g.weyl:
             assert abs(int_det(w.matrix)) == 1
             assert {tuple(la.mat_vec(w.matrix, c)) for c in coroots} == coroots
-            cmat = g.datum.char_action_matrix(w.matrix)
+            cmat = char_action_matrix(g.datum, w.matrix)
             assert {tuple(la.mat_vec(cmat, r)) for r in roots} == roots
     for p in group("GL", 4).simple_gens:
         assert group("GL", 4).order_of(p) == 2
@@ -325,7 +325,7 @@ def ref_mul(w, i, j):
 
 
 def ref_inv(w, i):
-    return w.idx(la.mat_to_int(la.rational_inverse(w.element(i).matrix)))
+    return w.idx(mat_to_int(la.rational_inverse(w.element(i).matrix)))
 
 
 def ref_classes(w):
