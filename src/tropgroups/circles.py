@@ -59,7 +59,7 @@ class CircleCocycle:
 
 def cocycle(group: TropicalGroup, m: Sequence, alpha: Sequence, w, j) -> CircleCocycle:
     """The cocycle with every field checked: integral m and rational α of the
-    group's rank, w an element index (or WeylElement), and a positive j."""
+    group's rank, w a Weyl element index, and a positive j."""
     w_idx = group.weyl.check_idx("w", w)
     m = semiring.checked_vector("m", m, group.rank, semiring.checked_integer)
     alpha = semiring.checked_vector("alpha", alpha, group.rank, semiring.checked_rational)
@@ -111,7 +111,7 @@ def compose_gauges(c: CircleCocycle, second: GaugeTriple, first: GaugeTriple) ->
 def gauge_transform(c: CircleCocycle, k: Sequence[int], beta: Sequence, v) -> CircleCocycle:
     """Apply the gauge (k, β, v) to the cocycle, with every field checked as
     cocycle checks m, α and w: integral k and rational β of the group's rank,
-    and v an element index (or WeylElement).
+    and v a Weyl element index.
 
     The monodromy v·w·v⁻¹ is two products.  The offset is computed on the
     integer numerators of α, β and j over one denominator d, so the only

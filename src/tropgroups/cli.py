@@ -1,12 +1,16 @@
 """Batch command-line front end.
 
-Subcommands: group-info, classify, check-stability, iso-test, verify.  All
-output is deterministic JSON (rationals as "p/q" strings); exit status 0 on
-success, 1 on verification failure, 2 on input errors, 3 when the Weyl-group
-size guard is exceeded, 4 when an internal invariant check fails (a bug, not
-bad input; the message names the input that trips it).  The guard defaults
-to 10000 and can be overridden with --guard or the TROPGROUPS_GUARD
-environment variable; a guard below 1 is an input error.
+Subcommands: group-info, classify, check-stability, iso-test, verify.  The
+four group subcommands take a family and an optional rank parameter n
+(default 0), --guard and --out; check-stability and iso-test read cocycles
+from one of --in FILE or --cocycle JSON, with --j as the circle length of
+entries that give none.  Each command returns its report and main emits it.
+All output is deterministic JSON (rationals as "p/q" strings); exit status 0
+on success, 1 on verification failure, 2 on input errors, 3 when the
+Weyl-group size guard is exceeded, 4 when an internal invariant check fails
+(a bug, not bad input; the message names the input that trips it).  The
+guard defaults to 10000 and can be overridden with --guard or the
+TROPGROUPS_GUARD environment variable; a guard below 1 is an input error.
 """
 
 from __future__ import annotations
@@ -94,83 +98,49 @@ def _load_cocycles(args, group):
     return out
 
 
-def _build(args):
-    return build_group(args.family, args.n or 0, guard=args.guard)
+def _group(args):
+    return build_group(args.family, args.n, guard=args.guard)
 
 
-def _add_group_args(p):
-    p.add_argument("family", nargs="?", help="GL|SL|PGL|Sp|SO_odd|SO_even|G2")
-    p.add_argument("n", nargs="?", type=int, default=None, help="rank parameter")
-    p.add_argument("--family", dest="family_flag", help=argparse.SUPPRESS)
-    p.add_argument("--n", dest="n_flag", type=int, help=argparse.SUPPRESS)
-    p.add_argument("--guard", type=int, default=None)
-    p.add_argument("--out", dest="out", default=None)
-
-
-def _resolve_group_args(args):
-    if getattr(args, "family_flag", None):
-        args.family = args.family_flag
-    if getattr(args, "n_flag", None) is not None:
-        args.n = args.n_flag
-    args.guard = _guard(args.guard)
-    if not args.family:
-        raise ValueError("a group family is required")
-
-
-def cmd_group_info(args) -> int:
-    _resolve_group_args(args)
-    g = _build(args)
-    report = {
+def cmd_group_info(args) -> dict:
+    g = _group(args)
+    return {
         "family": args.family,
-        "n": args.n or 0,
+        "n": args.n,
         "weyl_order": len(g.weyl),
         "pi1": list(g.pi1().invariant_factors),
         "center_rank": len(center_basis(g)),
         "num_roots": len(g.datum.roots),
     }
-    _emit(report, args.out)
-    return EXIT_OK
 
 
-def cmd_classify(args) -> int:
-    _resolve_group_args(args)
+def cmd_classify(args) -> dict:
     j = _circle_length(args.j)
     if j <= 0:
         raise ValueError("--j: circle length must be positive")
-    g = _build(args)
-    comps = circles.classify_components(g)
-    report = {
+    comps = circles.classify_components(_group(args))
+    return {
         "family": args.family,
-        "n": args.n or 0,
+        "n": args.n,
         "j": str(args.j),
         "components": [c.to_json() for c in comps],
     }
-    _emit(report, args.out)
-    return EXIT_OK
 
 
-def cmd_check_stability(args) -> int:
-    _resolve_group_args(args)
-    g = _build(args)
-    out = []
-    for c in _load_cocycles(args, g):
-        out.append(stability.stability_verdict(c).to_json())
-    _emit(out if len(out) > 1 else out[0], args.out)
-    return EXIT_OK
+def cmd_check_stability(args):
+    out = [stability.stability_verdict(c).to_json() for c in _load_cocycles(args, _group(args))]
+    return out if len(out) > 1 else out[0]
 
 
-def cmd_iso_test(args) -> int:
-    _resolve_group_args(args)
-    g = _build(args)
-    cocycles = _load_cocycles(args, g)
+def cmd_iso_test(args) -> dict:
+    cocycles = _load_cocycles(args, _group(args))
     if len(cocycles) != 2:
         raise ValueError("iso-test needs exactly two cocycles")
     witness = circles.isomorphism_witness(cocycles[0], cocycles[1])
     report = {"isomorphic": witness is not None}
     if witness is not None:
         report["witness"] = witness.to_json()
-    _emit(report, args.out)
-    return EXIT_OK
+    return report
 
 
 # the option of each verify suite parameter, as (flags, add_argument keywords)
@@ -184,15 +154,12 @@ SUITE_OPTIONS = {
 }
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> dict:
     suite = verify.SUITES[args.suite]
     options = {name: getattr(args, name) for name in inspect.signature(suite).parameters}
     if "j" in options:
         options["j"] = _circle_length(options["j"])
-    options["guard"] = _guard(options["guard"])
-    report = suite(**options)
-    _emit(report, args.out)
-    return EXIT_OK if report["pass"] else EXIT_VERIFY_FAIL
+    return suite(**options)
 
 
 @functools.cache
@@ -201,46 +168,48 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tropgroups", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("group-info", help="Weyl order, fundamental group, center rank")
-    _add_group_args(p)
-    p.set_defaults(fn=cmd_group_info)
+    group = argparse.ArgumentParser(add_help=False)
+    group.add_argument("family", help="GL|SL|PGL|Sp|SO_odd|SO_even|G2")
+    group.add_argument("n", nargs="?", type=int, default=0, help="rank parameter")
+    group.add_argument("--guard", type=int, default=None)
+    group.add_argument("--out", default=None)
 
-    p = sub.add_parser("classify", help="components of the circle moduli space")
-    _add_group_args(p)
+    cocycle = argparse.ArgumentParser(add_help=False)
+    cocycle.add_argument("--j", default=None, help="circle length of entries without a j field")
+    source = cocycle.add_mutually_exclusive_group()
+    source.add_argument("--in", dest="infile", default=None, help="file of cocycle JSON")
+    source.add_argument("--cocycle", default=None, help="inline cocycle JSON, an object or a list")
+
+    def add(parsers, name, fn, summary, parents):
+        p = parsers.add_parser(name, help=summary, parents=parents)
+        p.set_defaults(fn=fn, parser=p)
+        return p
+
+    add(sub, "group-info", cmd_group_info, "Weyl order, fundamental group, center rank", [group])
+    p = add(sub, "classify", cmd_classify, "components of the circle moduli space", [group])
     p.add_argument("--j", default="1", help="circle length, rational p/q")
-    p.set_defaults(fn=cmd_classify)
-
-    p = sub.add_parser("check-stability", help="slope stability of circle cocycles")
-    _add_group_args(p)
-    p.add_argument("--j", default=None)
-    p.add_argument("--in", dest="infile", default=None)
-    p.add_argument("--cocycle", default=None, help="inline cocycle JSON")
-    p.set_defaults(fn=cmd_check_stability)
-
-    p = sub.add_parser("iso-test", help="decide isomorphism of two cocycles")
-    _add_group_args(p)
-    p.add_argument("--j", default=None)
-    p.add_argument("--in", dest="infile", default=None)
-    p.add_argument("--cocycle", dest="cocycle", default=None, help="inline JSON list of two cocycles")
-    p.set_defaults(fn=cmd_iso_test)
+    add(sub, "check-stability", cmd_check_stability, "slope stability of circle cocycles", [group, cocycle])
+    add(sub, "iso-test", cmd_iso_test, "decide isomorphism of two cocycles", [group, cocycle])
 
     p = sub.add_parser("verify", help="run a named verification suite")
     suites = p.add_subparsers(dest="suite", required=True, metavar="suite")
     for name, suite in verify.SUITES.items():
-        q = suites.add_parser(name, help=inspect.getdoc(suite).split("\n\n")[0])
+        q = add(suites, name, cmd_verify, inspect.getdoc(suite).split("\n\n")[0], [])
         for param in inspect.signature(suite).parameters:
             flags, kwargs = SUITE_OPTIONS[param]
             q.add_argument(*flags, dest=param, **kwargs)
         q.add_argument("--out", default=None)
-        q.set_defaults(fn=cmd_verify)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:  # reported with the usage line of the subcommand that met them
+        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
-        return args.fn(args)
+        args.guard = _guard(args.guard)
+        report = args.fn(args)
+        _emit(report, args.out)
     except GuardExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
@@ -250,6 +219,7 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    return EXIT_VERIFY_FAIL if args.command == "verify" and not report["pass"] else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -69,8 +69,8 @@ class TropicalGroup:
         return self._pi1
 
     def element(self, m: Sequence, w) -> "TropGroupElement":
-        """(m, w) with both fields checked: m a list of rank rationals, w an
-        element index or a WeylElement; a ValueError names a bad field."""
+        """(m, w) with both fields checked: m a list of rank rationals, w a
+        Weyl element index; a ValueError names a bad field."""
         widx = self.weyl.check_idx("w", w)
         return TropGroupElement(self, checked_vector("m", m, self.rank, checked_rational), widx)
 

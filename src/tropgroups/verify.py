@@ -3,7 +3,8 @@
 Each suite recomputes a countable claim two independent ways where possible
 (closed form vs. explicit enumeration with the isomorphism tester) and
 returns a JSON-serializable report with one entry per case.  Every suite
-builds its groups under the Weyl-group size guard it is given.
+builds its groups under the Weyl-group size guard it is given.  A sampled
+suite passes one function per trial to ``_trials``, the one trial loop.
 """
 
 from __future__ import annotations
@@ -38,12 +39,17 @@ def count_component_classes(g: TropicalGroup, j, w_idx: int) -> int:
     return len(distinct)
 
 
+def _full_cycle_count(family: str, n: int, j, guard: int):
+    """The component of the full-cycle class of the group and its isomorphism
+    classes counted by enumeration."""
+    g = build_group(family, n, guard)
+    rep = indecomposable_class_rep(g)
+    return circles.component_for_class(g, rep), count_component_classes(g, Q(j), rep)
+
+
 def sl_count(n: int, j=1, guard: int = DEFAULT_GUARD) -> dict:
     """SL_n with full-cycle monodromy: n classes and no torus, in closed form and enumerated."""
-    g = build_group("SL", n, guard)
-    rep = indecomposable_class_rep(g)
-    comp = circles.component_for_class(g, rep)
-    enumerated = count_component_classes(g, Q(j), rep)
+    comp, enumerated = _full_cycle_count("SL", n, j, guard)
     ok = comp.component_size == n and enumerated == n and comp.torus_rank == 0
     return {
         "suite": "sl-count",
@@ -57,10 +63,7 @@ def sl_count(n: int, j=1, guard: int = DEFAULT_GUARD) -> dict:
 
 def pgl_count(n: int, j=1, guard: int = DEFAULT_GUARD) -> dict:
     """PGL_n with full-cycle monodromy: π₁ = ℤ/n and n classes, in closed form and enumerated."""
-    g = build_group("PGL", n, guard)
-    rep = indecomposable_class_rep(g)
-    comp = circles.component_for_class(g, rep)
-    enumerated = count_component_classes(g, Q(j), rep)
+    comp, enumerated = _full_cycle_count("PGL", n, j, guard)
     ok = comp.invariant_factors == (n,) and enumerated == n and comp.torus_rank == 0
     return {
         "suite": "pgl-count",
@@ -93,6 +96,26 @@ def sample_gl_cocycle(
     return circles.cocycle(g, m, alpha, w_idx, j)
 
 
+def _trials(samples: int, seed: int, trial) -> dict:
+    """The sampled half of a report: trial(t, rng) for t < samples on one
+    generator seeded with seed, each returning (agrees, details).  The first
+    trial that disagrees is named in ``first_failure`` with its index, the
+    seed and its details, enough to rerun it."""
+    rng = random.Random(seed)
+    agree = 0
+    first_failure = None
+    for t in range(samples):
+        agrees, details = trial(t, rng)
+        if agrees:
+            agree += 1
+        elif first_failure is None:
+            first_failure = {"trial": t, "seed": seed, **details}
+    report = {"samples": samples, "agreeing": agree, "pass": agree == samples}
+    if first_failure is not None:
+        report["first_failure"] = first_failure
+    return report
+
+
 def det_homeo(n: int, d: int, samples: int = 100, seed: int = 0, j=1, guard: int = DEFAULT_GUARD) -> dict:
     """Equal determinant ⟺ isomorphic, on the stable-degree indecomposable part.
 
@@ -109,7 +132,6 @@ def det_homeo(n: int, d: int, samples: int = 100, seed: int = 0, j=1, guard: int
     det = hom_det(n, guard)
     rep = indecomposable_class_rep(g)
     cls = g.weyl.class_of(rep)
-    rng = random.Random(seed)
     comp = circles.component_for_class(g, rep)
     target = circles.component_for_class(det.target, det.target.weyl.identity_idx)
     discrete_ok = (comp.torus_rank, comp.invariant_factors) == (
@@ -117,9 +139,7 @@ def det_homeo(n: int, d: int, samples: int = 100, seed: int = 0, j=1, guard: int
         target.invariant_factors,
     )
 
-    agree = 0
-    first_failure = None
-    for trial in range(samples):
+    def trial(t, rng):
         c1 = sample_gl_cocycle(rng, g, jq, degree=d, w_idx=rng.choice(cls))
         c2 = sample_gl_cocycle(rng, g, jq, degree=d, w_idx=rng.choice(cls))
         alpha = list(c2.offset)
@@ -128,36 +148,24 @@ def det_homeo(n: int, d: int, samples: int = 100, seed: int = 0, j=1, guard: int
         # (equal determinants), by a fractional period (unequal Jacobian),
         # or bump the degree (unequal determinant in the free part)
         alpha[-1] += sum(c1.offset, Q(0)) - sum(c2.offset, Q(0)) + jq * rng.randint(-2, 2)
-        if trial % 2 == 1:
-            if trial % 4 == 1:
+        if t % 2 == 1:
+            if t % 4 == 1:
                 alpha[-1] += Q(1, 3) * jq
             else:
                 slope[-1] += 1
         c2 = circles.cocycle(g, slope, alpha, c2.mono_idx, jq)
         dets_isomorphic = circles.are_isomorphic(circles.pushforward(det, c1), circles.pushforward(det, c2))
         full_isomorphic = circles.are_isomorphic(c1, c2)
-        if dets_isomorphic == full_isomorphic and dets_isomorphic == (trial % 2 == 0):
-            agree += 1
-        elif first_failure is None:
-            first_failure = {
-                "trial": trial,
-                "seed": seed,
-                "cocycles": [c1.to_json(), c2.to_json()],
-                "expected_isomorphic": trial % 2 == 0,
-                "determinants_isomorphic": dets_isomorphic,
-                "isomorphic": full_isomorphic,
-            }
-    report = {
-        "suite": "det-homeo",
-        "n": n,
-        "d": d,
-        "samples": samples,
-        "agreeing": agree,
-        "discrete_invariants_match": discrete_ok,
-        "pass": discrete_ok and agree == samples,
-    }
-    if first_failure is not None:
-        report["first_failure"] = first_failure
+        return dets_isomorphic == full_isomorphic == (t % 2 == 0), {
+            "cocycles": [c1.to_json(), c2.to_json()],
+            "expected_isomorphic": t % 2 == 0,
+            "determinants_isomorphic": dets_isomorphic,
+            "isomorphic": full_isomorphic,
+        }
+
+    report = {"suite": "det-homeo", "n": n, "d": d, "discrete_invariants_match": discrete_ok}
+    report |= _trials(samples, seed, trial)
+    report["pass"] = discrete_ok and report["pass"]
     return report
 
 
@@ -215,33 +223,18 @@ def stability_multiline(n: int, samples: int = 100, seed: int = 0, j=1, guard: i
         raise ValueError(f"samples must be a positive count, not {samples}")
     g = build_group("GL", n, guard)
     jq = Q(j)
-    rng = random.Random(seed)
-    agree = 0
-    first_failure = None
-    for trial in range(samples):
+
+    def trial(t, rng):
         c = sample_gl_cocycle(rng, g, jq)
         verdict = stability.stability_verdict(c).semistable
         multiline = semistable_by_multiline(c)
-        if verdict == multiline:
-            agree += 1
-        elif first_failure is None:
-            first_failure = {
-                "trial": trial,
-                "seed": seed,
-                "cocycle": c.to_json(),
-                "semistable": verdict,
-                "semistable_by_multiline": multiline,
-            }
-    report = {
-        "suite": "stability-multiline",
-        "n": n,
-        "samples": samples,
-        "agreeing": agree,
-        "pass": agree == samples,
-    }
-    if first_failure is not None:
-        report["first_failure"] = first_failure
-    return report
+        return verdict == multiline, {
+            "cocycle": c.to_json(),
+            "semistable": verdict,
+            "semistable_by_multiline": multiline,
+        }
+
+    return {"suite": "stability-multiline", "n": n, **_trials(samples, seed, trial)}
 
 
 # the suites by name; the command line gives each suite one option per

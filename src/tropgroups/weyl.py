@@ -75,10 +75,6 @@ class WeylGroup:
     def inverse(self) -> tuple[int, ...]:
         return tuple([self._by_perm[invert_perm(p)] for p in self.perms])
 
-    @functools.cached_property
-    def _index(self) -> dict:
-        return {w.matrix: i for i, w in enumerate(self.elements)}
-
     @property
     def rank(self) -> int:
         return len(self.elements[0].matrix)
@@ -88,12 +84,6 @@ class WeylGroup:
 
     def __iter__(self):
         return iter(self.elements)
-
-    def idx(self, w) -> int:
-        key = w.matrix if isinstance(w, WeylElement) else la.matrix(w)
-        if key not in self._index:
-            raise ValueError("element not in group")
-        return self._index[key]
 
     def perm_idx(self, perm: Sequence[int]) -> int:
         """Index of the element with the given permutation."""
@@ -106,10 +96,8 @@ class WeylGroup:
         return self.elements[i]
 
     def check_idx(self, field: str, w) -> int:
-        """The index of w, a WeylElement of the group or an element index read
-        by checked_integer; a ValueError naming the field otherwise."""
-        if isinstance(w, WeylElement):
-            return self.idx(w)
+        """w as an element index, read by checked_integer; a ValueError naming
+        the field unless it is an integer in range(|W|)."""
         i = checked_integer(field, w)
         if not 0 <= i < len(self.elements):
             raise ValueError(f"field {field!r}: Weyl element index {i!r} is out of range for |W| = {len(self.elements)}")

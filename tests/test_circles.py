@@ -120,16 +120,22 @@ def test_every_weyl_index_field_is_checked_alike(bad):
             call()
 
 
-def test_every_weyl_index_field_takes_a_weyl_element():
+def test_every_weyl_index_field_takes_only_an_index():
+    # a WeylElement was once read as its index; the index is the one form
     g, swap, c = gl2_swapped()
     elt = g.weyl.element(swap)
-    assert ci.cocycle(g, (1, 0), (0, 0), elt, 1) == c
-    assert g.element((0, 0), elt) == g.element((0, 0), swap)
-    assert ci.gauge_transform(c, (0, 0), (0, 0), elt) == ci.gauge_transform(c, (0, 0), (0, 0), swap)
-    first = ci.GaugeTriple((1, 0), (Q(1, 2), Q(0)), elt)
-    composed = ci.compose_gauges(c, first, first)
-    assert composed == ci.compose_gauges(c, first, ci.GaugeTriple((1, 0), (Q(1, 2), Q(0)), swap))
-    assert composed.v_idx == g.weyl.identity_idx
+    first = ci.GaugeTriple((1, 0), (Q(1, 2), Q(0)), swap)
+    for field, call in [
+        ("w", lambda w: ci.cocycle(g, (1, 0), (0, 0), w, 1)),
+        ("w", lambda w: g.element((0, 0), w)),
+        ("v", lambda v: ci.gauge_transform(c, (0, 0), (0, 0), v)),
+        ("v", lambda v: ci.compose_gauges(c, first, ci.GaugeTriple((1, 0), (Q(1, 2), Q(0)), v))),
+    ]:
+        with pytest.raises(ValueError, match=f"'{field}': WeylElement"):
+            call(elt)
+        assert call(swap) is not None
+    assert ci.cocycle(g, (1, 0), (0, 0), swap, 1) == c
+    assert ci.compose_gauges(c, first, first).v_idx == g.weyl.identity_idx
 
 
 @pytest.mark.parametrize("check", [ci.multiline_of, check_sp_trivialization])

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, determinism, exit codes."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -30,11 +31,38 @@ def test_group_info_g2(capsys):
     assert data["center_rank"] == 0
 
 
-def test_group_info_flags_equivalent(capsys):
-    code1, out1 = run(capsys, ["group-info", "Sp", "2"])
-    code2, out2 = run(capsys, ["group-info", "--family", "Sp", "--n", "2"])
-    assert code1 == code2 == 0
-    assert out1 == out2
+def test_group_subcommands_take_the_group_by_position_only(capsys):
+    # --family and --n once silently won over the positionals (Sp2's report, exit 0)
+    for argv in (["group-info", "--family", "Sp", "--n", "2", "GL", "3"], ["classify", "GL", "3", "--n", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == cli.EXIT_PARSE
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_no_option_is_hidden():
+    def actions(parser):
+        for action in parser._actions:
+            yield action
+            if isinstance(action, argparse._SubParsersAction):
+                for sub in action.choices.values():
+                    yield from actions(sub)
+
+    found = list(actions(cli.build_parser()))
+    assert len(found) > 40
+    assert [a.dest for a in found if a.help == argparse.SUPPRESS] == []
+
+
+def test_in_and_cocycle_exclude_each_other(capsys, tmp_path):
+    entry = {"m": [1, 0], "alpha": ["0", "0"], "w": 0, "j": "1"}
+    infile = tmp_path / "c.json"
+    infile.write_text(json.dumps(entry))
+    for command in ("check-stability", "iso-test"):
+        # --in once won silently, judging the file alone
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "GL", "2", "--in", str(infile), "--cocycle", json.dumps({**entry, "w": 1})])
+        assert exc.value.code == cli.EXIT_PARSE
+        assert "not allowed with argument" in capsys.readouterr().err
 
 
 def test_output_is_byte_identical(capsys):
@@ -246,7 +274,10 @@ def test_each_verify_suite_rejects_the_options_it_does_not_read(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "relative-weyl", "--n", "-2", "--samples", "0"])
     assert exc.value.code == cli.EXIT_PARSE
-    assert "unrecognized arguments: --n -2 --samples 0" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --n -2 --samples 0" in err
+    # with the usage line of the suite, which lists the options it does take
+    assert err.startswith("usage: tropgroups verify relative-weyl [-h] [--guard GUARD] [--out OUT]\n")
 
 
 def test_library_logger_is_silent(capsys):

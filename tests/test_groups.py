@@ -328,11 +328,12 @@ def test_element_checks_its_fields():
         (((1, 2), True), "'w': True is not a rational"),  # once silently w = 1
         (((1, "1/0"), 0), "'m': '1/0' is not a rational"),
         (((1, 2), Q(1, 2)), "'w': Fraction\\(1, 2\\) is not an integer"),
+        (((1, 2), g.weyl.element(1)), "'w': WeylElement.* is not a rational"),  # an index is the one form
     ]
     for (m, w), message in cases:
         with pytest.raises(ValueError, match=message):
             g.element(m, w)
-    a = g.element(["1/2", 3], g.weyl.element(1))
+    a = g.element(["1/2", 3], 1)
     assert (a.m, a.w_idx) == ((Q(1, 2), Q(3)), 1)
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from weyl_oracles import levi_group, normalizer, parabolic_closure
+from weyl_oracles import levi_group, matrix_index, normalizer, parabolic_closure
 from tropgroups import circles as ci
 from tropgroups import groups as gr
 from tropgroups import intlinalg as la
@@ -253,9 +253,8 @@ def test_semistable_quotient_theorem_gl4():
 
     def twist(c, t_idx):
         moved = ci.gauge_transform(lift(c), (0,) * 4, (0,) * 4, t_idx)
-        return ci.cocycle(
-            levi, moved.slope, moved.offset, levi.weyl.idx(big.weyl.element(moved.mono_idx)), c.length
-        )
+        w_idx = matrix_index(levi.weyl)[big.weyl.element(moved.mono_idx).matrix]
+        return ci.cocycle(levi, moved.slope, moved.offset, w_idx, c.length)
 
     def orbit_isomorphic(c1, c2):
         return any(ci.are_isomorphic(twist(c1, t), c2) for t in coset_reps)

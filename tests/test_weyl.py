@@ -12,6 +12,7 @@ from weyl_oracles import (
     factor_model,
     full_cycle_products,
     levi_group,
+    matrix_index,
     normalizer,
     parabolic_closure,
     relative_weyl_by_products,
@@ -321,11 +322,11 @@ GRID = [
 
 # the matrix products that the permutation kernel replaced, kept as the reference
 def ref_mul(w, i, j):
-    return w.idx(la.mat_mul(w.element(i).matrix, w.element(j).matrix))
+    return matrix_index(w)[la.mat_mul(w.element(i).matrix, w.element(j).matrix)]
 
 
 def ref_inv(w, i):
-    return w.idx(mat_to_int(la.rational_inverse(w.element(i).matrix)))
+    return matrix_index(w)[mat_to_int(la.rational_inverse(w.element(i).matrix))]
 
 
 def ref_classes(w):

@@ -4,7 +4,8 @@ centralizer of an element by a scan of all of W, the oracle for
 generated by given elements, the standard parabolic W_P as the closure of
 its simple reflections, the oracle for the coset search of
 ``weyl.parabolic_cosets``, the normalizer of a subgroup by conjugating all
-of its elements, the oracle for ``weyl.parabolic_normalizer``, the
+of its elements, the oracle for ``weyl.parabolic_normalizer``, the index
+of each element by its matrix, for oracles that multiply matrices, the
 relative-Weyl coset comparison built from permutation products, the oracle
 for ``weyl.relative_weyl_check``, the factor-permutation model of a
 type-∏A parabolic, the oracle for ``weyl.a_type_paths`` and
@@ -13,6 +14,7 @@ group with its inclusion homomorphism."""
 
 from __future__ import annotations
 
+import functools
 from typing import Optional, Sequence
 
 from rootdata_oracles import levi_datum_by_span
@@ -23,6 +25,12 @@ from tropgroups.errors import InvariantError
 from tropgroups.groups import TropGroupHom, TropicalGroup, make_hom
 from tropgroups.permutations import compose_perm, cycles_of, identity_perm
 from tropgroups.weyl import RelativeWeylResult, WeylGroup
+
+
+@functools.cache
+def matrix_index(w: WeylGroup) -> dict:
+    """The index of each element of W by its matrix, a tuple of row tuples."""
+    return {e.matrix: i for i, e in enumerate(w.elements)}
 
 
 def centralizer_by_scan(w: WeylGroup, i: int) -> tuple[int, ...]:
