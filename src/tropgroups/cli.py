@@ -203,9 +203,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     args, unknown = build_parser().parse_known_args(argv)
-    if unknown:  # reported with the usage line of the subcommand that met them
-        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
+    if unknown:
+        # by the parser that met them: the top level knows only -h and the subcommand name
+        parser = args.parser if argv[0] == args.command else build_parser()
+        parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         args.guard = _guard(args.guard)
         report = args.fn(args)

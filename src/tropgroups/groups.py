@@ -18,6 +18,7 @@ tests of the semiring module are the literal definitions it agrees with.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from typing import Callable, Optional, Sequence
@@ -27,7 +28,7 @@ from . import rootdata, semiring, weyl
 from .errors import InvariantError
 from .intlinalg import Mat, Vec
 from .rootdata import RootDatum
-from .semiring import TropMatrix, checked_rational, checked_vector, invert_or_decompose
+from .semiring import TropMatrix, checked_integer, checked_rational, checked_vector, invert_or_decompose
 from .weyl import WeylElement, WeylGroup
 
 
@@ -56,12 +57,18 @@ class TropicalGroup:
         # basis with a left inverse
         self.parabolics: dict = {}
         self.coroot_basis = None
-        # a left inverse of the model map, built on the first from_matrix call
-        self.model_inverse = None
 
     def __repr__(self):
         tag = "x".join(map(str, self.family)) if self.family else f"rank{self.rank}"
         return f"TropicalGroup({tag}, |W|={len(self.weyl)})"
+
+    @functools.cached_property
+    def model_inverse(self) -> tuple[Mat, int]:
+        """(L, e) with L/e = d·(NᵀN)⁻¹Nᵀ, a left inverse of the model map
+        Y = N/d, built on the first from_matrix call."""
+        num, d = self.model
+        left = la.mat_mul(la.rational_inverse(la.mat_mul(la.transpose(num), num)), la.transpose(num))
+        return la.scaled([la.vec_scale(d, row) for row in left])
 
     def pi1(self) -> la.QuotientLattice:
         if self._pi1 is None:
@@ -75,30 +82,18 @@ class TropicalGroup:
         return TropGroupElement(self, checked_vector("m", m, self.rank, checked_rational), widx)
 
 
+@dataclass(frozen=True, slots=True)
 class TropGroupElement:
-    """Group element (m, w); immutable, parented by identity."""
+    """Group element (m, w) as a value.  Equal elements share the group
+    object, which has no __eq__, so elements of distinct groups differ."""
 
-    __slots__ = ("group", "m", "w_idx")
-
-    def __init__(self, group: TropicalGroup, m: tuple, w_idx: int):
-        self.group = group
-        self.m = m
-        self.w_idx = w_idx
+    group: TropicalGroup
+    m: tuple
+    w_idx: int
 
     @property
     def w(self) -> WeylElement:
         return self.group.weyl.element(self.w_idx)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TropGroupElement)
-            and self.group is other.group
-            and self.m == other.m
-            and self.w_idx == other.w_idx
-        )
-
-    def __hash__(self):
-        return hash((id(self.group), self.m, self.w_idx))
 
     def __repr__(self):
         return f"({self.m}, w{self.w_idx})"
@@ -230,6 +225,7 @@ _GROUP_CACHE: dict = {}
 
 def build_group(family: str, n: int = 0, guard: int = weyl.DEFAULT_GUARD) -> TropicalGroup:
     """Tropical reductive group of the family with its matrix-model data."""
+    n = checked_integer("n", n)
     key = (family, n, guard)
     if key in _GROUP_CACHE:
         return _GROUP_CACHE[key]
@@ -284,18 +280,11 @@ def to_matrix(a: TropGroupElement) -> TropMatrix:
     return TropMatrix.gen_perm(model_coordinates(a), a.group.weyl.perm(a.w_idx))
 
 
-def _left_inverse(num: Mat, d: int) -> tuple[Mat, int]:
-    """(L, e) with L/e = d·(NᵀN)⁻¹Nᵀ, a left inverse of the model map Y = N/d."""
-    left = la.mat_mul(la.rational_inverse(la.mat_mul(la.transpose(num), num)), la.transpose(num))
-    _, e = la.integer_numerators([x for row in left for x in row])
-    return tuple(tuple(int(d * e * x) for x in row) for row in left), e
-
-
 def from_matrix(mat: TropMatrix, g: TropicalGroup) -> TropGroupElement:
     """Inverse of to_matrix.  The members are the image of the model: D(y)⊙P_σ
     of the model's size with y = Y·m for some m and σ = σ(w) for some w in W;
     any other matrix raises NotInGroupError."""
-    num, d = _model(g)
+    num, _ = _model(g)
     family, n = g.family
     size = len(num)
     if mat.n_rows != size or mat.n_cols != size:
@@ -307,18 +296,14 @@ def from_matrix(mat: TropMatrix, g: TropicalGroup) -> TropGroupElement:
     y = dec.diag
     if family == "PGL":  # a scalar shift is the identity of PGL; Y·m ends in 0
         y = tuple(x - y[-1] for x in y)
-    if g.model_inverse is None:
-        g.model_inverse = _left_inverse(num, d)
-    left, e = g.model_inverse
-    ynum, den = la.integer_numerators(y)
-    m = la.mat_vec(left, ynum)  # e·den·m
-    if la.mat_vec(num, m) != tuple([d * e * x for x in ynum]):
+    m = la.solve_scaled(g.model, g.model_inverse, y)
+    if m is None:
         raise NotInGroupError(f"{family}, n = {n}: model coordinates {[str(x) for x in y]} are not Y·m for any m")
     try:
         w_idx = g.weyl.perm_idx(dec.perm)
     except ValueError as exc:
         raise NotInGroupError("permutation part is not in the Weyl group") from exc
-    return TropGroupElement(g, tuple([Q(x, e * den) for x in m]), w_idx)
+    return TropGroupElement(g, m, w_idx)
 
 
 # ---------------------------------------------------------------------------

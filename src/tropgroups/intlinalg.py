@@ -4,7 +4,8 @@ Vectors are tuples of ``int`` or ``Fraction``; matrices are tuples of row
 tuples.  An integer matrix acts on a rational vector as it is: an ``int``
 times a ``Fraction`` is an exact ``Fraction``, and the rational routines
 convert their input.  Everything here is deterministic and exact: integer
-numerators of a rational vector over one denominator, Smith normal form with
+numerators over one denominator, and exact solves on them through a left
+inverse (``solve_scaled``), Smith normal form with
 unimodular transforms u, v and u⁻¹ (each row operation on u mirrored as a
 column operation on u⁻¹, so no inverse is solved for), rational solves,
 kernels and inverses, integer orbit sums under a finite-order integer matrix
@@ -162,6 +163,26 @@ def integer_numerators(v: Vec) -> tuple[tuple[int, ...], int]:
     return tuple([x.numerator * (d // x.denominator) for x in v]), d
 
 
+def scaled(a: Mat) -> tuple[Mat, int]:
+    """(N, d) with a = N/d: the entries of a matrix of ints or Fractions as
+    integer numerators over the lcm d of their denominators."""
+    d = lcm(*[x.denominator for row in a for x in row])
+    return tuple([tuple([x.numerator * (d // x.denominator) for x in row]) for row in a]), d
+
+
+def solve_scaled(a: tuple[Mat, int], left: tuple[Mat, int], y: Vec) -> Optional[Vec]:
+    """The x with (N/d)·x = y for a = (N, d), or None if y is not in the image,
+    through a left inverse left = (L, e), (L/e)·(N/d) = 1: for y = Y/s the only
+    candidate is x = L·Y/(e·s), checked as N·L·Y = d·e·Y before any Fraction."""
+    num, d = a
+    inv, e = left
+    ynum, s = integer_numerators(y)
+    x = mat_vec(inv, ynum)
+    if mat_vec(num, x) != tuple([d * e * v for v in ynum]):
+        return None
+    return tuple([Q(v, e * s) for v in x])
+
+
 def smith_normal_form(a: Mat) -> tuple[Mat, Mat, Mat, Mat]:
     """Smith normal form: returns (d, u, v, u⁻¹) with u·a·v = d.
 
@@ -229,9 +250,7 @@ def smith_normal_form(a: Mat) -> tuple[Mat, Mat, Mat, Mat]:
                     if d[t][j] != 0:
                         swap_cols(t, j)
                         moved = True
-            if not moved and all(d[i][t] == 0 for i in range(t + 1, m)) and all(
-                d[t][j] == 0 for j in range(t + 1, n)
-            ):
+            if not moved:  # every remainder was 0: row and column t are clear
                 break
         # enforce divisibility of the trailing block by the pivot
         bad = None

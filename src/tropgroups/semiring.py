@@ -133,6 +133,10 @@ def checked_vector(field: str, xs, n: int, read) -> tuple:
 class TropMatrix:
     entries: tuple[tuple[TropValue, ...], ...]
 
+    def __post_init__(self):
+        if len({len(row) for row in self.entries}) > 1:
+            raise ValueError(f"matrix rows must have one length, not {[len(row) for row in self.entries]}")
+
     @property
     def n_rows(self) -> int:
         return len(self.entries)

@@ -7,8 +7,9 @@ its bundles are cocycles whose monodromy lies in the sub-Weyl-group.
 Everything that depends only on the group is built once and kept on the
 TropicalGroup: each standard parabolic, with its sub-Weyl set, π₁(P) and its
 slope matrix M_P = I − Č_P·K_P⁻¹·A_P (so a slope is one matrix-vector
-product), and a left inverse of the simple-coroot basis for the dominance
-order.  Exact rational matrices are kept as an integer matrix over one
+product), and the simple-coroot basis Č with its left inverse K⁻¹·A for the
+dominance order, which also gives the minimal parabolic of a degree.  Each
+is kept as ``intlinalg.scaled`` keeps it, an integer matrix over one
 denominator, so slopes and dominance coefficients are integer dot products
 followed by one Fraction per entry.  φ_P, [·]_P and the test v·w·v⁻¹ ∈ W_P
 are constant on each left coset W_P·v, so a verdict reads the reductions to P
@@ -26,11 +27,10 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from math import gcd, lcm
+from math import gcd
 from typing import Optional, Sequence
 
 from . import intlinalg as la
-from . import rootdata as rdmod
 from .errors import InvariantError
 from .circles import CircleCocycle
 from .groups import TropicalGroup
@@ -55,12 +55,12 @@ class ParabolicSubgroup:
     slope_matrix: tuple[Mat, int]
 
 
-def _coroot_frame(g: TropicalGroup, positions: tuple[int, ...]) -> tuple[Mat, Mat, int]:
-    """(Č, N, d) for the simple roots at the positions, with K⁻¹·A = N/d.
+def _coroot_frame(g: TropicalGroup, positions: tuple[int, ...]) -> tuple[Mat, Mat]:
+    """(Č, K⁻¹·A) for the simple roots at the positions, exactly.
 
     Č has their coroots as columns, K = A·Č is their Cartan matrix and A maps
     λ̌ to the pairings ⟨α, λ̌⟩, so K⁻¹·A is a left inverse of Č: it gives the
-    coefficients of any vector of the coroot span.  N is integral and d > 0.
+    coefficients of any vector of the coroot span.
     """
     datum = g.datum
     idxs = [datum.simple[t] for t in positions]
@@ -68,11 +68,9 @@ def _coroot_frame(g: TropicalGroup, positions: tuple[int, ...]) -> tuple[Mat, Ma
     pairings = tuple(la.mat_vec(la.transpose(datum.pairing), datum.roots[a]) for a in idxs)
     cartan = tuple(tuple(la.vec_dot(row, datum.coroots[b]) for b in idxs) for row in pairings)
     try:
-        left_inverse = la.mat_mul(la.rational_inverse(cartan), pairings)
+        return coroots, la.mat_mul(la.rational_inverse(cartan), pairings)
     except ValueError:
         raise InvariantError(f"simple coroots at positions {positions} are not independent") from None
-    d = lcm(*(x.denominator for row in left_inverse for x in row))
-    return coroots, tuple(tuple(int(x * d) for x in row) for row in left_inverse), d
 
 
 def parabolic_subgroup(g: TropicalGroup, positions: Sequence[int]) -> ParabolicSubgroup:
@@ -92,14 +90,11 @@ def parabolic_subgroup(g: TropicalGroup, positions: Sequence[int]) -> ParabolicS
         # the full parabolic is G: its π₁ is g.pi1(), in the coordinates of circles.degree
         simple = [g.datum.coroots[g.datum.simple[t]] for t in positions]
         pi1 = g.pi1() if len(positions) == len(g.datum.simple) else QuotientLattice(g.rank, simple)
-        coroots, num, d = _coroot_frame(g, positions)
-        k = len(positions)
-        # M_P = I − Č_P·K_P⁻¹·A_P = (d·I − Č_P·N)/d
-        slope_num = tuple(
-            tuple(d * (i == j) - sum(coroots[i][t] * num[t][j] for t in range(k)) for j in range(g.rank))
-            for i in range(g.rank)
-        )
-        p = ParabolicSubgroup(g, positions, members, cosets, classes, pi1, (slope_num, d))
+        # M_P = I − Č_P·K_P⁻¹·A_P, and I for the torus parabolic, whose Č_P has no columns
+        slope_map = la.identity_matrix(g.rank)
+        if positions:
+            slope_map = la.mat_sub(slope_map, la.mat_mul(*_coroot_frame(g, positions)))
+        p = ParabolicSubgroup(g, positions, members, cosets, classes, pi1, la.scaled(slope_map))
         g.parabolics[positions] = p
     return p
 
@@ -124,21 +119,12 @@ def slope_of_group(g: TropicalGroup, lam: Sequence) -> Vec:
 
 def dominance_coeffs(g: TropicalGroup, lam: Sequence, mu: Sequence) -> Optional[Vec]:
     """Coefficients of μ̌ − λ̌ in the simple-coroot basis, or None if outside the
-    span, for λ̌ and μ̌ with int or Fraction entries.
-
-    The coefficients are c = L·(μ̌ − λ̌) for the group's left inverse L = N/d of
-    the basis B; they are kept only if B·c = μ̌ − λ̌.  Both steps run on the
-    difference scaled to integers.
-    """
+    span, for λ̌ and μ̌ with int or Fraction entries: the solve of Č·c = μ̌ − λ̌
+    through the left inverse K⁻¹·A, both kept on the group as (N, d) maps."""
     if g.coroot_basis is None:
-        g.coroot_basis = _coroot_frame(g, tuple(range(len(g.datum.simple))))
-    basis, num, d = g.coroot_basis
-    diff = la.vec_sub(mu, lam)
-    scaled, den = la.integer_numerators(diff)
-    coeffs = la.mat_vec(num, scaled)
-    if la.mat_vec(basis, coeffs) != tuple(d * x for x in scaled):
-        return None
-    return tuple(Q(x, d * den) for x in coeffs)
+        coroots, left_inverse = _coroot_frame(g, tuple(range(len(g.datum.simple))))
+        g.coroot_basis = (coroots, 1), la.scaled(left_inverse)
+    return la.solve_scaled(*g.coroot_basis, la.vec_sub(mu, lam))
 
 
 def _order(coeffs: Optional[Vec]) -> tuple[bool, bool]:
@@ -287,16 +273,12 @@ def is_stable_degree(g: TropicalGroup, lam: Sequence[int]) -> bool:
 
 
 def minimal_parabolic_for_degree(g: TropicalGroup, lam: Sequence[int]) -> ParabolicSubgroup:
-    """The parabolic with simple subset {i : ⟨ω_i, φ_G(λ̌) − λ̌⟩ ∉ ℤ}.
-
-    The subset does not depend on the chosen integral lift of the degree,
-    because shifting by a coroot changes each pairing by an integer.
+    """The parabolic with simple subset {i : c_i ∉ ℤ} for λ̌ − φ_G(λ̌) = Σ c_i α̌_i,
+    that is ⟨ω_i, λ̌ − φ_G(λ̌)⟩ ∉ ℤ.  The subset does not depend on the chosen
+    integral lift of the degree: shifting by a coroot moves each c_i by an integer.
     """
-    datum = g.datum
     lam = checked_vector("lam", lam, g.rank, checked_integer)
-    diff = la.vec_sub(slope_of_group(g, lam), lam)
-    weights = rdmod.fundamental_weights(datum)
-    positions = tuple(
-        t for t, omega in enumerate(weights) if Q(datum.pair(omega, diff)).denominator != 1
-    )
-    return parabolic_subgroup(g, positions)
+    coeffs = dominance_coeffs(g, slope_of_group(g, lam), lam)
+    if coeffs is None:
+        raise InvariantError(f"λ̌ − φ_G(λ̌) for λ̌ = {list(lam)} lies outside the coroot span of {g!r}")
+    return parabolic_subgroup(g, [t for t, c in enumerate(coeffs) if c.denominator != 1])

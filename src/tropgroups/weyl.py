@@ -23,9 +23,9 @@ parabolic: W_P and its cosets W_P·v, for the stability module and for the
 functions below.  The normalizer of W_P (tested on the simple reflections
 of P alone) works on indices; for a parabolic W_P of type ∏A
 (``a_type_paths``) the indecomposable elements, a full cycle in every
-factor S_{k+1}, are the W_P-class of the Coxeter element, and the
-relative-Weyl bijection is read off the W_P-cosets that the centralizer
-meets.
+factor S_{k+1}, are the conjugates of the Coxeter element by W_P (|W_P|
+products, no walk of W), and the relative-Weyl bijection is read off the
+W_P-cosets that the centralizer meets.
 """
 
 from __future__ import annotations
@@ -336,15 +336,14 @@ def indecomposable_elements(w: WeylGroup, positions: Sequence[int]) -> tuple[int
     """The elements of the type-∏A parabolic W_P at the positions that are a
     full cycle in every factor S_{k+1}, sorted.  They form the W_P-conjugacy
     class of the Coxeter element c = s_{p_k}⋯s_{p_1} (Humphreys, Reflection
-    Groups and Coxeter Groups, §3.16): its orbit under x ↦ s·x·s⁻¹ for s in P."""
-    positions = _positions(w, positions)
+    Groups and Coxeter Groups, §3.16): the v·c·v⁻¹ for v in W_P."""
     if a_type_paths(w, positions) is None:
         raise ValueError("parabolic subgroup is not of product-A type")
-    c, inv = w.identity_idx, w.inverse
+    positions, sub, _ = parabolic_cosets(w, positions)
+    c = w.identity_idx
     for p in positions:
         c = w.left[p][c]
-    orbits = w.orbits([[w.left[p][inv[w.left[p][x_inv]]] for x_inv in inv] for p in positions])
-    return tuple(sorted(next(o for o in orbits if c in o)))
+    return tuple(sorted({w.conj(v, c) for v in sub}))
 
 
 def is_indecomposable(w: WeylGroup, elt_idx: int, positions: Optional[Sequence[int]] = None) -> bool:
@@ -373,7 +372,7 @@ def parabolic_normalizer(w: WeylGroup, positions: Sequence[int]) -> tuple[int, .
     return tuple(g for g in range(len(w.elements)) if all(w.conj(g, s) in sub for s in gens))
 
 
-@dataclass
+@dataclass(frozen=True)
 class RelativeWeylResult:
     centralizer_big: tuple[int, ...]
     centralizer_small: tuple[int, ...]

@@ -40,6 +40,21 @@ def test_group_subcommands_take_the_group_by_position_only(capsys):
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def test_an_unknown_option_is_reported_by_the_parser_that_met_it(capsys):
+    # one before the subcommand name was once reported with the subcommand's usage line
+    for argv, usage in [
+        (["--foo", "group-info", "G2"], "usage: tropgroups [-h]"),
+        (["--foo", "verify", "relative-weyl"], "usage: tropgroups [-h]"),
+        (["group-info", "--foo", "G2"], "usage: tropgroups group-info [-h]"),
+        (["group-info", "G2", "--foo"], "usage: tropgroups group-info [-h]"),
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == cli.EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith(usage) and err.endswith("error: unrecognized arguments: --foo\n")
+
+
 def test_no_option_is_hidden():
     def actions(parser):
         for action in parser._actions:

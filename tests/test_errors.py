@@ -89,6 +89,26 @@ def test_every_public_name_is_called_or_exported():
     assert orphans == []
 
 
+def test_every_dataclass_is_frozen():
+    """Every @dataclass of the library is a value: frozen=True, so no field of
+    a hashed instance can be reassigned."""
+    found, mutable = [], []
+    for path in sorted((SRC / "tropgroups").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for deco in node.decorator_list:
+                call = deco if isinstance(deco, ast.Call) else None
+                if ast.unparse(call.func if call else deco) not in ("dataclass", "dataclasses.dataclass"):
+                    continue
+                found.append(node.name)
+                keywords = {k.arg: ast.unparse(k.value) for k in call.keywords} if call else {}
+                if keywords.get("frozen") != "True":
+                    mutable.append(f"{path.stem}.{node.name}")
+    assert mutable == []
+    assert "TropGroupElement" in found and len(found) > 10
+
+
 # a gauge_transform that misses b must make the witness self-check raise
 OPTIMIZED_SELF_CHECK = """
 from tropgroups import circles as ci

@@ -1,5 +1,6 @@
 """Group elements, centers, determinant maps, homomorphisms, matrix models."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -303,6 +304,33 @@ def test_g2_model_lattice_image():
             )
             elt = gr.from_matrix(mat, g)
             assert all(x.denominator == 1 for x in elt.m)
+
+
+def test_elements_are_frozen_values(monkeypatch):
+    g = build_group("GL", 2)
+    a = g.element((Q(1, 2), 3), 1)
+    held = {a}
+    for field, value in [("m", (5, 5)), ("w_idx", 0), ("group", build_group("GL", 3))]:
+        # assigning m once succeeded, and the element dropped out of the set holding it
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(a, field, value)
+    assert a in held and (a.m, a.w_idx) == ((Q(1, 2), Q(3)), 1)
+    back = gr.from_matrix(gr.to_matrix(a), g)
+    assert back is not a and back == a and hash(back) == hash(a) and back in held
+    monkeypatch.setattr(gr, "_GROUP_CACHE", {})
+    other = build_group("GL", 2)
+    assert other is not g
+    assert other.element(a.m, a.w_idx) != a  # parented by identity: equal only in the same group
+
+
+def test_build_group_reads_n_as_an_integer(monkeypatch):
+    monkeypatch.setattr(gr, "_GROUP_CACHE", {})
+    # True once built GL1 under its own cache key; None raised a bare TypeError
+    for n, message in [(True, "True is not a rational"), (None, "None is not a rational"), (Q(1, 2), "not an integer")]:
+        with pytest.raises(ValueError, match=f"field 'n': .*{message}"):
+            build_group("GL", n)
+    assert build_group("GL", 2.0) is build_group("GL", "2") is build_group("GL", 2)
+    assert set(gr._GROUP_CACHE) == {("GL", 2, weyl.DEFAULT_GUARD)}
 
 
 def test_element_json():

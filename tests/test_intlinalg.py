@@ -1,5 +1,6 @@
-"""Smith normal form, integer solves, orbit sums and quotient lattices."""
+"""Smith normal form, integer and scaled exact solves, orbit sums and quotient lattices."""
 
+import math
 import random
 from fractions import Fraction as Q
 
@@ -141,3 +142,38 @@ def test_orbit_sums():
 def test_lattice_index():
     assert lattice_index(((2, 0), (0, 3))) == 6
     assert lattice_index(((1, 0), (0, 1))) == 1
+
+
+def test_scaled_solves_agree_with_rational_solve():
+    """On random injective maps a = N/d: scaled gives the numerators over the
+    lcm of the denominators, and solve_scaled through a left inverse finds the
+    rational_solve solution, or None exactly when y is off the image."""
+    rng = random.Random(23)
+    tried = off_image = 0
+    while tried < 150:
+        rows, cols = rng.randint(1, 5), rng.randint(1, 4)
+        d = rng.randint(1, 4)
+        a = tuple(tuple(Q(rng.randint(-4, 4), d) for _ in range(cols)) for _ in range(rows))
+        if len(la.rational_rref(a)[1]) < cols:
+            continue  # not injective
+        tried += 1
+        num, den = la.scaled(a)
+        assert all(isinstance(x, int) for row in num for x in row) and den > 0
+        assert tuple(tuple(Q(x, den) for x in row) for row in num) == a
+        assert den == math.lcm(*[x.denominator for row in a for x in row])
+        at = la.transpose(a)
+        left = la.scaled(la.mat_mul(la.rational_inverse(la.mat_mul(at, a)), at))
+        x = tuple(Q(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(cols))
+        on = la.mat_vec(a, x)
+        off = tuple(v + Q(rng.randint(0, 2), rng.randint(1, 3)) for v in on)
+        assert la.solve_scaled((num, den), left, on) == x == la.rational_solve(a, on)
+        found = la.solve_scaled((num, den), left, off)
+        assert found == la.rational_solve(a, off)
+        off_image += found is None
+    assert off_image > 20
+
+
+def test_scaled_keeps_an_integer_matrix():
+    assert la.scaled(((1, -2), (0, 3))) == (((1, -2), (0, 3)), 1)
+    assert la.scaled(((Q(1, 2), Q(2, 3)),)) == (((3, 4),), 6)
+    assert la.scaled(()) == ((), 1)

@@ -233,3 +233,12 @@ def test_rational_from_str_bounds_the_decimal_exponent():
     for text in ("1e", "e5", "1/0", "1e5/2", "1e" + "9" * 5000):
         with pytest.raises(ValueError, match="is not a rational number"):
             sr.rational_from_str(text)
+
+
+def test_ragged_rows_are_rejected_at_construction():
+    # once read as the 2×2 matrix D(1, 2)⊙P_(1,0), a GL₂ member of determinant 3
+    with pytest.raises(ValueError, match=r"one length, not \[2, 1\]"):
+        sr.TropMatrix(((sr.INF, sr.fin(1)), (sr.fin(2),)))
+    with pytest.raises(ValueError, match=r"not \[1, 1, 0\]"):
+        sr.TropMatrix(((sr.ZERO,), (sr.ZERO,), ()))
+    assert sr.TropMatrix(()).n_rows == 0

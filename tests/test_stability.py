@@ -10,6 +10,7 @@ from weyl_oracles import levi_group, matrix_index, normalizer, parabolic_closure
 from tropgroups import circles as ci
 from tropgroups import groups as gr
 from tropgroups import intlinalg as la
+from tropgroups import rootdata as rd
 from tropgroups import stability as stab
 from tropgroups import verify, weyl
 from tropgroups.errors import InvariantError
@@ -191,6 +192,28 @@ def test_minimal_parabolic_examples():
             stab.minimal_parabolic_for_degree(g4, lam).positions
             == stab.minimal_parabolic_for_degree(g4, shift).positions
         )
+
+
+def minimal_positions_by_weights(g, lam):
+    """The simple positions i with ⟨ω_i, φ_G(λ̌) − λ̌⟩ ∉ ℤ, paired with the
+    fundamental weights of the root datum."""
+    diff = la.vec_sub(stab.slope_of_group(g, lam), lam)
+    weights = rd.fundamental_weights(g.datum)
+    return tuple(t for t, omega in enumerate(weights) if Q(g.datum.pair(omega, diff)).denominator != 1)
+
+
+@pytest.mark.parametrize("family", rd.FAMILIES)
+def test_minimal_parabolic_agrees_with_the_fundamental_weight_pairing(family):
+    n = {"GL": 4, "SL": 4, "PGL": 4, "Sp": 3, "SO_odd": 3, "SO_even": 4, "G2": 0}[family]
+    g = build_group(family, n)
+    rng = random.Random(f"minimal {family}")
+    found = set()
+    for _ in range(40):
+        lam = [rng.randint(-5, 5) for _ in range(g.rank)]
+        positions = stab.minimal_parabolic_for_degree(g, lam).positions
+        assert positions == minimal_positions_by_weights(g, lam)
+        found.add(positions)
+    assert len(found) > 1 or g.pi1().order == 1  # a trivial π₁ leaves every c_i integral
 
 
 @pytest.mark.parametrize(
