@@ -261,7 +261,7 @@ class ComponentDescription:
 def _cycle_quotient(g: TropicalGroup, w_idx: int) -> la.QuotientLattice:
     """The lattice M̌/(1 − w)M̌ of slopes modulo the gauge by k."""
     amat = la.mat_sub(la.identity_matrix(g.rank), g.weyl.element(w_idx).matrix)
-    return la.QuotientLattice(g.rank, la.columns(amat))
+    return la.QuotientLattice(g.rank, la.transpose(amat))
 
 
 def _component(g: TropicalGroup, cls: tuple[int, ...]) -> ComponentDescription:

@@ -180,9 +180,10 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--in", dest="infile", default=None, help="file of cocycle JSON")
     source.add_argument("--cocycle", default=None, help="inline cocycle JSON, an object or a list")
 
-    def add(parsers, name, fn, summary, parents):
+    # each command's parsers from the top, so that main can name the one that met an unknown argument
+    def add(parsers, name, fn, summary, parents, outer=(parser,)):
         p = parsers.add_parser(name, help=summary, parents=parents)
-        p.set_defaults(fn=fn, parser=p)
+        p.set_defaults(fn=fn, parsers=outer + (p,))
         return p
 
     add(sub, "group-info", cmd_group_info, "Weyl order, fundamental group, center rank", [group])
@@ -194,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a named verification suite")
     suites = p.add_subparsers(dest="suite", required=True, metavar="suite")
     for name, suite in verify.SUITES.items():
-        q = add(suites, name, cmd_verify, inspect.getdoc(suite).split("\n\n")[0], [])
+        q = add(suites, name, cmd_verify, inspect.getdoc(suite).split("\n\n")[0], [], (parser, p))
         for param in inspect.signature(suite).parameters:
             flags, kwargs = SUITE_OPTIONS[param]
             q.add_argument(*flags, dest=param, **kwargs)
@@ -206,9 +207,11 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args, unknown = build_parser().parse_known_args(argv)
     if unknown:
-        # by the parser that met them: the top level knows only -h and the subcommand name
-        parser = args.parser if argv[0] == args.command else build_parser()
-        parser.error(f"unrecognized arguments: {' '.join(unknown)}")
+        # by the parser that met them: each parser above the last knows only -h and the
+        # subcommand name after it, so an unknown argument in front of that name is its own
+        names = [args.command, getattr(args, "suite", None)]
+        depth = next((k for k in range(len(args.parsers) - 1) if argv[k] != names[k]), -1)
+        args.parsers[depth].error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         args.guard = _guard(args.guard)
         report = args.fn(args)

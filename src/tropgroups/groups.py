@@ -212,7 +212,7 @@ def _model_perm(num: Mat, s: Mat) -> Optional[tuple[int, ...]]:
     degree k, so that k·c = ΣY·S − ΣY is integral.
     """
     image, k = la.mat_mul(num, s), len(num)
-    shift = [sum(a) - sum(b) for a, b in zip(la.columns(image), la.columns(num))]
+    shift = [sum(a) - sum(b) for a, b in zip(la.transpose(image), la.transpose(num))]
     rows = {tuple([k * x for x in row]): i for i, row in enumerate(image)}
     sigma = tuple(rows.get(tuple([k * x + c for x, c in zip(row, shift)])) for row in num)
     return None if len(rows) != k or None in sigma else sigma

@@ -5,15 +5,15 @@ tuples.  An integer matrix acts on a rational vector as it is: an ``int``
 times a ``Fraction`` is an exact ``Fraction``, and the rational routines
 convert their input.  Everything here is deterministic and exact: integer
 numerators over one denominator, and exact solves on them through a left
-inverse (``solve_scaled``), Smith normal form with
-unimodular transforms u, v and u⁻¹ (each row operation on u mirrored as a
-column operation on u⁻¹, so no inverse is solved for), rational solves,
-kernels and inverses, integer orbit sums under a finite-order integer matrix
-a (from one walk of an orbit, the orbit mean and the group inverse of 1 − a
-over the period), and quotient lattices ℤⁿ/L with mixed torsion/free
-coordinates, whose lifts come from u⁻¹.  Vectors are built from
-lists: a tuple built from a generator is allocated at a guessed length and
-shrunk, which is slower and fills CPython's per-length tuple free lists.
+inverse (``solve_scaled``), Smith normal form u·b·v = d with unimodular
+transforms u and v, rational solves, kernels and inverses, integer orbit
+sums under a finite-order integer matrix a (from one walk of an orbit, the
+orbit mean and the group inverse of 1 − a over the period), and quotient
+lattices ℤⁿ/L with mixed torsion/free coordinates, whose lifts come from
+the columns of u⁻¹: b·v = u⁻¹·d, so column i of u⁻¹ is column i of b·v over
+dᵢ and no inverse is solved for.  Vectors are built from lists: a tuple
+built from a generator is allocated at a guessed length and shrunk, which
+is slower and fills CPython's per-length tuple free lists.
 """
 
 from __future__ import annotations
@@ -81,14 +81,6 @@ def mat_vec(a: Mat, v: Vec) -> Vec:
 
 def mat_sub(a: Mat, b: Mat) -> Mat:
     return tuple([vec_sub(ra, rb) for ra, rb in zip(a, b, strict=True)])
-
-
-def columns(a: Mat) -> tuple:
-    return transpose(a)
-
-
-def from_columns(cols: Sequence[Vec]) -> Mat:
-    return transpose(tuple(cols))
 
 
 def rational_rref(a: Mat) -> tuple[Mat, tuple[int, ...]]:
@@ -183,24 +175,21 @@ def solve_scaled(a: tuple[Mat, int], left: tuple[Mat, int], y: Vec) -> Optional[
     return tuple([Q(v, e * s) for v in x])
 
 
-def smith_normal_form(a: Mat) -> tuple[Mat, Mat, Mat, Mat]:
-    """Smith normal form: returns (d, u, v, u⁻¹) with u·a·v = d.
+def smith_normal_form(a: Mat) -> tuple[Mat, Mat, Mat]:
+    """Smith normal form: returns (d, u, v) with u·a·v = d.
 
     d is diagonal with nonnegative entries d₁ | d₂ | …, and u, v are
-    unimodular integer matrices.  Each row operation on u is mirrored as the
-    inverse column operation on u⁻¹, kept transposed as rows.
+    unimodular integer matrices.
     """
     m = len(a)
     n = len(a[0]) if m else 0
     d = [list(row) for row in a]
     u = [[int(i == j) for j in range(m)] for i in range(m)]
-    u_inv_t = [[int(i == j) for j in range(m)] for i in range(m)]
     v = [[int(i == j) for j in range(n)] for i in range(n)]
 
     def row_sub(i, k, q):
         d[i] = [x - q * y for x, y in zip(d[i], d[k])]
         u[i] = [x - q * y for x, y in zip(u[i], u[k])]
-        u_inv_t[k] = [x + q * y for x, y in zip(u_inv_t[k], u_inv_t[i])]
 
     def col_sub(j, k, q):
         for row in d:
@@ -211,7 +200,6 @@ def smith_normal_form(a: Mat) -> tuple[Mat, Mat, Mat, Mat]:
     def swap_rows(i, k):
         d[i], d[k] = d[k], d[i]
         u[i], u[k] = u[k], u[i]
-        u_inv_t[i], u_inv_t[k] = u_inv_t[k], u_inv_t[i]
 
     def swap_cols(j, k):
         for row in d:
@@ -268,11 +256,10 @@ def smith_normal_form(a: Mat) -> tuple[Mat, Mat, Mat, Mat]:
         if d[t][t] < 0:
             d[t] = [-x for x in d[t]]
             u[t] = [-x for x in u[t]]
-            u_inv_t[t] = [-x for x in u_inv_t[t]]
         t += 1
         if t == min(m, n):
             break
-    return matrix(d), matrix(u), matrix(v), transpose(u_inv_t)
+    return matrix(d), matrix(u), matrix(v)
 
 
 def diagonal_of(d: Mat) -> tuple[int, ...]:
@@ -291,19 +278,16 @@ class QuotientLattice:
     def __init__(self, ambient_rank: int, generators: Sequence[Vec]):
         self.rank = ambient_rank
         gens = [tuple(g) for g in generators if not is_zero_vec(g)]
-        b = from_columns(gens) if gens else zero_matrix(ambient_rank, 1)
-        d, u, _, u_inv = smith_normal_form(b)
+        b = transpose(gens) if gens else zero_matrix(ambient_rank, 1)
+        d, u, v = smith_normal_form(b)
         diag = (list(diagonal_of(d)) + [0] * ambient_rank)[:ambient_rank]  # one entry per row
-        # normalize the sign of free rows for a deterministic projection, and
-        # the matching columns of u⁻¹
-        urows, inv_cols = [list(r) for r in u], [list(c) for c in zip(*u_inv)]
+        # normalize the sign of free rows for a deterministic projection
+        urows = [list(r) for r in u]
         for i, e in enumerate(diag):
-            if e == 0:
-                lead = next((x for x in urows[i] if x != 0), 1)
-                if lead < 0:
-                    urows[i] = [-x for x in urows[i]]
-                    inv_cols[i] = [-x for x in inv_cols[i]]
-        self._u, self._u_inv = matrix(urows), from_columns(inv_cols)
+            if e == 0 and next((x for x in urows[i] if x != 0), 1) < 0:
+                urows[i] = [-x for x in urows[i]]
+        self._u = matrix(urows)
+        self._b, self._v = b, v  # for the lifts, which only finite quotients have
         self._torsion_rows = tuple(i for i, e in enumerate(diag) if e > 1)
         self._free_rows = tuple(i for i, e in enumerate(diag) if e == 0)
         self.torsion = tuple(diag[i] for i in self._torsion_rows)
@@ -336,16 +320,14 @@ class QuotientLattice:
         return tuple(z[i] for i in self._free_rows)
 
     def representatives(self):
-        """One integral lift per element; only for finite quotients."""
+        """One integral lift per element; only for finite quotients.  The lift
+        of torsion coordinates z is u⁻¹·z, and column i of u⁻¹ is column i of
+        b·v over dᵢ, as b·v = u⁻¹·d."""
         if self.free_rank:
             raise ValueError("quotient is infinite")
-        reps = []
-        for idx in itertools.product(*[range(t) for t in self.torsion]):  # the last coordinate runs fastest
-            z = [0] * self.rank
-            for row, i in zip(self._torsion_rows, idx):
-                z[row] = i
-            reps.append(mat_vec(self._u_inv, tuple(z)))
-        return tuple(reps)
+        lift = [[r[i] // e for i, e in zip(self._torsion_rows, self.torsion)] for r in mat_mul(self._b, self._v)]
+        # the last torsion coordinate runs fastest
+        return tuple([mat_vec(lift, idx) for idx in itertools.product(*[range(e) for e in self.torsion])])
 
 
 def orbit_sums(a: Mat, x: Vec) -> tuple[int, Vec, Vec]:

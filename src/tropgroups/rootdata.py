@@ -189,7 +189,7 @@ def build_root_datum(family: str, n: int = 0) -> RootDatum:
         # the simple roots are the character basis, so their coordinates are
         # the unit vectors; only their coroots are converted (module docstring)
         basis = so_even_char_basis(n)
-        simple = [(_e(n, t), tuple([x - v[-1] for x in v[:-1]] + [2 * v[-1]])) for t, v in enumerate(la.columns(basis))]
+        simple = [(_e(n, t), tuple([x - v[-1] for x in v[:-1]] + [2 * v[-1]])) for t, v in enumerate(la.transpose(basis))]
         # each character basis vector has an even coordinate sum, so its pairing
         # with twice a cocharacter basis vector is even
         pairing = tuple(tuple([x // 2 for x in row]) for row in la.mat_mul(la.transpose(basis), so_even_cochar_basis(n)))
@@ -206,12 +206,12 @@ def so_even_char_basis(n: int) -> Mat:
     """Columns: basis of the even-sum sublattice of ℤⁿ."""
     cols = [la.vec_sub(_e(n, t), _e(n, t + 1)) for t in range(n - 1)]
     cols.append(la.vec_add(_e(n, n - 2), _e(n, n - 1)))
-    return la.from_columns(cols)
+    return la.transpose(cols)
 
 
 def so_even_cochar_basis(n: int) -> Mat:
     """Columns: twice the basis e_0, …, e_{n−2}, (½,…,½) of ℤⁿ + ℤ(½,…,½)."""
-    return la.from_columns([_e(n, i, 2) for i in range(n - 1)] + [(1,) * n])
+    return la.transpose([_e(n, i, 2) for i in range(n - 1)] + [(1,) * n])
 
 
 def validate_root_datum(rd: RootDatum) -> list[str]:

@@ -5,20 +5,19 @@ keeps the full cocharacter space and restricts the Weyl group, so on a circle
 its bundles are cocycles whose monodromy lies in the sub-Weyl-group.
 
 Everything that depends only on the group is built once and kept on the
-TropicalGroup: each standard parabolic, with its sub-Weyl set, π₁(P) and its
-slope matrix M_P = I − Č_P·K_P⁻¹·A_P (so a slope is one matrix-vector
-product), and the simple-coroot basis Č with its left inverse K⁻¹·A for the
-dominance order, which also gives the minimal parabolic of a degree.  Each
-is kept as ``intlinalg.scaled`` keeps it, an integer matrix over one
-denominator, so slopes and dominance coefficients are integer dot products
-followed by one Fraction per entry.  φ_P, [·]_P and the test v·w·v⁻¹ ∈ W_P
-are constant on each left coset W_P·v, so a verdict reads the reductions to P
-from the least index of each coset, kept on the parabolic, not from all of W.
-The cosets are those of ``weyl.parabolic_cosets``.
-Some v·w·v⁻¹ lies in W_P only if W_P meets the conjugacy class of w, so each
-parabolic also keeps the ids of the classes its W_P meets, and a verdict
-skips every parabolic that misses the class of w: no conjugate is formed for
-it (the torus parabolic, whose cosets are all of W, runs only for w = 1).
+TropicalGroup: each standard parabolic, with π₁(P) and its slope matrix
+M_P = I − Č_P·K_P⁻¹·A_P (so a slope is one matrix-vector product), and the
+simple-coroot basis Č with its left inverse K⁻¹·A for the dominance order,
+which also gives the minimal parabolic of a degree.  Each is kept as
+``intlinalg.scaled`` keeps it, an integer matrix over one denominator, so
+slopes and dominance coefficients are integer dot products followed by one
+Fraction per entry.  W_P, its cosets and the classes it meets are those of
+``WeylGroup.parabolic``.  φ_P, [·]_P and the test v·w·v⁻¹ ∈ W_P are constant
+on each left coset W_P·v, so a verdict reads the reductions to P from the
+least index of each coset, not from all of W.  Some v·w·v⁻¹ lies in W_P only
+if W_P meets the conjugacy class of w, so a verdict skips every parabolic
+that misses the class of w: no conjugate is formed for it (the torus
+parabolic, whose cosets are all of W, runs only for w = 1).
 """
 
 from __future__ import annotations
@@ -36,21 +35,17 @@ from .circles import CircleCocycle
 from .groups import TropicalGroup
 from .intlinalg import Mat, QuotientLattice, Vec
 from .semiring import checked_integer, checked_vector
-from .weyl import a_type_paths, parabolic_cosets
+from .weyl import Parabolic
 
 
 @dataclass(frozen=True)
 class ParabolicSubgroup:
-    """Standard parabolic: simple-root positions, W_P and the least index of
-    each left coset W_P·v as element indices, the ids (``WeylGroup.class_id``)
-    of the conjugacy classes that meet W_P, π₁(P), and the slope matrix M_P
-    with φ_P = M_P·λ̌, kept as (N, d) with integer N, d > 0 and M_P = N/d."""
+    """Standard parabolic: its Weyl data (``WeylGroup.parabolic``), π₁(P), and
+    the slope matrix M_P with φ_P = M_P·λ̌, kept as (N, d) with integer N,
+    d > 0 and M_P = N/d."""
 
     group: TropicalGroup
-    positions: tuple[int, ...]
-    members: frozenset
-    cosets: tuple[int, ...]
-    classes: frozenset
+    weyl: Parabolic
     pi1: QuotientLattice
     slope_matrix: tuple[Mat, int]
 
@@ -78,15 +73,10 @@ def parabolic_subgroup(g: TropicalGroup, positions: Sequence[int]) -> ParabolicS
     positions = tuple(sorted(set(positions)))
     p = g.parabolics.get(positions)
     if p is None:
-        w = g.weyl
-        _, sub, orbits = parabolic_cosets(w, positions)
-        members = frozenset(sub)
-        if any(len(o) != len(members) for o in orbits) or len(orbits) * len(members) != len(w):
-            raise InvariantError(
-                f"left cosets of W_P at positions {positions} of {g!r} do not all have {len(members)} elements"
-            )
-        cosets = tuple(o[0] for o in orbits)
-        classes = frozenset([w.class_id[x] for x in members])
+        try:
+            wp = g.weyl.parabolic(positions)
+        except InvariantError as exc:
+            raise InvariantError(f"parabolic at positions {positions} of {g!r}: {exc}") from None
         # the full parabolic is G: its π₁ is g.pi1(), in the coordinates of circles.degree
         simple = [g.datum.coroots[g.datum.simple[t]] for t in positions]
         pi1 = g.pi1() if len(positions) == len(g.datum.simple) else QuotientLattice(g.rank, simple)
@@ -94,7 +84,7 @@ def parabolic_subgroup(g: TropicalGroup, positions: Sequence[int]) -> ParabolicS
         slope_map = la.identity_matrix(g.rank)
         if positions:
             slope_map = la.mat_sub(slope_map, la.mat_mul(*_coroot_frame(g, positions)))
-        p = ParabolicSubgroup(g, positions, members, cosets, classes, pi1, la.scaled(slope_map))
+        p = ParabolicSubgroup(g, wp, pi1, la.scaled(slope_map))
         g.parabolics[positions] = p
     return p
 
@@ -155,10 +145,12 @@ def _reduced_slopes(c: CircleCocycle, p: ParabolicSubgroup, scan: tuple) -> dict
     and no conjugate is formed, when W_P misses the conjugacy class of w."""
     if c.group is not p.group:
         raise ValueError("cocycle and parabolic belong to different groups")
-    if c.group.weyl.class_id[c.mono_idx] not in p.classes:
+    wp = p.weyl
+    if c.group.weyl.class_id[c.mono_idx] not in wp.classes:
         return {}
     conj, moved = scan
-    return dict.fromkeys(moved(v) for v in p.cosets if conj(v) in p.members)
+    members = wp.members
+    return dict.fromkeys(moved(v) for v in wp.cosets if conj(v) in members)
 
 
 def reduction_degrees(c: CircleCocycle, p: ParabolicSubgroup) -> frozenset:
@@ -247,7 +239,7 @@ def _adjoint_residues(g: TropicalGroup, lam: Sequence[int]) -> tuple[tuple[int, 
     path) maps to t; the residue of λ̌ is Σ_t t·⟨α_t, λ̌⟩.
     """
     lam = checked_vector("lam", lam, g.rank, checked_integer)
-    paths = a_type_paths(g.weyl, range(len(g.datum.simple)))
+    paths = g.weyl.parabolic(range(len(g.datum.simple))).paths
     if paths is None:
         raise ValueError("group is not of product-A type")
     datum = g.datum

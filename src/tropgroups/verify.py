@@ -17,7 +17,7 @@ from typing import Optional
 from . import circles, stability
 from .errors import InvariantError
 from .groups import TropicalGroup, build_group, hom_det
-from .weyl import DEFAULT_GUARD, a_type_paths, indecomposable_elements, relative_weyl_check
+from .weyl import DEFAULT_GUARD, indecomposable_elements, relative_weyl_check
 
 
 def indecomposable_class_rep(g: TropicalGroup) -> int:
@@ -181,7 +181,7 @@ def relative_weyl(guard: int = DEFAULT_GUARD) -> dict:
         n_simple = len(g.datum.simple)
         for size in range(0, n_simple + 1):
             for positions in combinations(range(n_simple), size):
-                if a_type_paths(g.weyl, positions) is None:
+                if g.weyl.parabolic(positions).paths is None:
                     continue
                 for w_idx in indecomposable_elements(g.weyl, positions):
                     try:

@@ -18,14 +18,14 @@ transversal: t_x with t_x·rep·t_x⁻¹ = x for the least index rep of the
 class, as t_{s·x·s⁻¹} = s·t_x is a left-table lookup.  The centralizer
 C(rep) is found once per class, by one scan of W; the v with v·x·v⁻¹ = y are
 then the coset t_y·C(rep)·t_x⁻¹ (``WeylGroup.conjugators``), and C(x) is
-t_x·C(rep)·t_x⁻¹.  ``parabolic_cosets`` is the one search for a standard
-parabolic: W_P and its cosets W_P·v, for the stability module and for the
-functions below.  The normalizer of W_P (tested on the simple reflections
-of P alone) works on indices; for a parabolic W_P of type ∏A
-(``a_type_paths``) the indecomposable elements, a full cycle in every
-factor S_{k+1}, are the conjugates of the Coxeter element by W_P (|W_P|
-products, no walk of W), and the relative-Weyl bijection is read off the
-W_P-cosets that the centralizer meets.
+t_x·C(rep)·t_x⁻¹.  ``WeylGroup.parabolic`` builds each standard parabolic
+once, from one coset walk: W_P, its cosets W_P·v, the classes it meets and
+its ∏A diagram, read by the stability module and by the functions below.
+The normalizer of W_P (tested on the simple reflections of P alone) works on
+indices; for W_P of type ∏A the indecomposable elements, a full cycle in
+every factor S_{k+1}, are the conjugates of the Coxeter element by W_P
+(|W_P| products, no walk of W), and the relative-Weyl bijection is read off
+the W_P-cosets that the centralizer meets.
 """
 
 from __future__ import annotations
@@ -70,6 +70,7 @@ class WeylGroup:
         self.identity_idx = self._by_perm[identity_perm(len(self.perms[0]))]
         self.simple_gens: tuple[int, ...] = tuple([s[self.identity_idx] for s in self.left])
         self._centralizers: dict = {}  # class id -> permutations of C(rep), found once
+        self._parabolics: dict = {}  # sorted simple-root positions -> Parabolic, built once
 
     @functools.cached_property
     def inverse(self) -> tuple[int, ...]:
@@ -205,6 +206,31 @@ class WeylGroup:
         """C(i) = t_i·C(rep)·t_i⁻¹, sorted."""
         return self.conjugators(i, i)
 
+    def parabolic(self, positions: Sequence[int]) -> Parabolic:
+        """The standard parabolic at the simple-root positions, built once per
+        sorted positions: its cosets W_P·v are the orbits under the left tables
+        of P's simple reflections, from one walk, and W_P is the coset of the
+        identity.  A ValueError if a position is out of range."""
+        positions = tuple(sorted(set(positions)))
+        p = self._parabolics.get(positions)
+        if p is None:
+            if any(not 0 <= t < len(self.simple_gens) for t in positions):
+                raise ValueError("invalid simple-root position")
+            cosets = self.orbits([self.left[t] for t in positions])
+            members = frozenset(next(c for c in cosets if self.identity_idx in c))
+            least = [0] * len(self.elements)
+            for coset in cosets:
+                if len(coset) != len(members):
+                    raise InvariantError(
+                        f"left cosets of W_P at positions {positions} do not all have {len(members)} elements"
+                    )
+                for x in coset:
+                    least[x] = coset[0]
+            reps, classes = tuple([c[0] for c in cosets]), frozenset([self.class_id[x] for x in members])
+            p = Parabolic(positions, members, reps, tuple(least), classes, _a_type_paths(self, positions))
+            self._parabolics[positions] = p
+        return p
+
 
 def generate(gen_mats, gen_perms, rank: int, degree: int, guard: int = DEFAULT_GUARD) -> WeylGroup:
     """Enumerate the finite group of rank × rank integer matrices generated by
@@ -289,29 +315,27 @@ def _times(copies, sums, x: Mat, rows: dict) -> Mat:
 # ---------------------------------------------------------------------------
 
 
-def _positions(w: WeylGroup, positions: Sequence[int]) -> tuple[int, ...]:
-    """The simple-root positions, sorted; ValueError if one is out of range."""
-    positions = tuple(sorted(set(positions)))
-    if any(not 0 <= p < len(w.simple_gens) for p in positions):
-        raise ValueError("invalid simple-root position")
-    return positions
+@dataclass(frozen=True)
+class Parabolic:
+    """The standard parabolic W_P at sorted simple-root positions: W_P as
+    element indices, the least index of each left coset W_P·v in the order of
+    v, least[x] the least index of the coset of x, the ids (``class_id``) of
+    the conjugacy classes that meet W_P, and the Coxeter diagram at the
+    positions as paths when it is of type ∏A, else None."""
+
+    positions: tuple[int, ...]
+    members: frozenset
+    cosets: tuple[int, ...]
+    least: tuple[int, ...]
+    classes: frozenset
+    paths: Optional[tuple[tuple[int, ...], ...]]
 
 
-def parabolic_cosets(w: WeylGroup, positions: Sequence[int]) -> tuple[tuple[int, ...], list[int], list[list[int]]]:
-    """(positions, W_P, cosets) for the standard parabolic at the positions:
-    the positions sorted, W_P as element indices, and the left cosets W_P·v,
-    each the orbit of its least index v under the left tables of P's simple
-    reflections, in the order of v.  W_P is the coset of the identity."""
-    positions = _positions(w, positions)
-    cosets = w.orbits([w.left[p] for p in positions])
-    return positions, next(c for c in cosets if w.identity_idx in c), cosets
-
-
-def a_type_paths(w: WeylGroup, positions: Sequence[int]) -> Optional[tuple[tuple[int, ...], ...]]:
-    """The Coxeter diagram at the positions as paths, each from its lesser end,
-    in order, if it is of type ∏A; else None.  The bond of a and b is the order
-    of s_a·s_b: 3 joins them, 2 keeps them apart, any other is not type A."""
-    positions = _positions(w, positions)
+def _a_type_paths(w: WeylGroup, positions: tuple[int, ...]) -> Optional[tuple[tuple[int, ...], ...]]:
+    """The Coxeter diagram at the sorted positions as paths, each from its
+    lesser end, in order, if it is of type ∏A; else None.  The bond of a and b
+    is the order of s_a·s_b: 3 joins them, 2 keeps them apart, any other is
+    not type A."""
     adj = {p: [] for p in positions}
     for a, b in itertools.combinations(positions, 2):
         m = w.order_of(w.left[a][w.simple_gens[b]])
@@ -337,13 +361,13 @@ def indecomposable_elements(w: WeylGroup, positions: Sequence[int]) -> tuple[int
     full cycle in every factor S_{k+1}, sorted.  They form the W_P-conjugacy
     class of the Coxeter element c = s_{p_k}⋯s_{p_1} (Humphreys, Reflection
     Groups and Coxeter Groups, §3.16): the v·c·v⁻¹ for v in W_P."""
-    if a_type_paths(w, positions) is None:
+    p = w.parabolic(positions)
+    if p.paths is None:
         raise ValueError("parabolic subgroup is not of product-A type")
-    positions, sub, _ = parabolic_cosets(w, positions)
     c = w.identity_idx
-    for p in positions:
-        c = w.left[p][c]
-    return tuple(sorted({w.conj(v, c) for v in sub}))
+    for t in p.positions:
+        c = w.left[t][c]
+    return tuple(sorted({w.conj(v, c) for v in p.members}))
 
 
 def is_indecomposable(w: WeylGroup, elt_idx: int, positions: Optional[Sequence[int]] = None) -> bool:
@@ -353,23 +377,21 @@ def is_indecomposable(w: WeylGroup, elt_idx: int, positions: Optional[Sequence[i
     of all its simple generators are used); otherwise the element must lie in
     the parabolic at the given positions.
     """
-    if positions is None:
-        positions = range(len(w.simple_gens))
-    if a_type_paths(w, positions) is None:
+    p = w.parabolic(range(len(w.simple_gens)) if positions is None else positions)
+    if p.paths is None:
         raise ValueError("group is not of product-A type")
-    if elt_idx not in parabolic_cosets(w, positions)[1]:
+    if elt_idx not in p.members:
         raise ValueError("element not in the parabolic subgroup")
-    return elt_idx in indecomposable_elements(w, positions)
+    return elt_idx in indecomposable_elements(w, p.positions)
 
 
 def parabolic_normalizer(w: WeylGroup, positions: Sequence[int]) -> tuple[int, ...]:
     """N_W(W_P): the g with g·s·g⁻¹ in W_P for each simple reflection s of P.
     That suffices: conjugation by g is a homomorphism, so it then maps W_P,
     which those s generate, into W_P, and onto it, as W_P is finite."""
-    positions, sub, _ = parabolic_cosets(w, positions)
-    sub = frozenset(sub)
-    gens = [w.simple_gens[p] for p in positions]
-    return tuple(g for g in range(len(w.elements)) if all(w.conj(g, s) in sub for s in gens))
+    p = w.parabolic(positions)
+    gens = [w.simple_gens[t] for t in p.positions]
+    return tuple(g for g in range(len(w.elements)) if all(w.conj(g, s) in p.members for s in gens))
 
 
 @dataclass(frozen=True)
@@ -387,17 +409,16 @@ def relative_weyl_check(w: WeylGroup, positions: Sequence[int], elt_idx: int) ->
     and the element must be indecomposable in W.  Raises if a hypothesis or
     the bijectivity fails.
     """
-    if a_type_paths(w, positions) is None:
+    p = w.parabolic(positions)
+    if p.paths is None:
         raise ValueError("parabolic subgroup is not of product-A type")
-    positions, sub, cosets = parabolic_cosets(w, positions)
-    if elt_idx not in sub:
+    if elt_idx not in p.members:
         raise ValueError("element does not lie in the parabolic subgroup")
-    if elt_idx not in indecomposable_elements(w, positions):
+    if elt_idx not in indecomposable_elements(w, p.positions):
         raise ValueError("element is not indecomposable")
-    sub_set = frozenset(sub)
     c_big = w.centralizer(elt_idx)
-    c_small = tuple(g for g in c_big if g in sub_set)
-    normal = parabolic_normalizer(w, positions)
+    c_small = tuple(g for g in c_big if g in p.members)
+    normal = parabolic_normalizer(w, p.positions)
     # N(W_P) is a union of W_P-cosets, so g lies in it iff its coset does.
     # For g, g′ in C = C_{W'}(w) ⊆ N(W_P), with C_W(w) = C ∩ W_P and g·W_P = W_P·g:
     #   g·C_W(w) = g′·C_W(w) ⇔ g⁻¹g′ ∈ W_P ⇔ W_P·g = W_P·g′.
@@ -406,13 +427,13 @@ def relative_weyl_check(w: WeylGroup, positions: Sequence[int], elt_idx: int) ->
     # C ∩ W_P·g, so its least element is the least g of C in that W_P-coset,
     # met first in index order; the witness pairs it with the least element
     # of the W_P-coset.
-    coset_of = {x: c for c, coset in enumerate(cosets) for x in coset}
-    in_normalizer = {coset_of[g] for g in normal}
+    least = p.least
+    in_normalizer = {least[g] for g in normal}
     witness: dict = {}
     for g in c_big:
-        witness.setdefault(coset_of[g], (g, cosets[coset_of[g]][0]))
+        witness.setdefault(least[g], (g, least[g]))
     if not witness.keys() <= in_normalizer:
-        raise InvariantError(f"centralizer of {elt_idx} leaves the normalizer of parabolic {positions}")
+        raise InvariantError(f"centralizer of {elt_idx} leaves the normalizer of parabolic {p.positions}")
     if len(witness) != len(in_normalizer):
-        raise InvariantError(f"coset map is not a bijection for {elt_idx} and parabolic {positions}")
+        raise InvariantError(f"coset map is not a bijection for {elt_idx} and parabolic {p.positions}")
     return RelativeWeylResult(c_big, c_small, normal, tuple(witness.values()))

@@ -73,7 +73,7 @@ def integer_solve(a: Mat, b: Vec) -> Optional[tuple[Vec, tuple[Vec, ...]]]:
     """
     m = len(a)
     n = len(a[0]) if m else 0
-    d, u, v, _ = la.smith_normal_form(a)
+    d, u, v = la.smith_normal_form(a)
     diag = la.diagonal_of(d)
     c = la.mat_vec(u, b)
     y = [0] * n
@@ -88,7 +88,7 @@ def integer_solve(a: Mat, b: Vec) -> Optional[tuple[Vec, tuple[Vec, ...]]]:
                 return None
             y[i] = c[i] // di
     x0 = la.mat_vec(v, tuple(y))
-    cols = la.columns(v)
+    cols = la.transpose(v)
     kernel = tuple(cols[i] for i in range(rank, n))
     return x0, kernel
 
@@ -159,8 +159,8 @@ def so_even_datum_by_inverse(n: int) -> rd.RootDatum:
         return tuple(c if t == i else 0 for t in range(n))
 
     simple = [la.vec_sub(unit(t), unit(t + 1)) for t in range(n - 1)] + [la.vec_add(unit(n - 2), unit(n - 1))]
-    char_basis = la.from_columns(simple)
-    cochar_basis = la.from_columns([unit(i, Q(1)) for i in range(n - 1)] + [(Q(1, 2),) * n])
+    char_basis = la.transpose(simple)
+    cochar_basis = la.transpose([unit(i, Q(1)) for i in range(n - 1)] + [(Q(1, 2),) * n])
     char_inv, cochar_inv = la.rational_inverse(char_basis), la.rational_inverse(cochar_basis)
 
     def coords(inv, v):

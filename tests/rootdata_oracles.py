@@ -70,7 +70,7 @@ def _so_even(n: int) -> rd.RootDatum:
 
     pairs = [(char_coords(v), cochar_coords(v)) for v, _ in _pm_pairs(n)]
     basis = rd.so_even_char_basis(n)
-    simple = [char_coords(v) for v in la.columns(basis)]
+    simple = [char_coords(v) for v in la.transpose(basis)]
     pairing = tuple(tuple([x // 2 for x in row]) for row in la.mat_mul(la.transpose(basis), rd.so_even_cochar_basis(n)))
     return sorted_datum(pairs, simple, pairing, ("SO_even", n))
 
@@ -112,7 +112,7 @@ def levi_datum_by_span(datum: rd.RootDatum, positions) -> rd.RootDatum:
     chosen = [datum.simple[p] for p in sorted(set(positions))]
     keep = ()
     if chosen:
-        span = la.from_columns([datum.roots[i] for i in chosen])
+        span = la.transpose([datum.roots[i] for i in chosen])
         keep = tuple(i for i, alpha in enumerate(datum.roots) if la.rational_solve(span, alpha) is not None)
     roots = tuple(datum.roots[i] for i in keep)
     coroots = tuple(datum.coroots[i] for i in keep)

@@ -686,11 +686,11 @@ def ref_isomorphism_witness(a, b):
         s0 = la.vec_add(t, la.vec_scale(j, k0))
         rhs = la.vec_scale(-1 / j, la.mat_vec(ref_averaging_projector(w2mat), s0))
         if kernel:
-            y = la.rational_solve(la.from_columns(kernel), rhs)
+            y = la.rational_solve(la.transpose(kernel), rhs)
             assert y is not None, f"projection {rhs} is not in the span of {kernel}"
             if any(x.denominator != 1 for x in y):
                 continue
-            k = la.vec_add(k0, la.mat_vec(la.from_columns(kernel), tuple(int(x) for x in y)))
+            k = la.vec_add(k0, la.mat_vec(la.transpose(kernel), tuple(int(x) for x in y)))
         elif la.is_zero_vec(rhs):
             k = k0
         else:

@@ -45,6 +45,8 @@ def test_an_unknown_option_is_reported_by_the_parser_that_met_it(capsys):
     for argv, usage in [
         (["--foo", "group-info", "G2"], "usage: tropgroups [-h]"),
         (["--foo", "verify", "relative-weyl"], "usage: tropgroups [-h]"),
+        (["verify", "--foo", "relative-weyl"], "usage: tropgroups verify [-h] suite ..."),
+        (["verify", "relative-weyl", "--foo"], "usage: tropgroups verify relative-weyl [-h]"),
         (["group-info", "--foo", "G2"], "usage: tropgroups group-info [-h]"),
         (["group-info", "G2", "--foo"], "usage: tropgroups group-info [-h]"),
     ]:

@@ -163,23 +163,26 @@ def test_stable_degree_gcd():
 
 def test_stable_degree_reads_the_diagram_once(monkeypatch):
     # is_stable_degree read the ∏A paths twice, once itself and once in adjoint_degree
+    monkeypatch.setattr(gr, "_GROUP_CACHE", {})
     g = build_group("GL", 6)
-    calls = []
+    walks = []
+    orbits = weyl.WeylGroup.orbits
 
-    def counted(w, positions):
-        calls.append(tuple(positions))
-        return weyl.a_type_paths(w, positions)
+    def counted(self, maps):
+        walks.append(len(maps))
+        return orbits(self, maps)
 
-    monkeypatch.setattr(stab, "a_type_paths", counted)
+    monkeypatch.setattr(weyl.WeylGroup, "orbits", counted)
     assert stab.is_stable_degree(g, (1, 0, 0, 0, 0, 0))
-    assert len(calls) == 1
+    assert stab.adjoint_degree(g, (1, 0, 0, 0, 0, 0)) == (1,)
+    assert walks == [5]  # one parabolic build, of the full diagram
 
 
 def test_minimal_parabolic_examples():
     g4 = build_group("GL", 4)
-    assert stab.minimal_parabolic_for_degree(g4, (2, 0, 0, 0)).positions == (0, 2)
-    assert stab.minimal_parabolic_for_degree(g4, (0, 0, 0, 0)).positions == ()
-    assert stab.minimal_parabolic_for_degree(g4, (1, 0, 0, 0)).positions == (0, 1, 2)
+    assert stab.minimal_parabolic_for_degree(g4, (2, 0, 0, 0)).weyl.positions == (0, 2)
+    assert stab.minimal_parabolic_for_degree(g4, (0, 0, 0, 0)).weyl.positions == ()
+    assert stab.minimal_parabolic_for_degree(g4, (1, 0, 0, 0)).weyl.positions == (0, 1, 2)
     # independent of the integral lift
     rng = random.Random(4)
     for _ in range(20):
@@ -189,8 +192,8 @@ def test_minimal_parabolic_examples():
             if rng.random() < 0.3:
                 shift = [x + y for x, y in zip(shift, c)]
         assert (
-            stab.minimal_parabolic_for_degree(g4, lam).positions
-            == stab.minimal_parabolic_for_degree(g4, shift).positions
+            stab.minimal_parabolic_for_degree(g4, lam).weyl.positions
+            == stab.minimal_parabolic_for_degree(g4, shift).weyl.positions
         )
 
 
@@ -210,7 +213,7 @@ def test_minimal_parabolic_agrees_with_the_fundamental_weight_pairing(family):
     found = set()
     for _ in range(40):
         lam = [rng.randint(-5, 5) for _ in range(g.rank)]
-        positions = stab.minimal_parabolic_for_degree(g, lam).positions
+        positions = stab.minimal_parabolic_for_degree(g, lam).weyl.positions
         assert positions == minimal_positions_by_weights(g, lam)
         found.add(positions)
     assert len(found) > 1 or g.pi1().order == 1  # a trivial π₁ leaves every c_i integral
@@ -361,7 +364,7 @@ def ref_dominance_coeffs(g, lam, mu):
     diff = la.vec_sub(tuple(Q(x) for x in mu), tuple(Q(x) for x in lam))
     if not datum.simple:
         return () if la.is_zero_vec(diff) else None
-    basis = la.from_columns([tuple(map(Q, datum.coroots[i])) for i in datum.simple])
+    basis = la.transpose([tuple(map(Q, datum.coroots[i])) for i in datum.simple])
     coeffs = la.rational_solve(basis, diff)
     if coeffs is None or la.mat_vec(basis, coeffs) != diff:
         return None
@@ -480,11 +483,12 @@ def test_coset_representatives_are_the_least_indices(family, n):
     w = g.weyl
     r = len(g.datum.simple)
     for positions in (q for size in range(r) for q in itertools.combinations(range(r), size)):
-        p = stab.parabolic_subgroup(g, positions)
+        p = w.parabolic(positions)
         sub = parabolic_closure(w, positions)
         assert p.members == frozenset(sub)
-        least = sorted({min(w.mul(u, v) for u in sub) for v in range(len(w))})
-        assert list(p.cosets) == least
+        least = [min(w.mul(u, v) for u in sub) for v in range(len(w))]
+        assert list(p.least) == least
+        assert list(p.cosets) == sorted(set(least))
         assert len(p.cosets) == len(w) // len(sub)
 
 
@@ -503,8 +507,8 @@ def test_parabolics_are_skipped_exactly_when_no_conjugate_lies_in_them(family, n
         c = ci.cocycle(g, (1,) + (0,) * (g.rank - 1), (0,) * g.rank, rep, 1)
         for positions in (q for size in range(r) for q in itertools.combinations(range(r), size)):
             p = stab.parabolic_subgroup(g, positions)
-            meets = any(w.conj(v, rep) in p.members for v in range(len(w)))
-            assert (w.class_id[rep] in p.classes) == meets, (rep, positions)
+            meets = any(w.conj(v, rep) in p.weyl.members for v in range(len(w)))
+            assert (w.class_id[rep] in p.weyl.classes) == meets, (rep, positions)
             if not meets:
                 assert stab._reduced_slopes(c, p, (no_conjugates, no_conjugates)) == {}
 
@@ -525,6 +529,7 @@ def test_parabolic_data_is_built_once_per_group(monkeypatch):
     monkeypatch.setattr(gr, "_GROUP_CACHE", dict(gr._GROUP_CACHE))
     g = build_group("GL", 4)
     p = stab.parabolic_subgroup(g, (0, 2))
+    assert p.weyl is g.weyl.parabolic((0, 2)) is g.weyl.parabolic([2, 0])
     assert stab.parabolic_subgroup(g, (0, 2)) is p
     assert stab.parabolic_subgroup(g, [2, 0, 2]) is p
     assert stab.minimal_parabolic_for_degree(g, (2, 0, 0, 0)) is p
@@ -534,13 +539,8 @@ def test_parabolic_data_is_built_once_per_group(monkeypatch):
     assert fresh is not g
     q = stab.parabolic_subgroup(fresh, (0, 2))
     assert q is not p and q.group is fresh
-    assert (q.positions, q.members, q.cosets, q.classes, q.slope_matrix) == (
-        p.positions,
-        p.members,
-        p.cosets,
-        p.classes,
-        p.slope_matrix,
-    )
+    assert q.weyl is not p.weyl and q.weyl is fresh.weyl.parabolic((0, 2))
+    assert (q.weyl, q.slope_matrix) == (p.weyl, p.slope_matrix)
     with pytest.raises(ValueError):
         stab.parabolic_subgroup(fresh, (3,))
 

@@ -22,9 +22,9 @@ from tropgroups import intlinalg as la
 from tropgroups import rootdata as rd
 from tropgroups import verify, weyl
 from tropgroups.errors import InvariantError
+from tropgroups import groups as gr
 from tropgroups.groups import build_group
 from tropgroups.permutations import compose_perm, identity_perm
-from tropgroups.stability import parabolic_subgroup
 
 
 def group(family, n):
@@ -133,7 +133,7 @@ def test_conjugators_are_every_v_carrying_x_to_y(family, n):
 
 
 def test_parabolic_subgroup_single_reflection():
-    p = parabolic_subgroup(build_group("GL", 3), (0,))
+    p = group("GL", 3).parabolic((0,))
     assert len(p.members) == 2 and len(p.cosets) == 3
 
 
@@ -203,7 +203,7 @@ def test_type_a_api_rejects_out_of_range_positions():
     s = w.simple_gens[2]
     for bad in (-1, len(w.simple_gens)):
         calls = [
-            lambda: weyl.a_type_paths(w, (bad,)),
+            lambda: w.parabolic((bad,)),
             lambda: weyl.indecomposable_elements(w, (bad,)),
             lambda: weyl.is_indecomposable(w, s, (bad,)),
             lambda: weyl.relative_weyl_check(w, (bad,), s),
@@ -261,7 +261,7 @@ def test_relative_weyl_check_matches_the_product_oracle(family, n):
     cases = 0
     for k in range(len(w.simple_gens) + 1):
         for positions in itertools.combinations(range(len(w.simple_gens)), k):
-            if weyl.a_type_paths(w, positions) is None:
+            if w.parabolic(positions).paths is None:
                 continue
             for x in weyl.indecomposable_elements(w, positions):
                 expected = relative_weyl_by_products(w, positions, x)
@@ -303,9 +303,30 @@ def test_relative_weyl_check_raises_when_the_centralizer_leaves_the_normalizer(m
 
 
 def test_subgroup_serialization_is_indices():
-    p = parabolic_subgroup(build_group("GL", 3), (0,))
-    assert all(isinstance(i, int) for i in p.members | set(p.cosets))
+    p = group("GL", 3).parabolic((0,))
+    assert all(isinstance(i, int) for i in p.members | set(p.cosets) | set(p.least))
     assert p.cosets == tuple(sorted(p.cosets))
+
+
+def test_relative_weyl_walks_each_parabolic_once(monkeypatch):
+    # the suite once searched 104 times for its 24 (group, positions) pairs
+    monkeypatch.setattr(gr, "_GROUP_CACHE", {})
+    walks = []
+    orbits = weyl.WeylGroup.orbits
+
+    def counted(self, maps):
+        walks.append(len(maps))
+        return orbits(self, maps)
+
+    monkeypatch.setattr(weyl.WeylGroup, "orbits", counted)
+    assert verify.relative_weyl()["pass"]
+    assert len(walks) == 24
+    w = build_group("GL", 4).weyl
+    (x,) = weyl.indecomposable_elements(w, (0, 2))
+    walks.clear()
+    weyl.relative_weyl_check(w, (2, 0), x)
+    assert weyl.is_indecomposable(w, x, (0, 2))
+    assert walks == []
 
 
 # every family with |W| <= 720
@@ -499,14 +520,14 @@ KNOWN_PATHS = {
 @pytest.mark.parametrize("family,n", GRID + [("GL", 1)])
 def test_a_type_paths_and_indecomposables_match_the_factor_model(family, n):
     """For every position subset: the diagram paths, W_P and the full-cycle
-    products of the factor-permutation model against a_type_paths,
+    products of the factor-permutation model against WeylGroup.parabolic,
     indecomposable_elements and is_indecomposable."""
     w = group(family, n)
     r = len(w.simple_gens)
     for size in range(r + 1):
         for positions in itertools.combinations(range(r), size):
             model = factor_model(w, positions)
-            paths = weyl.a_type_paths(w, positions)
+            paths = w.parabolic(positions).paths
             if positions in KNOWN_PATHS.get((family, n), {}):
                 assert paths == KNOWN_PATHS[family, n][positions]
             if model is None:

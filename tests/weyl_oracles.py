@@ -3,12 +3,12 @@ centralizer of an element by a scan of all of W, the oracle for
 ``WeylGroup.centralizer`` and ``WeylGroup.conjugators``, the subgroup
 generated by given elements, the standard parabolic W_P as the closure of
 its simple reflections, the oracle for the coset search of
-``weyl.parabolic_cosets``, the normalizer of a subgroup by conjugating all
+``WeylGroup.parabolic``, the normalizer of a subgroup by conjugating all
 of its elements, the oracle for ``weyl.parabolic_normalizer``, the index
 of each element by its matrix, for oracles that multiply matrices, the
 relative-Weyl coset comparison built from permutation products, the oracle
 for ``weyl.relative_weyl_check``, the factor-permutation model of a
-type-∏A parabolic, the oracle for ``weyl.a_type_paths`` and
+type-∏A parabolic, the oracle for ``WeylGroup.parabolic`` paths and
 ``weyl.indecomposable_elements``, and a standard parabolic as a standalone
 group with its inclusion homomorphism."""
 
