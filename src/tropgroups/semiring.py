@@ -13,6 +13,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from math import lcm
 from typing import Optional, Sequence
 
 
@@ -154,54 +155,60 @@ class TropMatrix:
 
     @staticmethod
     def gen_perm(ys, sigma: Sequence[int]) -> "TropMatrix":
-        """D(y)⊙P_σ: entry (i, j) = y_i exactly when i = σ(j)."""
+        """D(y)⊙P_σ: entry (i, j) = y_i exactly when i = σ(j); a ValueError
+        naming σ unless it is a permutation of range(len(ys))."""
         ys = [Q(y) for y in ys]
         n = len(ys)
+        sigma = tuple(sigma)
+        if len(sigma) != n or set(sigma) != set(range(n)):
+            raise ValueError(f"σ = {sigma} is not a permutation of range({n})")
         return TropMatrix(
             tuple(tuple(TropValue(ys[i]) if i == sigma[j] else INF for j in range(n)) for i in range(n))
         )
 
 
 def det_by_enumeration(a: TropMatrix) -> TropValue:
-    """min over σ of Σ_i a_{i σ(i)}, by brute force over all permutations."""
+    """min over σ of Σ_i a_{i σ(i)}, by brute force over all permutations.
+
+    The sums are taken on integers: each finite entry as its numerator over
+    the lcm d of the finite denominators, and ∞ as 2·spread + 1, where spread
+    is the sum of the absolute finite numerators.  A sum without ∞ is at most
+    spread; one with k ≥ 1 of them is at least k·(2·spread + 1) − spread >
+    spread.  So the least sum is ∞ exactly when it exceeds spread, and else it
+    is d times the determinant.  The permutations are summed as they are made.
+    """
     n = a.n_rows
     if n != a.n_cols:
         raise ValueError("matrix must be square")
-    best: Optional[Q] = None
-    for sigma in itertools.permutations(range(n)):
-        total = Q(0)
-        ok = True
-        for i in range(n):
-            e = a.entries[i][sigma[i]]
-            if e.q is None:
-                ok = False
-                break
-            total += e.q
-        if ok and (best is None or total < best):
-            best = total
-    return INF if best is None else TropValue(best)
+    d = lcm(*[e.q.denominator for row in a.entries for e in row if e.q is not None])
+    spread = sum(abs(e.q.numerator) * (d // e.q.denominator) for row in a.entries for e in row if e.q is not None)
+    cost = [[2 * spread + 1 if e.q is None else e.q.numerator * (d // e.q.denominator) for e in row] for row in a.entries]
+    total = min(map(lambda sigma: sum(map(list.__getitem__, cost, sigma)), itertools.permutations(range(n))))
+    return INF if total > spread else TropValue(Q(total, d))
 
 
 def det_by_assignment(a: TropMatrix) -> TropValue:
-    """min-cost perfect assignment on the entry matrix, exact rational arithmetic.
+    """min-cost perfect assignment on the entry matrix, in exact integers.
 
-    Shortest-augmenting-path algorithm with potentials.  Infinite entries are
-    replaced by a rational sentinel large enough that any assignment using one
-    is strictly worse than every all-finite assignment, which keeps the
-    computation exact and lets ∞ be detected from the optimal cost.
+    Shortest-augmenting-path algorithm with potentials.  The costs are the
+    integers of ``det_by_enumeration``: each finite entry as its numerator
+    over the lcm d of the finite denominators, and ∞ as 2·spread + 1, for
+    spread the sum of the absolute finite numerators.  An assignment without
+    ∞ costs at most spread and one with an ∞ more than spread, so the optimum
+    is ∞ exactly when it exceeds spread, and else d times the determinant.
     """
     n = a.n_rows
     if n != a.n_cols:
         raise ValueError("matrix must be square")
     if n == 0:
         return ZERO
-    spread = sum(abs(e.q) for row in a.entries for e in row if e.q is not None)
-    big = 2 * spread + 1
-    cost = [[e.q if e.q is not None else big for e in row] for row in a.entries]
+    d = lcm(*[e.q.denominator for row in a.entries for e in row if e.q is not None])
+    spread = sum(abs(e.q.numerator) * (d // e.q.denominator) for row in a.entries for e in row if e.q is not None)
+    cost = [[2 * spread + 1 if e.q is None else e.q.numerator * (d // e.q.denominator) for e in row] for row in a.entries]
 
     # classic JV: column potentials, one row inserted per phase
-    pot_u = [Q(0)] * (n + 1)
-    pot_v = [Q(0)] * (n + 1)
+    pot_u = [0] * (n + 1)
+    pot_v = [0] * (n + 1)
     way = [0] * (n + 1)
     match = [0] * (n + 1)  # match[j] = row assigned to column j; columns/rows 1-based
     for i in range(1, n + 1):
@@ -238,7 +245,7 @@ def det_by_assignment(a: TropMatrix) -> TropValue:
             match[j0] = match[j1]
             j0 = j1
     total = sum(cost[match[j] - 1][j - 1] for j in range(1, n + 1))
-    return INF if total > spread else TropValue(total)
+    return INF if total > spread else TropValue(Q(total, d))
 
 
 def trop_det(a: TropMatrix) -> TropValue:

@@ -25,7 +25,8 @@ The normalizer of W_P (tested on the simple reflections of P alone) works on
 indices; for W_P of type ∏A the indecomposable elements, a full cycle in
 every factor S_{k+1}, are the conjugates of the Coxeter element by W_P
 (|W_P| products, no walk of W), and the relative-Weyl bijection is read off
-the W_P-cosets that the centralizer meets.
+the W_P-cosets that the centralizer meets.  The normalizer and the
+indecomposable elements are found once per parabolic and kept on the group.
 """
 
 from __future__ import annotations
@@ -71,6 +72,8 @@ class WeylGroup:
         self.simple_gens: tuple[int, ...] = tuple([s[self.identity_idx] for s in self.left])
         self._centralizers: dict = {}  # class id -> permutations of C(rep), found once
         self._parabolics: dict = {}  # sorted simple-root positions -> Parabolic, built once
+        self._normalizers: dict = {}  # sorted positions -> N_W(W_P), found once
+        self._indecomposables: dict = {}  # sorted positions of a ∏A parabolic -> its full cycles, found once
 
     @functools.cached_property
     def inverse(self) -> tuple[int, ...]:
@@ -360,14 +363,18 @@ def indecomposable_elements(w: WeylGroup, positions: Sequence[int]) -> tuple[int
     """The elements of the type-∏A parabolic W_P at the positions that are a
     full cycle in every factor S_{k+1}, sorted.  They form the W_P-conjugacy
     class of the Coxeter element c = s_{p_k}⋯s_{p_1} (Humphreys, Reflection
-    Groups and Coxeter Groups, §3.16): the v·c·v⁻¹ for v in W_P."""
+    Groups and Coxeter Groups, §3.16): the v·c·v⁻¹ for v in W_P, found once
+    per parabolic."""
     p = w.parabolic(positions)
     if p.paths is None:
         raise ValueError("parabolic subgroup is not of product-A type")
-    c = w.identity_idx
-    for t in p.positions:
-        c = w.left[t][c]
-    return tuple(sorted({w.conj(v, c) for v in p.members}))
+    out = w._indecomposables.get(p.positions)
+    if out is None:
+        c = w.identity_idx
+        for t in p.positions:
+            c = w.left[t][c]
+        out = w._indecomposables[p.positions] = tuple(sorted({w.conj(v, c) for v in p.members}))
+    return out
 
 
 def is_indecomposable(w: WeylGroup, elt_idx: int, positions: Optional[Sequence[int]] = None) -> bool:
@@ -388,10 +395,15 @@ def is_indecomposable(w: WeylGroup, elt_idx: int, positions: Optional[Sequence[i
 def parabolic_normalizer(w: WeylGroup, positions: Sequence[int]) -> tuple[int, ...]:
     """N_W(W_P): the g with g·s·g⁻¹ in W_P for each simple reflection s of P.
     That suffices: conjugation by g is a homomorphism, so it then maps W_P,
-    which those s generate, into W_P, and onto it, as W_P is finite."""
+    which those s generate, into W_P, and onto it, as W_P is finite.  One scan
+    of W per parabolic: the result is kept on the group."""
     p = w.parabolic(positions)
-    gens = [w.simple_gens[t] for t in p.positions]
-    return tuple(g for g in range(len(w.elements)) if all(w.conj(g, s) in p.members for s in gens))
+    out = w._normalizers.get(p.positions)
+    if out is None:
+        gens = [w.simple_gens[t] for t in p.positions]
+        out = tuple(g for g in range(len(w.elements)) if all(w.conj(g, s) in p.members for s in gens))
+        w._normalizers[p.positions] = out
+    return out
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """The literal matrix-group definitions over the semiring, which only the tests
-use: the tropical matrix product, the reader of a value's JSON, the inverse
+use: the tropical matrix product, the tropical determinant summed in
+Fractions over every permutation, the reader of a value's JSON, the inverse
 and product of D(y)⊙P_σ decompositions and their PGL normal form, the split
 quadratic and seven-variable cubic forms, and the
 membership tests of the symplectic, orthogonal and G₂ groups cross-checked
@@ -12,6 +13,7 @@ the oracle for the ``violations`` of ``circles.sp_structure``."""
 from __future__ import annotations
 
 import functools
+import itertools
 from fractions import Fraction as Q
 from typing import Optional, Sequence
 
@@ -90,6 +92,28 @@ def trop_matrix_mul(a: TropMatrix, b: TropMatrix) -> TropMatrix:
     return TropMatrix(
         tuple(tuple(tsum(tmul(x, y) for x, y in zip(row, col)) for col in bt) for row in a.entries)
     )
+
+
+def det_by_fraction_sums(a: TropMatrix) -> TropValue:
+    """min over σ of Σ_i a_{i σ(i)}, each sum taken in Fractions and ∞ read as
+    ∞, over all permutations: the oracle for the integer-numerator
+    determinants of ``semiring``."""
+    n = a.n_rows
+    if n != a.n_cols:
+        raise ValueError("matrix must be square")
+    best: Optional[Q] = None
+    for sigma in itertools.permutations(range(n)):
+        total = Q(0)
+        ok = True
+        for i in range(n):
+            e = a.entries[i][sigma[i]]
+            if e.q is None:
+                ok = False
+                break
+            total += e.q
+        if ok and (best is None or total < best):
+            best = total
+    return INF if best is None else TropValue(best)
 
 
 def decomposition_inverse(dec: GenPermDecomposition) -> GenPermDecomposition:

@@ -2,6 +2,8 @@
 
 import itertools
 import random
+import re
+import tracemalloc
 from fractions import Fraction as Q
 
 import pytest
@@ -16,6 +18,7 @@ from semiring_oracles import (
     check_symplectic,
     decomposition_compose,
     decomposition_inverse,
+    det_by_fraction_sums,
     eval_cubic,
     eval_quadratic,
     hexagon_group,
@@ -99,6 +102,71 @@ def test_det_enumeration_vs_assignment():
     for _ in range(120):
         a = samplers.trop_matrix(rng, rng.randint(1, 6))
         assert sr.det_by_enumeration(a) == sr.det_by_assignment(a)
+
+
+DENOMINATORS = (1, 2, 3, 7, 12, 35, 420)
+
+
+def _det_case(rng: random.Random) -> sr.TropMatrix:
+    """An n × n matrix, n ≤ 6, with ∞ at density p ∈ [0, 0.6] and signed finite
+    entries over the denominators above; one in ten gets an all-∞ row or
+    column."""
+    n = rng.randint(0, 6)
+    p = rng.uniform(0, 0.6)
+    rows = [
+        [sr.INF if rng.random() < p else sr.fin(Q(rng.randint(-500, 500), rng.choice(DENOMINATORS))) for _ in range(n)]
+        for _ in range(n)
+    ]
+    if n and rng.random() < 0.1:
+        k = rng.randrange(n)
+        if rng.random() < 0.5:
+            rows[k] = [sr.INF] * n
+        else:
+            for row in rows:
+                row[k] = sr.INF
+    return sr.TropMatrix(tuple(map(tuple, rows)))
+
+
+def test_det_on_integer_numerators_matches_the_fraction_oracle():
+    rng = random.Random(9)
+    infinite = 0
+    for _ in range(2100):
+        a = _det_case(rng)
+        expected = det_by_fraction_sums(a)
+        infinite += expected == sr.INF
+        assert sr.det_by_enumeration(a) == expected, a
+        assert sr.det_by_assignment(a) == expected, a
+    assert 100 < infinite < 1000  # both outcomes are well covered
+
+
+def test_det_of_a_lone_permutation_whose_sum_is_the_spread():
+    # a positive diagonal and ∞ elsewhere: the one finite sum equals the sum of
+    # the absolute finite numerators, the largest sum that is still finite
+    for n in range(1, 9):
+        diag = [Q(k + 1, DENOMINATORS[k % len(DENOMINATORS)]) for k in range(n)]
+        a = sr.TropMatrix.gen_perm(diag, range(n))
+        assert sr.det_by_enumeration(a) == sr.det_by_assignment(a) == sr.fin(sum(diag))
+
+
+def test_det_by_enumeration_sums_the_permutations_as_it_makes_them():
+    # the 8! sums kept in a list would peak near 1.6 MB; summed as made, 3 KB
+    rng = random.Random(11)
+    a = sr.TropMatrix(
+        tuple(tuple(sr.fin(Q(rng.randint(-99, 99), rng.choice(DENOMINATORS))) for _ in range(8)) for _ in range(8))
+    )
+    tracemalloc.start()
+    try:
+        sr.det_by_enumeration(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+def test_gen_perm_rejects_a_sigma_that_is_not_a_permutation():
+    for sigma in ((0, 0), (1,), (0, 1, 2), (0, 2), (-1, 0)):
+        with pytest.raises(ValueError, match=re.escape(f"σ = {sigma} is not a permutation of range(2)")):
+            sr.TropMatrix.gen_perm((1, 2), sigma)
 
 
 def test_det_multiplicative_on_invertibles():

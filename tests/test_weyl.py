@@ -329,6 +329,35 @@ def test_relative_weyl_walks_each_parabolic_once(monkeypatch):
     assert walks == []
 
 
+def test_relative_weyl_scans_w_once_per_parabolic(monkeypatch):
+    # the suite once made 28 normalizer scans and 1,350 conjugations for its
+    # 20 ∏A parabolics: one scan per indecomposable element
+    conjugations = []
+    conj = weyl.WeylGroup.conj
+
+    def counted(self, v, x):
+        conjugations.append((v, x))
+        return conj(self, v, x)
+
+    monkeypatch.setattr(weyl.WeylGroup, "conj", counted)
+    monkeypatch.setattr(gr, "_GROUP_CACHE", {})
+    assert verify.relative_weyl()["pass"]
+    suite = len(conjugations)
+    monkeypatch.setattr(gr, "_GROUP_CACHE", {})
+    conjugations.clear()
+    scans = 0
+    for family, n in verify.RELATIVE_WEYL_GROUPS:
+        w = build_group(family, n).weyl
+        for k in range(len(w.simple_gens) + 1):
+            for positions in itertools.combinations(range(len(w.simple_gens)), k):
+                if w.parabolic(positions).paths is not None:
+                    weyl.parabolic_normalizer(w, positions)
+                    weyl.indecomposable_elements(w, positions)
+                    scans += 1
+    assert scans == 20
+    assert suite == len(conjugations) == 634
+
+
 # every family with |W| <= 720
 GRID = [
     ("GL", 3), ("GL", 4), ("GL", 5), ("GL", 6),
