@@ -28,7 +28,7 @@ def main():
         g = build_group(family, n)
         comps = classify_components(g)
         name = f"{family}_{n}" if n else family
-        print(f"== {name}:  |W| = {len(g.weyl)}, pi1 = {list(g.pi1().invariant_factors)}, "
+        print(f"== {name}:  |W| = {len(g.weyl)}, pi1 = {list(g.pi1.invariant_factors)}, "
               f"{len(comps)} components")
         for comp in comps:
             size = comp.component_size if comp.component_size is not None else "inf"

@@ -7,8 +7,6 @@ circle ℝ/jℤ are Čech cocycles (m, α, w) up to an explicit gauge action, wi
 exact classification, degree, and slope-stability machinery.
 """
 
-import logging as _logging
-
 from .circles import (
     CircleCocycle,
     ComponentDescription,
@@ -26,6 +24,7 @@ from .circles import (
 )
 from .groups import (
     NotInGroupError,
+    ParabolicSubgroup,
     ParentMismatchError,
     TropGroupElement,
     TropGroupHom,
@@ -65,14 +64,12 @@ from .semiring import (
     tsum,
 )
 from .stability import (
-    ParabolicSubgroup,
     adjoint_degree,
     dominance_leq,
     is_semistable,
     is_stable,
     is_stable_degree,
     minimal_parabolic_for_degree,
-    parabolic_subgroup,
     reduction_degrees,
     slope,
     stability_verdict,
@@ -85,9 +82,6 @@ from .weyl import (
     is_indecomposable,
     relative_weyl_check,
 )
-
-# the library's logger stays silent until the application configures logging
-_logging.getLogger(__name__).addHandler(_logging.NullHandler())
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

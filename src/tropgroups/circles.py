@@ -133,7 +133,7 @@ def gauge_transform(c: CircleCocycle, k: Sequence[int], beta: Sequence, v) -> Ci
 
 def degree(c: CircleCocycle) -> tuple[int, ...]:
     """Image of the slope in π₁ = M̌/⟨Ř⟩, in reduced SNF coordinates."""
-    return c.group.pi1().project(c.slope)
+    return c.group.pi1.project(c.slope)
 
 
 def pushforward(f: TropGroupHom, c: CircleCocycle) -> CircleCocycle:
@@ -268,7 +268,7 @@ def _component(g: TropicalGroup, cls: tuple[int, ...]) -> ComponentDescription:
     quotient = _cycle_quotient(g, cls[0])
     fiber = ()
     if quotient.order is not None:
-        pi1 = g.pi1()
+        pi1 = g.pi1
         fiber = tuple((quotient.project(lift), pi1.project(lift)) for lift in quotient.representatives())
     return ComponentDescription(
         class_rep=cls[0],

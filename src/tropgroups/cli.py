@@ -108,7 +108,7 @@ def cmd_group_info(args) -> dict:
         "family": args.family,
         "n": args.n,
         "weyl_order": len(g.weyl),
-        "pi1": list(g.pi1().invariant_factors),
+        "pi1": list(g.pi1.invariant_factors),
         "center_rank": len(center_basis(g)),
         "num_roots": len(g.datum.roots),
     }

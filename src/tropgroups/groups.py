@@ -3,7 +3,14 @@ semidirect-product law, homomorphisms, centers, determinant maps, and the
 faithful matrix models of the classical families and G₂.
 
 A group is its root datum, its Weyl group and its model map; the rank and
-the family are the datum's.  A group element is a translation m in
+the family are the datum's.  ``build_group`` makes one group per (family, n):
+the size guard is checked in closed form before the cache is read, and is
+not part of a group's identity.  The group owns what is derived from it,
+built on first use and kept on it: π₁, the dominance frame
+``coroot_frame`` (the simple-coroot basis Č with its left inverse), the left
+inverse of the model map, and each standard parabolic
+``TropicalGroup.parabolic(positions)`` with its Weyl data, π₁(P) and slope
+matrix, read by the stability module.  A group element is a translation m in
 cocharacter coordinates (exact rationals) together with a Weyl element w;
 the law is (m₁, w₁)·(m₂, w₂) = (m₁ + w₁·m₂, w₁w₂).
 
@@ -29,7 +36,7 @@ from .errors import InvariantError
 from .intlinalg import Mat, Vec
 from .rootdata import RootDatum
 from .semiring import TropMatrix, checked_integer, checked_rational, checked_vector, invert_or_decompose
-from .weyl import WeylElement, WeylGroup
+from .weyl import Parabolic, WeylElement, WeylGroup
 
 
 class ParentMismatchError(ValueError):
@@ -51,12 +58,7 @@ class TropicalGroup:
         self.rank = datum.rank_cochar
         self.family = datum.family
         self.model = model
-        self._pi1 = None
-        # per-group data of the stability module, built on first use: the
-        # standard parabolics by sorted positions, and the simple-coroot
-        # basis with a left inverse
-        self.parabolics: dict = {}
-        self.coroot_basis = None
+        self._parabolics: dict = {}  # sorted simple-root positions -> ParabolicSubgroup, built once
 
     def __repr__(self):
         tag = "x".join(map(str, self.family)) if self.family else f"rank{self.rank}"
@@ -70,16 +72,72 @@ class TropicalGroup:
         left = la.mat_mul(la.rational_inverse(la.mat_mul(la.transpose(num), num)), la.transpose(num))
         return la.scaled([la.vec_scale(d, row) for row in left])
 
+    @functools.cached_property
     def pi1(self) -> la.QuotientLattice:
-        if self._pi1 is None:
-            self._pi1 = rootdata.fundamental_group(self.datum)
-        return self._pi1
+        return rootdata.fundamental_group(self.datum)
+
+    @functools.cached_property
+    def coroot_frame(self) -> tuple[tuple[Mat, int], tuple[Mat, int]]:
+        """The simple-coroot basis Č and its left inverse K⁻¹·A, each as an
+        integer matrix over one denominator: the dominance order solves Č·c = v."""
+        coroots, left_inverse = _coroot_frame(self, tuple(range(len(self.datum.simple))))
+        return (coroots, 1), la.scaled(left_inverse)
+
+    def parabolic(self, positions: Sequence[int]) -> "ParabolicSubgroup":
+        """The standard parabolic at the simple-root positions, built once per
+        sorted positions.  A ValueError if a position is out of range."""
+        positions = tuple(sorted(set(positions)))
+        p = self._parabolics.get(positions)
+        if p is None:
+            try:
+                wp = self.weyl.parabolic(positions)
+            except InvariantError as exc:
+                raise InvariantError(f"parabolic at positions {positions} of {self!r}: {exc}") from None
+            # the full parabolic is G: its π₁ is self.pi1, in the coordinates of circles.degree
+            simple = [self.datum.coroots[self.datum.simple[t]] for t in positions]
+            pi1 = self.pi1 if len(positions) == len(self.datum.simple) else la.QuotientLattice(self.rank, simple)
+            # M_P = I − Č_P·K_P⁻¹·A_P, and I for the torus parabolic, whose Č_P has no columns
+            slope_map = la.identity_matrix(self.rank)
+            if positions:
+                slope_map = la.mat_sub(slope_map, la.mat_mul(*_coroot_frame(self, positions)))
+            p = self._parabolics[positions] = ParabolicSubgroup(self, wp, pi1, la.scaled(slope_map))
+        return p
 
     def element(self, m: Sequence, w) -> "TropGroupElement":
         """(m, w) with both fields checked: m a list of rank rationals, w a
         Weyl element index; a ValueError names a bad field."""
         widx = self.weyl.check_idx("w", w)
         return TropGroupElement(self, checked_vector("m", m, self.rank, checked_rational), widx)
+
+
+@dataclass(frozen=True)
+class ParabolicSubgroup:
+    """Standard parabolic: its Weyl data (``WeylGroup.parabolic``), π₁(P), and
+    the slope matrix M_P with φ_P = M_P·λ̌, kept as (N, d) with integer N,
+    d > 0 and M_P = N/d."""
+
+    group: TropicalGroup
+    weyl: Parabolic
+    pi1: la.QuotientLattice
+    slope_matrix: tuple[Mat, int]
+
+
+def _coroot_frame(g: TropicalGroup, positions: tuple[int, ...]) -> tuple[Mat, Mat]:
+    """(Č, K⁻¹·A) for the simple roots at the positions, exactly.
+
+    Č has their coroots as columns, K = A·Č is their Cartan matrix and A maps
+    λ̌ to the pairings ⟨α, λ̌⟩, so K⁻¹·A is a left inverse of Č: it gives the
+    coefficients of any vector of the coroot span.
+    """
+    datum = g.datum
+    idxs = [datum.simple[t] for t in positions]
+    coroots = tuple(tuple(datum.coroots[b][i] for b in idxs) for i in range(g.rank))
+    pairings = tuple(la.mat_vec(la.transpose(datum.pairing), datum.roots[a]) for a in idxs)
+    cartan = tuple(tuple(la.vec_dot(row, datum.coroots[b]) for b in idxs) for row in pairings)
+    try:
+        return coroots, la.mat_mul(la.rational_inverse(cartan), pairings)
+    except ValueError:
+        raise InvariantError(f"simple coroots at positions {positions} are not independent") from None
 
 
 @dataclass(frozen=True, slots=True)
@@ -128,7 +186,7 @@ def center_basis(g: TropicalGroup) -> tuple[Vec, ...]:
 
 def determinant_map(a: TropGroupElement) -> Vec:
     """Image of m in the free part of π₁ ⊗ ℚ; the Weyl part is discarded."""
-    return a.group.pi1().free_part(a.m)
+    return a.group.pi1.free_part(a.m)
 
 
 @dataclass(frozen=True)
@@ -218,17 +276,15 @@ def _model_perm(num: Mat, s: Mat) -> Optional[tuple[int, ...]]:
     return None if len(rows) != k or None in sigma else sigma
 
 
-# built groups by (family, n, guard), so that clearing this one dict makes
-# every build cold
+# built groups by (family, n), so that clearing this one dict makes every
+# build cold; the guard gates a build and is not part of a group's identity
 _GROUP_CACHE: dict = {}
 
 
 def build_group(family: str, n: int = 0, guard: int = weyl.DEFAULT_GUARD) -> TropicalGroup:
-    """Tropical reductive group of the family with its matrix-model data."""
+    """Tropical reductive group of the family with its matrix-model data: one
+    object per (family, n), whatever guard it was built or looked up under."""
     n = checked_integer("n", n)
-    key = (family, n, guard)
-    if key in _GROUP_CACHE:
-        return _GROUP_CACHE[key]
     if family not in rootdata.FAMILIES:
         raise ValueError(f"unknown family {family!r}; the families are {', '.join(rootdata.FAMILIES)}")
     # the guard holds before anything is built: |W| = n! for type A, ∏ 2t = 2ⁿ·n! for B, C,
@@ -243,6 +299,9 @@ def build_group(family: str, n: int = 0, guard: int = weyl.DEFAULT_GUARD) -> Tro
         order *= factor
         if order > guard:
             raise weyl.GuardExceededError(f"{family}, n = {n}: |W| exceeds guard {guard}")
+    g = _GROUP_CACHE.get((family, n))
+    if g is not None:
+        return g
     datum = rootdata.build_root_datum(family, n)
     num, d = _model_map(family, n)
     gen_mats = [datum.cochar_reflection_matrix(i) for i in datum.simple]
@@ -253,7 +312,7 @@ def build_group(family: str, n: int = 0, guard: int = weyl.DEFAULT_GUARD) -> Tro
             raise InvariantError(f"{family}, n = {n}: the model map is not equivariant for simple reflection {k}")
         perm_gens.append(sigma)
     w = weyl.generate(gen_mats, perm_gens, datum.rank_cochar, len(num), guard)
-    g = _GROUP_CACHE[key] = TropicalGroup(w, datum, (num, d))
+    g = _GROUP_CACHE[family, n] = TropicalGroup(w, datum, (num, d))
     return g
 
 
@@ -307,7 +366,7 @@ def from_matrix(mat: TropMatrix, g: TropicalGroup) -> TropGroupElement:
 
 
 # ---------------------------------------------------------------------------
-# standard homomorphisms, between the groups built under the given guard
+# standard homomorphisms, whose groups are held to the given guard
 # ---------------------------------------------------------------------------
 
 

@@ -36,7 +36,8 @@ ZERO = TropValue(Q(0))
 
 
 def fin(x) -> TropValue:
-    return TropValue(Q(x))
+    """The finite value x, read by checked_rational."""
+    return TropValue(checked_rational("x", x))
 
 
 def tadd(a: TropValue, b: TropValue) -> TropValue:
@@ -155,11 +156,12 @@ class TropMatrix:
 
     @staticmethod
     def gen_perm(ys, sigma: Sequence[int]) -> "TropMatrix":
-        """D(y)⊙P_σ: entry (i, j) = y_i exactly when i = σ(j); a ValueError
-        naming σ unless it is a permutation of range(len(ys))."""
-        ys = [Q(y) for y in ys]
+        """D(y)⊙P_σ: entry (i, j) = y_i exactly when i = σ(j), for ys read by
+        checked_rational and σ by checked_integer; a ValueError naming σ unless
+        it is a permutation of range(len(ys))."""
+        ys = [checked_rational("ys", y) for y in ys]
         n = len(ys)
-        sigma = tuple(sigma)
+        sigma = tuple([checked_integer("sigma", t) for t in sigma])
         if len(sigma) != n or set(sigma) != set(range(n)):
             raise ValueError(f"σ = {sigma} is not a permutation of range({n})")
         return TropMatrix(
@@ -167,44 +169,40 @@ class TropMatrix:
         )
 
 
-def det_by_enumeration(a: TropMatrix) -> TropValue:
-    """min over σ of Σ_i a_{i σ(i)}, by brute force over all permutations.
+def _integer_costs(a: TropMatrix) -> tuple[list[list[int]], int, int]:
+    """(cost, spread, d): the entries of the square matrix as the integers that
+    both determinants sum.
 
-    The sums are taken on integers: each finite entry as its numerator over
-    the lcm d of the finite denominators, and ∞ as 2·spread + 1, where spread
-    is the sum of the absolute finite numerators.  A sum without ∞ is at most
-    spread; one with k ≥ 1 of them is at least k·(2·spread + 1) − spread >
-    spread.  So the least sum is ∞ exactly when it exceeds spread, and else it
-    is d times the determinant.  The permutations are summed as they are made.
+    Each finite entry is its numerator over the lcm d of the finite
+    denominators, and ∞ is 2·spread + 1, where spread is the sum of the
+    absolute finite numerators.  A sum of one entry per row and column
+    without ∞ is at most spread; one with k ≥ 1 of them is at least
+    k·(2·spread + 1) − spread > spread.  So the least sum is ∞ exactly when
+    it exceeds spread, and else it is d times the determinant.
     """
-    n = a.n_rows
-    if n != a.n_cols:
+    if a.n_rows != a.n_cols:
         raise ValueError("matrix must be square")
     d = lcm(*[e.q.denominator for row in a.entries for e in row if e.q is not None])
     spread = sum(abs(e.q.numerator) * (d // e.q.denominator) for row in a.entries for e in row if e.q is not None)
     cost = [[2 * spread + 1 if e.q is None else e.q.numerator * (d // e.q.denominator) for e in row] for row in a.entries]
-    total = min(map(lambda sigma: sum(map(list.__getitem__, cost, sigma)), itertools.permutations(range(n))))
+    return cost, spread, d
+
+
+def det_by_enumeration(a: TropMatrix) -> TropValue:
+    """min over σ of Σ_i a_{i σ(i)}, by brute force over all permutations,
+    summed as they are made on the integers of ``_integer_costs``."""
+    cost, spread, d = _integer_costs(a)
+    total = min(map(lambda sigma: sum(map(list.__getitem__, cost, sigma)), itertools.permutations(range(len(cost)))))
     return INF if total > spread else TropValue(Q(total, d))
 
 
 def det_by_assignment(a: TropMatrix) -> TropValue:
-    """min-cost perfect assignment on the entry matrix, in exact integers.
-
-    Shortest-augmenting-path algorithm with potentials.  The costs are the
-    integers of ``det_by_enumeration``: each finite entry as its numerator
-    over the lcm d of the finite denominators, and ∞ as 2·spread + 1, for
-    spread the sum of the absolute finite numerators.  An assignment without
-    ∞ costs at most spread and one with an ∞ more than spread, so the optimum
-    is ∞ exactly when it exceeds spread, and else d times the determinant.
-    """
-    n = a.n_rows
-    if n != a.n_cols:
-        raise ValueError("matrix must be square")
+    """min-cost perfect assignment on the integers of ``_integer_costs``, by
+    the shortest-augmenting-path algorithm with potentials."""
+    cost, spread, d = _integer_costs(a)
+    n = len(cost)
     if n == 0:
         return ZERO
-    d = lcm(*[e.q.denominator for row in a.entries for e in row if e.q is not None])
-    spread = sum(abs(e.q.numerator) * (d // e.q.denominator) for row in a.entries for e in row if e.q is not None)
-    cost = [[2 * spread + 1 if e.q is None else e.q.numerator * (d // e.q.denominator) for e in row] for row in a.entries]
 
     # classic JV: column potentials, one row inserted per phase
     pot_u = [0] * (n + 1)

@@ -4,14 +4,15 @@ A standard parabolic subgroup is cut out by a subset of the simple roots; it
 keeps the full cocharacter space and restricts the Weyl group, so on a circle
 its bundles are cocycles whose monodromy lies in the sub-Weyl-group.
 
-Everything that depends only on the group is built once and kept on the
-TropicalGroup: each standard parabolic, with π₁(P) and its slope matrix
+Everything that depends only on the group is built by the group and kept
+on it (see ``groups``): each standard parabolic from
+``TropicalGroup.parabolic``, with π₁(P) and its slope matrix
 M_P = I − Č_P·K_P⁻¹·A_P (so a slope is one matrix-vector product), and the
-simple-coroot basis Č with its left inverse K⁻¹·A for the dominance order,
-which also gives the minimal parabolic of a degree.  Each is kept as
-``intlinalg.scaled`` keeps it, an integer matrix over one denominator, so
-slopes and dominance coefficients are integer dot products followed by one
-Fraction per entry.  W_P, its cosets and the classes it meets are those of
+dominance frame ``TropicalGroup.coroot_frame``, the simple-coroot basis Č
+with its left inverse K⁻¹·A, which also gives the minimal parabolic of a
+degree.  Each is an integer matrix over one denominator, so slopes and
+dominance coefficients are integer dot products followed by one Fraction
+per entry.  W_P, its cosets and the classes it meets are those of
 ``WeylGroup.parabolic``.  φ_P, [·]_P and the test v·w·v⁻¹ ∈ W_P are constant
 on each left coset W_P·v, so a verdict reads the reductions to P from the
 least index of each coset, not from all of W.  Some v·w·v⁻¹ lies in W_P only
@@ -32,61 +33,9 @@ from typing import Optional, Sequence
 from . import intlinalg as la
 from .errors import InvariantError
 from .circles import CircleCocycle
-from .groups import TropicalGroup
-from .intlinalg import Mat, QuotientLattice, Vec
+from .groups import ParabolicSubgroup, TropicalGroup
+from .intlinalg import Vec
 from .semiring import checked_integer, checked_vector
-from .weyl import Parabolic
-
-
-@dataclass(frozen=True)
-class ParabolicSubgroup:
-    """Standard parabolic: its Weyl data (``WeylGroup.parabolic``), π₁(P), and
-    the slope matrix M_P with φ_P = M_P·λ̌, kept as (N, d) with integer N,
-    d > 0 and M_P = N/d."""
-
-    group: TropicalGroup
-    weyl: Parabolic
-    pi1: QuotientLattice
-    slope_matrix: tuple[Mat, int]
-
-
-def _coroot_frame(g: TropicalGroup, positions: tuple[int, ...]) -> tuple[Mat, Mat]:
-    """(Č, K⁻¹·A) for the simple roots at the positions, exactly.
-
-    Č has their coroots as columns, K = A·Č is their Cartan matrix and A maps
-    λ̌ to the pairings ⟨α, λ̌⟩, so K⁻¹·A is a left inverse of Č: it gives the
-    coefficients of any vector of the coroot span.
-    """
-    datum = g.datum
-    idxs = [datum.simple[t] for t in positions]
-    coroots = tuple(tuple(datum.coroots[b][i] for b in idxs) for i in range(g.rank))
-    pairings = tuple(la.mat_vec(la.transpose(datum.pairing), datum.roots[a]) for a in idxs)
-    cartan = tuple(tuple(la.vec_dot(row, datum.coroots[b]) for b in idxs) for row in pairings)
-    try:
-        return coroots, la.mat_mul(la.rational_inverse(cartan), pairings)
-    except ValueError:
-        raise InvariantError(f"simple coroots at positions {positions} are not independent") from None
-
-
-def parabolic_subgroup(g: TropicalGroup, positions: Sequence[int]) -> ParabolicSubgroup:
-    """The standard parabolic at the positions, built once per group."""
-    positions = tuple(sorted(set(positions)))
-    p = g.parabolics.get(positions)
-    if p is None:
-        try:
-            wp = g.weyl.parabolic(positions)
-        except InvariantError as exc:
-            raise InvariantError(f"parabolic at positions {positions} of {g!r}: {exc}") from None
-        # the full parabolic is G: its π₁ is g.pi1(), in the coordinates of circles.degree
-        simple = [g.datum.coroots[g.datum.simple[t]] for t in positions]
-        pi1 = g.pi1() if len(positions) == len(g.datum.simple) else QuotientLattice(g.rank, simple)
-        # M_P = I − Č_P·K_P⁻¹·A_P, and I for the torus parabolic, whose Č_P has no columns
-        slope_map = la.identity_matrix(g.rank)
-        if positions:
-            slope_map = la.mat_sub(slope_map, la.mat_mul(*_coroot_frame(g, positions)))
-        p = ParabolicSubgroup(g, wp, pi1, la.scaled(slope_map))
-        g.parabolics[positions] = p
-    return p
 
 
 def slope(p: ParabolicSubgroup, lam: Sequence) -> Vec:
@@ -104,17 +53,14 @@ def slope(p: ParabolicSubgroup, lam: Sequence) -> Vec:
 
 def slope_of_group(g: TropicalGroup, lam: Sequence) -> Vec:
     """φ_G: the slope for the full set of simple roots."""
-    return slope(parabolic_subgroup(g, range(len(g.datum.simple))), lam)
+    return slope(g.parabolic(range(len(g.datum.simple))), lam)
 
 
 def dominance_coeffs(g: TropicalGroup, lam: Sequence, mu: Sequence) -> Optional[Vec]:
     """Coefficients of μ̌ − λ̌ in the simple-coroot basis, or None if outside the
     span, for λ̌ and μ̌ with int or Fraction entries: the solve of Č·c = μ̌ − λ̌
     through the left inverse K⁻¹·A, both kept on the group as (N, d) maps."""
-    if g.coroot_basis is None:
-        coroots, left_inverse = _coroot_frame(g, tuple(range(len(g.datum.simple))))
-        g.coroot_basis = (coroots, 1), la.scaled(left_inverse)
-    return la.solve_scaled(*g.coroot_basis, la.vec_sub(mu, lam))
+    return la.solve_scaled(*g.coroot_frame, la.vec_sub(mu, lam))
 
 
 def _order(coeffs: Optional[Vec]) -> tuple[bool, bool]:
@@ -206,7 +152,7 @@ def stability_verdict(c: CircleCocycle) -> StabilityVerdict:
     violations = []
     for size in range(n_simple):
         for positions in itertools.combinations(range(n_simple), size):
-            for phi_p in _slopes(c, parabolic_subgroup(g, positions), scan):
+            for phi_p in _slopes(c, g.parabolic(positions), scan):
                 leq, lt = _order(dominance_coeffs(g, phi_p, phi_g))
                 if not leq:
                     semistable = False
@@ -273,4 +219,4 @@ def minimal_parabolic_for_degree(g: TropicalGroup, lam: Sequence[int]) -> Parabo
     coeffs = dominance_coeffs(g, slope_of_group(g, lam), lam)
     if coeffs is None:
         raise InvariantError(f"λ̌ − φ_G(λ̌) for λ̌ = {list(lam)} lies outside the coroot span of {g!r}")
-    return parabolic_subgroup(g, [t for t, c in enumerate(coeffs) if c.denominator != 1])
+    return g.parabolic([t for t, c in enumerate(coeffs) if c.denominator != 1])

@@ -3,8 +3,8 @@
 Each suite recomputes a countable claim two independent ways where possible
 (closed form vs. explicit enumeration with the isomorphism tester) and
 returns a JSON-serializable report with one entry per case.  Every suite
-builds its groups under the Weyl-group size guard it is given.  A sampled
-suite passes one function per trial to ``_trials``, the one trial loop.
+holds its groups to the Weyl-group size guard it is given.  A sampled suite
+passes one function per trial to ``_trials``, the one trial loop.
 """
 
 from __future__ import annotations
@@ -17,12 +17,12 @@ from typing import Optional
 from . import circles, stability
 from .errors import InvariantError
 from .groups import TropicalGroup, build_group, hom_det
-from .weyl import DEFAULT_GUARD, indecomposable_elements, relative_weyl_check
+from .weyl import DEFAULT_GUARD, relative_weyl_check
 
 
 def indecomposable_class_rep(g: TropicalGroup) -> int:
     """Least element of the conjugacy class of full-cycle products."""
-    return indecomposable_elements(g.weyl, range(len(g.datum.simple)))[0]
+    return g.weyl.parabolic(range(len(g.datum.simple))).indecomposables[0]
 
 
 def count_component_classes(g: TropicalGroup, j, w_idx: int) -> int:
@@ -181,9 +181,10 @@ def relative_weyl(guard: int = DEFAULT_GUARD) -> dict:
         n_simple = len(g.datum.simple)
         for size in range(0, n_simple + 1):
             for positions in combinations(range(n_simple), size):
-                if g.weyl.parabolic(positions).paths is None:
+                p = g.weyl.parabolic(positions)
+                if p.paths is None:
                     continue
-                for w_idx in indecomposable_elements(g.weyl, positions):
+                for w_idx in p.indecomposables:
                     try:
                         result = relative_weyl_check(g.weyl, positions, w_idx)
                         ok = True

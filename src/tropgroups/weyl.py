@@ -19,14 +19,15 @@ class, as t_{s·x·s⁻¹} = s·t_x is a left-table lookup.  The centralizer
 C(rep) is found once per class, by one scan of W; the v with v·x·v⁻¹ = y are
 then the coset t_y·C(rep)·t_x⁻¹ (``WeylGroup.conjugators``), and C(x) is
 t_x·C(rep)·t_x⁻¹.  ``WeylGroup.parabolic`` builds each standard parabolic
-once, from one coset walk: W_P, its cosets W_P·v, the classes it meets and
-its ∏A diagram, read by the stability module and by the functions below.
-The normalizer of W_P (tested on the simple reflections of P alone) works on
-indices; for W_P of type ∏A the indecomposable elements, a full cycle in
-every factor S_{k+1}, are the conjugates of the Coxeter element by W_P
-(|W_P| products, no walk of W), and the relative-Weyl bijection is read off
-the W_P-cosets that the centralizer meets.  The normalizer and the
-indecomposable elements are found once per parabolic and kept on the group.
+once, from one coset walk: a frozen ``Parabolic`` with W_P, its cosets W_P·v,
+the classes it meets and its ∏A diagram, read by the stability module and by
+the functions below.  The parabolic owns what is derived from it, found on
+first use and kept on it: ``Parabolic.normalizer``, N_W(W_P), tested on the
+simple reflections of P alone, on indices, and for W_P of type ∏A
+``Parabolic.indecomposables``, the elements that are a full cycle in every
+factor S_{k+1}: the conjugates of the Coxeter element by W_P (|W_P|
+products, no walk of W).  The relative-Weyl bijection is read off the
+W_P-cosets that the centralizer meets.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import lcm
 from typing import Optional, Sequence
 
@@ -72,8 +73,6 @@ class WeylGroup:
         self.simple_gens: tuple[int, ...] = tuple([s[self.identity_idx] for s in self.left])
         self._centralizers: dict = {}  # class id -> permutations of C(rep), found once
         self._parabolics: dict = {}  # sorted simple-root positions -> Parabolic, built once
-        self._normalizers: dict = {}  # sorted positions -> N_W(W_P), found once
-        self._indecomposables: dict = {}  # sorted positions of a ∏A parabolic -> its full cycles, found once
 
     @functools.cached_property
     def inverse(self) -> tuple[int, ...]:
@@ -230,7 +229,7 @@ class WeylGroup:
                 for x in coset:
                     least[x] = coset[0]
             reps, classes = tuple([c[0] for c in cosets]), frozenset([self.class_id[x] for x in members])
-            p = Parabolic(positions, members, reps, tuple(least), classes, _a_type_paths(self, positions))
+            p = Parabolic(self, positions, members, reps, tuple(least), classes, _a_type_paths(self, positions))
             self._parabolics[positions] = p
         return p
 
@@ -320,18 +319,45 @@ def _times(copies, sums, x: Mat, rows: dict) -> Mat:
 
 @dataclass(frozen=True)
 class Parabolic:
-    """The standard parabolic W_P at sorted simple-root positions: W_P as
-    element indices, the least index of each left coset W_P·v in the order of
-    v, least[x] the least index of the coset of x, the ids (``class_id``) of
-    the conjugacy classes that meet W_P, and the Coxeter diagram at the
-    positions as paths when it is of type ∏A, else None."""
+    """The standard parabolic W_P of the Weyl group at sorted simple-root
+    positions: W_P as element indices, the least index of each left coset
+    W_P·v in the order of v, least[x] the least index of the coset of x, the
+    ids (``class_id``) of the conjugacy classes that meet W_P, and the Coxeter
+    diagram at the positions as paths when it is of type ∏A, else None.  Its
+    normalizer and, for type ∏A, its indecomposable elements are found on
+    first use and kept on it."""
 
+    group: WeylGroup = field(compare=False, repr=False)
     positions: tuple[int, ...]
     members: frozenset
     cosets: tuple[int, ...]
     least: tuple[int, ...]
     classes: frozenset
     paths: Optional[tuple[tuple[int, ...], ...]]
+
+    @functools.cached_property
+    def normalizer(self) -> tuple[int, ...]:
+        """N_W(W_P): the g with g·s·g⁻¹ in W_P for each simple reflection s of P.
+        That suffices: conjugation by g is a homomorphism, so it then maps W_P,
+        which those s generate, into W_P, and onto it, as W_P is finite.  One
+        scan of W."""
+        w = self.group
+        gens = [w.simple_gens[t] for t in self.positions]
+        return tuple(g for g in range(len(w)) if all(w.conj(g, s) in self.members for s in gens))
+
+    @functools.cached_property
+    def indecomposables(self) -> tuple[int, ...]:
+        """The elements of W_P, of type ∏A, that are a full cycle in every
+        factor S_{k+1}, sorted.  They form the W_P-conjugacy class of the
+        Coxeter element c = s_{p_k}⋯s_{p_1} (Humphreys, Reflection Groups and
+        Coxeter Groups, §3.16): the v·c·v⁻¹ for v in W_P.  A ValueError unless
+        W_P is of type ∏A."""
+        if self.paths is None:
+            raise ValueError("parabolic subgroup is not of product-A type")
+        w, c = self.group, self.group.identity_idx
+        for t in self.positions:
+            c = w.left[t][c]
+        return tuple(sorted({w.conj(v, c) for v in self.members}))
 
 
 def _a_type_paths(w: WeylGroup, positions: tuple[int, ...]) -> Optional[tuple[tuple[int, ...], ...]]:
@@ -359,24 +385,6 @@ def _a_type_paths(w: WeylGroup, positions: tuple[int, ...]) -> Optional[tuple[tu
     return tuple(paths) if sum(map(len, paths)) == len(positions) else None  # a cycle has no end
 
 
-def indecomposable_elements(w: WeylGroup, positions: Sequence[int]) -> tuple[int, ...]:
-    """The elements of the type-∏A parabolic W_P at the positions that are a
-    full cycle in every factor S_{k+1}, sorted.  They form the W_P-conjugacy
-    class of the Coxeter element c = s_{p_k}⋯s_{p_1} (Humphreys, Reflection
-    Groups and Coxeter Groups, §3.16): the v·c·v⁻¹ for v in W_P, found once
-    per parabolic."""
-    p = w.parabolic(positions)
-    if p.paths is None:
-        raise ValueError("parabolic subgroup is not of product-A type")
-    out = w._indecomposables.get(p.positions)
-    if out is None:
-        c = w.identity_idx
-        for t in p.positions:
-            c = w.left[t][c]
-        out = w._indecomposables[p.positions] = tuple(sorted({w.conj(v, c) for v in p.members}))
-    return out
-
-
 def is_indecomposable(w: WeylGroup, elt_idx: int, positions: Optional[Sequence[int]] = None) -> bool:
     """Whether the element is a product of full cycles in a ∏A-type group.
 
@@ -389,21 +397,7 @@ def is_indecomposable(w: WeylGroup, elt_idx: int, positions: Optional[Sequence[i
         raise ValueError("group is not of product-A type")
     if elt_idx not in p.members:
         raise ValueError("element not in the parabolic subgroup")
-    return elt_idx in indecomposable_elements(w, p.positions)
-
-
-def parabolic_normalizer(w: WeylGroup, positions: Sequence[int]) -> tuple[int, ...]:
-    """N_W(W_P): the g with g·s·g⁻¹ in W_P for each simple reflection s of P.
-    That suffices: conjugation by g is a homomorphism, so it then maps W_P,
-    which those s generate, into W_P, and onto it, as W_P is finite.  One scan
-    of W per parabolic: the result is kept on the group."""
-    p = w.parabolic(positions)
-    out = w._normalizers.get(p.positions)
-    if out is None:
-        gens = [w.simple_gens[t] for t in p.positions]
-        out = tuple(g for g in range(len(w.elements)) if all(w.conj(g, s) in p.members for s in gens))
-        w._normalizers[p.positions] = out
-    return out
+    return elt_idx in p.indecomposables
 
 
 @dataclass(frozen=True)
@@ -426,11 +420,11 @@ def relative_weyl_check(w: WeylGroup, positions: Sequence[int], elt_idx: int) ->
         raise ValueError("parabolic subgroup is not of product-A type")
     if elt_idx not in p.members:
         raise ValueError("element does not lie in the parabolic subgroup")
-    if elt_idx not in indecomposable_elements(w, p.positions):
+    if elt_idx not in p.indecomposables:
         raise ValueError("element is not indecomposable")
     c_big = w.centralizer(elt_idx)
     c_small = tuple(g for g in c_big if g in p.members)
-    normal = parabolic_normalizer(w, p.positions)
+    normal = p.normalizer
     # N(W_P) is a union of W_P-cosets, so g lies in it iff its coset does.
     # For g, g′ in C = C_{W'}(w) ⊆ N(W_P), with C_W(w) = C ∩ W_P and g·W_P = W_P·g:
     #   g·C_W(w) = g′·C_W(w) ⇔ g⁻¹g′ ∈ W_P ⇔ W_P·g = W_P·g′.

@@ -97,13 +97,13 @@ def test_criterion_2_weyl_group_orders():
 def test_criterion_3_fundamental_group_table():
     """Invariant factors: ℤ, 1, ℤ/n, 1, ℤ/4 (SO₂ₙ n odd), (ℤ/2)² (n even), n ≤ 4."""
     for n in range(1, 5):
-        assert build_group("GL", n).pi1().invariant_factors == (0,)
-        assert build_group("Sp", n).pi1().invariant_factors == ()
+        assert build_group("GL", n).pi1.invariant_factors == (0,)
+        assert build_group("Sp", n).pi1.invariant_factors == ()
         if n >= 2:
-            assert build_group("SL", n).pi1().invariant_factors == ()
-            assert build_group("PGL", n).pi1().invariant_factors == (n,)
+            assert build_group("SL", n).pi1.invariant_factors == ()
+            assert build_group("PGL", n).pi1.invariant_factors == (n,)
             expected = (4,) if n % 2 == 1 else (2, 2)
-            assert build_group("SO_even", n).pi1().invariant_factors == expected
+            assert build_group("SO_even", n).pi1.invariant_factors == expected
     print("PASS criterion 3: fundamental-group table")
 
 

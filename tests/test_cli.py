@@ -298,14 +298,16 @@ def test_each_verify_suite_rejects_the_options_it_does_not_read(capsys):
 
 
 def test_library_logger_is_silent(capsys):
-    import logging
-
-    handlers = logging.getLogger("tropgroups").handlers
-    assert any(isinstance(h, logging.NullHandler) for h in handlers)
     code = cli.main(["classify", "GL", "3"])
     captured = capsys.readouterr()
     assert code == 0 and captured.out
     assert captured.err == ""
+    # no module logs, so the command line does not import logging at all
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, tropgroups.cli; print('logging' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout == "False\n"
 
 
 def test_file_roundtrip(tmp_path, capsys):

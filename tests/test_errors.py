@@ -109,6 +109,46 @@ def test_every_dataclass_is_frozen():
     assert "TropGroupElement" in found and len(found) > 10
 
 
+# (module, function, name) of the writes into another object that are allowed:
+# main fills in the argparse namespace it parsed
+FOREIGN_WRITES_ALLOWED = {("cli", "main", "args")}
+
+
+def foreign_writes(tree: ast.Module, module: str):
+    """(module, function, name, line, target) for each assignment whose target
+    is an attribute, or an item of an attribute, of an object other than self."""
+    out = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, (ast.Attribute, ast.Subscript)) and isinstance(child.ctx, ast.Store):
+                base = child
+                while isinstance(base, ast.Subscript):
+                    base = base.value
+                if isinstance(base, ast.Attribute):
+                    owner = ast.unparse(base.value)
+                    if owner != "self":
+                        out.append((module, function, owner, child.lineno, ast.unparse(child)))
+            visit(child, function)
+
+    visit(tree, None)
+    return out
+
+
+def test_no_module_writes_into_another_object():
+    """Each cached datum has one owner that builds and keeps it: no code writes
+    an attribute, or an item of an attribute, of an object other than self."""
+    found = []
+    for path in sorted((SRC / "tropgroups").glob("*.py")):
+        for module, function, owner, line, target in foreign_writes(ast.parse(path.read_text(), str(path)), path.stem):
+            if (module, function, owner) not in FOREIGN_WRITES_ALLOWED:
+                found.append(f"{module}.py:{line} in {function}: {target}")
+    assert found == []
+
+
 # a gauge_transform that misses b must make the witness self-check raise
 OPTIMIZED_SELF_CHECK = """
 from tropgroups import circles as ci

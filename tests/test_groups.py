@@ -24,7 +24,7 @@ from semiring_oracles import (
 from tropgroups import groups as gr
 from tropgroups import intlinalg as la
 from tropgroups import semiring as sr
-from tropgroups import weyl
+from tropgroups import circles, cli, weyl
 from tropgroups.errors import InvariantError
 from tropgroups.groups import build_group
 
@@ -330,7 +330,7 @@ def test_build_group_reads_n_as_an_integer(monkeypatch):
         with pytest.raises(ValueError, match=f"field 'n': .*{message}"):
             build_group("GL", n)
     assert build_group("GL", 2.0) is build_group("GL", "2") is build_group("GL", 2)
-    assert set(gr._GROUP_CACHE) == {("GL", 2, weyl.DEFAULT_GUARD)}
+    assert set(gr._GROUP_CACHE) == {("GL", 2)}
 
 
 def test_element_json():
@@ -539,3 +539,21 @@ def test_size_guard_holds_before_the_root_datum_is_built(monkeypatch):
     for family, n in [("E8", 0), ("SL", 1), ("SO_even", 1), ("Sp", 0), ("GL", -3), ("G2", 2)]:
         with pytest.raises(ValueError, match="unknown family|requires n >=|no rank parameter"):
             build_group(family, n, guard=1)
+
+
+def test_one_group_per_family_and_n_under_any_guard(monkeypatch, capsys):
+    """The guard gates a build and is no part of a group: a group built under
+    one guard is the group read under another, and a cached group still
+    refuses a guard below its order."""
+    monkeypatch.setattr(gr, "_GROUP_CACHE", {})
+    gl3 = build_group("GL", 3, guard=500)
+    assert gl3 is build_group("GL", 3) is build_group("GL", 3, guard=6)
+    assert set(gr._GROUP_CACHE) == {("GL", 3)}
+    c = circles.cocycle(gl3, (1, 2, 0), (0, Q(1, 2), 0), 1, 1)
+    assert circles.pushforward(gr.hom_det(3), c).slope == (3,)
+    gl4 = build_group("GL", 4)
+    with pytest.raises(weyl.GuardExceededError, match="GL, n = 4: .* guard 23"):
+        build_group("GL", 4, guard=23)
+    assert cli.main(["group-info", "GL", "4", "--guard", "23"]) == 3
+    assert "exceeds guard 23" in capsys.readouterr().err
+    assert gr._GROUP_CACHE["GL", 4] is gl4

@@ -169,6 +169,21 @@ def test_gen_perm_rejects_a_sigma_that_is_not_a_permutation():
             sr.TropMatrix.gen_perm((1, 2), sigma)
 
 
+def test_fin_and_gen_perm_read_their_numbers_at_the_boundary():
+    # a bare Fraction(x) read 0.1 as its binary value, True as 1 and σ = (True, False) as (1, 0)
+    assert sr.fin(0.1) == sr.fin(Q(1, 10)) == sr.fin("1/10")
+    assert sr.TropMatrix.gen_perm((0.1, 2), (1.0, 0)) == sr.TropMatrix.gen_perm((Q(1, 10), 2), (1, 0))
+    for bad in (True, float("nan"), float("inf"), None):
+        with pytest.raises(ValueError, match="field 'x': .* not a rational"):
+            sr.fin(bad)
+    with pytest.raises(ValueError, match="field 'ys': True is not a rational"):
+        sr.TropMatrix.gen_perm((True, 2), (1, 0))
+    with pytest.raises(ValueError, match="field 'sigma': True is not a rational"):
+        sr.TropMatrix.gen_perm((1, 2), (True, False))
+    with pytest.raises(ValueError, match="field 'sigma': .* not an integer"):
+        sr.TropMatrix.gen_perm((1, 2), (0.5, 0))
+
+
 def test_det_multiplicative_on_invertibles():
     rng = random.Random(3)
     for _ in range(60):

@@ -19,7 +19,7 @@ from tropgroups.groups import build_group
 
 def test_slope_examples():
     g = build_group("GL", 2)
-    torus = stab.parabolic_subgroup(g, ())
+    torus = g.parabolic(())
     assert stab.slope(torus, (1, 0)) == (Q(1), Q(0))
     assert stab.slope_of_group(g, (1, 0)) == (Q(1, 2), Q(1, 2))
     g5 = build_group("GL", 5)
@@ -36,7 +36,7 @@ def test_slope_centrality_and_class_invariance():
             positions = tuple(
                 p for p in range(len(datum.simple)) if rng.random() < 0.6
             )
-            p = stab.parabolic_subgroup(g, positions)
+            p = g.parabolic(positions)
             phi = stab.slope(p, lam)
             for t in positions:
                 assert datum.pair(datum.roots[datum.simple[t]], phi) == 0
@@ -75,8 +75,8 @@ def test_reduction_degrees_examples():
     g = build_group("GL", 2)
     ident = g.weyl.identity_idx
     swap = 1 - ident
-    full = stab.parabolic_subgroup(g, (0,))
-    torus = stab.parabolic_subgroup(g, ())
+    full = g.parabolic((0,))
+    torus = g.parabolic(())
     split = ci.cocycle(g, (1, 0), (0, 0), ident, 1)
     twisted = ci.cocycle(g, (1, 0), (0, 0), swap, 1)
     assert stab.reduction_degrees(split, torus) == {(1, 0), (0, 1)}
@@ -216,7 +216,7 @@ def test_minimal_parabolic_agrees_with_the_fundamental_weight_pairing(family):
         positions = stab.minimal_parabolic_for_degree(g, lam).weyl.positions
         assert positions == minimal_positions_by_weights(g, lam)
         found.add(positions)
-    assert len(found) > 1 or g.pi1().order == 1  # a trivial π₁ leaves every c_i integral
+    assert len(found) > 1 or g.pi1.order == 1  # a trivial π₁ leaves every c_i integral
 
 
 @pytest.mark.parametrize(
@@ -432,7 +432,7 @@ def check_against_the_reference(g, cocycles):
                 if (positions, vm) not in ref_slopes:
                     ref_slopes[positions, vm] = ref_slope(g, positions, vm)
             slopes = frozenset({ref_slopes[positions, vm] for vm in reduced})
-            p = stab.parabolic_subgroup(g, positions)
+            p = g.parabolic(positions)
             assert list(stab._slopes(c, p, stab._conjugation_pass(c))) == list(slopes)
             assert list(stab.reduction_degrees(c, p)) == list(frozenset({p.pi1.project(vm) for vm in reduced}))
             if len(positions) < r:
@@ -451,8 +451,8 @@ def test_reduction_degrees_to_g_are_the_degree(family, n):
     """Every cocycle reduces to G itself, with its own degree in π₁(G), in
     the coordinates of circles.degree."""
     g = build_group(family, n)
-    full = stab.parabolic_subgroup(g, range(len(g.datum.simple)))
-    assert full.pi1 is g.pi1()
+    full = g.parabolic(range(len(g.datum.simple)))
+    assert full.pi1 is g.pi1
     for c in seeded_cocycles(g, 40, f"degree {family}{n}"):
         assert stab.reduction_degrees(c, full) == {ci.degree(c)}
 
@@ -506,7 +506,7 @@ def test_parabolics_are_skipped_exactly_when_no_conjugate_lies_in_them(family, n
     for rep in (cls[0] for cls in w.conjugacy_classes()):
         c = ci.cocycle(g, (1,) + (0,) * (g.rank - 1), (0,) * g.rank, rep, 1)
         for positions in (q for size in range(r) for q in itertools.combinations(range(r), size)):
-            p = stab.parabolic_subgroup(g, positions)
+            p = g.parabolic(positions)
             meets = any(w.conj(v, rep) in p.weyl.members for v in range(len(w)))
             assert (w.class_id[rep] in p.weyl.classes) == meets, (rep, positions)
             if not meets:
@@ -522,27 +522,27 @@ def test_uneven_cosets_name_the_group_and_positions(monkeypatch):
     left[1] = (0,) + left[1][1:]
     monkeypatch.setattr(g.weyl, "left", tuple(left))
     with pytest.raises(InvariantError, match=r"\(1,\) of TropicalGroup\(GLx3"):
-        stab.parabolic_subgroup(g, (1,))
+        g.parabolic((1,))
 
 
 def test_parabolic_data_is_built_once_per_group(monkeypatch):
     monkeypatch.setattr(gr, "_GROUP_CACHE", dict(gr._GROUP_CACHE))
     g = build_group("GL", 4)
-    p = stab.parabolic_subgroup(g, (0, 2))
+    p = g.parabolic((0, 2))
     assert p.weyl is g.weyl.parabolic((0, 2)) is g.weyl.parabolic([2, 0])
-    assert stab.parabolic_subgroup(g, (0, 2)) is p
-    assert stab.parabolic_subgroup(g, [2, 0, 2]) is p
+    assert g.parabolic((0, 2)) is p
+    assert g.parabolic([2, 0, 2]) is p
     assert stab.minimal_parabolic_for_degree(g, (2, 0, 0, 0)) is p
-    assert stab.parabolic_subgroup(g, range(3)) is stab.parabolic_subgroup(g, (0, 1, 2))
+    assert g.parabolic(range(3)) is g.parabolic((0, 1, 2))
     gr._GROUP_CACHE.clear()
     fresh = build_group("GL", 4)
     assert fresh is not g
-    q = stab.parabolic_subgroup(fresh, (0, 2))
+    q = fresh.parabolic((0, 2))
     assert q is not p and q.group is fresh
     assert q.weyl is not p.weyl and q.weyl is fresh.weyl.parabolic((0, 2))
     assert (q.weyl, q.slope_matrix) == (p.weyl, p.slope_matrix)
     with pytest.raises(ValueError):
-        stab.parabolic_subgroup(fresh, (3,))
+        fresh.parabolic((3,))
 
 
 def test_singular_cartan_matrix_names_the_positions(monkeypatch):
@@ -554,7 +554,7 @@ def test_singular_cartan_matrix_names_the_positions(monkeypatch):
 
     monkeypatch.setattr(stab.la, "rational_inverse", singular)
     with pytest.raises(InvariantError, match=r"\(0, 1\)"):
-        stab.parabolic_subgroup(g, (1, 0))
+        g.parabolic((1, 0))
 
 
 def test_dominance_coeffs_outside_the_coroot_span():

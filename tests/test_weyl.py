@@ -153,7 +153,7 @@ def test_parabolic_normalizer_matches_the_oracle(family, n):
     for k in range(len(w.simple_gens) + 1):
         for sub_positions in itertools.combinations(positions, k):
             expected = normalizer(w, parabolic_closure(w, sub_positions))
-            assert weyl.parabolic_normalizer(w, sub_positions) == expected, sub_positions
+            assert w.parabolic(sub_positions).normalizer == expected, sub_positions
 
 
 def test_sgn_multiplicative_and_d_kernel():
@@ -204,7 +204,6 @@ def test_type_a_api_rejects_out_of_range_positions():
     for bad in (-1, len(w.simple_gens)):
         calls = [
             lambda: w.parabolic((bad,)),
-            lambda: weyl.indecomposable_elements(w, (bad,)),
             lambda: weyl.is_indecomposable(w, s, (bad,)),
             lambda: weyl.relative_weyl_check(w, (bad,), s),
         ]
@@ -263,7 +262,7 @@ def test_relative_weyl_check_matches_the_product_oracle(family, n):
         for positions in itertools.combinations(range(len(w.simple_gens)), k):
             if w.parabolic(positions).paths is None:
                 continue
-            for x in weyl.indecomposable_elements(w, positions):
+            for x in w.parabolic(positions).indecomposables:
                 expected = relative_weyl_by_products(w, positions, x)
                 assert weyl.relative_weyl_check(w, positions, x) == expected, (positions, x)
                 cases += 1
@@ -282,7 +281,7 @@ def gl4_s2_s2():
     """GL₄'s Weyl group, the positions of its parabolic S₂×S₂, whose
     normalizer holds it with index 2, and its one indecomposable element."""
     w = group("GL", 4)
-    (x,) = weyl.indecomposable_elements(w, (0, 2))
+    (x,) = w.parabolic((0, 2)).indecomposables
     return w, (0, 2), x
 
 
@@ -322,7 +321,7 @@ def test_relative_weyl_walks_each_parabolic_once(monkeypatch):
     assert verify.relative_weyl()["pass"]
     assert len(walks) == 24
     w = build_group("GL", 4).weyl
-    (x,) = weyl.indecomposable_elements(w, (0, 2))
+    (x,) = w.parabolic((0, 2)).indecomposables
     walks.clear()
     weyl.relative_weyl_check(w, (2, 0), x)
     assert weyl.is_indecomposable(w, x, (0, 2))
@@ -350,9 +349,9 @@ def test_relative_weyl_scans_w_once_per_parabolic(monkeypatch):
         w = build_group(family, n).weyl
         for k in range(len(w.simple_gens) + 1):
             for positions in itertools.combinations(range(len(w.simple_gens)), k):
-                if w.parabolic(positions).paths is not None:
-                    weyl.parabolic_normalizer(w, positions)
-                    weyl.indecomposable_elements(w, positions)
+                p = w.parabolic(positions)
+                if p.paths is not None:
+                    assert p.normalizer and p.indecomposables
                     scans += 1
     assert scans == 20
     assert suite == len(conjugations) == 634
@@ -550,7 +549,7 @@ KNOWN_PATHS = {
 def test_a_type_paths_and_indecomposables_match_the_factor_model(family, n):
     """For every position subset: the diagram paths, W_P and the full-cycle
     products of the factor-permutation model against WeylGroup.parabolic,
-    indecomposable_elements and is_indecomposable."""
+    Parabolic.indecomposables and is_indecomposable."""
     w = group(family, n)
     r = len(w.simple_gens)
     for size in range(r + 1):
@@ -562,7 +561,7 @@ def test_a_type_paths_and_indecomposables_match_the_factor_model(family, n):
             if model is None:
                 assert paths is None
                 with pytest.raises(ValueError, match="product-A"):
-                    weyl.indecomposable_elements(w, positions)
+                    w.parabolic(positions).indecomposables
                 with pytest.raises(ValueError, match="product-A"):
                     weyl.is_indecomposable(w, w.identity_idx, positions)
                 continue
@@ -570,7 +569,7 @@ def test_a_type_paths_and_indecomposables_match_the_factor_model(family, n):
             assert paths == comps
             assert tuple(sorted(phi)) == parabolic_closure(w, positions)
             full = full_cycle_products(phi)
-            assert weyl.indecomposable_elements(w, positions) == full
+            assert w.parabolic(positions).indecomposables == full
             assert [x for x in sorted(phi) if weyl.is_indecomposable(w, x, positions)] == list(full)
     model = factor_model(w, range(r))
     if model is not None:
@@ -594,6 +593,6 @@ def test_order_of_is_the_matrix_order(family, n):
 def test_representatives_match_the_rational_inverse_lifts(family, n):
     # GL's quotients all have a free part, so it has nothing to compare
     g = build_group(family, n)
-    for quotient in [g.pi1()] + [circles._cycle_quotient(g, cls[0]) for cls in g.weyl.conjugacy_classes()]:
+    for quotient in [g.pi1] + [circles._cycle_quotient(g, cls[0]) for cls in g.weyl.conjugacy_classes()]:
         if quotient.order is not None:
             assert quotient.representatives() == representatives_by_inverse(quotient)

@@ -4,12 +4,12 @@ centralizer of an element by a scan of all of W, the oracle for
 generated by given elements, the standard parabolic W_P as the closure of
 its simple reflections, the oracle for the coset search of
 ``WeylGroup.parabolic``, the normalizer of a subgroup by conjugating all
-of its elements, the oracle for ``weyl.parabolic_normalizer``, the index
+of its elements, the oracle for ``Parabolic.normalizer``, the index
 of each element by its matrix, for oracles that multiply matrices, the
 relative-Weyl coset comparison built from permutation products, the oracle
 for ``weyl.relative_weyl_check``, the factor-permutation model of a
 type-∏A parabolic, the oracle for ``WeylGroup.parabolic`` paths and
-``weyl.indecomposable_elements``, and a standard parabolic as a standalone
+``Parabolic.indecomposables``, and a standard parabolic as a standalone
 group with its inclusion homomorphism."""
 
 from __future__ import annotations
