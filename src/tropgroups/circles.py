@@ -25,6 +25,7 @@ the lattice M̌/(1 − w)M̌, whose free rank is the torus rank.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
@@ -268,8 +269,10 @@ def _component(g: TropicalGroup, cls: tuple[int, ...]) -> ComponentDescription:
     quotient = _cycle_quotient(g, cls[0])
     fiber = ()
     if quotient.order is not None:
-        pi1 = g.pi1
-        fiber = tuple((quotient.project(lift), pi1.project(lift)) for lift in quotient.representatives())
+        # the lift of the torsion index z is u⁻¹·z, which projects to z itself,
+        # and representatives() runs through the z in this order
+        residues = itertools.product(*[range(e) for e in quotient.torsion])
+        fiber = tuple(zip(residues, map(g.pi1.project, quotient.representatives())))
     return ComponentDescription(
         class_rep=cls[0],
         class_size=len(cls),

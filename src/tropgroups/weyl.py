@@ -6,16 +6,23 @@ no root datum: ``generate``, the one closure, takes the matrices and
 permutations of its simple generators, and the diagram is read off their
 products.  The closure is breadth-first, keyed by permutation, and frozen
 in lexicographic matrix order, so element indices are deterministic and
-serializable.  It multiplies on the left: g·x recomputes only the rows where
-g differs from the identity (one or two for most simple reflections of the
+serializable.  It multiplies matrices on the left, and only on the |W| − 1
+edges x → s·x that find an element: g·x recomputes only the rows where g
+differs from the identity (one or two for most simple reflections of the
 built families), copies a row of x where g has a lone 1, and shares every
-computed row as it is made, so equal rows are one object.  Its edges
-x → s·x are kept as the left tables left[t][i] = s_t·i, and one routine,
-``WeylGroup.orbits``, walks index maps built from them: the conjugacy
-classes (under x ↦ s·x·s⁻¹) and the left cosets of W_P (under x ↦ s·x,
-s in W_P) need no permutation product.  The class walk also records a
-transversal: t_x with t_x·rep·t_x⁻¹ = x for the least index rep of the
-class, as t_{s·x·s⁻¹} = s·t_x is a left-table lookup.  The centralizer
+computed row as it is made, so equal rows are one object.  The other edges
+are checked at once by the Coxeter presentation (Humphreys, Reflection
+Groups and Coxeter Groups, 1990, §1.9 and ch. 2): the permutations satisfy
+the relations (σ_a·σ_b)^{m_ab} = 1 of the matrices and generate as many
+elements as the diagram of (m_ab) presents.  Its edges x → s·x are kept as
+the left tables left[t][i] = s_t·i, and one routine, ``WeylGroup.orbits``,
+walks index maps built from them: the left cosets of W_P (under x ↦ s·x, s
+in W_P) need no permutation product.  The conjugacy classes are walked under
+x ↦ s·x·s⁻¹ = s·x·s, a left-table step followed by a right-table step
+x ↦ x·s, which is built down the closure's spanning tree, (s_t·p)·s =
+s_t·(p·s), with no permutation product and no inverse.  The class walk also
+records a transversal: t_x with t_x·rep·t_x⁻¹ = x for the least index rep of
+the class, as t_{s·x·s⁻¹} = s·t_x is a left-table lookup.  The centralizer
 C(rep) is found once per class, by one scan of W; the v with v·x·v⁻¹ = y are
 then the coset t_y·C(rep)·t_x⁻¹ (``WeylGroup.conjugators``), and C(x) is
 t_x·C(rep)·t_x⁻¹.  ``WeylGroup.parabolic`` builds each standard parabolic
@@ -36,7 +43,7 @@ import functools
 import itertools
 import operator
 from dataclasses import dataclass, field
-from math import lcm
+from math import factorial, lcm
 from typing import Optional, Sequence
 
 from . import intlinalg as la
@@ -62,13 +69,17 @@ class WeylGroup:
     element i in the faithful permutation model that products are looked up in,
     left[t][i] is the index of s_t·i for the t-th simple generator s_t (so
     simple_gens[t] = left[t][identity_idx]), inverse[i] is the index of i⁻¹,
-    and class_id[i] is the position of the class of i in conjugacy_classes()."""
+    and class_id[i] is the position of the class of i in conjugacy_classes().
+    tree is the closure's spanning tree: the elements other than the
+    identity in the order found, the generator t and the element p that each
+    was found from, x = s_t·p."""
 
-    def __init__(self, elements, perms, left):
+    def __init__(self, elements, perms, left, tree):
         self.elements: tuple[WeylElement, ...] = tuple(elements)
         self.perms: tuple[tuple[int, ...], ...] = tuple(perms)
         self._by_perm = {p: i for i, p in enumerate(self.perms)}
         self.left: tuple[tuple[int, ...], ...] = tuple(left)
+        self._tree: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]] = tree
         self.identity_idx = self._by_perm[identity_perm(len(self.perms[0]))]
         self.simple_gens: tuple[int, ...] = tuple([s[self.identity_idx] for s in self.left])
         self._centralizers: dict = {}  # class id -> permutations of C(rep), found once
@@ -147,13 +158,23 @@ class WeylGroup:
 
     @functools.cached_property
     def _class_walk(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-        """(classes, transversal) from one walk under x ↦ s·x·s⁻¹ = s·(s·x⁻¹)⁻¹
-        for the simple generators s, each class from its least index rep: y,
-        first reached as s·x·s⁻¹, gets t_y = s·t_x, so t_x·rep·t_x⁻¹ = x.  It
-        is the walk of ``orbits`` with the conjugators carried along, kept
-        apart so that the coset walks carry nothing."""
-        inv = self.inverse
-        steps = [([s[inv[s[x_inv]]] for x_inv in inv], s) for s in self.left]
+        """(classes, transversal) from one walk under x ↦ s·x·s⁻¹ for the
+        simple generators s, each class from its least index rep: y, first
+        reached as s·x·s⁻¹, gets t_y = s·t_x, so t_x·rep·t_x⁻¹ = x.  A step
+        is the left table x ↦ s·x followed by the right table x ↦ x·s⁻¹ =
+        x·s (each simple generator is an involution, which ``generate``
+        checks).  The right table is built down the closure's spanning tree
+        with index lookups alone, as (s_t·p)·s = s_t·(p·s).  It is the walk
+        of ``orbits`` with the conjugators carried along, kept apart so that
+        the coset walks carry nothing."""
+        left, e = self.left, self.identity_idx
+        steps = []
+        for s in left:
+            right = [0] * len(self.elements)
+            right[e] = s[e]
+            for x, t, p in zip(*self._tree):  # p is found before x
+                right[x] = left[t][right[p]]
+            steps.append((list(map(right.__getitem__, s)), s))
         t: list = [None] * len(self.elements)
         classes = []
         for rep, seen in enumerate(t):
@@ -239,43 +260,145 @@ def generate(gen_mats, gen_perms, rank: int, degree: int, guard: int = DEFAULT_G
     gen_mats, with the permutation model on `degree` letters in which
     gen_perms[k] is the image of gen_mats[k].  The generators become the
     simple generators of the group, in order; past guard elements the
-    enumeration stops with GuardExceededError.
+    enumeration stops with GuardExceededError.  The generators must be a
+    Coxeter system whose diagram is a product of types A, B/C, D and G₂, as
+    the simple reflections of every built Weyl group are; a generator whose
+    matrix and permutation are both the identity adds nothing.
 
-    The closure is keyed by permutation and multiplies on the left: g·x has
-    the permutation σ_g∘σ_x and differs from x only in the rows where g
-    differs from the identity; the edges x → g·x, numbered as found, become the
-    left tables once the elements are sorted.  A permutation reached with two
-    matrices means the model is not faithful or not a homomorphism; two
-    permutations of one matrix mean it is not a homomorphism.
+    The closure is keyed by permutation and multiplies on the left, and only
+    on the |W| − 1 edges x → s·x that find an element: g·x has the
+    permutation σ_g∘σ_x and differs from x only in the rows where g differs
+    from the identity.  The edges, numbered as found, become the left tables
+    once the elements are sorted.  Two permutations of one matrix mean the
+    model is not a homomorphism.  The edges that find no element are checked
+    at once by the Coxeter presentation (``_check_presentation``).
     """
     rows: dict = {}  # elements share equal rows (GL₆: 6 rows for 720 elements)
     gens = [(_row_ops(la.matrix(g)), tuple(p)) for g, p in zip(gen_mats, gen_perms, strict=True)]
-    perms = [identity_perm(degree)]
+    ident = tuple([rows.setdefault(r, r) for r in la.identity_matrix(rank)])
+    perms, mats = [identity_perm(degree)], [ident]
     found = {perms[0]: 0}
-    mats = [tuple([rows.setdefault(r, r) for r in la.identity_matrix(rank)])]
     edges = [[] for _ in gens]  # edges[t][a] is the number of s_t·(element a)
+    steps = [(t, copies, sums, pg, out) for t, (((copies, sums), pg), out) in enumerate(zip(gens, edges))]
+    via, parent = [], []  # element b > 0 is s_{via[b − 1]}·(element parent[b − 1])
     for a, px in enumerate(perms):  # perms grows as elements are found
-        x, after_x = mats[a], precompose(px)
-        for ((copies, sums), pg), out in zip(gens, edges):
-            prod, image = _times(copies, sums, x, rows), after_x(pg)  # image = σ_g∘σ_x
+        after_x = precompose(px)
+        for t, copies, sums, pg, out in steps:
+            image = after_x(pg)  # σ_g∘σ_x
             b = found.get(image)
             if b is None:
                 if len(perms) >= guard:
                     raise GuardExceededError(f"group size exceeds guard {guard}")
                 b = found[image] = len(perms)
                 perms.append(image)
-                mats.append(prod)
-            elif mats[b] != prod:
-                msg = f"{image} is the permutation of {mats[b]} and of {prod}"
-                raise InvariantError(f"permutation model is not faithful, or not a homomorphism: {msg}")
+                mats.append(_times(copies, sums, mats[a], rows))
+                via.append(t)
+                parent.append(a)
             out.append(b)
     order = sorted(range(len(mats)), key=mats.__getitem__)
-    for a, b in zip(order, order[1:]):
-        if mats[a] == mats[b]:
-            raise InvariantError(f"permutation model is not a homomorphism: {mats[a]} has two permutations")
     index, reorder = invert_perm(order), precompose(order)  # index[a] is the place of a in order
+    mats = reorder(mats)
+    twice = next(itertools.compress(mats, map(operator.eq, mats, mats[1:])), None)
+    if twice is not None:
+        raise InvariantError(f"permutation model is not a homomorphism: {twice} has two permutations")
+    _check_presentation(gens, ident, rows, len(perms))
     left = [tuple(map(index.__getitem__, reorder(out))) for out in edges]
-    return WeylGroup([WeylElement(m) for m in reorder(mats)], reorder(perms), left)
+    tree = (index[1:], tuple(via), tuple(map(index.__getitem__, parent)))
+    return WeylGroup([WeylElement(m) for m in mats], reorder(perms), left, tree)
+
+
+def _check_presentation(gens, ident: Mat, rows: dict, order: int) -> None:
+    """Check that the closure's matrices are the image of its permutations
+    under an isomorphism, with O(r²) small products rather than one per edge.
+
+    Let m_ab be the order of g_a·g_b (m_aa = 1: each g_a is an involution),
+    read with the row operations of the closure, and C the Coxeter group that
+    the matrix (m_ab) presents (Humphreys, Reflection Groups and Coxeter
+    Groups, 1990, §1.9; its order is read off the diagram by the
+    classification of ch. 2, ``_coxeter_order``).  If the permutations
+    satisfy (σ_a·σ_b)^{m_ab} = 1, then c_a ↦ σ_a extends to a surjection
+    C → P, and |P| = |C| makes it an isomorphism.  The matrices satisfy their
+    own relations, so c_a ↦ g_a gives a homomorphism φ: P → W with
+    σ_a ↦ g_a, and the matrix found on each discovery edge is φ of its
+    permutation; every edge x → s·x then holds, found or not.  Distinct
+    permutations have distinct matrices (the sort check before this one), so
+    φ is injective.  An InvariantError if any step fails.
+
+    For involutions a and b, (a·b)^k = 1 iff the alternating words a·b·a⋯
+    and b·a·b⋯ of length k are equal, so m_ab is read off the two words as
+    they grow, the permutations' words alongside.
+    """
+    one = identity_perm(len(gens[0][1])) if gens else ()
+    gens = [(t, ops, p) for t, (ops, p) in enumerate(gens) if ops != ((), ()) or p != one]
+    g = [_times(*ops, ident, rows) for _, ops, _ in gens]
+    m = [[1] * len(gens) for _ in gens]
+    for i, (a, ops_a, pa) in enumerate(gens):
+        if _times(*ops_a, g[i], rows) != ident:
+            raise InvariantError(f"g_{a} is not an involution")
+        if compose_perm(pa, pa) != one:
+            raise InvariantError(f"permutation model is not a homomorphism: g_{a} is an involution, σ_{a} not")
+        for j in range(i + 1, len(gens)):
+            b, ops_b, pb = gens[j]
+            u, v, pu, pv, k = g[i], g[j], pa, pb, 1  # the words of length k from a and from b
+            while u != v:
+                if k == 6:  # no diagram of type A, B, D or G₂ has a longer bond
+                    raise InvariantError(f"g_{a}·g_{b} has order more than 6")
+                u, v, k = _times(*ops_a, v, rows), _times(*ops_b, u, rows), k + 1
+                pu, pv = compose_perm(pa, pv), compose_perm(pb, pu)
+            if pu != pv:
+                msg = f"g_{a}·g_{b} has order {k}, σ_{a}·σ_{b} not"
+                raise InvariantError(f"permutation model is not a homomorphism: {msg}")
+            m[i][j] = m[j][i] = k
+    presented = _coxeter_order(m)
+    if presented != order:
+        raise InvariantError(
+            f"permutation model is not faithful, or not a homomorphism: the matrices present a Coxeter group "
+            f"of order {presented}, and the permutations generate {order} elements"
+        )
+
+
+def _coxeter_order(m: Sequence[Sequence[int]]) -> int:
+    """The order of the Coxeter group with Coxeter matrix m, read off its
+    diagram (Humphreys, Reflection Groups and Coxeter Groups, 1990, §2.4 and
+    §2.11): the product over its connected components, each of type A_k,
+    order (k+1)!, B_k = C_k, order 2ᵏ·k!, D_k, order 2ᵏ⁻¹·k!, or G₂, order 12.
+    An InvariantError on any other matrix or diagram."""
+    r = len(m)
+    if any(m[a][b] != m[b][a] or not (m[a][b] == 1 if a == b else m[a][b] >= 2) for a in range(r) for b in range(r)):
+        raise InvariantError(f"{m} is not a Coxeter matrix")
+    bonds = [{b: m[a][b] for b in range(r) if m[a][b] > 2} for a in range(r)]
+    seen, order = [False] * r, 1
+    for start in range(r):
+        if seen[start]:
+            continue
+        seen[start], comp = True, [start]
+        for a in comp:
+            for b in bonds[a]:
+                if not seen[b]:
+                    seen[b] = True
+                    comp.append(b)
+        labels = sorted(label for a in comp for label in bonds[a].values())[::2]  # each bond is seen twice
+        if len(labels) != len(comp) - 1:  # a connected diagram is a tree iff it has one bond fewer than nodes
+            raise InvariantError(f"Coxeter diagram {m} has a cycle")
+        k, branch = len(comp), [a for a in comp if len(bonds[a]) > 2]
+        if labels == [6]:  # G₂
+            order *= 12
+        elif not branch and set(labels) <= {3}:  # A_k, a path
+            order *= factorial(k + 1)
+        elif not branch and labels[-1:] == [4] and set(labels[:-1]) <= {3} and any(
+            list(bonds[a].values()) == [4] for a in comp
+        ):  # B_k, a path whose one 4-bond ends at a leaf (F₄ has it in the middle)
+            order *= 2**k * factorial(k)
+        elif (
+            set(labels) == {3}
+            and len(branch) == 1
+            and len(bonds[branch[0]]) == 3
+            and sum(len(bonds[b]) == 1 for b in bonds[branch[0]]) >= 2
+        ):  # D_k, one fork with two arms of length one (E₆₋₈ have one)
+            order *= 2 ** (k - 1) * factorial(k)
+        else:
+            raise InvariantError(f"Coxeter diagram {m} is not a product of types A, B, D and G₂")
+    return order
 
 
 def _row_ops(g: Mat) -> tuple[tuple, tuple]:
@@ -393,11 +516,10 @@ def is_indecomposable(w: WeylGroup, elt_idx: int, positions: Optional[Sequence[i
     the parabolic at the given positions.
     """
     p = w.parabolic(range(len(w.simple_gens)) if positions is None else positions)
-    if p.paths is None:
-        raise ValueError("group is not of product-A type")
+    indecomposables = p.indecomposables  # a ValueError unless W_P is of type ∏A
     if elt_idx not in p.members:
         raise ValueError("element not in the parabolic subgroup")
-    return elt_idx in p.indecomposables
+    return elt_idx in indecomposables
 
 
 @dataclass(frozen=True)
@@ -416,11 +538,10 @@ def relative_weyl_check(w: WeylGroup, positions: Sequence[int], elt_idx: int) ->
     the bijectivity fails.
     """
     p = w.parabolic(positions)
-    if p.paths is None:
-        raise ValueError("parabolic subgroup is not of product-A type")
+    indecomposables = p.indecomposables  # a ValueError unless W_P is of type ∏A
     if elt_idx not in p.members:
         raise ValueError("element does not lie in the parabolic subgroup")
-    if elt_idx not in p.indecomposables:
+    if elt_idx not in indecomposables:
         raise ValueError("element is not indecomposable")
     c_big = w.centralizer(elt_idx)
     c_small = tuple(g for g in c_big if g in p.members)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from tropgroups import cli
+from tropgroups import cli, groups
 from tropgroups.groups import build_group
 
 
@@ -121,6 +121,16 @@ def test_classify_output_is_pinned(capsys, family, n, digest):
     code, out = run(capsys, ["classify", family, str(n), "--j", "3/2"])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("family,n", [("GL", 4), ("Sp", 3), ("SO_even", 4), ("G2", 0)])
+def test_cold_classify_builds_no_inverse_table(capsys, monkeypatch, family, n):
+    # the class walk steps by the left and right tables; WeylGroup.inverse
+    # is kept for the gauge and the conjugators, which classify does not use
+    monkeypatch.setattr(groups, "_GROUP_CACHE", {})
+    assert run(capsys, ["classify", family, str(n)])[0] == 0
+    assert list(groups._GROUP_CACHE) == [(family, n)]
+    assert "inverse" not in groups._GROUP_CACHE[family, n].weyl.__dict__
 
 
 def test_classify_gl1(capsys):

@@ -1,6 +1,7 @@
 """Weyl group enumeration, conjugacy, parabolic subgroups, indecomposability."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -447,7 +448,13 @@ def dense_closure(gen_mats, gen_perms, rank, degree):
     return mats, [seen[m] for m in mats], [mats.index(g) for g in gen_mats]
 
 
-@pytest.mark.parametrize("family,n", KERNEL_CASES + [case for case in GRID if case not in KERNEL_CASES])
+@pytest.mark.parametrize(
+    "family,n",
+    # every family up to its largest n under the default guard
+    KERNEL_CASES
+    + [case for case in GRID if case not in KERNEL_CASES]
+    + [("GL", 7), ("SL", 7), ("PGL", 7), ("Sp", 5), ("SO_odd", 5), ("SO_even", 5)],
+)
 def test_closure_matches_dense_closure(family, n):
     w = kernel_group(family, n)
     gen_mats = [w.element(g).matrix for g in w.simple_gens]
@@ -483,6 +490,39 @@ def test_closure_rejects_two_permutations_of_one_matrix():
         weyl.generate([((1,),)], [(1, 0)], 1, 2)
 
 
+def test_closure_rejects_a_model_that_only_a_relation_tells_apart():
+    # A₁ × A₂ on ℤ⁴ (−1 on the last coordinate, and GL₃'s transpositions) to
+    # reflections v ↦ k − v mod 6 of a hexagon: they generate the 12-element
+    # dihedral group, as many elements as A₁ × A₂ has, and the matrices found
+    # on the discovery edges are distinct, but σ₀·σ₁ has order 6, not 2
+    mats = [
+        ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, -1)),
+        ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
+        ((1, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 1)),
+    ]
+    perms = [tuple((k - v) % 6 for v in range(6)) for k in (5, 4, 0)]
+    with pytest.raises(InvariantError, match="not a homomorphism: g_0·g_1 has order 2"):
+        weyl.generate(mats, perms, 4, 6)
+    # the same matrices with a faithful model, σ₀ the half turn
+    perms[0] = tuple((v + 3) % 6 for v in range(6))
+    assert len(weyl.generate(mats, perms, 4, 6)) == 12
+
+
+def test_closure_rejects_a_permutation_that_is_no_involution():
+    # A₁ × A₁ to a 4-cycle and its square: the four permutations get the
+    # four distinct matrices ±1 ⊕ ±1, and σ₀·σ₁ = σ₁·σ₀, but ℤ/4 is not ℤ/2 × ℤ/2
+    quarter = (1, 2, 3, 0)
+    with pytest.raises(InvariantError, match="not a homomorphism: g_0 is an involution, σ_0 not"):
+        weyl.generate([((-1, 0), (0, 1)), ((1, 0), (0, -1))], [quarter, compose_perm(quarter, quarter)], 2, 4)
+
+
+def test_closure_rejects_an_identity_matrix_on_a_permutation_found_before():
+    # g₁ = 1 reaches σ₁ = σ₀, already found with the matrix g₀: two matrices
+    # of one permutation, which no sort of the matrices shows
+    with pytest.raises(InvariantError, match="not faithful"):
+        weyl.generate([((-1,),), ((1,),)], [(1, 0), (1, 0)], 1, 2)
+
+
 def test_degree_one_models():
     w = group("GL", 1)
     assert (len(w), w.perms, w.simple_gens, w.conjugacy_classes()) == (1, ((0,),), (), ((0,),))
@@ -493,7 +533,7 @@ def test_degree_one_models():
         weyl.generate([((-1,),)], [(0,)], 1, 1)
 
 
-@pytest.mark.parametrize("family,n", [("GL", 4), ("AmbientSp", 2)])
+@pytest.mark.parametrize("family,n", [("GL", 4), ("SO_even", 4), ("AmbientSp", 2)])
 def test_guard_is_exact(family, n):
     w = kernel_group(family, n)
     gen_mats = [w.element(g).matrix for g in w.simple_gens]
@@ -501,6 +541,108 @@ def test_guard_is_exact(family, n):
     assert len(weyl.generate(gen_mats, gen_perms, w.rank, len(w.perms[0]), guard=len(w))) == len(w)
     with pytest.raises(weyl.GuardExceededError):
         weyl.generate(gen_mats, gen_perms, w.rank, len(w.perms[0]), guard=len(w) - 1)
+
+
+def coxeter_matrix(k, bonds):
+    """The k × k Coxeter matrix with m_ab = bonds[a, b], and 2 off the diagonal elsewhere."""
+    m = [[1 if a == b else 2 for b in range(k)] for a in range(k)]
+    for (a, b), label in bonds.items():
+        m[a][b] = m[b][a] = label
+    return m
+
+
+def path(k, first=3, last=3):
+    """A path 0 - 1 - … - k−1 with bonds 3, but first and last at its ends
+    (on two nodes, its one bond is first unless that is 3)."""
+    bonds = {(a, a + 1): 3 for a in range(k - 1)}
+    if k > 1:
+        bonds[k - 2, k - 1] = last
+        if first != 3:
+            bonds[0, 1] = first
+    return bonds
+
+
+def fork(arms):
+    """A tree with bonds 3: a node 0 and one path from it of each arm length."""
+    bonds, k = {}, 1
+    for length in arms:
+        nodes = [0] + list(range(k, k + length))
+        bonds.update({(a, b): 3 for a, b in zip(nodes, nodes[1:])})
+        k += length
+    return k, bonds
+
+
+def test_coxeter_order_of_the_finite_diagrams():
+    order = weyl._coxeter_order
+    fact = math.factorial
+    assert order([]) == 1
+    for k in range(1, 8):
+        assert order(coxeter_matrix(k, path(k))) == fact(k + 1)  # A_k: S_{k+1}
+    for k in range(2, 7):
+        assert order(coxeter_matrix(k, path(k, last=4))) == order(coxeter_matrix(k, path(k, first=4))) == 2**k * fact(k)
+    for k in range(4, 8):
+        assert order(coxeter_matrix(*fork([1, 1, k - 3]))) == 2 ** (k - 1) * fact(k)  # D_k
+    assert order(coxeter_matrix(2, {(0, 1): 6})) == 12  # G₂
+    assert order(coxeter_matrix(4, {(0, 3): 3, (1, 3): 3, (2, 3): 3})) == 2**3 * fact(4)  # D₄, fork at the last node
+    # A₂ on {0, 4}, B₃ on {1, 3, 5} and G₂ on {2, 6}, interleaved
+    bonds = {(0, 4): 3, (1, 3): 3, (3, 5): 4, (2, 6): 6}
+    assert order(coxeter_matrix(7, bonds)) == fact(3) * 2**3 * fact(3) * 12
+
+
+@pytest.mark.parametrize(
+    "name,m",
+    [
+        ("F₄, its 4-bond in the middle", coxeter_matrix(4, {(0, 1): 3, (1, 2): 4, (2, 3): 3})),
+        ("E₆, three leaves", coxeter_matrix(*fork([1, 2, 2]))),
+        ("E₈", coxeter_matrix(*fork([1, 2, 4]))),
+        ("H₃", coxeter_matrix(3, path(3, last=5))),
+        ("I₂(5)", coxeter_matrix(2, {(0, 1): 5})),
+        ("Ã₂, a 3-cycle of bonds 3", coxeter_matrix(3, {(0, 1): 3, (1, 2): 3, (0, 2): 3})),
+        ("C̃₂, a path with two 4-bonds", coxeter_matrix(3, path(3, first=4, last=4))),
+        ("G₂ with a third node", coxeter_matrix(3, path(3, first=6))),
+        ("a fork with bond 4", coxeter_matrix(4, {(0, 1): 3, (0, 2): 3, (0, 3): 4})),
+        ("two equal generators", [[1, 1], [1, 1]]),
+        ("a bond 0", [[1, 0], [0, 1]]),
+        ("a generator that is no involution", [[2]]),
+        ("not symmetric", [[1, 3], [2, 1]]),
+    ],
+)
+def test_coxeter_order_rejects_every_other_diagram(name, m):
+    with pytest.raises(InvariantError):
+        weyl._coxeter_order(m)
+
+
+@pytest.mark.parametrize("family,n", GRID + [("AmbientSp", 3), ("Levi of Sp", 4)])
+def test_closure_rejects_every_mutated_model(family, n):
+    """The sign flip of any entry of a generator matrix, the swap of two
+    generator permutations unless it is an automorphism of the Coxeter
+    matrix, and the model that sends everything to the identity all raise; a
+    swap that is an automorphism is a faithful model, and the all-edges
+    closure agrees with it."""
+    w = kernel_group(family, n)
+    mats = [w.element(g).matrix for g in w.simple_gens]
+    perms = [w.perm(g) for g in w.simple_gens]
+    args = (w.rank, len(w.perms[0]))
+    for t, m in enumerate(mats):
+        for r, c in itertools.product(range(w.rank), repeat=2):
+            if m[r][c]:
+                flipped = tuple(tuple(-e if (i, j) == (r, c) else e for j, e in enumerate(row)) for i, row in enumerate(m))
+                with pytest.raises(InvariantError):
+                    weyl.generate(mats[:t] + [flipped] + mats[t + 1 :], perms, *args)
+    coxeter = [[matrix_order(la.mat_mul(a, b)) for b in mats] for a in mats]
+    for a, b in itertools.combinations(range(len(mats)), 2):
+        swap = list(range(len(mats)))
+        swap[a], swap[b] = b, a
+        swapped = [perms[i] for i in swap]
+        if [[coxeter[i][j] for j in swap] for i in swap] == coxeter:
+            built = weyl.generate(mats, swapped, *args)
+            assert ([e.matrix for e in built.elements], list(built.perms)) == dense_closure(mats, swapped, *args)[:2]
+        else:
+            with pytest.raises(InvariantError):
+                weyl.generate(mats, swapped, *args)
+    if mats:
+        with pytest.raises(InvariantError):
+            weyl.generate(mats, [identity_perm(args[1])] * len(mats), *args)
 
 
 # the class computation before orbits under the generators, kept as the
@@ -587,6 +729,22 @@ def test_classify_centralizer_order_is_centralizer_size(family, n):
 def test_order_of_is_the_matrix_order(family, n):
     w = group(family, n)
     assert [w.order_of(i) for i in range(len(w))] == [matrix_order(e.matrix) for e in w.elements]
+
+
+# SO_even5 has the one class on these groups with two distinct torsion factors, (2, 2, 4)
+@pytest.mark.parametrize("family,n", GRID + [("SO_even", 5)])
+def test_degree_fiber_reads_each_residue_off_its_index(family, n):
+    # classify zips the torsion indices with the lifts; projecting each lift
+    # is the reference
+    g = build_group(family, n)
+    for cls in g.weyl.conjugacy_classes():
+        quotient = circles._cycle_quotient(g, cls[0])
+        if quotient.order is not None:
+            lifts = quotient.representatives()
+            indices = list(itertools.product(*[range(e) for e in quotient.torsion]))
+            assert [quotient.project(lift) for lift in lifts] == indices
+            fiber = tuple((quotient.project(lift), g.pi1.project(lift)) for lift in lifts)
+            assert circles.component_for_class(g, cls[0]).degree_fiber == fiber
 
 
 @pytest.mark.parametrize("family,n", GRID)
