@@ -260,9 +260,12 @@ class ComponentDescription:
 
 
 def _cycle_quotient(g: TropicalGroup, w_idx: int) -> la.QuotientLattice:
-    """The lattice M̌/(1 − w)M̌ of slopes modulo the gauge by k."""
-    amat = la.mat_sub(la.identity_matrix(g.rank), g.weyl.element(w_idx).matrix)
-    return la.QuotientLattice(g.rank, la.transpose(amat))
+    """The lattice M̌/(1 − w)M̌ of slopes modulo the gauge by k, spanned by
+    the columns e_c − w·e_c of 1 − w."""
+    cols = [[-x for x in col] for col in zip(*g.weyl.element(w_idx).matrix)]
+    for c, col in enumerate(cols):
+        col[c] += 1
+    return la.QuotientLattice(g.rank, cols)
 
 
 def _component(g: TropicalGroup, cls: tuple[int, ...]) -> ComponentDescription:

@@ -21,6 +21,7 @@ import inspect
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import circles, semiring, stability, verify
 from .errors import InvariantError
@@ -49,8 +50,61 @@ def _guard(flag) -> int:
     return guard
 
 
+def _write_json(x, pad: str, out: list) -> None:
+    """Append the text of x to out as json.dumps(x, indent=2, sort_keys=True)
+    writes it, pad being the line break and indent of x's own line.  CPython
+    writes an indented dump with its pure-Python encoder; this writer calls
+    only the C string encoder.  A report holds dicts with str keys, lists,
+    tuples, str, int, bool and None: any other key or value is a TypeError
+    naming its type."""
+    if isinstance(x, str):
+        out.append(_quote(x))
+    elif isinstance(x, (list, tuple)):
+        if not x:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        sep = "," + inner
+        out.append("[" + inner)
+        for i, v in enumerate(x):
+            if i:
+                out.append(sep)
+            _write_json(v, inner, out)
+        out.append(pad + "]")
+    elif isinstance(x, dict):
+        if not x:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep = "," + inner
+        out.append("{" + inner)
+        for i, k in enumerate(sorted(x)):  # keys of two types do not sort: a TypeError naming both
+            if not isinstance(k, str):
+                raise TypeError(f"report key {k!r} is of type {type(k).__name__}, not str")
+            if i:
+                out.append(sep)
+            out.append(_quote(k) + ": ")
+            _write_json(x[k], inner, out)
+        out.append(pad + "}")
+    elif x is None:
+        out.append("null")
+    elif isinstance(x, bool):
+        out.append("true" if x else "false")
+    elif isinstance(x, int):
+        out.append(int.__repr__(x))
+    else:
+        raise TypeError(f"report value {x!r} is of type {type(x).__name__}, which reports do not hold")
+
+
+def _dumps(x) -> str:
+    """x as json.dumps(x, indent=2, sort_keys=True) writes it (``_write_json``)."""
+    out: list = []
+    _write_json(x, "\n", out)
+    return "".join(out)
+
+
 def _emit(data, out_path) -> None:
-    text = json.dumps(data, indent=2, sort_keys=True) + "\n"
+    text = _dumps(data) + "\n"
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)

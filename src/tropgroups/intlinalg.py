@@ -5,13 +5,13 @@ tuples.  An integer matrix acts on a rational vector as it is: an ``int``
 times a ``Fraction`` is an exact ``Fraction``, and the rational routines
 convert their input.  Everything here is deterministic and exact: integer
 numerators over one denominator, and exact solves on them through a left
-inverse (``solve_scaled``), Smith normal form u·b·v = d with unimodular
-transforms u and v, rational solves, kernels and inverses, integer orbit
-sums under a finite-order integer matrix a (from one walk of an orbit, the
-orbit mean and the group inverse of 1 − a over the period), and quotient
-lattices ℤⁿ/L with mixed torsion/free coordinates, whose lifts come from
-the columns of u⁻¹: b·v = u⁻¹·d, so column i of u⁻¹ is column i of b·v over
-dᵢ and no inverse is solved for.  Vectors are built from lists: a tuple
+inverse (``solve_scaled``), Smith normal form u·b·v = d with the
+unimodular u and its inverse u⁻¹, carried through the row operations (v is
+not formed), rational solves, kernels and inverses, integer orbit sums
+under a finite-order integer matrix a (from one walk of an orbit, the orbit
+mean and the group inverse of 1 − a over the period), and quotient lattices
+ℤⁿ/L with mixed torsion/free coordinates, whose lifts are the columns of
+u⁻¹, so no inverse is solved for.  Vectors are built from lists: a tuple
 built from a generator is allocated at a guessed length and shrunk, which
 is slower and fills CPython's per-length tuple free lists.
 """
@@ -51,7 +51,7 @@ def vec_dot(a: Vec, b: Vec):
 
 
 def is_zero_vec(a: Vec) -> bool:
-    return all(x == 0 for x in a)
+    return not any(a)
 
 
 def matrix(rows) -> Mat:
@@ -176,35 +176,35 @@ def solve_scaled(a: tuple[Mat, int], left: tuple[Mat, int], y: Vec) -> Optional[
 
 
 def smith_normal_form(a: Mat) -> tuple[Mat, Mat, Mat]:
-    """Smith normal form: returns (d, u, v) with u·a·v = d.
+    """Smith normal form: returns (d, u, u⁻¹) with u·a·v = d for a
+    unimodular integer matrix v, which is not formed.
 
-    d is diagonal with nonnegative entries d₁ | d₂ | …, and u, v are
-    unimodular integer matrices.
+    d is diagonal with nonnegative entries d₁ | d₂ | …, and u is unimodular.
+    Each row operation on d and u is mirrored onto u⁻¹ as the inverse column
+    operation, so the column operations touch d alone.
     """
     m = len(a)
     n = len(a[0]) if m else 0
     d = [list(row) for row in a]
     u = [[int(i == j) for j in range(m)] for i in range(m)]
-    v = [[int(i == j) for j in range(n)] for i in range(n)]
+    u_inv = [[int(i == j) for j in range(m)] for i in range(m)]  # by columns: u_inv[k] is column k of u⁻¹
 
-    def row_sub(i, k, q):
+    def row_sub(i, k, q):  # row i −= q·row k, so column k of u⁻¹ += q·column i
         d[i] = [x - q * y for x, y in zip(d[i], d[k])]
         u[i] = [x - q * y for x, y in zip(u[i], u[k])]
+        u_inv[k] = [x + q * y for x, y in zip(u_inv[k], u_inv[i])]
 
     def col_sub(j, k, q):
         for row in d:
-            row[j] -= q * row[k]
-        for row in v:
             row[j] -= q * row[k]
 
     def swap_rows(i, k):
         d[i], d[k] = d[k], d[i]
         u[i], u[k] = u[k], u[i]
+        u_inv[i], u_inv[k] = u_inv[k], u_inv[i]
 
     def swap_cols(j, k):
         for row in d:
-            row[j], row[k] = row[k], row[j]
-        for row in v:
             row[j], row[k] = row[k], row[j]
 
     t = 0
@@ -256,10 +256,11 @@ def smith_normal_form(a: Mat) -> tuple[Mat, Mat, Mat]:
         if d[t][t] < 0:
             d[t] = [-x for x in d[t]]
             u[t] = [-x for x in u[t]]
+            u_inv[t] = [-x for x in u_inv[t]]
         t += 1
         if t == min(m, n):
             break
-    return matrix(d), matrix(u), matrix(v)
+    return matrix(d), matrix(u), transpose(u_inv)
 
 
 def diagonal_of(d: Mat) -> tuple[int, ...]:
@@ -277,17 +278,17 @@ class QuotientLattice:
 
     def __init__(self, ambient_rank: int, generators: Sequence[Vec]):
         self.rank = ambient_rank
-        gens = [tuple(g) for g in generators if not is_zero_vec(g)]
+        gens = [g for g in generators if not is_zero_vec(g)]
         b = transpose(gens) if gens else zero_matrix(ambient_rank, 1)
-        d, u, v = smith_normal_form(b)
+        d, u, u_inv = smith_normal_form(b)
         diag = (list(diagonal_of(d)) + [0] * ambient_rank)[:ambient_rank]  # one entry per row
-        # normalize the sign of free rows for a deterministic projection
-        urows = [list(r) for r in u]
+        # normalize the sign of free rows for a deterministic projection, and
+        # of the matching columns of u⁻¹, so that the two stay inverse
+        u, cols = list(u), list(transpose(u_inv))
         for i, e in enumerate(diag):
-            if e == 0 and next((x for x in urows[i] if x != 0), 1) < 0:
-                urows[i] = [-x for x in urows[i]]
-        self._u = matrix(urows)
-        self._b, self._v = b, v  # for the lifts, which only finite quotients have
+            if e == 0 and next((x for x in u[i] if x != 0), 1) < 0:
+                u[i], cols[i] = vec_neg(u[i]), vec_neg(cols[i])
+        self._u, self._u_inv = tuple(u), transpose(cols)
         self._torsion_rows = tuple(i for i, e in enumerate(diag) if e > 1)
         self._free_rows = tuple(i for i, e in enumerate(diag) if e == 0)
         self.torsion = tuple(diag[i] for i in self._torsion_rows)
@@ -321,11 +322,12 @@ class QuotientLattice:
 
     def representatives(self):
         """One integral lift per element; only for finite quotients.  The lift
-        of torsion coordinates z is u⁻¹·z, and column i of u⁻¹ is column i of
-        b·v over dᵢ, as b·v = u⁻¹·d."""
+        of torsion coordinates z is u⁻¹·z: the columns of u⁻¹ at the torsion
+        rows, which the Smith normal form carries, equal to those of b·v over
+        dᵢ, as b·v = u⁻¹·d."""
         if self.free_rank:
             raise ValueError("quotient is infinite")
-        lift = [[r[i] // e for i, e in zip(self._torsion_rows, self.torsion)] for r in mat_mul(self._b, self._v)]
+        lift = [[row[i] for i in self._torsion_rows] for row in self._u_inv]
         # the last torsion coordinate runs fastest
         return tuple([mat_vec(lift, idx) for idx in itertools.product(*[range(e) for e in self.torsion])])
 

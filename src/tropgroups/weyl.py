@@ -6,7 +6,10 @@ no root datum: ``generate``, the one closure, takes the matrices and
 permutations of its simple generators, and the diagram is read off their
 products.  The closure is breadth-first, keyed by permutation, and frozen
 in lexicographic matrix order, so element indices are deterministic and
-serializable.  It multiplies matrices on the left, and only on the |W| − 1
+serializable.  Inside ``generate`` a permutation is ``bytes``, and an edge
+is one ``bytes.translate`` through a table per simple generator (so a model
+has at most 256 letters); the group's ``perms`` stay tuples, made once after
+the sort.  It multiplies matrices on the left, and only on the |W| − 1
 edges x → s·x that find an element: g·x recomputes only the rows where g
 differs from the identity (one or two for most simple reflections of the
 built families), copies a row of x where g has a lone 1, and shares every
@@ -265,26 +268,32 @@ def generate(gen_mats, gen_perms, rank: int, degree: int, guard: int = DEFAULT_G
     the simple reflections of every built Weyl group are; a generator whose
     matrix and permutation are both the identity adds nothing.
 
-    The closure is keyed by permutation and multiplies on the left, and only
-    on the |W| − 1 edges x → s·x that find an element: g·x has the
-    permutation σ_g∘σ_x and differs from x only in the rows where g differs
-    from the identity.  The edges, numbered as found, become the left tables
-    once the elements are sorted.  Two permutations of one matrix mean the
-    model is not a homomorphism.  The edges that find no element are checked
-    at once by the Coxeter presentation (``_check_presentation``).
+    The closure is keyed by permutation, as ``bytes`` (a ValueError names a
+    degree past 256), and multiplies on the left, and only on the |W| − 1
+    edges x → s·x that find an element: g·x has the permutation σ_g∘σ_x and
+    differs from x only in the rows where g differs from the identity.  The
+    edges, numbered as found, become the left tables once the elements are
+    sorted.  Two permutations of one matrix mean the model is not a
+    homomorphism.  The edges that find no element are checked at once by the
+    Coxeter presentation (``_check_presentation``).
     """
+    if degree > 256:
+        raise ValueError(f"permutation model on {degree} letters: the closure's bytes hold at most 256")
     rows: dict = {}  # elements share equal rows (GL₆: 6 rows for 720 elements)
     gens = [(_row_ops(la.matrix(g)), tuple(p)) for g, p in zip(gen_mats, gen_perms, strict=True)]
     ident = tuple([rows.setdefault(r, r) for r in la.identity_matrix(rank)])
-    perms, mats = [identity_perm(degree)], [ident]
+    perms, mats = [bytes(range(degree))], [ident]
     found = {perms[0]: 0}
     edges = [[] for _ in gens]  # edges[t][a] is the number of s_t·(element a)
-    steps = [(t, copies, sums, pg, out) for t, (((copies, sums), pg), out) in enumerate(zip(gens, edges))]
+    # σ_g as a table for bytes.translate, which maps each letter i of σ_x to σ_g(i)
+    steps = [
+        (t, copies, sums, bytes(pg) + bytes(range(len(pg), 256)), out)
+        for t, (((copies, sums), pg), out) in enumerate(zip(gens, edges))
+    ]
     via, parent = [], []  # element b > 0 is s_{via[b − 1]}·(element parent[b − 1])
     for a, px in enumerate(perms):  # perms grows as elements are found
-        after_x = precompose(px)
-        for t, copies, sums, pg, out in steps:
-            image = after_x(pg)  # σ_g∘σ_x
+        for t, copies, sums, table, out in steps:
+            image = px.translate(table)  # σ_g∘σ_x
             b = found.get(image)
             if b is None:
                 if len(perms) >= guard:
@@ -304,7 +313,7 @@ def generate(gen_mats, gen_perms, rank: int, degree: int, guard: int = DEFAULT_G
     _check_presentation(gens, ident, rows, len(perms))
     left = [tuple(map(index.__getitem__, reorder(out))) for out in edges]
     tree = (index[1:], tuple(via), tuple(map(index.__getitem__, parent)))
-    return WeylGroup([WeylElement(m) for m in mats], reorder(perms), left, tree)
+    return WeylGroup([WeylElement(m) for m in mats], [tuple(p) for p in reorder(perms)], left, tree)
 
 
 def _check_presentation(gens, ident: Mat, rows: dict, order: int) -> None:
@@ -358,47 +367,58 @@ def _check_presentation(gens, ident: Mat, rows: dict, order: int) -> None:
 
 
 def _coxeter_order(m: Sequence[Sequence[int]]) -> int:
-    """The order of the Coxeter group with Coxeter matrix m, read off its
-    diagram (Humphreys, Reflection Groups and Coxeter Groups, 1990, §2.4 and
-    §2.11): the product over its connected components, each of type A_k,
-    order (k+1)!, B_k = C_k, order 2ᵏ·k!, D_k, order 2ᵏ⁻¹·k!, or G₂, order 12.
+    """The order of the Coxeter group with Coxeter matrix m: the product over
+    the components of its diagram (``_diagram``) of (k+1)! for A_k, 2ᵏ·k! for
+    B_k = C_k, 2ᵏ⁻¹·k! for D_k and 12 for G₂."""
+    order = 1
+    for kind, nodes in _diagram(m):
+        k = len(nodes)
+        order *= {"A": factorial(k + 1), "B": 2**k * factorial(k), "D": 2 ** (k - 1) * factorial(k), "G": 12}[kind]
+    return order
+
+
+def _diagram(m: Sequence[Sequence[int]]) -> list[tuple[str, tuple[int, ...]]]:
+    """The components of the Coxeter diagram of the Coxeter matrix m by least
+    node, typed by the classification (Humphreys, Reflection Groups and
+    Coxeter Groups, 1990, §2.4 and §2.11): ("A", its path from the lesser
+    end), ("B", nodes) for B_k = C_k, ("D", nodes) or ("G", nodes) for G₂.
     An InvariantError on any other matrix or diagram."""
     r = len(m)
     if any(m[a][b] != m[b][a] or not (m[a][b] == 1 if a == b else m[a][b] >= 2) for a in range(r) for b in range(r)):
         raise InvariantError(f"{m} is not a Coxeter matrix")
     bonds = [{b: m[a][b] for b in range(r) if m[a][b] > 2} for a in range(r)]
-    seen, order = [False] * r, 1
+    out = []
     for start in range(r):
-        if seen[start]:
+        if any(start in nodes for _, nodes in out):
             continue
-        seen[start], comp = True, [start]
-        for a in comp:
-            for b in bonds[a]:
-                if not seen[b]:
-                    seen[b] = True
-                    comp.append(b)
+        comp = [start]
+        for a in comp:  # breadth first, as comp grows
+            comp += [b for b in bonds[a] if b not in comp]
         labels = sorted(label for a in comp for label in bonds[a].values())[::2]  # each bond is seen twice
         if len(labels) != len(comp) - 1:  # a connected diagram is a tree iff it has one bond fewer than nodes
             raise InvariantError(f"Coxeter diagram {m} has a cycle")
-        k, branch = len(comp), [a for a in comp if len(bonds[a]) > 2]
-        if labels == [6]:  # G₂
-            order *= 12
-        elif not branch and set(labels) <= {3}:  # A_k, a path
-            order *= factorial(k + 1)
+        branch = [a for a in comp if len(bonds[a]) > 2]
+        if labels == [6]:
+            kind = "G"
+        elif not branch and set(labels) <= {3}:  # a path
+            kind, comp = "A", [min(a for a in comp if len(bonds[a]) < 2)]
+            for a in comp:  # from an end, breadth first is along the path
+                comp += [b for b in bonds[a] if b not in comp]
         elif not branch and labels[-1:] == [4] and set(labels[:-1]) <= {3} and any(
             list(bonds[a].values()) == [4] for a in comp
-        ):  # B_k, a path whose one 4-bond ends at a leaf (F₄ has it in the middle)
-            order *= 2**k * factorial(k)
+        ):  # a path whose one 4-bond ends at a leaf (F₄ has it in the middle)
+            kind = "B"
         elif (
             set(labels) == {3}
             and len(branch) == 1
             and len(bonds[branch[0]]) == 3
             and sum(len(bonds[b]) == 1 for b in bonds[branch[0]]) >= 2
-        ):  # D_k, one fork with two arms of length one (E₆₋₈ have one)
-            order *= 2 ** (k - 1) * factorial(k)
+        ):  # one fork with two arms of length one (E₆₋₈ have one)
+            kind = "D"
         else:
             raise InvariantError(f"Coxeter diagram {m} is not a product of types A, B, D and G₂")
-    return order
+        out.append((kind, tuple(comp)))
+    return out
 
 
 def _row_ops(g: Mat) -> tuple[tuple, tuple]:
@@ -485,27 +505,15 @@ class Parabolic:
 
 def _a_type_paths(w: WeylGroup, positions: tuple[int, ...]) -> Optional[tuple[tuple[int, ...], ...]]:
     """The Coxeter diagram at the sorted positions as paths, each from its
-    lesser end, in order, if it is of type ∏A; else None.  The bond of a and b
-    is the order of s_a·s_b: 3 joins them, 2 keeps them apart, any other is
-    not type A."""
-    adj = {p: [] for p in positions}
-    for a, b in itertools.combinations(positions, 2):
-        m = w.order_of(w.left[a][w.simple_gens[b]])
-        if m == 3:
-            adj[a].append(b)
-            adj[b].append(a)
-        elif m != 2:
-            return None
-    if any(len(n) > 2 for n in adj.values()):
+    lesser end, in the order of those ends, if it is of type ∏A; else None.
+    The bond of a and b is the order of s_a·s_b (``_diagram``)."""
+    m = [[1] * len(positions) for _ in positions]
+    for i, j in itertools.combinations(range(len(positions)), 2):
+        m[i][j] = m[j][i] = w.order_of(w.left[positions[i]][w.simple_gens[positions[j]]])
+    comps = _diagram(m)
+    if any(kind != "A" for kind, _ in comps):
         return None
-    paths = []
-    for end in positions:  # the first end met of each path is its lesser end
-        if len(adj[end]) < 2 and not any(end in path for path in paths):
-            path = [end]
-            while nxt := [x for x in adj[path[-1]] if x not in path]:
-                path.append(nxt[0])
-            paths.append(tuple(path))
-    return tuple(paths) if sum(map(len, paths)) == len(positions) else None  # a cycle has no end
+    return tuple(sorted([tuple([positions[i] for i in path]) for _, path in comps]))
 
 
 def is_indecomposable(w: WeylGroup, elt_idx: int, positions: Optional[Sequence[int]] = None) -> bool:

@@ -1,7 +1,7 @@
-"""Integer linear algebra that only the tests use: determinants, integer
-solves and lattice indices, built on the library's Smith normal form, the
-order of a matrix by its powers, the orbit mean and group inverse under a
-finite-order matrix as rational orbit sums, the rational-inverse paths
+"""Integer linear algebra that only the tests use: determinants, the Smith
+normal form that carries v, integer solves through it and lattice indices,
+the order of a matrix by its powers, the orbit mean and group inverse under
+a finite-order matrix as rational orbit sums, the rational-inverse paths
 that the library's integer ones replaced (SO_2n coordinates and the lifts of
 a finite quotient lattice), and the action of a Weyl element on characters."""
 
@@ -64,6 +64,95 @@ def int_det(a: Mat) -> int:
     return sign * m[n - 1][n - 1]
 
 
+def smith_normal_form_with_v(a: Mat) -> tuple[Mat, Mat, Mat]:
+    """Smith normal form with both transforms: returns (d, u, v) with u·a·v = d,
+    by the pivot steps of the library's ``smith_normal_form``, which carries
+    u⁻¹ in place of v.
+
+    d is diagonal with nonnegative entries d₁ | d₂ | …, and u, v are
+    unimodular integer matrices.
+    """
+    m = len(a)
+    n = len(a[0]) if m else 0
+    d = [list(row) for row in a]
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    v = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def row_sub(i, k, q):
+        d[i] = [x - q * y for x, y in zip(d[i], d[k])]
+        u[i] = [x - q * y for x, y in zip(u[i], u[k])]
+
+    def col_sub(j, k, q):
+        for row in d:
+            row[j] -= q * row[k]
+        for row in v:
+            row[j] -= q * row[k]
+
+    def swap_rows(i, k):
+        d[i], d[k] = d[k], d[i]
+        u[i], u[k] = u[k], u[i]
+
+    def swap_cols(j, k):
+        for row in d:
+            row[j], row[k] = row[k], row[j]
+        for row in v:
+            row[j], row[k] = row[k], row[j]
+
+    t = 0
+    while True:
+        # locate the smallest nonzero entry of the trailing block
+        piv = None
+        best = None
+        for i in range(t, m):
+            for j in range(t, n):
+                e = d[i][j]
+                if e != 0 and (best is None or abs(e) < best):
+                    best = abs(e)
+                    piv = (i, j)
+        if piv is None:
+            break
+        swap_rows(t, piv[0])
+        swap_cols(t, piv[1])
+        while True:
+            moved = False
+            for i in range(t + 1, m):
+                if d[i][t] != 0:
+                    q = d[i][t] // d[t][t]
+                    row_sub(i, t, q)
+                    if d[i][t] != 0:
+                        swap_rows(t, i)
+                        moved = True
+            for j in range(t + 1, n):
+                if d[t][j] != 0:
+                    q = d[t][j] // d[t][t]
+                    col_sub(j, t, q)
+                    if d[t][j] != 0:
+                        swap_cols(t, j)
+                        moved = True
+            if not moved:  # every remainder was 0: row and column t are clear
+                break
+        # enforce divisibility of the trailing block by the pivot
+        bad = None
+        for i in range(t + 1, m):
+            for j in range(t + 1, n):
+                if d[i][j] % d[t][t] != 0:
+                    bad = j
+                    break
+            if bad is not None:
+                break
+        if bad is not None:
+            # mix the offending column into column t and redo this pivot
+            col_sub(t, bad, -1)
+            continue
+        if d[t][t] < 0:
+            d[t] = [-x for x in d[t]]
+            u[t] = [-x for x in u[t]]
+        t += 1
+        if t == min(m, n):
+            break
+    return la.matrix(d), la.matrix(u), la.matrix(v)
+
+
 def integer_solve(a: Mat, b: Vec) -> Optional[tuple[Vec, tuple[Vec, ...]]]:
     """Solve a·x = b over ℤ.
 
@@ -73,7 +162,7 @@ def integer_solve(a: Mat, b: Vec) -> Optional[tuple[Vec, tuple[Vec, ...]]]:
     """
     m = len(a)
     n = len(a[0]) if m else 0
-    d, u, v = la.smith_normal_form(a)
+    d, u, v = smith_normal_form_with_v(a)
     diag = la.diagonal_of(d)
     c = la.mat_vec(u, b)
     y = [0] * n

@@ -8,9 +8,12 @@ import random
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tropgroups import cli, groups
 from tropgroups.groups import build_group
@@ -20,6 +23,42 @@ def run(capsys, argv):
     code = cli.main(argv)
     out = capsys.readouterr().out
     return code, out
+
+
+# strings with non-ASCII and control characters, quotes and backslashes
+json_text = st.text(st.characters() | st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028é€😀'))
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(2**64, 2**200) | st.integers(max_value=-1) | json_text,
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(json_text, inner),
+    max_leaves=20,
+)
+
+
+@given(json_values)
+@example({"é\"\\\x00\u2028": [True, False, None, -3, 2**70, (), [], {}, ("a", [{"b": [[]]}])], "": "😀\x7f"})
+@settings(max_examples=150)
+def test_writer_is_json_dumps_with_indent(x):
+    assert cli._dumps(x) == json.dumps(x, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "value,name",
+    [
+        (1.5, "float"),
+        ({"a": [0, {"b": 0.5}]}, "float"),
+        (Fraction(1, 2), "Fraction"),
+        ({"a": {1, 2}}, "set"),
+        ({1: 2}, "int"),
+        ({"a": {(1,): 2}}, "tuple"),
+        ({None: 0}, "NoneType"),
+        ({1: 2, "a": 3}, "int"),  # keys of two types do not sort
+    ],
+)
+def test_writer_rejects_what_no_report_holds(value, name):
+    # json.dumps would write a float and a key of int, float, bool or None;
+    # the reports hold neither, and the writer names the type
+    with pytest.raises(TypeError, match=name):
+        cli._dumps(value)
 
 
 def test_group_info_g2(capsys):

@@ -8,7 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lattice_oracles import group_inverse, int_det, integer_solve, lattice_index, orbit_mean, representatives_by_inverse
+from lattice_oracles import (
+    group_inverse,
+    int_det,
+    integer_solve,
+    lattice_index,
+    orbit_mean,
+    representatives_by_inverse,
+    smith_normal_form_with_v,
+)
 from tropgroups import intlinalg as la
 
 small_mats = st.integers(1, 4).flatmap(
@@ -20,10 +28,20 @@ small_mats = st.integers(1, 4).flatmap(
 )
 
 
+def snf_transforms(a, d, u, u_inv):
+    """v from the v-carrying oracle, after checking that the library's (d, u)
+    is the oracle's and that u·u⁻¹ = 1."""
+    d_ref, u_ref, v = smith_normal_form_with_v(a)
+    assert (d, u) == (d_ref, u_ref)
+    assert la.mat_mul(u, u_inv) == la.identity_matrix(len(a))
+    return v
+
+
 @given(small_mats)
 @settings(max_examples=120)
 def test_snf_properties(a):
-    d, u, v = la.smith_normal_form(a)
+    d, u, u_inv = la.smith_normal_form(a)
+    v = snf_transforms(a, d, u, u_inv)
     assert la.mat_mul(la.mat_mul(u, a), v) == d
     assert abs(int_det(u)) == 1
     assert abs(int_det(v)) == 1
@@ -57,7 +75,8 @@ def test_snf_properties(a):
     ],
 )
 def test_snf_of_degenerate_shapes(a):
-    d, u, v = la.smith_normal_form(a)
+    d, u, u_inv = la.smith_normal_form(a)
+    v = snf_transforms(a, d, u, u_inv)
     assert la.mat_mul(la.mat_mul(u, a), v) == d
     assert abs(int_det(u)) == abs(int_det(v)) == 1
 
@@ -101,7 +120,7 @@ def test_quotient_lattice_representatives():
 
 
 def test_quotient_lattice_lifts_are_the_columns_of_u_inverse():
-    # read off b·v by exact division, against u⁻¹ solved for over ℚ
+    # the u⁻¹ that the Smith normal form carries, against u⁻¹ solved for over ℚ
     rng = random.Random(3)
     finite = 0
     for _ in range(60):
@@ -112,6 +131,22 @@ def test_quotient_lattice_lifts_are_the_columns_of_u_inverse():
             assert quot.representatives() == representatives_by_inverse(quot)
     assert finite > 20
     assert la.QuotientLattice(2, [(1, 0), (0, 1)]).representatives() == ((0, 0),)
+
+
+def test_quotient_lattice_flips_a_free_row_with_its_column_of_u_inverse():
+    # the SNF leaves the first nonzero entry of some free rows of u negative;
+    # the lattice flips each such row and must flip the matching column of u⁻¹
+    rng = random.Random(5)
+    flipped = 0
+    for _ in range(80):
+        n = rng.randint(1, 4)
+        gens = [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(rng.randint(0, n))]
+        quot = la.QuotientLattice(n, gens)
+        nonzero = [g for g in gens if not la.is_zero_vec(g)]
+        _, u, _ = la.smith_normal_form(la.transpose(nonzero) if nonzero else la.zero_matrix(n, 1))
+        flipped += quot._u != u
+        assert la.mat_mul(quot._u, quot._u_inv) == la.identity_matrix(n)
+    assert flipped > 5
 
 
 def test_quotient_lattice_of_rank_zero():

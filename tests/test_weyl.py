@@ -6,7 +6,14 @@ import random
 
 import pytest
 
-from lattice_oracles import char_action_matrix, int_det, mat_to_int, matrix_order, representatives_by_inverse
+from lattice_oracles import (
+    char_action_matrix,
+    int_det,
+    mat_to_int,
+    matrix_order,
+    representatives_by_inverse,
+    smith_normal_form_with_v,
+)
 from semiring_oracles import perm_sign, transposition
 from weyl_oracles import (
     centralizer_by_scan,
@@ -533,6 +540,16 @@ def test_degree_one_models():
         weyl.generate([((-1,),)], [(0,)], 1, 1)
 
 
+def test_closure_names_a_degree_past_256():
+    # the closure keys permutations by bytes, whose letters are 0–255: a
+    # model on 257 letters is refused, not wrapped, and 256 letters build
+    swap = (1, 0) + tuple(range(2, 257))
+    with pytest.raises(ValueError, match="257 letters"):
+        weyl.generate([((-1,),)], [swap], 1, 257)
+    w = weyl.generate([((-1,),)], [swap[:256]], 1, 256)
+    assert w.perms == (swap[:256], tuple(range(256)))
+
+
 @pytest.mark.parametrize("family,n", [("GL", 4), ("SO_even", 4), ("AmbientSp", 2)])
 def test_guard_is_exact(family, n):
     w = kernel_group(family, n)
@@ -687,6 +704,18 @@ KNOWN_PATHS = {
 }
 
 
+def test_a_type_paths_run_in_the_order_of_their_lesser_ends():
+    # S₄ × S₂ × S₂ by transpositions numbered so that the path 3 − 0 − 4 has
+    # its least node inside it, and the lone nodes 1 and 2 fall between that
+    # node and the path's lesser end
+    swaps = [(1, 2), (4, 5), (6, 7), (0, 1), (2, 3)]
+    perms = [tuple(b if i == a else a if i == b else i for i in range(8)) for a, b in swaps]
+    mats = [tuple(tuple(int(p[j] == i) for j in range(8)) for i in range(8)) for p in perms]
+    w = weyl.generate(mats, perms, 8, 8)
+    assert len(w) == 96
+    assert w.parabolic(range(5)).paths == ((1,), (2,), (3, 0, 4))
+
+
 @pytest.mark.parametrize("family,n", GRID + [("GL", 1)])
 def test_a_type_paths_and_indecomposables_match_the_factor_model(family, n):
     """For every position subset: the diagram paths, W_P and the full-cycle
@@ -754,3 +783,18 @@ def test_representatives_match_the_rational_inverse_lifts(family, n):
     for quotient in [g.pi1] + [circles._cycle_quotient(g, cls[0]) for cls in g.weyl.conjugacy_classes()]:
         if quotient.order is not None:
             assert quotient.representatives() == representatives_by_inverse(quotient)
+
+
+@pytest.mark.parametrize("family,n", GRID)
+def test_snf_matches_the_v_carrying_oracle_on_classify(family, n):
+    # the class matrices 1 − w and the π₁ coroot matrix: the library's (d, u)
+    # is the oracle's, and it carries the inverse of that u
+    g = build_group(family, n)
+    ident = la.identity_matrix(g.rank)
+    mats = [la.mat_sub(ident, g.weyl.element(cls[0]).matrix) for cls in g.weyl.conjugacy_classes()]
+    for a in mats + [la.transpose(g.datum.coroots)]:
+        d, u, u_inv = la.smith_normal_form(a)
+        assert (d, u) == smith_normal_form_with_v(a)[:2]
+        assert la.mat_mul(u, u_inv) == ident
+    for quotient in [g.pi1] + [circles._cycle_quotient(g, cls[0]) for cls in g.weyl.conjugacy_classes()]:
+        assert la.mat_mul(quotient._u, quotient._u_inv) == ident
