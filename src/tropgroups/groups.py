@@ -267,9 +267,24 @@ def _model_perm(num: Mat, s: Mat) -> Optional[tuple[int, ...]]:
     Row σ(j) of Y·S is Y[j] + c.  The shift c is the mean change of a column
     of Y; it is 0 except for PGL, whose model coordinates end in 0.  Both
     sides scale by d, so N stands in for Y, and are compared times the
-    degree k, so that k·c = ΣY·S − ΣY is integral.
+    degree k, so that k·c = ΣY·S − ΣY is integral.  Y·S is formed as
+    Y + Σ Y[:, r]·(S[r] − e_r) over the rows r where S is not the identity:
+    one or two rows for a reflection, whose S − 1 has rank one.
     """
-    image, k = la.mat_mul(num, s), len(num)
+    k = len(num)
+    moved = []
+    for r, row in enumerate(s):
+        delta = list(row)
+        delta[r] -= 1
+        if any(delta):
+            moved.append((r, delta))
+    image = []
+    for row in num:
+        out = row
+        for r, delta in moved:
+            if row[r]:
+                out = [x + row[r] * t for x, t in zip(out, delta)]
+        image.append(out)
     shift = [sum(a) - sum(b) for a, b in zip(la.transpose(image), la.transpose(num))]
     rows = {tuple([k * x for x in row]): i for i, row in enumerate(image)}
     sigma = tuple(rows.get(tuple([k * x + c for x, c in zip(row, shift)])) for row in num)

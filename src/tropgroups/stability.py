@@ -10,15 +10,24 @@ on it (see ``groups``): each standard parabolic from
 M_P = I − Č_P·K_P⁻¹·A_P (so a slope is one matrix-vector product), and the
 dominance frame ``TropicalGroup.coroot_frame``, the simple-coroot basis Č
 with its left inverse K⁻¹·A, which also gives the minimal parabolic of a
-degree.  Each is an integer matrix over one denominator, so slopes and
-dominance coefficients are integer dot products followed by one Fraction
-per entry.  W_P, its cosets and the classes it meets are those of
-``WeylGroup.parabolic``.  φ_P, [·]_P and the test v·w·v⁻¹ ∈ W_P are constant
-on each left coset W_P·v, so a verdict reads the reductions to P from the
-least index of each coset, not from all of W.  Some v·w·v⁻¹ lies in W_P only
-if W_P meets the conjugacy class of w, so a verdict skips every parabolic
-that misses the class of w: no conjugate is formed for it (the torus
-parabolic, whose cosets are all of W, runs only for w = 1).
+degree.  Each is an integer matrix N over one denominator d.  W_P, its cosets
+and the classes it meets are those of ``WeylGroup.parabolic``.  φ_P, [·]_P
+and the test v·w·v⁻¹ ∈ W_P are constant on each left coset W_P·v, so a
+verdict reads the reductions to P from the least index of each coset, not
+from all of W.  Some v·w·v⁻¹ lies in W_P only if W_P meets the conjugacy
+class of w, so a verdict skips every parabolic that misses the class of w:
+no conjugate is formed for it (the torus parabolic, whose cosets are all of
+W, runs only for w = 1).
+
+The dominance order is decided on integers, by one test (``_dominance``)
+that the verdict and ``dominance_leq`` share: μ̌ − λ̌ = y/s lies in the
+coroot span iff Č·(L·y) = e·y for the left inverse L/e, and its
+coefficients have the signs of L·y.  A verdict writes φ_G − φ_P as
+y/(d_G·d_P) with y = d_P·N_G·m − d_G·N_P·(v·m), so it makes no Fraction for
+the difference or the coefficients.  Fractions are made for the payload
+only: φ_G once per verdict, and φ_P once per distinct reduction.  Each φ_P
+tuple keys its numerators N_P·(v·m), and the tuples fix the order in which
+a parabolic's violations are listed (``_slopes``).
 """
 
 from __future__ import annotations
@@ -35,20 +44,21 @@ from .errors import InvariantError
 from .circles import CircleCocycle
 from .groups import ParabolicSubgroup, TropicalGroup
 from .intlinalg import Vec
-from .semiring import checked_integer, checked_vector
+from .semiring import checked_integer, checked_rational, checked_vector
 
 
 def slope(p: ParabolicSubgroup, lam: Sequence) -> Vec:
     """The unique φ = λ̌ − Σ c_i α̌_i with ⟨α_j, φ⟩ = 0 for all j in the subset,
-    for λ̌ with int or Fraction entries.
+    for λ̌ a list of rationals of the rank, each read by checked_rational.
 
     Well defined on π₁(P): shifting λ̌ by the parabolic's coroots moves only
     the c_i.  The c solve the Cartan system of the subset, which is
     invertible because simple coroots are linearly independent; the solve is
     folded into the parabolic's slope matrix.
     """
+    lam, s = la.integer_numerators(checked_vector("lam", lam, p.group.rank, checked_rational))
     num, d = p.slope_matrix
-    return tuple([Q(la.vec_dot(row, lam), d) for row in num])
+    return tuple([Q(la.vec_dot(row, lam), d * s) for row in num])
 
 
 def slope_of_group(g: TropicalGroup, lam: Sequence) -> Vec:
@@ -63,16 +73,27 @@ def dominance_coeffs(g: TropicalGroup, lam: Sequence, mu: Sequence) -> Optional[
     return la.solve_scaled(*g.coroot_frame, la.vec_sub(mu, lam))
 
 
-def _order(coeffs: Optional[Vec]) -> tuple[bool, bool]:
-    """(λ̌ ≤ μ̌, λ̌ < μ̌) from the coefficients of μ̌ − λ̌."""
-    if coeffs is None or any(c < 0 for c in coeffs):
+def _dominance(g: TropicalGroup, y: Sequence[int]) -> tuple[bool, bool]:
+    """(λ̌ ≤ μ̌, λ̌ < μ̌) for μ̌ − λ̌ = y/s with integer y and any s > 0.
+
+    With Č = C/d and its left inverse L/e from the coroot frame, the only
+    candidate coefficients of μ̌ − λ̌ are X/(e·s) for X = L·y, and μ̌ − λ̌ lies
+    in the coroot span iff C·X = d·e·y.  So λ̌ ≤ μ̌ iff X ≥ 0 and the span
+    check holds, and λ̌ < μ̌ iff moreover X ≠ 0.
+    """
+    (coroots, d), (inv, e) = g.coroot_frame
+    x = la.mat_vec(inv, y)
+    if la.mat_vec(coroots, x) != tuple([d * e * v for v in y]) or any(v < 0 for v in x):
         return False, False
-    return True, any(c > 0 for c in coeffs)
+    return True, any(x)
 
 
 def dominance_leq(g: TropicalGroup, lam: Sequence, mu: Sequence, strict: bool = False) -> bool:
-    """λ̌ ≤ μ̌ iff μ̌ − λ̌ is a nonnegative combination of the simple coroots."""
-    leq, lt = _order(dominance_coeffs(g, lam, mu))
+    """λ̌ ≤ μ̌ iff μ̌ − λ̌ is a nonnegative combination of the simple coroots,
+    for λ̌ and μ̌ lists of rationals of the rank, each read by checked_rational."""
+    lam = checked_vector("lam", lam, g.rank, checked_rational)
+    mu = checked_vector("mu", mu, g.rank, checked_rational)
+    leq, lt = _dominance(g, la.integer_numerators(la.vec_sub(mu, lam))[0])
     return lt if strict else leq
 
 
@@ -85,10 +106,10 @@ def _conjugation_pass(c: CircleCocycle) -> tuple:
 
 def _reduced_slopes(c: CircleCocycle, p: ParabolicSubgroup, scan: tuple) -> dict:
     """The distinct v·m over coset representatives v with vwv⁻¹ ∈ W_P, in order of
-    v; φ_P and [·]_P of these give their values in the order of a scan of W.
-    Callers fill a set in this order and freeze it; stability_verdict's
-    violations follow the resulting iteration order.  None of them exists,
-    and no conjugate is formed, when W_P misses the conjugacy class of w."""
+    v, as integer vectors; φ_P and [·]_P of these give their values in the
+    order of a scan of W, which is the order in which callers fill their
+    sets.  None of them exists, and no conjugate is formed, when W_P misses
+    the conjugacy class of w."""
     if c.group is not p.group:
         raise ValueError("cocycle and parabolic belong to different groups")
     wp = p.weyl
@@ -114,8 +135,22 @@ def reduction_degrees(c: CircleCocycle, p: ParabolicSubgroup) -> frozenset:
     return frozenset({p.pi1.project(vm) for vm in _reduced_slopes(c, p, _conjugation_pass(c))})
 
 
-def _slopes(c: CircleCocycle, p: ParabolicSubgroup, scan: tuple) -> frozenset:
-    return frozenset({slope(p, vm) for vm in _reduced_slopes(c, p, scan)})
+def _slopes(c: CircleCocycle, p: ParabolicSubgroup, scan: tuple) -> dict:
+    """φ_P of each distinct reduction to P, a Fraction tuple, in scan order,
+    mapped to its integer numerators N_P·(v·m) over d_P.
+
+    The verdict lists P's violations in the iteration order of
+    ``frozenset({φ for φ in slopes})``, as this set has always been built.
+    That order rests on how the set is built, not only on its keys:
+    ``frozenset(slopes)`` sizes its table up front and lists them in another
+    order.
+    """
+    num, d = p.slope_matrix
+    slopes = {}
+    for vm in _reduced_slopes(c, p, scan):
+        numerators = la.mat_vec(num, vm)
+        slopes[tuple([Q(x, d) for x in numerators])] = numerators
+    return slopes
 
 
 @dataclass(frozen=True)
@@ -145,15 +180,22 @@ def stability_verdict(c: CircleCocycle) -> StabilityVerdict:
     parabolic and every reduction degree; vacuous quantification is True."""
     g = c.group
     n_simple = len(g.datum.simple)
-    phi_g = slope_of_group(g, c.slope)
+    num_g, d_g = g.parabolic(range(n_simple)).slope_matrix
+    phi_g_num = la.mat_vec(num_g, c.slope)
+    phi_g = tuple([Q(x, d_g) for x in phi_g_num])
     scan = _conjugation_pass(c)
     semistable = True
     stable = True
     violations = []
     for size in range(n_simple):
         for positions in itertools.combinations(range(n_simple), size):
-            for phi_p in _slopes(c, g.parabolic(positions), scan):
-                leq, lt = _order(dominance_coeffs(g, phi_p, phi_g))
+            p = g.parabolic(positions)
+            d_p = p.slope_matrix[1]
+            scaled_g = [d_p * x for x in phi_g_num]
+            slopes = _slopes(c, p, scan)
+            for phi_p in frozenset({phi for phi in slopes}):
+                # φ_G − φ_P = y/(d_G·d_P)
+                leq, lt = _dominance(g, [a - d_g * b for a, b in zip(scaled_g, slopes[phi_p])])
                 if not leq:
                     semistable = False
                     stable = False

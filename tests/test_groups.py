@@ -499,6 +499,32 @@ def test_a_model_map_that_is_not_equivariant_is_rejected(monkeypatch):
         build_group("GL", 3)
 
 
+def model_perm_by_product(num, s):
+    """σ with N·S = P_σ·N + 𝟙·c, or None, read off the full product N·S."""
+    image, k = la.mat_mul(num, s), len(num)
+    shift = [sum(a) - sum(b) for a, b in zip(la.transpose(image), la.transpose(num))]
+    rows = {tuple([k * x for x in row]): i for i, row in enumerate(image)}
+    sigma = tuple(rows.get(tuple([k * x + c for x, c in zip(row, shift)])) for row in num)
+    return None if len(rows) != k or None in sigma else sigma
+
+
+@pytest.mark.parametrize("family,n", MODEL_FAMILIES + [("GL", 7), ("Sp", 5), ("SO_odd", 5), ("SO_even", 5)])
+def test_model_perm_agrees_with_the_full_product(family, n):
+    datum = gr.rootdata.build_root_datum(family, n)
+    num, _ = gr._model_map(family, n)
+    for i in datum.simple:
+        s = datum.cochar_reflection_matrix(i)
+        assert gr._model_perm(num, s) == model_perm_by_product(num, s) is not None
+
+
+def test_model_perm_of_a_non_equivariant_matrix_is_none():
+    # a shear moves rows of Y to rows that are no permutation of Y's, with or without the PGL shift
+    shear = ((1, 1, 0), (0, 1, 0), (0, 0, 1))
+    for family in ("GL", "PGL"):
+        num, _ = gr._model_map(family, 4 if family == "PGL" else 3)
+        assert gr._model_perm(num, shear) is None is model_perm_by_product(num, shear)
+
+
 # |W| in closed form, and the least valid n of each family
 WEYL_ORDERS = {
     "GL": (1, math.factorial),

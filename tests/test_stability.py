@@ -5,6 +5,8 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weyl_oracles import levi_group, matrix_index, normalizer, parabolic_closure
 from tropgroups import circles as ci
@@ -69,6 +71,10 @@ def test_dominance_examples():
     assert stab.dominance_leq(g, (0, 1), (Q(1, 2), Q(1, 2)))
     # incomparable when the difference leaves the coroot span
     assert not stab.dominance_leq(g, (0, 0), (1, 0))
+    # GL₁ has no simple coroots: its order is equality
+    g1 = build_group("GL", 1)
+    assert stab.dominance_leq(g1, (1,), (1,)) and not stab.dominance_leq(g1, (1,), (1,), strict=True)
+    assert not stab.dominance_leq(g1, (0,), (1,))
 
 
 def test_reduction_degrees_examples():
@@ -433,7 +439,12 @@ def check_against_the_reference(g, cocycles):
                     ref_slopes[positions, vm] = ref_slope(g, positions, vm)
             slopes = frozenset({ref_slopes[positions, vm] for vm in reduced})
             p = g.parabolic(positions)
-            assert list(stab._slopes(c, p, stab._conjugation_pass(c))) == list(slopes)
+            # each distinct slope once, in scan order, with its numerators over d_P
+            d = p.slope_matrix[1]
+            in_scan_order = {ref_slopes[positions, vm]: None for vm in reduced}
+            got = stab._slopes(c, p, stab._conjugation_pass(c))
+            assert got == {phi: tuple(x * d for x in phi) for phi in in_scan_order}
+            assert list(got) == list(in_scan_order)
             assert list(stab.reduction_degrees(c, p)) == list(frozenset({p.pi1.project(vm) for vm in reduced}))
             if len(positions) < r:
                 reduction_sets[positions] = slopes
@@ -576,3 +587,71 @@ def test_dominance_coeffs_outside_the_coroot_span():
                 for i in g.datum.simple:
                     mu = la.vec_add(mu, la.vec_scale(verify.random_rational(rng), g.datum.coroots[i]))
             assert stab.dominance_coeffs(g, lam, mu) == ref_dominance_coeffs(g, lam, mu)
+
+
+# ---------------------------------------------------------------------------
+# the dominance order on integer numerators, against the order read off the
+# Fraction coefficients of μ̌ − λ̌
+# ---------------------------------------------------------------------------
+
+
+def order_by_coeffs(coeffs):
+    """(λ̌ ≤ μ̌, λ̌ < μ̌) from the coefficients of μ̌ − λ̌ (None outside the span)."""
+    if coeffs is None or any(c < 0 for c in coeffs):
+        return False, False
+    return True, any(c > 0 for c in coeffs)
+
+
+DOMINANCE_GROUPS = [("GL", 1), ("GL", 3), ("SL", 3), ("PGL", 3), ("Sp", 2), ("SO_odd", 2), ("SO_even", 3), ("G2", 0)]
+small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+@st.composite
+def dominance_pairs(draw):
+    """(g, λ̌, μ̌) with μ̌ = λ̌, μ̌ ∈ λ̌ + the coroot span (with coefficients of
+    either sign, or all nonnegative), or μ̌ drawn freely, which for GL lies
+    off the coroot span."""
+    g = build_group(*draw(st.sampled_from(DOMINANCE_GROUPS)))
+    vector = st.lists(small_rationals, min_size=g.rank, max_size=g.rank)
+    lam = draw(vector)
+    kind = draw(st.sampled_from(["equal", "span", "above", "free"]))
+    if kind == "free":
+        return g, lam, draw(vector)
+    mu = lam
+    coeff = st.just(Q(0)) if kind == "equal" else small_rationals.map(abs) if kind == "above" else small_rationals
+    for i in g.datum.simple:
+        mu = la.vec_add(mu, la.vec_scale(draw(coeff), g.datum.coroots[i]))
+    return g, lam, mu
+
+
+@given(dominance_pairs())
+@settings(max_examples=400, deadline=None)
+def test_dominance_on_numerators_is_the_fraction_order(case):
+    g, lam, mu = case
+    expected = order_by_coeffs(stab.dominance_coeffs(g, lam, mu))
+    y, _ = la.integer_numerators(la.vec_sub(mu, lam))
+    assert stab._dominance(g, y) == expected
+    assert (stab.dominance_leq(g, lam, mu), stab.dominance_leq(g, lam, mu, strict=True)) == expected
+
+
+def test_slope_and_dominance_read_their_vectors_as_fields():
+    g = build_group("GL", 3)
+    p = g.parabolic((0,))
+    # a float is read as its repr, as in a cocycle field
+    half = [Q(1, 2), 1, 2]
+    assert stab.slope_of_group(g, [0.5, 1, 2]) == stab.slope_of_group(g, half) == (Q(7, 6),) * 3
+    assert stab.slope(p, [0.5, 1, 2]) == stab.slope(p, half) == (Q(3, 4), Q(3, 4), Q(2))
+    assert stab.dominance_leq(g, [0.5, 1, 2], (Q(7, 6),) * 3) is stab.dominance_leq(g, half, (Q(7, 6),) * 3) is True
+    assert stab.dominance_leq(g, (Q(7, 6),) * 3, [0.5, 1, 2]) is False
+    # a bool is no rational, a short vector no vector of the rank
+    bad = [([True, 1, 2], "True is not a rational"), ([1, 2], "must be a list of 3 entries"),
+           ([float("nan"), 1, 2], "not a rational"), ("abc", "must be a list of 3 entries")]
+    for value, message in bad:
+        with pytest.raises(ValueError, match=f"'lam'.*{message}"):
+            stab.dominance_leq(g, value, (0, 0, 0))
+        with pytest.raises(ValueError, match=f"'mu'.*{message}"):
+            stab.dominance_leq(g, (0, 0, 0), value)
+        with pytest.raises(ValueError, match=f"'lam'.*{message}"):
+            stab.slope_of_group(g, value)
+        with pytest.raises(ValueError, match=f"'lam'.*{message}"):
+            stab.slope(p, value)
