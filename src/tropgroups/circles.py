@@ -64,10 +64,15 @@ def cocycle(group: TropicalGroup, m: Sequence, alpha: Sequence, w, j) -> CircleC
     w_idx = group.weyl.check_idx("w", w)
     m = semiring.checked_vector("m", m, group.rank, semiring.checked_integer)
     alpha = semiring.checked_vector("alpha", alpha, group.rank, semiring.checked_rational)
+    return CircleCocycle(group, m, alpha, w_idx, _checked_length(j))
+
+
+def _checked_length(j) -> Q:
+    """j read by checked_rational; a ValueError unless it is positive."""
     jq = semiring.checked_rational("j", j)
     if jq <= 0:
         raise ValueError("circle length must be positive")
-    return CircleCocycle(group, m, alpha, w_idx, jq)
+    return jq
 
 
 def cocycle_from_json(group: TropicalGroup, data) -> CircleCocycle:
@@ -361,11 +366,14 @@ def multiline_of(m: Sequence, alpha: Sequence, perm: Sequence[int], j: Q) -> tup
     length ℓ is a circle of length ℓ·j carrying the line bundle with degree
     the cycle sum of m and Jacobian coordinate Σα from the cycle's least
     sheet mod ℓ·j, which is not an isomorphism invariant (CoverComponent).
-    m and α are read as cocycle reads them, one entry per sheet."""
+    m, α and j are read as cocycle reads them, m and α with one entry per
+    sheet, and the permutation as gen_perm reads it."""
+    perm = semiring.checked_perm(perm, len(perm))
     m = semiring.checked_vector("m", m, len(perm), semiring.checked_integer)
     alpha = semiring.checked_vector("alpha", alpha, len(perm), semiring.checked_rational)
+    j = _checked_length(j)
     comps = []
-    for cyc in cycles_of(tuple(perm)):
+    for cyc in cycles_of(perm):
         length = j * len(cyc)
         deg = sum(m[i] for i in cyc)
         jac = _reduce_mod(sum((alpha[i] for i in cyc), Q(0)), length)

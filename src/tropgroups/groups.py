@@ -16,11 +16,12 @@ the law is (m₁, w₁)·(m₂, w₂) = (m₁ + w₁·m₂, w₁w₂).
 
 Each family has one model map Y, an integer matrix N over one denominator d
 (d = 2 only for SO_even).  The matrix model of (m, w) is D(y)⊙P_σ with
-y = Y·m, and σ is how w permutes the coordinates of y.  σ is read off Y:
-Y·S = P_σ·Y + 𝟙·c for each simple reflection S, with c = 0 except for PGL.
-Membership is the image of the model: from_matrix recovers m from y through a
-left inverse of Y and w from σ, or raises NotInGroupError.  The membership
-tests of the semiring module are the literal definitions it agrees with.
+y = Y·m, and σ is how w permutes the coordinates of y: ``weyl.generate``
+reads it off N, Y·S = P_σ·Y + 𝟙·c for each simple reflection S (c = 0
+except for PGL), and checks its closure on the matrices alone.  Membership
+is the image of the model: from_matrix recovers m from y through a left
+inverse of Y and w from σ, or raises NotInGroupError.  The membership tests
+of the semiring module are the literal definitions it agrees with.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from . import intlinalg as la
 from . import rootdata, semiring, weyl
@@ -50,9 +51,9 @@ class NotInGroupError(ValueError):
 class TropicalGroup:
     """A tropical reductive group: the cocharacter lattice of a root datum
     with its Weyl group acting on it.  The rank and the family are the
-    datum's; model is the matrix model map Y = N/d as (N, d), or None."""
+    datum's; model is the matrix model map Y = N/d as (N, d)."""
 
-    def __init__(self, w: WeylGroup, datum: RootDatum, model: Optional[tuple[Mat, int]] = None):
+    def __init__(self, w: WeylGroup, datum: RootDatum, model: tuple[Mat, int]):
         self.weyl = w
         self.datum = datum
         self.rank = datum.rank_cochar
@@ -229,8 +230,7 @@ def compose_hom(g: TropGroupHom, f: TropGroupHom) -> TropGroupHom:
 
 
 # ---------------------------------------------------------------------------
-# builders: the matrix model map of each family, and the permutation model
-# read off it
+# builders: the matrix model map of each family
 # ---------------------------------------------------------------------------
 
 # the six short roots of G₂ in cyclic order, so that y_{k+3} = −y_k, and a
@@ -258,37 +258,6 @@ def _model_map(family: str, n: int) -> tuple[Mat, int]:
     if family in ("Sp", "SO_even"):
         return signed, d
     raise ValueError(f"no matrix model for family {family!r}")
-
-
-def _model_perm(num: Mat, s: Mat) -> Optional[tuple[int, ...]]:
-    """σ with Y·S = P_σ·Y + 𝟙·c for the model map Y = N/d, or None if there
-    is none.
-
-    Row σ(j) of Y·S is Y[j] + c.  The shift c is the mean change of a column
-    of Y; it is 0 except for PGL, whose model coordinates end in 0.  Both
-    sides scale by d, so N stands in for Y, and are compared times the
-    degree k, so that k·c = ΣY·S − ΣY is integral.  Y·S is formed as
-    Y + Σ Y[:, r]·(S[r] − e_r) over the rows r where S is not the identity:
-    one or two rows for a reflection, whose S − 1 has rank one.
-    """
-    k = len(num)
-    moved = []
-    for r, row in enumerate(s):
-        delta = list(row)
-        delta[r] -= 1
-        if any(delta):
-            moved.append((r, delta))
-    image = []
-    for row in num:
-        out = row
-        for r, delta in moved:
-            if row[r]:
-                out = [x + row[r] * t for x, t in zip(out, delta)]
-        image.append(out)
-    shift = [sum(a) - sum(b) for a, b in zip(la.transpose(image), la.transpose(num))]
-    rows = {tuple([k * x for x in row]): i for i, row in enumerate(image)}
-    sigma = tuple(rows.get(tuple([k * x + c for x, c in zip(row, shift)])) for row in num)
-    return None if len(rows) != k or None in sigma else sigma
 
 
 # built groups by (family, n), so that clearing this one dict makes every
@@ -319,14 +288,10 @@ def build_group(family: str, n: int = 0, guard: int = weyl.DEFAULT_GUARD) -> Tro
         return g
     datum = rootdata.build_root_datum(family, n)
     num, d = _model_map(family, n)
-    gen_mats = [datum.cochar_reflection_matrix(i) for i in datum.simple]
-    perm_gens = []
-    for k, s in enumerate(gen_mats):
-        sigma = _model_perm(num, s)
-        if sigma is None:
-            raise InvariantError(f"{family}, n = {n}: the model map is not equivariant for simple reflection {k}")
-        perm_gens.append(sigma)
-    w = weyl.generate(gen_mats, perm_gens, datum.rank_cochar, len(num), guard)
+    try:
+        w = weyl.generate([datum.cochar_reflection_matrix(i) for i in datum.simple], num, guard)
+    except InvariantError as exc:
+        raise InvariantError(f"{family}, n = {n}: {exc}") from None
     g = _GROUP_CACHE[family, n] = TropicalGroup(w, datum, (num, d))
     return g
 
@@ -336,15 +301,9 @@ def build_group(family: str, n: int = 0, guard: int = weyl.DEFAULT_GUARD) -> Tro
 # ---------------------------------------------------------------------------
 
 
-def _model(g: TropicalGroup) -> tuple[Mat, int]:
-    if g.model is None:
-        raise ValueError(f"{g} has no matrix model")
-    return g.model
-
-
 def model_coordinates(a: TropGroupElement) -> tuple:
     """The diagonal y = Y·m of the matrix model of the element."""
-    num, d = _model(a.group)
+    num, d = a.group.model
     m, den = la.integer_numerators(a.m)
     return tuple([Q(la.vec_dot(row, m), d * den) for row in num])
 
@@ -358,7 +317,7 @@ def from_matrix(mat: TropMatrix, g: TropicalGroup) -> TropGroupElement:
     """Inverse of to_matrix.  The members are the image of the model: D(y)⊙P_σ
     of the model's size with y = Y·m for some m and σ = σ(w) for some w in W;
     any other matrix raises NotInGroupError."""
-    num, _ = _model(g)
+    num, _ = g.model
     family, n = g.family
     size = len(num)
     if mat.n_rows != size or mat.n_cols != size:

@@ -123,6 +123,15 @@ def checked_integer(field: str, x) -> int:
     return int(q)
 
 
+def checked_perm(sigma, n: int) -> tuple[int, ...]:
+    """σ with its entries read by checked_integer; a ValueError naming σ
+    unless it is a permutation of range(n)."""
+    sigma = tuple([checked_integer("sigma", t) for t in sigma])
+    if len(sigma) != n or set(sigma) != set(range(n)):
+        raise ValueError(f"σ = {sigma} is not a permutation of range({n})")
+    return sigma
+
+
 def checked_vector(field: str, xs, n: int, read) -> tuple:
     """The entries of xs, a list or tuple of n entries, each read by
     read(field, x); a ValueError naming the field otherwise."""
@@ -161,9 +170,7 @@ class TropMatrix:
         it is a permutation of range(len(ys))."""
         ys = [checked_rational("ys", y) for y in ys]
         n = len(ys)
-        sigma = tuple([checked_integer("sigma", t) for t in sigma])
-        if len(sigma) != n or set(sigma) != set(range(n)):
-            raise ValueError(f"σ = {sigma} is not a permutation of range({n})")
+        sigma = checked_perm(sigma, n)
         return TropMatrix(
             tuple(tuple(TropValue(ys[i]) if i == sigma[j] else INF for j in range(n)) for i in range(n))
         )

@@ -22,12 +22,13 @@ W, runs only for w = 1).
 The dominance order is decided on integers, by one test (``_dominance``)
 that the verdict and ``dominance_leq`` share: μ̌ − λ̌ = y/s lies in the
 coroot span iff Č·(L·y) = e·y for the left inverse L/e, and its
-coefficients have the signs of L·y.  A verdict writes φ_G − φ_P as
-y/(d_G·d_P) with y = d_P·N_G·m − d_G·N_P·(v·m), so it makes no Fraction for
-the difference or the coefficients.  Fractions are made for the payload
-only: φ_G once per verdict, and φ_P once per distinct reduction.  Each φ_P
-tuple keys its numerators N_P·(v·m), and the tuples fix the order in which
-a parabolic's violations are listed (``_slopes``).
+coefficients have the signs of L·y (the minimal parabolic of a degree
+reads their residues).  A verdict writes φ_G − φ_P as y/(d_G·d_P) with
+y = d_P·N_G·m − d_G·N_P·(v·m), reading N_P·(v·m) back off φ_P, so it makes
+no Fraction for the difference or the coefficients.  Fractions are made for
+the payload only: φ_G once per verdict, and φ_P once per reduction, whose
+set fixes the order in which a parabolic's violations are listed
+(``_slopes``).
 """
 
 from __future__ import annotations
@@ -61,29 +62,24 @@ def slope(p: ParabolicSubgroup, lam: Sequence) -> Vec:
     return tuple([Q(la.vec_dot(row, lam), d * s) for row in num])
 
 
-def slope_of_group(g: TropicalGroup, lam: Sequence) -> Vec:
-    """φ_G: the slope for the full set of simple roots."""
-    return slope(g.parabolic(range(len(g.datum.simple))), lam)
-
-
-def dominance_coeffs(g: TropicalGroup, lam: Sequence, mu: Sequence) -> Optional[Vec]:
-    """Coefficients of μ̌ − λ̌ in the simple-coroot basis, or None if outside the
-    span, for λ̌ and μ̌ with int or Fraction entries: the solve of Č·c = μ̌ − λ̌
-    through the left inverse K⁻¹·A, both kept on the group as (N, d) maps."""
-    return la.solve_scaled(*g.coroot_frame, la.vec_sub(mu, lam))
-
-
-def _dominance(g: TropicalGroup, y: Sequence[int]) -> tuple[bool, bool]:
-    """(λ̌ ≤ μ̌, λ̌ < μ̌) for μ̌ − λ̌ = y/s with integer y and any s > 0.
+def _coroot_coefficients(g: TropicalGroup, y: Sequence[int]) -> Optional[tuple[int, ...]]:
+    """X = L·y for integer y, or None unless y/s lies in the coroot span.
 
     With Č = C/d and its left inverse L/e from the coroot frame, the only
-    candidate coefficients of μ̌ − λ̌ are X/(e·s) for X = L·y, and μ̌ − λ̌ lies
-    in the coroot span iff C·X = d·e·y.  So λ̌ ≤ μ̌ iff X ≥ 0 and the span
-    check holds, and λ̌ < μ̌ iff moreover X ≠ 0.
+    candidate coefficients of y/s, for any s > 0, are X/(e·s), and y/s lies
+    in the coroot span iff C·X = d·e·y.
     """
     (coroots, d), (inv, e) = g.coroot_frame
     x = la.mat_vec(inv, y)
-    if la.mat_vec(coroots, x) != tuple([d * e * v for v in y]) or any(v < 0 for v in x):
+    return x if la.mat_vec(coroots, x) == tuple([d * e * v for v in y]) else None
+
+
+def _dominance(g: TropicalGroup, y: Sequence[int]) -> tuple[bool, bool]:
+    """(λ̌ ≤ μ̌, λ̌ < μ̌) for μ̌ − λ̌ = y/s with integer y and any s > 0: λ̌ ≤ μ̌
+    iff μ̌ − λ̌ lies in the coroot span with coefficients X/(e·s) ≥ 0
+    (``_coroot_coefficients``), and λ̌ < μ̌ iff moreover X ≠ 0."""
+    x = _coroot_coefficients(g, y)
+    if x is None or any(v < 0 for v in x):
         return False, False
     return True, any(x)
 
@@ -135,22 +131,16 @@ def reduction_degrees(c: CircleCocycle, p: ParabolicSubgroup) -> frozenset:
     return frozenset({p.pi1.project(vm) for vm in _reduced_slopes(c, p, _conjugation_pass(c))})
 
 
-def _slopes(c: CircleCocycle, p: ParabolicSubgroup, scan: tuple) -> dict:
-    """φ_P of each distinct reduction to P, a Fraction tuple, in scan order,
-    mapped to its integer numerators N_P·(v·m) over d_P.
+def _slopes(c: CircleCocycle, p: ParabolicSubgroup, scan: tuple) -> frozenset:
+    """φ_P of each distinct reduction to P, a Fraction tuple.
 
-    The verdict lists P's violations in the iteration order of
-    ``frozenset({φ for φ in slopes})``, as this set has always been built.
-    That order rests on how the set is built, not only on its keys:
-    ``frozenset(slopes)`` sizes its table up front and lists them in another
-    order.
+    The verdict lists P's violations in the iteration order of this set, as
+    it has always been built: one set comprehension in scan order.  That
+    order rests on how the set is built, not only on its keys: a frozenset
+    of a dict sizes its table up front and lists them in another order.
     """
     num, d = p.slope_matrix
-    slopes = {}
-    for vm in _reduced_slopes(c, p, scan):
-        numerators = la.mat_vec(num, vm)
-        slopes[tuple([Q(x, d) for x in numerators])] = numerators
-    return slopes
+    return frozenset({tuple([Q(x, d) for x in la.mat_vec(num, vm)]) for vm in _reduced_slopes(c, p, scan)})
 
 
 @dataclass(frozen=True)
@@ -192,10 +182,10 @@ def stability_verdict(c: CircleCocycle) -> StabilityVerdict:
             p = g.parabolic(positions)
             d_p = p.slope_matrix[1]
             scaled_g = [d_p * x for x in phi_g_num]
-            slopes = _slopes(c, p, scan)
-            for phi_p in frozenset({phi for phi in slopes}):
-                # φ_G − φ_P = y/(d_G·d_P)
-                leq, lt = _dominance(g, [a - d_g * b for a, b in zip(scaled_g, slopes[phi_p])])
+            for phi_p in _slopes(c, p, scan):
+                # φ_G − φ_P = y/(d_G·d_P), with N_P·(v·m) read back off φ_P
+                y = [a - d_g * x.numerator * (d_p // x.denominator) for a, x in zip(scaled_g, phi_p)]
+                leq, lt = _dominance(g, y)
                 if not leq:
                     semistable = False
                     stable = False
@@ -256,9 +246,14 @@ def minimal_parabolic_for_degree(g: TropicalGroup, lam: Sequence[int]) -> Parabo
     """The parabolic with simple subset {i : c_i ∉ ℤ} for λ̌ − φ_G(λ̌) = Σ c_i α̌_i,
     that is ⟨ω_i, λ̌ − φ_G(λ̌)⟩ ∉ ℤ.  The subset does not depend on the chosen
     integral lift of the degree: shifting by a coroot moves each c_i by an integer.
+
+    On integers: with φ_G = N_G/d_G, λ̌ − φ_G(λ̌) = y/d_G for y = d_G·λ̌ − N_G·λ̌,
+    and c_i = X_i/(e·d_G) for X = L·y (``_coroot_coefficients``).
     """
     lam = checked_vector("lam", lam, g.rank, checked_integer)
-    coeffs = dominance_coeffs(g, slope_of_group(g, lam), lam)
-    if coeffs is None:
+    num, d_g = g.parabolic(range(len(g.datum.simple))).slope_matrix
+    x = _coroot_coefficients(g, [d_g * a - b for a, b in zip(lam, la.mat_vec(num, lam))])
+    if x is None:
         raise InvariantError(f"λ̌ − φ_G(λ̌) for λ̌ = {list(lam)} lies outside the coroot span of {g!r}")
-    return g.parabolic([t for t, c in enumerate(coeffs) if c.denominator != 1])
+    scale = g.coroot_frame[1][1] * d_g
+    return g.parabolic([t for t, v in enumerate(x) if v % scale])

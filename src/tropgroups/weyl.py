@@ -2,29 +2,27 @@
 
 Every group carries a faithful permutation model, which drives
 multiplication; the matrices give the action on the lattice.  A group keeps
-no root datum: ``generate``, the one closure, takes the matrices and
-permutations of its simple generators, and the diagram is read off their
-products.  The closure is breadth-first, keyed by permutation, and frozen
-in lexicographic matrix order, so element indices are deterministic and
-serializable.  Inside ``generate`` a permutation is ``bytes``, and an edge
-is one ``bytes.translate`` through a table per simple generator (so a model
-has at most 256 letters); the group's ``perms`` stay tuples, made once after
-the sort.  It multiplies matrices on the left, and only on the |W| − 1
-edges x → s·x that find an element: g·x recomputes only the rows where g
-differs from the identity (one or two for most simple reflections of the
-built families), copies a row of x where g has a lone 1, and shares every
-computed row as it is made, so equal rows are one object.  The other edges
-are checked at once by the Coxeter presentation (Humphreys, Reflection
-Groups and Coxeter Groups, 1990, §1.9 and ch. 2): the permutations satisfy
-the relations (σ_a·σ_b)^{m_ab} = 1 of the matrices and generate as many
-elements as the diagram of (m_ab) presents.  Its edges x → s·x are kept as
-the left tables left[t][i] = s_t·i, and one routine, ``WeylGroup.orbits``,
-walks index maps built from them: the left cosets of W_P (under x ↦ s·x, s
-in W_P) need no permutation product.  The conjugacy classes are walked under
-x ↦ s·x·s⁻¹ = s·x·s, a left-table step followed by a right-table step
-x ↦ x·s, which is built down the closure's spanning tree, (s_t·p)·s =
-s_t·(p·s), with no permutation product and no inverse.  The class walk also
-records a transversal: t_x with t_x·rep·t_x⁻¹ = x for the least index rep of
+no root datum: ``generate``, the one closure, takes the matrices of its
+simple generators and the integer matrix N of a model map, reads each
+permutation off N, and reads the diagram off the matrices' products.  The
+closure is breadth-first, keyed by permutation, and frozen in lexicographic
+matrix order, so element indices are deterministic and serializable.
+Inside ``generate`` a permutation is ``bytes``, and an edge is one
+``bytes.translate`` through a table per simple generator (so a model has at
+most 256 letters).  It multiplies matrices on the left, and only on the
+|W| − 1 edges x → s·x that find an element: g·x recomputes only the rows
+where g differs from the identity, copies a row of x where g has a lone 1,
+and shares every computed row as it is made, so equal rows are one object.
+The other edges are checked at once, on the matrices alone, by the Coxeter
+presentation (Humphreys, Reflection Groups and Coxeter Groups, 1990, §1.9
+and ch. 2) and a row-sum argument on N (``generate``).  Its edges x → s·x
+are kept as the left tables left[t][i] = s_t·i, and one routine,
+``WeylGroup.orbits``, walks index maps built from them: the left cosets of
+W_P (under x ↦ s·x, s in W_P) need no permutation product.  The conjugacy
+classes are walked under x ↦ s·x·s⁻¹ = s·x·s, a left-table step followed by
+a right-table step x ↦ x·s, which is built down the closure's spanning
+tree, (s_t·p)·s = s_t·(p·s), with no permutation product and no inverse.
+The class walk also records a transversal: t_x with t_x·rep·t_x⁻¹ = x for the least index rep of
 the class, as t_{s·x·s⁻¹} = s·t_x is a left-table lookup.  The centralizer
 C(rep) is found once per class, by one scan of W; the v with v·x·v⁻¹ = y are
 then the coset t_y·C(rep)·t_x⁻¹ (``WeylGroup.conjugators``), and C(x) is
@@ -258,31 +256,36 @@ class WeylGroup:
         return p
 
 
-def generate(gen_mats, gen_perms, rank: int, degree: int, guard: int = DEFAULT_GUARD) -> WeylGroup:
-    """Enumerate the finite group of rank × rank integer matrices generated by
-    gen_mats, with the permutation model on `degree` letters in which
-    gen_perms[k] is the image of gen_mats[k].  The generators become the
-    simple generators of the group, in order; past guard elements the
-    enumeration stops with GuardExceededError.  The generators must be a
-    Coxeter system whose diagram is a product of types A, B/C, D and G₂, as
-    the simple reflections of every built Weyl group are; a generator whose
-    matrix and permutation are both the identity adds nothing.
+def generate(gen_mats, model: Mat, guard: int = DEFAULT_GUARD) -> WeylGroup:
+    """Enumerate the finite group of integer matrices generated by gen_mats,
+    on len(N[0]) coordinates, with its permutation model on the rows of the
+    integer matrix N of a model map: σ_t with N·S_t = P_t·N + 𝟙·c_t for the
+    generator S_t (``_model_perm``; an InvariantError names a generator that
+    has none).  The generators become the simple generators, in order; past
+    guard elements the enumeration stops with GuardExceededError.  They must
+    be a Coxeter system of types A, B/C, D and G₂, as the simple reflections
+    of every built Weyl group are.
 
     The closure is keyed by permutation, as ``bytes`` (a ValueError names a
-    degree past 256), and multiplies on the left, and only on the |W| − 1
-    edges x → s·x that find an element: g·x has the permutation σ_g∘σ_x and
-    differs from x only in the rows where g differs from the identity.  The
-    edges, numbered as found, become the left tables once the elements are
-    sorted.  Two permutations of one matrix mean the model is not a
-    homomorphism.  The edges that find no element are checked at once by the
-    Coxeter presentation (``_check_presentation``).
+    model past 256 rows), and multiplies on the left, only on the edges
+    x → s·x that find an element; numbered as found, they become the left
+    tables once the elements are sorted.  The other edges are checked at once
+    on the matrices (``_check_presentation``), by a row-sum argument: the
+    rows of N are distinct, so a word M in the S_t, and P the same word in
+    the P_t, have N·M = P·N + 𝟙·c.  If M = 1, summing the k rows gives
+    k·c = 0, so P·N = N and P = 1: the permutations satisfy every relation
+    of the matrices.  By the same argument for M₁ = M₂, distinct
+    permutations have distinct matrices.
     """
-    if degree > 256:
-        raise ValueError(f"permutation model on {degree} letters: the closure's bytes hold at most 256")
+    if len(model) > 256:
+        raise ValueError(f"permutation model on {len(model)} letters: the closure's bytes hold at most 256")
+    gens = [(_row_ops(g), _model_perm(model, g)) for g in map(la.matrix, gen_mats)]
+    for t, (_, sigma) in enumerate(gens):
+        if sigma is None:
+            raise InvariantError(f"the model map is not equivariant for simple reflection {t}, or its rows repeat")
     rows: dict = {}  # elements share equal rows (GL₆: 6 rows for 720 elements)
-    gens = [(_row_ops(la.matrix(g)), tuple(p)) for g, p in zip(gen_mats, gen_perms, strict=True)]
-    ident = tuple([rows.setdefault(r, r) for r in la.identity_matrix(rank)])
-    perms, mats = [bytes(range(degree))], [ident]
+    ident = tuple([rows.setdefault(r, r) for r in la.identity_matrix(len(model[0]))])
+    perms, mats = [bytes(range(len(model)))], [ident]
     found = {perms[0]: 0}
     edges = [[] for _ in gens]  # edges[t][a] is the number of s_t·(element a)
     # σ_g as a table for bytes.translate, which maps each letter i of σ_x to σ_g(i)
@@ -304,65 +307,76 @@ def generate(gen_mats, gen_perms, rank: int, degree: int, guard: int = DEFAULT_G
                 via.append(t)
                 parent.append(a)
             out.append(b)
+    _check_presentation([ops for ops, _ in gens], ident, rows, len(perms))
     order = sorted(range(len(mats)), key=mats.__getitem__)
     index, reorder = invert_perm(order), precompose(order)  # index[a] is the place of a in order
-    mats = reorder(mats)
-    twice = next(itertools.compress(mats, map(operator.eq, mats, mats[1:])), None)
-    if twice is not None:
-        raise InvariantError(f"permutation model is not a homomorphism: {twice} has two permutations")
-    _check_presentation(gens, ident, rows, len(perms))
     left = [tuple(map(index.__getitem__, reorder(out))) for out in edges]
     tree = (index[1:], tuple(via), tuple(map(index.__getitem__, parent)))
-    return WeylGroup([WeylElement(m) for m in mats], [tuple(p) for p in reorder(perms)], left, tree)
+    return WeylGroup([WeylElement(m) for m in reorder(mats)], [tuple(p) for p in reorder(perms)], left, tree)
+
+
+def _model_perm(num: Mat, s: Mat) -> Optional[tuple[int, ...]]:
+    """σ with Y·S = P_σ·Y + 𝟙·c for the model map Y = N/d, or None if there
+    is none.
+
+    Row σ(j) of Y·S is Y[j] + c.  The shift c is the mean change of a column
+    of Y; it is 0 except for PGL, whose model coordinates end in 0.  Both
+    sides scale by d, so N stands in for Y, and are compared times the
+    degree k, so that k·c = ΣY·S − ΣY is integral.  Y·S is formed as
+    Y + Σ Y[:, r]·(S[r] − e_r) over the rows r where S is not the identity:
+    one or two rows for a reflection, whose S − 1 has rank one.
+    """
+    k = len(num)
+    moved = []
+    for r, row in enumerate(s):
+        delta = list(row)
+        delta[r] -= 1
+        if any(delta):
+            moved.append((r, delta))
+    image = []
+    for row in num:
+        out = row
+        for r, delta in moved:
+            if row[r]:
+                out = [x + row[r] * t for x, t in zip(out, delta)]
+        image.append(out)
+    shift = [sum(a) - sum(b) for a, b in zip(la.transpose(image), la.transpose(num))]
+    rows = {tuple([k * x for x in row]): i for i, row in enumerate(image)}
+    sigma = tuple(rows.get(tuple([k * x + c for x, c in zip(row, shift)])) for row in num)
+    return None if len(rows) != k or None in sigma else sigma
 
 
 def _check_presentation(gens, ident: Mat, rows: dict, order: int) -> None:
     """Check that the closure's matrices are the image of its permutations
-    under an isomorphism, with O(r²) small products rather than one per edge.
+    under an isomorphism, from the row operations of the generators, with
+    O(r²) small products rather than one per edge; an InvariantError if not.
 
-    Let m_ab be the order of g_a·g_b (m_aa = 1: each g_a is an involution),
-    read with the row operations of the closure, and C the Coxeter group that
-    the matrix (m_ab) presents (Humphreys, Reflection Groups and Coxeter
-    Groups, 1990, §1.9; its order is read off the diagram by the
-    classification of ch. 2, ``_coxeter_order``).  If the permutations
-    satisfy (σ_a·σ_b)^{m_ab} = 1, then c_a ↦ σ_a extends to a surjection
-    C → P, and |P| = |C| makes it an isomorphism.  The matrices satisfy their
-    own relations, so c_a ↦ g_a gives a homomorphism φ: P → W with
-    σ_a ↦ g_a, and the matrix found on each discovery edge is φ of its
-    permutation; every edge x → s·x then holds, found or not.  Distinct
-    permutations have distinct matrices (the sort check before this one), so
-    φ is injective.  An InvariantError if any step fails.
-
-    For involutions a and b, (a·b)^k = 1 iff the alternating words a·b·a⋯
-    and b·a·b⋯ of length k are equal, so m_ab is read off the two words as
-    they grow, the permutations' words alongside.
+    Let m_ab be the order of g_a·g_b (m_aa = 1: each g_a is an involution)
+    and C the Coxeter group that (m_ab) presents (Humphreys, §1.9; its order
+    by the classification of ch. 2, ``_coxeter_order``).  The matrices
+    satisfy C's relations, and the permutations every relation of the
+    matrices (``generate``), so c_a ↦ σ_a factors as C → W → P, each onto,
+    and |C| = |P| makes both isomorphisms.  For involutions a and b,
+    (a·b)^k = 1 iff the alternating words a·b·a⋯ and b·a·b⋯ of length k are
+    equal, so m_ab is read off the two words as they grow.
     """
-    one = identity_perm(len(gens[0][1])) if gens else ()
-    gens = [(t, ops, p) for t, (ops, p) in enumerate(gens) if ops != ((), ()) or p != one]
-    g = [_times(*ops, ident, rows) for _, ops, _ in gens]
+    g = [_times(*ops, ident, rows) for ops in gens]
     m = [[1] * len(gens) for _ in gens]
-    for i, (a, ops_a, pa) in enumerate(gens):
-        if _times(*ops_a, g[i], rows) != ident:
+    for a, ops_a in enumerate(gens):
+        if _times(*ops_a, g[a], rows) != ident:
             raise InvariantError(f"g_{a} is not an involution")
-        if compose_perm(pa, pa) != one:
-            raise InvariantError(f"permutation model is not a homomorphism: g_{a} is an involution, σ_{a} not")
-        for j in range(i + 1, len(gens)):
-            b, ops_b, pb = gens[j]
-            u, v, pu, pv, k = g[i], g[j], pa, pb, 1  # the words of length k from a and from b
+        for b in range(a + 1, len(gens)):
+            u, v, k = g[a], g[b], 1  # the words of length k from a and from b
             while u != v:
                 if k == 6:  # no diagram of type A, B, D or G₂ has a longer bond
                     raise InvariantError(f"g_{a}·g_{b} has order more than 6")
-                u, v, k = _times(*ops_a, v, rows), _times(*ops_b, u, rows), k + 1
-                pu, pv = compose_perm(pa, pv), compose_perm(pb, pu)
-            if pu != pv:
-                msg = f"g_{a}·g_{b} has order {k}, σ_{a}·σ_{b} not"
-                raise InvariantError(f"permutation model is not a homomorphism: {msg}")
-            m[i][j] = m[j][i] = k
+                u, v, k = _times(*ops_a, v, rows), _times(*gens[b], u, rows), k + 1
+            m[a][b] = m[b][a] = k
     presented = _coxeter_order(m)
     if presented != order:
         raise InvariantError(
-            f"permutation model is not faithful, or not a homomorphism: the matrices present a Coxeter group "
-            f"of order {presented}, and the permutations generate {order} elements"
+            f"permutation model is not faithful: the matrices present a Coxeter group of order {presented}, "
+            f"and the permutations generate {order} elements"
         )
 
 

@@ -153,6 +153,24 @@ def test_multiline_of_reads_m_and_alpha_as_cocycle_does():
             ci.multiline_of(m, alpha, (1, 0), Q(1))
 
 
+def test_multiline_of_reads_j_and_the_permutation_as_cocycle_and_gen_perm_do():
+    # j = 0 raised ZeroDivisionError, j = −1 gave negative lengths, 0.1 float
+    # lengths, True was read as 1 and "1/2" raised TypeError; σ = (0, 0) gave
+    # two fixed points and (1, 2) raised a bare IndexError
+    for j in (0, -1, Q(-1, 2)):
+        with pytest.raises(ValueError, match="circle length must be positive"):
+            ci.multiline_of((1, 0), (0, 0), (1, 0), j)
+    for j in (True, "abc", float("nan")):
+        with pytest.raises(ValueError, match="'j'"):
+            ci.multiline_of((1, 0), (0, 0), (1, 0), j)
+    for perm in ((0, 0), (1, 2), (2, 0, 0), (True, False), (Q(1, 2), 0)):
+        with pytest.raises(ValueError, match="σ = .* is not a permutation of range|'sigma'"):
+            ci.multiline_of((1, 0), (0, 0), perm, 1)
+    (comp,) = ci.multiline_of((1, 0), (Q(3, 10), 0), (1, 0), 0.1)
+    assert (comp.length, comp.jacobian) == (Q(1, 5), Q(1, 10))
+    assert ci.multiline_of((1, 0), (0, 0), (1, 0), "1/2") == ci.multiline_of((1, 0), (0, 0), [1, 0], Q(1, 2))
+
+
 def test_gauge_composition_law():
     rng = random.Random(0)
     for _ in range(500):

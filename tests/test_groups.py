@@ -514,7 +514,7 @@ def test_model_perm_agrees_with_the_full_product(family, n):
     num, _ = gr._model_map(family, n)
     for i in datum.simple:
         s = datum.cochar_reflection_matrix(i)
-        assert gr._model_perm(num, s) == model_perm_by_product(num, s) is not None
+        assert weyl._model_perm(num, s) == model_perm_by_product(num, s) is not None
 
 
 def test_model_perm_of_a_non_equivariant_matrix_is_none():
@@ -522,7 +522,7 @@ def test_model_perm_of_a_non_equivariant_matrix_is_none():
     shear = ((1, 1, 0), (0, 1, 0), (0, 0, 1))
     for family in ("GL", "PGL"):
         num, _ = gr._model_map(family, 4 if family == "PGL" else 3)
-        assert gr._model_perm(num, shear) is None is model_perm_by_product(num, shear)
+        assert weyl._model_perm(num, shear) is None is model_perm_by_product(num, shear)
 
 
 # |W| in closed form, and the least valid n of each family

@@ -14,7 +14,7 @@ from lattice_oracles import (
     representatives_by_inverse,
     smith_normal_form_with_v,
 )
-from semiring_oracles import perm_sign, transposition
+from semiring_oracles import perm_sign
 from weyl_oracles import (
     centralizer_by_scan,
     factor_model,
@@ -81,7 +81,7 @@ def test_guard():
     datum = rd.build_root_datum("GL", 4)
     gen_mats = [datum.cochar_reflection_matrix(i) for i in datum.simple]
     with pytest.raises(weyl.GuardExceededError):
-        weyl.generate(gen_mats, [transposition(4, t, t + 1) for t in range(3)], 4, 4, guard=10)
+        weyl.generate(gen_mats, la.identity_matrix(4), guard=10)
 
 
 def test_deterministic_order():
@@ -411,8 +411,17 @@ def kernel_group(family, n):
         sp = group("Sp", n)
         perms = [sp.perm(g) for g in sp.simple_gens]
         mats = [tuple(tuple(int(r == p[c]) for c in range(2 * n)) for r in range(2 * n)) for p in perms]
-        return weyl.generate(mats, perms, 2 * n, 2 * n, len(sp))
+        return weyl.generate(mats, kernel_model(family, n), len(sp))
     return group(family, n)
+
+
+def kernel_model(family, n):
+    """The integer matrix N of the model map that kernel_group(family, n) is
+    generated with: N = I for the permutation matrices of AmbientSp, and the
+    parent group's N for the Levi oracle."""
+    if family == "AmbientSp":
+        return la.identity_matrix(2 * n)
+    return build_group("Sp" if family == "Levi of Sp" else family, n).model[0]
 
 
 @pytest.mark.parametrize("family,n", KERNEL_CASES)
@@ -475,89 +484,59 @@ def test_closure_matches_dense_closure(family, n):
 
 
 def test_closure_rejects_a_non_homomorphic_model():
-    datum = rd.build_root_datum("GL", 4)
-    gen_perms = [transposition(4, t, t + 1) for t in range(3)]
-    gen_perms[0], gen_perms[1] = gen_perms[1], gen_perms[0]
-    with pytest.raises(InvariantError, match="not a homomorphism"):
-        weyl.generate([datum.cochar_reflection_matrix(i) for i in datum.simple], gen_perms, 4, 4)
+    # y₂ = 2·m₂ is moved by the reflection swapping m₁ and m₂ to no row of N,
+    # so that reflection has no permutation, and it is named by its position
+    datum = rd.build_root_datum("GL", 3)
+    gen_mats = [datum.cochar_reflection_matrix(i) for i in datum.simple]
+    with pytest.raises(InvariantError, match="not equivariant for simple reflection 1"):
+        weyl.generate(gen_mats, ((1, 0, 0), (0, 1, 0), (0, 0, 2)))
 
 
 def test_closure_rejects_a_model_that_is_not_faithful():
-    # every simple reflection of GL₃ to the transposition on 2 letters is the
-    # sign of S₃: a homomorphism, but not injective
+    # rows of N that every reflection of GL₃ fixes (the determinant, twice
+    # over): the permutations generate 1 element, and A₂ presents 6
     datum = rd.build_root_datum("GL", 3)
     gen_mats = [datum.cochar_reflection_matrix(i) for i in datum.simple]
     with pytest.raises(InvariantError, match="not faithful"):
-        weyl.generate(gen_mats, [(1, 0), (1, 0)], 3, 2)
+        weyl.generate(gen_mats, ((1, 1, 1), (2, 2, 2)))
 
 
-def test_closure_rejects_two_permutations_of_one_matrix():
-    # the identity matrix sent to a transposition is no homomorphism
-    with pytest.raises(InvariantError, match="not a homomorphism: .* has two permutations"):
-        weyl.generate([((1,),)], [(1, 0)], 1, 2)
-
-
-def test_closure_rejects_a_model_that_only_a_relation_tells_apart():
-    # A₁ × A₂ on ℤ⁴ (−1 on the last coordinate, and GL₃'s transpositions) to
-    # reflections v ↦ k − v mod 6 of a hexagon: they generate the 12-element
-    # dihedral group, as many elements as A₁ × A₂ has, and the matrices found
-    # on the discovery edges are distinct, but σ₀·σ₁ has order 6, not 2
-    mats = [
-        ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, -1)),
-        ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
-        ((1, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 1)),
-    ]
-    perms = [tuple((k - v) % 6 for v in range(6)) for k in (5, 4, 0)]
-    with pytest.raises(InvariantError, match="not a homomorphism: g_0·g_1 has order 2"):
-        weyl.generate(mats, perms, 4, 6)
-    # the same matrices with a faithful model, σ₀ the half turn
-    perms[0] = tuple((v + 3) % 6 for v in range(6))
-    assert len(weyl.generate(mats, perms, 4, 6)) == 12
-
-
-def test_closure_rejects_a_permutation_that_is_no_involution():
-    # A₁ × A₁ to a 4-cycle and its square: the four permutations get the
-    # four distinct matrices ±1 ⊕ ±1, and σ₀·σ₁ = σ₁·σ₀, but ℤ/4 is not ℤ/2 × ℤ/2
-    quarter = (1, 2, 3, 0)
-    with pytest.raises(InvariantError, match="not a homomorphism: g_0 is an involution, σ_0 not"):
-        weyl.generate([((-1, 0), (0, 1)), ((1, 0), (0, -1))], [quarter, compose_perm(quarter, quarter)], 2, 4)
-
-
-def test_closure_rejects_an_identity_matrix_on_a_permutation_found_before():
-    # g₁ = 1 reaches σ₁ = σ₀, already found with the matrix g₀: two matrices
-    # of one permutation, which no sort of the matrices shows
-    with pytest.raises(InvariantError, match="not faithful"):
-        weyl.generate([((-1,),), ((1,),)], [(1, 0), (1, 0)], 1, 2)
+def test_closure_rejects_a_model_whose_rows_repeat():
+    # the row-sum argument needs distinct rows of N: a repeated row would
+    # give a permutation that the matrices do not determine
+    datum = rd.build_root_datum("GL", 2)
+    with pytest.raises(InvariantError, match="simple reflection 0, or its rows repeat"):
+        weyl.generate([datum.cochar_reflection_matrix(i) for i in datum.simple], ((1, 0), (0, 1), (1, 0)))
 
 
 def test_degree_one_models():
     w = group("GL", 1)
     assert (len(w), w.perms, w.simple_gens, w.conjugacy_classes()) == (1, ((0,),), (), ((0,),))
-    # one generator on one letter: the identity matrix gives the trivial
-    # group, while −1 would share the identity permutation with the identity
-    assert weyl.generate([((1,),)], [(0,)], 1, 1).perms == ((0,),)
-    with pytest.raises(InvariantError, match="not faithful"):
-        weyl.generate([((-1,),)], [(0,)], 1, 1)
+    # one generator on the one-letter model N = (1): −1 and the identity
+    # both fix the letter, one element where A₁ presents two
+    for gen in (((-1,),), ((1,),)):
+        with pytest.raises(InvariantError, match="not faithful"):
+            weyl.generate([gen], ((1,),))
 
 
 def test_closure_names_a_degree_past_256():
     # the closure keys permutations by bytes, whose letters are 0–255: a
-    # model on 257 letters is refused, not wrapped, and 256 letters build
-    swap = (1, 0) + tuple(range(2, 257))
+    # model on 257 letters, N = (0, 1, −1, …, 128, −128), is refused, not
+    # wrapped, and its last 256 rows build, −1 swapping the rows ±v
+    model = ((0,),) + tuple((sign * v,) for v in range(1, 129) for sign in (1, -1))
     with pytest.raises(ValueError, match="257 letters"):
-        weyl.generate([((-1,),)], [swap], 1, 257)
-    w = weyl.generate([((-1,),)], [swap[:256]], 1, 256)
-    assert w.perms == (swap[:256], tuple(range(256)))
+        weyl.generate([((-1,),)], model)
+    w = weyl.generate([((-1,),)], model[1:])
+    assert w.perms == (tuple(v ^ 1 for v in range(256)), tuple(range(256)))
 
 
 @pytest.mark.parametrize("family,n", [("GL", 4), ("SO_even", 4), ("AmbientSp", 2)])
 def test_guard_is_exact(family, n):
     w = kernel_group(family, n)
     gen_mats = [w.element(g).matrix for g in w.simple_gens]
-    gen_perms = [w.perm(g) for g in w.simple_gens]
-    assert len(weyl.generate(gen_mats, gen_perms, w.rank, len(w.perms[0]), guard=len(w))) == len(w)
+    assert len(weyl.generate(gen_mats, kernel_model(family, n), guard=len(w))) == len(w)
     with pytest.raises(weyl.GuardExceededError):
-        weyl.generate(gen_mats, gen_perms, w.rank, len(w.perms[0]), guard=len(w) - 1)
+        weyl.generate(gen_mats, kernel_model(family, n), guard=len(w) - 1)
 
 
 def coxeter_matrix(k, bonds):
@@ -631,35 +610,28 @@ def test_coxeter_order_rejects_every_other_diagram(name, m):
 
 @pytest.mark.parametrize("family,n", GRID + [("AmbientSp", 3), ("Levi of Sp", 4)])
 def test_closure_rejects_every_mutated_model(family, n):
-    """The sign flip of any entry of a generator matrix, the swap of two
-    generator permutations unless it is an automorphism of the Coxeter
-    matrix, and the model that sends everything to the identity all raise; a
-    swap that is an automorphism is a faithful model, and the all-edges
-    closure agrees with it."""
+    """The sign flip of any entry of a generator matrix raises, unless the
+    flipped generators are again a Coxeter system on which the model is
+    faithful: then the closure is the group they generate, as the dense
+    closure finds it.  That happens once each for Sp₂ and SO_odd₂ (s₁ flipped
+    to −1, with s₀ a Coxeter system of type A₁ × A₁) and for the Levi of Sp₄."""
     w = kernel_group(family, n)
     mats = [w.element(g).matrix for g in w.simple_gens]
-    perms = [w.perm(g) for g in w.simple_gens]
-    args = (w.rank, len(w.perms[0]))
+    model = kernel_model(family, n)
+    built = 0
     for t, m in enumerate(mats):
         for r, c in itertools.product(range(w.rank), repeat=2):
             if m[r][c]:
                 flipped = tuple(tuple(-e if (i, j) == (r, c) else e for j, e in enumerate(row)) for i, row in enumerate(m))
-                with pytest.raises(InvariantError):
-                    weyl.generate(mats[:t] + [flipped] + mats[t + 1 :], perms, *args)
-    coxeter = [[matrix_order(la.mat_mul(a, b)) for b in mats] for a in mats]
-    for a, b in itertools.combinations(range(len(mats)), 2):
-        swap = list(range(len(mats)))
-        swap[a], swap[b] = b, a
-        swapped = [perms[i] for i in swap]
-        if [[coxeter[i][j] for j in swap] for i in swap] == coxeter:
-            built = weyl.generate(mats, swapped, *args)
-            assert ([e.matrix for e in built.elements], list(built.perms)) == dense_closure(mats, swapped, *args)[:2]
-        else:
-            with pytest.raises(InvariantError):
-                weyl.generate(mats, swapped, *args)
-    if mats:
-        with pytest.raises(InvariantError):
-            weyl.generate(mats, [identity_perm(args[1])] * len(mats), *args)
+                gens = mats[:t] + [flipped] + mats[t + 1 :]
+                try:
+                    x = weyl.generate(gens, model)
+                except InvariantError:
+                    continue
+                built += 1
+                perms = [weyl._model_perm(model, g) for g in gens]
+                assert ([e.matrix for e in x.elements], list(x.perms)) == dense_closure(gens, perms, w.rank, len(model))[:2]
+    assert built == int((family, n) in [("Sp", 2), ("SO_odd", 2), ("Levi of Sp", 4)])
 
 
 # the class computation before orbits under the generators, kept as the
@@ -711,7 +683,7 @@ def test_a_type_paths_run_in_the_order_of_their_lesser_ends():
     swaps = [(1, 2), (4, 5), (6, 7), (0, 1), (2, 3)]
     perms = [tuple(b if i == a else a if i == b else i for i in range(8)) for a, b in swaps]
     mats = [tuple(tuple(int(p[j] == i) for j in range(8)) for i in range(8)) for p in perms]
-    w = weyl.generate(mats, perms, 8, 8)
+    w = weyl.generate(mats, la.identity_matrix(8))
     assert len(w) == 96
     assert w.parabolic(range(5)).paths == ((1,), (2,), (3, 0, 4))
 

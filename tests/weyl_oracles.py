@@ -103,9 +103,9 @@ def levi_group(g: TropicalGroup, positions) -> tuple[TropicalGroup, TropGroupHom
     datum = levi_datum_by_span(g.datum, positions)
     # the span filter lists the chosen simple roots in sorted position order
     gens = [g.weyl.simple_gens[p] for p in sorted(set(positions))]
-    mats, perms = [g.weyl.element(i).matrix for i in gens], [g.weyl.perm(i) for i in gens]
-    # a subgroup of g.weyl, so the order of g.weyl is the guard
-    sub = TropicalGroup(weyl.generate(mats, perms, g.rank, len(g.weyl.perms[0]), len(g.weyl)), datum)
+    mats = [g.weyl.element(i).matrix for i in gens]
+    # a subgroup of g.weyl on g's model map, so the order of g.weyl is the guard
+    sub = TropicalGroup(weyl.generate(mats, g.model[0], len(g.weyl)), datum, g.model)
     inclusion = make_hom(sub, g, la.identity_matrix(g.rank), lambda i: g.weyl.perm_idx(sub.weyl.perm(i)))
     return sub, inclusion
 
