@@ -64,14 +64,14 @@ def cocycle(group: TropicalGroup, m: Sequence, alpha: Sequence, w, j) -> CircleC
     w_idx = group.weyl.check_idx("w", w)
     m = semiring.checked_vector("m", m, group.rank, semiring.checked_integer)
     alpha = semiring.checked_vector("alpha", alpha, group.rank, semiring.checked_rational)
-    return CircleCocycle(group, m, alpha, w_idx, _checked_length(j))
+    return CircleCocycle(group, m, alpha, w_idx, checked_length(j))
 
 
-def _checked_length(j) -> Q:
-    """j read by checked_rational; a ValueError unless it is positive."""
+def checked_length(j) -> Q:
+    """j read by checked_rational; a ValueError naming j unless it is positive."""
     jq = semiring.checked_rational("j", j)
     if jq <= 0:
-        raise ValueError("circle length must be positive")
+        raise ValueError(f"field 'j': circle length must be positive, not {jq}")
     return jq
 
 
@@ -211,7 +211,7 @@ def isomorphism_witness(a: CircleCocycle, b: CircleCocycle) -> Optional[GaugeTri
         k = tuple([x // den for x in k])
         t = la.vec_sub(b.offset, la.mat_vec(vmat, a.offset))
         beta_rhs = la.vec_add(t, la.vec_scale(j, la.mat_vec(wb, k)))
-        beta = la.rational_solve(la.mat_sub(la.identity_matrix(len(wb)), wb), beta_rhs)
+        beta = la.rref_solve(la.mat_sub(la.identity_matrix(len(wb)), wb), beta_rhs)
         if beta is None:
             raise InvariantError(f"offset equation (1 − w₂)·β = {beta_rhs} is unsolvable for v = {v_idx}")
         witness = GaugeTriple(k, tuple(beta), v_idx)
@@ -371,7 +371,7 @@ def multiline_of(m: Sequence, alpha: Sequence, perm: Sequence[int], j: Q) -> tup
     perm = semiring.checked_perm(perm, len(perm))
     m = semiring.checked_vector("m", m, len(perm), semiring.checked_integer)
     alpha = semiring.checked_vector("alpha", alpha, len(perm), semiring.checked_rational)
-    j = _checked_length(j)
+    j = checked_length(j)
     comps = []
     for cyc in cycles_of(perm):
         length = j * len(cyc)

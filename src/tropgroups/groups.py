@@ -70,8 +70,8 @@ class TropicalGroup:
         """(L, e) with L/e = d·(NᵀN)⁻¹Nᵀ, a left inverse of the model map
         Y = N/d, built on the first from_matrix call."""
         num, d = self.model
-        left = la.mat_mul(la.rational_inverse(la.mat_mul(la.transpose(num), num)), la.transpose(num))
-        return la.scaled([la.vec_scale(d, row) for row in left])
+        inv, e = la.rref_inverse(la.mat_mul(la.transpose(num), num))
+        return la.lowest_terms([la.vec_scale(d, row) for row in la.mat_mul(inv, la.transpose(num))], e)
 
     @functools.cached_property
     def pi1(self) -> la.QuotientLattice:
@@ -82,7 +82,7 @@ class TropicalGroup:
         """The simple-coroot basis Č and its left inverse K⁻¹·A, each as an
         integer matrix over one denominator: the dominance order solves Č·c = v."""
         coroots, left_inverse = _coroot_frame(self, tuple(range(len(self.datum.simple))))
-        return (coroots, 1), la.scaled(left_inverse)
+        return (coroots, 1), la.lowest_terms(*left_inverse)
 
     def parabolic(self, positions: Sequence[int]) -> "ParabolicSubgroup":
         """The standard parabolic at the simple-root positions, built once per
@@ -98,10 +98,12 @@ class TropicalGroup:
             simple = [self.datum.coroots[self.datum.simple[t]] for t in positions]
             pi1 = self.pi1 if len(positions) == len(self.datum.simple) else la.QuotientLattice(self.rank, simple)
             # M_P = I − Č_P·K_P⁻¹·A_P, and I for the torus parabolic, whose Č_P has no columns
-            slope_map = la.identity_matrix(self.rank)
+            slope_map = la.identity_matrix(self.rank), 1
             if positions:
-                slope_map = la.mat_sub(slope_map, la.mat_mul(*_coroot_frame(self, positions)))
-            p = self._parabolics[positions] = ParabolicSubgroup(self, wp, pi1, la.scaled(slope_map))
+                coroots, (num, den) = _coroot_frame(self, positions)
+                identity = [la.vec_scale(den, row) for row in slope_map[0]]
+                slope_map = la.lowest_terms(la.mat_sub(identity, la.mat_mul(coroots, num)), den)
+            p = self._parabolics[positions] = ParabolicSubgroup(self, wp, pi1, slope_map)
         return p
 
     def element(self, m: Sequence, w) -> "TropGroupElement":
@@ -123,8 +125,9 @@ class ParabolicSubgroup:
     slope_matrix: tuple[Mat, int]
 
 
-def _coroot_frame(g: TropicalGroup, positions: tuple[int, ...]) -> tuple[Mat, Mat]:
-    """(Č, K⁻¹·A) for the simple roots at the positions, exactly.
+def _coroot_frame(g: TropicalGroup, positions: tuple[int, ...]) -> tuple[Mat, tuple[Mat, int]]:
+    """(Č, (X, D)) with X/D = K⁻¹·A for the simple roots at the positions,
+    exactly; X/D need not be in lowest terms.
 
     Č has their coroots as columns, K = A·Č is their Cartan matrix and A maps
     λ̌ to the pairings ⟨α, λ̌⟩, so K⁻¹·A is a left inverse of Č: it gives the
@@ -136,9 +139,10 @@ def _coroot_frame(g: TropicalGroup, positions: tuple[int, ...]) -> tuple[Mat, Ma
     pairings = tuple(la.mat_vec(la.transpose(datum.pairing), datum.roots[a]) for a in idxs)
     cartan = tuple(tuple(la.vec_dot(row, datum.coroots[b]) for b in idxs) for row in pairings)
     try:
-        return coroots, la.mat_mul(la.rational_inverse(cartan), pairings)
+        inv, den = la.rref_inverse(cartan)
     except ValueError:
         raise InvariantError(f"simple coroots at positions {positions} are not independent") from None
+    return coroots, (la.mat_mul(inv, pairings), den)
 
 
 @dataclass(frozen=True, slots=True)
@@ -177,12 +181,18 @@ def inverse(a: TropGroupElement) -> TropGroupElement:
 
 
 def center_basis(g: TropicalGroup) -> tuple[Vec, ...]:
-    """Rational basis of R^⊥ = {m : ⟨α, m⟩ = 0 for all roots α}."""
+    """Rational basis of R^⊥ = {m : ⟨α, m⟩ = 0 for all roots α}: one vector
+    per free column c of the RREF of the simple roots, with x_c = 1 and the
+    other free x at 0."""
     rd = g.datum
-    if not rd.roots:
-        return tuple(tuple(Q(int(i == j)) for j in range(g.rank)) for i in range(g.rank))
-    rows = tuple(la.mat_vec(la.transpose(rd.pairing), rd.roots[i]) for i in rd.simple)
-    return la.rational_kernel(rows)
+    num, d, pivots = la.integer_rref(tuple(la.mat_vec(la.transpose(rd.pairing), rd.roots[i]) for i in rd.simple))
+    basis = []
+    for c in (c for c in range(g.rank) if c not in pivots):
+        v = [Q(int(t == c)) for t in range(g.rank)]
+        for row, pc in zip(num, pivots):
+            v[pc] = Q(-row[c], d)
+        basis.append(tuple(v))
+    return tuple(basis)
 
 
 def determinant_map(a: TropGroupElement) -> Vec:
@@ -329,14 +339,15 @@ def from_matrix(mat: TropMatrix, g: TropicalGroup) -> TropGroupElement:
     y = dec.diag
     if family == "PGL":  # a scalar shift is the identity of PGL; Y·m ends in 0
         y = tuple(x - y[-1] for x in y)
-    m = la.solve_scaled(g.model, g.model_inverse, y)
-    if m is None:
+    ynum, s = la.integer_numerators(y)
+    mnum = la.solve_scaled(g.model, g.model_inverse, ynum)  # m = mnum/(e·s)
+    if mnum is None:
         raise NotInGroupError(f"{family}, n = {n}: model coordinates {[str(x) for x in y]} are not Y·m for any m")
     try:
         w_idx = g.weyl.perm_idx(dec.perm)
     except ValueError as exc:
         raise NotInGroupError("permutation part is not in the Weyl group") from exc
-    return TropGroupElement(g, m, w_idx)
+    return TropGroupElement(g, tuple([Q(v, g.model_inverse[1] * s) for v in mnum]), w_idx)
 
 
 # ---------------------------------------------------------------------------

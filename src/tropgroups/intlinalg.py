@@ -1,19 +1,19 @@
-"""Exact integer and rational linear algebra on immutable tuples.
+"""Exact integer linear algebra on immutable tuples.
 
 Vectors are tuples of ``int`` or ``Fraction``; matrices are tuples of row
 tuples.  An integer matrix acts on a rational vector as it is: an ``int``
-times a ``Fraction`` is an exact ``Fraction``, and the rational routines
-convert their input.  Everything here is deterministic and exact: integer
-numerators over one denominator, and exact solves on them through a left
-inverse (``solve_scaled``), Smith normal form u·b·v = d with the
-unimodular u and its inverse u⁻¹, carried through the row operations (v is
-not formed), rational solves, kernels and inverses, integer orbit sums
-under a finite-order integer matrix a (from one walk of an orbit, the orbit
-mean and the group inverse of 1 − a over the period), and quotient lattices
-ℤⁿ/L with mixed torsion/free coordinates, whose lifts are the columns of
-u⁻¹, so no inverse is solved for.  Vectors are built from lists: a tuple
-built from a generator is allocated at a guessed length and shrunk, which
-is slower and fills CPython's per-length tuple free lists.
+times a ``Fraction`` is an exact ``Fraction``.  Everything here is
+deterministic and exact: integer numerators over one denominator, and exact
+solves on them through a left inverse (``solve_scaled``), one elimination
+engine (the fraction-free RREF ``integer_rref``, with a solve and an
+inverse), Smith normal form u·b·v = d with the unimodular u and its inverse
+u⁻¹, carried through the row operations (v is not formed), integer orbit
+sums under a finite-order integer matrix a (from one walk of an orbit, the
+orbit mean and the group inverse of 1 − a over the period), and quotient
+lattices ℤⁿ/L with mixed torsion/free coordinates, whose lifts are the
+columns of u⁻¹, so no inverse is solved for.  Vectors are built from lists:
+a tuple built from a generator is allocated at a guessed length and shrunk,
+which is slower and fills CPython's per-length tuple free lists.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import operator
 from fractions import Fraction as Q
-from math import lcm
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 Vec = tuple
@@ -83,69 +83,64 @@ def mat_sub(a: Mat, b: Mat) -> Mat:
     return tuple([vec_sub(ra, rb) for ra, rb in zip(a, b, strict=True)])
 
 
-def rational_rref(a: Mat) -> tuple[Mat, tuple[int, ...]]:
-    """Reduced row echelon form over ℚ; returns (rref, pivot column indices)."""
+def integer_rref(a: Mat) -> tuple[Mat, int, tuple[int, ...]]:
+    """(N, d, pivots): N/d with d > 0 is the reduced row echelon form over ℚ
+    of the integer matrix a, and pivots are its pivot columns.
+
+    Fraction-free Gauss–Jordan (Bareiss, Math. Comp. 22, 1968): at pivot p,
+    every other row becomes (p·row − f·pivot row)/p', f its entry in the
+    pivot column and p' the previous pivot.  Every entry stays a minor of a,
+    so the division is exact, and each pivot row ends with the last pivot d
+    at its pivot column and 0 at the others.
+    """
     m = len(a)
     n = len(a[0]) if m else 0
-    rows = [[Q(x) for x in row] for row in a]
+    rows = [list(row) for row in a]
     pivots = []
-    r = 0
+    d = 1
     for c in range(n):
-        piv = next((i for i in range(r, m) if rows[i][c] != 0), None)
+        r = len(pivots)
+        piv = next((i for i in range(r, m) if rows[i][c]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        top = rows[r]
+        p = top[c]
+        for i, row in enumerate(rows):
+            if i != r:
+                f = row[c]
+                rows[i] = [(p * x - f * y) // d for x, y in zip(row, top)]
+        d = p
         pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return matrix(rows), tuple(pivots)
+    if d < 0:
+        rows, d = [[-x for x in row] for row in rows], -d
+    return matrix(rows), d, tuple(pivots)
 
 
-def rational_solve(a: Mat, b: Vec) -> Optional[Vec]:
-    """One rational solution x of a·x = b, or None if inconsistent."""
-    m = len(a)
-    n = len(a[0]) if m else 0
-    aug = tuple([tuple(list(row) + [bv]) for row, bv in zip(a, b, strict=True)])
-    rref, pivots = rational_rref(aug)
+def rref_solve(a: Mat, b: Vec) -> Optional[Vec]:
+    """The rational solution x of a·x = b, for an integer matrix a and a
+    vector b of ints or Fractions, that sets every free variable of the RREF
+    to 0; None if a·x = b has no solution."""
+    n = len(a[0]) if a else 0
+    y, s = integer_numerators(b)
+    num, d, pivots = integer_rref(tuple([(*row, v) for row, v in zip(a, y, strict=True)]))
+    if pivots and pivots[-1] == n:
+        return None
     x = [Q(0)] * n
-    for i, pc in enumerate(pivots):
-        if pc == n:
-            return None
-        x[pc] = rref[i][n]
-    # rows beyond the pivots are zero rows of the rref, consistency is implied
+    for row, c in zip(num, pivots):
+        x[c] = Q(row[n], d * s)
     return tuple(x)
 
 
-def rational_kernel(a: Mat) -> tuple[Vec, ...]:
-    """Basis of the rational kernel of a (as row-operated echelon free columns)."""
-    m = len(a)
-    n = len(a[0]) if m else 0
-    rref, pivots = rational_rref(a)
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Q(0)] * n
-        v[fc] = Q(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -rref[i][fc]
-        basis.append(tuple(v))
-    return tuple(basis)
-
-
-def rational_inverse(a: Mat) -> Mat:
+def rref_inverse(a: Mat) -> tuple[Mat, int]:
+    """(N, d) with N/d = a⁻¹ and d > 0 for a square integer matrix a, read off
+    the RREF of [a | 1], not reduced to lowest terms; a ValueError if a is
+    singular."""
     n = len(a)
-    aug = tuple(tuple(list(map(Q, row)) + [Q(int(i == j)) for j in range(n)]) for i, row in enumerate(a))
-    rref, pivots = rational_rref(aug)
-    if len(pivots) != n or any(p >= n for p in pivots):
+    num, d, pivots = integer_rref(tuple([(*row, *unit) for row, unit in zip(a, identity_matrix(n), strict=True)]))
+    if pivots != tuple(range(n)):
         raise ValueError("matrix is singular")
-    return tuple(tuple(rref[i][n:]) for i in range(n))
+    return tuple([row[n:] for row in num]), d
 
 
 def integer_numerators(v: Vec) -> tuple[tuple[int, ...], int]:
@@ -155,24 +150,21 @@ def integer_numerators(v: Vec) -> tuple[tuple[int, ...], int]:
     return tuple([x.numerator * (d // x.denominator) for x in v]), d
 
 
-def scaled(a: Mat) -> tuple[Mat, int]:
-    """(N, d) with a = N/d: the entries of a matrix of ints or Fractions as
-    integer numerators over the lcm d of their denominators."""
-    d = lcm(*[x.denominator for row in a for x in row])
-    return tuple([tuple([x.numerator * (d // x.denominator) for x in row]) for row in a]), d
+def lowest_terms(num: Mat, d: int) -> tuple[Mat, int]:
+    """(N/g, d/g) for the gcd g of d > 0 and every entry of N: the matrix N/d
+    in lowest terms, with d/g the lcm of the denominators of its entries."""
+    g = gcd(d, *[x for row in num for x in row])
+    return tuple([tuple([x // g for x in row]) for row in num]), d // g
 
 
 def solve_scaled(a: tuple[Mat, int], left: tuple[Mat, int], y: Vec) -> Optional[Vec]:
-    """The x with (N/d)·x = y for a = (N, d), or None if y is not in the image,
-    through a left inverse left = (L, e), (L/e)·(N/d) = 1: for y = Y/s the only
-    candidate is x = L·Y/(e·s), checked as N·L·Y = d·e·Y before any Fraction."""
-    num, d = a
-    inv, e = left
-    ynum, s = integer_numerators(y)
-    x = mat_vec(inv, ynum)
-    if mat_vec(num, x) != tuple([d * e * v for v in ynum]):
-        return None
-    return tuple([Q(v, e * s) for v in x])
+    """X = L·y for an integer vector y, or None unless y/s lies in the image
+    of a = (N, d), for any s > 0, through a left inverse left = (L, e) with
+    (L/e)·(N/d) = 1: the only candidate x with (N/d)·x = y/s is X/(e·s), and
+    it is one iff N·X = d·e·y."""
+    (num, d), (inv, e) = a, left
+    x = mat_vec(inv, y)
+    return x if mat_vec(num, x) == tuple([d * e * v for v in y]) else None
 
 
 def smith_normal_form(a: Mat) -> tuple[Mat, Mat, Mat]:

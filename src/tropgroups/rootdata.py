@@ -245,15 +245,9 @@ def fundamental_group(rd: RootDatum) -> QuotientLattice:
 
 def fundamental_weights(rd: RootDatum) -> tuple[tuple[Q, ...], ...]:
     """ω_i in the root span with ⟨ω_i, α̌_j⟩ = δ_ij over the simple coroots."""
-    cinv = la.rational_inverse(rd.cartan_matrix())
-    out = []
-    for i in range(len(rd.simple)):
-        coeffs = tuple(cinv[i][t] for t in range(len(rd.simple)))
-        omega = tuple(Q(0) for _ in range(rd.rank_char))
-        for c, t in zip(coeffs, rd.simple):
-            omega = la.vec_add(omega, la.vec_scale(c, rd.roots[t]))
-        out.append(omega)
-    return tuple(out)
+    inv, d = la.rref_inverse(rd.cartan_matrix())
+    simple_roots = la.transpose([rd.roots[t] for t in rd.simple])
+    return tuple([tuple([Q(x, d) for x in la.mat_vec(simple_roots, row)]) for row in inv])
 
 
 def dual_datum(rd: RootDatum) -> RootDatum:

@@ -23,9 +23,14 @@ class NotInvertibleError(ValueError):
 
 @dataclass(frozen=True)
 class TropValue:
-    """An element of 𝕋: Finite(q) for exact rational q, or Infinity (q=None)."""
+    """An element of 𝕋: Finite(q) for q an int or a Fraction, or Infinity
+    (q=None); ``fin`` reads any other number."""
 
     q: Optional[Q]
+
+    def __post_init__(self):
+        if isinstance(self.q, bool) or not (self.q is None or isinstance(self.q, (int, Q))):
+            raise ValueError(f"TropValue: q = {self.q!r} is not None, an int or a Fraction; read a number with fin")
 
     def __repr__(self) -> str:
         return "inf" if self.q is None else str(self.q)
@@ -145,8 +150,14 @@ class TropMatrix:
     entries: tuple[tuple[TropValue, ...], ...]
 
     def __post_init__(self):
-        if len({len(row) for row in self.entries}) > 1:
-            raise ValueError(f"matrix rows must have one length, not {[len(row) for row in self.entries]}")
+        rows = tuple([tuple(row) for row in self.entries])
+        if len({len(row) for row in rows}) > 1:
+            raise ValueError(f"matrix rows must have one length, not {[len(row) for row in rows]}")
+        for i, row in enumerate(rows):
+            for j, e in enumerate(row):
+                if not isinstance(e, TropValue):
+                    raise ValueError(f"matrix entry ({i}, {j}) = {e!r} is not a TropValue; read a number with fin")
+        object.__setattr__(self, "entries", rows)
 
     @property
     def n_rows(self) -> int:
@@ -171,9 +182,10 @@ class TropMatrix:
         ys = [checked_rational("ys", y) for y in ys]
         n = len(ys)
         sigma = checked_perm(sigma, n)
-        return TropMatrix(
-            tuple(tuple(TropValue(ys[i]) if i == sigma[j] else INF for j in range(n)) for i in range(n))
-        )
+        rows = [[INF] * n for _ in range(n)]
+        for j, i in enumerate(sigma):
+            rows[i][j] = TropValue(ys[i])
+        return TropMatrix(rows)
 
 
 def _integer_costs(a: TropMatrix) -> tuple[list[list[int]], int, int]:

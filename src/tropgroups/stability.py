@@ -38,7 +38,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from math import gcd
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import intlinalg as la
 from .errors import InvariantError
@@ -62,23 +62,11 @@ def slope(p: ParabolicSubgroup, lam: Sequence) -> Vec:
     return tuple([Q(la.vec_dot(row, lam), d * s) for row in num])
 
 
-def _coroot_coefficients(g: TropicalGroup, y: Sequence[int]) -> Optional[tuple[int, ...]]:
-    """X = L·y for integer y, or None unless y/s lies in the coroot span.
-
-    With Č = C/d and its left inverse L/e from the coroot frame, the only
-    candidate coefficients of y/s, for any s > 0, are X/(e·s), and y/s lies
-    in the coroot span iff C·X = d·e·y.
-    """
-    (coroots, d), (inv, e) = g.coroot_frame
-    x = la.mat_vec(inv, y)
-    return x if la.mat_vec(coroots, x) == tuple([d * e * v for v in y]) else None
-
-
 def _dominance(g: TropicalGroup, y: Sequence[int]) -> tuple[bool, bool]:
     """(λ̌ ≤ μ̌, λ̌ < μ̌) for μ̌ − λ̌ = y/s with integer y and any s > 0: λ̌ ≤ μ̌
-    iff μ̌ − λ̌ lies in the coroot span with coefficients X/(e·s) ≥ 0
-    (``_coroot_coefficients``), and λ̌ < μ̌ iff moreover X ≠ 0."""
-    x = _coroot_coefficients(g, y)
+    iff μ̌ − λ̌ lies in the coroot span with coefficients X/(e·s) ≥ 0, X from
+    ``la.solve_scaled`` through the coroot frame, and λ̌ < μ̌ iff moreover X ≠ 0."""
+    x = la.solve_scaled(*g.coroot_frame, y)
     if x is None or any(v < 0 for v in x):
         return False, False
     return True, any(x)
@@ -248,11 +236,11 @@ def minimal_parabolic_for_degree(g: TropicalGroup, lam: Sequence[int]) -> Parabo
     integral lift of the degree: shifting by a coroot moves each c_i by an integer.
 
     On integers: with φ_G = N_G/d_G, λ̌ − φ_G(λ̌) = y/d_G for y = d_G·λ̌ − N_G·λ̌,
-    and c_i = X_i/(e·d_G) for X = L·y (``_coroot_coefficients``).
+    and c_i = X_i/(e·d_G) for X = L·y (``la.solve_scaled`` through the coroot frame).
     """
     lam = checked_vector("lam", lam, g.rank, checked_integer)
     num, d_g = g.parabolic(range(len(g.datum.simple))).slope_matrix
-    x = _coroot_coefficients(g, [d_g * a - b for a, b in zip(lam, la.mat_vec(num, lam))])
+    x = la.solve_scaled(*g.coroot_frame, [d_g * a - b for a, b in zip(lam, la.mat_vec(num, lam))])
     if x is None:
         raise InvariantError(f"λ̌ − φ_G(λ̌) for λ̌ = {list(lam)} lies outside the coroot span of {g!r}")
     scale = g.coroot_frame[1][1] * d_g

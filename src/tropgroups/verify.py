@@ -42,9 +42,10 @@ def count_component_classes(g: TropicalGroup, j, w_idx: int) -> int:
 def _full_cycle_count(family: str, n: int, j, guard: int):
     """The component of the full-cycle class of the group and its isomorphism
     classes counted by enumeration."""
+    j = circles.checked_length(j)
     g = build_group(family, n, guard)
     rep = indecomposable_class_rep(g)
-    return circles.component_for_class(g, rep), count_component_classes(g, Q(j), rep)
+    return circles.component_for_class(g, rep), count_component_classes(g, j, rep)
 
 
 def sl_count(n: int, j=1, guard: int = DEFAULT_GUARD) -> dict:
@@ -125,8 +126,8 @@ def det_homeo(n: int, d: int, samples: int = 100, seed: int = 0, j=1, guard: int
     """
     if samples < 1:
         raise ValueError(f"samples must be a positive count, not {samples}")
+    jq = circles.checked_length(j)
     g = build_group("GL", n, guard)
-    jq = Q(j)
     if not stability.is_stable_degree(g, (d,) + (0,) * (n - 1)):
         raise ValueError("degree is not stable for this rank")
     det = hom_det(n, guard)
@@ -222,8 +223,8 @@ def stability_multiline(n: int, samples: int = 100, seed: int = 0, j=1, guard: i
     """
     if samples < 1:
         raise ValueError(f"samples must be a positive count, not {samples}")
+    jq = circles.checked_length(j)
     g = build_group("GL", n, guard)
-    jq = Q(j)
 
     def trial(t, rng):
         c = sample_gl_cocycle(rng, g, jq)

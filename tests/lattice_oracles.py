@@ -1,20 +1,95 @@
-"""Integer linear algebra that only the tests use: determinants, the Smith
-normal form that carries v, integer solves through it and lattice indices,
-the order of a matrix by its powers, the orbit mean and group inverse under
-a finite-order matrix as rational orbit sums, the rational-inverse paths
-that the library's integer ones replaced (SO_2n coordinates and the lifts of
-a finite quotient lattice), and the action of a Weyl element on characters."""
+"""Integer linear algebra that only the tests use: the Fraction
+Gauss–Jordan elimination (RREF, solve, kernel, inverse) that the library's
+fraction-free integer RREF replaced, with the scaling of a Fraction matrix to
+integer numerators over one denominator, determinants, the Smith normal form
+that carries v, integer solves through it and lattice indices, the order of
+a matrix by its powers, the orbit mean and group inverse under a
+finite-order matrix as rational orbit sums, the rational-inverse paths that
+the library's integer ones replaced (SO_2n coordinates and the lifts of a
+finite quotient lattice), and the action of a Weyl element on characters."""
 
 from __future__ import annotations
 
 from fractions import Fraction as Q
+from math import lcm
 from typing import Optional
 
 from tropgroups import intlinalg as la
-from rootdata_oracles import sorted_datum
 from tropgroups import rootdata as rd
 from tropgroups.errors import InvariantError
 from tropgroups.intlinalg import Mat, Vec
+
+
+def rational_rref(a: Mat) -> tuple[Mat, tuple[int, ...]]:
+    """Reduced row echelon form over ℚ; returns (rref, pivot column indices)."""
+    m = len(a)
+    n = len(a[0]) if m else 0
+    rows = [[Q(x) for x in row] for row in a]
+    pivots = []
+    r = 0
+    for c in range(n):
+        piv = next((i for i in range(r, m) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(m):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    return la.matrix(rows), tuple(pivots)
+
+
+def rational_solve(a: Mat, b: Vec) -> Optional[Vec]:
+    """One rational solution x of a·x = b, or None if inconsistent."""
+    m = len(a)
+    n = len(a[0]) if m else 0
+    aug = tuple([tuple(list(row) + [bv]) for row, bv in zip(a, b, strict=True)])
+    rref, pivots = rational_rref(aug)
+    x = [Q(0)] * n
+    for i, pc in enumerate(pivots):
+        if pc == n:
+            return None
+        x[pc] = rref[i][n]
+    # rows beyond the pivots are zero rows of the rref, consistency is implied
+    return tuple(x)
+
+
+def rational_kernel(a: Mat) -> tuple[Vec, ...]:
+    """Basis of the rational kernel of a (as row-operated echelon free columns)."""
+    m = len(a)
+    n = len(a[0]) if m else 0
+    rref, pivots = rational_rref(a)
+    free = [c for c in range(n) if c not in pivots]
+    basis = []
+    for fc in free:
+        v = [Q(0)] * n
+        v[fc] = Q(1)
+        for i, pc in enumerate(pivots):
+            v[pc] = -rref[i][fc]
+        basis.append(tuple(v))
+    return tuple(basis)
+
+
+def rational_inverse(a: Mat) -> Mat:
+    n = len(a)
+    aug = tuple(tuple(list(map(Q, row)) + [Q(int(i == j)) for j in range(n)]) for i, row in enumerate(a))
+    rref, pivots = rational_rref(aug)
+    if len(pivots) != n or any(p >= n for p in pivots):
+        raise ValueError("matrix is singular")
+    return tuple(tuple(rref[i][n:]) for i in range(n))
+
+
+def scaled(a: Mat) -> tuple[Mat, int]:
+    """(N, d) with a = N/d: the entries of a matrix of ints or Fractions as
+    integer numerators over the lcm d of their denominators."""
+    d = lcm(*[x.denominator for row in a for x in row])
+    return tuple([tuple([x.numerator * (d // x.denominator) for x in row]) for row in a]), d
 
 
 def mat_is_integral(a: Mat) -> bool:
@@ -31,8 +106,8 @@ def char_action_matrix(datum: rd.RootDatum, w_cochar: Mat) -> Mat:
 
     Determined by ⟨w·u, w·v⟩ = ⟨u, v⟩, i.e. W_M = (Π W⁻¹ Π⁻¹)ᵀ.
     """
-    pinv = la.rational_inverse(datum.pairing)
-    winv = la.rational_inverse(w_cochar)
+    pinv = rational_inverse(datum.pairing)
+    winv = rational_inverse(w_cochar)
     m = la.transpose(la.mat_mul(la.mat_mul(datum.pairing, winv), pinv))
     if not mat_is_integral(m):
         raise InvariantError(f"Weyl element {w_cochar} acts non-integrally on characters: {m}")
@@ -244,13 +319,15 @@ def so_even_datum_by_inverse(n: int) -> rd.RootDatum:
     e_{n−2} + e_{n−1} for the characters, e_i (i < n − 1) and (½,…,½) for the
     cocharacters."""
 
+    from rootdata_oracles import sorted_datum  # imported here: rootdata_oracles imports this module
+
     def unit(i, c=1):
         return tuple(c if t == i else 0 for t in range(n))
 
     simple = [la.vec_sub(unit(t), unit(t + 1)) for t in range(n - 1)] + [la.vec_add(unit(n - 2), unit(n - 1))]
     char_basis = la.transpose(simple)
     cochar_basis = la.transpose([unit(i, Q(1)) for i in range(n - 1)] + [(Q(1, 2),) * n])
-    char_inv, cochar_inv = la.rational_inverse(char_basis), la.rational_inverse(cochar_basis)
+    char_inv, cochar_inv = rational_inverse(char_basis), rational_inverse(cochar_basis)
 
     def coords(inv, v):
         u = la.mat_vec(inv, v)
@@ -270,7 +347,7 @@ def representatives_by_inverse(quot: la.QuotientLattice) -> tuple[Vec, ...]:
     """The lifts of QuotientLattice.representatives through a rational
     inverse of its u: u⁻¹ applied to every torsion coordinate vector, counted
     up with the last torsion coordinate running fastest."""
-    u_inv = mat_to_int(la.rational_inverse(quot._u))
+    u_inv = mat_to_int(rational_inverse(quot._u))
     reps = []
     idx = [0] * len(quot.torsion)
     while True:

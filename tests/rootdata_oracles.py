@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 
+from lattice_oracles import rational_solve
 from tropgroups import intlinalg as la
 from tropgroups import rootdata as rd
 from tropgroups.intlinalg import Vec
@@ -113,7 +114,7 @@ def levi_datum_by_span(datum: rd.RootDatum, positions) -> rd.RootDatum:
     keep = ()
     if chosen:
         span = la.transpose([datum.roots[i] for i in chosen])
-        keep = tuple(i for i, alpha in enumerate(datum.roots) if la.rational_solve(span, alpha) is not None)
+        keep = tuple(i for i, alpha in enumerate(datum.roots) if rational_solve(span, alpha) is not None)
     roots = tuple(datum.roots[i] for i in keep)
     coroots = tuple(datum.coroots[i] for i in keep)
     simple = tuple(roots.index(datum.roots[i]) for i in chosen)

@@ -7,7 +7,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from lattice_oracles import group_inverse, integer_solve, orbit, orbit_mean
+from lattice_oracles import group_inverse, integer_solve, orbit, orbit_mean, rational_solve
 from semiring_oracles import check_sp_trivialization
 from tropgroups import circles as ci
 from tropgroups import groups as gr
@@ -168,6 +168,23 @@ def test_multiline_of_reads_j_and_the_permutation_as_cocycle_and_gen_perm_do():
             ci.multiline_of((1, 0), (0, 0), perm, 1)
     (comp,) = ci.multiline_of((1, 0), (Q(3, 10), 0), (1, 0), 0.1)
     assert (comp.length, comp.jacobian) == (Q(1, 5), Q(1, 10))
+
+
+def test_verify_suites_read_j_as_cocycle_does():
+    # Fraction(j) ran stability-multiline at j = 0.1 on 3602879701896397/36028797018963968
+    # and let sl-count run at j = True as 1
+    assert verify.stability_multiline(2, samples=4, j=0.1) == verify.stability_multiline(2, samples=4, j="1/10")
+    assert verify.sl_count(2, j=0.1) == verify.sl_count(2, j="1/10")
+    suites = (
+        lambda j: verify.sl_count(2, j=j),
+        lambda j: verify.pgl_count(2, j=j),
+        lambda j: verify.det_homeo(2, 1, samples=1, j=j),
+        lambda j: verify.stability_multiline(2, samples=1, j=j),
+    )
+    for suite in suites:
+        for j in (True, 0, "-1/2"):
+            with pytest.raises(ValueError, match="field 'j'"):
+                suite(j)
     assert ci.multiline_of((1, 0), (0, 0), (1, 0), "1/2") == ci.multiline_of((1, 0), (0, 0), [1, 0], Q(1, 2))
 
 
@@ -320,7 +337,7 @@ def test_iso_agrees_with_bounded_gauge_search():
                     continue
                 t = la.vec_sub(b.offset, la.mat_vec(vmat, a.offset))
                 rhs = la.vec_add(t, la.vec_scale(j, la.mat_vec(w2mat, k)))
-                beta = la.rational_solve(amat, rhs)
+                beta = rational_solve(amat, rhs)
                 if beta is not None:
                     assert ci.gauge_transform(a, k, beta, v_idx) == b
                     return True
@@ -707,7 +724,7 @@ def ref_isomorphism_witness(a, b):
         s0 = la.vec_add(t, la.vec_scale(j, k0))
         rhs = la.vec_scale(-1 / j, la.mat_vec(ref_averaging_projector(w2mat), s0))
         if kernel:
-            y = la.rational_solve(la.transpose(kernel), rhs)
+            y = rational_solve(la.transpose(kernel), rhs)
             assert y is not None, f"projection {rhs} is not in the span of {kernel}"
             if any(x.denominator != 1 for x in y):
                 continue
@@ -717,7 +734,7 @@ def ref_isomorphism_witness(a, b):
         else:
             continue
         beta_rhs = la.vec_add(t, la.vec_scale(j, la.mat_vec(w2mat, k)))
-        beta = la.rational_solve(amat, beta_rhs)
+        beta = rational_solve(amat, beta_rhs)
         assert beta is not None, f"offset equation unsolvable for v = {v_idx}"
         return ci.GaugeTriple(tuple(k), tuple(beta), v_idx)
     return None

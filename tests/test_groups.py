@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -12,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import samplers
-from lattice_oracles import lattice_index
+from lattice_oracles import lattice_index, rational_inverse, rational_kernel, scaled
 from semiring_oracles import (
     check_g2,
     check_orthogonal,
@@ -23,6 +24,7 @@ from semiring_oracles import (
 )
 from tropgroups import groups as gr
 from tropgroups import intlinalg as la
+from tropgroups import rootdata as rd
 from tropgroups import semiring as sr
 from tropgroups import circles, cli, weyl
 from tropgroups.errors import InvariantError
@@ -583,3 +585,55 @@ def test_one_group_per_family_and_n_under_any_guard(monkeypatch, capsys):
     assert cli.main(["group-info", "GL", "4", "--guard", "23"]) == 3
     assert "exceeds guard 23" in capsys.readouterr().err
     assert gr._GROUP_CACHE["GL", 4] is gl4
+
+
+def groups_up_to_the_guard(family):
+    """The groups of the family at every n whose Weyl group is within the default guard."""
+    for n in range(9):
+        try:
+            yield build_group(family, n)
+        except weyl.GuardExceededError:
+            return
+        except ValueError:  # n below the family's least
+            continue
+
+
+@pytest.mark.parametrize("family", rd.FAMILIES)
+def test_kept_pairs_equal_the_scaled_fraction_oracle(family):
+    """The (N, d) pairs a group keeps, from the integer RREF, are those that
+    scaling the Fraction Gauss–Jordan results gives: the model inverse, the
+    coroot frame and the slope matrix of every standard parabolic.  The
+    centre basis and the fundamental weights are the oracle's Fractions."""
+    built = 0
+    for g in groups_up_to_the_guard(family):
+        built += 1
+        datum, r = g.datum, len(g.datum.simple)
+        num, d = g.model
+        numt = la.transpose(num)
+        assert g.model_inverse == scaled([la.vec_scale(d, row) for row in la.mat_mul(rational_inverse(la.mat_mul(numt, num)), numt)])
+
+        def frame(positions):
+            idxs = [datum.simple[t] for t in positions]
+            coroots = tuple(tuple(datum.coroots[b][i] for b in idxs) for i in range(g.rank))
+            pairings = tuple(la.mat_vec(la.transpose(datum.pairing), datum.roots[a]) for a in idxs)
+            cartan = tuple(tuple(la.vec_dot(row, datum.coroots[b]) for b in idxs) for row in pairings)
+            return coroots, la.mat_mul(rational_inverse(cartan), pairings)
+
+        coroots, left = frame(tuple(range(r)))
+        assert g.coroot_frame == ((coroots, 1), scaled(left))
+        for size in range(r + 1):
+            for positions in itertools.combinations(range(r), size):
+                slope = la.identity_matrix(g.rank)
+                if positions:
+                    slope = la.mat_sub(slope, la.mat_mul(*frame(positions)))
+                assert g.parabolic(positions).slope_matrix == scaled(slope), (g, positions)
+        rows = tuple(la.mat_vec(la.transpose(datum.pairing), datum.roots[i]) for i in datum.simple)
+        if rows:  # a torus keeps the unit basis, not a kernel
+            assert gr.center_basis(g) == rational_kernel(rows)
+        cinv = rational_inverse(datum.cartan_matrix())
+        weights = tuple(
+            tuple(sum((c * datum.roots[t][k] for c, t in zip(cinv[i], datum.simple)), Q(0)) for k in range(datum.rank_char))
+            for i in range(r)
+        )
+        assert rd.fundamental_weights(datum) == weights
+    assert built >= 1

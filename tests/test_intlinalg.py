@@ -1,4 +1,5 @@
-"""Smith normal form, integer and scaled exact solves, orbit sums and quotient lattices."""
+"""The fraction-free RREF with its solve and inverse, Smith normal form,
+integer and scaled exact solves, orbit sums and quotient lattices."""
 
 import math
 import random
@@ -14,7 +15,12 @@ from lattice_oracles import (
     integer_solve,
     lattice_index,
     orbit_mean,
+    rational_inverse,
+    rational_kernel,
+    rational_rref,
+    rational_solve,
     representatives_by_inverse,
+    scaled,
     smith_normal_form_with_v,
 )
 from tropgroups import intlinalg as la
@@ -26,6 +32,81 @@ small_mats = st.integers(1, 4).flatmap(
         ).map(la.matrix)
     )
 )
+
+
+def int_mats(m, n, entries=st.integers(-9, 9)):
+    return st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m).map(la.matrix)
+
+
+def low_rank_mats(m, n):
+    """m×n products of an m×k and a k×n matrix, so of rank at most k."""
+    return st.integers(0, min(m, n) - 1).flatmap(
+        lambda k: st.tuples(int_mats(m, k, st.integers(-3, 3)), int_mats(k, n, st.integers(-3, 3))).map(
+            lambda p: la.mat_mul(*p) if k else la.zero_matrix(m, n)
+        )
+    )
+
+
+# random, rank-deficient (zero and singular among them), 1×n and n×1 matrices
+rref_mats = st.integers(1, 6).flatmap(
+    lambda m: st.integers(1, 6).flatmap(lambda n: st.one_of(int_mats(m, n), low_rank_mats(m, n)))
+)
+rationals = st.fractions(min_value=-9, max_value=9, max_denominator=5)
+
+
+def fraction_inverse(a):
+    try:
+        return rational_inverse(a)
+    except ValueError:
+        return None
+
+
+def rref_inverse_or_none(a):
+    try:
+        num, d = la.rref_inverse(a)
+    except ValueError:
+        return None
+    assert d > 0
+    return tuple(tuple(Q(x, d) for x in row) for row in num)
+
+
+@given(rref_mats, st.data())
+@settings(max_examples=300)
+def test_integer_rref_solve_and_inverse_match_the_fraction_oracle(a, data):
+    num, d, pivots = la.integer_rref(a)
+    ref, ref_pivots = rational_rref(a)
+    assert d > 0 and pivots == ref_pivots
+    assert tuple(tuple(Q(x, d) for x in row) for row in num) == ref
+    assert [num[i][c] for i, c in enumerate(pivots)] == [d] * len(pivots)
+    b = tuple(data.draw(rationals) for _ in a)
+    assert la.rref_solve(a, b) == rational_solve(a, b)
+    on_image = la.mat_vec(a, tuple(data.draw(rationals) for _ in a[0]))
+    x = la.rref_solve(a, on_image)
+    assert x == rational_solve(a, on_image) and la.mat_vec(a, x) == on_image
+    if len(a) == len(a[0]):
+        assert rref_inverse_or_none(a) == fraction_inverse(a)
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        ((0, 0, 0), (0, 0, 0)),  # zero
+        ((2, -3, 5),),  # 1×n
+        ((4,), (-6,), (2,)),  # n×1
+        ((2, 4), (1, 2)),  # singular
+        ((1, 2, 3), (4, 5, 6), (7, 8, 9)),  # singular, rank 2
+        ((2, 0), (0, 2)),  # an inverse not in lowest terms
+        ((), ()),  # no columns
+        (),  # no rows
+    ],
+)
+def test_integer_rref_of_degenerate_shapes(a):
+    num, d, pivots = la.integer_rref(a)
+    assert d > 0 and (tuple(tuple(Q(x, d) for x in row) for row in num), pivots) == rational_rref(a)
+    b = (Q(1, 2),) + (0,) * (len(a) - 1) if a else ()
+    assert la.rref_solve(a, b) == rational_solve(a, b)
+    if len(a) == (len(a[0]) if a else 0):
+        assert rref_inverse_or_none(a) == fraction_inverse(a)
 
 
 def snf_transforms(a, d, u, u_inv):
@@ -156,10 +237,10 @@ def test_quotient_lattice_of_rank_zero():
 
 def test_rational_solve_and_kernel():
     a = la.matrix([[1, 1, 0], [0, 1, 1]])
-    x = la.rational_solve(a, (3, 5))
-    assert x is not None and la.mat_vec(a, x) == (Q(3), Q(5))
-    assert la.rational_solve(la.matrix([[1], [1]]), (0, 1)) is None
-    ker = la.rational_kernel(a)
+    x = la.rref_solve(a, (3, 5))
+    assert x == rational_solve(a, (3, 5)) == (Q(-2), Q(5), Q(0))  # the free x₂ at 0
+    assert la.rref_solve(la.matrix([[1], [1]]), (0, 1)) is rational_solve(la.matrix([[1], [1]]), (0, 1)) is None
+    ker = rational_kernel(a)
     assert len(ker) == 1
     assert la.mat_vec(a, ker[0]) == (Q(0), Q(0))
 
@@ -196,33 +277,41 @@ def test_lattice_index():
 def test_scaled_solves_agree_with_rational_solve():
     """On random injective maps a = N/d: scaled gives the numerators over the
     lcm of the denominators, and solve_scaled through a left inverse finds the
-    rational_solve solution, or None exactly when y is off the image."""
+    numerators of the rational_solve solution, or None exactly when y is off
+    the image."""
+
+    def solve(a, left, y):
+        ynum, s = la.integer_numerators(y)
+        x = la.solve_scaled(a, left, ynum)
+        return None if x is None else tuple(Q(v, left[1] * s) for v in x)
+
     rng = random.Random(23)
     tried = off_image = 0
     while tried < 150:
         rows, cols = rng.randint(1, 5), rng.randint(1, 4)
         d = rng.randint(1, 4)
         a = tuple(tuple(Q(rng.randint(-4, 4), d) for _ in range(cols)) for _ in range(rows))
-        if len(la.rational_rref(a)[1]) < cols:
+        if len(rational_rref(a)[1]) < cols:
             continue  # not injective
         tried += 1
-        num, den = la.scaled(a)
+        num, den = scaled(a)
         assert all(isinstance(x, int) for row in num for x in row) and den > 0
         assert tuple(tuple(Q(x, den) for x in row) for row in num) == a
         assert den == math.lcm(*[x.denominator for row in a for x in row])
         at = la.transpose(a)
-        left = la.scaled(la.mat_mul(la.rational_inverse(la.mat_mul(at, a)), at))
+        left = scaled(la.mat_mul(rational_inverse(la.mat_mul(at, a)), at))
         x = tuple(Q(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(cols))
         on = la.mat_vec(a, x)
         off = tuple(v + Q(rng.randint(0, 2), rng.randint(1, 3)) for v in on)
-        assert la.solve_scaled((num, den), left, on) == x == la.rational_solve(a, on)
-        found = la.solve_scaled((num, den), left, off)
-        assert found == la.rational_solve(a, off)
+        assert solve((num, den), left, on) == x == rational_solve(a, on)
+        found = solve((num, den), left, off)
+        assert found == rational_solve(a, off)
         off_image += found is None
     assert off_image > 20
 
 
 def test_scaled_keeps_an_integer_matrix():
-    assert la.scaled(((1, -2), (0, 3))) == (((1, -2), (0, 3)), 1)
-    assert la.scaled(((Q(1, 2), Q(2, 3)),)) == (((3, 4),), 6)
-    assert la.scaled(()) == ((), 1)
+    assert scaled(((1, -2), (0, 3))) == (((1, -2), (0, 3)), 1) == la.lowest_terms(((1, -2), (0, 3)), 1)
+    assert scaled(((Q(1, 2), Q(2, 3)),)) == (((3, 4),), 6) == la.lowest_terms(((6, 8),), 12)
+    assert scaled(()) == ((), 1) == la.lowest_terms((), 1)
+    assert la.lowest_terms(((0, 0),), 4) == (((0, 0),), 1)

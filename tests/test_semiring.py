@@ -325,3 +325,18 @@ def test_ragged_rows_are_rejected_at_construction():
     with pytest.raises(ValueError, match=r"not \[1, 1, 0\]"):
         sr.TropMatrix(((sr.ZERO,), (sr.ZERO,), ()))
     assert sr.TropMatrix(()).n_rows == 0
+
+
+def test_entries_that_are_not_tropical_values_are_rejected_at_construction():
+    # a float or a bool entry once built, and trop_det then raised AttributeError
+    for rows, where in [([[0.1, 1], [2, 3]], r"\(0, 0\) = 0\.1"), ([[sr.fin(1), True]], r"\(0, 1\) = True"),
+                        ([[sr.INF], [Q(1)]], r"\(1, 0\)")]:
+        with pytest.raises(ValueError, match=where + ".* is not a TropValue; read a number with fin"):
+            sr.TropMatrix(rows)
+    a = sr.TropMatrix([[sr.fin(1), sr.INF], [sr.INF, sr.fin(2)]])
+    assert a.entries == ((sr.fin(1), sr.INF), (sr.INF, sr.fin(2))) and type(a.entries[0]) is tuple
+    assert sr.trop_det(a) == sr.fin(3)
+    for q in (0.1, True, "1", 1.0, [1]):
+        with pytest.raises(ValueError, match="not None, an int or a Fraction; read a number with fin"):
+            sr.TropValue(q)
+    assert sr.TropValue(3).q == 3 and sr.TropValue(Q(1, 2)).q == Q(1, 2)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lattice_oracles import rational_inverse, rational_solve
 from weyl_oracles import levi_group, matrix_index, normalizer, parabolic_closure
 from tropgroups import circles as ci
 from tropgroups import groups as gr
@@ -28,7 +29,9 @@ def slope_of_group(g, lam):
 def dominance_coeffs(g, lam, mu):
     """Coefficients of μ̌ − λ̌ in the simple-coroot basis, or None if outside the
     span: the solve of Č·c = μ̌ − λ̌ through the coroot frame."""
-    return la.solve_scaled(*g.coroot_frame, la.vec_sub(mu, lam))
+    y, s = la.integer_numerators(la.vec_sub(mu, lam))
+    x = la.solve_scaled(*g.coroot_frame, y)
+    return None if x is None else tuple(Q(v, g.coroot_frame[1][1] * s) for v in x)
 
 
 def test_slope_examples():
@@ -358,7 +361,7 @@ def ref_slope(g, positions, lam):
     idxs = [datum.simple[t] for t in positions]
     if (g, positions) not in _REF_CARTAN_INV:
         cartan = tuple(tuple(datum.pair(datum.roots[a], datum.coroots[b]) for b in idxs) for a in idxs)
-        _REF_CARTAN_INV[g, positions] = la.rational_inverse(cartan)
+        _REF_CARTAN_INV[g, positions] = rational_inverse(cartan)
     rhs = tuple(datum.pair(datum.roots[a], lam) for a in idxs)
     phi = tuple(Q(x) for x in lam)
     for c, b in zip(la.mat_vec(_REF_CARTAN_INV[g, positions], rhs), idxs):
@@ -383,7 +386,7 @@ def ref_dominance_coeffs(g, lam, mu):
     if not datum.simple:
         return () if la.is_zero_vec(diff) else None
     basis = la.transpose([tuple(map(Q, datum.coroots[i])) for i in datum.simple])
-    coeffs = la.rational_solve(basis, diff)
+    coeffs = rational_solve(basis, diff)
     if coeffs is None or la.mat_vec(basis, coeffs) != diff:
         return None
     return coeffs
@@ -586,7 +589,7 @@ def test_singular_cartan_matrix_names_the_positions(monkeypatch):
     def singular(a):
         raise ValueError("matrix is singular")
 
-    monkeypatch.setattr(stab.la, "rational_inverse", singular)
+    monkeypatch.setattr(stab.la, "rref_inverse", singular)
     with pytest.raises(InvariantError, match=r"\(0, 1\)"):
         g.parabolic((1, 0))
 

@@ -11,6 +11,7 @@ from lattice_oracles import (
     int_det,
     mat_to_int,
     matrix_order,
+    rational_inverse,
     representatives_by_inverse,
     smith_normal_form_with_v,
 )
@@ -383,7 +384,7 @@ def ref_mul(w, i, j):
 
 
 def ref_inv(w, i):
-    return matrix_index(w)[mat_to_int(la.rational_inverse(w.element(i).matrix))]
+    return matrix_index(w)[mat_to_int(rational_inverse(w.element(i).matrix))]
 
 
 def ref_classes(w):
