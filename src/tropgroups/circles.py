@@ -305,7 +305,7 @@ def component_for_class(g: TropicalGroup, w_idx: int) -> ComponentDescription:
 
 def slope_residues(g: TropicalGroup, w_idx: int) -> tuple[Vec, ...]:
     """Integral slope representatives for M̌/(1 − w)M̌, one per class."""
-    return _cycle_quotient(g, w_idx).representatives()
+    return _cycle_quotient(g, g.weyl.check_idx("w", w_idx)).representatives()
 
 
 # ---------------------------------------------------------------------------

@@ -86,8 +86,9 @@ class TropicalGroup:
 
     def parabolic(self, positions: Sequence[int]) -> "ParabolicSubgroup":
         """The standard parabolic at the simple-root positions, built once per
-        sorted positions.  A ValueError if a position is out of range."""
-        positions = tuple(sorted(set(positions)))
+        sorted positions.  A ValueError naming positions unless each is an
+        integer in range(r), read by checked_integer."""
+        positions = tuple(sorted({checked_integer("positions", t) for t in positions}))
         p = self._parabolics.get(positions)
         if p is None:
             try:

@@ -75,8 +75,8 @@ def pgl_count(n: int, j=1, guard: int = DEFAULT_GUARD) -> dict:
     }
 
 
-def random_rational(rng: random.Random, denom_max: int = 6, num_max: int = 8) -> Q:
-    return Q(rng.randint(-num_max, num_max), rng.randint(1, denom_max))
+def random_rational(rng: random.Random) -> Q:
+    return Q(rng.randint(-8, 8), rng.randint(1, 6))
 
 
 def sample_gl_cocycle(

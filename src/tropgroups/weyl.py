@@ -214,6 +214,7 @@ class WeylGroup:
         """The v with v·x·v⁻¹ = y, sorted: none across two classes, and
         otherwise the coset t_y·C(rep)·t_x⁻¹ of the centralizer of the class
         representative, which is built once per class, by one scan of W."""
+        x, y = self.check_idx("x", x), self.check_idx("y", y)
         c = self.class_id[x]
         if c != self.class_id[y]:
             return ()
@@ -234,12 +235,13 @@ class WeylGroup:
         """The standard parabolic at the simple-root positions, built once per
         sorted positions: its cosets W_P·v are the orbits under the left tables
         of P's simple reflections, from one walk, and W_P is the coset of the
-        identity.  A ValueError if a position is out of range."""
-        positions = tuple(sorted(set(positions)))
+        identity.  A ValueError naming positions unless each is an integer
+        in range(r), read by checked_integer."""
+        positions = tuple(sorted({checked_integer("positions", t) for t in positions}))
         p = self._parabolics.get(positions)
         if p is None:
             if any(not 0 <= t < len(self.simple_gens) for t in positions):
-                raise ValueError("invalid simple-root position")
+                raise ValueError(f"field 'positions': invalid simple-root position in {list(positions)}")
             cosets = self.orbits([self.left[t] for t in positions])
             members = frozenset(next(c for c in cosets if self.identity_idx in c))
             least = [0] * len(self.elements)

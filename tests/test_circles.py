@@ -114,6 +114,10 @@ def test_every_weyl_index_field_is_checked_alike(bad):
         ("v", lambda: ci.gauge_transform(c, (0, 0), (0, 0), bad)),
         ("v", lambda: ci.compose_gauges(c, ci.GaugeTriple((0, 0), (Q(0), Q(0)), bad), fine)),
         ("v", lambda: ci.compose_gauges(c, fine, ci.GaugeTriple((0, 0), (Q(0), Q(0)), bad))),
+        ("w", lambda: ci.slope_residues(g, bad)),
+        ("x", lambda: g.weyl.conjugators(bad, swap)),
+        ("y", lambda: g.weyl.conjugators(swap, bad)),
+        ("x", lambda: g.weyl.centralizer(bad)),
     ]
     for field, call in calls:
         with pytest.raises(ValueError, match=f"field '{field}'"):

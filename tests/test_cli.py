@@ -538,19 +538,6 @@ def test_parser_is_built_once_and_reused(capsys):
         assert run(capsys, argv) == (0, fresh.stdout)
 
 
-def test_scripts_run():
-    src = Path(cli.__file__).resolve().parents[1]
-    scripts = src.parent / "scripts"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
-    for script, args in (
-        ("classify_circle_moduli.py", ["--max-n", "3"]),
-        ("stability_census.py", ["--samples", "20", "--max-n", "3"]),
-    ):
-        done = subprocess.run([sys.executable, str(scripts / script), *args], env=env, capture_output=True, text=True)
-        assert done.returncode == 0, (script, done.stderr)
-        assert done.stdout.strip(), script
-
-
 def test_invariant_failure_exit_code(capsys, monkeypatch):
     from tropgroups.errors import InvariantError
 

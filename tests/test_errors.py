@@ -12,7 +12,7 @@ SRC = ROOT / "src"
 
 def test_library_has_no_assert_statements():
     found = []
-    for path in sorted([*(SRC / "tropgroups").glob("*.py"), *(ROOT / "scripts").glob("*.py")]):
+    for path in sorted((SRC / "tropgroups").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Assert):
                 found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
@@ -63,14 +63,14 @@ def public_definitions(tree: ast.Module):
 
 def test_every_public_name_is_called_or_exported():
     """A public name of the library is exported from the package, or some code
-    in src/ or scripts/ outside its own definition refers to it (a name or an
-    attribute of that name, so a method is found by its name alone)."""
+    in src/ outside its own definition refers to it (a name or an attribute of
+    that name, so a method is found by its name alone)."""
     package = SRC / "tropgroups"
     init = ast.parse((package / "__init__.py").read_text())
     exported = {a.name for node in init.body if isinstance(node, ast.ImportFrom) for a in node.names}
     references = {}  # name -> [(path, line)]
     definitions = []
-    for path in sorted([*package.glob("*.py"), *(ROOT / "scripts").glob("*.py")]):
+    for path in sorted(package.glob("*.py")):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text(), str(path))

@@ -578,8 +578,6 @@ def test_parabolic_data_is_built_once_per_group(monkeypatch):
     assert q is not p and q.group is fresh
     assert q.weyl is not p.weyl and q.weyl is fresh.weyl.parabolic((0, 2))
     assert (q.weyl, q.slope_matrix) == (p.weyl, p.slope_matrix)
-    with pytest.raises(ValueError):
-        fresh.parabolic((3,))
 
 
 def test_singular_cartan_matrix_names_the_positions(monkeypatch):

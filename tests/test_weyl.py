@@ -207,17 +207,20 @@ def test_indecomposables_form_single_class():
 
 
 def test_type_a_api_rejects_out_of_range_positions():
-    # a table read alone would take −1 for the last position
-    w = group("GL", 4)
+    # a table read alone would take −1 for the last position; sorted() raised
+    # TypeError on mixed types, and True was kept as a position
+    g = build_group("GL", 4)
+    w = g.weyl
     s = w.simple_gens[2]
-    for bad in (-1, len(w.simple_gens)):
+    for bad in (-1, len(w.simple_gens), "a", True, 1.5, None):
         calls = [
-            lambda: w.parabolic((bad,)),
+            lambda: w.parabolic((0, bad)),
+            lambda: g.parabolic((0, bad)),
             lambda: weyl.is_indecomposable(w, s, (bad,)),
             lambda: weyl.relative_weyl_check(w, (bad,), s),
         ]
         for call in calls:
-            with pytest.raises(ValueError, match="invalid simple-root position"):
+            with pytest.raises(ValueError, match="field 'positions'"):
                 call()
 
 
@@ -317,8 +320,7 @@ def test_subgroup_serialization_is_indices():
 
 
 def test_relative_weyl_walks_each_parabolic_once(monkeypatch):
-    # the suite once searched 104 times for its 24 (group, positions) pairs
-    monkeypatch.setattr(gr, "_GROUP_CACHE", {})
+    # the suite's walks are pinned in test_work_budget.py; the checks reuse them
     walks = []
     orbits = weyl.WeylGroup.orbits
 
@@ -326,20 +328,17 @@ def test_relative_weyl_walks_each_parabolic_once(monkeypatch):
         walks.append(len(maps))
         return orbits(self, maps)
 
-    monkeypatch.setattr(weyl.WeylGroup, "orbits", counted)
-    assert verify.relative_weyl()["pass"]
-    assert len(walks) == 24
     w = build_group("GL", 4).weyl
     (x,) = w.parabolic((0, 2)).indecomposables
-    walks.clear()
+    monkeypatch.setattr(weyl.WeylGroup, "orbits", counted)
     weyl.relative_weyl_check(w, (2, 0), x)
     assert weyl.is_indecomposable(w, x, (0, 2))
     assert walks == []
 
 
 def test_relative_weyl_scans_w_once_per_parabolic(monkeypatch):
-    # the suite once made 28 normalizer scans and 1,350 conjugations for its
-    # 20 ∏A parabolics: one scan per indecomposable element
+    # the suite's 634 conjugations, pinned in test_work_budget.py, are those
+    # of one normalizer scan per ∏A parabolic, not one per indecomposable element
     conjugations = []
     conj = weyl.WeylGroup.conj
 
@@ -349,10 +348,6 @@ def test_relative_weyl_scans_w_once_per_parabolic(monkeypatch):
 
     monkeypatch.setattr(weyl.WeylGroup, "conj", counted)
     monkeypatch.setattr(gr, "_GROUP_CACHE", {})
-    assert verify.relative_weyl()["pass"]
-    suite = len(conjugations)
-    monkeypatch.setattr(gr, "_GROUP_CACHE", {})
-    conjugations.clear()
     scans = 0
     for family, n in verify.RELATIVE_WEYL_GROUPS:
         w = build_group(family, n).weyl
@@ -363,7 +358,7 @@ def test_relative_weyl_scans_w_once_per_parabolic(monkeypatch):
                     assert p.normalizer and p.indecomposables
                     scans += 1
     assert scans == 20
-    assert suite == len(conjugations) == 634
+    assert len(conjugations) == 634
 
 
 # every family with |W| <= 720

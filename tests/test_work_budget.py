@@ -13,7 +13,7 @@ import io
 from collections import Counter
 from fractions import Fraction as Q
 
-from tropgroups import circles, cli, groups, weyl
+from tropgroups import circles, cli, groups, stability, verify, weyl
 from tropgroups import intlinalg as la
 from tropgroups.groups import build_group
 
@@ -29,9 +29,9 @@ CLASSIFY_GRID = (
 )
 
 
-def count_calls(monkeypatch, module, *names) -> Counter:
-    """A Counter of calls to each named function of the module, from now
-    until the test ends: each module attribute is replaced by a wrapper."""
+def count_calls(monkeypatch, owner, *names) -> Counter:
+    """A Counter of calls to each named function of the module or class, from
+    now until the test ends: each attribute is replaced by a wrapper."""
     calls = Counter({name: 0 for name in names})
 
     def wrap(name, fn):
@@ -42,7 +42,7 @@ def count_calls(monkeypatch, module, *names) -> Counter:
         return counted
 
     for name in names:
-        monkeypatch.setattr(module, name, wrap(name, getattr(module, name)))
+        monkeypatch.setattr(owner, name, wrap(name, getattr(owner, name)))
     return calls
 
 
@@ -88,3 +88,32 @@ def test_iso_budget_is_one_rref_per_witness(monkeypatch):
         # the β solve of the witness found; a negative never reaches it
         assert calls["integer_rref"] - before == isomorphic
     assert calls["integer_rref"] == 8
+
+
+def test_cold_relative_weyl_budget(monkeypatch):
+    # the suite once made 104 coset walks, 28 normalizer scans and 1,350
+    # conjugations; now one walk per parabolic and one conjugators call per
+    # indecomposable element, with no product of two indices
+    monkeypatch.setattr(groups, "_GROUP_CACHE", {})
+    calls = count_calls(monkeypatch, weyl.WeylGroup, "orbits", "conj", "conjugators", "mul")
+    assert verify.relative_weyl()["pass"]
+    assert calls == {"orbits": 24, "conj": 634, "conjugators": 28, "mul": 0}
+
+
+def test_cold_stability_budget(monkeypatch):
+    # per group, the identity, a simple reflection and a Coxeter element, each
+    # with the slopes e_1 and (1, 2, …, r)
+    monkeypatch.setattr(groups, "_GROUP_CACHE", {})
+    cocycles = []
+    for family, n in (("GL", 4), ("Sp", 3), ("G2", 0)):
+        g = build_group(family, n)
+        r, w = g.rank, g.weyl
+        for mono in (w.identity_idx, w.simple_gens[0], functools.reduce(w.mul, w.simple_gens)):
+            cocycles += [circles.cocycle(g, m, [0] * r, mono, 1) for m in ([1] + [0] * (r - 1), list(range(1, r + 1)))]
+    scans = count_calls(monkeypatch, weyl.WeylGroup, "conj")
+    order = count_calls(monkeypatch, stability, "_dominance")
+    built = count_calls(monkeypatch, weyl, "Parabolic")
+    verdicts = [stability.stability_verdict(c) for c in cocycles]
+    assert [sum(v.semistable for v in verdicts), sum(v.stable for v in verdicts)] == [7, 6]
+    # each of the 2^r parabolics of a group is built once, by its first verdict
+    assert [scans["conj"], order["_dominance"], built["Parabolic"]] == [306, 334, 8 + 8 + 4]
