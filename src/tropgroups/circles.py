@@ -108,7 +108,7 @@ def compose_gauges(c: CircleCocycle, second: GaugeTriple, first: GaugeTriple) ->
     """
     w = c.group.weyl
     v2, v1 = w.check_idx("v", second.v_idx), w.check_idx("v", first.v_idx)
-    vmat = w.element(v2).matrix
+    vmat = w.matrices[v2]
     k = la.vec_add(second.k, la.mat_vec(vmat, first.k))
     beta = la.vec_add(second.beta, la.mat_vec(vmat, first.beta))
     return GaugeTriple(tuple(k), tuple(beta), w.mul(v2, v1))
@@ -127,8 +127,8 @@ def gauge_transform(c: CircleCocycle, k: Sequence[int], beta: Sequence, v) -> Ci
     k = semiring.checked_vector("k", k, rank, semiring.checked_integer)
     beta = semiring.checked_vector("beta", beta, rank, semiring.checked_rational)
     w2_idx = w.mul(w.mul(v_idx, c.mono_idx), w.inverse[v_idx])
-    vmat = w.element(v_idx).matrix
-    w2mat = w.element(w2_idx).matrix
+    vmat = w.matrices[v_idx]
+    w2mat = w.matrices[w2_idx]
     m = la.vec_add(k, la.vec_sub(la.mat_vec(vmat, c.slope), la.mat_vec(w2mat, k)))
     nums, d = la.integer_numerators(c.offset + beta + (c.length,))
     n_alpha, n_beta, jd = nums[:rank], nums[rank : 2 * rank], nums[-1]  # jd = j·d
@@ -186,7 +186,7 @@ def isomorphism_witness(a: CircleCocycle, b: CircleCocycle) -> Optional[GaugeTri
     if not conjugators:
         return None
     j = a.length
-    wa, wb = w.element(a.mono_idx).matrix, w.element(b.mono_idx).matrix
+    wa, wb = w.matrices[a.mono_idx], w.matrices[b.mono_idx]
     nums, d = la.integer_numerators(a.offset + b.offset)
     na, nb = nums[: a.group.rank], nums[a.group.rank :]
     n = w.order_of(a.mono_idx)  # that of w_b too; each orbit period divides it
@@ -200,7 +200,7 @@ def isomorphism_witness(a: CircleCocycle, b: CircleCocycle) -> Optional[GaugeTri
     # k = r_inv/2n − t_sum/(n·d·j), over the common denominator 2n·d·j
     scale, den = d * j.numerator, 2 * n * d * j.numerator
     for v_idx in conjugators:
-        vmat = w.element(v_idx).matrix
+        vmat = w.matrices[v_idx]
         if la.mat_vec(vmat, ma_sum) != mb_sum:  # P·r ≠ 0
             continue
         r_inv = la.vec_sub(mb_inv, la.mat_vec(vmat, ma_inv))
@@ -267,7 +267,7 @@ class ComponentDescription:
 def _cycle_quotient(g: TropicalGroup, w_idx: int) -> la.QuotientLattice:
     """The lattice M̌/(1 − w)M̌ of slopes modulo the gauge by k, spanned by
     the columns e_c − w·e_c of 1 − w."""
-    cols = [[-x for x in col] for col in zip(*g.weyl.element(w_idx).matrix)]
+    cols = [[-x for x in col] for col in zip(*g.weyl.matrices[w_idx])]
     for c, col in enumerate(cols):
         col[c] += 1
     return la.QuotientLattice(g.rank, cols)
@@ -304,8 +304,17 @@ def component_for_class(g: TropicalGroup, w_idx: int) -> ComponentDescription:
 
 
 def slope_residues(g: TropicalGroup, w_idx: int) -> tuple[Vec, ...]:
-    """Integral slope representatives for M̌/(1 − w)M̌, one per class."""
-    return _cycle_quotient(g, g.weyl.check_idx("w", w_idx)).representatives()
+    """Integral slope representatives for M̌/(1 − w)M̌, one per class.  A
+    ValueError naming w unless it is an index whose quotient is finite, that
+    is, unless w fixes no nonzero cocharacter."""
+    w = g.weyl.check_idx("w", w_idx)
+    quotient = _cycle_quotient(g, w)
+    if quotient.free_rank:
+        raise ValueError(
+            f"field 'w': Weyl element {w} fixes a rank-{quotient.free_rank} sublattice of cocharacters, "
+            "so M̌/(1 − w)M̌ is infinite and has no finite set of slope residues"
+        )
+    return quotient.representatives()
 
 
 # ---------------------------------------------------------------------------

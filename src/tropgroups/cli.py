@@ -50,26 +50,43 @@ def _guard(flag) -> int:
     return guard
 
 
+# the text of a value of each exact scalar type, so that the writer handles
+# those without a call of its own (a subclass takes the isinstance path)
+_SCALARS = {
+    str: _quote,
+    int: int.__repr__,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
 def _write_json(x, pad: str, out: list) -> None:
     """Append the text of x to out as json.dumps(x, indent=2, sort_keys=True)
     writes it, pad being the line break and indent of x's own line.  CPython
     writes an indented dump with its pure-Python encoder; this writer calls
-    only the C string encoder.  A report holds dicts with str keys, lists,
+    only the C string encoder.  A scalar item of a list or dict is written in
+    place, and a list of ints in one join, so that the writer recurses only
+    into nested lists and dicts.  A report holds dicts with str keys, lists,
     tuples, str, int, bool and None: any other key or value is a TypeError
     naming its type."""
-    if isinstance(x, str):
-        out.append(_quote(x))
-    elif isinstance(x, (list, tuple)):
+    if isinstance(x, (list, tuple)):
         if not x:
             out.append("[]")
             return
         inner = pad + "  "
         sep = "," + inner
+        if all(type(v) is int for v in x):
+            out.append("[" + inner + sep.join(map(int.__repr__, x)) + pad + "]")
+            return
         out.append("[" + inner)
         for i, v in enumerate(x):
             if i:
                 out.append(sep)
-            _write_json(v, inner, out)
+            write = _SCALARS.get(type(v))
+            if write is None:
+                _write_json(v, inner, out)
+            else:
+                out.append(write(v))
         out.append(pad + "]")
     elif isinstance(x, dict):
         if not x:
@@ -83,9 +100,16 @@ def _write_json(x, pad: str, out: list) -> None:
                 raise TypeError(f"report key {k!r} is of type {type(k).__name__}, not str")
             if i:
                 out.append(sep)
-            out.append(_quote(k) + ": ")
-            _write_json(x[k], inner, out)
+            v = x[k]
+            write = _SCALARS.get(type(v))
+            if write is None:
+                out.append(_quote(k) + ": ")
+                _write_json(v, inner, out)
+            else:
+                out.append(_quote(k) + ": " + write(v))
         out.append(pad + "}")
+    elif isinstance(x, str):
+        out.append(_quote(x))
     elif x is None:
         out.append("null")
     elif isinstance(x, bool):

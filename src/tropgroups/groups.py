@@ -170,14 +170,14 @@ def compose(a: TropGroupElement, b: TropGroupElement) -> TropGroupElement:
     """(m₁, w₁)·(m₂, w₂) = (m₁ + w₁·m₂, w₁w₂)."""
     if a.group is not b.group:
         raise ParentMismatchError("elements belong to different groups")
-    m = la.vec_add(a.m, la.mat_vec(a.w.matrix, b.m))
+    m = la.vec_add(a.m, la.mat_vec(a.group.weyl.matrices[a.w_idx], b.m))
     return TropGroupElement(a.group, m, a.group.weyl.mul(a.w_idx, b.w_idx))
 
 
 def inverse(a: TropGroupElement) -> TropGroupElement:
     """(m, w)⁻¹ = (−w⁻¹·m, w⁻¹)."""
     winv = a.group.weyl.inverse[a.w_idx]
-    mat = a.group.weyl.element(winv).matrix
+    mat = a.group.weyl.matrices[winv]
     return TropGroupElement(a.group, la.vec_neg(la.mat_vec(mat, a.m)), winv)
 
 
@@ -218,8 +218,8 @@ def make_hom(source: TropicalGroup, target: TropicalGroup, f: Mat, phi: Callable
     wmap = tuple(phi(i) for i in range(len(source.weyl)))
     fint = la.matrix(f)
     for g, left in zip(source.weyl.simple_gens, source.weyl.left):
-        lhs = la.mat_mul(target.weyl.element(wmap[g]).matrix, fint)
-        rhs = la.mat_mul(fint, source.weyl.element(g).matrix)
+        lhs = la.mat_mul(target.weyl.matrices[wmap[g]], fint)
+        rhs = la.mat_mul(fint, source.weyl.matrices[g])
         if lhs != rhs:
             raise ValueError("lattice map is not equivariant for the Weyl maps")
         for b in range(len(source.weyl)):

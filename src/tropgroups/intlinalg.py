@@ -6,18 +6,21 @@ times a ``Fraction`` is an exact ``Fraction``.  Everything here is
 deterministic and exact: integer numerators over one denominator, and exact
 solves on them through a left inverse (``solve_scaled``), one elimination
 engine (the fraction-free RREF ``integer_rref``, with a solve and an
-inverse), Smith normal form u·b·v = d with the unimodular u and its inverse
-u⁻¹, carried through the row operations (v is not formed), integer orbit
-sums under a finite-order integer matrix a (from one walk of an orbit, the
-orbit mean and the group inverse of 1 − a over the period), and quotient
-lattices ℤⁿ/L with mixed torsion/free coordinates, whose lifts are the
-columns of u⁻¹, so no inverse is solved for.  Vectors are built from lists:
-a tuple built from a generator is allocated at a guessed length and shrunk,
-which is slower and fills CPython's per-length tuple free lists.
+inverse), Smith normal form u·b·v = d, which records its row operations so
+that the unimodular u and its inverse u⁻¹ are formed only by a replay of
+them (v is not formed), integer orbit sums under a finite-order integer
+matrix a (from one walk of an orbit, the orbit mean and the group inverse of
+1 − a over the period), and quotient lattices ℤⁿ/L with mixed torsion/free
+coordinates, whose invariant factors are read off the diagonal alone and
+whose lifts are the columns of u⁻¹, replayed on first use, so no inverse is
+solved for.  Vectors are built from lists: a tuple built from a generator is
+allocated at a guessed length and shrunk, which is slower and fills
+CPython's per-length tuple free lists.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from fractions import Fraction as Q
@@ -167,33 +170,33 @@ def solve_scaled(a: tuple[Mat, int], left: tuple[Mat, int], y: Vec) -> Optional[
     return x if mat_vec(num, x) == tuple([d * e * v for v in y]) else None
 
 
-def smith_normal_form(a: Mat) -> tuple[Mat, Mat, Mat]:
-    """Smith normal form: returns (d, u, u⁻¹) with u·a·v = d for a
-    unimodular integer matrix v, which is not formed.
+def smith_normal_form(a: Mat) -> tuple[Mat, tuple[tuple[int, ...], ...]]:
+    """Smith normal form: returns (d, ops) with u·a·v = d for unimodular
+    integer matrices u and v, which are not formed.
 
-    d is diagonal with nonnegative entries d₁ | d₂ | …, and u is unimodular.
-    Each row operation on d and u is mirrored onto u⁻¹ as the inverse column
-    operation, so the column operations touch d alone.
+    d is diagonal with nonnegative entries d₁ | d₂ | ….  ops are the row
+    operations on a, in order, from which ``snf_transforms`` forms u and
+    u⁻¹: (i, k, q) subtracts q·row k from row i, (i, k) swaps rows i and k,
+    and (t,) negates row t.  The column operations touch d alone.
     """
     m = len(a)
     n = len(a[0]) if m else 0
     d = [list(row) for row in a]
-    u = [[int(i == j) for j in range(m)] for i in range(m)]
-    u_inv = [[int(i == j) for j in range(m)] for i in range(m)]  # by columns: u_inv[k] is column k of u⁻¹
+    ops: list = []
 
-    def row_sub(i, k, q):  # row i −= q·row k, so column k of u⁻¹ += q·column i
-        d[i] = [x - q * y for x, y in zip(d[i], d[k])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[k])]
-        u_inv[k] = [x + q * y for x, y in zip(u_inv[k], u_inv[i])]
+    def row_sub(i, k, q):
+        if q:
+            d[i] = [x - q * y for x, y in zip(d[i], d[k])]
+            ops.append((i, k, q))
 
     def col_sub(j, k, q):
         for row in d:
             row[j] -= q * row[k]
 
     def swap_rows(i, k):
-        d[i], d[k] = d[k], d[i]
-        u[i], u[k] = u[k], u[i]
-        u_inv[i], u_inv[k] = u_inv[k], u_inv[i]
+        if i != k:
+            d[i], d[k] = d[k], d[i]
+            ops.append((i, k))
 
     def swap_cols(j, k):
         for row in d:
@@ -201,15 +204,21 @@ def smith_normal_form(a: Mat) -> tuple[Mat, Mat, Mat]:
 
     t = 0
     while True:
-        # locate the smallest nonzero entry of the trailing block
+        # locate the first smallest nonzero entry of the trailing block; none is
+        # smaller than a unit
         piv = None
         best = None
         for i in range(t, m):
+            row = d[i]
             for j in range(t, n):
-                e = d[i][j]
+                e = row[j]
                 if e != 0 and (best is None or abs(e) < best):
                     best = abs(e)
                     piv = (i, j)
+                    if best == 1:
+                        break
+            if best == 1:
+                break
         if piv is None:
             break
         swap_rows(t, piv[0])
@@ -232,9 +241,10 @@ def smith_normal_form(a: Mat) -> tuple[Mat, Mat, Mat]:
                         moved = True
             if not moved:  # every remainder was 0: row and column t are clear
                 break
-        # enforce divisibility of the trailing block by the pivot
+        # enforce divisibility of the trailing block by the pivot, which a unit
+        # pivot divides
         bad = None
-        for i in range(t + 1, m):
+        for i in range(t + 1, m) if abs(d[t][t]) != 1 else ():
             for j in range(t + 1, n):
                 if d[i][j] % d[t][t] != 0:
                     bad = j
@@ -247,12 +257,33 @@ def smith_normal_form(a: Mat) -> tuple[Mat, Mat, Mat]:
             continue
         if d[t][t] < 0:
             d[t] = [-x for x in d[t]]
-            u[t] = [-x for x in u[t]]
-            u_inv[t] = [-x for x in u_inv[t]]
+            ops.append((t,))
         t += 1
         if t == min(m, n):
             break
-    return matrix(d), matrix(u), transpose(u_inv)
+    return matrix(d), tuple(ops)
+
+
+def snf_transforms(ops: Sequence[tuple[int, ...]], m: int) -> tuple[Mat, Mat]:
+    """(u, u⁻¹) for the row operations ops of ``smith_normal_form`` on a
+    matrix of m rows, replayed in order from the identity: each operation
+    on the rows of u is mirrored onto u⁻¹ as the inverse column operation."""
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    u_inv = [[int(i == j) for j in range(m)] for i in range(m)]  # by columns: u_inv[k] is column k of u⁻¹
+    for op in ops:
+        if len(op) == 3:  # row i −= q·row k, so column k of u⁻¹ += q·column i
+            i, k, q = op
+            u[i] = [x - q * y for x, y in zip(u[i], u[k])]
+            u_inv[k] = [x + q * y for x, y in zip(u_inv[k], u_inv[i])]
+        elif len(op) == 2:
+            i, k = op
+            u[i], u[k] = u[k], u[i]
+            u_inv[i], u_inv[k] = u_inv[k], u_inv[i]
+        else:
+            (t,) = op
+            u[t] = [-x for x in u[t]]
+            u_inv[t] = [-x for x in u_inv[t]]
+    return matrix(u), transpose(u_inv)
 
 
 def diagonal_of(d: Mat) -> tuple[int, ...]:
@@ -263,28 +294,37 @@ def diagonal_of(d: Mat) -> tuple[int, ...]:
 class QuotientLattice:
     """The quotient ℤⁿ/L for L spanned by given integer generators.
 
-    Provides invariant factors (torsion entries > 1 plus the free rank) and a
-    projection sending any vector to reduced coordinates: torsion coordinates
-    mod their invariant factor, followed by the free coordinates.
+    Its invariant factors (torsion entries > 1 plus the free rank) are read
+    off the diagonal of one Smith normal form.  The projection sending any
+    vector to reduced coordinates (torsion coordinates mod their invariant
+    factor, followed by the free coordinates) and the lifts need u and u⁻¹,
+    which ``transforms`` replays from the form's row operations on the first
+    call to ``project``, ``free_part`` or ``representatives``: an infinite
+    quotient, of which the classification reads only the invariant factors,
+    never forms them.
     """
 
     def __init__(self, ambient_rank: int, generators: Sequence[Vec]):
         self.rank = ambient_rank
         gens = [g for g in generators if not is_zero_vec(g)]
         b = transpose(gens) if gens else zero_matrix(ambient_rank, 1)
-        d, u, u_inv = smith_normal_form(b)
+        d, self._ops = smith_normal_form(b)
         diag = (list(diagonal_of(d)) + [0] * ambient_rank)[:ambient_rank]  # one entry per row
-        # normalize the sign of free rows for a deterministic projection, and
-        # of the matching columns of u⁻¹, so that the two stay inverse
-        u, cols = list(u), list(transpose(u_inv))
-        for i, e in enumerate(diag):
-            if e == 0 and next((x for x in u[i] if x != 0), 1) < 0:
-                u[i], cols[i] = vec_neg(u[i]), vec_neg(cols[i])
-        self._u, self._u_inv = tuple(u), transpose(cols)
         self._torsion_rows = tuple(i for i, e in enumerate(diag) if e > 1)
         self._free_rows = tuple(i for i, e in enumerate(diag) if e == 0)
         self.torsion = tuple(diag[i] for i in self._torsion_rows)
         self.free_rank = len(self._free_rows)
+
+    @functools.cached_property
+    def transforms(self) -> tuple[Mat, Mat]:
+        """(u, u⁻¹) of the Smith normal form, with the sign of each free row of
+        u normalized (its first nonzero entry positive) for a deterministic
+        projection: a free row that starts negative is negated by one more
+        row operation, replayed with the others, which negates the matching
+        column of u⁻¹ too, so that the two stay inverse."""
+        u, u_inv = snf_transforms(self._ops, self.rank)
+        flips = tuple([(i,) for i in self._free_rows if next((x for x in u[i] if x != 0), 1) < 0])
+        return snf_transforms(self._ops + flips, self.rank) if flips else (u, u_inv)
 
     @property
     def invariant_factors(self) -> tuple[int, ...]:
@@ -303,23 +343,23 @@ class QuotientLattice:
 
     def project(self, x: Vec) -> Vec:
         """Reduced coordinates of x in the quotient (torsion mod d, then free)."""
-        z = mat_vec(self._u, x)
+        z = mat_vec(self.transforms[0], x)
         tor = tuple(z[i] % d for i, d in zip(self._torsion_rows, self.torsion))
         return tor + tuple(z[i] for i in self._free_rows)
 
     def free_part(self, x: Vec) -> Vec:
         """Free coordinates of a rational vector under the induced ℚ-projection."""
-        z = mat_vec(self._u, x)
+        z = mat_vec(self.transforms[0], x)
         return tuple(z[i] for i in self._free_rows)
 
     def representatives(self):
         """One integral lift per element; only for finite quotients.  The lift
         of torsion coordinates z is u⁻¹·z: the columns of u⁻¹ at the torsion
-        rows, which the Smith normal form carries, equal to those of b·v over
-        dᵢ, as b·v = u⁻¹·d."""
+        rows, which ``transforms`` replays, equal to those of b·v over dᵢ, as
+        b·v = u⁻¹·d."""
         if self.free_rank:
             raise ValueError("quotient is infinite")
-        lift = [[row[i] for i in self._torsion_rows] for row in self._u_inv]
+        lift = [[row[i] for i in self._torsion_rows] for row in self.transforms[1]]
         # the last torsion coordinate runs fastest
         return tuple([mat_vec(lift, idx) for idx in itertools.product(*[range(e) for e in self.torsion])])
 

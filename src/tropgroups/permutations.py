@@ -6,10 +6,6 @@ import operator
 from typing import Callable, Sequence
 
 
-def identity_perm(n: int) -> tuple[int, ...]:
-    return tuple(range(n))
-
-
 def precompose(s: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
     """The map t ↦ t∘s = (t[s[0]], t[s[1]], …), one C call for s of degree
     two or more (itemgetter with a single index returns an item, not a tuple)."""

@@ -85,7 +85,7 @@ def _conjugation_pass(c: CircleCocycle) -> tuple:
     """v ↦ v·w·v⁻¹ and v ↦ v·m, computed at most once per v, on demand."""
     w = c.group.weyl
     conj = functools.cache(lambda v: w.conj(v, c.mono_idx))
-    return conj, functools.cache(lambda v: la.mat_vec(w.element(v).matrix, c.slope))
+    return conj, functools.cache(lambda v: la.mat_vec(w.matrices[v], c.slope))
 
 
 def _reduced_slopes(c: CircleCocycle, p: ParabolicSubgroup, scan: tuple) -> dict:

@@ -1,11 +1,17 @@
 """Finite Weyl groups as integer matrices on cocharacter coordinates.
 
-Every group carries a faithful permutation model, which drives
-multiplication; the matrices give the action on the lattice.  A group keeps
-no root datum: ``generate``, the one closure, takes the matrices of its
-simple generators and the integer matrix N of a model map, reads each
-permutation off N, and reads the diagram off the matrices' products.  The
-closure is breadth-first, keyed by permutation, and frozen in lexicographic
+A group is the closure's data: its matrices, sorted, the one representation
+that the product reads (the action on the lattice, and 1 − w for the class
+quotients), its permutations in a faithful model, its left tables and its
+spanning tree.  Products are looked up in the permutation model, whose views
+(``perms``, the index of a permutation, ``inverse``) are built on first use,
+so a cold classification, which walks the tables alone, builds none of them;
+``elements``, the matrices wrapped as ``WeylElement``, is such a view too,
+kept for the benchmark, which reads it.  A group keeps no root datum:
+``generate``, the one closure, takes the matrices of its simple generators
+and the integer matrix N of a model map, reads each permutation off N, and
+reads the diagram off the matrices' products.  The closure is
+breadth-first, keyed by permutation, and frozen in lexicographic
 matrix order, so element indices are deterministic and serializable.
 Inside ``generate`` a permutation is ``bytes``, and an edge is one
 ``bytes.translate`` through a table per simple generator (so a model has at
@@ -50,7 +56,7 @@ from typing import Optional, Sequence
 from . import intlinalg as la
 from .errors import InvariantError
 from .intlinalg import Mat
-from .permutations import compose_perm, cycles_of, identity_perm, invert_perm, precompose
+from .permutations import compose_perm, cycles_of, invert_perm, precompose
 from .semiring import checked_integer
 
 DEFAULT_GUARD = 10_000
@@ -66,36 +72,54 @@ class WeylElement:
 
 
 class WeylGroup:
-    """A finite matrix group with deterministic element ordering; perms[i] is
-    element i in the faithful permutation model that products are looked up in,
-    left[t][i] is the index of s_t·i for the t-th simple generator s_t (so
-    simple_gens[t] = left[t][identity_idx]), inverse[i] is the index of i⁻¹,
-    and class_id[i] is the position of the class of i in conjugacy_classes().
-    tree is the closure's spanning tree: the elements other than the
-    identity in the order found, the generator t and the element p that each
-    was found from, x = s_t·p."""
+    """A finite matrix group with deterministic element ordering.
 
-    def __init__(self, elements, perms, left, tree):
-        self.elements: tuple[WeylElement, ...] = tuple(elements)
-        self.perms: tuple[tuple[int, ...], ...] = tuple(perms)
-        self._by_perm = {p: i for i, p in enumerate(self.perms)}
+    matrices[i] is element i acting on cocharacter coordinates, the one
+    representation that the product reads; left[t][i] is the index of s_t·i
+    for the t-th simple generator s_t (so simple_gens[t] =
+    left[t][identity_idx]), and class_id[i] is the position of the class of i
+    in conjugacy_classes().  tree is the closure's spanning tree: the
+    elements other than the identity in the order found, the generator t and
+    the element p that each was found from, x = s_t·p.  The closure's
+    permutations are kept as ``bytes``; the views on them are built on first
+    use: perms[i], element i in the faithful permutation model that products
+    are looked up in, the lookup from a permutation to its index, and
+    inverse[i], the index of i⁻¹.  So is elements, the matrices wrapped as
+    ``WeylElement`` (read by element(i) and by iteration), which the
+    benchmark reads until it reads matrices."""
+
+    def __init__(self, matrices, perms: Sequence[bytes], left, tree, identity_idx: int):
+        self.matrices: tuple[Mat, ...] = tuple(matrices)
+        self._bytes = tuple(perms)
         self.left: tuple[tuple[int, ...], ...] = tuple(left)
         self._tree: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]] = tree
-        self.identity_idx = self._by_perm[identity_perm(len(self.perms[0]))]
-        self.simple_gens: tuple[int, ...] = tuple([s[self.identity_idx] for s in self.left])
+        self.identity_idx = identity_idx
+        self.simple_gens: tuple[int, ...] = tuple([s[identity_idx] for s in self.left])
         self._centralizers: dict = {}  # class id -> permutations of C(rep), found once
         self._parabolics: dict = {}  # sorted simple-root positions -> Parabolic, built once
+
+    @functools.cached_property
+    def perms(self) -> tuple[tuple[int, ...], ...]:
+        return tuple([tuple(p) for p in self._bytes])
+
+    @functools.cached_property
+    def _by_perm(self) -> dict:
+        return {p: i for i, p in enumerate(self.perms)}
 
     @functools.cached_property
     def inverse(self) -> tuple[int, ...]:
         return tuple([self._by_perm[invert_perm(p)] for p in self.perms])
 
+    @functools.cached_property
+    def elements(self) -> tuple[WeylElement, ...]:
+        return tuple([WeylElement(m) for m in self.matrices])
+
     @property
     def rank(self) -> int:
-        return len(self.elements[0].matrix)
+        return len(self.matrices[0])
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.matrices)
 
     def __iter__(self):
         return iter(self.elements)
@@ -114,8 +138,8 @@ class WeylGroup:
         """w as an element index, read by checked_integer; a ValueError naming
         the field unless it is an integer in range(|W|)."""
         i = checked_integer(field, w)
-        if not 0 <= i < len(self.elements):
-            raise ValueError(f"field {field!r}: Weyl element index {i!r} is out of range for |W| = {len(self.elements)}")
+        if not 0 <= i < len(self.matrices):
+            raise ValueError(f"field {field!r}: Weyl element index {i!r} is out of range for |W| = {len(self.matrices)}")
         return i
 
     def mul(self, i: int, j: int) -> int:
@@ -142,7 +166,7 @@ class WeylGroup:
     def orbits(self, maps: Sequence[Sequence[int]]) -> list[list[int]]:
         """The orbits of the indices under the index maps (maps[k][i] is the image
         of i), each found breadth-first from its least index, in that order."""
-        seen = [False] * len(self.elements)
+        seen = [False] * len(self.matrices)
         out = []
         for i, done in enumerate(seen):
             if not done:
@@ -171,12 +195,12 @@ class WeylGroup:
         left, e = self.left, self.identity_idx
         steps = []
         for s in left:
-            right = [0] * len(self.elements)
+            right = [0] * len(self.matrices)
             right[e] = s[e]
             for x, t, p in zip(*self._tree):  # p is found before x
                 right[x] = left[t][right[p]]
             steps.append((list(map(right.__getitem__, s)), s))
-        t: list = [None] * len(self.elements)
+        t: list = [None] * len(self.matrices)
         classes = []
         for rep, seen in enumerate(t):
             if seen is None:
@@ -244,7 +268,7 @@ class WeylGroup:
                 raise ValueError(f"field 'positions': invalid simple-root position in {list(positions)}")
             cosets = self.orbits([self.left[t] for t in positions])
             members = frozenset(next(c for c in cosets if self.identity_idx in c))
-            least = [0] * len(self.elements)
+            least = [0] * len(self.matrices)
             for coset in cosets:
                 if len(coset) != len(members):
                     raise InvariantError(
@@ -314,7 +338,7 @@ def generate(gen_mats, model: Mat, guard: int = DEFAULT_GUARD) -> WeylGroup:
     index, reorder = invert_perm(order), precompose(order)  # index[a] is the place of a in order
     left = [tuple(map(index.__getitem__, reorder(out))) for out in edges]
     tree = (index[1:], tuple(via), tuple(map(index.__getitem__, parent)))
-    return WeylGroup([WeylElement(m) for m in reorder(mats)], [tuple(p) for p in reorder(perms)], left, tree)
+    return WeylGroup(reorder(mats), reorder(perms), left, tree, index[0])
 
 
 def _model_perm(num: Mat, s: Mat) -> Optional[tuple[int, ...]]:
@@ -323,8 +347,8 @@ def _model_perm(num: Mat, s: Mat) -> Optional[tuple[int, ...]]:
 
     Row σ(j) of Y·S is Y[j] + c.  The shift c is the mean change of a column
     of Y; it is 0 except for PGL, whose model coordinates end in 0.  Both
-    sides scale by d, so N stands in for Y, and are compared times the
-    degree k, so that k·c = ΣY·S − ΣY is integral.  Y·S is formed as
+    sides scale by d, so N stands in for Y, and, unless c = 0, are compared
+    times the degree k, so that k·c = ΣY·S − ΣY is integral.  Y·S is formed as
     Y + Σ Y[:, r]·(S[r] − e_r) over the rows r where S is not the identity:
     one or two rows for a reflection, whose S − 1 has rank one.
     """
@@ -342,9 +366,16 @@ def _model_perm(num: Mat, s: Mat) -> Optional[tuple[int, ...]]:
             if row[r]:
                 out = [x + row[r] * t for x, t in zip(out, delta)]
         image.append(out)
-    shift = [sum(a) - sum(b) for a, b in zip(la.transpose(image), la.transpose(num))]
-    rows = {tuple([k * x for x in row]): i for i, row in enumerate(image)}
-    sigma = tuple(rows.get(tuple([k * x + c for x, c in zip(row, shift)])) for row in num)
+    shift = [0] * len(s)  # ΣY·S − ΣY = Σ_r (Σ Y[:, r])·(S[r] − e_r)
+    for r, delta in moved:
+        total = sum([row[r] for row in num])
+        shift = [c + total * t for c, t in zip(shift, delta)]
+    targets = num
+    if any(shift):
+        image = [[k * x for x in row] for row in image]
+        targets = [[k * x + c for x, c in zip(row, shift)] for row in num]
+    rows = {tuple(row): i for i, row in enumerate(image)}
+    sigma = tuple([rows.get(tuple(row)) for row in targets])
     return None if len(rows) != k or None in sigma else sigma
 
 

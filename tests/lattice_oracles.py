@@ -6,7 +6,9 @@ that carries v, integer solves through it and lattice indices, the order of
 a matrix by its powers, the orbit mean and group inverse under a
 finite-order matrix as rational orbit sums, the rational-inverse paths that
 the library's integer ones replaced (SO_2n coordinates and the lifts of a
-finite quotient lattice), and the action of a Weyl element on characters."""
+finite quotient lattice), a quotient lattice read off the v-carrying Smith
+normal form with every transform formed at once, and the action of a Weyl
+element on characters."""
 
 from __future__ import annotations
 
@@ -141,8 +143,8 @@ def int_det(a: Mat) -> int:
 
 def smith_normal_form_with_v(a: Mat) -> tuple[Mat, Mat, Mat]:
     """Smith normal form with both transforms: returns (d, u, v) with u·a·v = d,
-    by the pivot steps of the library's ``smith_normal_form``, which carries
-    u⁻¹ in place of v.
+    by the pivot steps of the library's ``smith_normal_form``, which records
+    its row operations in place of u and v.
 
     d is diagonal with nonnegative entries d₁ | d₂ | …, and u, v are
     unimodular integer matrices.
@@ -345,9 +347,10 @@ def so_even_datum_by_inverse(n: int) -> rd.RootDatum:
 
 def representatives_by_inverse(quot: la.QuotientLattice) -> tuple[Vec, ...]:
     """The lifts of QuotientLattice.representatives through a rational
-    inverse of its u: u⁻¹ applied to every torsion coordinate vector, counted
-    up with the last torsion coordinate running fastest."""
-    u_inv = mat_to_int(rational_inverse(quot._u))
+    inverse of its u (or of an EagerQuotient's): u⁻¹ applied to every torsion
+    coordinate vector, counted up with the last torsion coordinate running
+    fastest."""
+    u_inv = mat_to_int(rational_inverse(quot.transforms[0]))
     reps = []
     idx = [0] * len(quot.torsion)
     while True:
@@ -362,3 +365,45 @@ def representatives_by_inverse(quot: la.QuotientLattice) -> tuple[Vec, ...]:
             idx[pos] = 0
         else:
             return tuple(reps)
+
+
+class EagerQuotient:
+    """ℤⁿ/L for L spanned by the generators, from ``smith_normal_form_with_v``
+    with u and u⁻¹ formed at once: the oracle for the lazy
+    ``QuotientLattice``, with its attribute names.  u⁻¹ is u's rational
+    inverse, and each free row of u is negated, with its column of u⁻¹,
+    unless its first nonzero entry is positive."""
+
+    def __init__(self, rank: int, generators):
+        self.rank = rank
+        gens = [g for g in generators if any(g)]
+        self.b = la.transpose(gens) if gens else la.zero_matrix(rank, 1)
+        self.d, u, _ = smith_normal_form_with_v(self.b)
+        diag = [self.d[i][i] if i < len(self.d[0]) else 0 for i in range(rank)]
+        self._torsion_rows = tuple(i for i, e in enumerate(diag) if e > 1)
+        self._free_rows = tuple(i for i, e in enumerate(diag) if e == 0)
+        self.torsion = tuple(diag[i] for i in self._torsion_rows)
+        u = tuple(tuple(-x for x in row) if i in self._free_rows and next((x for x in row if x), 1) < 0 else row for i, row in enumerate(u))
+        self.transforms = (u, mat_to_int(rational_inverse(u)) if rank else ())
+
+    def assert_matches(self, quot: la.QuotientLattice, points) -> None:
+        """The lazy lattice against this one: d, the torsion and free rows,
+        then u and u⁻¹, the projections of the points, and the lifts or, for
+        an infinite quotient, the refusal."""
+        assert la.smith_normal_form(self.b)[0] == self.d
+        assert (quot.torsion, quot._torsion_rows, quot._free_rows) == (self.torsion, self._torsion_rows, self._free_rows)
+        assert quot.transforms == self.transforms
+        for x in points:
+            z = la.mat_vec(self.transforms[0], x)
+            free = tuple(z[i] for i in self._free_rows)
+            assert quot.free_part(x) == free
+            assert quot.project(x) == tuple(z[i] % e for i, e in zip(self._torsion_rows, self.torsion)) + free
+        if not self._free_rows:
+            assert quot.representatives() == representatives_by_inverse(self)
+            return
+        try:
+            quot.representatives()
+        except ValueError as exc:
+            assert "infinite" in str(exc)
+        else:
+            raise AssertionError("an infinite quotient listed representatives")

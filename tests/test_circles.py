@@ -310,6 +310,20 @@ def test_iso_negative_on_finite_sl_component():
             assert not ci.are_isomorphic(a, b)
 
 
+def test_slope_residues_names_an_infinite_quotient():
+    # w fixes ker(1 − w), of rank the torus rank: the identity of GL₂ fixes
+    # all of M̌, and a 3-cycle of GL₃ the line of (1, 1, 1); a Coxeter
+    # element of SL₃ fixes nothing, and its 3 residues are listed
+    for family, n, w_idx, rank in (("GL", 2, None, 2), ("GL", 3, 1, 1)):
+        g = build_group(family, n)
+        w_idx = g.weyl.identity_idx if w_idx is None else w_idx
+        assert ci.component_for_class(g, w_idx).torus_rank == rank
+        with pytest.raises(ValueError, match=f"field 'w': Weyl element {w_idx} fixes a rank-{rank} sublattice.*infinite"):
+            ci.slope_residues(g, w_idx)
+    g = build_group("SL", 3)
+    assert len(ci.slope_residues(g, _indecomposable_rep(g))) == 3
+
+
 def _indecomposable_rep(g):
     return verify.indecomposable_class_rep(g)
 
@@ -332,8 +346,8 @@ def test_iso_agrees_with_bounded_gauge_search():
             w2 = w.mul(w.mul(v_idx, a.mono_idx), w.inverse[v_idx])
             if w2 != b.mono_idx:
                 continue
-            vmat = w.element(v_idx).matrix
-            w2mat = w.element(b.mono_idx).matrix
+            vmat = w.matrices[v_idx]
+            w2mat = w.matrices[b.mono_idx]
             amat = la.mat_sub(la.identity_matrix(n), w2mat)
             vm = la.mat_vec(vmat, a.slope)
             for k in ks:
@@ -643,8 +657,8 @@ def ref_gauge_transform(c, k, beta, v):
     k = semiring.checked_vector("k", k, c.group.rank, semiring.checked_integer)
     beta = semiring.checked_vector("beta", beta, c.group.rank, semiring.checked_rational)
     w2_idx = w.conj(v_idx, c.mono_idx)
-    vmat = w.element(v_idx).matrix
-    w2mat = w.element(w2_idx).matrix
+    vmat = w.matrices[v_idx]
+    w2mat = w.matrices[w2_idx]
     m = la.vec_add(k, la.vec_sub(la.mat_vec(vmat, c.slope), la.mat_vec(w2mat, k)))
     shifted = la.vec_add(beta, la.vec_scale(c.length, k))
     alpha = la.vec_add(beta, la.vec_sub(la.mat_vec(vmat, c.offset), la.mat_vec(w2mat, shifted)))
@@ -717,9 +731,9 @@ def ref_isomorphism_witness(a, b):
     for v_idx in range(len(w)):
         if w.conj(v_idx, a.mono_idx) != b.mono_idx:
             continue
-        w2mat = w.element(b.mono_idx).matrix
+        w2mat = w.matrices[b.mono_idx]
         amat = la.mat_sub(la.identity_matrix(len(w2mat)), w2mat)
-        vmat = w.element(v_idx).matrix
+        vmat = w.matrices[v_idx]
         sol = integer_solve(amat, la.vec_sub(b.slope, la.mat_vec(vmat, a.slope)))
         if sol is None:
             continue

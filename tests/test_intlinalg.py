@@ -6,10 +6,11 @@ import random
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lattice_oracles import (
+    EagerQuotient,
     group_inverse,
     int_det,
     integer_solve,
@@ -109,6 +110,13 @@ def test_integer_rref_of_degenerate_shapes(a):
         assert rref_inverse_or_none(a) == fraction_inverse(a)
 
 
+def snf(a):
+    """(d, u, u⁻¹): the library's Smith normal form with its row operations
+    replayed into u and u⁻¹."""
+    d, ops = la.smith_normal_form(a)
+    return (d, *la.snf_transforms(ops, len(a)))
+
+
 def snf_transforms(a, d, u, u_inv):
     """v from the v-carrying oracle, after checking that the library's (d, u)
     is the oracle's and that u·u⁻¹ = 1."""
@@ -121,7 +129,7 @@ def snf_transforms(a, d, u, u_inv):
 @given(small_mats)
 @settings(max_examples=120)
 def test_snf_properties(a):
-    d, u, u_inv = la.smith_normal_form(a)
+    d, u, u_inv = snf(a)
     v = snf_transforms(a, d, u, u_inv)
     assert la.mat_mul(la.mat_mul(u, a), v) == d
     assert abs(int_det(u)) == 1
@@ -156,7 +164,7 @@ def test_snf_properties(a):
     ],
 )
 def test_snf_of_degenerate_shapes(a):
-    d, u, u_inv = la.smith_normal_form(a)
+    d, u, u_inv = snf(a)
     v = snf_transforms(a, d, u, u_inv)
     assert la.mat_mul(la.mat_mul(u, a), v) == d
     assert abs(int_det(u)) == abs(int_det(v)) == 1
@@ -224,10 +232,35 @@ def test_quotient_lattice_flips_a_free_row_with_its_column_of_u_inverse():
         gens = [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(rng.randint(0, n))]
         quot = la.QuotientLattice(n, gens)
         nonzero = [g for g in gens if not la.is_zero_vec(g)]
-        _, u, _ = la.smith_normal_form(la.transpose(nonzero) if nonzero else la.zero_matrix(n, 1))
-        flipped += quot._u != u
-        assert la.mat_mul(quot._u, quot._u_inv) == la.identity_matrix(n)
+        _, u, _ = snf(la.transpose(nonzero) if nonzero else la.zero_matrix(n, 1))
+        flipped += quot.transforms[0] != u
+        assert la.mat_mul(*quot.transforms) == la.identity_matrix(n)
     assert flipped > 5
+
+
+# generators as the columns of a matrix: random, rank-deficient (zero among
+# them), and with fewer or more columns than rows; entries up to 4 keep a
+# finite quotient's lifts few enough to list
+quotient_inputs = st.integers(1, 5).flatmap(
+    lambda n: st.integers(0, 6).flatmap(
+        lambda k: st.tuples(
+            st.just(n),
+            st.one_of(int_mats(n, k, st.integers(-4, 4)), low_rank_mats(n, k)) if k else st.just(()),
+            st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n).map(tuple), min_size=1, max_size=3),
+        )
+    )
+)
+
+
+@given(quotient_inputs)
+@settings(max_examples=150)
+def test_lazy_quotient_lattice_matches_the_eager_oracle(case):
+    n, cols, points = case
+    gens = la.transpose(cols) if cols and cols[0] else [(0,) * n]
+    quot = la.QuotientLattice(n, gens)
+    assume(quot.order is None or quot.order <= 2000)
+    assert "transforms" not in vars(quot)  # nothing is replayed before it is read
+    EagerQuotient(n, gens).assert_matches(quot, points)
 
 
 def test_quotient_lattice_of_rank_zero():

@@ -300,7 +300,7 @@ def test_semistable_quotient_theorem_gl4():
 
     def twist(c, t_idx):
         moved = ci.gauge_transform(lift(c), (0,) * 4, (0,) * 4, t_idx)
-        w_idx = matrix_index(levi.weyl)[big.weyl.element(moved.mono_idx).matrix]
+        w_idx = matrix_index(levi.weyl)[big.weyl.matrices[moved.mono_idx]]
         return ci.cocycle(levi, moved.slope, moved.offset, w_idx, c.length)
 
     def orbit_isomorphic(c1, c2):
@@ -372,7 +372,7 @@ def ref_slope(g, positions, lam):
 def ref_conjugates(c):
     """(vwv⁻¹, v·m) for every v ∈ W, conjugating with two products and an inverse."""
     w = c.group.weyl
-    return [(w.mul(w.mul(v, c.mono_idx), w.inverse[v]), la.mat_vec(w.element(v).matrix, c.slope)) for v in range(len(w))]
+    return [(w.mul(w.mul(v, c.mono_idx), w.inverse[v]), la.mat_vec(w.matrices[v], c.slope)) for v in range(len(w))]
 
 
 def ref_reduced_slopes(conjugates, sub):

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from lattice_oracles import (
+    EagerQuotient,
     char_action_matrix,
     int_det,
     mat_to_int,
@@ -20,6 +21,7 @@ from weyl_oracles import (
     centralizer_by_scan,
     factor_model,
     full_cycle_products,
+    identity_perm,
     levi_group,
     matrix_index,
     normalizer,
@@ -33,7 +35,7 @@ from tropgroups import verify, weyl
 from tropgroups.errors import InvariantError
 from tropgroups import groups as gr
 from tropgroups.groups import build_group
-from tropgroups.permutations import compose_perm, identity_perm
+from tropgroups.permutations import compose_perm
 
 
 def group(family, n):
@@ -87,16 +89,16 @@ def test_guard():
 
 def test_deterministic_order():
     w = group("GL", 3)
-    mats = [e.matrix for e in w.elements]
-    assert mats == sorted(mats)
+    mats = list(w.matrices)
+    assert mats == sorted(mats) == [e.matrix for e in w.elements]
 
 
 def test_elements_share_their_rows():
     # GL₅'s 120 permutation matrices have 5 distinct rows, Sp₃'s 48 signed ones 6
     for (family, n), distinct in {("GL", 5): 5, ("Sp", 3): 6}.items():
         w = group(family, n)
-        rows = {id(r) for e in w.elements for r in e.matrix}
-        assert len(rows) == len({r for e in w.elements for r in e.matrix}) == distinct
+        rows = {id(r) for m in w.matrices for r in m}
+        assert len(rows) == len({r for m in w.matrices for r in m}) == distinct
 
 
 def test_conjugacy_classes_s3():
@@ -375,11 +377,11 @@ GRID = [
 
 # the matrix products that the permutation kernel replaced, kept as the reference
 def ref_mul(w, i, j):
-    return matrix_index(w)[la.mat_mul(w.element(i).matrix, w.element(j).matrix)]
+    return matrix_index(w)[la.mat_mul(w.matrices[i], w.matrices[j])]
 
 
 def ref_inv(w, i):
-    return matrix_index(w)[mat_to_int(rational_inverse(w.element(i).matrix))]
+    return matrix_index(w)[mat_to_int(rational_inverse(w.matrices[i]))]
 
 
 def ref_classes(w):
@@ -469,12 +471,12 @@ def dense_closure(gen_mats, gen_perms, rank, degree):
 )
 def test_closure_matches_dense_closure(family, n):
     w = kernel_group(family, n)
-    gen_mats = [w.element(g).matrix for g in w.simple_gens]
+    gen_mats = [w.matrices[g] for g in w.simple_gens]
     if family != "AmbientSp":  # the groups with a root datum
         g = levi_group(build_group("Sp", n), (0, 2, 3))[0] if family == "Levi of Sp" else build_group(family, n)
         assert gen_mats == [g.datum.cochar_reflection_matrix(i) for i in g.datum.simple]
     mats, perms, gens = dense_closure(gen_mats, [w.perm(g) for g in w.simple_gens], w.rank, len(w.perms[0]))
-    assert [e.matrix for e in w.elements] == mats
+    assert list(w.matrices) == mats
     assert list(w.perms) == perms
     assert list(w.simple_gens) == gens
 
@@ -529,7 +531,7 @@ def test_closure_names_a_degree_past_256():
 @pytest.mark.parametrize("family,n", [("GL", 4), ("SO_even", 4), ("AmbientSp", 2)])
 def test_guard_is_exact(family, n):
     w = kernel_group(family, n)
-    gen_mats = [w.element(g).matrix for g in w.simple_gens]
+    gen_mats = [w.matrices[g] for g in w.simple_gens]
     assert len(weyl.generate(gen_mats, kernel_model(family, n), guard=len(w))) == len(w)
     with pytest.raises(weyl.GuardExceededError):
         weyl.generate(gen_mats, kernel_model(family, n), guard=len(w) - 1)
@@ -612,7 +614,7 @@ def test_closure_rejects_every_mutated_model(family, n):
     closure finds it.  That happens once each for Sp₂ and SO_odd₂ (s₁ flipped
     to −1, with s₀ a Coxeter system of type A₁ × A₁) and for the Levi of Sp₄."""
     w = kernel_group(family, n)
-    mats = [w.element(g).matrix for g in w.simple_gens]
+    mats = [w.matrices[g] for g in w.simple_gens]
     model = kernel_model(family, n)
     built = 0
     for t, m in enumerate(mats):
@@ -626,7 +628,7 @@ def test_closure_rejects_every_mutated_model(family, n):
                     continue
                 built += 1
                 perms = [weyl._model_perm(model, g) for g in gens]
-                assert ([e.matrix for e in x.elements], list(x.perms)) == dense_closure(gens, perms, w.rank, len(model))[:2]
+                assert (list(x.matrices), list(x.perms)) == dense_closure(gens, perms, w.rank, len(model))[:2]
     assert built == int((family, n) in [("Sp", 2), ("SO_odd", 2), ("Levi of Sp", 4)])
 
 
@@ -725,7 +727,7 @@ def test_classify_centralizer_order_is_centralizer_size(family, n):
 @pytest.mark.parametrize("family,n", GRID)
 def test_order_of_is_the_matrix_order(family, n):
     w = group(family, n)
-    assert [w.order_of(i) for i in range(len(w))] == [matrix_order(e.matrix) for e in w.elements]
+    assert [w.order_of(i) for i in range(len(w))] == [matrix_order(m) for m in w.matrices]
 
 
 # SO_even5 has the one class on these groups with two distinct torsion factors, (2, 2, 4)
@@ -753,16 +755,31 @@ def test_representatives_match_the_rational_inverse_lifts(family, n):
             assert quotient.representatives() == representatives_by_inverse(quotient)
 
 
+@pytest.mark.parametrize("family,n", GRID + [("GL", 7), ("Sp", 5)])
+def test_lazy_quotients_match_the_eager_oracle_on_classify(family, n):
+    # every class quotient M̌/(1 − w)M̌ and π₁, built as classify builds them,
+    # against the oracle that forms u, u⁻¹ and the lifts at once
+    g = build_group(family, n)
+    points = [la.identity_matrix(g.rank)[0], tuple(range(1, g.rank + 1)), tuple((-3) ** i for i in range(g.rank))]
+    cases = [(g.pi1, g.datum.coroots)]
+    for cls in g.weyl.conjugacy_classes():
+        w = g.weyl.matrices[cls[0]]
+        cases.append((circles._cycle_quotient(g, cls[0]), la.transpose(la.mat_sub(la.identity_matrix(g.rank), w))))
+    for quotient, gens in cases:
+        EagerQuotient(g.rank, gens).assert_matches(quotient, points)
+
+
 @pytest.mark.parametrize("family,n", GRID)
 def test_snf_matches_the_v_carrying_oracle_on_classify(family, n):
     # the class matrices 1 − w and the π₁ coroot matrix: the library's (d, u)
-    # is the oracle's, and it carries the inverse of that u
+    # is the oracle's, and its row operations replay into the inverse of that u
     g = build_group(family, n)
     ident = la.identity_matrix(g.rank)
-    mats = [la.mat_sub(ident, g.weyl.element(cls[0]).matrix) for cls in g.weyl.conjugacy_classes()]
+    mats = [la.mat_sub(ident, g.weyl.matrices[cls[0]]) for cls in g.weyl.conjugacy_classes()]
     for a in mats + [la.transpose(g.datum.coroots)]:
-        d, u, u_inv = la.smith_normal_form(a)
+        d, ops = la.smith_normal_form(a)
+        u, u_inv = la.snf_transforms(ops, len(a))
         assert (d, u) == smith_normal_form_with_v(a)[:2]
         assert la.mat_mul(u, u_inv) == ident
     for quotient in [g.pi1] + [circles._cycle_quotient(g, cls[0]) for cls in g.weyl.conjugacy_classes()]:
-        assert la.mat_mul(quotient._u, quotient._u_inv) == ident
+        assert la.mat_mul(*quotient.transforms) == ident

@@ -49,15 +49,23 @@ def count_calls(monkeypatch, owner, *names) -> Counter:
 def test_cold_classify_grid_budget(monkeypatch):
     monkeypatch.setattr(groups, "_GROUP_CACHE", {})
     closure = count_calls(monkeypatch, weyl, "_times", "_model_perm", "_check_presentation")
-    algebra = count_calls(monkeypatch, la, "smith_normal_form", "integer_rref")
+    algebra = count_calls(monkeypatch, la, "smith_normal_form", "snf_transforms", "integer_rref")
+    views = {}
     for family, n in CLASSIFY_GRID:
         groups._GROUP_CACHE.clear()  # each case builds its group cold, as a fresh process does
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["classify", family, str(n), "--j", "1"]) == 0
+        w = groups._GROUP_CACHE[family, n].weyl
+        views[family, n] = [name for name in ("perms", "_by_perm", "elements", "inverse") if name in vars(w)]
     # the closure multiplies once per discovery edge, Σ(|W| − 1) = 2,249 over
     # the grid, and 340 times for the words of the Coxeter presentation
     assert closure == {"_times": 2589, "_model_perm": 55, "_check_presentation": 17}
-    assert algebra == {"smith_normal_form": 157, "integer_rref": 0}
+    # one elimination per class quotient (144) and per π₁ (13: a GL group has
+    # no finite quotient, so no degree to project); u and u⁻¹ are replayed for
+    # the 31 finite quotients, whose lifts are read, and the 13 π₁ they project to
+    assert algebra == {"smith_normal_form": 157, "snf_transforms": 44, "integer_rref": 0}
+    # the report reads the matrices and the tables: no permutation view is built
+    assert views == {case: [] for case in CLASSIFY_GRID}
 
 
 def iso_pairs():

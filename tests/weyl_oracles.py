@@ -10,7 +10,8 @@ relative-Weyl coset comparison built from permutation products, the oracle
 for ``weyl.relative_weyl_check``, the factor-permutation model of a
 type-∏A parabolic, the oracle for ``WeylGroup.parabolic`` paths and
 ``Parabolic.indecomposables``, and a standard parabolic as a standalone
-group with its inclusion homomorphism."""
+group with its inclusion homomorphism, and the identity permutation that
+these oracles and the closure tests start from."""
 
 from __future__ import annotations
 
@@ -23,19 +24,23 @@ from tropgroups import intlinalg as la
 from tropgroups import weyl
 from tropgroups.errors import InvariantError
 from tropgroups.groups import TropGroupHom, TropicalGroup, make_hom
-from tropgroups.permutations import compose_perm, cycles_of, identity_perm
+from tropgroups.permutations import compose_perm, cycles_of
 from tropgroups.weyl import RelativeWeylResult, WeylGroup
+
+
+def identity_perm(n: int) -> tuple[int, ...]:
+    return tuple(range(n))
 
 
 @functools.cache
 def matrix_index(w: WeylGroup) -> dict:
     """The index of each element of W by its matrix, a tuple of row tuples."""
-    return {e.matrix: i for i, e in enumerate(w.elements)}
+    return {m: i for i, m in enumerate(w.matrices)}
 
 
 def centralizer_by_scan(w: WeylGroup, i: int) -> tuple[int, ...]:
     """The g with g·i·g⁻¹ = i, by conjugating i by every element of W."""
-    return tuple(g for g in range(len(w.elements)) if w.conj(g, i) == i)
+    return tuple(g for g in range(len(w)) if w.conj(g, i) == i)
 
 
 def subgroup_closure(w: WeylGroup, gen_indices: Sequence[int]) -> tuple[int, ...]:
@@ -62,7 +67,7 @@ def parabolic_closure(w: WeylGroup, positions: Sequence[int]) -> tuple[int, ...]
 def normalizer(w: WeylGroup, subgroup: Sequence[int]) -> tuple[int, ...]:
     sub = frozenset(subgroup)
     return tuple(
-        g for g in range(len(w.elements)) if all(w.conj(g, s) in sub for s in sub)
+        g for g in range(len(w)) if all(w.conj(g, s) in sub for s in sub)
     )
 
 
@@ -103,7 +108,7 @@ def levi_group(g: TropicalGroup, positions) -> tuple[TropicalGroup, TropGroupHom
     datum = levi_datum_by_span(g.datum, positions)
     # the span filter lists the chosen simple roots in sorted position order
     gens = [g.weyl.simple_gens[p] for p in sorted(set(positions))]
-    mats = [g.weyl.element(i).matrix for i in gens]
+    mats = [g.weyl.matrices[i] for i in gens]
     # a subgroup of g.weyl on g's model map, so the order of g.weyl is the guard
     sub = TropicalGroup(weyl.generate(mats, g.model[0], len(g.weyl)), datum, g.model)
     inclusion = make_hom(sub, g, la.identity_matrix(g.rank), lambda i: g.weyl.perm_idx(sub.weyl.perm(i)))
