@@ -119,14 +119,14 @@ def gauge_transform(c: CircleCocycle, k: Sequence[int], beta: Sequence, v) -> Ci
     cocycle checks m, α and w: integral k and rational β of the group's rank,
     and v a Weyl element index.
 
-    The monodromy v·w·v⁻¹ is two products.  The offset is computed on the
+    The monodromy v·w·v⁻¹ is one conjugation.  The offset is computed on the
     integer numerators of α, β and j over one denominator d, so the only
     Fractions made are its r entries."""
     w, rank = c.group.weyl, c.group.rank
     v_idx = w.check_idx("v", v)
     k = semiring.checked_vector("k", k, rank, semiring.checked_integer)
     beta = semiring.checked_vector("beta", beta, rank, semiring.checked_rational)
-    w2_idx = w.mul(w.mul(v_idx, c.mono_idx), w.inverse[v_idx])
+    w2_idx = w.conj(v_idx, c.mono_idx)
     vmat = w.matrices[v_idx]
     w2mat = w.matrices[w2_idx]
     m = la.vec_add(k, la.vec_sub(la.mat_vec(vmat, c.slope), la.mat_vec(w2mat, k)))

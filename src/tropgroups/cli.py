@@ -137,11 +137,14 @@ def _emit(data, out_path) -> None:
 
 
 def _circle_length(text: str):
-    """The rational given as --j; a ValueError naming the option otherwise."""
+    """The positive rational given as --j; a ValueError naming the option otherwise."""
     try:
-        return semiring.rational_from_str(text)
+        j = semiring.rational_from_str(text)
     except ValueError as exc:
         raise ValueError(f"--j: {exc}") from None
+    if j <= 0:
+        raise ValueError(f"--j: circle length must be positive, not {text}")
+    return j
 
 
 def _load_cocycles(args, group):
@@ -193,9 +196,7 @@ def cmd_group_info(args) -> dict:
 
 
 def cmd_classify(args) -> dict:
-    j = _circle_length(args.j)
-    if j <= 0:
-        raise ValueError("--j: circle length must be positive")
+    _circle_length(args.j)
     comps = circles.classify_components(_group(args))
     return {
         "family": args.family,

@@ -37,7 +37,7 @@ from .errors import InvariantError
 from .intlinalg import Mat, Vec
 from .rootdata import RootDatum
 from .semiring import TropMatrix, checked_integer, checked_rational, checked_vector, invert_or_decompose
-from .weyl import Parabolic, WeylElement, WeylGroup
+from .weyl import Parabolic, WeylGroup
 
 
 class ParentMismatchError(ValueError):
@@ -154,10 +154,6 @@ class TropGroupElement:
     group: TropicalGroup
     m: tuple
     w_idx: int
-
-    @property
-    def w(self) -> WeylElement:
-        return self.group.weyl.element(self.w_idx)
 
     def __repr__(self):
         return f"({self.m}, w{self.w_idx})"
@@ -282,13 +278,13 @@ def build_group(family: str, n: int = 0, guard: int = weyl.DEFAULT_GUARD) -> Tro
     n = checked_integer("n", n)
     if family not in rootdata.FAMILIES:
         raise ValueError(f"unknown family {family!r}; the families are {', '.join(rootdata.FAMILIES)}")
-    # the guard holds before anything is built: |W| = n! for type A, ∏ 2t = 2ⁿ·n! for B, C,
-    # ∏_{t≥2} 2t for D, 12 for G₂, stopped past the guard; an invalid n has no factors
+    # the guard holds before anything is built: |W| is the product of the order factors of the
+    # family's Coxeter type, stopped past the guard; an invalid n has no factors
     if family == "G2":
-        factors = [12] if n == 0 else []
+        factors = weyl.order_factors("G", 2) if n == 0 else ()
     else:
-        start, step = {"Sp": (2, 2), "SO_odd": (2, 2), "SO_even": (4, 2)}.get(family, (1, 1))
-        factors = range(start, step * n + 1, step)
+        kind = {"Sp": "B", "SO_odd": "B", "SO_even": "D"}.get(family, "A")
+        factors = weyl.order_factors(kind, n - 1 if kind == "A" else n)
     order = 1
     for factor in factors:
         order *= factor

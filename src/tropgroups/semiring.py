@@ -2,7 +2,7 @@
 
 Values live in 𝕋 = ℚ ∪ {∞} with a ⊕ b = min(a, b) and a ⊙ b = a + b; finite
 parts are exact rationals.  Invertible matrices are exactly the generalized
-permutation matrices D(y)⊙P_σ, and ``try_decompose`` reads (y, σ) off one.
+permutation matrices D(y)⊙P_σ, and ``invert_or_decompose`` reads (y, σ) off one.
 Membership in a classical group or G₂ is decided by ``groups.from_matrix``
 as the image of the group's model map.
 """
@@ -281,31 +281,22 @@ class GenPermDecomposition:
         return TropMatrix.gen_perm(self.diag, self.perm)
 
 
-def try_decompose(a: TropMatrix) -> Optional[GenPermDecomposition]:
+def invert_or_decompose(a: TropMatrix) -> GenPermDecomposition:
+    """Decompose an invertible matrix as D(y)⊙P_σ.
+
+    Raises NotInvertibleError when the matrix is not square or some row or
+    column does not have exactly one finite entry.
+    """
     n = a.n_rows
     if n != a.n_cols:
-        return None
+        raise NotInvertibleError(f"a {n}×{a.n_cols} matrix is not square")
     sigma = [None] * n
     diag = [None] * n
     for i, row in enumerate(a.entries):
         finite = [j for j, e in enumerate(row) if e.q is not None]
-        if len(finite) != 1:
-            return None
+        if len(finite) != 1 or sigma[finite[0]] is not None:
+            raise NotInvertibleError("matrix has a row or column without exactly one finite entry")
         j = finite[0]
-        if sigma[j] is not None:
-            return None
         sigma[j] = i
         diag[i] = row[j].q
     return GenPermDecomposition(tuple(diag), tuple(sigma))
-
-
-def invert_or_decompose(a: TropMatrix) -> GenPermDecomposition:
-    """Decompose an invertible matrix as D(y)⊙P_σ.
-
-    Raises NotInvertibleError when some row or column does not have exactly
-    one finite entry.
-    """
-    dec = try_decompose(a)
-    if dec is None:
-        raise NotInvertibleError("matrix has a row or column without exactly one finite entry")
-    return dec

@@ -25,13 +25,16 @@ def indecomposable_class_rep(g: TropicalGroup) -> int:
     return g.weyl.parabolic(range(len(g.datum.simple))).indecomposables[0]
 
 
-def count_component_classes(g: TropicalGroup, j, w_idx: int) -> int:
+def count_component_classes(g: TropicalGroup, w_idx: int) -> int:
     """Isomorphism classes with the given monodromy, by explicit enumeration.
 
     Only valid for finite components (no torus part): slope residues with
-    offset zero hit every class, and the iso tester deduplicates them.
+    offset zero hit every class, and the iso tester deduplicates them.  The
+    count takes no circle length j, which only scales the offset torus: with
+    zero offsets the witness's k = A^#·r involves no j, and its offset
+    equation is then always solvable, so the cocycles are built at j = 1.
     """
-    reps = [circles.cocycle(g, m, (0,) * g.rank, w_idx, j) for m in circles.slope_residues(g, w_idx)]
+    reps = [circles.cocycle(g, m, (0,) * g.rank, w_idx, 1) for m in circles.slope_residues(g, w_idx)]
     distinct = []
     for c in reps:
         if not any(circles.are_isomorphic(c, d) for d in distinct):
@@ -39,18 +42,17 @@ def count_component_classes(g: TropicalGroup, j, w_idx: int) -> int:
     return len(distinct)
 
 
-def _full_cycle_count(family: str, n: int, j, guard: int):
+def _full_cycle_count(family: str, n: int, guard: int):
     """The component of the full-cycle class of the group and its isomorphism
     classes counted by enumeration."""
-    j = circles.checked_length(j)
     g = build_group(family, n, guard)
     rep = indecomposable_class_rep(g)
-    return circles.component_for_class(g, rep), count_component_classes(g, j, rep)
+    return circles.component_for_class(g, rep), count_component_classes(g, rep)
 
 
-def sl_count(n: int, j=1, guard: int = DEFAULT_GUARD) -> dict:
+def sl_count(n: int, guard: int = DEFAULT_GUARD) -> dict:
     """SL_n with full-cycle monodromy: n classes and no torus, in closed form and enumerated."""
-    comp, enumerated = _full_cycle_count("SL", n, j, guard)
+    comp, enumerated = _full_cycle_count("SL", n, guard)
     ok = comp.component_size == n and enumerated == n and comp.torus_rank == 0
     return {
         "suite": "sl-count",
@@ -62,9 +64,9 @@ def sl_count(n: int, j=1, guard: int = DEFAULT_GUARD) -> dict:
     }
 
 
-def pgl_count(n: int, j=1, guard: int = DEFAULT_GUARD) -> dict:
+def pgl_count(n: int, guard: int = DEFAULT_GUARD) -> dict:
     """PGL_n with full-cycle monodromy: π₁ = ℤ/n and n classes, in closed form and enumerated."""
-    comp, enumerated = _full_cycle_count("PGL", n, j, guard)
+    comp, enumerated = _full_cycle_count("PGL", n, guard)
     ok = comp.invariant_factors == (n,) and enumerated == n and comp.torus_rank == 0
     return {
         "suite": "pgl-count",
@@ -214,20 +216,23 @@ def semistable_by_multiline(c: circles.CircleCocycle) -> bool:
     return len(slopes) <= 1
 
 
-def stability_multiline(n: int, samples: int = 100, seed: int = 0, j=1, guard: int = DEFAULT_GUARD) -> dict:
+def stability_multiline(n: int, samples: int = 100, seed: int = 0, guard: int = DEFAULT_GUARD) -> dict:
     """The slope semistability verdict against the equal-slope criterion of the
     pushforward of line bundles, on random GL_n cocycles.
 
-    A report with a disagreeing trial names the first one in ``first_failure``:
-    its index, the seed, the cocycle and both answers, enough to rerun it.
+    Neither answer depends on the circle length j, so the cocycles are built
+    at j = 1: a verdict reads only m and w, and the equal-slope test compares
+    deg/(ℓ·j) across the cover components, where the common factor j drops
+    out.  A report with a disagreeing trial names the first one in
+    ``first_failure``: its index, the seed, the cocycle and both answers,
+    enough to rerun it.
     """
     if samples < 1:
         raise ValueError(f"samples must be a positive count, not {samples}")
-    jq = circles.checked_length(j)
     g = build_group("GL", n, guard)
 
     def trial(t, rng):
-        c = sample_gl_cocycle(rng, g, jq)
+        c = sample_gl_cocycle(rng, g, 1)
         verdict = stability.stability_verdict(c).semistable
         multiline = semistable_by_multiline(c)
         return verdict == multiline, {

@@ -50,7 +50,7 @@ import functools
 import itertools
 import operator
 from dataclasses import dataclass, field
-from math import factorial, lcm
+from math import lcm, prod
 from typing import Optional, Sequence
 
 from . import intlinalg as la
@@ -413,15 +413,21 @@ def _check_presentation(gens, ident: Mat, rows: dict, order: int) -> None:
         )
 
 
+def order_factors(kind: str, k: int):
+    """The order of the Weyl group of type kind_k as increasing factors, so
+    that a product of them can stop past a bound: 1·2⋯(k+1) for A_k (so
+    the trivial A₀ has one), 2ᵏ·k! for B_k = C_k, 2ᵏ⁻¹·k! for D_k and 12 for
+    G₂; an invalid k has none."""
+    if kind == "G":
+        return (12,)
+    start, step, stop = {"A": (1, 1, k + 1), "B": (2, 2, 2 * k), "D": (4, 2, 2 * k)}[kind]
+    return range(start, stop + 1, step)
+
+
 def _coxeter_order(m: Sequence[Sequence[int]]) -> int:
     """The order of the Coxeter group with Coxeter matrix m: the product over
-    the components of its diagram (``_diagram``) of (k+1)! for A_k, 2ᵏ·k! for
-    B_k = C_k, 2ᵏ⁻¹·k! for D_k and 12 for G₂."""
-    order = 1
-    for kind, nodes in _diagram(m):
-        k = len(nodes)
-        order *= {"A": factorial(k + 1), "B": 2**k * factorial(k), "D": 2 ** (k - 1) * factorial(k), "G": 12}[kind]
-    return order
+    the components of its diagram (``_diagram``) of their ``order_factors``."""
+    return prod(prod(order_factors(kind, len(nodes))) for kind, nodes in _diagram(m))
 
 
 def _diagram(m: Sequence[Sequence[int]]) -> list[tuple[str, tuple[int, ...]]]:

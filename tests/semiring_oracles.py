@@ -24,6 +24,7 @@ from tropgroups.semiring import (
     INF,
     ZERO,
     GenPermDecomposition,
+    NotInvertibleError,
     TropMatrix,
     TropValue,
     checked_integer,
@@ -32,7 +33,6 @@ from tropgroups.semiring import (
     rational_from_str,
     tadd,
     tmul,
-    try_decompose,
     tsum,
 )
 
@@ -228,6 +228,15 @@ def _signed_involution(dec: GenPermDecomposition, iota: tuple[int, ...]) -> bool
     return commutes(dec.perm, iota) and all(dec.diag[iota[i]] == -dec.diag[i] for i in range(len(iota)))
 
 
+def is_invertible(a: TropMatrix) -> bool:
+    """invert_or_decompose reads a generalized permutation matrix off a."""
+    try:
+        invert_or_decompose(a)
+    except NotInvertibleError:
+        return False
+    return True
+
+
 def check_symplectic(a: TropMatrix) -> bool:
     """Membership in the 2n×2n tropical symplectic group.
 
@@ -237,8 +246,9 @@ def check_symplectic(a: TropMatrix) -> bool:
     n2 = a.n_rows
     if n2 != a.n_cols or n2 % 2 != 0:
         raise ValueError("matrix must be square of even size")
-    dec = try_decompose(a)
-    if dec is None:
+    try:
+        dec = invert_or_decompose(a)
+    except NotInvertibleError:
         return False
     iota = sign_involution(n2)
     constrained = _signed_involution(dec, iota)
@@ -259,8 +269,9 @@ def check_orthogonal(a: TropMatrix) -> str:
     m = a.n_rows
     if m != a.n_cols:
         raise ValueError("matrix must be square")
-    dec = try_decompose(a)
-    if dec is None:
+    try:
+        dec = invert_or_decompose(a)
+    except NotInvertibleError:
         return "not_member"
     constrained = _signed_involution(dec, sign_involution(m))
     if m % 2 == 1:
@@ -280,8 +291,9 @@ def check_g2(a: TropMatrix) -> bool:
     coordinate, y₇ = 0, and (y₁..y₆) satisfying the five linear relations."""
     if a.n_rows != 7 or a.n_cols != 7:
         raise ValueError("matrix must be 7×7")
-    dec = try_decompose(a)
-    if dec is None:
+    try:
+        dec = invert_or_decompose(a)
+    except NotInvertibleError:
         return False
     y = dec.diag
     sigma = dec.perm

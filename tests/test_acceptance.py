@@ -9,6 +9,8 @@ import random
 import time
 from fractions import Fraction as Q
 
+import pytest
+
 import samplers
 from semiring_oracles import (
     check_g2,
@@ -39,12 +41,14 @@ def test_criterion_1_matrix_group_characterizations():
         ident = sr.TropMatrix.gen_perm((0,) * n, range(n))
         assert trop_matrix_mul(good, decomposition_inverse(dec).matrix()) == ident
         bad = samplers.non_invertible(rng, rng.randint(2, 5))
-        assert sr.try_decompose(bad) is None
+        with pytest.raises(sr.NotInvertibleError):
+            sr.invert_or_decompose(bad)
 
     for _ in range(500):
         n = rng.randint(2, 5)
         member = samplers.sl_member(rng, n)
-        assert sr.trop_det(member) == sr.ZERO and sr.try_decompose(member) is not None
+        assert sr.trop_det(member) == sr.ZERO
+        sr.invert_or_decompose(member)
         violator = samplers.sl_violator(rng, n)
         assert sr.trop_det(violator) != sr.ZERO
 
@@ -52,8 +56,9 @@ def test_criterion_1_matrix_group_characterizations():
         # the projective linear model admits every generalized permutation
         # matrix; violations are exactly the non-invertible matrices
         n = rng.randint(2, 5)
-        assert sr.try_decompose(samplers.gen_perm(rng, n)) is not None
-        assert sr.try_decompose(samplers.non_invertible(rng, n)) is None
+        sr.invert_or_decompose(samplers.gen_perm(rng, n))
+        with pytest.raises(sr.NotInvertibleError):
+            sr.invert_or_decompose(samplers.non_invertible(rng, n))
 
     for _ in range(500):
         n = rng.randint(1, 3)

@@ -175,20 +175,12 @@ def test_multiline_of_reads_j_and_the_permutation_as_cocycle_and_gen_perm_do():
 
 
 def test_verify_suites_read_j_as_cocycle_does():
-    # Fraction(j) ran stability-multiline at j = 0.1 on 3602879701896397/36028797018963968
-    # and let sl-count run at j = True as 1
-    assert verify.stability_multiline(2, samples=4, j=0.1) == verify.stability_multiline(2, samples=4, j="1/10")
-    assert verify.sl_count(2, j=0.1) == verify.sl_count(2, j="1/10")
-    suites = (
-        lambda j: verify.sl_count(2, j=j),
-        lambda j: verify.pgl_count(2, j=j),
-        lambda j: verify.det_homeo(2, 1, samples=1, j=j),
-        lambda j: verify.stability_multiline(2, samples=1, j=j),
-    )
-    for suite in suites:
-        for j in (True, 0, "-1/2"):
-            with pytest.raises(ValueError, match="field 'j'"):
-                suite(j)
+    # Fraction(j) ran a suite at j = 0.1 on 3602879701896397/36028797018963968
+    # and at j = True as 1; det-homeo is the one suite that reads j
+    assert verify.det_homeo(2, 1, samples=4, j=0.1) == verify.det_homeo(2, 1, samples=4, j="1/10")
+    for j in (True, 0, "-1/2"):
+        with pytest.raises(ValueError, match="field 'j'"):
+            verify.det_homeo(2, 1, samples=1, j=j)
     assert ci.multiline_of((1, 0), (0, 0), (1, 0), "1/2") == ci.multiline_of((1, 0), (0, 0), [1, 0], Q(1, 2))
 
 
@@ -866,7 +858,8 @@ def test_cross_class_pairs_have_no_witness(family, n, monkeypatch):
 def test_same_class_witnesses_form_no_conjugate(family, n, monkeypatch):
     """The conjugators of a same-class pair come from the class transversal
     and the centralizer kept per class, so after one warm call the witness
-    search, its self-check included, forms no conjugate with conj."""
+    search forms no conjugate with conj: the one conjugate formed per witness
+    found is the monodromy v·w·v⁻¹ of its self-check's gauge transform."""
     g = build_group(family, n)
     w = g.weyl
     rng = random.Random(f"same class {family} {n}")
@@ -882,10 +875,14 @@ def test_same_class_witnesses_form_no_conjugate(family, n, monkeypatch):
     refs = [ref_isomorphism_witness(a, b) for a, b in pairs]
     assert sum(ref is not None for ref in refs) >= len(pairs) // 2
     ci.isomorphism_witness(*pairs[0])
-    monkeypatch.setattr(weyl.WeylGroup, "conj", None)
+    calls = []
+    real = weyl.WeylGroup.conj
+    monkeypatch.setattr(weyl.WeylGroup, "conj", lambda *args: calls.append(args) or real(*args))
     for (a, b), ref in zip(pairs, refs):
         mine = ci.isomorphism_witness(a, b)
         assert (mine and mine.to_json()) == (ref and ref.to_json()), (a.to_json(), b.to_json())
+        assert calls == ([(w, mine.v_idx, a.mono_idx)] if mine else [])
+        calls.clear()
 
 
 def test_witness_fails_through_the_offset_term_alone():

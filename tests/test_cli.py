@@ -320,11 +320,11 @@ def test_det_homeo_report_is_pinned_under_any_guard(capsys, monkeypatch):
 
 # the options of each verify suite; it rejects every other one
 SUITE_READS = {
-    "sl-count": {"--n", "--j"},
-    "pgl-count": {"--n", "--j"},
+    "sl-count": {"--n"},
+    "pgl-count": {"--n"},
     "det-homeo": {"--n", "--degree", "--d", "--samples", "--seed", "--j"},
     "relative-weyl": set(),
-    "stability-multiline": {"--n", "--samples", "--seed", "--j"},
+    "stability-multiline": {"--n", "--samples", "--seed"},
 }
 
 
@@ -438,8 +438,7 @@ def test_parse_error_exit_code(capsys, tmp_path):
         assert rejected(["classify", "GL", "2", "--j", j], "--j")
     # a circle length with a zero denominator is named, not a traceback
     assert rejected(["classify", "GL", "3", "--j", "1/0"], "'1/0'")
-    for suite in ("sl-count", "pgl-count", "det-homeo"):
-        assert rejected(["verify", suite, "--j", "1/0"], "'1/0'")
+    assert rejected(["verify", "det-homeo", "--j", "1/0"], "'1/0'")
     # a sample count below 1 is rejected, not reported as a failed or a vacuous verification
     assert rejected(["verify", "det-homeo", "--samples", "-3"], "samples")
     assert rejected(["verify", "det-homeo", "--samples", "0"], "samples")
@@ -489,7 +488,7 @@ def test_decimal_exponents_are_bounded(capsys, tmp_path):
         infile.write_text(bare)
         assert rejected(["check-stability", "GL", "1", "--in", str(infile)], f"--in {infile}")
         assert rejected(["classify", "GL", "2", "--j", text], "--j")
-        assert rejected(["verify", "sl-count", "--j", text], "--j")
+        assert rejected(["verify", "det-homeo", "--j", text], "--j")
         nameless = json.dumps({"m": [0], "alpha": [0], "w": 0})
         assert rejected(["check-stability", "GL", "1", "--cocycle", nameless, "--j", text], "'j'")
 

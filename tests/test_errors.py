@@ -63,27 +63,32 @@ def public_definitions(tree: ast.Module):
 
 def test_every_public_name_is_called_or_exported():
     """A public name of the library is exported from the package, or some code
-    in src/ outside its own definition refers to it (a name or an attribute of
-    that name, so a method is found by its name alone)."""
+    in src/ or bench/ outside its own definition refers to it: a function or
+    class by a name or an attribute of that name, a method or property only by
+    an attribute (found by its name alone), so a local variable of the same
+    name does not count."""
     package = SRC / "tropgroups"
     init = ast.parse((package / "__init__.py").read_text())
     exported = {a.name for node in init.body if isinstance(node, ast.ImportFrom) for a in node.names}
-    references = {}  # name -> [(path, line)]
+    names, attributes = {}, {}  # name -> [(path, line)]
     definitions = []
-    for path in sorted(package.glob("*.py")):
+    for path in sorted(package.glob("*.py")) + sorted((ROOT / "bench").glob("*.py")):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text(), str(path))
         if path.parent == package:
             definitions += [(path, name, node) for name, node in public_definitions(tree)]
         for node in ast.walk(tree):
-            if isinstance(node, (ast.Name, ast.Attribute)):
-                name = node.id if isinstance(node, ast.Name) else node.attr
-                references.setdefault(name, []).append((path, node.lineno))
+            if isinstance(node, ast.Name):
+                names.setdefault(node.id, []).append((path, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                attributes.setdefault(node.attr, []).append((path, node.lineno))
     orphans = []
     for path, name, node in definitions:
         inside = range(node.lineno, node.end_lineno + 1)
-        called = any(p != path or line not in inside for p, line in references.get(name.split(".")[-1], ()))
+        short = name.split(".")[-1]
+        references = attributes.get(short, []) + ([] if "." in name else names.get(short, []))
+        called = any(p != path or line not in inside for p, line in references)
         if name not in exported and not called:
             orphans.append(f"{path.stem}.{name}")
     assert orphans == []

@@ -18,6 +18,7 @@ from semiring_oracles import (
     check_g2,
     check_orthogonal,
     check_symplectic,
+    is_invertible,
     normalize_pgl,
     transposition,
     trop_matrix_mul,
@@ -233,9 +234,9 @@ def semiring_definition(family, mat):
     """Membership of a square matrix of the model's size by the literal
     definition of the family over the semiring."""
     if family in ("GL", "PGL"):
-        return sr.try_decompose(mat) is not None
+        return is_invertible(mat)
     if family == "SL":
-        return sr.try_decompose(mat) is not None and sr.trop_det(mat) == sr.fin(0)
+        return is_invertible(mat) and sr.trop_det(mat) == sr.fin(0)
     if family == "Sp":
         return check_symplectic(mat)
     if family == "G2":

@@ -89,6 +89,8 @@ def iso_pairs():
 def test_iso_budget_is_one_rref_per_witness(monkeypatch):
     pairs = iso_pairs()
     calls = count_calls(monkeypatch, la, "integer_rref")
+    # the witness conjugates its monodromy by WeylGroup.conj: no product of two indices
+    products = count_calls(monkeypatch, weyl.WeylGroup, "mul")
     for a, b, isomorphic in pairs:
         before = calls["integer_rref"]
         witness = circles.isomorphism_witness(a, b)
@@ -96,6 +98,7 @@ def test_iso_budget_is_one_rref_per_witness(monkeypatch):
         # the β solve of the witness found; a negative never reaches it
         assert calls["integer_rref"] - before == isomorphic
     assert calls["integer_rref"] == 8
+    assert products["mul"] == 0
 
 
 def test_cold_relative_weyl_budget(monkeypatch):
