@@ -26,7 +26,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from . import circles, semiring, stability, verify
 from .errors import InvariantError
 from .groups import build_group, center_basis
-from .weyl import GuardExceededError
+from .weyl import DEFAULT_GUARD, GuardExceededError
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -36,11 +36,11 @@ EXIT_INVARIANT = 4
 
 
 def _guard(flag) -> int:
-    """The size guard from --guard, else TROPGROUPS_GUARD, else 10000; a
-    ValueError naming its source unless it is an integer of at least 1."""
+    """The size guard from --guard, else TROPGROUPS_GUARD, else DEFAULT_GUARD;
+    a ValueError naming its source unless it is an integer of at least 1."""
     name, value = "--guard", flag
     if flag is None:
-        name, value = "TROPGROUPS_GUARD", os.environ.get("TROPGROUPS_GUARD", "10000")
+        name, value = "TROPGROUPS_GUARD", os.environ.get("TROPGROUPS_GUARD", DEFAULT_GUARD)
     try:
         guard = int(value)
     except ValueError:
@@ -148,6 +148,9 @@ def _circle_length(text: str):
 
 
 def _load_cocycles(args, group):
+    """The cocycles of --in or --cocycle; --j, when given, is read once, before
+    any entry, and is the circle length of the entries that give none."""
+    j = None if args.j is None else _circle_length(args.j)
     if args.infile:
         source = f"--in {args.infile}"
         with open(args.infile) as fh:
@@ -170,8 +173,8 @@ def _load_cocycles(args, group):
         raise ValueError("no cocycle given: the cocycle list is empty")
     out = []
     for pos, entry in enumerate(data):
-        if isinstance(entry, dict) and "j" not in entry and args.j is not None:
-            entry = {**entry, "j": args.j}
+        if isinstance(entry, dict) and "j" not in entry and j is not None:
+            entry = {**entry, "j": j}
         try:
             out.append(circles.cocycle_from_json(group, entry))
         except ValueError as exc:

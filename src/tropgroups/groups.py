@@ -10,7 +10,9 @@ built on first use and kept on it: π₁, the dominance frame
 ``coroot_frame`` (the simple-coroot basis Č with its left inverse), the left
 inverse of the model map, and each standard parabolic
 ``TropicalGroup.parabolic(positions)`` with its Weyl data, π₁(P) and slope
-matrix, read by the stability module.  A group element is a translation m in
+matrix, read by the stability module.  The full parabolic is G and takes
+the group's π₁ and frame; any other but the torus solves its own frame, whose
+columns Č_P generate π₁(P).  A group element is a translation m in
 cocharacter coordinates (exact rationals) together with a Weyl element w;
 the law is (m₁, w₁)·(m₂, w₂) = (m₁ + w₁·m₂, w₁w₂).
 
@@ -37,7 +39,7 @@ from .errors import InvariantError
 from .intlinalg import Mat, Vec
 from .rootdata import RootDatum
 from .semiring import TropMatrix, checked_integer, checked_rational, checked_vector, invert_or_decompose
-from .weyl import Parabolic, WeylGroup
+from .weyl import Parabolic, WeylGroup, simple_positions
 
 
 class ParentMismatchError(ValueError):
@@ -59,7 +61,7 @@ class TropicalGroup:
         self.rank = datum.rank_cochar
         self.family = datum.family
         self.model = model
-        self._parabolics: dict = {}  # sorted simple-root positions -> ParabolicSubgroup, built once
+        self._parabolics: dict = {}  # simple_positions -> ParabolicSubgroup, built once
 
     def __repr__(self):
         tag = "x".join(map(str, self.family)) if self.family else f"rank{self.rank}"
@@ -81,28 +83,28 @@ class TropicalGroup:
     def coroot_frame(self) -> tuple[tuple[Mat, int], tuple[Mat, int]]:
         """The simple-coroot basis Č and its left inverse K⁻¹·A, each as an
         integer matrix over one denominator: the dominance order solves Č·c = v."""
-        coroots, left_inverse = _coroot_frame(self, tuple(range(len(self.datum.simple))))
-        return (coroots, 1), la.lowest_terms(*left_inverse)
+        return _coroot_frame(self, tuple(range(len(self.datum.simple))))
 
     def parabolic(self, positions: Sequence[int]) -> "ParabolicSubgroup":
         """The standard parabolic at the simple-root positions, built once per
-        sorted positions.  A ValueError naming positions unless each is an
-        integer in range(r), read by checked_integer."""
-        positions = tuple(sorted({checked_integer("positions", t) for t in positions}))
+        positions read by ``weyl.simple_positions``."""
+        positions = simple_positions(positions, len(self.datum.simple))
         p = self._parabolics.get(positions)
         if p is None:
             try:
                 wp = self.weyl.parabolic(positions)
             except InvariantError as exc:
                 raise InvariantError(f"parabolic at positions {positions} of {self!r}: {exc}") from None
-            # the full parabolic is G: its π₁ is self.pi1, in the coordinates of circles.degree
-            simple = [self.datum.coroots[self.datum.simple[t]] for t in positions]
-            pi1 = self.pi1 if len(positions) == len(self.datum.simple) else la.QuotientLattice(self.rank, simple)
-            # M_P = I − Č_P·K_P⁻¹·A_P, and I for the torus parabolic, whose Č_P has no columns
-            slope_map = la.identity_matrix(self.rank), 1
-            if positions:
-                coroots, (num, den) = _coroot_frame(self, positions)
-                identity = [la.vec_scale(den, row) for row in slope_map[0]]
+            if not positions:  # the torus parabolic has no frame: M_P = I, and π₁(P) is the whole lattice
+                pi1, slope_map = la.QuotientLattice(self.rank, ()), (la.identity_matrix(self.rank), 1)
+            else:
+                # the full parabolic is G: its frame and π₁ are the group's, π₁ in the
+                # coordinates of circles.degree; π₁(P) is generated by the columns of Č_P
+                full = len(positions) == len(self.datum.simple)
+                (coroots, _), (num, den) = self.coroot_frame if full else _coroot_frame(self, positions)
+                pi1 = self.pi1 if full else la.QuotientLattice(self.rank, la.transpose(coroots))
+                # M_P = I − Č_P·K_P⁻¹·A_P
+                identity = [la.vec_scale(den, row) for row in la.identity_matrix(self.rank)]
                 slope_map = la.lowest_terms(la.mat_sub(identity, la.mat_mul(coroots, num)), den)
             p = self._parabolics[positions] = ParabolicSubgroup(self, wp, pi1, slope_map)
         return p
@@ -126,9 +128,9 @@ class ParabolicSubgroup:
     slope_matrix: tuple[Mat, int]
 
 
-def _coroot_frame(g: TropicalGroup, positions: tuple[int, ...]) -> tuple[Mat, tuple[Mat, int]]:
-    """(Č, (X, D)) with X/D = K⁻¹·A for the simple roots at the positions,
-    exactly; X/D need not be in lowest terms.
+def _coroot_frame(g: TropicalGroup, positions: tuple[int, ...]) -> tuple[tuple[Mat, int], tuple[Mat, int]]:
+    """((Č, 1), (X, D)) with X/D = K⁻¹·A in lowest terms, for the simple roots
+    at the positions, exactly.
 
     Č has their coroots as columns, K = A·Č is their Cartan matrix and A maps
     λ̌ to the pairings ⟨α, λ̌⟩, so K⁻¹·A is a left inverse of Č: it gives the
@@ -143,7 +145,7 @@ def _coroot_frame(g: TropicalGroup, positions: tuple[int, ...]) -> tuple[Mat, tu
         inv, den = la.rref_inverse(cartan)
     except ValueError:
         raise InvariantError(f"simple coroots at positions {positions} are not independent") from None
-    return coroots, (la.mat_mul(inv, pairings), den)
+    return (coroots, 1), la.lowest_terms(la.mat_mul(inv, pairings), den)
 
 
 @dataclass(frozen=True, slots=True)

@@ -51,10 +51,6 @@ class RootDatum:
     family: Optional[tuple[str, int]] = field(default=None, compare=False)
 
     @property
-    def rank_char(self) -> int:
-        return len(self.pairing)
-
-    @property
     def rank_cochar(self) -> int:
         return len(self.pairing[0])
 
@@ -87,17 +83,6 @@ class RootDatum:
             tuple(self.pair(self.roots[t], self.coroots[j]) for j in self.simple)
             for t in self.simple
         )
-
-    def to_json(self):
-        return {
-            "rank_char": self.rank_char,
-            "rank_cochar": self.rank_cochar,
-            "pairing": [list(r) for r in self.pairing],
-            "roots": [list(r) for r in self.roots],
-            "coroots": [list(r) for r in self.coroots],
-            "simple": list(self.simple),
-            "family": list(self.family) if self.family else None,
-        }
 
 
 def _datum(simple_pairs, pairing, family) -> RootDatum:

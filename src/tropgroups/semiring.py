@@ -277,9 +277,6 @@ class GenPermDecomposition:
     diag: tuple[Q, ...]
     perm: tuple[int, ...]
 
-    def matrix(self) -> TropMatrix:
-        return TropMatrix.gen_perm(self.diag, self.perm)
-
 
 def invert_or_decompose(a: TropMatrix) -> GenPermDecomposition:
     """Decompose an invertible matrix as D(y)⊙P_σ.

@@ -103,7 +103,10 @@ def _trials(samples: int, seed: int, trial) -> dict:
     """The sampled half of a report: trial(t, rng) for t < samples on one
     generator seeded with seed, each returning (agrees, details).  The first
     trial that disagrees is named in ``first_failure`` with its index, the
-    seed and its details, enough to rerun it."""
+    seed and its details, enough to rerun it.  A ValueError unless samples
+    is at least 1: a report of no trials would pass vacuously."""
+    if samples < 1:
+        raise ValueError(f"samples must be a positive count, not {samples}")
     rng = random.Random(seed)
     agree = 0
     first_failure = None
@@ -126,8 +129,6 @@ def det_homeo(n: int, d: int, samples: int = 100, seed: int = 0, j=1, guard: int
     A report with a disagreeing trial names the first one in ``first_failure``:
     its index, the seed and both cocycles, enough to rerun it.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be a positive count, not {samples}")
     jq = circles.checked_length(j)
     g = build_group("GL", n, guard)
     if not stability.is_stable_degree(g, (d,) + (0,) * (n - 1)):
@@ -227,8 +228,6 @@ def stability_multiline(n: int, samples: int = 100, seed: int = 0, guard: int = 
     ``first_failure``: its index, the seed, the cocycle and both answers,
     enough to rerun it.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be a positive count, not {samples}")
     g = build_group("GL", n, guard)
 
     def trial(t, rng):

@@ -2,15 +2,16 @@
 
 A group is the closure's data: its matrices, sorted, the one representation
 that the product reads (the action on the lattice, and 1 − w for the class
-quotients), its permutations in a faithful model, its left tables and its
-spanning tree.  Products are looked up in the permutation model, whose views
-(``perms``, the index of a permutation, ``inverse``) are built on first use,
-so a cold classification, which walks the tables alone, builds none of them;
-``elements``, the matrices wrapped as ``WeylElement``, is such a view too,
-kept for the benchmark, which reads it.  A group keeps no root datum:
-``generate``, the one closure, takes the matrices of its simple generators
-and the integer matrix N of a model map, reads each permutation off N, and
-reads the diagram off the matrices' products.  The closure is
+quotients), its permutations in a faithful model, its left tables, its
+spanning tree and the Coxeter matrix of its simple generators.  Products are
+looked up in the permutation model, whose views (``perms``, the index of a
+permutation, ``inverse``) are built on first use, so a cold classification,
+which walks the tables alone, builds none of them; ``elements``, the
+matrices wrapped as ``WeylElement``, is such a view too, kept for the
+benchmark, which reads it.  A group keeps no root datum: ``generate``, the
+one closure, takes the matrices of its simple generators and the integer
+matrix N of a model map, reads each permutation off N, and reads the
+Coxeter matrix off the matrices' products.  The closure is
 breadth-first, keyed by permutation, and frozen in lexicographic
 matrix order, so element indices are deterministic and serializable.
 Inside ``generate`` a permutation is ``bytes``, and an edge is one
@@ -33,10 +34,11 @@ the class, as t_{s·x·s⁻¹} = s·t_x is a left-table lookup.  The centralizer
 C(rep) is found once per class, by one scan of W; the v with v·x·v⁻¹ = y are
 then the coset t_y·C(rep)·t_x⁻¹ (``WeylGroup.conjugators``), and C(x) is
 t_x·C(rep)·t_x⁻¹.  ``WeylGroup.parabolic`` builds each standard parabolic
-once, from one coset walk: a frozen ``Parabolic`` with W_P, its cosets W_P·v,
-the classes it meets and its ∏A diagram, read by the stability module and by
-the functions below.  The parabolic owns what is derived from it, found on
-first use and kept on it: ``Parabolic.normalizer``, N_W(W_P), tested on the
+once, at the positions that ``simple_positions`` reads, from one coset walk:
+a frozen ``Parabolic`` with W_P, its cosets W_P·v, the classes it meets and
+its ∏A diagram, read off the group's Coxeter matrix.  The stability module
+and the functions below read it.  The parabolic owns what is derived from
+it, found on first use and kept on it: ``Parabolic.normalizer``, N_W(W_P), tested on the
 simple reflections of P alone, on indices, and for W_P of type ∏A
 ``Parabolic.indecomposables``, the elements that are a full cycle in every
 factor S_{k+1}: the conjugates of the Coxeter element by W_P (|W_P|
@@ -47,7 +49,6 @@ W_P-cosets that the centralizer meets.
 from __future__ import annotations
 
 import functools
-import itertools
 import operator
 from dataclasses import dataclass, field
 from math import lcm, prod
@@ -80,23 +81,25 @@ class WeylGroup:
     left[t][identity_idx]), and class_id[i] is the position of the class of i
     in conjugacy_classes().  tree is the closure's spanning tree: the
     elements other than the identity in the order found, the generator t and
-    the element p that each was found from, x = s_t·p.  The closure's
-    permutations are kept as ``bytes``; the views on them are built on first
-    use: perms[i], element i in the faithful permutation model that products
-    are looked up in, the lookup from a permutation to its index, and
-    inverse[i], the index of i⁻¹.  So is elements, the matrices wrapped as
-    ``WeylElement`` (read by element(i) and by iteration), which the
-    benchmark reads until it reads matrices."""
+    the element p that each was found from, x = s_t·p.  coxeter[a][b] is the
+    order of s_a·s_b, as the closure's presentation check reads it.  The
+    closure's permutations are kept as ``bytes``; the views on them are
+    built on first use: perms[i], element i in the faithful permutation
+    model that products are looked up in, the lookup from a permutation to
+    its index, and inverse[i], the index of i⁻¹.  So is elements, the
+    matrices wrapped as ``WeylElement``, which the benchmark reads until it
+    reads matrices."""
 
-    def __init__(self, matrices, perms: Sequence[bytes], left, tree, identity_idx: int):
+    def __init__(self, matrices, perms: Sequence[bytes], left, tree, identity_idx: int, coxeter):
         self.matrices: tuple[Mat, ...] = tuple(matrices)
         self._bytes = tuple(perms)
         self.left: tuple[tuple[int, ...], ...] = tuple(left)
         self._tree: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]] = tree
         self.identity_idx = identity_idx
+        self.coxeter: tuple[tuple[int, ...], ...] = coxeter
         self.simple_gens: tuple[int, ...] = tuple([s[identity_idx] for s in self.left])
         self._centralizers: dict = {}  # class id -> permutations of C(rep), found once
-        self._parabolics: dict = {}  # sorted simple-root positions -> Parabolic, built once
+        self._parabolics: dict = {}  # simple_positions -> Parabolic, built once
 
     @functools.cached_property
     def perms(self) -> tuple[tuple[int, ...], ...]:
@@ -114,15 +117,8 @@ class WeylGroup:
     def elements(self) -> tuple[WeylElement, ...]:
         return tuple([WeylElement(m) for m in self.matrices])
 
-    @property
-    def rank(self) -> int:
-        return len(self.matrices[0])
-
     def __len__(self) -> int:
         return len(self.matrices)
-
-    def __iter__(self):
-        return iter(self.elements)
 
     def perm_idx(self, perm: Sequence[int]) -> int:
         """Index of the element with the given permutation."""
@@ -130,9 +126,6 @@ class WeylGroup:
         if i is None:
             raise ValueError("permutation is not in the group")
         return i
-
-    def element(self, i: int) -> WeylElement:
-        return self.elements[i]
 
     def check_idx(self, field: str, w) -> int:
         """w as an element index, read by checked_integer; a ValueError naming
@@ -257,15 +250,12 @@ class WeylGroup:
 
     def parabolic(self, positions: Sequence[int]) -> Parabolic:
         """The standard parabolic at the simple-root positions, built once per
-        sorted positions: its cosets W_P·v are the orbits under the left tables
-        of P's simple reflections, from one walk, and W_P is the coset of the
-        identity.  A ValueError naming positions unless each is an integer
-        in range(r), read by checked_integer."""
-        positions = tuple(sorted({checked_integer("positions", t) for t in positions}))
+        positions read by ``simple_positions``: its cosets W_P·v are the orbits
+        under the left tables of P's simple reflections, from one walk, and W_P
+        is the coset of the identity."""
+        positions = simple_positions(positions, len(self.simple_gens))
         p = self._parabolics.get(positions)
         if p is None:
-            if any(not 0 <= t < len(self.simple_gens) for t in positions):
-                raise ValueError(f"field 'positions': invalid simple-root position in {list(positions)}")
             cosets = self.orbits([self.left[t] for t in positions])
             members = frozenset(next(c for c in cosets if self.identity_idx in c))
             least = [0] * len(self.matrices)
@@ -333,12 +323,24 @@ def generate(gen_mats, model: Mat, guard: int = DEFAULT_GUARD) -> WeylGroup:
                 via.append(t)
                 parent.append(a)
             out.append(b)
-    _check_presentation([ops for ops, _ in gens], ident, rows, len(perms))
+    coxeter = _check_presentation([ops for ops, _ in gens], ident, rows, len(perms))
     order = sorted(range(len(mats)), key=mats.__getitem__)
     index, reorder = invert_perm(order), precompose(order)  # index[a] is the place of a in order
     left = [tuple(map(index.__getitem__, reorder(out))) for out in edges]
     tree = (index[1:], tuple(via), tuple(map(index.__getitem__, parent)))
-    return WeylGroup(reorder(mats), reorder(perms), left, tree, index[0])
+    return WeylGroup(reorder(mats), reorder(perms), left, tree, index[0], coxeter)
+
+
+def simple_positions(positions: Sequence, r: int) -> tuple[int, ...]:
+    """The simple-root positions as a sorted tuple of distinct integers, each
+    read by checked_integer; a ValueError naming positions unless each lies
+    in range(r).  Both parabolic caches are keyed on it, and a verdict looks
+    up 2^r − 1 parabolics, so an int is taken without a call, as
+    checked_integer takes it."""
+    out = tuple(sorted({t if type(t) is int else checked_integer("positions", t) for t in positions}))
+    if out and (out[0] < 0 or out[-1] >= r):
+        raise ValueError(f"field 'positions': invalid simple-root position in {list(out)}")
+    return out
 
 
 def _model_perm(num: Mat, s: Mat) -> Optional[tuple[int, ...]]:
@@ -379,10 +381,11 @@ def _model_perm(num: Mat, s: Mat) -> Optional[tuple[int, ...]]:
     return None if len(rows) != k or None in sigma else sigma
 
 
-def _check_presentation(gens, ident: Mat, rows: dict, order: int) -> None:
+def _check_presentation(gens, ident: Mat, rows: dict, order: int) -> tuple[tuple[int, ...], ...]:
     """Check that the closure's matrices are the image of its permutations
     under an isomorphism, from the row operations of the generators, with
-    O(r²) small products rather than one per edge; an InvariantError if not.
+    O(r²) small products rather than one per edge, and return the Coxeter
+    matrix (m_ab) that it reads; an InvariantError if the check fails.
 
     Let m_ab be the order of g_a·g_b (m_aa = 1: each g_a is an involution)
     and C the Coxeter group that (m_ab) presents (Humphreys, §1.9; its order
@@ -411,6 +414,7 @@ def _check_presentation(gens, ident: Mat, rows: dict, order: int) -> None:
             f"permutation model is not faithful: the matrices present a Coxeter group of order {presented}, "
             f"and the permutations generate {order} elements"
         )
+    return tuple(map(tuple, m))
 
 
 def order_factors(kind: str, k: int):
@@ -559,11 +563,8 @@ class Parabolic:
 def _a_type_paths(w: WeylGroup, positions: tuple[int, ...]) -> Optional[tuple[tuple[int, ...], ...]]:
     """The Coxeter diagram at the sorted positions as paths, each from its
     lesser end, in the order of those ends, if it is of type ∏A; else None.
-    The bond of a and b is the order of s_a·s_b (``_diagram``)."""
-    m = [[1] * len(positions) for _ in positions]
-    for i, j in itertools.combinations(range(len(positions)), 2):
-        m[i][j] = m[j][i] = w.order_of(w.left[positions[i]][w.simple_gens[positions[j]]])
-    comps = _diagram(m)
+    Its bonds are read off the group's Coxeter matrix (``_diagram``)."""
+    comps = _diagram([[w.coxeter[a][b] for b in positions] for a in positions])
     if any(kind != "A" for kind, _ in comps):
         return None
     return tuple(sorted([tuple([positions[i] for i in path]) for _, path in comps]))
@@ -595,15 +596,12 @@ def relative_weyl_check(w: WeylGroup, positions: Sequence[int], elt_idx: int) ->
     """Verify C_{W'}(w)/C_W(w) ≅ N_{W'}(W)/W on the cosets of W.
 
     W' is the ambient group, W the type-∏A parabolic at the given positions,
-    and the element must be indecomposable in W.  Raises if a hypothesis or
-    the bijectivity fails.
+    and the element must be indecomposable in W (``is_indecomposable``).
+    Raises if a hypothesis or the bijectivity fails.
     """
-    p = w.parabolic(positions)
-    indecomposables = p.indecomposables  # a ValueError unless W_P is of type ∏A
-    if elt_idx not in p.members:
-        raise ValueError("element does not lie in the parabolic subgroup")
-    if elt_idx not in indecomposables:
+    if not is_indecomposable(w, elt_idx, positions):
         raise ValueError("element is not indecomposable")
+    p = w.parabolic(positions)
     c_big = w.centralizer(elt_idx)
     c_small = tuple(g for g in c_big if g in p.members)
     normal = p.normalizer

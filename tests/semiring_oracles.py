@@ -123,7 +123,7 @@ def decomposition_inverse(dec: GenPermDecomposition) -> GenPermDecomposition:
 
 
 def decomposition_compose(dec: GenPermDecomposition, other: GenPermDecomposition) -> GenPermDecomposition:
-    """Decomposition of dec.matrix() ⊙ other.matrix()."""
+    """Decomposition of the product ⊙ of the matrices of dec and other."""
     n = len(dec.diag)
     inv = invert_perm(dec.perm)
     diag = tuple(dec.diag[i] + other.diag[inv[i]] for i in range(n))

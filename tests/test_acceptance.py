@@ -39,7 +39,8 @@ def test_criterion_1_matrix_group_characterizations():
         good = samplers.gen_perm(rng, n)
         dec = sr.invert_or_decompose(good)
         ident = sr.TropMatrix.gen_perm((0,) * n, range(n))
-        assert trop_matrix_mul(good, decomposition_inverse(dec).matrix()) == ident
+        inv = decomposition_inverse(dec)
+        assert trop_matrix_mul(good, sr.TropMatrix.gen_perm(inv.diag, inv.perm)) == ident
         bad = samplers.non_invertible(rng, rng.randint(2, 5))
         with pytest.raises(sr.NotInvertibleError):
             sr.invert_or_decompose(bad)

@@ -127,7 +127,7 @@ def test_every_weyl_index_field_is_checked_alike(bad):
 def test_every_weyl_index_field_takes_only_an_index():
     # a WeylElement was once read as its index; the index is the one form
     g, swap, c = gl2_swapped()
-    elt = g.weyl.element(swap)
+    elt = g.weyl.elements[swap]
     first = ci.GaugeTriple((1, 0), (Q(1, 2), Q(0)), swap)
     for field, call in [
         ("w", lambda w: ci.cocycle(g, (1, 0), (0, 0), w, 1)),

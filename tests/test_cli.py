@@ -436,6 +436,10 @@ def test_parse_error_exit_code(capsys, tmp_path):
     # the circle length of classify must be positive
     for j in ("0", "-3"):
         assert rejected(["classify", "GL", "2", "--j", j], "--j")
+    # a malformed --j is named even beside entries that all give their own j
+    entry = json.dumps(gl_cocycle(1, j=1))
+    assert rejected(["check-stability", "GL", "1", "--cocycle", entry, "--j", "abc"], "--j")
+    assert rejected(["iso-test", "GL", "1", "--cocycle", f"[{entry}, {entry}]", "--j", "abc"], "--j")
     # a circle length with a zero denominator is named, not a traceback
     assert rejected(["classify", "GL", "3", "--j", "1/0"], "'1/0'")
     assert rejected(["verify", "det-homeo", "--j", "1/0"], "'1/0'")
@@ -447,6 +451,16 @@ def test_parse_error_exit_code(capsys, tmp_path):
         assert rejected(["group-info", "GL", "4", "--guard", guard], "--guard")
     # G2 takes no rank parameter
     assert rejected(["classify", "G2", "5"], "G2")
+
+
+def test_entries_without_j_take_the_j_option(capsys):
+    # on GL1 with j = 7, offsets 0 and 7 are isomorphic, and 0 and 1 are not
+    for other, isomorphic in ((7, True), (1, False)):
+        given = [{"m": [0], "alpha": [0], "w": 0, "j": 7}, {"m": [0], "alpha": [other], "w": 0, "j": 7}]
+        nameless = [{k: v for k, v in entry.items() if k != "j"} for entry in given]
+        code, out = run(capsys, ["iso-test", "GL", "1", "--cocycle", json.dumps(given)])
+        assert (code, json.loads(out)["isomorphic"]) == (0, isomorphic)
+        assert run(capsys, ["iso-test", "GL", "1", "--cocycle", json.dumps(nameless), "--j", "7"]) == (code, out)
 
 
 def test_decimal_numbers_are_read_exactly(capsys, tmp_path):
@@ -490,7 +504,7 @@ def test_decimal_exponents_are_bounded(capsys, tmp_path):
         assert rejected(["classify", "GL", "2", "--j", text], "--j")
         assert rejected(["verify", "det-homeo", "--j", text], "--j")
         nameless = json.dumps({"m": [0], "alpha": [0], "w": 0})
-        assert rejected(["check-stability", "GL", "1", "--cocycle", nameless, "--j", text], "'j'")
+        assert rejected(["check-stability", "GL", "1", "--cocycle", nameless, "--j", text], "--j")
 
 
 def test_guard_exit_code(capsys):

@@ -359,7 +359,7 @@ def test_element_checks_its_fields():
         (((1, 2), True), "'w': True is not a rational"),  # once silently w = 1
         (((1, "1/0"), 0), "'m': '1/0' is not a rational"),
         (((1, 2), Q(1, 2)), "'w': Fraction\\(1, 2\\) is not an integer"),
-        (((1, 2), g.weyl.element(1)), "'w': WeylElement.* is not a rational"),  # an index is the one form
+        (((1, 2), g.weyl.elements[1]), "'w': WeylElement.* is not a rational"),  # an index is the one form
     ]
     for (m, w), message in cases:
         with pytest.raises(ValueError, match=message):
@@ -633,7 +633,7 @@ def test_kept_pairs_equal_the_scaled_fraction_oracle(family):
             assert gr.center_basis(g) == rational_kernel(rows)
         cinv = rational_inverse(datum.cartan_matrix())
         weights = tuple(
-            tuple(sum((c * datum.roots[t][k] for c, t in zip(cinv[i], datum.simple)), Q(0)) for k in range(datum.rank_char))
+            tuple(sum((c * datum.roots[t][k] for c, t in zip(cinv[i], datum.simple)), Q(0)) for k in range(len(datum.pairing)))
             for i in range(r)
         )
         assert rd.fundamental_weights(datum) == weights

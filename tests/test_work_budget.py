@@ -106,9 +106,10 @@ def test_cold_relative_weyl_budget(monkeypatch):
     # conjugations; now one walk per parabolic and one conjugators call per
     # indecomposable element, with no product of two indices
     monkeypatch.setattr(groups, "_GROUP_CACHE", {})
-    calls = count_calls(monkeypatch, weyl.WeylGroup, "orbits", "conj", "conjugators", "mul")
+    # the ∏A diagrams are read off the Coxeter matrix that the closure keeps: no order_of
+    calls = count_calls(monkeypatch, weyl.WeylGroup, "orbits", "conj", "conjugators", "mul", "order_of")
     assert verify.relative_weyl()["pass"]
-    assert calls == {"orbits": 24, "conj": 634, "conjugators": 28, "mul": 0}
+    assert calls == {"orbits": 24, "conj": 634, "conjugators": 28, "mul": 0, "order_of": 0}
 
 
 def test_cold_stability_budget(monkeypatch):
@@ -121,10 +122,15 @@ def test_cold_stability_budget(monkeypatch):
         r, w = g.rank, g.weyl
         for mono in (w.identity_idx, w.simple_gens[0], functools.reduce(w.mul, w.simple_gens)):
             cocycles += [circles.cocycle(g, m, [0] * r, mono, 1) for m in ([1] + [0] * (r - 1), list(range(1, r + 1)))]
-    scans = count_calls(monkeypatch, weyl.WeylGroup, "conj")
+    scans = count_calls(monkeypatch, weyl.WeylGroup, "conj", "order_of")
     order = count_calls(monkeypatch, stability, "_dominance")
     built = count_calls(monkeypatch, weyl, "Parabolic")
+    solves = count_calls(monkeypatch, la, "rref_inverse")
     verdicts = [stability.stability_verdict(c) for c in cocycles]
     assert [sum(v.semistable for v in verdicts), sum(v.stable for v in verdicts)] == [7, 6]
     # each of the 2^r parabolics of a group is built once, by its first verdict
     assert [scans["conj"], order["_dominance"], built["Parabolic"]] == [306, 334, 8 + 8 + 4]
+    # one Cartan inverse per group for its coroot frame, which the full parabolic
+    # takes, and one per other parabolic but the torus: 3 + (6 + 6 + 2); each ∏A
+    # diagram is read off the Coxeter matrix that the closure keeps
+    assert [solves["rref_inverse"], scans["order_of"]] == [17, 0]
